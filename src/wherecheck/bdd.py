@@ -4,14 +4,13 @@ Nodes are hash-consed triples (level, lo, hi) stored in parallel arrays and
 addressed by index; 0 and 1 are the terminals.  Levels are plain integers
 assigned by the caller.  Rename only supports order-preserving level maps,
 which is all the relation algebra here needs: pair relations place the
-current-state bit of each variable at level 3k, a scratch copy at 3k+1 and
-the next-state bit at 3k+2, so moving a whole block sideways never swaps
-two levels.
+current-state copy of global bit slot k at level 3k, a scratch copy at 3k+1
+and the next-state copy at 3k+2, so moving a whole block sideways never
+swaps two levels.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterable, Iterator, Optional
 
 LEAF_LEVEL = 1 << 60
@@ -44,6 +43,7 @@ class BDD:
         self._set_ids: dict[frozenset, int] = {}
         self._tag_ids: dict[str, int] = {}
         self.node_budget = node_budget
+        # Always 0: the node table is never compacted.  Reports read it.
         self.collections = 0
 
     def _cache_put(self, key: int, out: int) -> int:
@@ -75,58 +75,6 @@ class BDD:
         self.hi.append(hi)
         self._unique[key] = idx
         return idx
-
-    def collect(self, roots: Iterable[int]) -> "array":
-        """Mark-compact pass keeping only the closure of the given roots.
-
-        Children are always allocated before their parents, so one ascending
-        sweep renumbers the survivors.  Returns old-id -> new-id as an array;
-        entries for dead nodes are 0, so callers must remap exactly the
-        references they passed as roots, then forget everything else.  The
-        operation cache is dropped wholesale (its keys embed old ids).
-        """
-        n = len(self.level)
-        keep = bytearray(n)
-        keep[0] = keep[1] = 1
-        stack = []
-        for r in roots:
-            if not keep[r]:
-                keep[r] = 1
-                stack.append(r)
-        lo, hi = self.lo, self.hi
-        while stack:
-            u = stack.pop()
-            c = lo[u]
-            if not keep[c]:
-                keep[c] = 1
-                stack.append(c)
-            c = hi[u]
-            if not keep[c]:
-                keep[c] = 1
-                stack.append(c)
-        remap = array("q", bytes(8 * n))
-        remap[1] = 1
-        level = self.level
-        new_level = [LEAF_LEVEL, LEAF_LEVEL]
-        new_lo = [0, 1]
-        new_hi = [0, 1]
-        unique: dict[int, int] = {}
-        for u in range(2, n):
-            if not keep[u]:
-                continue
-            lvl = level[u]
-            l2, h2 = remap[lo[u]], remap[hi[u]]
-            idx = len(new_level)
-            new_level.append(lvl)
-            new_lo.append(l2)
-            new_hi.append(h2)
-            unique[(lvl << 60) | (l2 << 30) | h2] = idx
-            remap[u] = idx
-        self.level, self.lo, self.hi = new_level, new_lo, new_hi
-        self._unique = unique
-        self._apply_cache.clear()
-        self.collections += 1
-        return remap
 
     def var(self, level: int) -> int:
         return self.node(level, self.FALSE, self.TRUE)
@@ -357,9 +305,8 @@ class BDD:
         """One satisfying branch, preferring the 0-edge at every level.
 
         Levels absent from the returned dict are unconstrained; callers
-        default them to 0, which keeps extracted witnesses deterministic
-        and (with most-significant bits at lower levels) numerically
-        minimal per variable.
+        default them to 0.  The result is the least satisfying assignment
+        in level order, the lowest level counting as most significant.
         """
         if u == self.FALSE:
             return None
@@ -400,7 +347,7 @@ class BDD:
 
 
 # Fixed-width vectors: a value is a list of node indices, most significant
-# bit first to match the level allocation, so bv[0] is the MSB.
+# bit first, so bv[0] is the MSB.
 
 
 def bv_const(mgr: BDD, value: int, width: int) -> list[int]:

@@ -120,21 +120,6 @@ def _read(path: Path) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _release_heap() -> None:
-    """Hand freed allocator pages back to the OS.
-
-    Saturation at wide bit widths leaves gigabytes of freed dict pages
-    behind; glibc keeps them unless told otherwise, which starves the next
-    probe on small machines.  No-op off glibc.
-    """
-    try:
-        import ctypes
-
-        ctypes.CDLL("libc.so.6").malloc_trim(0)
-    except Exception:
-        pass
-
-
 def analyze(
     program: Program | str | Path,
     policy: Policy | str | Path,
@@ -174,8 +159,8 @@ def analyze(
                 )
             )
             continue
-        del auto
-        _release_heap()
+        steps = auto.steps
+        del auto  # free this level's BDD before the next level builds its own
         report.levels.append(
             LevelReport(
                 level,
@@ -184,7 +169,7 @@ def analyze(
                 skeleton_rules=len(skeleton.spds.rules),
                 composed_rules=len(model.spds.rules),
                 global_bits=model.spds.globals.total_bits,
-                steps=auto.steps,
+                steps=steps,
                 seconds=time.perf_counter() - start,
                 skeleton=skeleton,
                 model=model,
@@ -416,7 +401,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_nmin(args: argparse.Namespace) -> int:
     program = _coerce_program(args.program)
     policy = gather_downgrades(program, _coerce_policy(args.policy))
-    print(f"probing bits 1..{args.max_bits} (capacity={DEFAULT_CAPACITY} mode={MODE_STORE_MATCH})")
+    print(f"probing bits 1..{args.max_bits} (capacity={args.capacity} mode={MODE_STORE_MATCH})")
     probes: list[str] = []
 
     def note(width: int, report: AnalysisReport) -> None:
@@ -424,7 +409,7 @@ def _cmd_nmin(args: argparse.Namespace) -> int:
         print(probes[-1])
 
     found, hit_budget = _nmin_probe(
-        program, policy, args.max_bits, DEFAULT_CAPACITY, MODE_STORE_MATCH, _node_budget(), note
+        program, policy, args.max_bits, args.capacity, MODE_STORE_MATCH, _node_budget(), note
     )
     if found is not None:
         print(f"NMIN bits={found}")
@@ -437,7 +422,7 @@ def _cmd_nmin(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    table = bench(args.corpus, bits=args.bits, node_budget=_node_budget())
+    table = bench(args.corpus, bits=args.bits, capacity=args.capacity, node_budget=_node_budget())
     for row in table.rows:
         print(
             f"BENCH program={row.name} verdict={row.verdict}"
@@ -480,11 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nmin.add_argument("program")
     p_nmin.add_argument("--policy", required=True)
     p_nmin.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
+    p_nmin.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p_nmin.set_defaults(func=_cmd_nmin)
 
     p_bench = sub.add_parser("bench", help="compare composition backends over a corpus")
     p_bench.add_argument("corpus")
     p_bench.add_argument("--bits", type=int, default=DEFAULT_BITS)
+    p_bench.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

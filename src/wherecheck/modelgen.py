@@ -147,6 +147,7 @@ def make_globals(
     duplicate_outputs: bool = False,
 ) -> GlobalsDecl:
     cells: list[tuple[str, int]] = []
+    control: set[str] = set()  # channel indices and exhaustion flags
     for name in variables:
         cells.append((name, bits))
         if companions:
@@ -158,22 +159,25 @@ def make_globals(
             cells.append((cname, bits))
         cells.append((spec.index, index_width(spec.length)))
         cells.append((spec.exhausted, 1))
+        control |= {spec.index, spec.exhausted}
     for spec in outputs:
         # Only channels the program declares get a second copy; the
         # synthetic finals stream is matched in place in both modes.  Each
-        # copied cell sits next to its original so that the pairwise
-        # equality the checker builds stays linear in the decision order.
+        # copied cell follows its original, so the two share every bit band
+        # of the variable order.
         dup = duplicate_outputs and spec.name != FINALVARS
         for cname in spec.cells:
             cells.append((cname, bits))
             if dup:
                 cells.append((xi_name(cname), bits))
         cells.append((spec.index, index_width(spec.length)))
+        control.add(spec.index)
         if dup:
             cells.append((xi_name(spec.index), index_width(spec.length)))
+            control.add(xi_name(spec.index))
     for i in range(declass_count):
         cells.append((d_name(i), bits))
-    return GlobalsDecl(tuple(cells))
+    return GlobalsDecl(tuple(cells), frozenset(control))
 
 
 def _first_symbol(cmd: Command) -> str:

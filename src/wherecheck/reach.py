@@ -41,31 +41,6 @@ FINAL_STATE = "f"
 _SITE = re.compile(r"g(\d+)$")
 
 
-# Compact the node table once it outgrows this many nodes; long
-# saturations at wide bit widths drown in dead intermediates otherwise.
-GC_NODE_TRIGGER = 8_000_000
-
-
-def _collect_live(alg, lists: list[list[int]], dicts: list[dict]) -> None:
-    """Run a mark-compact pass and rewrite every tracked reference."""
-    roots: list[int] = []
-    for lst in lists:
-        roots.extend(lst)
-    for d in dicts:
-        roots.extend(d.values())
-    if alg._identity is not None:
-        roots.append(alg._identity)
-    remap = alg.mgr.collect(roots)
-    for lst in lists:
-        for i, r in enumerate(lst):
-            lst[i] = remap[r]
-    for d in dicts:
-        for k in d:
-            d[k] = remap[d[k]]
-    if alg._identity is not None:
-        alg._identity = remap[alg._identity]
-
-
 def _spds_of(model: Union[ComposedModel, SPDS]) -> SPDS:
     return model if isinstance(model, SPDS) else model.spds
 
@@ -130,17 +105,9 @@ def post_star(
     grow(INITIAL_STATE, spds.start, FINAL_STATE, alg.set_from_fixed(dict(spds.initial_fixed)))
 
     steps = 0
-    gc_trigger = GC_NODE_TRIGGER
     while queue:
         if max_steps is not None and steps >= max_steps:
             raise BudgetExceeded(f"saturation step budget {max_steps} exhausted")
-        if len(mgr) >= gc_trigger:
-            pending = [d for _, _, _, d in queue]
-            _collect_live(alg, [rels, pending], [trans, eps])
-            queue = deque(
-                (p2, s2, q2, d2) for (p2, s2, q2, _), d2 in zip(queue, pending)
-            )
-            gc_trigger = max(GC_NODE_TRIGGER, (3 * len(mgr)) // 2)
         p, sym, q, delta = queue.popleft()
         steps += 1
         if p == INITIAL_STATE:
@@ -207,13 +174,9 @@ def _feasible_chains(auto: PAutomaton) -> dict[str, int]:
     alg, mgr = auto.algebra, auto.algebra.mgr
     feas = {state: mgr.FALSE for state in auto.states}
     feas[auto.final] = mgr.TRUE
-    gc_trigger = max(GC_NODE_TRIGGER, (3 * len(mgr)) // 2)
     changed = True
     while changed:
         changed = False
-        if len(mgr) >= gc_trigger:
-            _collect_live(alg, [auto.rule_relations], [auto.trans, auto.eps, feas])
-            gc_trigger = max(GC_NODE_TRIGGER, (3 * len(mgr)) // 2)
         for (p, _, q) in list(auto.trans):
             add = alg.preimage(auto.trans[(p, _, q)], feas[q])
             merged = mgr.apply("or", feas[p], add)
@@ -431,8 +394,19 @@ def _stream_difference(o1: tuple[int, ...], o2: tuple[int, ...], k: int) -> bool
     return in1 != in2
 
 
+def _releases(trace) -> dict[int, list[int]]:
+    by_site: dict[int, list[int]] = {}
+    for site, value in trace.declass_events():
+        by_site.setdefault(site, []).append(value)
+    return by_site
+
+
 def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[str, str]]:
-    """Run both decoded executions and confirm the claimed observation gap."""
+    """Run both decoded executions and confirm the claimed observation gap.
+
+    The gap counts only under the downgrade premise: every downgrade site
+    that both runs execute must release the same values.
+    """
     skel = model.skeleton
     fuel = max(1024, 8 * len(witness.steps))
     kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel)
@@ -442,6 +416,9 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
     if outcomes != (OUTCOME_HALTED, OUTCOME_HALTED):
         return False, outcomes
     if not low_equiv_store(witness.mu1, witness.mu2, skel.level, skel.policy):
+        return False, outcomes
+    rel1, rel2 = _releases(t1), _releases(t2)
+    if any(rel1[site] != rel2[site] for site in rel1.keys() & rel2.keys()):
         return False, outcomes
     if witness.channel == FINALVARS:
         var = skel.observable_vars[witness.index]

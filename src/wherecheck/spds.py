@@ -7,9 +7,14 @@ write).  Globals not mentioned keep their value; that frame condition is
 part of the spec's meaning, so the BDD compilation and the explicit
 evaluator below both implement it and can be compared bit for bit.
 
-Level layout: global bit t occupies levels 3t (current), 3t+1 (scratch) and
-3t+2 (next).  Every rename used by the relation algebra moves a whole block
-sideways within the triples and is therefore order-preserving.
+Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
+and 3t+2 (next).  Every rename used by the relation algebra moves a whole
+block sideways within the triples and is therefore order-preserving.  Slots
+are handed out control cells first (channel indices and exhaustion flags),
+then in bands: band j holds bit j, counted from the most significant bit, of
+every remaining cell wider than j, in declaration order.  A cell and its
+second-run copy therefore sit side by side in every band, which keeps the
+equalities that self-composition builds between them linear in the width.
 """
 
 from __future__ import annotations
@@ -207,18 +212,24 @@ class Rule:
 @dataclass(frozen=True)
 class GlobalsDecl:
     cells: tuple[tuple[str, int], ...]  # (name, width) in declaration order
+    control: frozenset[str] = frozenset()  # cells whose bits take the first slots
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, (name, _) in enumerate(self.cells)}
 
     @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for _, width in self.cells:
-            out.append(acc)
-            acc += width
-        return tuple(out)
+    def _slots(self) -> dict[str, list[int]]:
+        """Bit slots of each cell, most significant bit first."""
+        order = sorted(
+            (name not in self.control, j, i)
+            for i, (name, width) in enumerate(self.cells)
+            for j in range(width)
+        )
+        out: dict[str, list[int]] = {name: [0] * width for name, width in self.cells}
+        for t, (_, j, i) in enumerate(order):
+            out[self.cells[i][0]][j] = t
+        return out
 
     @property
     def names(self) -> list[str]:
@@ -235,9 +246,7 @@ class GlobalsDecl:
         return self._index[name]
 
     def _levels(self, name: str, block: int) -> list[int]:
-        i = self._index[name]
-        base = self._offsets[i]
-        return [3 * (base + j) + block for j in range(self.cells[i][1])]
+        return [3 * t + block for t in self._slots[name]]
 
     def cur_levels(self, name: str) -> list[int]:
         return self._levels(name, 0)
@@ -616,14 +625,41 @@ class RelationAlgebra:
             out.append(bv_value(lambda lvl: assignment.get(lvl, False), levels))
         return tuple(out)
 
+    def _least(self, u: int, levels: list[int]) -> Optional[dict[int, bool]]:
+        """The least assignment satisfying u, read as a number over levels.
+
+        Levels come most significant first and need not follow the BDD
+        order, so each bit is fixed by one conjunction with a literal.
+        """
+        mgr = self.mgr
+        if u == mgr.FALSE:
+            return None
+        out: dict[int, bool] = {}
+        for lvl in levels:
+            if u == mgr.TRUE:
+                break
+            low = mgr.conj(u, mgr.nvar(lvl))
+            out[lvl] = low == mgr.FALSE
+            u = mgr.conj(u, mgr.var(lvl)) if out[lvl] else low
+        return out
+
     def pick_set(self, set_cur: int) -> Optional[tuple[int, ...]]:
-        assignment = self.mgr.sat_pick(set_cur)
+        """The least valuation in the set: cells in declaration order, MSB first."""
+        levels = [lvl for name in self.g.names for lvl in self.g.cur_levels(name)]
+        assignment = self._least(set_cur, levels)
         if assignment is None:
             return None
         return self._decode(assignment, self.g.cur_levels)
 
     def pick_pair(self, r: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        assignment = self.mgr.sat_pick(r)
+        """The least pair, bit by bit as pick_set, the current bit before the next."""
+        levels = [
+            lvl
+            for name in self.g.names
+            for bit in zip(self.g.cur_levels(name), self.g.nxt_levels(name))
+            for lvl in bit
+        ]
+        assignment = self._least(r, levels)
         if assignment is None:
             return None
         return (

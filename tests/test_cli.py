@@ -206,6 +206,12 @@ def test_nmin_absent_for_secure_program(capsys):
     assert "bits=4: secure" in out
 
 
+def test_nmin_passes_capacity(capsys):
+    code, out, _ = run(capsys, ["nmin", *corpus_args("P3"), "--capacity", "4"])
+    assert code == EXIT_INSECURE
+    assert "probing bits 1..6 (capacity=4 mode=storematch)" in out
+
+
 def test_nmin_library_api():
     program = parse_program((CORPUS / "P3").read_text())
     policy = parse_policy((CORPUS / "P3.policy").read_text())
@@ -225,6 +231,20 @@ def test_bench_corpus(capsys):
     assert len(rows) == 8
     agg = [ln for ln in out.splitlines() if ln.startswith("BENCH aggregate")]
     assert len(agg) == 1 and "step_ratio=" in agg[0]
+
+
+def test_bench_passes_capacity(capsys, monkeypatch):
+    seen = []
+    real = cli.analyze
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["capacity"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", spy)
+    code, _, _ = run(capsys, ["bench", str(CORPUS), "--bits", "1", "--capacity", "4"])
+    assert code == EXIT_SECURE
+    assert seen and set(seen) == {4}
 
 
 def test_bench_table_api():

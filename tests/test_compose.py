@@ -183,6 +183,34 @@ def test_tr_duplicates_output_channels():
     assert all(xi_name(c) not in names for c in finals.cells)
 
 
+def test_composed_order_puts_control_first_and_pairs_copies():
+    program, policy = prog(
+        "input(l, src); h := l; output(h, snk)",
+        "lattice: L < H\nvar l : L\nvar h : H\n"
+        "channel src : L input length 2\nchannel snk : L output\n",
+    )
+    skel = build_model(program, policy, "L", bits=3, capacity=2)
+    src, snk = skel.inputs[0], skel.output_spec("snk")
+    shared = {src.index, src.exhausted, snk.index, skel.output_spec(FINALVARS).index}
+    for model, control in (
+        (self_compose(skel), shared),
+        (tr_compose(skel), shared | {xi_name(snk.index)}),
+    ):
+        g = model.spds.globals
+        assert g.control == control
+
+        def slots(name):
+            return [lvl // 3 for lvl in g.cur_levels(name)]
+
+        control_bits = sum(g.width_of(name) for name in control)
+        assert sorted(t for name in control for t in slots(name)) == list(range(control_bits))
+        copies = [name for name in g.names if name.startswith("xi(") and name not in control]
+        assert copies
+        for copy in copies:
+            original = copy[3:-1]
+            assert [t + 1 for t in slots(original)] == slots(copy)
+
+
 def test_tr_overhead_is_one_channel_copy():
     # a single low output channel: the baseline pays exactly one copy
     program, policy = prog(

@@ -9,6 +9,7 @@ from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import FINALVARS, build_model
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
     accepts,
     explicit_error_search,
@@ -286,6 +287,16 @@ def test_replay_rejects_bogus_mismatch():
     ok, outcomes = replay_witness(model, w)
     assert not ok
     assert outcomes == ("halted", "halted")
+
+
+def test_replay_rejects_witness_breaking_the_downgrade_premise():
+    # storematch finds a false witness here: the two runs release different
+    # values at the downgrade site, so their output gap proves nothing
+    gen = generate(81, GenConfig(io=True))
+    model = build(gen.text, gen.policy_text, bits=2, capacity=4)
+    w = extract_witness(post_star(model), model)
+    assert w.replay_ok is False
+    assert w.replay_outcomes == ("halted", "halted")
 
 
 def test_tr_witness_decodes():

@@ -35,15 +35,38 @@ def test_globals_layout():
     g = GlobalsDecl((("a", 2), ("b", 3)))
     assert g.total_bits == 5
     assert g.width_of("b") == 3
-    assert g.cur_levels("a") == [0, 3]
-    assert g.nxt_levels("a") == [2, 5]
-    assert g.cur_levels("b") == [6, 9, 12]
-    assert g.tmp_levels("b") == [7, 10, 13]
+    # MSB bands: slots a0 b0 a1 b1 b2
+    assert g.cur_levels("a") == [0, 6]
+    assert g.nxt_levels("a") == [2, 8]
+    assert g.cur_levels("b") == [3, 9, 12]
+    assert g.tmp_levels("b") == [4, 10, 13]
     assert g.block_levels(0) == [0, 3, 6, 9, 12]
     assert g.block_map(2, 1)[8] == 7
     assert g.valuation({"a": 5, "b": 3}) == (1, 3)
     assert g.as_dict((1, 3)) == {"a": 1, "b": 3}
     assert len(list(g.all_valuations())) == 32
+
+
+def test_control_first_band_layout():
+    g = GlobalsDecl(
+        (("x", 3), ("xi(x)", 3), ("c[0]", 3), ("q[c]", 2), ("xi(q[c])", 2), ("f", 1)),
+        frozenset({"q[c]", "xi(q[c])", "f"}),
+    )
+
+    def slots(name):
+        return [lvl // 3 for lvl in g.cur_levels(name)]
+
+    # control bits take the first slots, themselves banded MSB first
+    assert slots("q[c]") == [0, 3]
+    assert slots("xi(q[c])") == [1, 4]
+    assert slots("f") == [2]
+    # then one band per bit position over the data cells, in declaration order
+    assert slots("x") == [5, 8, 11]
+    assert slots("xi(x)") == [6, 9, 12]
+    assert slots("c[0]") == [7, 10, 13]
+    assert sorted(t for name in g.names for t in slots(name)) == list(range(g.total_bits))
+    # the valuation keeps declaration order
+    assert g.valuation({"x": 5, "f": 1}) == (5, 0, 0, 0, 0, 1)
 
 
 def test_from_program_expr_and_rename():
@@ -290,3 +313,43 @@ def test_pick_pair_deterministic():
     ra = RelationAlgebra(G3)
     r = rel_from_pairs(ra, {((2, 1), (0, 0)), ((0, 1), (3, 0))})
     assert ra.pick_pair(r) == ((0, 1), (3, 0))
+
+
+# Witnesses pick the least valuation in declaration order whatever the
+# variable order, so they read the same as under a contiguous layout.
+MIXED = GlobalsDecl((("a", 2), ("k", 1), ("b", 3), ("xi(a)", 2)), frozenset({"k"}))
+MIXED_VALS = list(MIXED.all_valuations())
+
+
+def pair_key(pair):
+    """Declaration order over a pair: per cell, per bit, the first run's bit first."""
+    key = []
+    for i, (_, width) in enumerate(MIXED.cells):
+        for j in range(width - 1, -1, -1):
+            key += [(pair[0][i] >> j) & 1, (pair[1][i] >> j) & 1]
+    return key
+
+
+@settings(max_examples=60)
+@given(st.frozensets(st.sampled_from(MIXED_VALS), min_size=1, max_size=10))
+def test_pick_set_is_least_in_declaration_order(vals):
+    ra = RelationAlgebra(MIXED)
+    node = ra.empty
+    for v in sorted(vals):
+        node = ra.mgr.disj(node, ra.set_from_valuation(v))
+    assert ra.enumerate_set(node) == set(vals)
+    assert ra.pick_set(node) == min(ra.enumerate_set(node))
+
+
+@settings(max_examples=60)
+@given(
+    st.frozensets(
+        st.tuples(st.sampled_from(MIXED_VALS), st.sampled_from(MIXED_VALS)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_pick_pair_is_least_in_declaration_order(pairs):
+    ra = RelationAlgebra(MIXED)
+    r = rel_from_pairs(ra, pairs)
+    assert ra.pick_pair(r) == min(ra.enumerate_pairs(r), key=pair_key)
