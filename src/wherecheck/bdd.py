@@ -17,13 +17,22 @@ LEAF_LEVEL = 1 << 60
 
 # Cache keys are single ints: operand ids and a small opcode packed into
 # one word-ish integer.  A tuple key costs about twice as much memory and
-# the table below is the dominant allocation at scale.
-_OP_AND, _OP_OR, _OP_XOR, _OP_NOT, _OP_EXISTS, _OP_ANDEX, _OP_RENAME = range(7)
-_OP_OF = {"and": _OP_AND, "or": _OP_OR, "xor": _OP_XOR}
+# the table below is the dominant allocation at scale.  Keys hold node ids
+# in 30 bits and quantifier-set and rename-tag ids in 12, so past those
+# bounds two keys would alias; the manager gives up before that happens.
+_OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_EXISTS, _OP_ANDEX, _OP_RENAME = range(8)
+_NODE_ID_LIMIT = 1 << 30
+_SMALL_ID_LIMIT = 1 << 12
 
 
 class BudgetExceeded(Exception):
-    """Raised when the node table outgrows the configured budget."""
+    """Raised when the node table outgrows the configured budget or a cache-key bound."""
+
+
+def _fresh_id(table: dict, what: str) -> int:
+    if len(table) >= _SMALL_ID_LIMIT:
+        raise BudgetExceeded(f"more than {_SMALL_ID_LIMIT} {what} would alias in the cache keys")
+    return len(table)
 
 
 class BDD:
@@ -35,19 +44,20 @@ class BDD:
         self.lo = [0, 1]
         self.hi = [0, 1]
         self._unique: dict[int, int] = {}
-        self._apply_cache: dict[int, int] = {}
+        self._cache: dict[int, int] = {}
         # Operation caches are memo tables, so dropping them wholesale is
         # always sound; the cap keeps long saturations from hoarding memory.
         self.cache_limit = cache_limit
         self.cache_clears = 0
         self._set_ids: dict[frozenset, int] = {}
         self._tag_ids: dict[str, int] = {}
-        self.node_budget = node_budget
+        limit = _NODE_ID_LIMIT if node_budget is None else min(node_budget, _NODE_ID_LIMIT)
+        self._node_limit = limit
         # Always 0: the node table is never compacted.  Reports read it.
         self.collections = 0
 
     def _cache_put(self, key: int, out: int) -> int:
-        cache = self._apply_cache
+        cache = self._cache
         if len(cache) >= self.cache_limit:
             cache.clear()
             self.cache_clears += 1
@@ -67,9 +77,9 @@ class BDD:
         found = self._unique.get(key)
         if found is not None:
             return found
-        if self.node_budget is not None and len(self.level) >= self.node_budget:
-            raise BudgetExceeded(f"BDD node budget {self.node_budget} exhausted")
         idx = len(self.level)
+        if idx >= self._node_limit:
+            raise BudgetExceeded(f"BDD node budget {self._node_limit} exhausted")
         self.level.append(level)
         self.lo.append(lo)
         self.hi.append(hi)
@@ -82,61 +92,87 @@ class BDD:
     def nvar(self, level: int) -> int:
         return self.node(level, self.TRUE, self.FALSE)
 
-    # Binary boolean connectives share one memoized recursion.
+    # Binary connectives: one memoized recursion each, terminals 0 and 1.
+    # The commutative ones order their operands so both orders share a key.
 
-    def apply(self, op: str, u: int, v: int) -> int:
-        if op == "and":
-            if u == self.FALSE or v == self.FALSE:
-                return self.FALSE
-            if u == self.TRUE:
-                return v
-            if v == self.TRUE:
-                return u
-            if u == v:
-                return u
-        elif op == "or":
-            if u == self.TRUE or v == self.TRUE:
-                return self.TRUE
-            if u == self.FALSE:
-                return v
-            if v == self.FALSE:
-                return u
-            if u == v:
-                return u
-        elif op == "xor":
-            if u == self.FALSE:
-                return v
-            if v == self.FALSE:
-                return u
-            if u == v:
-                return self.FALSE
-            if u == self.TRUE:
-                return self.neg(v)
-            if v == self.TRUE:
-                return self.neg(u)
-        else:
-            raise ValueError(f"unknown op {op!r}")
+    def conj(self, u: int, v: int) -> int:
+        if u == 0 or v == 0:
+            return 0
+        if u == 1 or u == v:
+            return v
+        if v == 1:
+            return u
         if u > v:
             u, v = v, u
-        key = (((u << 30) | v) << 4) | _OP_OF[op]
-        found = self._apply_cache.get(key)
+        key = (((u << 30) | v) << 4) | _OP_AND
+        found = self._cache.get(key)
         if found is not None:
             return found
         lu, lv = self.level[u], self.level[v]
         top = min(lu, lv)
         u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
         v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        out = self.node(top, self.apply(op, u0, v0), self.apply(op, u1, v1))
-        return self._cache_put(key, out)
-
-    def conj(self, u: int, v: int) -> int:
-        return self.apply("and", u, v)
+        return self._cache_put(key, self.node(top, self.conj(u0, v0), self.conj(u1, v1)))
 
     def disj(self, u: int, v: int) -> int:
-        return self.apply("or", u, v)
+        if u == 1 or v == 1:
+            return 1
+        if u == 0 or u == v:
+            return v
+        if v == 0:
+            return u
+        if u > v:
+            u, v = v, u
+        key = (((u << 30) | v) << 4) | _OP_OR
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        lu, lv = self.level[u], self.level[v]
+        top = min(lu, lv)
+        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
+        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
+        return self._cache_put(key, self.node(top, self.disj(u0, v0), self.disj(u1, v1)))
 
     def xor(self, u: int, v: int) -> int:
-        return self.apply("xor", u, v)
+        if u == v:
+            return 0
+        if u == 0:
+            return v
+        if v == 0:
+            return u
+        if u == 1:
+            return self.neg(v)
+        if v == 1:
+            return self.neg(u)
+        if u > v:
+            u, v = v, u
+        key = (((u << 30) | v) << 4) | _OP_XOR
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        lu, lv = self.level[u], self.level[v]
+        top = min(lu, lv)
+        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
+        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
+        return self._cache_put(key, self.node(top, self.xor(u0, v0), self.xor(u1, v1)))
+
+    def diff(self, u: int, v: int) -> int:
+        """u and not v, without building the negation of v."""
+        if u == 0 or v == 1 or u == v:
+            return 0
+        if v == 0:
+            return u
+        if u == 1:
+            return self.neg(v)
+        key = (((u << 30) | v) << 4) | _OP_DIFF
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        lu, lv = self.level[u], self.level[v]
+        top = min(lu, lv)
+        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
+        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
+        return self._cache_put(key, self.node(top, self.diff(u0, v0), self.diff(u1, v1)))
 
     def neg(self, u: int) -> int:
         if u == self.FALSE:
@@ -144,7 +180,7 @@ class BDD:
         if u == self.TRUE:
             return self.FALSE
         key = (u << 4) | _OP_NOT
-        found = self._apply_cache.get(key)
+        found = self._cache.get(key)
         if found is not None:
             return found
         out = self.node(self.level[u], self.neg(self.lo[u]), self.neg(self.hi[u]))
@@ -154,7 +190,7 @@ class BDD:
         return self.neg(self.xor(u, v))
 
     def ite(self, g: int, t: int, e: int) -> int:
-        return self.disj(self.conj(g, t), self.conj(self.neg(g), e))
+        return self.disj(self.conj(g, t), self.diff(e, g))
 
     def conj_all(self, items: Iterable[int]) -> int:
         out = self.TRUE
@@ -171,7 +207,7 @@ class BDD:
     def _set_id(self, wanted: frozenset) -> int:
         found = self._set_ids.get(wanted)
         if found is None:
-            found = self._set_ids[wanted] = len(self._set_ids)
+            found = self._set_ids[wanted] = _fresh_id(self._set_ids, "quantifier sets")
         return found
 
     def exists(self, u: int, levels: Iterable[int]) -> int:
@@ -184,7 +220,7 @@ class BDD:
         if self.level[u] == LEAF_LEVEL:
             return u
         key = (((u << 12) | wid) << 4) | _OP_EXISTS
-        found = self._apply_cache.get(key)
+        found = self._cache.get(key)
         if found is not None:
             return found
         lvl = self.level[u]
@@ -219,7 +255,7 @@ class BDD:
         if u > v:
             u, v = v, u
         key = (((((u << 30) | v) << 12) | wid) << 4) | _OP_ANDEX
-        found = self._apply_cache.get(key)
+        found = self._cache.get(key)
         if found is not None:
             return found
         lu, lv = self.level[u], self.level[v]
@@ -233,46 +269,27 @@ class BDD:
             out = self.node(top, lo, self._and_exists(u1, v1, wanted, wid))
         return self._cache_put(key, out)
 
-    def rename(self, u: int, mapping: dict[int, int], tag: Optional[str] = None) -> int:
+    def rename(self, u: int, mapping: dict[int, int], tag: str) -> int:
         """Relabel levels through an order-preserving map.
 
         The support levels and their images must be in the same relative
         order, and no image may land on a level still present in u outside
         the mapping; the node() assertion enforces both as a side effect.
-        A tag names the mapping so results persist across calls; the hot
-        maps in the relation algebra are fixed, so their renames memoize
-        globally instead of once per invocation.
+        The tag names the mapping, so results persist across calls: the maps
+        in the relation algebra are fixed and their renames memoize globally.
         """
         if not mapping:
             return u
-        if tag is None:
-            memo: dict[int, int] = {}
-            return self._rename_once(u, mapping, memo)
         tid = self._tag_ids.get(tag)
         if tid is None:
-            tid = self._tag_ids[tag] = len(self._tag_ids)
+            tid = self._tag_ids[tag] = _fresh_id(self._tag_ids, "rename tags")
         return self._rename(u, mapping, tid)
-
-    def _rename_once(self, u: int, mapping: dict[int, int], memo: dict[int, int]) -> int:
-        if self.level[u] == LEAF_LEVEL:
-            return u
-        found = memo.get(u)
-        if found is not None:
-            return found
-        lvl = mapping.get(self.level[u], self.level[u])
-        out = self.node(
-            lvl,
-            self._rename_once(self.lo[u], mapping, memo),
-            self._rename_once(self.hi[u], mapping, memo),
-        )
-        memo[u] = out
-        return out
 
     def _rename(self, u: int, mapping: dict[int, int], tid: int) -> int:
         if self.level[u] == LEAF_LEVEL:
             return u
         key = (((u << 12) | tid) << 4) | _OP_RENAME
-        found = self._apply_cache.get(key)
+        found = self._cache.get(key)
         if found is not None:
             return found
         lvl = mapping.get(self.level[u], self.level[u])
@@ -283,42 +300,9 @@ class BDD:
         )
         return self._cache_put(key, out)
 
-    def support(self, u: int) -> set[int]:
-        seen: set[int] = set()
-        out: set[int] = set()
-        stack = [u]
-        while stack:
-            n = stack.pop()
-            if n in seen or self.level[n] == LEAF_LEVEL:
-                continue
-            seen.add(n)
-            out.add(self.level[n])
-            stack.append(self.lo[n])
-            stack.append(self.hi[n])
-        return out
-
     def restrict(self, u: int, level: int, value: bool) -> int:
         lit = self.var(level) if value else self.nvar(level)
         return self.exists(self.conj(u, lit), (level,))
-
-    def sat_pick(self, u: int) -> Optional[dict[int, bool]]:
-        """One satisfying branch, preferring the 0-edge at every level.
-
-        Levels absent from the returned dict are unconstrained; callers
-        default them to 0.  The result is the least satisfying assignment
-        in level order, the lowest level counting as most significant.
-        """
-        if u == self.FALSE:
-            return None
-        out: dict[int, bool] = {}
-        while u != self.TRUE:
-            if self.lo[u] != self.FALSE:
-                out[self.level[u]] = False
-                u = self.lo[u]
-            else:
-                out[self.level[u]] = True
-                u = self.hi[u]
-        return out
 
     def sat_all(self, u: int, levels: list[int]) -> Iterator[tuple[bool, ...]]:
         """Every assignment to the given levels that can satisfy u.

@@ -5,7 +5,8 @@ security level of the policy lattice, searches for the minimal bit width
 that exposes a leak, and benchmarks the two composition backends against
 each other.
 
-Exit codes: 0 secure, 1 insecure, 2 inconclusive, 3 usage / parse errors.
+Exit codes: 0 secure, 1 insecure, 2 inconclusive, 3 usage, parse or
+internal errors.
 Machine-readable verdict lines are prefixed with RESULT and are
 byte-identical across repeated runs; timing figures appear only in the
 human-readable lines.
@@ -17,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -120,6 +122,14 @@ def _read(path: Path) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _inconclusive_reason(exc: Exception) -> str:
+    if isinstance(exc, RecursionError):
+        return f"recursion limit {sys.getrecursionlimit()} exceeded"
+    if isinstance(exc, MemoryError):
+        return "out of memory"
+    return f"budget exceeded: {exc}"
+
+
 def analyze(
     program: Program | str | Path,
     policy: Policy | str | Path,
@@ -132,8 +142,9 @@ def analyze(
     """Decide where-security at every level of the policy lattice.
 
     Each level gets its own model, composition and saturation; the overall
-    verdict is secure only when every level is.  A blown resource budget
-    downgrades that level to inconclusive instead of aborting the report.
+    verdict is secure only when every level is.  A blown resource budget,
+    recursion limit or memory downgrades that level to inconclusive instead
+    of aborting the report.
     """
     program = _coerce_program(program)
     policy = gather_downgrades(program, _coerce_policy(policy))
@@ -149,12 +160,12 @@ def analyze(
             witness = None
             if verdict == INSECURE and want_witness:
                 witness = extract_witness(auto, model)
-        except BudgetExceeded as exc:
+        except (BudgetExceeded, RecursionError, MemoryError) as exc:
             report.levels.append(
                 LevelReport(
                     level,
                     INCONCLUSIVE,
-                    reason=f"budget exceeded: {exc}",
+                    reason=_inconclusive_reason(exc),
                     seconds=time.perf_counter() - start,
                 )
             )
@@ -490,6 +501,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ModeDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # an internal fault must not exit 1, which means insecure
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

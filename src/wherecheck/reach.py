@@ -92,14 +92,14 @@ def post_star(
 
     def grow(p: str, sym: str, q: str, cand: int) -> None:
         cur = trans.get((p, sym, q), mgr.FALSE)
-        delta = mgr.apply("and", cand, mgr.neg(cur))
+        delta = mgr.diff(cand, cur)
         if delta == mgr.FALSE:
             return
         if (p, sym, q) not in trans:
             out_edges.setdefault(p, []).append((sym, q))
             states.setdefault(p, None)
             states.setdefault(q, None)
-        trans[(p, sym, q)] = mgr.apply("or", cur, delta)
+        trans[(p, sym, q)] = mgr.disj(cur, delta)
         queue.append((p, sym, q, delta))
 
     grow(INITIAL_STATE, spds.start, FINAL_STATE, alg.set_from_fixed(dict(spds.initial_fixed)))
@@ -123,10 +123,10 @@ def post_star(
                     grow(mid[i], rule.rhs[1], q, moved)
                 else:
                     held = eps.get(q, mgr.FALSE)
-                    fresh = mgr.apply("and", moved, mgr.neg(held))
+                    fresh = mgr.diff(moved, held)
                     if fresh == mgr.FALSE:
                         continue
-                    eps[q] = mgr.apply("or", held, fresh)
+                    eps[q] = mgr.disj(held, fresh)
                     for sym2, q2 in list(out_edges.get(q, ())):
                         grow(INITIAL_STATE, sym2, q2, alg.compose(fresh, trans[(q, sym2, q2)]))
         held = eps.get(p, mgr.FALSE)
@@ -151,7 +151,7 @@ def accepts(auto: PAutomaton, valuation: tuple[int, ...], word: tuple[str, ...])
     alg, mgr = auto.algebra, auto.algebra.mgr
     if not word:
         emptied = alg.dom(auto.eps.get(auto.final, mgr.FALSE))
-        return mgr.apply("and", alg.set_from_valuation(valuation), emptied) != mgr.FALSE
+        return mgr.conj(alg.set_from_valuation(valuation), emptied) != mgr.FALSE
     reach: dict[str, int] = {auto.initial: alg.set_from_valuation(valuation)}
     for sym in word:
         step: dict[str, int] = {}
@@ -160,7 +160,7 @@ def accepts(auto: PAutomaton, valuation: tuple[int, ...], word: tuple[str, ...])
                 continue
             img = alg.image(rel, reach[p])
             if img != mgr.FALSE:
-                step[q] = mgr.apply("or", step.get(q, mgr.FALSE), img)
+                step[q] = mgr.disj(step.get(q, mgr.FALSE), img)
         if not step:
             return False
         reach = step
@@ -174,15 +174,24 @@ def _feasible_chains(auto: PAutomaton) -> dict[str, int]:
     alg, mgr = auto.algebra, auto.algebra.mgr
     feas = {state: mgr.FALSE for state in auto.states}
     feas[auto.final] = mgr.TRUE
-    changed = True
-    while changed:
-        changed = False
-        for (p, _, q) in list(auto.trans):
-            add = alg.preimage(auto.trans[(p, _, q)], feas[q])
-            merged = mgr.apply("or", feas[p], add)
-            if merged != feas[p]:
-                feas[p] = merged
-                changed = True
+    # Least fixpoint by worklist: an edge is revisited only when the
+    # promise set of the state it enters has grown.
+    entering: dict[str, list[tuple[str, str, str]]] = {}
+    for edge in auto.trans:
+        entering.setdefault(edge[2], []).append(edge)
+    work = deque(entering.get(auto.final, ()))
+    queued = set(work)
+    while work:
+        edge = work.popleft()
+        queued.discard(edge)
+        p, q = edge[0], edge[2]
+        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q]))
+        if merged != feas[p]:
+            feas[p] = merged
+            for e in entering.get(p, ()):
+                if e not in queued:
+                    queued.add(e)
+                    work.append(e)
     auto._feas = feas
     return feas
 
@@ -196,7 +205,7 @@ def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None]
     for (p, sym, q), rel in auto.trans.items():
         if p != auto.initial or sym != error:
             continue
-        if mgr.apply("and", rel, alg.lift_to_nxt(feas[q])) != mgr.FALSE:
+        if mgr.conj(rel, alg.lift_to_nxt(feas[q])) != mgr.FALSE:
             return True
     return False
 
@@ -280,11 +289,11 @@ def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[int]):
                 if len(nw) > depth_cap:
                     continue
                 old = seen.get(nw, mgr.FALSE)
-                delta = mgr.apply("and", img, mgr.neg(old))
+                delta = mgr.diff(img, old)
                 if delta == mgr.FALSE:
                     continue
-                seen[nw] = mgr.apply("or", old, delta)
-                grown[nw] = mgr.apply("or", grown.get(nw, mgr.FALSE), delta)
+                seen[nw] = mgr.disj(old, delta)
+                grown[nw] = mgr.disj(grown.get(nw, mgr.FALSE), delta)
         if not grown:
             return layers, False
         layers.append(grown)
@@ -308,7 +317,7 @@ def _backward_path(spds: SPDS, alg: RelationAlgebra, rels: list[int], layers):
             prev = layers[k - 1].get(pred_word)
             if prev is None:
                 continue
-            cand = alg.mgr.apply("and", alg.preimage(rels[i], here), prev)
+            cand = alg.mgr.conj(alg.preimage(rels[i], here), prev)
             if cand == alg.mgr.FALSE:
                 continue
             tail.append((i, val, word))

@@ -30,7 +30,6 @@ from .syntax import (
     Skip,
     Var,
     While,
-    format_command,
 )
 
 DEFAULT_BITS = 3
@@ -388,7 +387,3 @@ def low_equiv_channels(
 def format_trace(trace: Trace) -> str:
     return "\n".join(trace.lines + [f"outcome: {trace.outcome}"])
 
-
-def describe_config(config: Configuration) -> str:
-    mu = " ".join(f"{k}={v}" for k, v in sorted(config.mu.items()))
-    return f"store[{mu}] cmd[{format_command(config.cmd)}]"

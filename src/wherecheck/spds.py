@@ -5,7 +5,11 @@ right-hand symbols, each rule carrying a RuleSpec: a guard over the current
 valuation and next-state updates (expression, havoc, or indexed channel
 write).  Globals not mentioned keep their value; that frame condition is
 part of the spec's meaning, so the BDD compilation and the explicit
-evaluator below both implement it and can be compared bit for bit.
+evaluator below both implement it and can be compared bit for bit.  The
+compiled relation is the guard and one equation per written cell, conjoined
+once with the frame: nxt == cur on every bit of the unwritten cells.  The
+frame is built bottom-up, three nodes per bit slot, and cached per written
+set, so rules that write the same cells share one frame node.
 
 Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
 and 3t+2 (next).  Every rename used by the relation algebra moves a whole
@@ -466,7 +470,7 @@ class RelationAlgebra:
         self._cur_block = globals_decl.block_levels(0)
         self._tmp_block = globals_decl.block_levels(1)
         self._nxt_block = globals_decl.block_levels(2)
-        self._identity: Optional[int] = None
+        self._frames: dict[frozenset[str], int] = {}
 
     # Sets over the current block.
 
@@ -541,43 +545,39 @@ class RelationAlgebra:
         mgr = self.mgr
         out = self.compile_guard(spec.guard)
         updates = dict(spec.updates)
-        written = {name for w in spec.writes for name in w.cells}
-        write_by_cell: dict[str, ArrayWrite] = {}
-        for w in spec.writes:
-            for name in w.cells:
-                write_by_cell[name] = w
+        write_by_cell = {name: w for w in spec.writes for name in w.cells}
         for name, width in self.g.cells:
-            nxt = bv_from_levels(mgr, self.g.nxt_levels(name))
             if name in updates:
                 e = updates[name]
                 if e is HAVOC:
                     continue
-                out = mgr.conj(out, bv_eq(mgr, nxt, self.compile_value(e, width)))
-            elif name in written:
+                value = self.compile_value(e, width)
+            elif name in write_by_cell:
                 w = write_by_cell[name]
-                k = w.cells.index(name)
-                idx_w = self.g.width_of(w.index)
                 idx = bv_from_levels(mgr, self.g.cur_levels(w.index))
-                hit = bv_eq(mgr, idx, bv_const(mgr, k, idx_w))
-                value = bv_ite(
-                    mgr,
-                    hit,
-                    self.compile_value(w.expr, width),
-                    bv_from_levels(mgr, self.g.cur_levels(name)),
-                )
-                out = mgr.conj(out, bv_eq(mgr, nxt, value))
-            else:
+                hit = bv_eq(mgr, idx, bv_const(mgr, w.cells.index(name), self.g.width_of(w.index)))
                 cur = bv_from_levels(mgr, self.g.cur_levels(name))
-                out = mgr.conj(out, bv_eq(mgr, nxt, cur))
+                value = bv_ite(mgr, hit, self.compile_value(w.expr, width), cur)
+            else:
+                continue
+            out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, self.g.nxt_levels(name)), value))
+        return mgr.conj(out, self.frame(frozenset(updates) | frozenset(write_by_cell)))
+
+    def frame(self, written: frozenset[str]) -> int:
+        """nxt == cur on every bit of every cell outside written, built bottom-up."""
+        out = self._frames.get(written)
+        if out is None:
+            mgr, out = self.mgr, self.mgr.TRUE
+            kept = [name for name in self.g.names if name not in written]
+            levels = sorted(lvl for name in kept for lvl in self.g.cur_levels(name))
+            for cur in reversed(levels):
+                nxt = cur + 2
+                out = mgr.node(cur, mgr.node(nxt, out, mgr.FALSE), mgr.node(nxt, mgr.FALSE, out))
+            self._frames[written] = out
         return out
 
     def identity(self) -> int:
-        if self._identity is None:
-            mgr = self.mgr
-            self._identity = mgr.conj_all(
-                mgr.iff(mgr.var(3 * t), mgr.var(3 * t + 2)) for t in range(self.g.total_bits)
-            )
-        return self._identity
+        return self.frame(frozenset())
 
     def id_restricted(self, set_cur: int) -> int:
         return self.mgr.conj(self.identity(), set_cur)
@@ -612,9 +612,6 @@ class RelationAlgebra:
 
     def lift_to_nxt(self, set_cur: int) -> int:
         return self.mgr.rename(set_cur, self._cur_to_nxt, "c2n")
-
-    def constrain_pair(self, set_cur: int, set_nxt_as_cur: int) -> int:
-        return self.mgr.conj(set_cur, self.lift_to_nxt(set_nxt_as_cur))
 
     # Witness decoding.
 

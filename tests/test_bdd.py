@@ -80,6 +80,7 @@ def test_connectives_match_truth_tables(fa, fb):
         assert eval_node(mgr, mgr.conj(u, v), env) == (ev_u and ev_v)
         assert eval_node(mgr, mgr.disj(u, v), env) == (ev_u or ev_v)
         assert eval_node(mgr, mgr.xor(u, v), env) == (ev_u != ev_v)
+        assert eval_node(mgr, mgr.diff(u, v), env) == (ev_u and not ev_v)
         assert eval_node(mgr, mgr.neg(u), env) == (not ev_u)
         assert eval_node(mgr, mgr.iff(u, v), env) == (ev_u == ev_v)
 
@@ -97,16 +98,16 @@ def test_exists_quantifies_out():
 def test_rename_monotone_shift():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.nvar(3))
-    shifted = mgr.rename(u, {0: 1, 3: 4})
+    shifted = mgr.rename(u, {0: 1, 3: 4}, "shift")
     assert shifted == mgr.conj(mgr.var(1), mgr.nvar(4))
-    assert mgr.rename(u, {}) == u
+    assert mgr.rename(u, {}, "none") == u
 
 
 def test_rename_order_violation_asserts():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.var(3))
     with pytest.raises(AssertionError):
-        mgr.rename(u, {0: 5, 3: 2})
+        mgr.rename(u, {0: 5, 3: 2}, "swap")
 
 
 def test_restrict():
@@ -114,15 +115,6 @@ def test_restrict():
     u = mgr.ite(mgr.var(0), mgr.var(3), mgr.nvar(3))
     assert mgr.restrict(u, 0, True) == mgr.var(3)
     assert mgr.restrict(u, 0, False) == mgr.nvar(3)
-
-
-def test_sat_pick_prefers_low_branch():
-    mgr = BDD()
-    u = mgr.disj(mgr.conj(mgr.var(0), mgr.nvar(3)), mgr.conj(mgr.nvar(0), mgr.var(3)))
-    pick = mgr.sat_pick(u)
-    assert pick == {0: False, 3: True}
-    assert mgr.sat_pick(mgr.FALSE) is None
-    assert mgr.sat_pick(mgr.TRUE) == {}
 
 
 def test_sat_all_enumerates():
@@ -138,6 +130,24 @@ def test_node_budget():
         acc = mgr.TRUE
         for i in range(64):
             acc = mgr.conj(acc, mgr.var(3 * i))
+
+
+def test_quantifier_set_ids_stop_at_the_cache_key_bound():
+    # Set ids take 12 bits of a packed cache key; one more set would alias.
+    mgr = BDD()
+    for level in range(4096):
+        assert mgr.exists(mgr.var(level), [level]) == mgr.TRUE
+    with pytest.raises(BudgetExceeded):
+        mgr.exists(mgr.var(4096), [4096])
+
+
+def test_rename_tag_ids_stop_at_the_cache_key_bound():
+    mgr = BDD()
+    u = mgr.var(0)
+    for k in range(4096):
+        assert mgr.rename(u, {0: 1}, f"tag{k}") == mgr.var(1)
+    with pytest.raises(BudgetExceeded):
+        mgr.rename(u, {0: 1}, "one too many")
 
 
 WIDTH = 4

@@ -143,6 +143,34 @@ def test_budget_env_degrades_to_inconclusive(capsys, monkeypatch):
     assert "budget exceeded" in out
 
 
+def chain_program(n: int) -> tuple[str, str]:
+    """x_i := x_(i-1) + 1 for i < n, with x0 secret and the rest public."""
+    text = ";\n".join(f"x{i} := x{i - 1} + 1" for i in range(1, n)) + "\n"
+    policy = "lattice: L < H\nvar x0 : H\n" + "".join(f"var x{i} : L\n" for i in range(1, n))
+    return text, policy
+
+
+def test_wide_chain_is_inconclusive_not_insecure(tmp_path, capsys):
+    # 24 variables at 8 bits: the composed state is deeper than Python's
+    # recursion limit, which must not surface as exit code 1 (insecure).
+    args = write_pair(tmp_path, *chain_program(24))
+    code, out, _ = run(capsys, ["analyze", *args, "--bits", "8"])
+    assert code == EXIT_INCONCLUSIVE
+    assert "RESULT overall=inconclusive" in out
+    assert "inconclusive (recursion limit" in out
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(cli, "post_star", broken)
+    code, out, err = run(capsys, ["analyze", *corpus_args("P0")])
+    assert code == EXIT_USAGE
+    assert "error: internal error: RuntimeError: kernel fault" in err
+    assert "RESULT" not in out
+
+
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "lots")
     code, _, err = run(capsys, ["analyze", *corpus_args("P0")])

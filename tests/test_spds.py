@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from wherecheck.bdd import bv_eq, bv_from_levels
 
 from wherecheck.parser import parse_program
 from wherecheck.spds import (
@@ -205,6 +207,72 @@ def test_compile_spec_matches_explicit(spec):
         for nxt in spec_successors(spec, G3, val)
     }
     assert symbolic == explicit
+
+
+# Drawn specs over three cells: the written set ranges from no cell to all
+# of them, so the frame covers every cell, some of them or none.
+
+G5 = GlobalsDecl((("x", 2), ("y", 1), ("z", 2)))
+UPDATES = {
+    "x": [KConst(3), GOp("+", GRef("x"), GRef("z")), HAVOC],
+    "y": [GOp("<", GRef("z"), GRef("x")), HAVOC],
+    "z": [GOp("*", GRef("z"), KConst(3)), GOp("-", GRef("x"), KConst(1)), HAVOC],
+}
+GUARDS = [None, GOp("!=", GRef("y"), KConst(0)), GOp("<=", GRef("x"), GRef("z"))]
+drawn_spec_st = st.builds(
+    lambda guard, chosen: RuleSpec.make(guard=guard, updates=chosen),
+    st.sampled_from(GUARDS),
+    st.fixed_dictionaries({}, optional={name: st.sampled_from(es) for name, es in UPDATES.items()}),
+)
+
+
+def per_cell_relation(ra, spec):
+    """The relation built cell by cell, nxt == cur for each unwritten cell."""
+    mgr = ra.mgr
+    out = ra.compile_guard(spec.guard)
+    updates = dict(spec.updates)
+    for name, width in ra.g.cells:
+        e = updates.get(name)
+        if e is HAVOC:
+            continue
+        if e is None:
+            value = bv_from_levels(mgr, ra.g.cur_levels(name))
+        else:
+            value = ra.compile_value(e, width)
+        out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, ra.g.nxt_levels(name)), value))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_spec_st)
+@example(RuleSpec.make())
+@example(RuleSpec.make(updates={"z": KConst(1)}))
+@example(RuleSpec.make(updates={"x": HAVOC, "y": KConst(1), "z": GRef("x")}))
+def test_drawn_spec_compiles_to_explicit_pairs(spec):
+    ra = RelationAlgebra(G5)
+    node = ra.compile_spec(spec)
+    assert node == per_cell_relation(ra, spec)
+    explicit = {
+        (val, nxt)
+        for val in G5.all_valuations()
+        for nxt in spec_successors(spec, G5, val)
+    }
+    assert ra.enumerate_pairs(node) == explicit
+
+
+def test_rules_with_one_written_set_share_one_frame():
+    ra = RelationAlgebra(G5)
+    first = RuleSpec.make(updates={"x": KConst(1)})
+    second = RuleSpec.make(guard=GRef("y"), updates={"x": GOp("+", GRef("x"), GRef("z"))})
+    ra.compile_spec(first)
+    frame = ra.frame(frozenset({"x"}))
+    ra.compile_spec(second)
+    assert ra.frame(frozenset({"x"})) == frame
+    assert list(ra._frames) == [frozenset({"x"})]
+    assert ra.enumerate_pairs(frame) == {
+        (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
+    }
+    assert ra.frame(frozenset()) == ra.identity()
 
 
 def test_compile_spec_array_write_matches_explicit():
