@@ -300,10 +300,6 @@ class BDD:
         )
         return self._cache_put(key, out)
 
-    def restrict(self, u: int, level: int, value: bool) -> int:
-        lit = self.var(level) if value else self.nvar(level)
-        return self.exists(self.conj(u, lit), (level,))
-
     def sat_all(self, u: int, levels: list[int]) -> Iterator[tuple[bool, ...]]:
         """Every assignment to the given levels that can satisfy u.
 

@@ -1,9 +1,9 @@
 """Brute-force ground truth for the two security properties.
 
-Both checkers enumerate, per observer level, every pair of initial states
-that agree on the observable part (stores equal on observable variables,
-observable input channels with identical contents, unobservable inputs
-independent), run both executions concretely, and compare observations.
+Both checkers consider, per observer level, every ordered pair of initial
+states that agree on the observable part (stores equal on observable
+variables, observable input channels with identical contents, unobservable
+inputs independent), and compare the observations of the two runs.
 
 Downgrade pairing is positional: the k-th downgrade step of one run is
 paired with the k-th of the other.  Runs with unequal downgrade counts, or
@@ -11,7 +11,17 @@ with differing declassified values at some pair, fail the property's premise
 and impose no constraint.  Runs that diverge or end in a channel diagnostic
 never reach a final configuration and are likewise unconstrained; divergence
 is decided exactly by repeated-state detection, so "inconclusive" only
-arises from the enumeration budget.
+arises from the enumeration budget or from a run that exhausts its fuel.
+
+A run does not depend on the observer, so each initial state runs once per
+check and its summary serves every level.  The pairs of a level are all
+ordered pairs inside one low class (one choice of observable variable values
+and observable input contents), so a level is violated iff two halted runs
+of one class share a bucket key but differ in the observation filed under
+it (see ``_observations``).  A clean level is proved in one pass over the
+states.  A violated level is scanned pair by pair in lexicographic order,
+over the memoised runs, because the verdict names the first violating pair,
+its reason, and the number of pairs checked up to it.
 """
 
 from __future__ import annotations
@@ -164,20 +174,88 @@ def _enumerate_pairs(
                             )
 
 
-def _declass_records(trace: Trace) -> list[tuple[int, int, dict, dict]]:
-    """(site, value, pre-store, post-store) per downgrade step."""
-    records = []
-    for idx, (config, label) in enumerate(trace.entries):
+@dataclass(slots=True)
+class _Run:
+    """What the checks read of one run; the full ``Trace`` is not kept."""
+
+    outcome: str
+    mu: dict[str, int]
+    outs: dict[str, tuple[int, ...]]
+    q: dict[str, int]
+    declass: list[tuple[int, int, dict, dict]]  # (site, value, pre-store, post-store)
+
+    def declass_events(self) -> list[tuple[int, int]]:
+        return [(site, value) for site, value, _, _ in self.declass]
+
+
+def _summarise(trace: Trace) -> _Run:
+    declass = []
+    pre = trace.initial.mu
+    for config, label in trace.entries:
         if label.kind == DECLASS:
-            pre = trace.entries[idx - 1][0].mu if idx > 0 else trace.initial.mu
-            records.append((label.site.id, label.value, pre, config.mu))
-    return records
+            declass.append((label.site.id, label.value, pre, config.mu))
+        pre = config.mu
+    final = trace.final
+    return _Run(trace.outcome, final.mu, final.outs, final.q, declass)
 
 
-@dataclass
-class _RunPair:
-    trace1: Trace
-    trace2: Trace
+def _all_states(
+    program: Program, bits: int, input_lengths: dict[str, int]
+) -> Iterator[InitialState]:
+    """Every initial state; each level's pairs draw on exactly this set."""
+    values = range(1 << bits)
+    names = list(program.variables)
+    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    contents = [
+        list(itertools.product(values, repeat=input_lengths.get(ch, 0)))
+        for ch in in_channels
+    ]
+    for store in itertools.product(values, repeat=len(names)):
+        for ins in itertools.product(*contents):
+            yield InitialState(dict(zip(names, store)), dict(zip(in_channels, ins)))
+
+
+def _store_view(policy: Policy, level: str, mu: dict[str, int]) -> tuple:
+    """Equal for two stores iff ``low_equiv_store`` holds."""
+    return tuple(
+        (n, v)
+        for n, v in sorted(mu.items())
+        if n in policy.sigma and policy.observable(n, level)
+    )
+
+
+def _final_view(policy: Policy, level: str, run: _Run) -> tuple:
+    """Equal for two runs iff both observational equivalences of the finals hold.
+
+    A channel at index 0 is left out: ``low_equiv_channels`` reads an absent
+    index as 0 with an empty prefix.
+    """
+    channels = tuple(
+        (n, i, run.outs.get(n, ())[:i])
+        for n, i in sorted(run.q.items())
+        if i and policy.observable(n, level)
+    )
+    return _store_view(policy, level, run.mu), channels
+
+
+def _observations(
+    policy: Policy, level: str, property_name: str, run: _Run
+) -> Iterator[tuple[tuple, tuple]]:
+    """(bucket key, observation) pairs of one halted run.
+
+    Two halted runs of one low class violate the property iff they share a
+    bucket key with different observations: for where-security, the key
+    (k, observable pre-store, value) of a paired downgrade against its
+    observable post-store, and the downgrade value sequence against the
+    final observation; for noninterference, one key against the final
+    observation.
+    """
+    if property_name == "noninterference":
+        yield (), _final_view(policy, level, run)
+        return
+    for k, (_, value, pre, post) in enumerate(run.declass):
+        yield (k, _store_view(policy, level, pre), value), _store_view(policy, level, post)
+    yield (tuple(v for _, v, _, _ in run.declass),), _final_view(policy, level, run)
 
 
 def _check_pairs(
@@ -200,33 +278,68 @@ def _check_pairs(
             note=f"budget-exceeded: {total} pairs > {budget}",
         )
 
+    runs: dict[tuple, _Run] = {}  # one run per initial state, shared by the levels
+
+    def run_of(state: InitialState) -> _Run:
+        key = (tuple(sorted(state.store.items())), tuple(sorted(state.inputs.items())))
+        found = runs.get(key)
+        if found is None:
+            trace = run_program(
+                program, policy, state.store, state.inputs, bits, capacity, fuel
+            )
+            found = runs[key] = _summarise(trace)
+        return found
+
     saw_fuel_limit = False
     pairs_checked = 0
     for level in sorted(policy.domains):
-        for first, second in _enumerate_pairs(program, policy, level, bits, input_lengths):
-            pairs_checked += 1
-            trace1 = run_program(
-                program, policy, first.store, first.inputs, bits, capacity, fuel
-            )
-            trace2 = run_program(
-                program, policy, second.store, second.inputs, bits, capacity, fuel
-            )
-            if OUTCOME_FUEL in (trace1.outcome, trace2.outcome):
+        low_vars = [n for n in program.variables if policy.observable(n, level)]
+        low_ch = [
+            n
+            for n, d in sorted(program.channels.items())
+            if d == "input" and policy.observable(n, level)
+        ]
+        buckets: dict[tuple, tuple] = {}
+        clean = True
+        for state in _all_states(program, bits, input_lengths):
+            run = run_of(state)
+            if run.outcome == OUTCOME_FUEL:
                 saw_fuel_limit = True
                 continue
-            if trace1.outcome != OUTCOME_HALTED or trace2.outcome != OUTCOME_HALTED:
-                continue  # no final configuration: premise unsatisfied
-            reason = _violation(
-                program, policy, level, property_name, trace1, trace2
+            if run.outcome != OUTCOME_HALTED:
+                continue
+            low = (
+                tuple(state.store[n] for n in low_vars),
+                tuple(state.inputs[n] for n in low_ch),
             )
+            if any(
+                buckets.setdefault((low, key), seen) != seen
+                for key, seen in _observations(policy, level, property_name, run)
+            ):
+                clean = False
+                break
+        if clean:
+            pairs_checked += _pair_count(program, policy, level, bits, input_lengths)
+            continue
+
+        # Some pair violates: scan in order for the lexicographically first.
+        for first, second in _enumerate_pairs(program, policy, level, bits, input_lengths):
+            pairs_checked += 1
+            run1, run2 = run_of(first), run_of(second)
+            if OUTCOME_FUEL in (run1.outcome, run2.outcome):
+                saw_fuel_limit = True
+                continue
+            if run1.outcome != OUTCOME_HALTED or run2.outcome != OUTCOME_HALTED:
+                continue  # no final configuration: premise unsatisfied
+            reason = _violation(policy, level, property_name, run1, run2)
             if reason is not None:
                 witness = OracleWitness(
                     level=level,
                     first=first,
                     second=second,
                     reason=reason,
-                    declass_trace_1=trace1.declass_events(),
-                    declass_trace_2=trace2.declass_events(),
+                    declass_trace_1=run1.declass_events(),
+                    declass_trace_2=run2.declass_events(),
                 )
                 return OracleVerdict(
                     property_name, INSECURE, witness, pairs_checked
@@ -242,9 +355,8 @@ def _check_pairs(
 
 
 def _final_observation_mismatch(
-    policy: Policy, level: str, trace1: Trace, trace2: Trace
+    policy: Policy, level: str, f1: _Run, f2: _Run
 ) -> Optional[str]:
-    f1, f2 = trace1.final, trace2.final
     if not low_equiv_store(f1.mu, f2.mu, level, policy):
         diffs = [
             f"{n}: {f1.mu.get(n)} vs {f2.mu.get(n)}"
@@ -268,18 +380,16 @@ def _final_observation_mismatch(
 
 
 def _violation(
-    program: Program,
     policy: Policy,
     level: str,
     property_name: str,
-    trace1: Trace,
-    trace2: Trace,
+    run1: _Run,
+    run2: _Run,
 ) -> Optional[str]:
     if property_name == "noninterference":
-        return _final_observation_mismatch(policy, level, trace1, trace2)
+        return _final_observation_mismatch(policy, level, run1, run2)
 
-    rec1 = _declass_records(trace1)
-    rec2 = _declass_records(trace2)
+    rec1, rec2 = run1.declass, run2.declass
     for k, ((s1, v1, pre1, post1), (s2, v2, pre2, post2)) in enumerate(
         zip(rec1, rec2)
     ):
@@ -296,7 +406,7 @@ def _violation(
         return None  # premise unsatisfied
     if any(v1 != v2 for (_, v1, _, _), (_, v2, _, _) in zip(rec1, rec2)):
         return None  # premise unsatisfied
-    return _final_observation_mismatch(policy, level, trace1, trace2)
+    return _final_observation_mismatch(policy, level, run1, run2)
 
 
 def check_noninterference(

@@ -110,13 +110,6 @@ def test_rename_order_violation_asserts():
         mgr.rename(u, {0: 5, 3: 2}, "swap")
 
 
-def test_restrict():
-    mgr = BDD()
-    u = mgr.ite(mgr.var(0), mgr.var(3), mgr.nvar(3))
-    assert mgr.restrict(u, 0, True) == mgr.var(3)
-    assert mgr.restrict(u, 0, False) == mgr.nvar(3)
-
-
 def test_sat_all_enumerates():
     mgr = BDD()
     u = mgr.xor(mgr.var(0), mgr.var(3))

@@ -111,12 +111,15 @@ def test_witness_flag_prints_replayed_counterexample(capsys):
 
 def test_oracle_flag_reports_ground_truth(capsys):
     _, out, _ = run(capsys, ["analyze", *corpus_args("P0"), "--bits", "2", "--oracle"])
-    assert "ORACLE verdict=secure" in out
+    assert "ORACLE verdict=secure pairs=80" in out.splitlines()
 
 
 def test_oracle_flag_on_insecure_program(capsys):
+    # The pair count stops at the lexicographically first violating pair.
     _, out, _ = run(capsys, ["analyze", *corpus_args("P3"), "--bits", "1", "--oracle"])
-    assert "ORACLE verdict=insecure" in out
+    assert "ORACLE verdict=insecure pairs=18" in out.splitlines()
+    _, out, _ = run(capsys, ["analyze", *corpus_args("P3"), "--bits", "2", "--oracle"])
+    assert "ORACLE verdict=insecure pairs=258" in out.splitlines()
 
 
 def test_dump_flags_render_models(capsys):

@@ -2,10 +2,15 @@ from pathlib import Path
 
 import pytest
 
+from wherecheck import oracle, randprog
 from wherecheck.oracle import (
     INCONCLUSIVE,
     INSECURE,
     SECURE,
+    OracleVerdict,
+    OracleWitness,
+    _enumerate_pairs,
+    _pair_count,
     check_noninterference,
     check_where_security,
     default_input_lengths,
@@ -13,6 +18,15 @@ from wherecheck.oracle import (
 )
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.semantics import (
+    DECLASS,
+    DEFAULT_FUEL,
+    OUTCOME_FUEL,
+    OUTCOME_HALTED,
+    low_equiv_channels,
+    low_equiv_store,
+    run_program,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -243,3 +257,186 @@ def test_where_implies_relaxation_of_ni():
         ni = check_noninterference(program, policy, bits=2)
         wh = check_where_security(program, policy, bits=2)
         assert ni.status == wh.status
+
+
+# ---------------------------------------------------------------------------
+# The pairwise checker the memoised oracle replaced: two fresh runs per pair,
+# compared on full traces.  Every verdict of the oracle must equal its own.
+
+
+def _ref_declass_records(trace):
+    records = []
+    for idx, (config, label) in enumerate(trace.entries):
+        if label.kind == DECLASS:
+            pre = trace.entries[idx - 1][0].mu if idx > 0 else trace.initial.mu
+            records.append((label.site.id, label.value, pre, config.mu))
+    return records
+
+
+def _ref_final_mismatch(policy, level, trace1, trace2):
+    f1, f2 = trace1.final, trace2.final
+    if not low_equiv_store(f1.mu, f2.mu, level, policy):
+        diffs = [
+            f"{n}: {f1.mu.get(n)} vs {f2.mu.get(n)}"
+            for n in sorted(set(f1.mu) | set(f2.mu))
+            if policy.observable(n, level) and f1.mu.get(n) != f2.mu.get(n)
+        ]
+        return "final store differs on " + ", ".join(diffs)
+    if not low_equiv_channels(f1.outs, f1.q, f2.outs, f2.q, level, policy):
+        diffs = []
+        for name in sorted(set(f1.q) | set(f2.q)):
+            if not policy.observable(name, level):
+                continue
+            if f1.q.get(name, 0) != f2.q.get(name, 0) or f1.outs.get(
+                name, ()
+            ) != f2.outs.get(name, ()):
+                diffs.append(
+                    f"{name}: {list(f1.outs.get(name, ()))} vs {list(f2.outs.get(name, ()))}"
+                )
+        return "final outputs differ on " + ", ".join(diffs)
+    return None
+
+
+def _ref_violation(policy, level, property_name, trace1, trace2):
+    if property_name == "noninterference":
+        return _ref_final_mismatch(policy, level, trace1, trace2)
+    rec1 = _ref_declass_records(trace1)
+    rec2 = _ref_declass_records(trace2)
+    for k, ((s1, v1, pre1, post1), (s2, v2, pre2, post2)) in enumerate(zip(rec1, rec2)):
+        if (
+            low_equiv_store(pre1, pre2, level, policy)
+            and v1 == v2
+            and not low_equiv_store(post1, post2, level, policy)
+        ):
+            return (
+                f"downgrade pair {k} (sites g{s1}/g{s2}, value {v1}) breaks "
+                "observable equivalence of the post-states"
+            )
+    if len(rec1) != len(rec2):
+        return None
+    if any(v1 != v2 for (_, v1, _, _), (_, v2, _, _) in zip(rec1, rec2)):
+        return None
+    return _ref_final_mismatch(policy, level, trace1, trace2)
+
+
+def reference_check(program, policy, property_name, bits, capacity, fuel=DEFAULT_FUEL):
+    lengths = default_input_lengths(program, policy)
+    saw_fuel_limit = False
+    pairs_checked = 0
+    for level in sorted(policy.domains):
+        for first, second in _enumerate_pairs(program, policy, level, bits, lengths):
+            pairs_checked += 1
+            trace1 = run_program(program, policy, first.store, first.inputs, bits, capacity, fuel)
+            trace2 = run_program(program, policy, second.store, second.inputs, bits, capacity, fuel)
+            if OUTCOME_FUEL in (trace1.outcome, trace2.outcome):
+                saw_fuel_limit = True
+                continue
+            if trace1.outcome != OUTCOME_HALTED or trace2.outcome != OUTCOME_HALTED:
+                continue
+            reason = _ref_violation(policy, level, property_name, trace1, trace2)
+            if reason is not None:
+                witness = OracleWitness(
+                    level, first, second, reason,
+                    trace1.declass_events(), trace2.declass_events(),
+                )
+                return OracleVerdict(property_name, INSECURE, witness, pairs_checked)
+    if saw_fuel_limit:
+        return OracleVerdict(
+            property_name, INCONCLUSIVE, pairs_checked=pairs_checked,
+            note="nonterminating-within-budget run encountered",
+        )
+    return OracleVerdict(property_name, SECURE, pairs_checked=pairs_checked)
+
+
+def assert_matches_reference(program, policy, bits, capacity, fuel=DEFAULT_FUEL):
+    for name, check in (
+        ("noninterference", check_noninterference),
+        ("where-security", check_where_security),
+    ):
+        got = check(program, policy, bits=bits, capacity=capacity, fuel=fuel)
+        assert got == reference_check(program, policy, name, bits, capacity, fuel), name
+
+
+@pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
+@pytest.mark.parametrize("seed", range(60))
+def test_matches_pairwise_reference_on_randprog(seed, io):
+    gen = randprog.generate(seed, randprog.GenConfig(io=io))
+    program, policy = prog(gen.text, gen.policy_text)
+    assert_matches_reference(program, policy, bits=2, capacity=4)
+
+
+@pytest.mark.parametrize("name", [f"P{i}" for i in range(8)])
+def test_matches_pairwise_reference_on_table3(name):
+    program, policy = load(name)
+    assert_matches_reference(program, policy, bits=2, capacity=4)
+
+
+HAND_WRITTEN = {
+    # Only the mid-trace comparison of paired downgrades can catch this one.
+    "clause-a": (
+        "if h then l := declass(h & 1) else l2 := declass(h & 1) fi; l := 0; l2 := 0",
+        "lattice: L < H\nvar h : H\nvar l : L\nvar l2 : L\n",
+    ),
+    "unequal-counts": ("if h then l := declass(h) else skip fi; l := declass(h)", TWO_LEVEL),
+    "repeated-site": (
+        "i := 0; while i < 2 do l := declass(h & 1); h := h + 1; i := i + 1 od; l := h < 2",
+        "lattice: L < H\nvar h : H\nvar i : L\nvar l : L\n",
+    ),
+    "three-level": (
+        "m := h; l := declass(m & 1)",
+        "lattice: L < M\nlattice: M < H\nvar h : H\nvar m : M\nvar l : L\n",
+    ),
+    "channels": (
+        "input(x, lin); input(y, hin); output(x + y, out); l := declass(y & 1)",
+        "lattice: L < H\nvar x : L\nvar y : H\nvar l : L\n"
+        "channel lin : L input\nchannel hin : H input\nchannel out : L output\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_matches_pairwise_reference_on_hand_written(name):
+    program, policy = prog(*HAND_WRITTEN[name])
+    assert_matches_reference(program, policy, bits=2, capacity=4)
+
+
+def test_fuel_exhausted_secure_program_is_inconclusive():
+    program, policy = prog("l := 0; while h != 0 do h := h - 1 od", TWO_LEVEL)
+    assert check_where_security(program, policy, bits=2, fuel=13).status == SECURE
+    verdict = check_where_security(program, policy, bits=2, fuel=8)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.pairs_checked == 80
+    assert verdict.note == "nonterminating-within-budget run encountered"
+    assert_matches_reference(program, policy, bits=2, capacity=4, fuel=8)
+
+
+def test_fuel_exhausted_runs_do_not_hide_a_violation():
+    program, policy = prog("l := h; while h != 0 do h := h - 1 od", TWO_LEVEL)
+    assert run_program(program, policy, {"h": 3}, bits=2, fuel=8).outcome == OUTCOME_FUEL
+    verdict = check_where_security(program, policy, bits=2, fuel=8)
+    assert verdict.status == INSECURE
+    assert verdict.pairs_checked == 18
+    assert_matches_reference(program, policy, bits=2, capacity=4, fuel=8)
+
+
+def test_one_run_per_initial_state_across_levels(monkeypatch):
+    program, policy = prog(
+        "input(x, lin); m := x + m; x := declass(h & 1)",
+        "lattice: L < M\nlattice: M < H\nvar h : H\nvar m : M\nvar x : L\n"
+        "channel lin : L input\n",
+    )
+    started = []
+
+    def counted(program, policy, store, inputs, *args):
+        started.append((tuple(sorted(store.items())), tuple(sorted(inputs.items()))))
+        return run_program(program, policy, store, inputs, *args)
+
+    monkeypatch.setattr(oracle, "run_program", counted)
+    verdict = check_where_security(program, policy, bits=2)
+    assert verdict.status == SECURE
+    lengths = default_input_lengths(program, policy)
+    assert verdict.pairs_checked == sum(
+        _pair_count(program, policy, level, 2, lengths) for level in policy.domains
+    )
+    # Three variables and one input cell of 2 bits each.
+    assert len(started) == len(set(started)) == 4**4
