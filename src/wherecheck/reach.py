@@ -56,7 +56,7 @@ class PAutomaton:
     final: str
     trans: dict[tuple[str, str, str], int]  # (state, symbol, state) -> relation
     eps: dict[str, int]  # state -> pop contraction relation
-    rule_relations: list[int]
+    rule_relations: list[tuple[int, frozenset[str]]]  # (relation, written cells) per rule
     steps: int  # worklist deltas processed
     _feas: Optional[dict[str, int]] = field(default=None, repr=False)
 
@@ -77,7 +77,7 @@ def post_star(
     spds = _spds_of(model)
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
-    rels = [alg.compile_spec(rule.spec) for rule in spds.rules]
+    rels = [(alg.compile_spec(rule.spec), rule.spec.written_globals()) for rule in spds.rules]
 
     rules_by_lhs: dict[str, list[int]] = {}
     for i, rule in enumerate(spds.rules):
@@ -113,7 +113,8 @@ def post_star(
         if p == INITIAL_STATE:
             for i in rules_by_lhs.get(sym, ()):
                 rule = spds.rules[i]
-                moved = alg.transpose_compose(rels[i], delta)
+                rel, written = rels[i]
+                moved = alg.transpose_compose(rel, delta, written)
                 if moved == mgr.FALSE:
                     continue
                 if len(rule.rhs) == 1:
@@ -265,7 +266,7 @@ class Witness:
         return len(self.steps) - 1
 
 
-def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[int]):
+def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[tuple[int, frozenset[str]]]):
     """Per-layer first-reached valuation sets, keyed by stack word."""
     mgr = alg.mgr
     start_word = (spds.start,)
@@ -282,7 +283,8 @@ def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[int]):
             for i, rule in enumerate(spds.rules):
                 if rule.lhs != word[0]:
                     continue
-                img = alg.image(rels[i], dset)
+                rel, written = rels[i]
+                img = alg.image(rel, dset, written)
                 if img == mgr.FALSE:
                     continue
                 nw = rule.rhs + word[1:]
@@ -301,7 +303,9 @@ def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[int]):
             return layers, True
 
 
-def _backward_path(spds: SPDS, alg: RelationAlgebra, rels: list[int], layers):
+def _backward_path(
+    spds: SPDS, alg: RelationAlgebra, rels: list[tuple[int, frozenset[str]]], layers
+):
     """Concretize one shortest error path; first rule in declaration order wins ties."""
     last = layers[-1]
     word = next(w for w in last if w and w[0] == spds.error)
@@ -317,7 +321,8 @@ def _backward_path(spds: SPDS, alg: RelationAlgebra, rels: list[int], layers):
             prev = layers[k - 1].get(pred_word)
             if prev is None:
                 continue
-            cand = alg.mgr.conj(alg.preimage(rels[i], here), prev)
+            rel, written = rels[i]
+            cand = alg.mgr.conj(alg.preimage(rel, here, written), prev)
             if cand == alg.mgr.FALSE:
                 continue
             tail.append((i, val, word))

@@ -4,12 +4,14 @@ A system is a stack alphabet plus rules <lhs> -> <rhs...> with at most two
 right-hand symbols, each rule carrying a RuleSpec: a guard over the current
 valuation and next-state updates (expression, havoc, or indexed channel
 write).  Globals not mentioned keep their value; that frame condition is
-part of the spec's meaning, so the BDD compilation and the explicit
-evaluator below both implement it and can be compared bit for bit.  The
-compiled relation is the guard and one equation per written cell, conjoined
-once with the frame: nxt == cur on every bit of the unwritten cells.  The
-frame is built bottom-up, three nodes per bit slot, and cached per written
-set, so rules that write the same cells share one frame node.
+part of the spec's meaning, and the explicit evaluator below implements it
+directly.  The compiled relation leaves it out: it is the guard and one
+equation per written cell, over the current bits and the next bits of the
+written cells only.  Each relational step that takes a rule relation also
+takes the rule's written cells and quantifies just their current bits, so
+every unwritten bit stands for itself on both sides, which is exactly what
+the frame nxt == cur would force.  A full relation is the case where every
+cell is written.
 
 Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
 and 3t+2 (next).  Every rename used by the relation algebra moves a whole
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .bdd import (
     BDD,
@@ -195,11 +197,12 @@ class RuleSpec:
         )
         return RuleSpec(guard, updates, tuple(w.renamed(mapping) for w in self.writes))
 
-    def written_globals(self) -> set[str]:
+    def written_globals(self) -> frozenset[str]:
+        """Every cell the rule may change: updated, havoc'd or in a written channel."""
         out = {name for name, _ in self.updates}
         for w in self.writes:
             out |= set(w.cells)
-        return out
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -451,12 +454,24 @@ def successors(
             yield nxt, rule.rhs + rest
 
 
+class _WrittenBits(NamedTuple):
+    """Where a written set of cells lives: its current and next levels."""
+
+    cur: frozenset[int]
+    nxt: frozenset[int]
+    lift: dict[int, int]  # current level -> next level, written cells only
+    tag: str  # names the lift for the rename memo
+
+
 class RelationAlgebra:
     """BDD-backed sets of valuations and valuation pairs.
 
     Sets live on the current block; pair relations put the first component
-    on the current block and the second on the next block.  Node indices
-    are canonical, so equality of results is integer equality.
+    on the current block and the second on the next block.  A rule relation
+    carries next bits for its written cells only (see compile_spec), so the
+    steps that take one also take its written set; None means every cell,
+    the case of a full relation.  Node indices are canonical, so equality
+    of results is integer equality.
     """
 
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
@@ -465,12 +480,13 @@ class RelationAlgebra:
         self._cur_to_tmp = globals_decl.block_map(0, 1)
         self._tmp_to_cur = globals_decl.block_map(1, 0)
         self._nxt_to_tmp = globals_decl.block_map(2, 1)
-        self._cur_to_nxt = globals_decl.block_map(0, 2)
         self._nxt_to_cur_map = globals_decl.block_map(2, 0)
         self._cur_block = globals_decl.block_levels(0)
         self._tmp_block = globals_decl.block_levels(1)
         self._nxt_block = globals_decl.block_levels(2)
-        self._frames: dict[frozenset[str], int] = {}
+        self._all_cells = frozenset(globals_decl.names)
+        self._written: dict[frozenset[str], _WrittenBits] = {}
+        self._identity = self.frame(frozenset())
 
     # Sets over the current block.
 
@@ -542,6 +558,11 @@ class RelationAlgebra:
     # Pair relations: current block x next block.
 
     def compile_spec(self, spec: RuleSpec) -> int:
+        """The guard and one equation nxt == value per written cell, without a frame.
+
+        The next bits of the unwritten cells stay free (a havoc'd cell is
+        written but gets no equation); see the module docstring.
+        """
         mgr = self.mgr
         out = self.compile_guard(spec.guard)
         updates = dict(spec.updates)
@@ -561,26 +582,37 @@ class RelationAlgebra:
             else:
                 continue
             out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, self.g.nxt_levels(name)), value))
-        return mgr.conj(out, self.frame(frozenset(updates) | frozenset(write_by_cell)))
+        return out
 
     def frame(self, written: frozenset[str]) -> int:
         """nxt == cur on every bit of every cell outside written, built bottom-up."""
-        out = self._frames.get(written)
-        if out is None:
-            mgr, out = self.mgr, self.mgr.TRUE
-            kept = [name for name in self.g.names if name not in written]
-            levels = sorted(lvl for name in kept for lvl in self.g.cur_levels(name))
-            for cur in reversed(levels):
-                nxt = cur + 2
-                out = mgr.node(cur, mgr.node(nxt, out, mgr.FALSE), mgr.node(nxt, mgr.FALSE, out))
-            self._frames[written] = out
+        mgr, out = self.mgr, self.mgr.TRUE
+        kept = [name for name in self.g.names if name not in written]
+        levels = sorted(lvl for name in kept for lvl in self.g.cur_levels(name))
+        for cur in reversed(levels):
+            nxt = cur + 2
+            out = mgr.node(cur, mgr.node(nxt, out, mgr.FALSE), mgr.node(nxt, mgr.FALSE, out))
         return out
 
     def identity(self) -> int:
-        return self.frame(frozenset())
+        return self._identity
 
     def id_restricted(self, set_cur: int) -> int:
-        return self.mgr.conj(self.identity(), set_cur)
+        return self.mgr.conj(self._identity, set_cur)
+
+    def _bits(self, written: Optional[frozenset[str]]) -> _WrittenBits:
+        written = self._all_cells if written is None else written
+        found = self._written.get(written)
+        if found is None:
+            names = tuple(sorted(written))
+            cur = [lvl for name in names for lvl in self.g.cur_levels(name)]
+            found = self._written[written] = _WrittenBits(
+                frozenset(cur),
+                frozenset(lvl + 2 for lvl in cur),
+                {lvl: lvl + 2 for lvl in cur},
+                f"c2n{names!r}",
+            )
+        return found
 
     def compose(self, r: int, s: int) -> int:
         # {(a, c) | exists b: (a, b) in r and (b, c) in s}
@@ -589,11 +621,17 @@ class RelationAlgebra:
         right = mgr.rename(s, self._cur_to_tmp, "c2t")
         return mgr.and_exists(left, right, self._tmp_block)
 
-    def transpose_compose(self, r: int, s: int) -> int:
-        # {(b, c) | exists a: (a, b) in r and (a, c) in s}
+    def transpose_compose(self, r: int, s: int, written: Optional[frozenset[str]] = None) -> int:
+        """{(b, c) | exists a: (a, b) in r and (a, c) in s}, r writing only written.
+
+        Only the written cells' next bits move to the scratch block and only
+        their current bits are quantified; an unwritten bit of a is the same
+        bit of b, so it stays where it is.  Both renames are the global
+        block maps, which act on the levels present only.
+        """
         mgr = self.mgr
         left = mgr.rename(r, self._nxt_to_tmp, "n2t")
-        dropped = mgr.and_exists(left, s, self._cur_block)
+        dropped = mgr.and_exists(left, s, self._bits(written).cur)
         return mgr.rename(dropped, self._tmp_to_cur, "t2c")
 
     def dom(self, r: int) -> int:
@@ -603,15 +641,18 @@ class RelationAlgebra:
         out = self.mgr.exists(r, self._cur_block)
         return self.mgr.rename(out, self._nxt_to_cur_map, "n2c")
 
-    def image(self, r: int, set_cur: int) -> int:
-        out = self.mgr.and_exists(r, set_cur, self._cur_block)
+    def image(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
+        out = self.mgr.and_exists(r, set_cur, self._bits(written).cur)
         return self.mgr.rename(out, self._nxt_to_cur_map, "n2c")
 
-    def preimage(self, r: int, set_cur: int) -> int:
-        return self.mgr.and_exists(r, self.lift_to_nxt(set_cur), self._nxt_block)
+    def preimage(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
+        lifted = self.lift_to_nxt(set_cur, written)
+        return self.mgr.and_exists(r, lifted, self._bits(written).nxt)
 
-    def lift_to_nxt(self, set_cur: int) -> int:
-        return self.mgr.rename(set_cur, self._cur_to_nxt, "c2n")
+    def lift_to_nxt(self, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
+        """The set with the written cells' bits moved to the next block."""
+        bits = self._bits(written)
+        return self.mgr.rename(set_cur, bits.lift, bits.tag)
 
     # Witness decoding.
 

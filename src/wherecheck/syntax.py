@@ -9,6 +9,7 @@ coincide with source order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 # Binary operators, in the order used for precedence climbing (low to high
@@ -215,8 +216,9 @@ class Program:
     root: Command
     sites: tuple[SiteLabel, ...] = field(default_factory=tuple)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[str, ...]:
+        """Every variable of the program, sorted; walked once per program."""
         return tuple(sorted(command_vars(self.root)))
 
     @property

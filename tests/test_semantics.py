@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wherecheck import syntax
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import (
@@ -214,3 +215,20 @@ def test_run_twice_identical():
     t2 = run_program(program, policy, store={"h": 3, "h1": 2})
     assert format_trace(t1) == format_trace(t2)
     assert t1.final.mu == {"h": 3, "h1": 2, "l": 1, "l1": 2}
+
+
+def test_program_variables_walk_the_tree_once(monkeypatch):
+    walks = []
+
+    def counting(c):
+        walks.append(c)
+        return real(c)
+
+    real = syntax.command_vars
+    monkeypatch.setattr(syntax, "command_vars", counting)
+    programs = [load("P3"), load("P7")]
+    for program, policy in programs:
+        for h in range(4):
+            run_program(program, policy, store={"h": h}, bits=2)
+            assert program.variables == tuple(sorted(real(program.root)))
+    assert len(walks) == len(programs)

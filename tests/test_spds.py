@@ -174,8 +174,14 @@ def test_spds_initial_valuations_and_successors():
     assert list(successors(spds, (3, 1), ())) == []
 
 
-# Differential check: the BDD compilation of a spec and the explicit
-# evaluator must induce exactly the same transition pairs.
+# Differential check: the BDD compilation of a spec, with the frame of its
+# unwritten cells conjoined, and the explicit evaluator must induce exactly
+# the same transition pairs.
+
+
+def framed(ra, spec):
+    return ra.mgr.conj(ra.compile_spec(spec), ra.frame(spec.written_globals()))
+
 
 CATALOGUE = [
     RuleSpec.make(),
@@ -199,8 +205,7 @@ CATALOGUE = [
 @pytest.mark.parametrize("spec", CATALOGUE, ids=range(len(CATALOGUE)))
 def test_compile_spec_matches_explicit(spec):
     ra = RelationAlgebra(G3)
-    node = ra.compile_spec(spec)
-    symbolic = ra.enumerate_pairs(node)
+    symbolic = ra.enumerate_pairs(framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in G3.all_valuations()
@@ -250,7 +255,7 @@ def per_cell_relation(ra, spec):
 @example(RuleSpec.make(updates={"x": HAVOC, "y": KConst(1), "z": GRef("x")}))
 def test_drawn_spec_compiles_to_explicit_pairs(spec):
     ra = RelationAlgebra(G5)
-    node = ra.compile_spec(spec)
+    node = framed(ra, spec)
     assert node == per_cell_relation(ra, spec)
     explicit = {
         (val, nxt)
@@ -260,15 +265,14 @@ def test_drawn_spec_compiles_to_explicit_pairs(spec):
     assert ra.enumerate_pairs(node) == explicit
 
 
-def test_rules_with_one_written_set_share_one_frame():
+def test_compiled_rule_leaves_unwritten_next_bits_free():
     ra = RelationAlgebra(G5)
-    first = RuleSpec.make(updates={"x": KConst(1)})
-    second = RuleSpec.make(guard=GRef("y"), updates={"x": GOp("+", GRef("x"), GRef("z"))})
-    ra.compile_spec(first)
-    frame = ra.frame(frozenset({"x"}))
-    ra.compile_spec(second)
-    assert ra.frame(frozenset({"x"})) == frame
-    assert list(ra._frames) == [frozenset({"x"})]
+    spec = RuleSpec.make(guard=GRef("y"), updates={"x": GOp("+", GRef("x"), GRef("z"))})
+    node = ra.compile_spec(spec)
+    unwritten_nxt = ra.g.nxt_levels("y") + ra.g.nxt_levels("z")
+    assert ra.mgr.exists(node, unwritten_nxt) == node
+    assert ra.mgr.exists(node, ra.g.nxt_levels("x")) != node
+    frame = ra.frame(spec.written_globals())
     assert ra.enumerate_pairs(frame) == {
         (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
     }
@@ -283,7 +287,7 @@ def test_compile_spec_array_write_matches_explicit():
         writes=(ArrayWrite(("c0", "c1"), "q", GRef("v"), "C"),),
     )
     ra = RelationAlgebra(g)
-    symbolic = ra.enumerate_pairs(ra.compile_spec(spec))
+    symbolic = ra.enumerate_pairs(framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in g.all_valuations()
@@ -298,7 +302,7 @@ def test_compile_cellref_matches_explicit():
         guard=GOp("!=", CellRef(("c0", "c1"), "q", "C"), GRef("v")),
     )
     ra = RelationAlgebra(g)
-    symbolic = ra.enumerate_pairs(ra.compile_spec(spec))
+    symbolic = ra.enumerate_pairs(framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in g.all_valuations()
@@ -355,6 +359,44 @@ def test_dom_rng_image_preimage(p1):
         node = ra.mgr.disj(node, ra.set_from_valuation(v))
     assert ra.enumerate_set(ra.image(r, node)) == {b for a, b in p1 if a in some}
     assert ra.enumerate_set(ra.preimage(r, node)) == {a for a, b in p1 if b in some}
+
+
+# The partitioned steps against the framed ones: a rule relation without its
+# frame, stepped with its written set, must give the very node that the
+# framed relation gives when every current bit is quantified.
+
+G5_VALS = list(G5.all_valuations())
+CHANNEL = ArrayWrite(("x", "z"), "y", GOp("+", GRef("z"), KConst(1)), "C")
+partitioned_spec_st = st.builds(
+    lambda spec, writes: RuleSpec(spec.guard, spec.updates, writes),
+    drawn_spec_st,
+    st.sampled_from([(), (CHANNEL,)]),
+)
+EDGE = frozenset({((0, 1, 2), (3, 0, 1)), ((3, 1, 0), (3, 1, 0)), ((1, 0, 3), (2, 1, 2))})
+SOME = frozenset({(0, 1, 2), (3, 0, 1), (2, 1, 2)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    partitioned_spec_st,
+    st.frozensets(st.tuples(st.sampled_from(G5_VALS), st.sampled_from(G5_VALS)), max_size=12),
+    st.frozensets(st.sampled_from(G5_VALS), max_size=8),
+)
+@example(RuleSpec.make(guard=GRef("y")), EDGE, SOME)
+@example(RuleSpec.make(updates={"z": GOp("-", GRef("x"), KConst(1))}), EDGE, SOME)
+@example(RuleSpec.make(updates={"x": KConst(3), "y": HAVOC, "z": GRef("x")}), EDGE, SOME)
+@example(RuleSpec.make(updates={"x": HAVOC}), EDGE, SOME)
+@example(RuleSpec.make(guard=GRef("y"), writes=(CHANNEL,)), EDGE, SOME)
+def test_partitioned_steps_equal_framed_steps(spec, pairs, vals):
+    ra = RelationAlgebra(G5)
+    written = spec.written_globals()
+    rel = ra.compile_spec(spec)
+    full = framed(ra, spec)
+    edge = rel_from_pairs(ra, pairs)
+    some = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
+    assert ra.transpose_compose(rel, edge, written) == ra.transpose_compose(full, edge)
+    assert ra.image(rel, some, written) == ra.image(full, some)
+    assert ra.preimage(rel, some, written) == ra.preimage(full, some)
 
 
 def test_identity_and_restriction():
