@@ -9,6 +9,25 @@ edge that consumes the next stack symbol.  The promise threads pushes and
 pops so that acceptance needs no re-exploration: follow a path, linking
 each edge's second component to the next edge's first.
 
+A promise c on an edge into q is feasible when a path from q to the final
+state can complete from it: the least sets F with F(final) holding every
+valuation and F(p) holding g whenever (g, c) lies on an edge (p, sym, q)
+with c in F(q), over the saturated automaton.  Every promise post_star
+stores is feasible.  By induction over the order in which pairs are added,
+and since edges only grow:
+
+- the initial edge enters the final state, where every promise is feasible;
+- a rename rule's transpose_compose keeps the promise c of the delta;
+- a push rule puts (b, b) on (initial, rhs0, m_i) only for b in dom(moved),
+  and the same step puts moved, whose promises come from the delta, on
+  (m_i, rhs1, q); so each such b is in F(m_i);
+- both compose calls of a pop take each new pair's promise from an existing
+  relation on an edge into the same target.
+
+As grow stores no empty relation, a configuration with the error symbol on
+top is reachable iff the automaton holds an (initial, error, q) edge, and
+the decision is a lookup of the edge keys.
+
 Push rules get one auxiliary mid-state each; the worklist carries
 (edge, relation-delta) pairs and is FIFO over rules in declaration order,
 so saturation statistics are deterministic.
@@ -25,7 +44,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bdd import BDD, BudgetExceeded
@@ -58,7 +77,6 @@ class PAutomaton:
     eps: dict[str, int]  # state -> pop contraction relation
     rule_relations: list[tuple[int, frozenset[str]]]  # (relation, written cells) per rule
     steps: int  # worklist deltas processed
-    _feas: Optional[dict[str, int]] = field(default=None, repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -168,47 +186,16 @@ def accepts(auto: PAutomaton, valuation: tuple[int, ...], word: tuple[str, ...])
     return reach.get(auto.final, mgr.FALSE) != mgr.FALSE
 
 
-def _feasible_chains(auto: PAutomaton) -> dict[str, int]:
-    """Per state, the promise values from which a path can complete at final."""
-    if auto._feas is not None:
-        return auto._feas
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    feas = {state: mgr.FALSE for state in auto.states}
-    feas[auto.final] = mgr.TRUE
-    # Least fixpoint by worklist: an edge is revisited only when the
-    # promise set of the state it enters has grown.
-    entering: dict[str, list[tuple[str, str, str]]] = {}
-    for edge in auto.trans:
-        entering.setdefault(edge[2], []).append(edge)
-    work = deque(entering.get(auto.final, ()))
-    queued = set(work)
-    while work:
-        edge = work.popleft()
-        queued.discard(edge)
-        p, q = edge[0], edge[2]
-        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q]))
-        if merged != feas[p]:
-            feas[p] = merged
-            for e in entering.get(p, ()):
-                if e not in queued:
-                    queued.add(e)
-                    work.append(e)
-    auto._feas = feas
-    return feas
-
-
 def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None] = None) -> bool:
+    """Whether an error-top configuration is reachable: a lookup of the edge keys.
+
+    grow stores no empty relation and every promise is feasible (see the
+    module docstring), so an (initial, error, q) edge answers the question.
+    """
     error = auto.spds.error
     if error is None:
         raise ValueError("system declares no error symbol")
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    feas = _feasible_chains(auto)
-    for (p, sym, q), rel in auto.trans.items():
-        if p != auto.initial or sym != error:
-            continue
-        if mgr.conj(rel, alg.lift_to_nxt(feas[q])) != mgr.FALSE:
-            return True
-    return False
+    return any(p == auto.initial and sym == error for p, sym, _ in auto.trans)
 
 
 def explicit_error_search(

@@ -480,13 +480,16 @@ class RelationAlgebra:
         self._cur_to_tmp = globals_decl.block_map(0, 1)
         self._tmp_to_cur = globals_decl.block_map(1, 0)
         self._nxt_to_tmp = globals_decl.block_map(2, 1)
-        self._nxt_to_cur_map = globals_decl.block_map(2, 0)
         self._cur_block = globals_decl.block_levels(0)
         self._tmp_block = globals_decl.block_levels(1)
         self._nxt_block = globals_decl.block_levels(2)
         self._all_cells = frozenset(globals_decl.names)
         self._written: dict[frozenset[str], _WrittenBits] = {}
-        self._identity = self.frame(frozenset())
+        mgr, ident = self.mgr, self.mgr.TRUE
+        for cur in reversed(self._cur_block):  # nxt == cur on every bit, bottom-up
+            nxt = cur + 2
+            ident = mgr.node(cur, mgr.node(nxt, ident, mgr.FALSE), mgr.node(nxt, mgr.FALSE, ident))
+        self._identity = ident
 
     # Sets over the current block.
 
@@ -584,16 +587,6 @@ class RelationAlgebra:
             out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, self.g.nxt_levels(name)), value))
         return out
 
-    def frame(self, written: frozenset[str]) -> int:
-        """nxt == cur on every bit of every cell outside written, built bottom-up."""
-        mgr, out = self.mgr, self.mgr.TRUE
-        kept = [name for name in self.g.names if name not in written]
-        levels = sorted(lvl for name in kept for lvl in self.g.cur_levels(name))
-        for cur in reversed(levels):
-            nxt = cur + 2
-            out = mgr.node(cur, mgr.node(nxt, out, mgr.FALSE), mgr.node(nxt, mgr.FALSE, out))
-        return out
-
     def identity(self) -> int:
         return self._identity
 
@@ -637,13 +630,9 @@ class RelationAlgebra:
     def dom(self, r: int) -> int:
         return self.mgr.exists(r, self._nxt_block)
 
-    def rng(self, r: int) -> int:
-        out = self.mgr.exists(r, self._cur_block)
-        return self.mgr.rename(out, self._nxt_to_cur_map, "n2c")
-
     def image(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
         out = self.mgr.and_exists(r, set_cur, self._bits(written).cur)
-        return self.mgr.rename(out, self._nxt_to_cur_map, "n2c")
+        return self.mgr.rename(out, self.g.block_map(2, 0), "n2c")
 
     def preimage(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
         lifted = self.lift_to_nxt(set_cur, written)
@@ -688,22 +677,6 @@ class RelationAlgebra:
         if assignment is None:
             return None
         return self._decode(assignment, self.g.cur_levels)
-
-    def pick_pair(self, r: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The least pair, bit by bit as pick_set, the current bit before the next."""
-        levels = [
-            lvl
-            for name in self.g.names
-            for bit in zip(self.g.cur_levels(name), self.g.nxt_levels(name))
-            for lvl in bit
-        ]
-        assignment = self._least(r, levels)
-        if assignment is None:
-            return None
-        return (
-            self._decode(assignment, self.g.cur_levels),
-            self._decode(assignment, self.g.nxt_levels),
-        )
 
     # Exhaustive decoding for differential tests at small widths.
 

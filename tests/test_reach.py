@@ -21,7 +21,8 @@ from wherecheck.reach import (
 from wherecheck.semantics import run_program
 from wherecheck.spds import GlobalsDecl, GRef, Rule, RuleSpec, SPDS, successors
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus" / "table3"
 
 # Table row: error reachable at the default precision?
 EXPECTED = {
@@ -305,3 +306,82 @@ def test_tr_witness_decodes():
     w = extract_witness(post_star(model), model)
     assert w.channel == FINALVARS
     assert w.replay_ok
+
+
+# The decision reads only the edge keys.  The reference below is the least
+# fixpoint that decided before: per state, the promise values from which a
+# path can complete at final.  Every promise on every edge must lie in the
+# reference set of its target, and the two decisions must agree.
+
+
+def feasible_chains(auto):
+    alg, mgr = auto.algebra, auto.algebra.mgr
+    feas = {state: mgr.FALSE for state in auto.states}
+    feas[auto.final] = mgr.TRUE
+    entering = {}
+    for edge in auto.trans:
+        entering.setdefault(edge[2], []).append(edge)
+    work = deque(entering.get(auto.final, ()))
+    queued = set(work)
+    while work:
+        edge = work.popleft()
+        queued.discard(edge)
+        p, q = edge[0], edge[2]
+        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q]))
+        if merged != feas[p]:
+            feas[p] = merged
+            for e in entering.get(p, ()):
+                if e not in queued:
+                    queued.add(e)
+                    work.append(e)
+    return feas
+
+
+def reference_decision(auto, feas):
+    alg, mgr = auto.algebra, auto.algebra.mgr
+    return any(
+        mgr.conj(rel, alg.lift_to_nxt(feas[q])) != mgr.FALSE
+        for (p, sym, q), rel in auto.trans.items()
+        if p == auto.initial and sym == auto.spds.error
+    )
+
+
+def _feasibility_cases():
+    """(name, program text, policy text, bits, capacity, compose)."""
+    for i in range(8):
+        text = (CORPUS / f"P{i}").read_text()
+        pol = (CORPUS / f"P{i}.policy").read_text()
+        for bits in (2, 3):
+            yield f"table3/P{i}@{bits}", text, pol, bits, 8, self_compose
+    for i in range(8):
+        path = ROOT / "corpus" / "iobench" / f"B{i}"
+        for mode in (self_compose, tr_compose):
+            name = f"iobench/B{i}/{'tr' if mode is tr_compose else 'storematch'}"
+            yield name, path.read_text(), path.with_suffix(".policy").read_text(), 2, 8, mode
+    for seed in range(60):
+        for io in (False, True):
+            gen = generate(seed, GenConfig(io=io))
+            name = f"randprog/{seed}{'io' if io else ''}"
+            yield name, gen.text, gen.policy_text, 2, 4, self_compose
+
+
+FEASIBILITY_CASES = list(_feasibility_cases())
+
+
+@pytest.mark.parametrize(
+    "case", FEASIBILITY_CASES, ids=[case[0] for case in FEASIBILITY_CASES]
+)
+def test_every_promise_is_feasible_and_the_decision_matches(case):
+    _, text, pol, bits, capacity, mode = case
+    program = parse_program(text)
+    policy = gather_downgrades(program, parse_policy(pol))
+    for level in sorted(policy.domains):
+        model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+        auto = post_star(model)
+        alg, mgr = auto.algebra, auto.algebra.mgr
+        feas = feasible_chains(auto)
+        cur_block = alg.g.block_levels(0)
+        for (p, sym, q), rel in auto.trans.items():
+            promises = mgr.exists(rel, cur_block)
+            assert mgr.diff(promises, alg.lift_to_nxt(feas[q])) == mgr.FALSE, (level, p, sym, q)
+        assert is_error_reachable(auto, model) == reference_decision(auto, feas), level
