@@ -2,27 +2,34 @@
 
 Nodes are hash-consed triples (level, lo, hi) stored in parallel arrays and
 addressed by index; 0 and 1 are the terminals.  Levels are plain integers
-assigned by the caller.  Rename only supports order-preserving level maps,
-which is all the relation algebra here needs: pair relations place the
-current-state copy of global bit slot k at level 3k, a scratch copy at 3k+1
-and the next-state copy at 3k+2, so moving a whole block sideways never
-swaps two levels.
+assigned by the caller.  Quantification and relabelling happen in one
+kernel, the relational product with substitution (Burch, Clarke, McMillan,
+Dill & Hwang 1990): relprod conjoins two diagrams whose levels it relabels,
+quantifies some product levels and places the rest at their result levels
+as it builds.  It only supports order-preserving level maps, which is all
+the relation algebra here needs: pair relations place the current-state
+copy of global bit slot k at level 3k, a scratch copy at 3k+1 and the
+next-state copy at 3k+2, so moving a whole block sideways never swaps two
+levels.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 LEAF_LEVEL = 1 << 60
 
 # Cache keys are single ints: operand ids and a small opcode packed into
 # one word-ish integer.  A tuple key costs about twice as much memory and
 # the table below is the dominant allocation at scale.  Keys hold node ids
-# in 30 bits and quantifier-set and rename-tag ids in 12, so past those
-# bounds two keys would alias; the manager gives up before that happens.
-_OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_EXISTS, _OP_ANDEX, _OP_RENAME = range(8)
+# in 30 bits and step ids in 12, so past those bounds two keys would alias;
+# the manager gives up before that happens.
+_OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_RELPROD = range(6)
 _NODE_ID_LIMIT = 1 << 30
-_SMALL_ID_LIMIT = 1 << 12
+_STEP_ID_LIMIT = 1 << 12
+# Operation caches are memo tables, so dropping them wholesale is always
+# sound; the cap keeps long saturations from hoarding memory.
+_CACHE_LIMIT = 6_000_000
 
 
 class BudgetExceeded(Exception):
@@ -30,27 +37,34 @@ class BudgetExceeded(Exception):
 
 
 def _fresh_id(table: dict, what: str) -> int:
-    if len(table) >= _SMALL_ID_LIMIT:
-        raise BudgetExceeded(f"more than {_SMALL_ID_LIMIT} {what} would alias in the cache keys")
+    if len(table) >= _STEP_ID_LIMIT:
+        raise BudgetExceeded(f"more than {_STEP_ID_LIMIT} {what} would alias in the cache keys")
     return len(table)
+
+
+class Step(NamedTuple):
+    """An interned relational product; every list is indexed by level (see BDD.step)."""
+
+    sid: int  # the cache-key id
+    umap: list[int]  # level of u -> product level
+    vmap: list[int]  # level of v -> product level
+    drop: list[bool]  # product level -> quantified
+    out: list[int]  # kept product level -> result level
+    swap: bool  # neither operand is relabelled, so u and v commute
 
 
 class BDD:
     FALSE = 0
     TRUE = 1
 
-    def __init__(self, node_budget: Optional[int] = None, cache_limit: int = 6_000_000):
+    def __init__(self, node_budget: Optional[int] = None):
         self.level = [LEAF_LEVEL, LEAF_LEVEL]
         self.lo = [0, 1]
         self.hi = [0, 1]
         self._unique: dict[int, int] = {}
         self._cache: dict[int, int] = {}
-        # Operation caches are memo tables, so dropping them wholesale is
-        # always sound; the cap keeps long saturations from hoarding memory.
-        self.cache_limit = cache_limit
         self.cache_clears = 0
-        self._set_ids: dict[frozenset, int] = {}
-        self._tag_ids: dict[str, int] = {}
+        self._steps: dict[tuple, Step] = {}
         limit = _NODE_ID_LIMIT if node_budget is None else min(node_budget, _NODE_ID_LIMIT)
         self._node_limit = limit
         # Always 0: the node table is never compacted.  Reports read it.
@@ -58,7 +72,7 @@ class BDD:
 
     def _cache_put(self, key: int, out: int) -> int:
         cache = self._cache
-        if len(cache) >= self.cache_limit:
+        if len(cache) >= _CACHE_LIMIT:
             cache.clear()
             self.cache_clears += 1
         cache[key] = out
@@ -70,8 +84,8 @@ class BDD:
     def node(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
-        # Children must sit strictly below; a violation means a rename
-        # crossed two levels and the diagram would silently be wrong.
+        # Children must sit strictly below; a violation means a relprod
+        # level map crossed two levels and the diagram would silently be wrong.
         assert level < self.level[lo] and level < self.level[hi]
         key = (level << 60) | (lo << 30) | hi
         found = self._unique.get(key)
@@ -204,100 +218,77 @@ class BDD:
             out = self.disj(out, u)
         return out
 
-    def _set_id(self, wanted: frozenset) -> int:
-        found = self._set_ids.get(wanted)
+    def step(
+        self,
+        size: int,
+        umap: Mapping[int, int] = {},
+        vmap: Mapping[int, int] = {},
+        drop: Iterable[int] = (),
+        out: Mapping[int, int] = {},
+    ) -> Step:
+        """The relational product that relprod(u, v, step) computes, interned.
+
+        umap and vmap relabel the levels of u and of v to product levels,
+        drop names the product levels to quantify, and out places each
+        kept product level in the result; a level a map leaves out stays
+        where it is.  Every level involved must be below size.  Each map
+        must preserve the order of the levels it meets, and out must not
+        land a kept level on another kept level; the node() assertion
+        enforces this as a side effect.  Equal arguments give the same
+        step, so its results persist in the cache across calls.
+        """
+        wanted = frozenset(drop)
+        key = (size, *(tuple(sorted(m.items())) for m in (umap, vmap, out)), wanted)
+        found = self._steps.get(key)
         if found is None:
-            found = self._set_ids[wanted] = _fresh_id(self._set_ids, "quantifier sets")
+
+            def table(mapping: Mapping[int, int]) -> list[int]:
+                levels = list(range(size))
+                for src, dst in mapping.items():
+                    levels[src] = dst
+                return levels
+
+            found = self._steps[key] = Step(
+                _fresh_id(self._steps, "relational steps"),
+                table(umap),
+                table(vmap),
+                [lvl in wanted for lvl in range(size)],
+                table(out),
+                not umap and not vmap,
+            )
         return found
 
-    def exists(self, u: int, levels: Iterable[int]) -> int:
-        wanted = frozenset(levels)
-        if not wanted:
-            return u
-        return self._exists(u, wanted, self._set_id(wanted))
+    def relprod(self, u: int, v: int, step: Step) -> int:
+        """exists drop . (u o umap and v o vmap), kept levels placed by out, in one pass.
 
-    def _exists(self, u: int, wanted: frozenset, wid: int) -> int:
-        if self.level[u] == LEAF_LEVEL:
-            return u
-        key = (((u << 12) | wid) << 4) | _OP_EXISTS
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lvl = self.level[u]
-        lo = self._exists(self.lo[u], wanted, wid)
-        if lvl in wanted:
-            out = self.TRUE if lo == self.TRUE else self.disj(lo, self._exists(self.hi[u], wanted, wid))
-        else:
-            out = self.node(lvl, lo, self._exists(self.hi[u], wanted, wid))
-        return self._cache_put(key, out)
-
-    def and_exists(self, u: int, v: int, levels: Iterable[int]) -> int:
-        """conj(u, v) with the given levels projected out, in one pass.
-
-        The intermediate conjunction never gets built, and a TRUE cofactor
-        under a quantified level short-circuits the sibling; relation
-        composition spends nearly all its time here.
+        The conjunction is never built, a TRUE cofactor under a dropped
+        level short-circuits its sibling, and each kept level lands at its
+        result level as the node is made, so no relabelling pass follows.
+        Relation composition spends nearly all its time here.
         """
-        wanted = frozenset(levels)
-        if not wanted:
-            return self.conj(u, v)
-        return self._and_exists(u, v, wanted, self._set_id(wanted))
-
-    def _and_exists(self, u: int, v: int, wanted: frozenset, wid: int) -> int:
-        if u == self.FALSE or v == self.FALSE:
-            return self.FALSE
-        if u == self.TRUE and v == self.TRUE:
-            return self.TRUE
-        if u == self.TRUE or u == v:
-            return self._exists(v, wanted, wid)
-        if v == self.TRUE:
-            return self._exists(u, wanted, wid)
-        if u > v:
-            u, v = v, u
-        key = (((((u << 30) | v) << 12) | wid) << 4) | _OP_ANDEX
+        if u == 0 or v == 0:
+            return 0
+        if u == 1 and v == 1:
+            return 1
+        if step.swap:
+            if u == v:
+                v = 1
+            if u > v:
+                u, v = v, u
+        key = (((((u << 30) | v) << 12) | step.sid) << 4) | _OP_RELPROD
         found = self._cache.get(key)
         if found is not None:
             return found
-        lu, lv = self.level[u], self.level[v]
+        lu = LEAF_LEVEL if u == 1 else step.umap[self.level[u]]
+        lv = LEAF_LEVEL if v == 1 else step.vmap[self.level[v]]
         top = min(lu, lv)
         u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
         v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        lo = self._and_exists(u0, v0, wanted, wid)
-        if top in wanted:
-            out = self.TRUE if lo == self.TRUE else self.disj(lo, self._and_exists(u1, v1, wanted, wid))
+        lo = self.relprod(u0, v0, step)
+        if step.drop[top]:
+            out = self.TRUE if lo == self.TRUE else self.disj(lo, self.relprod(u1, v1, step))
         else:
-            out = self.node(top, lo, self._and_exists(u1, v1, wanted, wid))
-        return self._cache_put(key, out)
-
-    def rename(self, u: int, mapping: dict[int, int], tag: str) -> int:
-        """Relabel levels through an order-preserving map.
-
-        The support levels and their images must be in the same relative
-        order, and no image may land on a level still present in u outside
-        the mapping; the node() assertion enforces both as a side effect.
-        The tag names the mapping, so results persist across calls: the maps
-        in the relation algebra are fixed and their renames memoize globally.
-        """
-        if not mapping:
-            return u
-        tid = self._tag_ids.get(tag)
-        if tid is None:
-            tid = self._tag_ids[tag] = _fresh_id(self._tag_ids, "rename tags")
-        return self._rename(u, mapping, tid)
-
-    def _rename(self, u: int, mapping: dict[int, int], tid: int) -> int:
-        if self.level[u] == LEAF_LEVEL:
-            return u
-        key = (((u << 12) | tid) << 4) | _OP_RENAME
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lvl = mapping.get(self.level[u], self.level[u])
-        out = self.node(
-            lvl,
-            self._rename(self.lo[u], mapping, tid),
-            self._rename(self.hi[u], mapping, tid),
-        )
+            out = self.node(step.out[top], lo, self.relprod(u1, v1, step))
         return self._cache_put(key, out)
 
     def sat_all(self, u: int, levels: list[int]) -> Iterator[tuple[bool, ...]]:

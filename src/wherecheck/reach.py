@@ -87,11 +87,7 @@ class PAutomaton:
         return len(self.algebra.mgr)
 
 
-def post_star(
-    model: Union[ComposedModel, SPDS],
-    node_budget: Optional[int] = None,
-    max_steps: Optional[int] = None,
-) -> PAutomaton:
+def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = None) -> PAutomaton:
     spds = _spds_of(model)
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
@@ -124,8 +120,6 @@ def post_star(
 
     steps = 0
     while queue:
-        if max_steps is not None and steps >= max_steps:
-            raise BudgetExceeded(f"saturation step budget {max_steps} exhausted")
         p, sym, q, delta = queue.popleft()
         steps += 1
         if p == INITIAL_STATE:
@@ -163,27 +157,6 @@ def post_star(
         rule_relations=rels,
         steps=steps,
     )
-
-
-def accepts(auto: PAutomaton, valuation: tuple[int, ...], word: tuple[str, ...]) -> bool:
-    """Membership under the chain convention (reachability of the config)."""
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    if not word:
-        emptied = alg.dom(auto.eps.get(auto.final, mgr.FALSE))
-        return mgr.conj(alg.set_from_valuation(valuation), emptied) != mgr.FALSE
-    reach: dict[str, int] = {auto.initial: alg.set_from_valuation(valuation)}
-    for sym in word:
-        step: dict[str, int] = {}
-        for (p, s, q), rel in auto.trans.items():
-            if s != sym or p not in reach:
-                continue
-            img = alg.image(rel, reach[p])
-            if img != mgr.FALSE:
-                step[q] = mgr.disj(step.get(q, mgr.FALSE), img)
-        if not step:
-            return False
-        reach = step
-    return reach.get(auto.final, mgr.FALSE) != mgr.FALSE
 
 
 def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None] = None) -> bool:
@@ -271,7 +244,7 @@ def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[tuple[int, froz
                 if rule.lhs != word[0]:
                     continue
                 rel, written = rels[i]
-                img = alg.image(rel, dset, written)
+                img = alg.transpose_compose(rel, dset, written)
                 if img == mgr.FALSE:
                     continue
                 nw = rule.rhs + word[1:]

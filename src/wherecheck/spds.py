@@ -14,11 +14,11 @@ the frame nxt == cur would force.  A full relation is the case where every
 cell is written.
 
 Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
-and 3t+2 (next).  Every rename used by the relation algebra moves a whole
-block sideways within the triples and is therefore order-preserving.  Slots
-are handed out control cells first (channel indices and exhaustion flags),
-then in bands: band j holds bit j, counted from the most significant bit, of
-every remaining cell wider than j, in declaration order.  A cell and its
+and 3t+2 (next).  Every level map of the relation algebra's relprod steps
+moves bits sideways within their triples and is therefore order-preserving.
+Slots are handed out control cells first (channel indices and exhaustion
+flags), then in bands: band j holds bit j, counted from the most significant
+bit, of every remaining cell wider than j, in declaration order.  A cell and its
 second-run copy therefore sit side by side in every band, which keeps the
 equalities that self-composition builds between them linear in the width.
 """
@@ -32,6 +32,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .bdd import (
     BDD,
+    Step,
     bv_add,
     bv_bitand,
     bv_bitor,
@@ -454,13 +455,11 @@ def successors(
             yield nxt, rule.rhs + rest
 
 
-class _WrittenBits(NamedTuple):
-    """Where a written set of cells lives: its current and next levels."""
+class _WrittenSteps(NamedTuple):
+    """The relational steps that take a rule relation writing one set of cells."""
 
-    cur: frozenset[int]
-    nxt: frozenset[int]
-    lift: dict[int, int]  # current level -> next level, written cells only
-    tag: str  # names the lift for the rename memo
+    transpose_compose: Step
+    preimage: Step
 
 
 class RelationAlgebra:
@@ -470,21 +469,25 @@ class RelationAlgebra:
     on the current block and the second on the next block.  A rule relation
     carries next bits for its written cells only (see compile_spec), so the
     steps that take one also take its written set; None means every cell,
-    the case of a full relation.  Node indices are canonical, so equality
-    of results is integer equality.
+    the case of a full relation.  Each step is one relprod call.  Node
+    indices are canonical, so equality of results is integer equality.
     """
 
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
         self.g = globals_decl
         self.mgr = mgr if mgr is not None else BDD()
-        self._cur_to_tmp = globals_decl.block_map(0, 1)
-        self._tmp_to_cur = globals_decl.block_map(1, 0)
-        self._nxt_to_tmp = globals_decl.block_map(2, 1)
+        self._size = 3 * globals_decl.total_bits
         self._cur_block = globals_decl.block_levels(0)
-        self._tmp_block = globals_decl.block_levels(1)
         self._nxt_block = globals_decl.block_levels(2)
+        self._compose = self.mgr.step(
+            self._size,
+            umap=globals_decl.block_map(2, 1),
+            vmap=globals_decl.block_map(0, 1),
+            drop=globals_decl.block_levels(1),
+        )
+        self._dom = self.mgr.step(self._size, drop=self._nxt_block)
         self._all_cells = frozenset(globals_decl.names)
-        self._written: dict[frozenset[str], _WrittenBits] = {}
+        self._written: dict[frozenset[str], _WrittenSteps] = {}
         mgr, ident = self.mgr, self.mgr.TRUE
         for cur in reversed(self._cur_block):  # nxt == cur on every bit, bottom-up
             nxt = cur + 2
@@ -496,10 +499,6 @@ class RelationAlgebra:
     @property
     def empty(self) -> int:
         return self.mgr.FALSE
-
-    @property
-    def full(self) -> int:
-        return self.mgr.TRUE
 
     def set_from_fixed(self, fixed: dict[str, int]) -> int:
         mgr = self.mgr
@@ -593,55 +592,52 @@ class RelationAlgebra:
     def id_restricted(self, set_cur: int) -> int:
         return self.mgr.conj(self._identity, set_cur)
 
-    def _bits(self, written: Optional[frozenset[str]]) -> _WrittenBits:
+    def _bits(self, written: Optional[frozenset[str]]) -> _WrittenSteps:
         written = self._all_cells if written is None else written
         found = self._written.get(written)
         if found is None:
-            names = tuple(sorted(written))
-            cur = [lvl for name in names for lvl in self.g.cur_levels(name)]
-            found = self._written[written] = _WrittenBits(
-                frozenset(cur),
-                frozenset(lvl + 2 for lvl in cur),
-                {lvl: lvl + 2 for lvl in cur},
-                f"c2n{names!r}",
+            cur = [lvl for name in sorted(written) for lvl in self.g.cur_levels(name)]
+            step = self.mgr.step
+            found = self._written[written] = _WrittenSteps(
+                step(
+                    self._size,
+                    umap={lvl + 2: lvl + 1 for lvl in cur},
+                    drop=cur,
+                    out={lvl + 1: lvl for lvl in cur},
+                ),
+                step(self._size, vmap={lvl: lvl + 2 for lvl in cur}, drop=[lvl + 2 for lvl in cur]),
             )
         return found
 
     def compose(self, r: int, s: int) -> int:
-        # {(a, c) | exists b: (a, b) in r and (b, c) in s}
-        mgr = self.mgr
-        left = mgr.rename(r, self._nxt_to_tmp, "n2t")
-        right = mgr.rename(s, self._cur_to_tmp, "c2t")
-        return mgr.and_exists(left, right, self._tmp_block)
+        """{(a, c) | exists b: (a, b) in r and (b, c) in s}.
+
+        r's next block and s's current block both move to the scratch
+        block, which is quantified.
+        """
+        return self.mgr.relprod(r, s, self._compose)
 
     def transpose_compose(self, r: int, s: int, written: Optional[frozenset[str]] = None) -> int:
         """{(b, c) | exists a: (a, b) in r and (a, c) in s}, r writing only written.
 
-        Only the written cells' next bits move to the scratch block and only
-        their current bits are quantified; an unwritten bit of a is the same
-        bit of b, so it stays where it is.  Both renames are the global
-        block maps, which act on the levels present only.
+        The written cells' next bits of r move to the scratch block, their
+        current bits are quantified, and the scratch bits land on the
+        current block as the result is built; an unwritten bit of a is the
+        same bit of b, so it stays where it is.  On a set s this is the
+        image of s under r.
         """
-        mgr = self.mgr
-        left = mgr.rename(r, self._nxt_to_tmp, "n2t")
-        dropped = mgr.and_exists(left, s, self._bits(written).cur)
-        return mgr.rename(dropped, self._tmp_to_cur, "t2c")
+        return self.mgr.relprod(r, s, self._bits(written).transpose_compose)
 
     def dom(self, r: int) -> int:
-        return self.mgr.exists(r, self._nxt_block)
-
-    def image(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
-        out = self.mgr.and_exists(r, set_cur, self._bits(written).cur)
-        return self.mgr.rename(out, self.g.block_map(2, 0), "n2c")
+        return self.mgr.relprod(r, self.mgr.TRUE, self._dom)
 
     def preimage(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
-        lifted = self.lift_to_nxt(set_cur, written)
-        return self.mgr.and_exists(r, lifted, self._bits(written).nxt)
+        """{a | exists b: (a, b) in r and b in set_cur}, r writing only written.
 
-    def lift_to_nxt(self, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
-        """The set with the written cells' bits moved to the next block."""
-        bits = self._bits(written)
-        return self.mgr.rename(set_cur, bits.lift, bits.tag)
+        The set's written bits move to the next block, where they are
+        quantified; its unwritten bits stand for themselves on both sides.
+        """
+        return self.mgr.relprod(r, set_cur, self._bits(written).preimage)
 
     # Witness decoding.
 

@@ -88,26 +88,99 @@ def test_connectives_match_truth_tables(fa, fb):
 def test_exists_quantifies_out():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.var(3))
-    assert mgr.exists(u, [0]) == mgr.var(3)
-    assert mgr.exists(u, [0, 3]) == mgr.TRUE
-    assert mgr.exists(mgr.FALSE, [0]) == mgr.FALSE
+
+    def exists(w, levels):
+        return mgr.relprod(w, mgr.TRUE, mgr.step(4, drop=levels))
+
+    assert exists(u, [0]) == mgr.var(3)
+    assert exists(u, [0, 3]) == mgr.TRUE
+    assert exists(mgr.FALSE, [0]) == mgr.FALSE
     v = mgr.xor(mgr.var(0), mgr.var(3))
-    assert mgr.exists(v, [3]) == mgr.TRUE
+    assert exists(v, [3]) == mgr.TRUE
 
 
 def test_rename_monotone_shift():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.nvar(3))
-    shifted = mgr.rename(u, {0: 1, 3: 4}, "shift")
-    assert shifted == mgr.conj(mgr.var(1), mgr.nvar(4))
-    assert mgr.rename(u, {}, "none") == u
+    expected = mgr.conj(mgr.var(1), mgr.nvar(4))
+    assert mgr.relprod(u, mgr.TRUE, mgr.step(5, umap={0: 1, 3: 4})) == expected
+    assert mgr.relprod(mgr.TRUE, u, mgr.step(5, vmap={0: 1, 3: 4})) == expected
+    assert mgr.relprod(u, mgr.TRUE, mgr.step(5, out={0: 1, 3: 4})) == expected
+    assert mgr.relprod(u, mgr.TRUE, mgr.step(5)) == u
 
 
 def test_rename_order_violation_asserts():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.var(3))
     with pytest.raises(AssertionError):
-        mgr.rename(u, {0: 5, 3: 2}, "swap")
+        mgr.relprod(u, mgr.TRUE, mgr.step(6, umap={0: 5, 3: 2}))
+    with pytest.raises(AssertionError):
+        mgr.relprod(mgr.TRUE, u, mgr.step(6, vmap={0: 5, 3: 2}))
+    with pytest.raises(AssertionError):
+        mgr.relprod(u, mgr.TRUE, mgr.step(6, out={0: 5, 3: 2}))
+
+
+LEVELS = 9
+
+
+def monotone_map(draw, domain):
+    """An order-preserving map from the sorted levels in domain into range(LEVELS)."""
+    size = len(domain)
+    image = draw(st.sets(st.integers(0, LEVELS - 1), min_size=size, max_size=size))
+    return dict(zip(sorted(domain), sorted(image)))
+
+
+@st.composite
+def relprod_cases(draw):
+    levels = st.sets(st.integers(0, LEVELS - 1), max_size=3)
+    su, sv = sorted(draw(levels)), sorted(draw(levels))
+    fu = draw(st.integers(0, (1 << (1 << len(su))) - 1))
+    fv = draw(st.integers(0, (1 << (1 << len(sv))) - 1))
+    if draw(st.booleans()):  # neither operand relabelled: the swapped-operand case
+        umap, vmap = {}, {}
+    else:
+        umap, vmap = monotone_map(draw, su), monotone_map(draw, sv)
+    product = {umap.get(lvl, lvl) for lvl in su} | {vmap.get(lvl, lvl) for lvl in sv}
+    drop = draw(st.sets(st.integers(0, LEVELS - 1)))
+    out = monotone_map(draw, product - drop)
+    return su, fu, sv, fv, umap, vmap, drop, out
+
+
+def from_truth_table(mgr, levels, table):
+    out = mgr.FALSE
+    for row in range(1 << len(levels)):
+        if (table >> row) & 1:
+            term = mgr.TRUE
+            for i, lvl in enumerate(levels):
+                term = mgr.conj(term, mgr.var(lvl) if (row >> i) & 1 else mgr.nvar(lvl))
+            out = mgr.disj(out, term)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(relprod_cases())
+def test_relprod_matches_truth_tables(case):
+    su, fu, sv, fv, umap, vmap, drop, out = case
+    mgr = BDD()
+    u, v = from_truth_table(mgr, su, fu), from_truth_table(mgr, sv, fv)
+    step = mgr.step(LEVELS, umap=umap, vmap=vmap, drop=drop, out=out)
+    assert step.swap == (not umap and not vmap)
+    got = mgr.relprod(u, v, step)
+    assert mgr.relprod(v, u, mgr.step(LEVELS, umap=vmap, vmap=umap, drop=drop, out=out)) == got
+    # Reference: over every product assignment y, the result holds at the
+    # kept bits of y placed by out whenever u(y o umap) and v(y o vmap) do.
+    product = sorted({umap.get(lvl, lvl) for lvl in su} | {vmap.get(lvl, lvl) for lvl in sv})
+    kept = [lvl for lvl in product if lvl not in drop]
+    expected = set()
+    for bits in itertools.product([False, True], repeat=len(product)):
+        y = dict(zip(product, bits))
+        env_u = {lvl: y[umap.get(lvl, lvl)] for lvl in su}
+        env_v = {lvl: y[vmap.get(lvl, lvl)] for lvl in sv}
+        if eval_node(mgr, u, env_u) and eval_node(mgr, v, env_v):
+            expected.add(tuple(y[lvl] for lvl in kept))
+    placed = [out.get(lvl, lvl) for lvl in kept]
+    for bits in itertools.product([False, True], repeat=len(kept)):
+        assert eval_node(mgr, got, dict(zip(placed, bits))) == (bits in expected)
 
 
 def test_sat_all_enumerates():
@@ -125,22 +198,17 @@ def test_node_budget():
             acc = mgr.conj(acc, mgr.var(3 * i))
 
 
-def test_quantifier_set_ids_stop_at_the_cache_key_bound():
-    # Set ids take 12 bits of a packed cache key; one more set would alias.
+def test_step_ids_stop_at_the_cache_key_bound():
+    # Step ids take 12 bits of a packed cache key; one more step would alias.
     mgr = BDD()
-    for level in range(4096):
-        assert mgr.exists(mgr.var(level), [level]) == mgr.TRUE
+    x = mgr.var(0)
+    for k in range(4096):  # every subset of levels 0-11 as a drop set
+        drop = [lvl for lvl in range(12) if (k >> lvl) & 1]
+        step = mgr.step(13, drop=drop)
+        assert mgr.relprod(x, mgr.TRUE, step) == (mgr.TRUE if k & 1 else x)
+        assert mgr.step(13, drop=drop) is step  # interned, no new id
     with pytest.raises(BudgetExceeded):
-        mgr.exists(mgr.var(4096), [4096])
-
-
-def test_rename_tag_ids_stop_at_the_cache_key_bound():
-    mgr = BDD()
-    u = mgr.var(0)
-    for k in range(4096):
-        assert mgr.rename(u, {0: 1}, f"tag{k}") == mgr.var(1)
-    with pytest.raises(BudgetExceeded):
-        mgr.rename(u, {0: 1}, "one too many")
+        mgr.step(13, drop=[12])
 
 
 WIDTH = 4

@@ -198,6 +198,15 @@ def test_policy_error_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_reserved_variable_name_exits_three(tmp_path, capsys):
+    args = write_pair(tmp_path, "tmp := h; l := tmp", TWO_LEVEL + "var tmp : H\n")
+    code, out, err = run(capsys, ["analyze", *args])
+    assert code == EXIT_USAGE
+    assert "reserved" in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert "RESULT" not in out
+
+
 def test_missing_flag_exits_three(capsys):
     code, _, err = run(capsys, ["analyze", str(CORPUS / "P0")])
     assert code == EXIT_USAGE

@@ -13,7 +13,7 @@ from wherecheck.modelgen import (
     index_width,
 )
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.policy import PolicyError, gather_downgrades, parse_policy
 from wherecheck.semantics import OUTCOME_HALTED, run_program
 from wherecheck.spds import HAVOC, KConst, successors
 
@@ -158,9 +158,13 @@ def test_two_declass_sites_get_distinct_cells():
 
 
 def test_reserved_variable_name_rejected():
-    program, policy = prog("tmp := 1", "lattice: L < H\nvar tmp : L\n")
-    with pytest.raises(ValueError):
-        build_model(program, policy, "L")
+    # gather_downgrades already rejects the name (a PolicyError); the model
+    # keeps its own guard for callers that skip it.
+    text, pol = "tmp := 1", "lattice: L < H\nvar tmp : L\n"
+    with pytest.raises(PolicyError, match="reserved"):
+        prog(text, pol)
+    with pytest.raises(ValueError, match="reserved"):
+        build_model(parse_program(text), parse_policy(pol), "L")
 
 
 def test_start_and_final_symbols():

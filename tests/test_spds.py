@@ -194,6 +194,16 @@ def framed(ra, spec):
     return ra.mgr.conj(ra.compile_spec(spec), frame(ra, spec.written_globals()))
 
 
+def exists(ra, u, levels):
+    return ra.mgr.relprod(u, ra.mgr.TRUE, ra.mgr.step(3 * ra.g.total_bits, drop=levels))
+
+
+def lift_to_nxt(ra, set_cur):
+    """The set with every bit moved to the next block."""
+    step = ra.mgr.step(3 * ra.g.total_bits, umap=ra.g.block_map(0, 2))
+    return ra.mgr.relprod(set_cur, ra.mgr.TRUE, step)
+
+
 CATALOGUE = [
     RuleSpec.make(),
     RuleSpec.make(guard=GOp("<", GRef("x"), KConst(2))),
@@ -281,8 +291,8 @@ def test_compiled_rule_leaves_unwritten_next_bits_free():
     spec = RuleSpec.make(guard=GRef("y"), updates={"x": GOp("+", GRef("x"), GRef("z"))})
     node = ra.compile_spec(spec)
     unwritten_nxt = ra.g.nxt_levels("y") + ra.g.nxt_levels("z")
-    assert ra.mgr.exists(node, unwritten_nxt) == node
-    assert ra.mgr.exists(node, ra.g.nxt_levels("x")) != node
+    assert exists(ra, node, unwritten_nxt) == node
+    assert exists(ra, node, ra.g.nxt_levels("x")) != node
     assert ra.enumerate_pairs(frame(ra, spec.written_globals())) == {
         (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
     }
@@ -332,7 +342,7 @@ def rel_from_pairs(ra, pairs):
     out = ra.empty
     for a, b in sorted(pairs):
         node = ra.mgr.conj(
-            ra.set_from_valuation(a), ra.lift_to_nxt(ra.set_from_valuation(b))
+            ra.set_from_valuation(a), lift_to_nxt(ra, ra.set_from_valuation(b))
         )
         out = ra.mgr.disj(out, node)
     return out
@@ -366,7 +376,7 @@ def test_dom_image_preimage(p1):
     node = ra.empty
     for v in sorted(some):
         node = ra.mgr.disj(node, ra.set_from_valuation(v))
-    assert ra.enumerate_set(ra.image(r, node)) == {b for a, b in p1 if a in some}
+    assert ra.enumerate_set(ra.transpose_compose(r, node)) == {b for a, b in p1 if a in some}
     assert ra.enumerate_set(ra.preimage(r, node)) == {a for a, b in p1 if b in some}
 
 
@@ -404,7 +414,7 @@ def test_partitioned_steps_equal_framed_steps(spec, pairs, vals):
     edge = rel_from_pairs(ra, pairs)
     some = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
     assert ra.transpose_compose(rel, edge, written) == ra.transpose_compose(full, edge)
-    assert ra.image(rel, some, written) == ra.image(full, some)
+    assert ra.transpose_compose(rel, some, written) == ra.transpose_compose(full, some)
     assert ra.preimage(rel, some, written) == ra.preimage(full, some)
 
 
