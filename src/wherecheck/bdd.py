@@ -50,7 +50,6 @@ class Step(NamedTuple):
     vmap: list[int]  # level of v -> product level
     drop: list[bool]  # product level -> quantified
     out: list[int]  # kept product level -> result level
-    swap: bool  # neither operand is relabelled, so u and v commute
 
 
 class BDD:
@@ -254,7 +253,6 @@ class BDD:
                 table(vmap),
                 [lvl in wanted for lvl in range(size)],
                 table(out),
-                not umap and not vmap,
             )
         return found
 
@@ -270,11 +268,6 @@ class BDD:
             return 0
         if u == 1 and v == 1:
             return 1
-        if step.swap:
-            if u == v:
-                v = 1
-            if u > v:
-                u, v = v, u
         key = (((((u << 30) | v) << 12) | step.sid) << 4) | _OP_RELPROD
         found = self._cache.get(key)
         if found is not None:

@@ -55,9 +55,6 @@ class ComposedModel:
     spds: SPDS
     skeleton: ModelSkeleton
     mode: str
-    init_symbol: str
-    error_symbol: str
-    idle_symbol: str
     xi_stack: dict[str, str]  # original stack symbol -> renamed copy
 
     @property
@@ -272,9 +269,6 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         spds=spds,
         skeleton=skeleton,
         mode=mode,
-        init_symbol=INIT_SYMBOL,
-        error_symbol=ERROR_SYMBOL,
-        idle_symbol=IDLE_SYMBOL,
         xi_stack=xi_stack,
     )
 

@@ -389,22 +389,6 @@ def _cell_read(spec: ChannelSpec) -> CellRef:
     return CellRef(spec.cells, spec.index, f"I({spec.name})")
 
 
-def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
-    """Bit budget of the skeleton's globals, grouped by purpose."""
-    bits = skeleton.bits
-    report: dict[str, int] = {}
-    report["vars"] = len(skeleton.program.variables) * bits
-    report[TMP] = bits if skeleton.tmp_used else 0
-    for spec in skeleton.inputs:
-        report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length) + 1
-    for spec in skeleton.outputs:
-        report[f"out {spec.name}"] = spec.length * bits + index_width(spec.length)
-    report["downgrades"] = len(skeleton.declass_sites) * bits
-    report["total"] = sum(report.values())
-    assert report["total"] == skeleton.spds.globals.total_bits
-    return report
-
-
 def _describe_site(cmd: Command) -> str:
     match cmd:
         case Skip(_):

@@ -18,9 +18,10 @@ and since edges only grow:
 
 - the initial edge enters the final state, where every promise is feasible;
 - a rename rule's transpose_compose keeps the promise c of the delta;
-- a push rule puts (b, b) on (initial, rhs0, m_i) only for b in dom(moved),
-  and the same step puts moved, whose promises come from the delta, on
-  (m_i, rhs1, q); so each such b is in F(m_i);
+- a push rule puts identity_on_domain(moved), the pairs (b, b) with b in
+  the domain of moved, on (initial, rhs0, m_i), and the same step puts
+  moved, whose promises come from the delta, on (m_i, rhs1, q); so each
+  such b is in F(m_i);
 - both compose calls of a pop take each new pair's promise from an existing
   relation on an edge into the same target.
 
@@ -70,7 +71,6 @@ class PAutomaton:
 
     spds: SPDS
     algebra: RelationAlgebra
-    states: list[str]
     initial: str
     final: str
     trans: dict[tuple[str, str, str], int]  # (state, symbol, state) -> relation
@@ -98,7 +98,6 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
         rules_by_lhs.setdefault(rule.lhs, []).append(i)
     mid = {i: f"m{i}" for i, rule in enumerate(spds.rules) if len(rule.rhs) == 2}
 
-    states: dict[str, None] = {INITIAL_STATE: None, FINAL_STATE: None}
     trans: dict[tuple[str, str, str], int] = {}
     out_edges: dict[str, list[tuple[str, str]]] = {}
     eps: dict[str, int] = {}
@@ -111,8 +110,6 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
             return
         if (p, sym, q) not in trans:
             out_edges.setdefault(p, []).append((sym, q))
-            states.setdefault(p, None)
-            states.setdefault(q, None)
         trans[(p, sym, q)] = mgr.disj(cur, delta)
         queue.append((p, sym, q, delta))
 
@@ -132,7 +129,7 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
                 if len(rule.rhs) == 1:
                     grow(INITIAL_STATE, rule.rhs[0], q, moved)
                 elif len(rule.rhs) == 2:
-                    grow(INITIAL_STATE, rule.rhs[0], mid[i], alg.id_restricted(alg.dom(moved)))
+                    grow(INITIAL_STATE, rule.rhs[0], mid[i], alg.identity_on_domain(moved))
                     grow(mid[i], rule.rhs[1], q, moved)
                 else:
                     held = eps.get(q, mgr.FALSE)
@@ -149,7 +146,6 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     return PAutomaton(
         spds=spds,
         algebra=alg,
-        states=list(states),
         initial=INITIAL_STATE,
         final=FINAL_STATE,
         trans=trans,

@@ -207,9 +207,6 @@ def _step_command(
                 return inner
             new = replace(inner.config, cmd=Seq(inner.config.cmd, second))
             return _StepResult(new, inner.label, inner.rule, inner.changed)
-        case Skip(site):
-            # Unreachable from step(); kept for completeness.
-            return _StepResult(config, StepLabel(PLAIN, site), "skip", "")
         case Assign(site, target, expr):
             value = eval_expr(expr, config.mu, bits)
             mu = dict(config.mu)
@@ -301,7 +298,6 @@ def run(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
-    detect_cycles: bool = True,
 ) -> Trace:
     """Run to termination, a diagnostic, a repeated state, or fuel exhaustion.
 
@@ -317,11 +313,10 @@ def run(
             entries.append((current, StepLabel(HALTED)))
             lines.append(f"{_head_site(current.cmd)} | halt | halted |")
             return Trace(entries, OUTCOME_HALTED, lines, initial=config)
-        if detect_cycles:
-            key = current.freeze()
-            if key in seen:
-                return Trace(entries, OUTCOME_DIVERGES, lines, initial=config)
-            seen.add(key)
+        key = current.freeze()
+        if key in seen:
+            return Trace(entries, OUTCOME_DIVERGES, lines, initial=config)
+        seen.add(key)
         site = _head_site(current.cmd)
         result = step(current, policy, bits, capacity)
         entries.append((result.config, result.label))

@@ -109,19 +109,6 @@ def from_program_expr(e: Expr, var_map: dict[str, str]) -> GExpr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def gexpr_globals(e: GExpr) -> set[str]:
-    match e:
-        case GRef(name):
-            return {name}
-        case KConst(_):
-            return set()
-        case CellRef(cells, index, _):
-            return set(cells) | {index}
-        case GOp(_, left, right):
-            return gexpr_globals(left) | gexpr_globals(right)
-    raise TypeError(f"not a global expression: {e!r}")
-
-
 def rename_gexpr(e: GExpr, mapping: dict[str, str]) -> GExpr:
     match e:
         case GRef(name):
@@ -253,17 +240,11 @@ class GlobalsDecl:
     def index_of(self, name: str) -> int:
         return self._index[name]
 
-    def _levels(self, name: str, block: int) -> list[int]:
-        return [3 * t + block for t in self._slots[name]]
-
     def cur_levels(self, name: str) -> list[int]:
-        return self._levels(name, 0)
-
-    def tmp_levels(self, name: str) -> list[int]:
-        return self._levels(name, 1)
+        return [3 * t for t in self._slots[name]]
 
     def nxt_levels(self, name: str) -> list[int]:
-        return self._levels(name, 2)
+        return [3 * t + 2 for t in self._slots[name]]
 
     def block_levels(self, block: int) -> list[int]:
         return [3 * t + block for t in range(self.total_bits)]
@@ -468,9 +449,9 @@ class RelationAlgebra:
     Sets live on the current block; pair relations put the first component
     on the current block and the second on the next block.  A rule relation
     carries next bits for its written cells only (see compile_spec), so the
-    steps that take one also take its written set; None means every cell,
-    the case of a full relation.  Each step is one relprod call.  Node
-    indices are canonical, so equality of results is integer equality.
+    steps that take one also take its written set; every cell is the case
+    of a full relation.  Each step is one relprod call.  Node indices are
+    canonical, so equality of results is integer equality.
     """
 
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
@@ -485,8 +466,9 @@ class RelationAlgebra:
             vmap=globals_decl.block_map(0, 1),
             drop=globals_decl.block_levels(1),
         )
-        self._dom = self.mgr.step(self._size, drop=self._nxt_block)
-        self._all_cells = frozenset(globals_decl.names)
+        self._identity_on_domain = self.mgr.step(
+            self._size, vmap=globals_decl.block_map(2, 1), drop=globals_decl.block_levels(1)
+        )
         self._written: dict[frozenset[str], _WrittenSteps] = {}
         mgr, ident = self.mgr, self.mgr.TRUE
         for cur in reversed(self._cur_block):  # nxt == cur on every bit, bottom-up
@@ -495,10 +477,6 @@ class RelationAlgebra:
         self._identity = ident
 
     # Sets over the current block.
-
-    @property
-    def empty(self) -> int:
-        return self.mgr.FALSE
 
     def set_from_fixed(self, fixed: dict[str, int]) -> int:
         mgr = self.mgr
@@ -511,27 +489,27 @@ class RelationAlgebra:
     def set_from_valuation(self, val: tuple[int, ...]) -> int:
         return self.set_from_fixed(self.g.as_dict(val))
 
-    def compile_value(self, e: GExpr, width: int, block: int = 0) -> list[int]:
+    def compile_value(self, e: GExpr, width: int) -> list[int]:
         mgr = self.mgr
         match e:
             case KConst(value):
                 return bv_const(mgr, value, width)
             case GRef(name):
                 assert self.g.width_of(name) == width, f"{name} width mismatch"
-                return bv_from_levels(mgr, self.g._levels(name, block))
+                return bv_from_levels(mgr, self.g.cur_levels(name))
             case CellRef(cells, index, _):
                 idx_w = self.g.width_of(index)
-                idx = bv_from_levels(mgr, self.g._levels(index, block))
+                idx = bv_from_levels(mgr, self.g.cur_levels(index))
                 acc = bv_const(mgr, 0, width)
                 for k in range(len(cells) - 1, -1, -1):
                     hit = bv_eq(mgr, idx, bv_const(mgr, k, idx_w))
-                    acc = bv_ite(mgr, hit, self.compile_value(GRef(cells[k]), width, block), acc)
+                    acc = bv_ite(mgr, hit, self.compile_value(GRef(cells[k]), width), acc)
                 return acc
             case GOp(op, left, right):
                 if op in _COMPARISONS:
                     w = infer_width(left, self.g) or infer_width(right, self.g) or width
-                    a = self.compile_value(left, w, block)
-                    b = self.compile_value(right, w, block)
+                    a = self.compile_value(left, w)
+                    b = self.compile_value(right, w)
                     bit = {
                         "==": bv_eq,
                         "!=": bv_ne,
@@ -539,8 +517,8 @@ class RelationAlgebra:
                         "<=": bv_le,
                     }[op](mgr, a, b)
                     return bv_bool(mgr, bit, width)
-                a = self.compile_value(left, width, block)
-                b = self.compile_value(right, width, block)
+                a = self.compile_value(left, width)
+                b = self.compile_value(right, width)
                 fn = {
                     "+": bv_add,
                     "-": bv_sub,
@@ -551,11 +529,11 @@ class RelationAlgebra:
                 return fn(mgr, a, b)
         raise TypeError(f"not a global expression: {e!r}")
 
-    def compile_guard(self, e: Optional[GExpr], block: int = 0) -> int:
+    def compile_guard(self, e: Optional[GExpr]) -> int:
         if e is None:
             return self.mgr.TRUE
         width = guard_width(e, self.g)
-        return bv_nonzero(self.mgr, self.compile_value(e, width, block))
+        return bv_nonzero(self.mgr, self.compile_value(e, width))
 
     # Pair relations: current block x next block.
 
@@ -586,14 +564,7 @@ class RelationAlgebra:
             out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, self.g.nxt_levels(name)), value))
         return out
 
-    def identity(self) -> int:
-        return self._identity
-
-    def id_restricted(self, set_cur: int) -> int:
-        return self.mgr.conj(self._identity, set_cur)
-
-    def _bits(self, written: Optional[frozenset[str]]) -> _WrittenSteps:
-        written = self._all_cells if written is None else written
+    def _bits(self, written: frozenset[str]) -> _WrittenSteps:
         found = self._written.get(written)
         if found is None:
             cur = [lvl for name in sorted(written) for lvl in self.g.cur_levels(name)]
@@ -617,7 +588,7 @@ class RelationAlgebra:
         """
         return self.mgr.relprod(r, s, self._compose)
 
-    def transpose_compose(self, r: int, s: int, written: Optional[frozenset[str]] = None) -> int:
+    def transpose_compose(self, r: int, s: int, written: frozenset[str]) -> int:
         """{(b, c) | exists a: (a, b) in r and (a, c) in s}, r writing only written.
 
         The written cells' next bits of r move to the scratch block, their
@@ -628,10 +599,15 @@ class RelationAlgebra:
         """
         return self.mgr.relprod(r, s, self._bits(written).transpose_compose)
 
-    def dom(self, r: int) -> int:
-        return self.mgr.relprod(r, self.mgr.TRUE, self._dom)
+    def identity_on_domain(self, r: int) -> int:
+        """{(a, a) | exists c: (a, c) in r}.
 
-    def preimage(self, r: int, set_cur: int, written: Optional[frozenset[str]] = None) -> int:
+        r's next block moves to the scratch block, which is quantified, and
+        the identity supplies the equality of the current and next blocks.
+        """
+        return self.mgr.relprod(self._identity, r, self._identity_on_domain)
+
+    def preimage(self, r: int, set_cur: int, written: frozenset[str]) -> int:
         """{a | exists b: (a, b) in r and b in set_cur}, r writing only written.
 
         The set's written bits move to the next block, where they are

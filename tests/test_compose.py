@@ -289,7 +289,7 @@ def error_reachable(model: ComposedModel, limit: int = 40000) -> bool:
             if (val, stack) in seen or len(stack) > 8:
                 continue
             seen.add((val, stack))
-            if stack and stack[0] == model.error_symbol:
+            if stack and stack[0] == model.spds.error:
                 return True
             nxt.extend(successors(spds, val, stack))
         assert len(seen) < limit, "state space blow-up"

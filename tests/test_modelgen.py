@@ -6,9 +6,9 @@ import pytest
 from wherecheck.modelgen import (
     FINAL_SYMBOL,
     FINALVARS,
+    TMP,
     ModelSkeleton,
     build_model,
-    count_globals,
     dump_model,
     index_width,
 )
@@ -30,6 +30,22 @@ def prog(text: str, pol: str):
     program = parse_program(text)
     policy = parse_policy(pol)
     return program, gather_downgrades(program, policy)
+
+
+def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
+    """Bit budget of the skeleton's globals, grouped by purpose."""
+    bits = skeleton.bits
+    report: dict[str, int] = {}
+    report["vars"] = len(skeleton.program.variables) * bits
+    report[TMP] = bits if skeleton.tmp_used else 0
+    for spec in skeleton.inputs:
+        report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length) + 1
+    for spec in skeleton.outputs:
+        report[f"out {spec.name}"] = spec.length * bits + index_width(spec.length)
+    report["downgrades"] = len(skeleton.declass_sites) * bits
+    report["total"] = sum(report.values())
+    assert report["total"] == skeleton.spds.globals.total_bits
+    return report
 
 
 def test_index_width():

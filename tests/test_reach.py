@@ -95,8 +95,9 @@ def tiny_spds(rules, start="a", alphabet=("a", "b"), fixed=(("x", 0),)):
 def accepts(auto, valuation: tuple[int, ...], word: tuple[str, ...]) -> bool:
     """Membership under the chain convention (reachability of the config)."""
     alg, mgr = auto.algebra, auto.algebra.mgr
+    every_cell = frozenset(alg.g.names)
     if not word:
-        emptied = alg.dom(auto.eps.get(auto.final, mgr.FALSE))
+        emptied = exists(alg, auto.eps.get(auto.final, mgr.FALSE), alg.g.block_levels(2))
         return mgr.conj(alg.set_from_valuation(valuation), emptied) != mgr.FALSE
     reach: dict[str, int] = {auto.initial: alg.set_from_valuation(valuation)}
     for sym in word:
@@ -104,13 +105,17 @@ def accepts(auto, valuation: tuple[int, ...], word: tuple[str, ...]) -> bool:
         for (p, s, q), rel in auto.trans.items():
             if s != sym or p not in reach:
                 continue
-            img = alg.transpose_compose(rel, reach[p])
+            img = alg.transpose_compose(rel, reach[p], every_cell)
             if img != mgr.FALSE:
                 step[q] = mgr.disj(step.get(q, mgr.FALSE), img)
         if not step:
             return False
         reach = step
     return reach.get(auto.final, mgr.FALSE) != mgr.FALSE
+
+
+def exists(alg, u, levels):
+    return alg.mgr.relprod(u, alg.mgr.TRUE, alg.mgr.step(3 * alg.g.total_bits, drop=levels))
 
 
 def lift_to_nxt(alg, set_cur):
@@ -205,6 +210,29 @@ def test_acceptance_matches_explicit_reachability():
     assert not accepts(auto, universe[0], ("no-such-symbol",))
 
 
+def test_nested_pushes_match_explicit_reachability():
+    # A push inside a called procedure: the inner push's entry edge is built
+    # from a delta whose promise is already constrained by the outer push.
+    from wherecheck.spds import GOp, KConst
+
+    bump = RuleSpec.make(updates={"x": GOp("+", GRef("x"), KConst(1))})
+    rules = (
+        Rule("a", ("b", "r"), bump, "call b"),
+        Rule("b", ("c", "s"), bump, "call c"),
+        Rule("c", (), RuleSpec.make(updates={"x": GOp("*", GRef("x"), KConst(3))}), "c returns"),
+        Rule("s", (), bump, "b returns"),
+        Rule("r", ("a",), RuleSpec.make(guard=GOp("<", GRef("x"), KConst(2))), "again"),
+    )
+    spds = tiny_spds(rules, alphabet=("a", "b", "c", "r", "s"))
+    auto = post_star(spds)
+    reached = explicit_reach_sets(spds)
+    universe = list(spds.globals.all_valuations())
+    stacks = set(reached) | {(sym,) for sym in spds.alphabet} | {("c", "s", "r"), ("s", "r")}
+    for stack in stacks:
+        for val in universe:
+            assert accepts(auto, val, stack) == (val in reached.get(stack, ())), (val, stack)
+
+
 def test_leak_witness_decodes_and_replays():
     model = build("l := h", "lattice: L < H\nvar h : H\nvar l : L\n")
     auto = post_star(model)
@@ -224,7 +252,7 @@ def test_witness_steps_form_a_rule_path():
     w = extract_witness(auto, model)
     assert w.steps[0].rule_index is None
     assert w.steps[0].stack == (model.spds.start,)
-    assert w.steps[-1].stack[0] == model.error_symbol
+    assert w.steps[-1].stack[0] == model.spds.error
     for step in w.steps[1:]:
         rule = model.spds.rules[step.rule_index]
         assert step.stack[: len(rule.rhs)] == rule.rhs
@@ -340,8 +368,9 @@ def test_tr_witness_decodes():
 
 def feasible_chains(auto):
     alg, mgr = auto.algebra, auto.algebra.mgr
-    feas = {state: mgr.FALSE for state in auto.states}
+    feas = {state: mgr.FALSE for p, _, q in auto.trans for state in (p, q)}
     feas[auto.final] = mgr.TRUE
+    every_cell = frozenset(alg.g.names)
     entering = {}
     for edge in auto.trans:
         entering.setdefault(edge[2], []).append(edge)
@@ -351,7 +380,7 @@ def feasible_chains(auto):
         edge = work.popleft()
         queued.discard(edge)
         p, q = edge[0], edge[2]
-        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q]))
+        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q], every_cell))
         if merged != feas[p]:
             feas[p] = merged
             for e in entering.get(p, ()):

@@ -41,7 +41,6 @@ def test_globals_layout():
     assert g.cur_levels("a") == [0, 6]
     assert g.nxt_levels("a") == [2, 8]
     assert g.cur_levels("b") == [3, 9, 12]
-    assert g.tmp_levels("b") == [4, 10, 13]
     assert g.block_levels(0) == [0, 3, 6, 9, 12]
     assert g.block_map(2, 1)[8] == 7
     assert g.valuation({"a": 5, "b": 3}) == (1, 3)
@@ -296,7 +295,7 @@ def test_compiled_rule_leaves_unwritten_next_bits_free():
     assert ra.enumerate_pairs(frame(ra, spec.written_globals())) == {
         (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
     }
-    assert frame(ra, frozenset()) == ra.identity()
+    assert ra.enumerate_pairs(frame(ra, frozenset())) == {(v, v) for v in G5.all_valuations()}
 
 
 def test_compile_spec_array_write_matches_explicit():
@@ -339,7 +338,7 @@ pairs_st = st.frozensets(st.tuples(val_st, val_st), max_size=12)
 
 
 def rel_from_pairs(ra, pairs):
-    out = ra.empty
+    out = ra.mgr.FALSE
     for a, b in sorted(pairs):
         node = ra.mgr.conj(
             ra.set_from_valuation(a), lift_to_nxt(ra, ra.set_from_valuation(b))
@@ -363,7 +362,7 @@ def test_transpose_compose_matches_sets(p1, p2):
     ra = RelationAlgebra(G3)
     r, s = rel_from_pairs(ra, p1), rel_from_pairs(ra, p2)
     expected = {(b, c) for a, b in p1 for a2, c in p2 if a == a2}
-    assert ra.enumerate_pairs(ra.transpose_compose(r, s)) == expected
+    assert ra.enumerate_pairs(ra.transpose_compose(r, s, frozenset(G3.names))) == expected
 
 
 @settings(max_examples=60)
@@ -371,13 +370,13 @@ def test_transpose_compose_matches_sets(p1, p2):
 def test_dom_image_preimage(p1):
     ra = RelationAlgebra(G3)
     r = rel_from_pairs(ra, p1)
-    assert ra.enumerate_set(ra.dom(r)) == {a for a, _ in p1}
+    every_cell = frozenset(G3.names)
+    assert ra.enumerate_set(exists(ra, r, G3.block_levels(2))) == {a for a, _ in p1}
     some = {a for a, _ in sorted(p1)[: len(p1) // 2]}
-    node = ra.empty
-    for v in sorted(some):
-        node = ra.mgr.disj(node, ra.set_from_valuation(v))
-    assert ra.enumerate_set(ra.transpose_compose(r, node)) == {b for a, b in p1 if a in some}
-    assert ra.enumerate_set(ra.preimage(r, node)) == {a for a, b in p1 if b in some}
+    node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(some))
+    image = {b for a, b in p1 if a in some}
+    assert ra.enumerate_set(ra.transpose_compose(r, node, every_cell)) == image
+    assert ra.enumerate_set(ra.preimage(r, node, every_cell)) == {a for a, b in p1 if b in some}
 
 
 # The partitioned steps against the framed ones: a rule relation without its
@@ -413,17 +412,44 @@ def test_partitioned_steps_equal_framed_steps(spec, pairs, vals):
     full = framed(ra, spec)
     edge = rel_from_pairs(ra, pairs)
     some = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
-    assert ra.transpose_compose(rel, edge, written) == ra.transpose_compose(full, edge)
-    assert ra.transpose_compose(rel, some, written) == ra.transpose_compose(full, some)
-    assert ra.preimage(rel, some, written) == ra.preimage(full, some)
+    every_cell = frozenset(G5.names)
+    assert ra.transpose_compose(rel, edge, written) == ra.transpose_compose(full, edge, every_cell)
+    assert ra.transpose_compose(rel, some, written) == ra.transpose_compose(full, some, every_cell)
+    assert ra.preimage(rel, some, written) == ra.preimage(full, some, every_cell)
+
+
+# The push rule's entry step against its two-pass definition: the identity
+# conjoined with the relation's domain.  Rule relations leave the next bits
+# of unwritten cells free; pair sets constrain every next bit.
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        partitioned_spec_st,
+        st.frozensets(st.tuples(st.sampled_from(G5_VALS), st.sampled_from(G5_VALS)), max_size=12),
+    )
+)
+@example(RuleSpec.make())
+@example(RuleSpec.make(guard=GRef("y")))
+@example(RuleSpec.make(updates={"x": HAVOC, "y": KConst(1), "z": GRef("x")}))
+@example(RuleSpec.make(guard=GRef("y"), writes=(CHANNEL,)))
+@example(frozenset())
+@example(EDGE)
+def test_identity_on_domain_equals_identity_and_domain(drawn):
+    ra = RelationAlgebra(G5)
+    r = ra.compile_spec(drawn) if isinstance(drawn, RuleSpec) else rel_from_pairs(ra, drawn)
+    got = ra.identity_on_domain(r)
+    assert got == ra.mgr.conj(frame(ra, frozenset()), exists(ra, r, G5.block_levels(2)))
+    assert ra.enumerate_pairs(got) == {(a, a) for a, _ in ra.enumerate_pairs(r)}
 
 
 def test_identity_and_restriction():
     ra = RelationAlgebra(G3)
-    ident = ra.identity()
+    ident = frame(ra, frozenset())
     assert ra.enumerate_pairs(ident) == {(v, v) for v in VALS}
-    sub = ra.set_from_fixed({"y": 1})
-    restricted = ra.id_restricted(sub)
+    sub = ra.set_from_fixed({"y": 1})  # a set: every next bit is free
+    restricted = ra.identity_on_domain(sub)
     assert ra.enumerate_pairs(restricted) == {(v, v) for v in VALS if v[1] == 1}
 
 
@@ -435,7 +461,7 @@ def test_pick_set_is_minimal():
     assert ra.pick_set(node) == (1, 0)
     node2 = ra.mgr.disj(node, ra.set_from_valuation((1, 1)))
     assert ra.pick_set(node2) == (1, 0)
-    assert ra.pick_set(ra.empty) is None
+    assert ra.pick_set(ra.mgr.FALSE) is None
 
 
 # Witnesses pick the least valuation in declaration order whatever the
@@ -448,8 +474,6 @@ MIXED_VALS = list(MIXED.all_valuations())
 @given(st.frozensets(st.sampled_from(MIXED_VALS), min_size=1, max_size=10))
 def test_pick_set_is_least_in_declaration_order(vals):
     ra = RelationAlgebra(MIXED)
-    node = ra.empty
-    for v in sorted(vals):
-        node = ra.mgr.disj(node, ra.set_from_valuation(v))
+    node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
     assert ra.enumerate_set(node) == set(vals)
     assert ra.pick_set(node) == min(ra.enumerate_set(node))
