@@ -10,12 +10,15 @@ as it builds.  It only supports order-preserving level maps, which is all
 the relation algebra here needs: pair relations place the current-state
 copy of global bit slot k at level 3k, a scratch copy at 3k+1 and the
 next-state copy at 3k+2, so moving a whole block sideways never swaps two
-levels.
+levels.  Below the deepest level a step moves or quantifies, every map is
+the identity and nothing is quantified, so there the product is a plain
+conjunction: relprod hands that tail to conj, whose cache every step
+shares, and the result is the same canonical node.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 LEAF_LEVEL = 1 << 60
 
@@ -50,6 +53,7 @@ class Step(NamedTuple):
     vmap: list[int]  # level of v -> product level
     drop: list[bool]  # product level -> quantified
     out: list[int]  # kept product level -> result level
+    last: int  # deepest level a map moves or drop quantifies, -1 if none
 
 
 class BDD:
@@ -247,12 +251,14 @@ class BDD:
                     levels[src] = dst
                 return levels
 
+            moved = [src for m in (umap, vmap, out) for src, dst in m.items() if src != dst]
             found = self._steps[key] = Step(
                 _fresh_id(self._steps, "relational steps"),
                 table(umap),
                 table(vmap),
                 [lvl in wanted for lvl in range(size)],
                 table(out),
+                max([*moved, *wanted], default=-1),
             )
         return found
 
@@ -262,52 +268,35 @@ class BDD:
         The conjunction is never built, a TRUE cofactor under a dropped
         level short-circuits its sibling, and each kept level lands at its
         result level as the node is made, so no relabelling pass follows.
-        Relation composition spends nearly all its time here.
+        Once both operands lie below step.last, every map is the identity
+        there and no level is quantified, so the product is conj(u, v):
+        the same canonical node, from a cache every step shares.  Relation
+        composition spends nearly all its time here.
         """
         if u == 0 or v == 0:
             return 0
-        if u == 1 and v == 1:
-            return 1
+        level = self.level
+        lu, lv = level[u], level[v]
+        if lu > step.last and lv > step.last:
+            return self.conj(u, v)
         key = (((((u << 30) | v) << 12) | step.sid) << 4) | _OP_RELPROD
         found = self._cache.get(key)
         if found is not None:
             return found
-        lu = LEAF_LEVEL if u == 1 else step.umap[self.level[u]]
-        lv = LEAF_LEVEL if v == 1 else step.vmap[self.level[v]]
-        top = min(lu, lv)
+        lu = LEAF_LEVEL if u == 1 else step.umap[lu]
+        lv = LEAF_LEVEL if v == 1 else step.vmap[lv]
+        top = lu if lu < lv else lv
         u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
         v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        lo = self.relprod(u0, v0, step)
+        lo = self.relprod(u0, v0, step) if u0 and v0 else 0
         if step.drop[top]:
-            out = self.TRUE if lo == self.TRUE else self.disj(lo, self.relprod(u1, v1, step))
-        else:
-            out = self.node(step.out[top], lo, self.relprod(u1, v1, step))
-        return self._cache_put(key, out)
-
-    def sat_all(self, u: int, levels: list[int]) -> Iterator[tuple[bool, ...]]:
-        """Every assignment to the given levels that can satisfy u.
-
-        Intended for differential tests at small widths; the given levels
-        must cover the support of u.
-        """
-        order = sorted(levels)
-
-        def walk(n: int, i: int, prefix: list[bool]) -> Iterator[tuple[bool, ...]]:
-            if n == self.FALSE:
-                return
-            if i == len(order):
-                if n == self.TRUE:
-                    yield tuple(prefix)
-                return
-            lvl = order[i]
-            if self.level[n] == lvl:
-                yield from walk(self.lo[n], i + 1, prefix + [False])
-                yield from walk(self.hi[n], i + 1, prefix + [True])
+            if lo == 1:
+                out = 1
             else:
-                yield from walk(n, i + 1, prefix + [False])
-                yield from walk(n, i + 1, prefix + [True])
-
-        yield from walk(u, 0, [])
+                out = self.disj(lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
+        else:
+            out = self.node(step.out[top], lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
+        return self._cache_put(key, out)
 
 
 # Fixed-width vectors: a value is a list of node indices, most significant

@@ -458,8 +458,6 @@ class RelationAlgebra:
         self.g = globals_decl
         self.mgr = mgr if mgr is not None else BDD()
         self._size = 3 * globals_decl.total_bits
-        self._cur_block = globals_decl.block_levels(0)
-        self._nxt_block = globals_decl.block_levels(2)
         self._compose = self.mgr.step(
             self._size,
             umap=globals_decl.block_map(2, 1),
@@ -471,7 +469,7 @@ class RelationAlgebra:
         )
         self._written: dict[frozenset[str], _WrittenSteps] = {}
         mgr, ident = self.mgr, self.mgr.TRUE
-        for cur in reversed(self._cur_block):  # nxt == cur on every bit, bottom-up
+        for cur in reversed(globals_decl.block_levels(0)):  # nxt == cur on every bit, bottom-up
             nxt = cur + 2
             ident = mgr.node(cur, mgr.node(nxt, ident, mgr.FALSE), mgr.node(nxt, mgr.FALSE, ident))
         self._identity = ident
@@ -649,25 +647,3 @@ class RelationAlgebra:
         if assignment is None:
             return None
         return self._decode(assignment, self.g.cur_levels)
-
-    # Exhaustive decoding for differential tests at small widths.
-
-    def enumerate_set(self, set_cur: int) -> set[tuple[int, ...]]:
-        out = set()
-        for bits in self.mgr.sat_all(set_cur, self._cur_block):
-            assignment = dict(zip(sorted(self._cur_block), bits))
-            out.add(self._decode(assignment, self.g.cur_levels))
-        return out
-
-    def enumerate_pairs(self, r: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        levels = sorted(self._cur_block + self._nxt_block)
-        out = set()
-        for bits in self.mgr.sat_all(r, levels):
-            assignment = dict(zip(levels, bits))
-            out.add(
-                (
-                    self._decode(assignment, self.g.cur_levels),
-                    self._decode(assignment, self.g.nxt_levels),
-                )
-            )
-        return out

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wherecheck.bdd import (
+    _OP_RELPROD,
     BDD,
     BudgetExceeded,
     bv_add,
@@ -36,6 +37,30 @@ def truth_table(mgr, u, levels):
     for bits in itertools.product([False, True], repeat=len(levels)):
         rows.append(eval_node(mgr, u, dict(zip(levels, bits))))
     return rows
+
+
+def sat_all(mgr, u, levels):
+    """Every assignment to the given levels, in ascending level order, that satisfies u.
+
+    The levels must cover the support of u.
+    """
+    order = sorted(levels)
+
+    def walk(n, i, prefix):
+        if n == mgr.FALSE:
+            return
+        if i == len(order):
+            if n == mgr.TRUE:
+                yield tuple(prefix)
+            return
+        if mgr.level[n] == order[i]:
+            yield from walk(mgr.lo[n], i + 1, prefix + [False])
+            yield from walk(mgr.hi[n], i + 1, prefix + [True])
+        else:
+            yield from walk(n, i + 1, prefix + [False])
+            yield from walk(n, i + 1, prefix + [True])
+
+    yield from walk(u, 0, [])
 
 
 def test_terminals_and_vars():
@@ -136,6 +161,8 @@ def relprod_cases(draw):
     su, sv = sorted(draw(levels)), sorted(draw(levels))
     fu = draw(st.integers(0, (1 << (1 << len(su))) - 1))
     fv = draw(st.integers(0, (1 << (1 << len(sv))) - 1))
+    if draw(st.booleans()):  # one active level; every deeper one passes through to conj
+        return (su, fu, sv, fv, *tail_step(draw, su, sv))
     if draw(st.booleans()):  # neither operand relabelled
         umap, vmap = {}, {}
     else:
@@ -144,6 +171,20 @@ def relprod_cases(draw):
     drop = draw(st.sets(st.integers(0, LEVELS - 1)))
     out = monotone_map(draw, product - drop)
     return su, fu, sv, fv, umap, vmap, drop, out
+
+
+def tail_step(draw, su, sv):
+    """Maps that touch one level a, mostly one the operands use, so they cross step.last."""
+    a = draw(st.sampled_from(sorted(set(su) | set(sv)) or [0]))
+    kind = draw(st.sampled_from(("umap", "vmap", "drop", "out")))
+    taken = {"umap": su, "vmap": sv}.get(kind, su + sv)  # a - 1 must not collide with these
+    moved = {a: a - 1} if a > 0 and a - 1 not in taken else {}
+    return (
+        moved if kind == "umap" else {},
+        moved if kind == "vmap" else {},
+        {a} if kind == "drop" else set(),
+        moved if kind == "out" else {},
+    )
 
 
 def from_truth_table(mgr, levels, table):
@@ -182,10 +223,52 @@ def test_relprod_matches_truth_tables(case):
         assert eval_node(mgr, got, dict(zip(placed, bits))) == (bits in expected)
 
 
+def test_step_last_is_the_deepest_level_a_step_moves_or_drops():
+    mgr = BDD()
+    assert mgr.step(8).last == -1
+    assert mgr.step(8, umap={1: 2, 4: 5}).last == 4
+    assert mgr.step(8, vmap={0: 3, 2: 4}).last == 2
+    assert mgr.step(8, drop=[6, 2]).last == 6
+    assert mgr.step(8, out={3: 1, 5: 4}).last == 5
+    assert mgr.step(8, umap={3: 3}, vmap={6: 6}, out={7: 7}).last == -1  # identity entries
+    assert mgr.step(8, umap={1: 0}, vmap={3: 2}, drop=[2], out={5: 4}).last == 5
+
+
+@st.composite
+def below_last_cases(draw):
+    last = draw(st.integers(1, LEVELS - 2))
+    kind = draw(st.sampled_from(("umap", "vmap", "drop", "out")))
+    deeper = st.sets(st.integers(last + 1, LEVELS - 1), max_size=3)
+    su, sv = sorted(draw(deeper)), sorted(draw(deeper))
+    fu = draw(st.integers(0, (1 << (1 << len(su))) - 1))
+    fv = draw(st.integers(0, (1 << (1 << len(sv))) - 1))
+    moved = {last: last - 1}
+    kwargs = dict(
+        umap=moved if kind == "umap" else {},
+        vmap=moved if kind == "vmap" else {},
+        drop=[last] if kind == "drop" else [],
+        out=moved if kind == "out" else {},
+    )
+    return su, fu, sv, fv, last, kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(below_last_cases())
+def test_relprod_below_last_is_conj(case):
+    su, fu, sv, fv, last, kwargs = case
+    mgr = BDD()
+    u, v = from_truth_table(mgr, su, fu), from_truth_table(mgr, sv, fv)
+    step = mgr.step(LEVELS, **kwargs)
+    assert step.last == last
+    assert mgr.relprod(u, v, step) == mgr.conj(u, v)
+    # The shortcut answers before relprod makes or stores a key of its own.
+    assert not any(key & 0xF == _OP_RELPROD for key in mgr._cache)
+
+
 def test_sat_all_enumerates():
     mgr = BDD()
     u = mgr.xor(mgr.var(0), mgr.var(3))
-    rows = sorted(mgr.sat_all(u, [0, 3]))
+    rows = sorted(sat_all(mgr, u, [0, 3]))
     assert rows == [(False, True), (True, False)]
 
 

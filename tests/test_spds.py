@@ -29,6 +29,7 @@ from wherecheck.spds import (
     spec_successors,
     successors,
 )
+from test_bdd import sat_all
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
 
@@ -178,6 +179,23 @@ def test_spds_initial_valuations_and_successors():
 # the same transition pairs.
 
 
+def enumerate_set(ra, set_cur):
+    levels = sorted(ra.g.block_levels(0))
+    return {
+        ra._decode(dict(zip(levels, bits)), ra.g.cur_levels)
+        for bits in sat_all(ra.mgr, set_cur, levels)
+    }
+
+
+def enumerate_pairs(ra, r):
+    levels = sorted(ra.g.block_levels(0) + ra.g.block_levels(2))
+    out = set()
+    for bits in sat_all(ra.mgr, r, levels):
+        assignment = dict(zip(levels, bits))
+        out.add((ra._decode(assignment, ra.g.cur_levels), ra._decode(assignment, ra.g.nxt_levels)))
+    return out
+
+
 def frame(ra, written):
     """nxt == cur on every bit of every cell outside written, built bottom-up."""
     mgr, out = ra.mgr, ra.mgr.TRUE
@@ -225,7 +243,7 @@ CATALOGUE = [
 @pytest.mark.parametrize("spec", CATALOGUE, ids=range(len(CATALOGUE)))
 def test_compile_spec_matches_explicit(spec):
     ra = RelationAlgebra(G3)
-    symbolic = ra.enumerate_pairs(framed(ra, spec))
+    symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in G3.all_valuations()
@@ -282,7 +300,7 @@ def test_drawn_spec_compiles_to_explicit_pairs(spec):
         for val in G5.all_valuations()
         for nxt in spec_successors(spec, G5, val)
     }
-    assert ra.enumerate_pairs(node) == explicit
+    assert enumerate_pairs(ra, node) == explicit
 
 
 def test_compiled_rule_leaves_unwritten_next_bits_free():
@@ -292,10 +310,10 @@ def test_compiled_rule_leaves_unwritten_next_bits_free():
     unwritten_nxt = ra.g.nxt_levels("y") + ra.g.nxt_levels("z")
     assert exists(ra, node, unwritten_nxt) == node
     assert exists(ra, node, ra.g.nxt_levels("x")) != node
-    assert ra.enumerate_pairs(frame(ra, spec.written_globals())) == {
+    assert enumerate_pairs(ra, frame(ra, spec.written_globals())) == {
         (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
     }
-    assert ra.enumerate_pairs(frame(ra, frozenset())) == {(v, v) for v in G5.all_valuations()}
+    assert enumerate_pairs(ra, frame(ra, frozenset())) == {(v, v) for v in G5.all_valuations()}
 
 
 def test_compile_spec_array_write_matches_explicit():
@@ -306,7 +324,7 @@ def test_compile_spec_array_write_matches_explicit():
         writes=(ArrayWrite(("c0", "c1"), "q", GRef("v"), "C"),),
     )
     ra = RelationAlgebra(g)
-    symbolic = ra.enumerate_pairs(framed(ra, spec))
+    symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in g.all_valuations()
@@ -321,7 +339,7 @@ def test_compile_cellref_matches_explicit():
         guard=GOp("!=", CellRef(("c0", "c1"), "q", "C"), GRef("v")),
     )
     ra = RelationAlgebra(g)
-    symbolic = ra.enumerate_pairs(framed(ra, spec))
+    symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
         for val in g.all_valuations()
@@ -353,7 +371,7 @@ def test_compose_matches_sets(p1, p2):
     ra = RelationAlgebra(G3)
     r, s = rel_from_pairs(ra, p1), rel_from_pairs(ra, p2)
     expected = {(a, c) for a, b in p1 for b2, c in p2 if b == b2}
-    assert ra.enumerate_pairs(ra.compose(r, s)) == expected
+    assert enumerate_pairs(ra, ra.compose(r, s)) == expected
 
 
 @settings(max_examples=60)
@@ -362,7 +380,7 @@ def test_transpose_compose_matches_sets(p1, p2):
     ra = RelationAlgebra(G3)
     r, s = rel_from_pairs(ra, p1), rel_from_pairs(ra, p2)
     expected = {(b, c) for a, b in p1 for a2, c in p2 if a == a2}
-    assert ra.enumerate_pairs(ra.transpose_compose(r, s, frozenset(G3.names))) == expected
+    assert enumerate_pairs(ra, ra.transpose_compose(r, s, frozenset(G3.names))) == expected
 
 
 @settings(max_examples=60)
@@ -371,12 +389,12 @@ def test_dom_image_preimage(p1):
     ra = RelationAlgebra(G3)
     r = rel_from_pairs(ra, p1)
     every_cell = frozenset(G3.names)
-    assert ra.enumerate_set(exists(ra, r, G3.block_levels(2))) == {a for a, _ in p1}
+    assert enumerate_set(ra, exists(ra, r, G3.block_levels(2))) == {a for a, _ in p1}
     some = {a for a, _ in sorted(p1)[: len(p1) // 2]}
     node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(some))
     image = {b for a, b in p1 if a in some}
-    assert ra.enumerate_set(ra.transpose_compose(r, node, every_cell)) == image
-    assert ra.enumerate_set(ra.preimage(r, node, every_cell)) == {a for a, b in p1 if b in some}
+    assert enumerate_set(ra, ra.transpose_compose(r, node, every_cell)) == image
+    assert enumerate_set(ra, ra.preimage(r, node, every_cell)) == {a for a, b in p1 if b in some}
 
 
 # The partitioned steps against the framed ones: a rule relation without its
@@ -441,16 +459,16 @@ def test_identity_on_domain_equals_identity_and_domain(drawn):
     r = ra.compile_spec(drawn) if isinstance(drawn, RuleSpec) else rel_from_pairs(ra, drawn)
     got = ra.identity_on_domain(r)
     assert got == ra.mgr.conj(frame(ra, frozenset()), exists(ra, r, G5.block_levels(2)))
-    assert ra.enumerate_pairs(got) == {(a, a) for a, _ in ra.enumerate_pairs(r)}
+    assert enumerate_pairs(ra, got) == {(a, a) for a, _ in enumerate_pairs(ra, r)}
 
 
 def test_identity_and_restriction():
     ra = RelationAlgebra(G3)
     ident = frame(ra, frozenset())
-    assert ra.enumerate_pairs(ident) == {(v, v) for v in VALS}
+    assert enumerate_pairs(ra, ident) == {(v, v) for v in VALS}
     sub = ra.set_from_fixed({"y": 1})  # a set: every next bit is free
     restricted = ra.identity_on_domain(sub)
-    assert ra.enumerate_pairs(restricted) == {(v, v) for v in VALS if v[1] == 1}
+    assert enumerate_pairs(ra, restricted) == {(v, v) for v in VALS if v[1] == 1}
 
 
 def test_pick_set_is_minimal():
@@ -475,5 +493,5 @@ MIXED_VALS = list(MIXED.all_valuations())
 def test_pick_set_is_least_in_declaration_order(vals):
     ra = RelationAlgebra(MIXED)
     node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
-    assert ra.enumerate_set(node) == set(vals)
-    assert ra.pick_set(node) == min(ra.enumerate_set(node))
+    assert enumerate_set(ra, node) == set(vals)
+    assert ra.pick_set(node) == min(enumerate_set(ra, node))
