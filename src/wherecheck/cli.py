@@ -32,22 +32,16 @@ from .compose import (
     tr_compose,
 )
 from .modelgen import ModelSkeleton, build_model, dump_model
-from .oracle import check_where_security
+from .oracle import INCONCLUSIVE, INSECURE, SECURE, check_where_security
 from .parser import ParseError, parse_program
 from .policy import Policy, PolicyError, gather_downgrades, parse_policy
 from .reach import Witness, extract_witness, format_witness, is_error_reachable, post_star
-from .semantics import format_trace, run_program
+from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY, format_trace, run_program
 from .spds import dump_spds
 from .syntax import Program
 
-DEFAULT_BITS = 3
-DEFAULT_CAPACITY = 8
 DEFAULT_MAX_BITS = 6
 BUDGET_ENV = "WHERECHECK_BUDGET"
-
-SECURE = "secure"
-INSECURE = "insecure"
-INCONCLUSIVE = "inconclusive"
 
 EXIT_SECURE = 0
 EXIT_INSECURE = 1
@@ -361,7 +355,9 @@ def _node_budget() -> int | None:
         value = int(raw)
     except ValueError:
         raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    return value if value > 0 else None
+    if value < 1:
+        raise UsageError(f"{BUDGET_ENV} must be at least 1, got {value}")
+    return value
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -455,6 +451,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than low."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="wherecheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
@@ -462,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="decide where-security at every level")
     p_analyze.add_argument("program")
     p_analyze.add_argument("--policy", required=True)
-    p_analyze.add_argument("--bits", type=int, default=DEFAULT_BITS)
-    p_analyze.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p_analyze.add_argument("--bits", type=_int_at_least(1), default=DEFAULT_BITS)
+    p_analyze.add_argument("--capacity", type=_int_at_least(0), default=DEFAULT_CAPACITY)
     p_analyze.add_argument("--mode", choices=(MODE_STORE_MATCH, MODE_TR), default=MODE_STORE_MATCH)
     p_analyze.add_argument("--witness", action="store_true", help="decode a counterexample")
     p_analyze.add_argument("--oracle", action="store_true", help="cross-check by enumeration")
@@ -475,14 +486,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nmin = sub.add_parser("nmin", help="least bit width exposing a leak")
     p_nmin.add_argument("program")
     p_nmin.add_argument("--policy", required=True)
-    p_nmin.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
-    p_nmin.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p_nmin.add_argument("--max-bits", type=_int_at_least(1), default=DEFAULT_MAX_BITS)
+    p_nmin.add_argument("--capacity", type=_int_at_least(0), default=DEFAULT_CAPACITY)
     p_nmin.set_defaults(func=_cmd_nmin)
 
     p_bench = sub.add_parser("bench", help="compare composition backends over a corpus")
     p_bench.add_argument("corpus")
-    p_bench.add_argument("--bits", type=int, default=DEFAULT_BITS)
-    p_bench.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p_bench.add_argument("--bits", type=_int_at_least(1), default=DEFAULT_BITS)
+    p_bench.add_argument("--capacity", type=_int_at_least(0), default=DEFAULT_CAPACITY)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -13,7 +13,9 @@ The alternative transformer keeps two disjoint copies of the declared
 output channels, lets both runs write freely, and compares the streams in
 a checker chain after the second run.  The synthetic finals stream is not
 a program channel and stays matched in place under both transformers, so
-the two modes produce identical globals on channel-free programs.  The
+the two modes produce identical globals on channel-free programs.  Either
+way the composed globals are the skeleton's, each cell the second run owns
+followed by its copy.  The
 baseline exists for comparison: verdicts must coincide while the
 store-match encoding uses fewer bits whenever a low channel exists.
 
@@ -28,18 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modelgen import FINALVARS, ModelSkeleton, d_name, make_globals, xi_name
-from .spds import (
-    ArrayWrite,
-    CellRef,
-    GExpr,
-    GOp,
-    GRef,
-    KConst,
-    Rule,
-    RuleSpec,
-    SPDS,
-)
+from .modelgen import FINALVARS, TMP, ModelSkeleton, d_name, xi_name
+from .spds import ArrayWrite, GlobalsDecl, Rule, RuleSpec, SPDS
+from .syntax import BinOp, CellRef, Expr, Num, Var
 
 MODE_STORE_MATCH = "storematch"
 MODE_TR = "tr"
@@ -47,7 +40,6 @@ MODE_TR = "tr"
 INIT_SYMBOL = "init"
 ERROR_SYMBOL = "error"
 IDLE_SYMBOL = "idle"
-TMP = "tmp"
 
 
 @dataclass(frozen=True)
@@ -66,23 +58,47 @@ class ComposedModel:
         return self.skeleton.bits
 
 
-def _conj(parts: list[GExpr]) -> GExpr:
+def _conj(parts: list[Expr]) -> Expr:
     out = parts[0]
     for p in parts[1:]:
-        out = GOp("&", out, p)
+        out = BinOp("&", out, p)
     return out
 
 
-def _disj(parts: list[GExpr]) -> GExpr:
+def _disj(parts: list[Expr]) -> Expr:
     out = parts[0]
     for p in parts[1:]:
-        out = GOp("|", out, p)
+        out = BinOp("|", out, p)
     return out
+
+
+def _composed_globals(skeleton: ModelSkeleton, tr: bool) -> GlobalsDecl:
+    """The skeleton's cells, each one the second run owns followed by its copy.
+
+    The second run owns the program variables and, under tr, the cells and
+    index of every declared output channel; the synthetic finals stream is
+    matched in place in both modes.  A copy right after its original shares
+    every bit band of the variable order with it, and it is a control cell
+    when its original is one.
+    """
+    decl = skeleton.spds.globals
+    copied = set(skeleton.program.variables)
+    if tr:
+        for spec in skeleton.channel_outputs:
+            copied |= {*spec.cells, spec.index}
+    cells: list[tuple[str, int]] = []
+    control = set(decl.control)
+    for name, width in decl.cells:
+        cells.append((name, width))
+        if name in copied:
+            cells.append((xi_name(name), width))
+            if name in decl.control:
+                control.add(xi_name(name))
+    return GlobalsDecl(tuple(cells), frozenset(control))
 
 
 def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
-    program_vars = tuple(skeleton.program.variables)
-    var_map = {name: xi_name(name) for name in program_vars}
+    var_map = {name: xi_name(name) for name in skeleton.program.variables}
     # Entry/exit markers of an empty channel never occur in skeleton rules
     # but the stuffed bodies below still attach to them.
     symbols = list(skeleton.spds.alphabet)
@@ -91,16 +107,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     xi_stack = {s: xi_name(s) for s in symbols}
     tr = mode == MODE_TR
 
-    globals_decl = make_globals(
-        program_vars,
-        skeleton.bits,
-        skeleton.tmp_used,
-        skeleton.inputs,
-        skeleton.outputs,
-        len(skeleton.declass_sites),
-        companions=True,
-        duplicate_outputs=tr,
-    )
+    globals_decl = _composed_globals(skeleton, tr)
 
     def is_last_trans(rule: Rule) -> bool:
         return rule.lhs == skeleton.final_symbol
@@ -108,7 +115,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     rules: list[Rule] = []
 
     init_spec = RuleSpec.make(
-        updates={xi_name(x): GRef(x) for x in skeleton.observable_vars}
+        updates={xi_name(x): Var(x) for x in skeleton.observable_vars}
     )
     rules.append(Rule(INIT_SYMBOL, (skeleton.start_symbol,), init_spec, "pair start"))
 
@@ -116,12 +123,12 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         if not is_last_trans(rule):
             rules.append(rule)
 
-    resets: dict[str, GExpr] = {spec.index: KConst(0) for spec in skeleton.inputs}
+    resets: dict[str, Expr] = {spec.index: Num(0) for spec in skeleton.inputs}
     for spec in skeleton.outputs:
         # The match phase re-reads first-run data in place from index 0;
         # duplicated channels keep their first-run index for the checker.
         if not tr or spec.name == FINALVARS:
-            resets[spec.index] = KConst(0)
+            resets[spec.index] = Num(0)
     rules.append(
         Rule(
             skeleton.final_symbol,
@@ -160,13 +167,13 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         entry, exit_ = skeleton.declass_symbols[site]
         target = skeleton.declass_targets[site]
         cell = d_name(skeleton.rho[site])
-        store = RuleSpec.make(updates={cell: GRef(TMP), target: GRef(TMP)})
+        store = RuleSpec.make(updates={cell: Var(TMP), target: Var(TMP)})
         rules.append(Rule(entry, (exit_,), store, "record downgrade"))
-        mismatch = RuleSpec.make(guard=GOp("!=", GRef(cell), GRef(TMP)))
+        mismatch = RuleSpec.make(guard=BinOp("!=", Var(cell), Var(TMP)))
         rules.append(Rule(xi_stack[entry], (IDLE_SYMBOL,), mismatch, "premise fails"))
         match = RuleSpec.make(
-            guard=GOp("==", GRef(cell), GRef(TMP)),
-            updates={xi_name(target): GRef(TMP)},
+            guard=BinOp("==", Var(cell), Var(TMP)),
+            updates={xi_name(target): Var(TMP)},
         )
         rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), match, "downgrade matches"))
 
@@ -179,31 +186,31 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
             continue
         cap = spec.length
         q = spec.index
-        in_cap = GOp("<", GRef(q), KConst(cap))
+        in_cap = BinOp("<", Var(q), Num(cap))
         store = RuleSpec.make(
             guard=in_cap,
-            updates={q: GOp("+", GRef(q), KConst(1))},
-            writes=(ArrayWrite(spec.cells, q, GRef(TMP), f"O({spec.name})"),),
+            updates={q: BinOp("+", Var(q), Num(1))},
+            writes=(ArrayWrite(spec.cells, q, Var(TMP), f"O({spec.name})"),),
         )
         rules.append(Rule(entry, (exit_,), store, "record output"))
         if tr and spec.name != FINALVARS:
             xq = xi_name(q)
             xcells = tuple(xi_name(c) for c in spec.cells)
             write2 = RuleSpec.make(
-                guard=GOp("<", GRef(xq), KConst(cap)),
-                updates={xq: GOp("+", GRef(xq), KConst(1))},
-                writes=(ArrayWrite(xcells, xq, GRef(TMP), f"O'({spec.name})"),),
+                guard=BinOp("<", Var(xq), Num(cap)),
+                updates={xq: BinOp("+", Var(xq), Num(1))},
+                writes=(ArrayWrite(xcells, xq, Var(TMP), f"O'({spec.name})"),),
             )
             rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), write2, "second-run output"))
         else:
             recorded = CellRef(spec.cells, q, f"O({spec.name})")
             differ = RuleSpec.make(
-                guard=GOp("&", in_cap, GOp("!=", recorded, GRef(TMP)))
+                guard=BinOp("&", in_cap, BinOp("!=", recorded, Var(TMP)))
             )
             rules.append(Rule(xi_stack[entry], (ERROR_SYMBOL,), differ, "observation differs"))
             agree = RuleSpec.make(
-                guard=GOp("&", in_cap, GOp("==", recorded, GRef(TMP))),
-                updates={q: GOp("+", GRef(q), KConst(1))},
+                guard=BinOp("&", in_cap, BinOp("==", recorded, Var(TMP))),
+                updates={q: BinOp("+", Var(q), Num(1))},
             )
             rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), agree, "output matches"))
 
@@ -215,19 +222,19 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
                 Rule(
                     here,
                     (ERROR_SYMBOL,),
-                    RuleSpec.make(guard=GOp("!=", GRef(q), GRef(xq))),
+                    RuleSpec.make(guard=BinOp("!=", Var(q), Var(xq))),
                     f"{spec.name} counts differ",
                 )
             )
-            ok_parts: list[GExpr] = [GOp("==", GRef(q), GRef(xq))]
-            bad_parts: list[GExpr] = []
+            ok_parts: list[Expr] = [BinOp("==", Var(q), Var(xq))]
+            bad_parts: list[Expr] = []
             for k, cname in enumerate(spec.cells):
-                written = GOp("<", KConst(k), GRef(q))
-                unwritten = GOp("<=", GRef(q), KConst(k))
-                same = GOp("==", GRef(cname), GRef(xi_name(cname)))
-                diff = GOp("!=", GRef(cname), GRef(xi_name(cname)))
-                bad_parts.append(GOp("&", written, diff))
-                ok_parts.append(GOp("|", unwritten, same))
+                written = BinOp("<", Num(k), Var(q))
+                unwritten = BinOp("<=", Var(q), Num(k))
+                same = BinOp("==", Var(cname), Var(xi_name(cname)))
+                diff = BinOp("!=", Var(cname), Var(xi_name(cname)))
+                bad_parts.append(BinOp("&", written, diff))
+                ok_parts.append(BinOp("|", unwritten, same))
             if bad_parts:
                 rules.append(
                     Rule(

@@ -15,6 +15,10 @@ symbol pops back to the continuation.
 Before the final symbol the model emits one synthesized output per
 observable variable to the reserved "finalvars" channel, making the final
 store part of the observable output stream.
+
+Rules hold the parser's own expression objects; the model adds only the
+guards and updates of channel bookkeeping, built from the same syntax
+classes with model globals as Var names and channel reads as CellRef.
 """
 
 from __future__ import annotations
@@ -23,36 +27,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .policy import Policy
-from .spds import (
-    HAVOC,
-    CellRef,
-    GOp,
-    GRef,
-    GlobalsDecl,
-    KConst,
-    Rule,
-    RuleSpec,
-    SPDS,
-    dump_spds,
-    from_program_expr,
-)
+from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY
+from .spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS, dump_spds
 from .syntax import (
     Assign,
+    BinOp,
+    CellRef,
     Command,
     DeclassAssign,
     If,
     Input,
+    Num,
     Output,
     Program,
     Seq,
     Skip,
+    Var,
     While,
     format_expr,
     walk_commands,
 )
-
-DEFAULT_BITS = 3
-DEFAULT_CAPACITY = 8
 
 TMP = "tmp"
 FINALVARS = "finalvars"
@@ -122,7 +116,6 @@ class ModelSkeleton:
     output_symbols: dict[str, tuple[str, str]]  # channel -> (entry, exit)
     final_symbol: str
     start_symbol: str
-    tmp_used: bool
 
     def output_spec(self, channel: str) -> ChannelSpec:
         for spec in self.outputs:
@@ -143,15 +136,11 @@ def make_globals(
     inputs: tuple[ChannelSpec, ...],
     outputs: tuple[ChannelSpec, ...],
     declass_count: int,
-    companions: bool = False,
-    duplicate_outputs: bool = False,
 ) -> GlobalsDecl:
     cells: list[tuple[str, int]] = []
     control: set[str] = set()  # channel indices and exhaustion flags
     for name in variables:
         cells.append((name, bits))
-        if companions:
-            cells.append((xi_name(name), bits))
     if tmp_used:
         cells.append((TMP, bits))
     for spec in inputs:
@@ -161,20 +150,10 @@ def make_globals(
         cells.append((spec.exhausted, 1))
         control |= {spec.index, spec.exhausted}
     for spec in outputs:
-        # Only channels the program declares get a second copy; the
-        # synthetic finals stream is matched in place in both modes.  Each
-        # copied cell follows its original, so the two share every bit band
-        # of the variable order.
-        dup = duplicate_outputs and spec.name != FINALVARS
         for cname in spec.cells:
             cells.append((cname, bits))
-            if dup:
-                cells.append((xi_name(cname), bits))
         cells.append((spec.index, index_width(spec.length)))
         control.add(spec.index)
-        if dup:
-            cells.append((xi_name(spec.index), index_width(spec.length)))
-            control.add(xi_name(spec.index))
     for i in range(declass_count):
         cells.append((d_name(i), bits))
     return GlobalsDecl(tuple(cells), frozenset(control))
@@ -263,7 +242,6 @@ def build_model(
         tuple(program.variables), bits, tmp_used, inputs, outputs, len(declass_sites)
     )
 
-    identity = {name: name for name in program.variables}
     input_by_name = {spec.name: spec for spec in inputs}
     rules: list[Rule] = []
 
@@ -276,50 +254,48 @@ def build_model(
             case Skip(_):
                 rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "skip"))
             case Assign(_, target, expr):
-                spec = RuleSpec.make(updates={target: from_program_expr(expr, identity)})
+                spec = RuleSpec.make(updates={target: expr})
                 rules.append(Rule(sym, (next_sym,), spec, f"{target} := ..."))
             case DeclassAssign(site, target, expr):
                 if site.id in rho:
                     entry, exit_ = declass_symbols[site.id]
-                    push = RuleSpec.make(updates={TMP: from_program_expr(expr, identity)})
+                    push = RuleSpec.make(updates={TMP: expr})
                     rules.append(Rule(sym, (entry, next_sym), push, "downgrade entry"))
                     rules.append(Rule(exit_, (), RuleSpec.make(), "downgrade exit"))
                 else:
-                    spec = RuleSpec.make(updates={target: from_program_expr(expr, identity)})
+                    spec = RuleSpec.make(updates={target: expr})
                     rules.append(Rule(sym, (next_sym,), spec, f"{target} := ... (no downgrade)"))
             case If(_, guard, then_branch, else_branch):
-                g = from_program_expr(guard, identity)
                 rules.append(
-                    Rule(sym, (_first_symbol(then_branch),), RuleSpec.make(guard=g), "if taken")
+                    Rule(sym, (_first_symbol(then_branch),), RuleSpec.make(guard=guard), "if taken")
                 )
-                zero = GOp("==", g, KConst(0))
+                zero = BinOp("==", guard, Num(0))
                 rules.append(
                     Rule(sym, (_first_symbol(else_branch),), RuleSpec.make(guard=zero), "if not taken")
                 )
                 emit(then_branch, next_sym)
                 emit(else_branch, next_sym)
             case While(_, guard, body):
-                g = from_program_expr(guard, identity)
                 rules.append(
-                    Rule(sym, (_first_symbol(body),), RuleSpec.make(guard=g), "loop entered")
+                    Rule(sym, (_first_symbol(body),), RuleSpec.make(guard=guard), "loop entered")
                 )
-                zero = GOp("==", g, KConst(0))
+                zero = BinOp("==", guard, Num(0))
                 rules.append(Rule(sym, (next_sym,), RuleSpec.make(guard=zero), "loop exited"))
                 emit(body, sym)
             case Input(_, target, channel):
                 if channel in input_by_name:
                     spec = input_by_name[channel]
                     in_range = RuleSpec.make(
-                        guard=GOp("<", GRef(spec.index), KConst(spec.length)),
+                        guard=BinOp("<", Var(spec.index), Num(spec.length)),
                         updates={
                             target: _cell_read(spec),
-                            spec.index: GOp("+", GRef(spec.index), KConst(1)),
+                            spec.index: BinOp("+", Var(spec.index), Num(1)),
                         },
                     )
                     rules.append(Rule(sym, (next_sym,), in_range, f"read {channel}"))
                     exhausted = RuleSpec.make(
-                        guard=GOp("<=", KConst(spec.length), GRef(spec.index)),
-                        updates={target: HAVOC, spec.exhausted: KConst(1)},
+                        guard=BinOp("<=", Num(spec.length), Var(spec.index)),
+                        updates={target: HAVOC, spec.exhausted: Num(1)},
                     )
                     rules.append(Rule(sym, (next_sym,), exhausted, f"{channel} exhausted"))
                 else:
@@ -328,7 +304,7 @@ def build_model(
             case Output(_, expr, channel):
                 if channel in output_symbols and channel != FINALVARS:
                     entry, _ = output_symbols[channel]
-                    push = RuleSpec.make(updates={TMP: from_program_expr(expr, identity)})
+                    push = RuleSpec.make(updates={TMP: expr})
                     rules.append(Rule(sym, (entry, next_sym), push, f"write {channel}"))
                 else:
                     rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "unobservable write"))
@@ -339,7 +315,7 @@ def build_model(
     emit(program.root, fv_chain[0])
     fv_entry, _ = output_symbols[FINALVARS]
     for k, name in enumerate(observable_vars):
-        push = RuleSpec.make(updates={TMP: GRef(name)})
+        push = RuleSpec.make(updates={TMP: Var(name)})
         rules.append(Rule(fv_chain[k], (fv_entry, fv_chain[k + 1]), push, f"final value of {name}"))
     for spec in outputs:
         _, exit_ = output_symbols[spec.name]
@@ -376,7 +352,6 @@ def build_model(
         output_symbols=output_symbols,
         final_symbol=FINAL_SYMBOL,
         start_symbol=start,
-        tmp_used=tmp_used,
     )
 
 

@@ -43,7 +43,7 @@ from .semantics import (
     low_equiv_store,
     run_program,
 )
-from .syntax import Input, Program, Seq, walk_commands
+from .syntax import Input, Program, walk_commands
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -415,11 +415,10 @@ def check_noninterference(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
-    input_lengths: dict[str, int] | None = None,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> OracleVerdict:
     """Exhaustively test observational equivalence of final states."""
-    lengths = input_lengths or default_input_lengths(program, policy)
+    lengths = default_input_lengths(program, policy)
     return _check_pairs(
         program, policy, "noninterference", bits, capacity, fuel, lengths, budget
     )
@@ -431,7 +430,6 @@ def check_where_security(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
-    input_lengths: dict[str, int] | None = None,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> OracleVerdict:
     """Exhaustively test that only declassified values are released.
@@ -441,7 +439,7 @@ def check_where_security(
     observably; (b) runs whose paired declassified values all agree (and
     counts match) but whose final stores or outputs differ observably.
     """
-    lengths = input_lengths or default_input_lengths(program, policy)
+    lengths = default_input_lengths(program, policy)
     return _check_pairs(
         program, policy, "where-security", bits, capacity, fuel, lengths, budget
     )

@@ -45,8 +45,6 @@ CAPACITY_EXCEEDED = "capacity-exceeded"
 
 # Run outcomes.
 OUTCOME_HALTED = HALTED
-OUTCOME_INPUT_EXHAUSTED = INPUT_EXHAUSTED
-OUTCOME_CAPACITY_EXCEEDED = CAPACITY_EXCEEDED
 OUTCOME_DIVERGES = "diverges"
 OUTCOME_FUEL = "nonterminating-within-budget"
 

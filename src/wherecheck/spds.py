@@ -3,8 +3,11 @@
 A system is a stack alphabet plus rules <lhs> -> <rhs...> with at most two
 right-hand symbols, each rule carrying a RuleSpec: a guard over the current
 valuation and next-state updates (expression, havoc, or indexed channel
-write).  Globals not mentioned keep their value; that frame condition is
-part of the spec's meaning, and the explicit evaluator below implements it
+write).  Expressions are the source language's own (syntax.Expr): a Var
+reads a global of any name and a CellRef reads a channel cell.
+
+Globals not mentioned keep their value; that frame condition is part of
+the spec's meaning, and the explicit evaluator below implements it
 directly.  The compiled relation leaves it out: it is the guard and one
 equation per written cell, over the current bits and the next bits of the
 written cells only.  Each relational step that takes a rule relation also
@@ -26,9 +29,9 @@ equalities that self-composition builds between them linear in the width.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .bdd import (
     BDD,
@@ -49,7 +52,7 @@ from .bdd import (
     bv_sub,
     bv_value,
 )
-from .syntax import BinOp, Expr, Num, Var
+from .syntax import BinOp, CellRef, Expr, Num, Var, format_expr, subst_vars
 
 
 class HavocType:
@@ -67,79 +70,7 @@ class HavocType:
 HAVOC = HavocType()
 
 
-@dataclass(frozen=True)
-class GRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class KConst:
-    value: int
-
-
-@dataclass(frozen=True)
-class CellRef:
-    """Read of cells[i] where i is the runtime value of the index global."""
-
-    cells: tuple[str, ...]
-    index: str
-    label: str
-
-
-@dataclass(frozen=True)
-class GOp:
-    op: str
-    left: "GExpr"
-    right: "GExpr"
-
-
-GExpr = Union[GRef, KConst, CellRef, GOp]
-
 _COMPARISONS = ("==", "!=", "<", "<=")
-
-
-def from_program_expr(e: Expr, var_map: dict[str, str]) -> GExpr:
-    match e:
-        case Num(value):
-            return KConst(value)
-        case Var(name):
-            return GRef(var_map[name])
-        case BinOp(op, left, right):
-            return GOp(op, from_program_expr(left, var_map), from_program_expr(right, var_map))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def rename_gexpr(e: GExpr, mapping: dict[str, str]) -> GExpr:
-    match e:
-        case GRef(name):
-            return GRef(mapping.get(name, name))
-        case KConst(_):
-            return e
-        case CellRef(cells, index, label):
-            return CellRef(
-                tuple(mapping.get(c, c) for c in cells), mapping.get(index, index), label
-            )
-        case GOp(op, left, right):
-            return GOp(op, rename_gexpr(left, mapping), rename_gexpr(right, mapping))
-    raise TypeError(f"not a global expression: {e!r}")
-
-
-_PREC = {"|": 1, "&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
-
-
-def format_gexpr(e: GExpr, parent_prec: int = 0) -> str:
-    match e:
-        case GRef(name):
-            return name
-        case KConst(value):
-            return str(value)
-        case CellRef(_, index, label):
-            return f"{label}[{index}]"
-        case GOp(op, left, right):
-            prec = _PREC[op]
-            text = f"{format_gexpr(left, prec)} {op} {format_gexpr(right, prec + 1)}"
-            return f"({text})" if prec < parent_prec else text
-    raise TypeError(f"not a global expression: {e!r}")
 
 
 @dataclass(frozen=True)
@@ -148,27 +79,27 @@ class ArrayWrite:
 
     cells: tuple[str, ...]
     index: str
-    expr: GExpr
+    expr: Expr
     label: str
 
     def renamed(self, mapping: dict[str, str]) -> "ArrayWrite":
         return ArrayWrite(
             tuple(mapping.get(c, c) for c in self.cells),
             mapping.get(self.index, self.index),
-            rename_gexpr(self.expr, mapping),
+            subst_vars(self.expr, mapping),
             self.label,
         )
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    guard: Optional[GExpr] = None  # truthy when nonzero; None means true
-    updates: tuple[tuple[str, object], ...] = ()  # (global, GExpr | HAVOC), sorted
+    guard: Optional[Expr] = None  # truthy when nonzero; None means true
+    updates: tuple[tuple[str, object], ...] = ()  # (global, Expr | HAVOC), sorted
     writes: tuple[ArrayWrite, ...] = ()
 
     @staticmethod
     def make(
-        guard: Optional[GExpr] = None,
+        guard: Optional[Expr] = None,
         updates: Optional[dict[str, object]] = None,
         writes: tuple[ArrayWrite, ...] = (),
     ) -> "RuleSpec":
@@ -176,10 +107,10 @@ class RuleSpec:
         return RuleSpec(guard=guard, updates=pairs, writes=writes)
 
     def renamed(self, mapping: dict[str, str]) -> "RuleSpec":
-        guard = rename_gexpr(self.guard, mapping) if self.guard is not None else None
+        guard = subst_vars(self.guard, mapping) if self.guard is not None else None
         updates = tuple(
             sorted(
-                (mapping.get(name, name), e if e is HAVOC else rename_gexpr(e, mapping))
+                (mapping.get(name, name), e if e is HAVOC else subst_vars(e, mapping))
                 for name, e in self.updates
             )
         )
@@ -288,12 +219,12 @@ class SPDS:
 
 def format_rule(rule: Rule) -> str:
     rhs = " ".join(rule.rhs) if rule.rhs else "."
-    guard = format_gexpr(rule.spec.guard) if rule.spec.guard is not None else "1"
+    guard = format_expr(rule.spec.guard) if rule.spec.guard is not None else "1"
     parts = []
     for name, e in rule.spec.updates:
-        parts.append(f"{name}:=*" if e is HAVOC else f"{name}:={format_gexpr(e)}")
+        parts.append(f"{name}:=*" if e is HAVOC else f"{name}:={format_expr(e)}")
     for w in rule.spec.writes:
-        parts.append(f"{w.label}[{w.index}]:={format_gexpr(w.expr)}")
+        parts.append(f"{w.label}[{w.index}]:={format_expr(w.expr)}")
     effect = ", ".join(parts) if parts else "-"
     return f"<{rule.lhs}> -> <{rhs}> | {guard} | {effect}"
 
@@ -313,19 +244,19 @@ def dump_spds(spds: SPDS) -> str:
 # compilation and by the enumerative reachability backend.
 
 
-def eval_gexpr(e: GExpr, globals_decl: GlobalsDecl, val: tuple[int, ...], width: int) -> int:
+def eval_gexpr(e: Expr, globals_decl: GlobalsDecl, val: tuple[int, ...], width: int) -> int:
     mask = (1 << width) - 1
     match e:
-        case KConst(value):
+        case Num(value):
             return value & mask
-        case GRef(name):
+        case Var(name):
             return val[globals_decl.index_of(name)] & mask
         case CellRef(cells, index, _):
             idx = val[globals_decl.index_of(index)]
             if idx < len(cells):
                 return val[globals_decl.index_of(cells[idx])] & mask
             return 0
-        case GOp(op, left, right):
+        case BinOp(op, left, right):
             if op in _COMPARISONS:
                 # Comparison operands carry their own width; the 0/1 result
                 # coerces to whatever width the context needs.
@@ -353,30 +284,30 @@ def eval_gexpr(e: GExpr, globals_decl: GlobalsDecl, val: tuple[int, ...], width:
             if op == "|":
                 return a | b
             raise ValueError(f"unknown operator {op!r}")
-    raise TypeError(f"not a global expression: {e!r}")
+    raise TypeError(f"not an expression: {e!r}")
 
 
-def infer_width(e: GExpr, globals_decl: GlobalsDecl) -> Optional[int]:
+def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
     match e:
-        case KConst(_):
+        case Num(_):
             return None
-        case GRef(name):
+        case Var(name):
             return globals_decl.width_of(name)
         case CellRef(cells, _, _):
             # an empty array reads as the constant 0 and adapts to context
             return globals_decl.width_of(cells[0]) if cells else None
-        case GOp(op, left, right):
+        case BinOp(op, left, right):
             a = infer_width(left, globals_decl)
             b = infer_width(right, globals_decl)
             if a is not None and b is not None and a != b:
-                raise ValueError(f"width mismatch in {format_gexpr(e)}: {a} vs {b}")
+                raise ValueError(f"width mismatch in {format_expr(e)}: {a} vs {b}")
             if op in _COMPARISONS:
                 return None  # 0/1 result adapts to the context width
             return a if a is not None else b
-    raise TypeError(f"not a global expression: {e!r}")
+    raise TypeError(f"not an expression: {e!r}")
 
 
-def guard_width(e: GExpr, globals_decl: GlobalsDecl) -> int:
+def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
     width = infer_width(e, globals_decl)
     return width if width is not None else 1
 
@@ -487,12 +418,12 @@ class RelationAlgebra:
     def set_from_valuation(self, val: tuple[int, ...]) -> int:
         return self.set_from_fixed(self.g.as_dict(val))
 
-    def compile_value(self, e: GExpr, width: int) -> list[int]:
+    def compile_value(self, e: Expr, width: int) -> list[int]:
         mgr = self.mgr
         match e:
-            case KConst(value):
+            case Num(value):
                 return bv_const(mgr, value, width)
-            case GRef(name):
+            case Var(name):
                 assert self.g.width_of(name) == width, f"{name} width mismatch"
                 return bv_from_levels(mgr, self.g.cur_levels(name))
             case CellRef(cells, index, _):
@@ -501,9 +432,9 @@ class RelationAlgebra:
                 acc = bv_const(mgr, 0, width)
                 for k in range(len(cells) - 1, -1, -1):
                     hit = bv_eq(mgr, idx, bv_const(mgr, k, idx_w))
-                    acc = bv_ite(mgr, hit, self.compile_value(GRef(cells[k]), width), acc)
+                    acc = bv_ite(mgr, hit, self.compile_value(Var(cells[k]), width), acc)
                 return acc
-            case GOp(op, left, right):
+            case BinOp(op, left, right):
                 if op in _COMPARISONS:
                     w = infer_width(left, self.g) or infer_width(right, self.g) or width
                     a = self.compile_value(left, w)
@@ -525,9 +456,9 @@ class RelationAlgebra:
                     "|": bv_bitor,
                 }[op]
                 return fn(mgr, a, b)
-        raise TypeError(f"not a global expression: {e!r}")
+        raise TypeError(f"not an expression: {e!r}")
 
-    def compile_guard(self, e: Optional[GExpr]) -> int:
+    def compile_guard(self, e: Optional[Expr]) -> int:
         if e is None:
             return self.mgr.TRUE
         width = guard_width(e, self.g)

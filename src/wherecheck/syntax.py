@@ -1,5 +1,10 @@
 """Abstract syntax for the source language, plus site labels and printing.
 
+Expressions are also the model's: pushdown rules hold these same objects,
+with model globals (channel cells, indices, companions) as Var names.
+CellRef is the one model-only leaf, a read of a channel cell at a runtime
+index; the parser never builds it and the interpreter never sees it.
+
 Commands are immutable dataclasses.  Every command occurrence except
 sequencing carries a SiteLabel; ";" is a binary operator on commands and has
 no site of its own.  Site ids are assigned by preorder traversal, so they
@@ -11,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Union
-
-# Binary operators, in the order used for precedence climbing (low to high
-# binding strength the parser cares about; this tuple is just the legal set).
-BINARY_OPS = ("+", "-", "*", "==", "!=", "<", "<=", "&", "|")
-
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -47,7 +47,16 @@ class BinOp:
         return f"({self.left} {self.op} {self.right})"
 
 
-Expr = Union[Num, Var, BinOp]
+@dataclass(frozen=True)
+class CellRef:
+    """Read of cells[i] where i is the runtime value of the index global."""
+
+    cells: tuple[str, ...]
+    index: str
+    label: str
+
+
+Expr = Union[Num, Var, BinOp, CellRef]
 
 
 def expr_vars(e: Expr) -> set[str]:
@@ -63,7 +72,7 @@ def expr_vars(e: Expr) -> set[str]:
 
 
 def subst_vars(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename variables in an expression."""
+    """Rename variables in an expression, and a cell read's cells and index."""
     match e:
         case Num():
             return e
@@ -71,6 +80,10 @@ def subst_vars(e: Expr, mapping: dict[str, str]) -> Expr:
             return Var(mapping.get(name, name))
         case BinOp(op, left, right):
             return BinOp(op, subst_vars(left, mapping), subst_vars(right, mapping))
+        case CellRef(cells, index, label):
+            return CellRef(
+                tuple(mapping.get(c, c) for c in cells), mapping.get(index, index), label
+            )
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -244,6 +257,8 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
             return str(value)
         case Var(name):
             return name
+        case CellRef(_, index, label):
+            return f"{label}[{index}]"
         case BinOp(op, left, right):
             prec = _PREC[op]
             # Left-associative rendering: right subtree needs parens at equal

@@ -175,10 +175,13 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "lots")
-    code, _, err = run(capsys, ["analyze", *corpus_args("P0")])
-    assert code == EXIT_USAGE
-    assert cli.BUDGET_ENV in err
+    for raw in ("lots", "0", "-3"):
+        monkeypatch.setenv(cli.BUDGET_ENV, raw)
+        code, out, err = run(capsys, ["analyze", *corpus_args("P0")])
+        assert code == EXIT_USAGE, raw
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert cli.BUDGET_ENV in err
+        assert "RESULT" not in out
 
 
 # --------------------------------------------------------------- exit codes
@@ -216,6 +219,27 @@ def test_missing_flag_exits_three(capsys):
 def test_unknown_mode_exits_three(capsys):
     code, _, err = run(capsys, ["analyze", *corpus_args("P0"), "--mode", "fancy"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--bits", "0"),
+        ("analyze", "--bits", "-1"),
+        ("analyze", "--capacity", "-1"),
+        ("nmin", "--max-bits", "0"),
+        ("nmin", "--capacity", "-1"),
+        ("bench", "--bits", "0"),
+        ("bench", "--capacity", "-1"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(capsys, command, flag, value):
+    inputs = [str(CORPUS)] if command == "bench" else corpus_args("P0")
+    code, out, err = run(capsys, [command, *inputs, flag, value])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+    assert out == ""
 
 
 def test_missing_file_exits_three(capsys):

@@ -13,7 +13,8 @@ from wherecheck.compose import (
 from wherecheck.modelgen import FINALVARS, build_model, index_width, xi_name
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.spds import CellRef, GOp, GRef, dump_spds, successors
+from wherecheck.spds import dump_spds, successors
+from wherecheck.syntax import BinOp, CellRef, Var
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 TABLE3 = [f"P{i}" for i in range(8)]
@@ -96,7 +97,7 @@ def test_init_constrains_only_observable_companions():
     model = self_compose(build_model(program, policy, "L", bits=2))
     (rule,) = outgoing(model, INIT_SYMBOL)
     assert rule.rhs == (model.skeleton.start_symbol,)
-    assert rule.spec.updates == ((xi_name("l"), GRef("l")),)
+    assert rule.spec.updates == ((xi_name("l"), Var("l")),)
 
 
 @pytest.mark.parametrize(
@@ -142,11 +143,11 @@ def test_downgrade_stuffing_shape():
         assert len(second) == 2
         bail, advance = second
         assert bail.rhs == (IDLE_SYMBOL,)
-        assert isinstance(bail.spec.guard, GOp) and bail.spec.guard.op == "!="
+        assert isinstance(bail.spec.guard, BinOp) and bail.spec.guard.op == "!="
         assert advance.rhs == (model.xi_stack[exit_],)
         assert advance.spec.guard.op == "=="
         assert advance.spec.updates == (
-            (xi_name(skel.declass_targets[site]), GRef("tmp")),
+            (xi_name(skel.declass_targets[site]), Var("tmp")),
         )
 
 

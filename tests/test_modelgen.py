@@ -15,7 +15,17 @@ from wherecheck.modelgen import (
 from wherecheck.parser import parse_program
 from wherecheck.policy import PolicyError, gather_downgrades, parse_policy
 from wherecheck.semantics import OUTCOME_HALTED, run_program
-from wherecheck.spds import HAVOC, KConst, successors
+from wherecheck.spds import HAVOC, successors
+from wherecheck.syntax import (
+    Assign,
+    BinOp,
+    DeclassAssign,
+    If,
+    Num,
+    Output,
+    While,
+    walk_commands,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -37,7 +47,7 @@ def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
     bits = skeleton.bits
     report: dict[str, int] = {}
     report["vars"] = len(skeleton.program.variables) * bits
-    report[TMP] = bits if skeleton.tmp_used else 0
+    report[TMP] = bits if TMP in skeleton.spds.globals.names else 0
     for spec in skeleton.inputs:
         report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length) + 1
     for spec in skeleton.outputs:
@@ -52,6 +62,33 @@ def test_index_width():
     assert index_width(0) == 1
     assert index_width(1) == 2
     assert index_width(8) == 4
+
+
+def test_rules_hold_the_parsers_expression_objects():
+    program, policy = prog(
+        "if l < h then l := h + 1 else l := declass(h) fi; "
+        "while l do l := l - 1 od; output(l * 2, o)",
+        "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n",
+    )
+    skel = build_model(program, policy, "L", bits=2)
+    assert skel.declass_sites  # the downgrade's expression goes into its push rule
+    held = []
+    for rule in skel.spds.rules:
+        guard = rule.spec.guard
+        held.append(guard)
+        if isinstance(guard, BinOp):
+            held.append(guard.left)  # a branch not taken guards on "g == 0"
+        held += [e for _, e in rule.spec.updates]
+    parsed = []
+    for cmd in walk_commands(program.root):
+        match cmd:
+            case Assign(_, _, e) | DeclassAssign(_, _, e) | If(_, e, _, _) | While(_, e, _):
+                parsed.append(e)
+            case Output(_, e, _):
+                parsed.append(e)
+    assert len(parsed) == 6
+    for e in parsed:
+        assert any(h is e for h in held), e
 
 
 def test_p1_bit_budget_frozen():
@@ -131,7 +168,7 @@ def test_low_input_rule_shape():
     assert "x" in updates and "p[in0]" in updates
     exhausted = rules[1].spec
     assert dict(exhausted.updates)["x"] is HAVOC
-    assert dict(exhausted.updates)["exh[in0]"] == KConst(1)
+    assert dict(exhausted.updates)["exh[in0]"] == Num(1)
 
 
 def test_high_input_havocs_target():

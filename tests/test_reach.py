@@ -18,7 +18,8 @@ from wherecheck.reach import (
     replay_witness,
 )
 from wherecheck.semantics import run_program
-from wherecheck.spds import GlobalsDecl, GRef, Rule, RuleSpec, SPDS, successors
+from wherecheck.spds import GlobalsDecl, Rule, RuleSpec, SPDS, successors
+from wherecheck.syntax import Var
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus" / "table3"
@@ -142,12 +143,12 @@ def test_self_loop_fixpoint_after_one_iteration():
 
 
 def test_counting_loop_saturates_values():
-    from wherecheck.spds import GOp, KConst
+    from wherecheck.syntax import BinOp, Num
 
     bump = Rule(
         "a",
         ("a",),
-        RuleSpec.make(updates={"x": GOp("+", GRef("x"), KConst(1))}),
+        RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))}),
         "bump",
     )
     auto = post_star(tiny_spds((bump,)))
@@ -213,15 +214,15 @@ def test_acceptance_matches_explicit_reachability():
 def test_nested_pushes_match_explicit_reachability():
     # A push inside a called procedure: the inner push's entry edge is built
     # from a delta whose promise is already constrained by the outer push.
-    from wherecheck.spds import GOp, KConst
+    from wherecheck.syntax import BinOp, Num
 
-    bump = RuleSpec.make(updates={"x": GOp("+", GRef("x"), KConst(1))})
+    bump = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
     rules = (
         Rule("a", ("b", "r"), bump, "call b"),
         Rule("b", ("c", "s"), bump, "call c"),
-        Rule("c", (), RuleSpec.make(updates={"x": GOp("*", GRef("x"), KConst(3))}), "c returns"),
+        Rule("c", (), RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))}), "c returns"),
         Rule("s", (), bump, "b returns"),
-        Rule("r", ("a",), RuleSpec.make(guard=GOp("<", GRef("x"), KConst(2))), "again"),
+        Rule("r", ("a",), RuleSpec.make(guard=BinOp("<", Var("x"), Num(2))), "again"),
     )
     spds = tiny_spds(rules, alphabet=("a", "b", "c", "r", "s"))
     auto = post_star(spds)

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,11 +7,7 @@ from wherecheck.parser import parse_program
 from wherecheck.spds import (
     HAVOC,
     ArrayWrite,
-    CellRef,
-    GOp,
-    GRef,
     GlobalsDecl,
-    KConst,
     RelationAlgebra,
     Rule,
     RuleSpec,
@@ -21,14 +15,12 @@ from wherecheck.spds import (
     dump_spds,
     eval_gexpr,
     eval_guard,
-    format_gexpr,
     format_rule,
-    from_program_expr,
     infer_width,
-    rename_gexpr,
     spec_successors,
     successors,
 )
+from wherecheck.syntax import BinOp, CellRef, Num, Var, format_expr, subst_vars
 from test_bdd import sat_all
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
@@ -71,31 +63,36 @@ def test_control_first_band_layout():
     assert g.valuation({"x": 5, "f": 1}) == (5, 0, 0, 0, 0, 1)
 
 
-def test_from_program_expr_and_rename():
+def test_subst_vars_renames_a_cell_reads_cells_and_index():
     e = parse_program("z := h + l * 2").root.expr
-    g = from_program_expr(e, {"h": "h", "l": "xi_l"})
-    assert format_gexpr(g) == "h + xi_l * 2"
-    r = rename_gexpr(g, {"h": "xi_h"})
-    assert format_gexpr(r) == "xi_h + xi_l * 2"
+    g = subst_vars(e, {"l": "xi_l"})
+    assert format_expr(g) == "h + xi_l * 2"
+    assert format_expr(subst_vars(g, {"h": "xi_h"})) == "xi_h + xi_l * 2"
+    read = CellRef(("c[0]", "c[1]"), "q[c]", "O(c)")
+    mapping = {"c[0]": "xi(c[0])", "c[1]": "xi(c[1])", "q[c]": "xi(q[c])"}
+    assert subst_vars(read, mapping) == CellRef(("xi(c[0])", "xi(c[1])"), "xi(q[c])", "O(c)")
+    assert subst_vars(read, {"c[0]": "d"}) == CellRef(("d", "c[1]"), "q[c]", "O(c)")
+    differ = subst_vars(BinOp("!=", read, Var("tmp")), mapping)
+    assert format_expr(differ) == "O(c)[xi(q[c])] != tmp"
 
 
-def test_format_gexpr_parens():
-    x, y = GRef("x"), GRef("y")
-    assert format_gexpr(GOp("*", GOp("+", x, y), KConst(2))) == "(x + y) * 2"
-    assert format_gexpr(GOp("+", x, GOp("+", y, KConst(1)))) == "x + (y + 1)"
-    assert format_gexpr(CellRef(("c0", "c1"), "idx", "C")) == "C[idx]"
+def test_format_expr_parens():
+    x, y = Var("x"), Var("y")
+    assert format_expr(BinOp("*", BinOp("+", x, y), Num(2))) == "(x + y) * 2"
+    assert format_expr(BinOp("+", x, BinOp("+", y, Num(1)))) == "x + (y + 1)"
+    assert format_expr(CellRef(("c0", "c1"), "idx", "C")) == "C[idx]"
 
 
 def test_infer_width_rules():
     g = GlobalsDecl((("x", 2), ("p", 4)))
-    assert infer_width(GRef("p"), g) == 4
-    assert infer_width(KConst(3), g) is None
-    assert infer_width(GOp("+", GRef("x"), KConst(1)), g) == 2
+    assert infer_width(Var("p"), g) == 4
+    assert infer_width(Num(3), g) is None
+    assert infer_width(BinOp("+", Var("x"), Num(1)), g) == 2
     # Comparisons adapt to any context, so mixing them is fine.
-    mixed = GOp("&", GOp("<", GRef("p"), KConst(2)), GOp("==", GRef("x"), KConst(0)))
+    mixed = BinOp("&", BinOp("<", Var("p"), Num(2)), BinOp("==", Var("x"), Num(0)))
     assert infer_width(mixed, g) is None
     with pytest.raises(ValueError):
-        infer_width(GOp("+", GRef("x"), GRef("p")), g)
+        infer_width(BinOp("+", Var("x"), Var("p")), g)
 
 
 def test_eval_gexpr_cells_and_mixed_guard():
@@ -104,10 +101,10 @@ def test_eval_gexpr_cells_and_mixed_guard():
     assert eval_gexpr(CellRef(("c0", "c1"), "idx", "C"), g, val, 2) == 3
     out_of_range = g.valuation({"c0": 1, "c1": 3, "idx": 2})
     assert eval_gexpr(CellRef(("c0", "c1"), "idx", "C"), g, out_of_range, 2) == 0
-    guard = GOp(
+    guard = BinOp(
         "&",
-        GOp("!=", CellRef(("c0", "c1"), "idx", "C"), GRef("t")),
-        GOp("<", GRef("idx"), KConst(2)),
+        BinOp("!=", CellRef(("c0", "c1"), "idx", "C"), Var("t")),
+        BinOp("<", Var("idx"), Num(2)),
     )
     assert eval_guard(RuleSpec.make(guard), g, val) is False
     val2 = g.valuation({"c0": 1, "c1": 2, "idx": 1, "t": 3})
@@ -116,7 +113,7 @@ def test_eval_gexpr_cells_and_mixed_guard():
 
 def test_spec_successors_frame_and_havoc():
     spec = RuleSpec.make(
-        guard=GOp("==", GRef("y"), KConst(1)),
+        guard=BinOp("==", Var("y"), Num(1)),
         updates={"x": HAVOC},
     )
     assert list(spec_successors(spec, G3, G3.valuation({"x": 2, "y": 0}))) == []
@@ -128,9 +125,9 @@ def test_spec_successors_frame_and_havoc():
 def test_spec_successors_array_write():
     g = GlobalsDecl((("c0", 2), ("c1", 2), ("q", 2), ("v", 2)))
     spec = RuleSpec.make(
-        guard=GOp("<", GRef("q"), KConst(2)),
-        updates={"q": GOp("+", GRef("q"), KConst(1))},
-        writes=(ArrayWrite(("c0", "c1"), "q", GRef("v"), "C"),),
+        guard=BinOp("<", Var("q"), Num(2)),
+        updates={"q": BinOp("+", Var("q"), Num(1))},
+        writes=(ArrayWrite(("c0", "c1"), "q", Var("v"), "C"),),
     )
     val = g.valuation({"c0": 0, "c1": 0, "q": 1, "v": 3})
     outs = list(spec_successors(spec, g, val))
@@ -141,8 +138,8 @@ def test_spec_successors_array_write():
 
 def test_rule_format_and_dump():
     spec = RuleSpec.make(
-        guard=GOp("<", GRef("y"), KConst(1)),
-        updates={"x": GOp("+", GRef("x"), KConst(1)), "y": HAVOC},
+        guard=BinOp("<", Var("y"), Num(1)),
+        updates={"x": BinOp("+", Var("x"), Num(1)), "y": HAVOC},
     )
     rule = Rule("g0", ("g1", "g2"), spec)
     assert format_rule(rule) == "<g0> -> <g1 g2> | y < 1 | x:=x + 1, y:=*"
@@ -162,8 +159,8 @@ def test_rule_rhs_bounded():
 
 
 def test_spds_initial_valuations_and_successors():
-    rule1 = Rule("g0", ("g1",), RuleSpec.make(updates={"x": KConst(3)}))
-    rule2 = Rule("g1", (), RuleSpec.make(guard=GOp("==", GRef("x"), KConst(3))))
+    rule1 = Rule("g0", ("g1",), RuleSpec.make(updates={"x": Num(3)}))
+    rule2 = Rule("g1", (), RuleSpec.make(guard=BinOp("==", Var("x"), Num(3))))
     spds = SPDS(G3, ("g0", "g1"), (rule1, rule2), "g0", (("x", 0),))
     inits = list(spds.initial_valuations())
     assert inits == [(0, 0), (0, 1)]
@@ -223,20 +220,20 @@ def lift_to_nxt(ra, set_cur):
 
 CATALOGUE = [
     RuleSpec.make(),
-    RuleSpec.make(guard=GOp("<", GRef("x"), KConst(2))),
-    RuleSpec.make(updates={"x": GOp("+", GRef("x"), KConst(1))}),
-    RuleSpec.make(updates={"x": GOp("-", GRef("x"), GRef("x"))}),
-    RuleSpec.make(updates={"x": GOp("*", GRef("x"), KConst(3))}),
-    RuleSpec.make(updates={"x": HAVOC, "y": KConst(1)}),
+    RuleSpec.make(guard=BinOp("<", Var("x"), Num(2))),
+    RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))}),
+    RuleSpec.make(updates={"x": BinOp("-", Var("x"), Var("x"))}),
+    RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))}),
+    RuleSpec.make(updates={"x": HAVOC, "y": Num(1)}),
     RuleSpec.make(
-        guard=GOp("!=", GRef("y"), KConst(0)),
-        updates={"y": GOp("<=", GRef("x"), KConst(1))},
+        guard=BinOp("!=", Var("y"), Num(0)),
+        updates={"y": BinOp("<=", Var("x"), Num(1))},
     ),
     RuleSpec.make(
-        guard=GOp("|", GOp("==", GRef("x"), KConst(0)), GRef("y")),
-        updates={"x": GOp("&", GRef("x"), KConst(1))},
+        guard=BinOp("|", BinOp("==", Var("x"), Num(0)), Var("y")),
+        updates={"x": BinOp("&", Var("x"), Num(1))},
     ),
-    RuleSpec.make(updates={"y": GOp("|", GRef("y"), KConst(1)), "x": HAVOC}),
+    RuleSpec.make(updates={"y": BinOp("|", Var("y"), Num(1)), "x": HAVOC}),
 ]
 
 
@@ -257,11 +254,11 @@ def test_compile_spec_matches_explicit(spec):
 
 G5 = GlobalsDecl((("x", 2), ("y", 1), ("z", 2)))
 UPDATES = {
-    "x": [KConst(3), GOp("+", GRef("x"), GRef("z")), HAVOC],
-    "y": [GOp("<", GRef("z"), GRef("x")), HAVOC],
-    "z": [GOp("*", GRef("z"), KConst(3)), GOp("-", GRef("x"), KConst(1)), HAVOC],
+    "x": [Num(3), BinOp("+", Var("x"), Var("z")), HAVOC],
+    "y": [BinOp("<", Var("z"), Var("x")), HAVOC],
+    "z": [BinOp("*", Var("z"), Num(3)), BinOp("-", Var("x"), Num(1)), HAVOC],
 }
-GUARDS = [None, GOp("!=", GRef("y"), KConst(0)), GOp("<=", GRef("x"), GRef("z"))]
+GUARDS = [None, BinOp("!=", Var("y"), Num(0)), BinOp("<=", Var("x"), Var("z"))]
 drawn_spec_st = st.builds(
     lambda guard, chosen: RuleSpec.make(guard=guard, updates=chosen),
     st.sampled_from(GUARDS),
@@ -289,8 +286,8 @@ def per_cell_relation(ra, spec):
 @settings(max_examples=60, deadline=None)
 @given(drawn_spec_st)
 @example(RuleSpec.make())
-@example(RuleSpec.make(updates={"z": KConst(1)}))
-@example(RuleSpec.make(updates={"x": HAVOC, "y": KConst(1), "z": GRef("x")}))
+@example(RuleSpec.make(updates={"z": Num(1)}))
+@example(RuleSpec.make(updates={"x": HAVOC, "y": Num(1), "z": Var("x")}))
 def test_drawn_spec_compiles_to_explicit_pairs(spec):
     ra = RelationAlgebra(G5)
     node = framed(ra, spec)
@@ -305,7 +302,7 @@ def test_drawn_spec_compiles_to_explicit_pairs(spec):
 
 def test_compiled_rule_leaves_unwritten_next_bits_free():
     ra = RelationAlgebra(G5)
-    spec = RuleSpec.make(guard=GRef("y"), updates={"x": GOp("+", GRef("x"), GRef("z"))})
+    spec = RuleSpec.make(guard=Var("y"), updates={"x": BinOp("+", Var("x"), Var("z"))})
     node = ra.compile_spec(spec)
     unwritten_nxt = ra.g.nxt_levels("y") + ra.g.nxt_levels("z")
     assert exists(ra, node, unwritten_nxt) == node
@@ -319,9 +316,9 @@ def test_compiled_rule_leaves_unwritten_next_bits_free():
 def test_compile_spec_array_write_matches_explicit():
     g = GlobalsDecl((("c0", 1), ("c1", 1), ("q", 2), ("v", 1)))
     spec = RuleSpec.make(
-        guard=GOp("<", GRef("q"), KConst(2)),
-        updates={"q": GOp("+", GRef("q"), KConst(1))},
-        writes=(ArrayWrite(("c0", "c1"), "q", GRef("v"), "C"),),
+        guard=BinOp("<", Var("q"), Num(2)),
+        updates={"q": BinOp("+", Var("q"), Num(1))},
+        writes=(ArrayWrite(("c0", "c1"), "q", Var("v"), "C"),),
     )
     ra = RelationAlgebra(g)
     symbolic = enumerate_pairs(ra, framed(ra, spec))
@@ -336,7 +333,7 @@ def test_compile_spec_array_write_matches_explicit():
 def test_compile_cellref_matches_explicit():
     g = GlobalsDecl((("c0", 1), ("c1", 1), ("q", 2), ("v", 1)))
     spec = RuleSpec.make(
-        guard=GOp("!=", CellRef(("c0", "c1"), "q", "C"), GRef("v")),
+        guard=BinOp("!=", CellRef(("c0", "c1"), "q", "C"), Var("v")),
     )
     ra = RelationAlgebra(g)
     symbolic = enumerate_pairs(ra, framed(ra, spec))
@@ -402,7 +399,7 @@ def test_dom_image_preimage(p1):
 # framed relation gives when every current bit is quantified.
 
 G5_VALS = list(G5.all_valuations())
-CHANNEL = ArrayWrite(("x", "z"), "y", GOp("+", GRef("z"), KConst(1)), "C")
+CHANNEL = ArrayWrite(("x", "z"), "y", BinOp("+", Var("z"), Num(1)), "C")
 partitioned_spec_st = st.builds(
     lambda spec, writes: RuleSpec(spec.guard, spec.updates, writes),
     drawn_spec_st,
@@ -418,11 +415,11 @@ SOME = frozenset({(0, 1, 2), (3, 0, 1), (2, 1, 2)})
     st.frozensets(st.tuples(st.sampled_from(G5_VALS), st.sampled_from(G5_VALS)), max_size=12),
     st.frozensets(st.sampled_from(G5_VALS), max_size=8),
 )
-@example(RuleSpec.make(guard=GRef("y")), EDGE, SOME)
-@example(RuleSpec.make(updates={"z": GOp("-", GRef("x"), KConst(1))}), EDGE, SOME)
-@example(RuleSpec.make(updates={"x": KConst(3), "y": HAVOC, "z": GRef("x")}), EDGE, SOME)
+@example(RuleSpec.make(guard=Var("y")), EDGE, SOME)
+@example(RuleSpec.make(updates={"z": BinOp("-", Var("x"), Num(1))}), EDGE, SOME)
+@example(RuleSpec.make(updates={"x": Num(3), "y": HAVOC, "z": Var("x")}), EDGE, SOME)
 @example(RuleSpec.make(updates={"x": HAVOC}), EDGE, SOME)
-@example(RuleSpec.make(guard=GRef("y"), writes=(CHANNEL,)), EDGE, SOME)
+@example(RuleSpec.make(guard=Var("y"), writes=(CHANNEL,)), EDGE, SOME)
 def test_partitioned_steps_equal_framed_steps(spec, pairs, vals):
     ra = RelationAlgebra(G5)
     written = spec.written_globals()
@@ -449,9 +446,9 @@ def test_partitioned_steps_equal_framed_steps(spec, pairs, vals):
     )
 )
 @example(RuleSpec.make())
-@example(RuleSpec.make(guard=GRef("y")))
-@example(RuleSpec.make(updates={"x": HAVOC, "y": KConst(1), "z": GRef("x")}))
-@example(RuleSpec.make(guard=GRef("y"), writes=(CHANNEL,)))
+@example(RuleSpec.make(guard=Var("y")))
+@example(RuleSpec.make(updates={"x": HAVOC, "y": Num(1), "z": Var("x")}))
+@example(RuleSpec.make(guard=Var("y"), writes=(CHANNEL,)))
 @example(frozenset())
 @example(EDGE)
 def test_identity_on_domain_equals_identity_and_domain(drawn):
