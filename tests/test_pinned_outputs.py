@@ -3,15 +3,20 @@
 Each line of ``pinned_outputs.txt`` is one (program, bits, mode, level):
 the verdict, the saturation's ``steps`` and ``edge_count``, and the first
 16 hex digits of a sha256 over the formatted witness and its step path
-(``-`` on a secure level).  A change that means to move none of these
-leaves the file as it is; on a mismatch the test names the first line that
-differs.  Regenerate the file, only when an output is meant to change, with
+(``-`` on a secure level).  Each line of ``decoded_witnesses.txt`` is one
+insecure (program, bits, mode, level): the decoded witness without its
+path, that is both initial stores and input streams, the ``mismatch:`` line
+of ``format_witness`` and whether the witness replays.  A change that means
+to move none of these leaves both files as they are; on a mismatch the test
+names the first line that differs.  Regenerate both, only when an output is
+meant to change, with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -25,6 +30,7 @@ from wherecheck.reach import extract_witness, format_witness, is_error_reachable
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
+DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
 
 
 def _corpus(corpus: str, name: str) -> tuple[str, str]:
@@ -56,8 +62,20 @@ def _witness_digest(model, witness) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def pinned_lines() -> list[str]:
-    lines = []
+def _decoded_line(prefix: str, model, witness) -> str:
+    mismatch = next(
+        line for line in format_witness(model, witness).splitlines() if line.startswith("mismatch:")
+    )
+    return (
+        f"{prefix} mu1={witness.mu1} mu2={witness.mu2} inputs1={witness.inputs1} "
+        f"inputs2={witness.inputs2} {mismatch} replay_ok={witness.replay_ok}"
+    )
+
+
+@functools.cache
+def _outputs() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The lines of the pinned-output file and of the decoded-witness file."""
+    lines, decoded = [], []
     for name, text, policy_text, bits, capacity, mode in _cases():
         program = parse_program(text)
         policy = gather_downgrades(program, parse_policy(policy_text))
@@ -67,24 +85,42 @@ def pinned_lines() -> list[str]:
             auto = post_star(model)
             digest = "-"
             verdict = "secure"
+            prefix = f"{name} bits={bits} mode={mode} level={level}"
             if is_error_reachable(auto, model):
                 verdict = "insecure"
-                digest = _witness_digest(model, extract_witness(auto, model))
+                witness = extract_witness(auto, model)
+                digest = _witness_digest(model, witness)
+                decoded.append(_decoded_line(prefix, model, witness))
             lines.append(
-                f"{name} bits={bits} mode={mode} level={level} {verdict} "
-                f"steps={auto.steps} edges={auto.edge_count} witness={digest}"
+                f"{prefix} {verdict} steps={auto.steps} edges={auto.edge_count} witness={digest}"
             )
-    return lines
+    return tuple(lines), tuple(decoded)
 
 
-def test_outputs_match_the_pinned_file():
-    expected = GOLDEN.read_text().splitlines()
-    got = pinned_lines()
+def pinned_lines() -> list[str]:
+    return list(_outputs()[0])
+
+
+def decoded_lines() -> list[str]:
+    return list(_outputs()[1])
+
+
+def _assert_lines_match(path: Path, got: list[str]) -> None:
+    expected = path.read_text().splitlines()
     for i, (want, have) in enumerate(zip(expected, got)):
         assert have == want, f"line {i + 1} differs:\n  pinned: {want}\n  now:    {have}"
     assert len(got) == len(expected), f"{len(got)} lines now, {len(expected)} pinned"
 
 
+def test_outputs_match_the_pinned_file():
+    _assert_lines_match(GOLDEN, pinned_lines())
+
+
+def test_decoded_witnesses_match_the_pinned_file():
+    _assert_lines_match(DECODED, decoded_lines())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("\n".join(pinned_lines()) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    DECODED.write_text("\n".join(decoded_lines()) + "\n")
+    print(f"wrote {GOLDEN} and {DECODED}", file=sys.stderr)
