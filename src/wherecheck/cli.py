@@ -124,6 +124,12 @@ def _inconclusive_reason(exc: Exception) -> str:
     return f"budget exceeded: {exc}"
 
 
+def _check_at_least(low: int, **numbers: int) -> None:
+    for name, value in numbers.items():
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def analyze(
     program: Program | str | Path,
     policy: Policy | str | Path,
@@ -138,8 +144,11 @@ def analyze(
     Each level gets its own model, composition and saturation; the overall
     verdict is secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
-    of aborting the report.
+    of aborting the report.  A width below 1 or a capacity below 0 raises
+    ValueError.
     """
+    _check_at_least(1, bits=bits)
+    _check_at_least(0, capacity=capacity)
     program = _coerce_program(program)
     policy = gather_downgrades(program, _coerce_policy(policy))
     compose = tr_compose if mode == MODE_TR else self_compose
@@ -217,8 +226,11 @@ def find_nmin(
     """Least bit width in [1, max_bits] at which the program is insecure.
 
     None means no width in range was shown insecure.  Widths are probed in
-    increasing order, so the first hit is minimal.
+    increasing order, so the first hit is minimal.  A max_bits below 1 or a
+    capacity below 0 raises ValueError.
     """
+    _check_at_least(1, max_bits=max_bits)
+    _check_at_least(0, capacity=capacity)
     program = _coerce_program(program)
     policy = _coerce_policy(policy)
     found, _ = _nmin_probe(program, policy, max_bits, capacity, mode, node_budget)
@@ -270,8 +282,11 @@ def bench(
     """Run both composition backends over a corpus and compare their cost.
 
     A verdict disagreement between the backends is a bug in one of them, so
-    it raises instead of being folded into the table.
+    it raises instead of being folded into the table.  A width below 1 or a
+    capacity below 0 raises ValueError.
     """
+    _check_at_least(1, bits=bits)
+    _check_at_least(0, capacity=capacity)
     rows = []
     for name, program_path, policy_path in _discover(Path(corpus_dir)):
         program = _coerce_program(program_path)

@@ -6,31 +6,36 @@ every downgraded value in the 𝒟 array and every observable output in the
 channel cells.  A restart rule then rewinds the channel indices and starts
 the renamed copy, whose downgrade bodies must match the recorded 𝒟 entry
 (a mismatch falsifies the property's premise and parks the run on idle)
-and whose output bodies must match the recorded cells (a mismatch is a
-genuine observation difference and enters error).
+and whose output bodies compare with the recorded cells.  A differing
+output does not end the run: it sets the 1-bit control cell MISMATCH and
+the second run goes on, since an observation difference is a leak only if
+the second run also halts.
+
+The second run's normal end is the one place where the system can enter
+error: the end check fires when MISMATCH is set or when some observable
+variable x differs from its copy xi(x).  A run that blocks, for instance
+on a read past the end of an observable input, never gets there.
 
 The alternative transformer keeps two disjoint copies of the declared
-output channels, lets both runs write freely, and compares the streams in
-a checker chain after the second run.  The synthetic finals stream is not
-a program channel and stays matched in place under both transformers, so
-the two modes produce identical globals on channel-free programs.  Either
-way the composed globals are the skeleton's, each cell the second run owns
-followed by its copy.  The
+output channels, lets both runs write freely, and after the end check
+compares the streams in a checker chain.  Either way the composed globals
+are the skeleton's, each cell the second run owns followed by its copy,
+and MISMATCH exists only in store-match models with a low output channel,
+so the two modes produce identical globals on channel-free programs.  The
 baseline exists for comparison: verdicts must coincide while the
 store-match encoding uses fewer bits whenever a low channel exists.
 
-Initial valuations pin only the channel indices and exhaustion flags to
-zero.  Everything else, in particular the 𝒟 cells and the unwritten
-channel cells, starts unconstrained; that slack is what lets the match
-phase catch output-count mismatches and downgrades the first run never
-reached.
+Initial valuations pin only the channel indices and MISMATCH to zero.
+Everything else, in particular the 𝒟 cells and the unwritten channel
+cells, starts unconstrained; that slack is what lets the match phase catch
+output-count mismatches and downgrades the first run never reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modelgen import FINALVARS, TMP, ModelSkeleton, d_name, xi_name
+from .modelgen import TMP, ModelSkeleton, d_name, xi_name
 from .spds import ArrayWrite, GlobalsDecl, Rule, RuleSpec, SPDS
 from .syntax import BinOp, CellRef, Expr, Num, Var
 
@@ -40,6 +45,10 @@ MODE_TR = "tr"
 INIT_SYMBOL = "init"
 ERROR_SYMBOL = "error"
 IDLE_SYMBOL = "idle"
+
+# No program variable or channel cell can carry this name: the parser's
+# identifiers have no brackets and channel cells are numbered.
+MISMATCH = "mismatch[]"
 
 
 @dataclass(frozen=True)
@@ -72,19 +81,19 @@ def _disj(parts: list[Expr]) -> Expr:
     return out
 
 
-def _composed_globals(skeleton: ModelSkeleton, tr: bool) -> GlobalsDecl:
+def _composed_globals(skeleton: ModelSkeleton, tr: bool, mismatch_cell: bool) -> GlobalsDecl:
     """The skeleton's cells, each one the second run owns followed by its copy.
 
     The second run owns the program variables and, under tr, the cells and
-    index of every declared output channel; the synthetic finals stream is
-    matched in place in both modes.  A copy right after its original shares
+    index of every output channel.  A copy right after its original shares
     every bit band of the variable order with it, and it is a control cell
-    when its original is one.
+    when its original is one.  With mismatch_cell the globals end with the
+    control cell MISMATCH.
     """
     decl = skeleton.spds.globals
     copied = set(skeleton.program.variables)
     if tr:
-        for spec in skeleton.channel_outputs:
+        for spec in skeleton.outputs:
             copied |= {*spec.cells, spec.index}
     cells: list[tuple[str, int]] = []
     control = set(decl.control)
@@ -94,6 +103,9 @@ def _composed_globals(skeleton: ModelSkeleton, tr: bool) -> GlobalsDecl:
             cells.append((xi_name(name), width))
             if name in decl.control:
                 control.add(xi_name(name))
+    if mismatch_cell:
+        cells.append((MISMATCH, 1))
+        control.add(MISMATCH)
     return GlobalsDecl(tuple(cells), frozenset(control))
 
 
@@ -107,7 +119,8 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     xi_stack = {s: xi_name(s) for s in symbols}
     tr = mode == MODE_TR
 
-    globals_decl = _composed_globals(skeleton, tr)
+    mismatch_cell = not tr and bool(skeleton.outputs)
+    globals_decl = _composed_globals(skeleton, tr, mismatch_cell)
 
     def is_last_trans(rule: Rule) -> bool:
         return rule.lhs == skeleton.final_symbol
@@ -124,11 +137,10 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
             rules.append(rule)
 
     resets: dict[str, Expr] = {spec.index: Num(0) for spec in skeleton.inputs}
-    for spec in skeleton.outputs:
+    if not tr:
         # The match phase re-reads first-run data in place from index 0;
         # duplicated channels keep their first-run index for the checker.
-        if not tr or spec.name == FINALVARS:
-            resets[spec.index] = Num(0)
+        resets |= {spec.index: Num(0) for spec in skeleton.outputs}
     rules.append(
         Rule(
             skeleton.final_symbol,
@@ -138,20 +150,16 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         )
     )
 
+    differs: list[Expr] = [Var(MISMATCH)] if mismatch_cell else []
+    differs += [BinOp("!=", Var(x), Var(xi_name(x))) for x in skeleton.observable_vars]
     for rule in skeleton.spds.rules:
         if is_last_trans(rule):
+            if differs:
+                end_check = RuleSpec.make(guard=_disj(differs))
+                rules.append(Rule(xi_stack[rule.lhs], (ERROR_SYMBOL,), end_check, "runs differ"))
             if tr:
                 rules.append(
                     Rule(xi_stack[rule.lhs], ("chk0",), RuleSpec.make(), "begin comparison")
-                )
-            else:
-                rules.append(
-                    Rule(
-                        xi_stack[rule.lhs],
-                        (xi_stack[rule.lhs],),
-                        RuleSpec.make(),
-                        "second run done",
-                    )
                 )
             continue
         rules.append(
@@ -180,9 +188,8 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     for spec in skeleton.outputs:
         entry, exit_ = skeleton.output_symbols[spec.name]
         if not spec.cells:
-            # A level with no observable variables writes nothing to the
-            # finals stream and never pushes its entry symbol; emitting the
-            # match rules anyway would compile guards over absent cells.
+            # At capacity 0 no write fits; emitting the bodies anyway would
+            # compile guards over absent cells.
             continue
         cap = spec.length
         q = spec.index
@@ -193,7 +200,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
             writes=(ArrayWrite(spec.cells, q, Var(TMP), f"O({spec.name})"),),
         )
         rules.append(Rule(entry, (exit_,), store, "record output"))
-        if tr and spec.name != FINALVARS:
+        if tr:
             xq = xi_name(q)
             xcells = tuple(xi_name(c) for c in spec.cells)
             write2 = RuleSpec.make(
@@ -205,9 +212,10 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         else:
             recorded = CellRef(spec.cells, q, f"O({spec.name})")
             differ = RuleSpec.make(
-                guard=BinOp("&", in_cap, BinOp("!=", recorded, Var(TMP)))
+                guard=BinOp("&", in_cap, BinOp("!=", recorded, Var(TMP))),
+                updates={q: BinOp("+", Var(q), Num(1)), MISMATCH: Num(1)},
             )
-            rules.append(Rule(xi_stack[entry], (ERROR_SYMBOL,), differ, "observation differs"))
+            rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), differ, "observation differs"))
             agree = RuleSpec.make(
                 guard=BinOp("&", in_cap, BinOp("==", recorded, Var(TMP))),
                 updates={q: BinOp("+", Var(q), Num(1))},
@@ -215,7 +223,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
             rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), agree, "output matches"))
 
     if tr:
-        for i, spec in enumerate(skeleton.channel_outputs):
+        for i, spec in enumerate(skeleton.outputs):
             here, nxt = f"chk{i}", f"chk{i + 1}"
             q, xq = spec.index, xi_name(spec.index)
             rules.append(
@@ -247,7 +255,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
             rules.append(
                 Rule(here, (nxt,), RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
             )
-        done = f"chk{len(skeleton.channel_outputs)}"
+        done = f"chk{len(skeleton.outputs)}"
         rules.append(Rule(done, (done,), RuleSpec.make(), "comparison done"))
 
     rules.append(Rule(IDLE_SYMBOL, (IDLE_SYMBOL,), RuleSpec.make(), "out of scope"))
@@ -262,7 +270,9 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
 
     initial_fixed = list(skeleton.spds.initial_fixed)
     if tr:
-        initial_fixed += [(xi_name(spec.index), 0) for spec in skeleton.channel_outputs]
+        initial_fixed += [(xi_name(spec.index), 0) for spec in skeleton.outputs]
+    if mismatch_cell:
+        initial_fixed.append((MISMATCH, 0))
 
     spds = SPDS(
         globals_decl,

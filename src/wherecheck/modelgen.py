@@ -3,18 +3,17 @@
 Each command site becomes a stack symbol; control flow is a chain of
 guarded rules between sites.  Channels above the observer level are not
 modeled at all: reads from them havoc the target variable and writes to
-them are frame rules.  Observable channels get value cells, an index
-counter and (for inputs) a sticky exhaustion flag.
+them are frame rules.  Observable channels get value cells and an index
+counter.  A read past the end of an observable input has no successor: as
+in the interpreter, such a run is stuck and never halts.
 
 Downgrade and observable-output sites push a per-site (respectively
 per-channel) entry symbol over their continuation, binding tmp to the
 communicated value.  The entry-to-exit body is deliberately absent: the
 self-composition pass stuffs it with store or match rules, and the exit
-symbol pops back to the continuation.
-
-Before the final symbol the model emits one synthesized output per
-observable variable to the reserved "finalvars" channel, making the final
-store part of the observable output stream.
+symbol pops back to the continuation.  The program's last command leads
+to the final symbol, where the self-composition compares the two runs'
+final stores.
 
 Rules hold the parser's own expression objects; the model adds only the
 guards and updates of channel bookkeeping, built from the same syntax
@@ -24,7 +23,6 @@ classes with model globals as Var names and channel reads as CellRef.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .policy import Policy
 from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY
@@ -49,7 +47,6 @@ from .syntax import (
 )
 
 TMP = "tmp"
-FINALVARS = "finalvars"
 FINAL_SYMBOL = "end"
 
 
@@ -63,10 +60,6 @@ def p_name(channel: str) -> str:
 
 def q_name(channel: str) -> str:
     return f"q[{channel}]"
-
-
-def exh_name(channel: str) -> str:
-    return f"exh[{channel}]"
 
 
 def d_name(i: int) -> str:
@@ -91,7 +84,6 @@ class ChannelSpec:
     name: str
     cells: tuple[str, ...]
     index: str  # p[...] or q[...]
-    exhausted: Optional[str] = None  # inputs only
 
     @property
     def length(self) -> int:
@@ -112,7 +104,7 @@ class ModelSkeleton:
     declass_symbols: dict[int, tuple[str, str]]  # site -> (entry, exit)
     declass_targets: dict[int, str]
     inputs: tuple[ChannelSpec, ...]
-    outputs: tuple[ChannelSpec, ...]  # finalvars last
+    outputs: tuple[ChannelSpec, ...]
     output_symbols: dict[str, tuple[str, str]]  # channel -> (entry, exit)
     final_symbol: str
     start_symbol: str
@@ -122,11 +114,6 @@ class ModelSkeleton:
             if spec.name == channel:
                 return spec
         raise KeyError(channel)
-
-    @property
-    def channel_outputs(self) -> tuple[ChannelSpec, ...]:
-        """Declared output channels, without the synthetic finals stream."""
-        return tuple(s for s in self.outputs if s.name != FINALVARS)
 
 
 def make_globals(
@@ -138,7 +125,7 @@ def make_globals(
     declass_count: int,
 ) -> GlobalsDecl:
     cells: list[tuple[str, int]] = []
-    control: set[str] = set()  # channel indices and exhaustion flags
+    control: set[str] = set()  # channel indices
     for name in variables:
         cells.append((name, bits))
     if tmp_used:
@@ -147,8 +134,7 @@ def make_globals(
         for cname in spec.cells:
             cells.append((cname, bits))
         cells.append((spec.index, index_width(spec.length)))
-        cells.append((spec.exhausted, 1))
-        control |= {spec.index, spec.exhausted}
+        control.add(spec.index)
     for spec in outputs:
         for cname in spec.cells:
             cells.append((cname, bits))
@@ -169,9 +155,6 @@ def _check_names(program: Program) -> None:
     for name in program.variables:
         if name == TMP or name.startswith("xi("):
             raise ValueError(f"variable name {name!r} is reserved by the model")
-    for name in program.channels:
-        if name == FINALVARS:
-            raise ValueError(f"channel name {name!r} is reserved")
 
 
 def build_model(
@@ -215,28 +198,18 @@ def build_model(
             name,
             tuple(cell_name(name, k) for k in range(_input_length(policy, name, capacity))),
             p_name(name),
-            exh_name(name),
         )
         for name in low_in
     )
     outputs = tuple(
         ChannelSpec(name, tuple(cell_name(name, k) for k in range(capacity)), q_name(name))
         for name in low_out
-    ) + (
-        ChannelSpec(
-            FINALVARS,
-            tuple(cell_name(FINALVARS, k) for k in range(len(observable_vars))),
-            q_name(FINALVARS),
-        ),
     )
     output_symbols = {spec.name: (f"oe[{spec.name}]", f"ox[{spec.name}]") for spec in outputs}
 
-    has_declass = bool(declass_sites)
-    has_low_output_site = any(
-        isinstance(c, Output) and policy.observable(c.channel, level)
-        for c in walk_commands(program.root)
+    tmp_used = bool(declass_sites) or any(
+        isinstance(c, Output) and c.channel in output_symbols for c in walk_commands(program.root)
     )
-    tmp_used = has_declass or has_low_output_site or bool(observable_vars)
 
     globals_decl = make_globals(
         tuple(program.variables), bits, tmp_used, inputs, outputs, len(declass_sites)
@@ -293,16 +266,11 @@ def build_model(
                         },
                     )
                     rules.append(Rule(sym, (next_sym,), in_range, f"read {channel}"))
-                    exhausted = RuleSpec.make(
-                        guard=BinOp("<=", Num(spec.length), Var(spec.index)),
-                        updates={target: HAVOC, spec.exhausted: Num(1)},
-                    )
-                    rules.append(Rule(sym, (next_sym,), exhausted, f"{channel} exhausted"))
                 else:
                     spec = RuleSpec.make(updates={target: HAVOC})
                     rules.append(Rule(sym, (next_sym,), spec, f"unobservable read into {target}"))
             case Output(_, expr, channel):
-                if channel in output_symbols and channel != FINALVARS:
+                if channel in output_symbols:
                     entry, _ = output_symbols[channel]
                     push = RuleSpec.make(updates={TMP: expr})
                     rules.append(Rule(sym, (entry, next_sym), push, f"write {channel}"))
@@ -311,12 +279,7 @@ def build_model(
             case _:
                 raise TypeError(f"unknown command: {cmd!r}")
 
-    fv_chain = [f"fv{k}" for k in range(len(observable_vars))] + [FINAL_SYMBOL]
-    emit(program.root, fv_chain[0])
-    fv_entry, _ = output_symbols[FINALVARS]
-    for k, name in enumerate(observable_vars):
-        push = RuleSpec.make(updates={TMP: Var(name)})
-        rules.append(Rule(fv_chain[k], (fv_entry, fv_chain[k + 1]), push, f"final value of {name}"))
+    emit(program.root, FINAL_SYMBOL)
     for spec in outputs:
         _, exit_ = output_symbols[spec.name]
         rules.append(Rule(exit_, (), RuleSpec.make(), f"{spec.name} write done"))
@@ -329,9 +292,7 @@ def build_model(
                 alphabet.append(s)
 
     initial_fixed = tuple(
-        [(spec.index, 0) for spec in inputs]
-        + [(spec.exhausted, 0) for spec in inputs]
-        + [(spec.index, 0) for spec in outputs]
+        [(spec.index, 0) for spec in inputs] + [(spec.index, 0) for spec in outputs]
     )
     start = _first_symbol(program.root)
     spds = SPDS(globals_decl, tuple(alphabet), tuple(rules), start, initial_fixed)

@@ -29,7 +29,6 @@ from .syntax import (
     walk_commands,
 )
 
-RESERVED_CHANNELS = ("finalvars",)
 RESERVED_VARIABLES = ("tmp",)  # the model's scratch cell, modelgen.TMP
 
 
@@ -148,8 +147,6 @@ def parse_policy(text: str) -> Policy:
             name, level, direction = fields[1], fields[3], fields[4]
             if name in sigma:
                 raise PolicyError(f"line {lineno}: duplicate declaration of {name!r}")
-            if name in RESERVED_CHANNELS:
-                raise PolicyError(f"line {lineno}: channel name {name!r} is reserved")
             check_level(level, lineno)
             if direction not in ("input", "output"):
                 raise PolicyError(f"line {lineno}: bad channel direction {direction!r}")

@@ -37,8 +37,12 @@ Witness extraction does not walk the saturation history.  It re-runs a
 layered breadth-first search with the same relation algebra (layer k holds
 the valuations first reached in k rule applications, per stack word), then
 concretizes one shortest path backwards, picking the numerically smallest
-valuation at every step.  The decoded two-run counterexample is replayed
-through the reference interpreter and the replay verdict is recorded.
+valuation at every step.  The mismatch is read from that path: the step
+that first set the store-match MISMATCH cell names the output channel and
+position; failing that, the first observable variable whose two copies
+differ at the end; under tr, the channel checker that entered error.  The
+decoded two-run counterexample is replayed through the reference
+interpreter and the replay verdict is recorded.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bdd import BDD, BudgetExceeded
-from .compose import ComposedModel, MODE_TR
-from .modelgen import FINALVARS, xi_name
+from .compose import MISMATCH, ComposedModel
+from .modelgen import xi_name
 from .semantics import OUTCOME_HALTED, low_equiv_store, run_program
 from .spds import RelationAlgebra, SPDS, successors
 from .syntax import Input
@@ -212,8 +216,8 @@ class Witness:
     mu2: dict[str, int]
     inputs1: dict[str, tuple[int, ...]]
     inputs2: dict[str, tuple[int, ...]]
-    channel: str
-    index: int
+    channel: Optional[str]  # the output channel that differs; None for the final store
+    index: int  # position in that channel, or of the variable in observable_vars
     replay_ok: bool = False
     replay_outcomes: tuple[str, str] = ("", "")
 
@@ -333,28 +337,31 @@ def _decode(model: ComposedModel, steps: list[WitnessStep]) -> Witness:
     )
 
 
-def _mismatch_location(model: ComposedModel, steps: list[WitnessStep]) -> tuple[str, int]:
+def _mismatch_location(
+    model: ComposedModel, steps: list[WitnessStep]
+) -> tuple[Optional[str], int]:
     skel = model.skeleton
     last = model.spds.rules[steps[-1].rule_index]
     before = steps[-2].valuation
-    if model.mode == MODE_TR:
-        m = re.match(r"chk(\d+)$", last.lhs)
-        if m:
-            spec = skel.channel_outputs[int(m.group(1))]
-            q1, q2 = before[spec.index], before[xi_name(spec.index)]
-            if q1 != q2:
-                return spec.name, min(q1, q2)
-            for k, cell in enumerate(spec.cells):
-                if k < q1 and before[cell] != before[xi_name(cell)]:
-                    return spec.name, k
-            raise RuntimeError("checker fired without a stream difference")
-        # finals mismatches surface at the match rule, as in storematch
-    entry, _ = _strip_second_run(last.lhs)
-    for name, (sym_entry, _) in skel.output_symbols.items():
-        if sym_entry == entry:
-            spec = skel.output_spec(name)
-            return name, before[spec.index]
-    raise RuntimeError(f"error rule {last.lhs!r} is not an output comparison")
+    m = re.match(r"chk(\d+)$", last.lhs)  # tr's channel checker
+    if m:
+        spec = skel.outputs[int(m.group(1))]
+        q1, q2 = before[spec.index], before[xi_name(spec.index)]
+        if q1 != q2:
+            return spec.name, min(q1, q2)
+        for k, cell in enumerate(spec.cells):
+            if k < q1 and before[cell] != before[xi_name(cell)]:
+                return spec.name, k
+        raise RuntimeError("checker fired without a stream difference")
+    for k in range(1, len(steps)):
+        if steps[k].valuation.get(MISMATCH):
+            entry, _ = _strip_second_run(model.spds.rules[steps[k].rule_index].lhs)
+            name = next(n for n, (e, _) in skel.output_symbols.items() if e == entry)
+            return name, steps[k - 1].valuation[skel.output_spec(name).index]
+    for k, x in enumerate(skel.observable_vars):
+        if before[x] != before[xi_name(x)]:
+            return None, k
+    raise RuntimeError("end check fired without a difference")
 
 
 def _stream_difference(o1: tuple[int, ...], o2: tuple[int, ...], k: int) -> bool:
@@ -390,7 +397,7 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
     rel1, rel2 = _releases(t1), _releases(t2)
     if any(rel1[site] != rel2[site] for site in rel1.keys() & rel2.keys()):
         return False, outcomes
-    if witness.channel == FINALVARS:
+    if witness.channel is None:
         var = skel.observable_vars[witness.index]
         ok = t1.final.mu.get(var) != t2.final.mu.get(var)
     else:
@@ -427,7 +434,7 @@ def format_witness(model: ComposedModel, witness: Witness) -> str:
         f"run 1: store {witness.mu1} inputs {witness.inputs1}",
         f"run 2: store {witness.mu2} inputs {witness.inputs2}",
     ]
-    if witness.channel == FINALVARS:
+    if witness.channel is None:
         var = skel.observable_vars[witness.index]
         lines.append(f"mismatch: final value of {var}")
     else:

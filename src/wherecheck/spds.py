@@ -19,11 +19,12 @@ cell is written.
 Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
 and 3t+2 (next).  Every level map of the relation algebra's relprod steps
 moves bits sideways within their triples and is therefore order-preserving.
-Slots are handed out control cells first (channel indices and exhaustion
-flags), then in bands: band j holds bit j, counted from the most significant
-bit, of every remaining cell wider than j, in declaration order.  A cell and its
-second-run copy therefore sit side by side in every band, which keeps the
-equalities that self-composition builds between them linear in the width.
+Slots are handed out control cells first (channel indices and the
+store-match mismatch cell), then in bands: band j holds bit j, counted from
+the most significant bit, of every remaining cell wider than j, in
+declaration order.  A cell and its second-run copy therefore sit side by
+side in every band, which keeps the equalities that self-composition
+builds between them linear in the width.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Driver tests: verdicts, exit codes, machine lines, search and bench."""
 
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,11 +155,28 @@ def chain_program(n: int) -> tuple[str, str]:
     return text, policy
 
 
-def test_wide_chain_is_inconclusive_not_insecure(tmp_path, capsys):
-    # 24 variables at 8 bits: the composed state is deeper than Python's
-    # recursion limit, which must not surface as exit code 1 (insecure).
+def test_wide_chain_reaches_a_verdict(tmp_path, capsys):
+    # 24 variables at 8 bits: 384 global bits in the composed state
     args = write_pair(tmp_path, *chain_program(24))
     code, out, _ = run(capsys, ["analyze", *args, "--bits", "8"])
+    assert code == EXIT_INSECURE
+    assert result_lines(out) == [
+        "RESULT level=H verdict=secure",
+        "RESULT level=L verdict=insecure",
+        "RESULT overall=insecure",
+    ]
+
+
+def test_recursion_overflow_is_inconclusive_not_insecure(tmp_path, capsys):
+    # A limit 100 frames above this one leaves the parser room but not the
+    # BDD kernels; the overflow must not surface as exit code 1 (insecure).
+    args = write_pair(tmp_path, *chain_program(12))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code, out, _ = run(capsys, ["analyze", *args, "--bits", "8"])
+    finally:
+        sys.setrecursionlimit(limit)
     assert code == EXIT_INCONCLUSIVE
     assert "RESULT overall=inconclusive" in out
     assert "inconclusive (recursion limit" in out
@@ -240,6 +259,32 @@ def test_out_of_range_number_is_usage_error(capsys, command, flag, value):
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"bits": 0}, "bits"), ({"bits": -1}, "bits"), ({"capacity": -1}, "capacity")],
+)
+def test_analyze_rejects_out_of_range_numbers(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        analyze(CORPUS / "P0", CORPUS / "P0.policy", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name", [({"max_bits": 0}, "max_bits"), ({"capacity": -1}, "capacity")]
+)
+def test_find_nmin_rejects_out_of_range_numbers(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        find_nmin(CORPUS / "P3", CORPUS / "P3.policy", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name", [({"bits": 0}, "bits"), ({"capacity": -1}, "capacity")]
+)
+def test_bench_rejects_out_of_range_numbers(tmp_path, kwargs, name):
+    # checked before the corpus is read: this directory holds no pairs
+    with pytest.raises(ValueError, match=name):
+        bench(tmp_path, **kwargs)
 
 
 def test_missing_file_exits_three(capsys):

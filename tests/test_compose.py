@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -7,14 +8,17 @@ from wherecheck.compose import (
     ERROR_SYMBOL,
     IDLE_SYMBOL,
     INIT_SYMBOL,
+    MISMATCH,
     self_compose,
     tr_compose,
 )
-from wherecheck.modelgen import FINALVARS, build_model, index_width, xi_name
+from wherecheck.modelgen import build_model, index_width, xi_name
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.spds import dump_spds, successors
 from wherecheck.syntax import BinOp, CellRef, Var
+
+from test_pinned_outputs import _cases
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 TABLE3 = [f"P{i}" for i in range(8)]
@@ -44,8 +48,8 @@ def outgoing(model: ComposedModel, symbol: str):
 def test_p0_storematch_rule_count_frozen():
     program, policy = load("P0")
     skel = build_model(program, policy, "L", bits=3)
-    assert len(skel.spds.rules) == 6
-    assert len(self_compose(skel).spds.rules) == 20
+    assert len(skel.spds.rules) == 4
+    assert len(self_compose(skel).spds.rules) == 13
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -114,16 +118,10 @@ def test_restart_rewinds_channel_indices(mode, resets_outputs):
     assert rst.rhs == (model.xi_stack[skel.start_symbol],)
     reset_names = {name for name, _ in rst.spec.updates}
     expected = {spec.index for spec in skel.inputs}
-    # the finals stream is matched in place in both modes, so its index
-    # always rewinds; a duplicated channel keeps its first-run index
-    expected |= {
-        spec.index
-        for spec in skel.outputs
-        if resets_outputs or spec.name == FINALVARS
-    }
+    # a duplicated channel keeps its first-run index for the checker
+    if resets_outputs:
+        expected |= {spec.index for spec in skel.outputs}
     assert reset_names == expected
-    # exhaustion flags survive the restart: both runs see the same cut-off
-    assert not any(name.startswith("exh") for name in reset_names)
 
 
 def test_downgrade_stuffing_shape():
@@ -152,16 +150,57 @@ def test_downgrade_stuffing_shape():
 
 
 def test_output_match_shape():
-    program, policy = load("P0")
+    program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
     (spec,) = skel.outputs
     entry, exit_ = skel.output_symbols[spec.name]
     second = outgoing(model, model.xi_stack[entry])
-    assert [r.rhs for r in second] == [(ERROR_SYMBOL,), (model.xi_stack[exit_],)]
+    # a differing output only sets the mismatch cell: the second run goes on
+    assert [r.rhs for r in second] == [(model.xi_stack[exit_],)] * 2
     differ, agree = second
     assert any(isinstance(e, CellRef) for e in (differ.spec.guard.right.left,))
+    assert {n for n, _ in differ.spec.updates} == {spec.index, MISMATCH}
     assert {n for n, _ in agree.spec.updates} == {spec.index}
+
+
+@pytest.mark.parametrize("mode", [self_compose, tr_compose])
+def test_second_run_end_is_the_only_way_into_error(mode):
+    program, policy = load("P0")
+    model = mode(build_model(program, policy, "L", bits=2))
+    skel = model.skeleton
+    end = model.xi_stack[skel.final_symbol]
+    into_error = [r for r in model.spds.rules if ERROR_SYMBOL in r.rhs]
+    if mode is tr_compose:
+        into_error = [r for r in into_error if not r.lhs.startswith("chk")]
+    assert [r.lhs for r in into_error] == [end]
+    # the end check comes first, so under tr final values are compared
+    # before the channel checker
+    assert [r.rhs for r in outgoing(model, end)][0] == (ERROR_SYMBOL,)
+    guard = into_error[0].spec.guard
+    assert guard == BinOp("!=", Var("l"), Var(xi_name("l")))
+
+
+def test_end_check_reads_the_mismatch_cell_and_every_observable():
+    pol = "lattice: L < H\nvar l : L\nvar m : L\nvar h : H\nchannel snk : L output\n"
+    model = compose("output(h, snk); l := m", pol, self_compose)
+    (check,) = outgoing(model, model.xi_stack[model.skeleton.final_symbol])
+    assert check.rhs == (ERROR_SYMBOL,)
+    assert check.spec.guard == BinOp(
+        "|",
+        BinOp("|", Var(MISMATCH), BinOp("!=", Var("l"), Var(xi_name("l")))),
+        BinOp("!=", Var("m"), Var(xi_name("m"))),
+    )
+    assert model.spds.globals.width_of(MISMATCH) == 1
+    assert dict(model.spds.initial_fixed)[MISMATCH] == 0
+
+
+def test_mismatch_cell_only_in_storematch_models_with_a_low_output_channel():
+    low = "lattice: L < H\nvar h : H\nchannel snk : L output\n"
+    high = "lattice: L < H\nvar h : H\nchannel snk : H output\n"
+    assert MISMATCH in compose("output(h, snk)", low, self_compose).spds.globals.names
+    assert MISMATCH not in compose("output(h, snk)", low, tr_compose).spds.globals.names
+    assert MISMATCH not in compose("output(h, snk)", high, self_compose).spds.globals.names
 
 
 SINK_POLICY = "lattice: L < H\nvar l : L\nvar h : H\nchannel snk : L output\n"
@@ -178,10 +217,6 @@ def test_tr_duplicates_output_channels():
     assert all(xi_name(c) in names for c in snk.cells)
     assert store.spds.globals.total_bits < tr.spds.globals.total_bits
     assert dict(tr.spds.initial_fixed)[xi_name(snk.index)] == 0
-    # the finals stream gets no copy; its cells stay shared
-    finals = skel.output_spec(FINALVARS)
-    assert xi_name(finals.index) not in names
-    assert all(xi_name(c) not in names for c in finals.cells)
 
 
 def test_composed_order_puts_control_first_and_pairs_copies():
@@ -192,9 +227,9 @@ def test_composed_order_puts_control_first_and_pairs_copies():
     )
     skel = build_model(program, policy, "L", bits=3, capacity=2)
     src, snk = skel.inputs[0], skel.output_spec("snk")
-    shared = {src.index, src.exhausted, snk.index, skel.output_spec(FINALVARS).index}
+    shared = {src.index, snk.index}
     for model, control in (
-        (self_compose(skel), shared),
+        (self_compose(skel), shared | {MISMATCH}),
         (tr_compose(skel), shared | {xi_name(snk.index)}),
     ):
         g = model.spds.globals
@@ -213,7 +248,8 @@ def test_composed_order_puts_control_first_and_pairs_copies():
 
 
 def test_tr_overhead_is_one_channel_copy():
-    # a single low output channel: the baseline pays exactly one copy
+    # a single low output channel: the baseline pays exactly one copy,
+    # store-match its 1-bit mismatch cell
     program, policy = prog(
         "while 0 do output(0, snk) od", "lattice: L < H\nchannel snk : L output\n"
     )
@@ -222,7 +258,7 @@ def test_tr_overhead_is_one_channel_copy():
         tr_compose(skel).spds.globals.total_bits
         - self_compose(skel).spds.globals.total_bits
     )
-    assert delta == 8 * 3 + index_width(8)
+    assert delta == 8 * 3 + index_width(8) - 1
 
 
 def test_tr_matches_storematch_bits_without_channels():
@@ -237,6 +273,8 @@ def test_tr_matches_storematch_bits_without_channels():
 def test_tr_checker_chain_shape():
     program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
     model = tr_compose(build_model(program, policy, "L", bits=2))
+    end = outgoing(model, model.xi_stack[model.skeleton.final_symbol])
+    assert [r.rhs for r in end] == [(ERROR_SYMBOL,), ("chk0",)]
     first = outgoing(model, "chk0")
     assert [r.rhs for r in first] == [(ERROR_SYMBOL,), (ERROR_SYMBOL,), ("chk1",)]
     done = outgoing(model, "chk1")
@@ -247,13 +285,6 @@ def test_tr_checker_chain_shape():
     entry = model.xi_stack[skel.output_symbols["snk"][0]]
     (writer,) = outgoing(model, entry)
     assert writer.spec.writes[0].cells == tuple(xi_name(c) for c in snk.cells)
-    # while the finals stream keeps the in-place match pair
-    fv_entry = model.xi_stack[skel.output_symbols[FINALVARS][0]]
-    fv_rules = outgoing(model, fv_entry)
-    assert [r.rhs for r in fv_rules] == [
-        (ERROR_SYMBOL,),
-        (model.xi_stack[skel.output_symbols[FINALVARS][1]],),
-    ]
 
 
 def test_tr_chain_is_empty_without_channels():
@@ -307,3 +338,14 @@ def test_explicit_reachability_agrees_on_tiny_programs(mode):
     assert not error_reachable(sanctioned)
     noop = compose("skip", pol, mode, bits=1)
     assert not error_reachable(noop)
+
+
+def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
+    stale = re.compile(r"finalvars|exh\[|fv\d")
+    for name, text, pol, bits, capacity, _ in _cases():
+        program, policy = prog(text, pol)
+        for level in sorted(policy.domains):
+            skel = build_model(program, policy, level, bits=bits, capacity=capacity)
+            for model in (self_compose(skel), tr_compose(skel)):
+                names = [*model.spds.globals.names, *model.spds.alphabet]
+                assert not [n for n in names if stale.search(n)], (name, level)

@@ -5,7 +5,6 @@ import pytest
 
 from wherecheck.modelgen import (
     FINAL_SYMBOL,
-    FINALVARS,
     TMP,
     ModelSkeleton,
     build_model,
@@ -21,7 +20,6 @@ from wherecheck.syntax import (
     BinOp,
     DeclassAssign,
     If,
-    Num,
     Output,
     While,
     walk_commands,
@@ -49,7 +47,7 @@ def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
     report["vars"] = len(skeleton.program.variables) * bits
     report[TMP] = bits if TMP in skeleton.spds.globals.names else 0
     for spec in skeleton.inputs:
-        report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length) + 1
+        report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length)
     for spec in skeleton.outputs:
         report[f"out {spec.name}"] = spec.length * bits + index_width(spec.length)
     report["downgrades"] = len(skeleton.declass_sites) * bits
@@ -98,16 +96,26 @@ def test_p1_bit_budget_frozen():
     assert report["vars"] == 6
     assert report["tmp"] == 3
     assert report["downgrades"] == 3
-    assert report[f"out {FINALVARS}"] == 5  # one cell plus a 2-bit counter
-    assert report["total"] == 17
+    assert report["total"] == 12
 
 
-def test_skip_bit_budget_is_index_only():
+def test_skip_has_no_globals():
     program, policy = prog("skip", "lattice: L < H\n")
     skel = build_model(program, policy, "L", bits=3)
-    report = count_globals(skel)
-    assert report["total"] == 1
-    assert skel.spds.globals.names == [f"q[{FINALVARS}]"]
+    assert count_globals(skel)["total"] == 0
+    assert skel.spds.globals.names == []
+
+
+def test_tmp_only_where_an_output_or_downgrade_site_uses_it():
+    pol = "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n"
+    for text, used in [
+        ("l := h", False),
+        ("output(h, o)", True),
+        ("l := declass(h)", True),
+    ]:
+        program, policy = prog(text, pol)
+        names = build_model(program, policy, "L", bits=2).spds.globals.names
+        assert (TMP in names) == used, text
 
 
 def test_capacity_scales_only_channel_cells():
@@ -130,12 +138,10 @@ def test_p0_skeleton_shape():
     assert skel.rho == {1: 0}
     assert skel.declass_targets == {1: "l"}
     assert skel.observable_vars == ("l",)
-    assert skel.outputs[-1].name == FINALVARS
-    assert skel.outputs[-1].cells == (f"{FINALVARS}[0]",)
+    assert skel.outputs == ()
     assert "D[0]" in skel.spds.globals.names
-    # One synthesized final output push for l.
-    finals = [r for r in skel.spds.rules if r.lhs == "fv0"]
-    assert len(finals) == 1 and finals[0].rhs[0] == f"oe[{FINALVARS}]"
+    # The last command leads straight to the final symbol.
+    assert [r.rhs for r in skel.spds.rules if r.lhs == "g1"] == [("de1", FINAL_SYMBOL)]
 
 
 def test_high_output_is_frame_rule_without_channel_state():
@@ -149,8 +155,9 @@ def test_high_output_is_frame_rule_without_channel_state():
     site_rules = [r for r in skel.spds.rules if r.lhs == "g0"]
     assert len(site_rules) == 1
     rule = site_rules[0]
-    assert rule.rhs == ("fv0",)
+    assert rule.rhs == (FINAL_SYMBOL,)
     assert rule.spec.guard is None and rule.spec.updates == ()
+    assert TMP not in names
 
 
 def test_low_input_rule_shape():
@@ -161,14 +168,13 @@ def test_low_input_rule_shape():
     skel = build_model(program, policy, "L", bits=3)
     spec = skel.inputs[0]
     assert spec.cells == ("in0[0]", "in0[1]")
-    rules = [r for r in skel.spds.rules if r.lhs == "g0"]
-    assert len(rules) == 2  # in-range read plus exhausted havoc
-    in_range = rules[0].spec
-    updates = dict(in_range.updates)
+    (rule,) = [r for r in skel.spds.rules if r.lhs == "g0"]
+    updates = dict(rule.spec.updates)
     assert "x" in updates and "p[in0]" in updates
-    exhausted = rules[1].spec
-    assert dict(exhausted.updates)["x"] is HAVOC
-    assert dict(exhausted.updates)["exh[in0]"] == Num(1)
+    # a read past the end has no successor, as in the interpreter
+    g = skel.spds.globals
+    assert list(successors(skel.spds, g.valuation({"p[in0]": 1}), ("g0",)))
+    assert not list(successors(skel.spds, g.valuation({"p[in0]": 2}), ("g0",)))
 
 
 def test_high_input_havocs_target():

@@ -57,11 +57,6 @@ def test_unknown_level_rejected():
         parse_policy("lattice: L < H\nvar x : M\n")
 
 
-def test_reserved_channel_rejected():
-    with pytest.raises(PolicyError):
-        parse_policy("lattice: L < H\nchannel finalvars : L output\n")
-
-
 def test_malformed_lines_rejected():
     for bad in ["frob x y", "var x L", "channel c : L sideways"]:
         with pytest.raises(PolicyError):

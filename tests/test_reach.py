@@ -6,11 +6,12 @@ import pytest
 
 from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import self_compose, tr_compose
-from wherecheck.modelgen import FINALVARS, build_model
+from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
+    Witness,
     explicit_error_search,
     extract_witness,
     is_error_reachable,
@@ -240,7 +241,7 @@ def test_leak_witness_decodes_and_replays():
     w = extract_witness(auto, model)
     assert w.mu1["h"] != w.mu2["h"]
     assert w.mu1["l"] == w.mu2["l"]
-    assert w.channel == FINALVARS
+    assert w.channel is None
     assert model.skeleton.observable_vars[w.index] == "l"
     assert w.replay_ok
     assert w.inputs1 == {} and w.inputs2 == {}
@@ -344,20 +345,58 @@ def test_replay_rejects_bogus_mismatch():
 
 
 def test_replay_rejects_witness_breaking_the_downgrade_premise():
-    # storematch finds a false witness here: the two runs release different
-    # values at the downgrade site, so their output gap proves nothing
-    gen = generate(81, GenConfig(io=True))
-    model = build(gen.text, gen.policy_text, bits=2, capacity=4)
+    # the two runs release different values at the downgrade site, so the
+    # gap in l proves nothing
+    model = build("l := declass(h)", "lattice: L < H\nvar h : H\nvar l : L\n")
+    w = Witness([], {"h": 0, "l": 0}, {"h": 1, "l": 0}, {}, {}, channel=None, index=0)
+    ok, outcomes = replay_witness(model, w)
+    assert not ok
+    assert outcomes == ("halted", "halted")
+
+
+@pytest.mark.parametrize("mode", [self_compose, tr_compose])
+def test_an_output_gap_counts_only_if_the_second_run_halts(mode):
+    # a run with h != 0 never halts, so two halting runs write the same value
+    model = build(
+        "output(h, snk); while h do skip od",
+        "lattice: L < H\nvar h : H\nchannel snk : L output\n",
+        mode=mode,
+    )
+    assert not is_error_reachable(post_star(model), model)
+    assert not explicit_error_search(model)
+
+
+@pytest.mark.parametrize("mode", [self_compose, tr_compose])
+def test_read_past_the_end_blocks(mode):
+    # only the run with h == 0 can read y; the other run is stuck, not done
+    model = build(
+        "if h then input(x, src) else skip fi; input(y, src); l := y",
+        "lattice: L < H\nvar h : H\nvar x : L\nvar y : L\nvar l : L\n"
+        "channel src : L input length 1\n",
+        mode=mode,
+    )
+    assert not is_error_reachable(post_star(model), model)
+    assert not explicit_error_search(model)
+
+
+def test_first_mismatched_output_names_the_witness_channel():
+    # the output differs first, then l; the step that set the mismatch cell wins
+    model = build(
+        "output(h, snk); l := h",
+        "lattice: L < H\nvar h : H\nvar l : L\nchannel snk : L output\n",
+    )
     w = extract_witness(post_star(model), model)
-    assert w.replay_ok is False
-    assert w.replay_outcomes == ("halted", "halted")
+    assert (w.channel, w.index) == ("snk", 0)
+    assert w.mu1["h"] != w.mu2["h"]
+    assert w.replay_ok
 
 
 def test_tr_witness_decodes():
     program, policy = load("P3")
     model = tr_compose(build_model(program, policy, "L", bits=1, capacity=2))
     w = extract_witness(post_star(model), model)
-    assert w.channel == FINALVARS
+    assert w.channel is None
+    assert model.skeleton.observable_vars[w.index] == "l2"
     assert w.replay_ok
 
 
