@@ -7,13 +7,14 @@ kernel, the relational product with substitution (Burch, Clarke, McMillan,
 Dill & Hwang 1990): relprod conjoins two diagrams whose levels it relabels,
 quantifies some product levels and places the rest at their result levels
 as it builds.  It only supports order-preserving level maps, which is all
-the relation algebra here needs: pair relations place the current-state
-copy of global bit slot k at level 3k, a scratch copy at 3k+1 and the
-next-state copy at 3k+2, so moving a whole block sideways never swaps two
-levels.  Below the deepest level a step moves or quantifies, every map is
-the identity and nothing is quantified, so there the product is a plain
-conjunction: relprod hands that tail to conj, whose cache every step
-shares, and the result is the same canonical node.
+the relation algebra here needs: rule relations place the current-state
+copy of global bit slot k at level 2k and the next-state copy at 2k+1, and
+a step moves a bit only between the two levels of its slot, over a level
+it quantifies, so it never swaps two kept levels.  Below the deepest level
+a step moves or quantifies, every map is the identity and nothing is
+quantified, so there the product is a plain conjunction: relprod hands
+that tail to conj, whose cache every step shares, and the result is the
+same canonical node.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_RELPROD = range(6)
 _NODE_ID_LIMIT = 1 << 30
 _STEP_ID_LIMIT = 1 << 12
 # Operation caches are memo tables, so dropping them wholesale is always
-# sound; the cap keeps long saturations from hoarding memory.
+# sound; the cap keeps long searches from hoarding memory.
 _CACHE_LIMIT = 6_000_000
 
 

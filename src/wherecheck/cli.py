@@ -1,6 +1,6 @@
 """Command line driver.
 
-Wires the pipeline (parse, model, compose, saturate, decide) across every
+Wires the pipeline (parse, model, compose, search, decide) across every
 security level of the policy lattice, searches for the minimal bit width
 that exposes a leak, and benchmarks the two composition backends against
 each other.
@@ -141,7 +141,7 @@ def analyze(
 ) -> AnalysisReport:
     """Decide where-security at every level of the policy lattice.
 
-    Each level gets its own model, composition and saturation; the overall
+    Each level gets its own model, composition and search; the overall
     verdict is secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
     of aborting the report.  A width below 1 or a capacity below 0 raises
@@ -255,7 +255,7 @@ class BenchTable:
 
     @property
     def step_ratio(self) -> float:
-        """Aggregate storematch/tr saturation-step ratio (< 1 favors storematch)."""
+        """Aggregate storematch/tr search-step ratio (< 1 favors storematch)."""
         total_tr = sum(r.tr_steps for r in self.rows)
         if total_tr == 0:
             return 0.0

@@ -1,15 +1,18 @@
-"""Self-composition of a model skeleton into a pair-run pushdown system.
+"""Self-composition of a model skeleton into a pair-run finite-state system.
 
 The composed system runs the program twice in sequence over one shared set
 of channels.  Run one executes the original rules and additionally records
 every downgraded value in the 𝒟 array and every observable output in the
 channel cells.  A restart rule then rewinds the channel indices and starts
-the renamed copy, whose downgrade bodies must match the recorded 𝒟 entry
+the renamed copy, whose downgrade sites must match the recorded 𝒟 entry
 (a mismatch falsifies the property's premise and parks the run on idle)
-and whose output bodies compare with the recorded cells.  A differing
+and whose output sites compare with the recorded cells.  A differing
 output does not end the run: it sets the 1-bit control cell MISMATCH and
 the second run goes on, since an observation difference is a leak only if
-the second run also halts.
+the second run also halts.  Each downgrade and observable-output site rule
+of the skeleton is replaced, in each run and in its own place, by the
+site's store, match or compare rules, which evaluate the site's own
+expression, so every composed rule still moves to exactly one symbol.
 
 The second run's normal end is the one place where the system can enter
 error: the end check fires when MISMATCH is set or when some observable
@@ -35,9 +38,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modelgen import TMP, ModelSkeleton, d_name, xi_name
+from .modelgen import ModelSkeleton, d_name, site_symbol, xi_name
 from .spds import ArrayWrite, GlobalsDecl, Rule, RuleSpec, SPDS
-from .syntax import BinOp, CellRef, Expr, Num, Var
+from .syntax import (
+    BinOp,
+    CellRef,
+    Command,
+    DeclassAssign,
+    Expr,
+    Num,
+    Output,
+    Var,
+    subst_vars,
+    walk_commands,
+)
 
 MODE_STORE_MATCH = "storematch"
 MODE_TR = "tr"
@@ -56,7 +70,7 @@ class ComposedModel:
     spds: SPDS
     skeleton: ModelSkeleton
     mode: str
-    xi_stack: dict[str, str]  # original stack symbol -> renamed copy
+    xi_symbols: dict[str, str]  # skeleton control symbol -> its second-run copy
 
     @property
     def level(self) -> str:
@@ -109,21 +123,87 @@ def _composed_globals(skeleton: ModelSkeleton, tr: bool, mismatch_cell: bool) ->
     return GlobalsDecl(tuple(cells), frozenset(control))
 
 
+def _site_bodies(skeleton: ModelSkeleton) -> dict[str, Command]:
+    """The command of each real downgrade and observable-output site, by site symbol."""
+    observable = {spec.name for spec in skeleton.outputs}
+    return {
+        site_symbol(cmd.site.id): cmd
+        for cmd in walk_commands(skeleton.program.root)
+        if (isinstance(cmd, DeclassAssign) and cmd.site.id in skeleton.rho)
+        or (isinstance(cmd, Output) and cmd.channel in observable)
+    }
+
+
+def _channel_write(cells: tuple[str, ...], index: str, expr: Expr, label: str) -> RuleSpec:
+    """cells[index] := expr and index += 1, while a cell is left."""
+    return RuleSpec.make(
+        guard=BinOp("<", Var(index), Num(len(cells))),
+        updates={index: BinOp("+", Var(index), Num(1))},
+        writes=(ArrayWrite(cells, index, expr, label),),
+    )
+
+
+def _first_run_body(skeleton: ModelSkeleton, cmd: Command, lhs: str, rhs: str) -> list[Rule]:
+    """Run one records the downgraded value in its 𝒟 cell and the output in its channel."""
+    if isinstance(cmd, DeclassAssign):
+        cell = d_name(skeleton.rho[cmd.site.id])
+        store = RuleSpec.make(updates={cell: cmd.expr, cmd.target: cmd.expr})
+        return [Rule(lhs, (rhs,), store, "record downgrade")]
+    spec = skeleton.output_spec(cmd.channel)
+    if not spec.cells:
+        # At capacity 0 no write fits and the run blocks here.
+        return []
+    store = _channel_write(spec.cells, spec.index, cmd.expr, f"O({spec.name})")
+    return [Rule(lhs, (rhs,), store, "record output")]
+
+
+def _second_run_body(
+    skeleton: ModelSkeleton, cmd: Command, var_map: dict[str, str], lhs: str, rhs: str, tr: bool
+) -> list[Rule]:
+    """Run two matches run one's record, or under tr writes its own channel copy."""
+    expr = subst_vars(cmd.expr, var_map)
+    if isinstance(cmd, DeclassAssign):
+        cell = d_name(skeleton.rho[cmd.site.id])
+        mismatch = RuleSpec.make(guard=BinOp("!=", Var(cell), expr))
+        match = RuleSpec.make(
+            guard=BinOp("==", Var(cell), expr), updates={xi_name(cmd.target): expr}
+        )
+        return [
+            Rule(lhs, (IDLE_SYMBOL,), mismatch, "premise fails"),
+            Rule(lhs, (rhs,), match, "downgrade matches"),
+        ]
+    spec = skeleton.output_spec(cmd.channel)
+    if not spec.cells:
+        return []
+    q = spec.index
+    if tr:
+        xcells = tuple(xi_name(c) for c in spec.cells)
+        write2 = _channel_write(xcells, xi_name(q), expr, f"O'({spec.name})")
+        return [Rule(lhs, (rhs,), write2, "second-run output")]
+    in_cap = BinOp("<", Var(q), Num(spec.length))
+    recorded = CellRef(spec.cells, q, f"O({spec.name})")
+    differ = RuleSpec.make(
+        guard=BinOp("&", in_cap, BinOp("!=", recorded, expr)),
+        updates={q: BinOp("+", Var(q), Num(1)), MISMATCH: Num(1)},
+    )
+    agree = RuleSpec.make(
+        guard=BinOp("&", in_cap, BinOp("==", recorded, expr)),
+        updates={q: BinOp("+", Var(q), Num(1))},
+    )
+    return [
+        Rule(lhs, (rhs,), differ, "observation differs"),
+        Rule(lhs, (rhs,), agree, "output matches"),
+    ]
+
+
 def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     var_map = {name: xi_name(name) for name in skeleton.program.variables}
-    # Entry/exit markers of an empty channel never occur in skeleton rules
-    # but the stuffed bodies below still attach to them.
-    symbols = list(skeleton.spds.alphabet)
-    for pair in (*skeleton.declass_symbols.values(), *skeleton.output_symbols.values()):
-        symbols += [s for s in pair if s not in symbols]
-    xi_stack = {s: xi_name(s) for s in symbols}
+    xi_symbols = {s: xi_name(s) for s in skeleton.spds.alphabet}
+    bodies = _site_bodies(skeleton)
     tr = mode == MODE_TR
 
     mismatch_cell = not tr and bool(skeleton.outputs)
     globals_decl = _composed_globals(skeleton, tr, mismatch_cell)
-
-    def is_last_trans(rule: Rule) -> bool:
-        return rule.lhs == skeleton.final_symbol
 
     rules: list[Rule] = []
 
@@ -133,8 +213,11 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     rules.append(Rule(INIT_SYMBOL, (skeleton.start_symbol,), init_spec, "pair start"))
 
     for rule in skeleton.spds.rules:
-        if not is_last_trans(rule):
+        cmd = bodies.get(rule.lhs)
+        if cmd is None:
             rules.append(rule)
+        else:
+            rules += _first_run_body(skeleton, cmd, rule.lhs, rule.rhs[0])
 
     resets: dict[str, Expr] = {spec.index: Num(0) for spec in skeleton.inputs}
     if not tr:
@@ -144,85 +227,28 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     rules.append(
         Rule(
             skeleton.final_symbol,
-            (xi_stack[skeleton.start_symbol],),
+            (xi_symbols[skeleton.start_symbol],),
             RuleSpec.make(updates=resets),
             "restart as second run",
         )
     )
 
+    for rule in skeleton.spds.rules:
+        lhs, rhs = xi_symbols[rule.lhs], xi_symbols[rule.rhs[0]]
+        cmd = bodies.get(rule.lhs)
+        if cmd is None:
+            note = f"second-run {rule.note}" if rule.note else ""
+            rules.append(Rule(lhs, (rhs,), rule.spec.renamed(var_map), note))
+        else:
+            rules += _second_run_body(skeleton, cmd, var_map, lhs, rhs, tr)
+
+    end = xi_symbols[skeleton.final_symbol]
     differs: list[Expr] = [Var(MISMATCH)] if mismatch_cell else []
     differs += [BinOp("!=", Var(x), Var(xi_name(x))) for x in skeleton.observable_vars]
-    for rule in skeleton.spds.rules:
-        if is_last_trans(rule):
-            if differs:
-                end_check = RuleSpec.make(guard=_disj(differs))
-                rules.append(Rule(xi_stack[rule.lhs], (ERROR_SYMBOL,), end_check, "runs differ"))
-            if tr:
-                rules.append(
-                    Rule(xi_stack[rule.lhs], ("chk0",), RuleSpec.make(), "begin comparison")
-                )
-            continue
-        rules.append(
-            Rule(
-                xi_stack[rule.lhs],
-                tuple(xi_stack[s] for s in rule.rhs),
-                rule.spec.renamed(var_map),
-                f"second-run {rule.note}" if rule.note else "",
-            )
-        )
-
-    for site in skeleton.declass_sites:
-        entry, exit_ = skeleton.declass_symbols[site]
-        target = skeleton.declass_targets[site]
-        cell = d_name(skeleton.rho[site])
-        store = RuleSpec.make(updates={cell: Var(TMP), target: Var(TMP)})
-        rules.append(Rule(entry, (exit_,), store, "record downgrade"))
-        mismatch = RuleSpec.make(guard=BinOp("!=", Var(cell), Var(TMP)))
-        rules.append(Rule(xi_stack[entry], (IDLE_SYMBOL,), mismatch, "premise fails"))
-        match = RuleSpec.make(
-            guard=BinOp("==", Var(cell), Var(TMP)),
-            updates={xi_name(target): Var(TMP)},
-        )
-        rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), match, "downgrade matches"))
-
-    for spec in skeleton.outputs:
-        entry, exit_ = skeleton.output_symbols[spec.name]
-        if not spec.cells:
-            # At capacity 0 no write fits; emitting the bodies anyway would
-            # compile guards over absent cells.
-            continue
-        cap = spec.length
-        q = spec.index
-        in_cap = BinOp("<", Var(q), Num(cap))
-        store = RuleSpec.make(
-            guard=in_cap,
-            updates={q: BinOp("+", Var(q), Num(1))},
-            writes=(ArrayWrite(spec.cells, q, Var(TMP), f"O({spec.name})"),),
-        )
-        rules.append(Rule(entry, (exit_,), store, "record output"))
-        if tr:
-            xq = xi_name(q)
-            xcells = tuple(xi_name(c) for c in spec.cells)
-            write2 = RuleSpec.make(
-                guard=BinOp("<", Var(xq), Num(cap)),
-                updates={xq: BinOp("+", Var(xq), Num(1))},
-                writes=(ArrayWrite(xcells, xq, Var(TMP), f"O'({spec.name})"),),
-            )
-            rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), write2, "second-run output"))
-        else:
-            recorded = CellRef(spec.cells, q, f"O({spec.name})")
-            differ = RuleSpec.make(
-                guard=BinOp("&", in_cap, BinOp("!=", recorded, Var(TMP))),
-                updates={q: BinOp("+", Var(q), Num(1)), MISMATCH: Num(1)},
-            )
-            rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), differ, "observation differs"))
-            agree = RuleSpec.make(
-                guard=BinOp("&", in_cap, BinOp("==", recorded, Var(TMP))),
-                updates={q: BinOp("+", Var(q), Num(1))},
-            )
-            rules.append(Rule(xi_stack[entry], (xi_stack[exit_],), agree, "output matches"))
-
+    if differs:
+        rules.append(Rule(end, (ERROR_SYMBOL,), RuleSpec.make(guard=_disj(differs)), "runs differ"))
     if tr:
+        rules.append(Rule(end, ("chk0",), RuleSpec.make(), "begin comparison"))
         for i, spec in enumerate(skeleton.outputs):
             here, nxt = f"chk{i}", f"chk{i + 1}"
             q, xq = spec.index, xi_name(spec.index)
@@ -286,7 +312,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         spds=spds,
         skeleton=skeleton,
         mode=mode,
-        xi_stack=xi_stack,
+        xi_symbols=xi_symbols,
     )
 
 

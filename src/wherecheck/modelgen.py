@@ -1,19 +1,18 @@
-"""Translate a program, a policy and an observer level into a pushdown model.
+"""Translate a program, a policy and an observer level into a finite-state model.
 
-Each command site becomes a stack symbol; control flow is a chain of
+Each command site becomes a control symbol; control flow is a chain of
 guarded rules between sites.  Channels above the observer level are not
 modeled at all: reads from them havoc the target variable and writes to
 them are frame rules.  Observable channels get value cells and an index
 counter.  A read past the end of an observable input has no successor: as
 in the interpreter, such a run is stuck and never halts.
 
-Downgrade and observable-output sites push a per-site (respectively
-per-channel) entry symbol over their continuation, binding tmp to the
-communicated value.  The entry-to-exit body is deliberately absent: the
-self-composition pass stuffs it with store or match rules, and the exit
-symbol pops back to the continuation.  The program's last command leads
-to the final symbol, where the self-composition compares the two runs'
-final stores.
+Each real downgrade site and each observable-output site is one plain rule
+to its continuation.  What it does depends on the run, so the
+self-composition pass replaces it, in each run, with the site's own store
+or match rules.  The program's last command leads to the final symbol,
+where the self-composition restarts as the second run and, at the second
+run's end, compares the two runs' final stores.
 
 Rules hold the parser's own expression objects; the model adds only the
 guards and updates of channel bookkeeping, built from the same syntax
@@ -46,7 +45,6 @@ from .syntax import (
     walk_commands,
 )
 
-TMP = "tmp"
 FINAL_SYMBOL = "end"
 
 
@@ -101,11 +99,8 @@ class ModelSkeleton:
     observable_vars: tuple[str, ...]
     declass_sites: tuple[int, ...]  # real downgrade sites, ascending
     rho: dict[int, int]
-    declass_symbols: dict[int, tuple[str, str]]  # site -> (entry, exit)
-    declass_targets: dict[int, str]
     inputs: tuple[ChannelSpec, ...]
     outputs: tuple[ChannelSpec, ...]
-    output_symbols: dict[str, tuple[str, str]]  # channel -> (entry, exit)
     final_symbol: str
     start_symbol: str
 
@@ -119,7 +114,6 @@ class ModelSkeleton:
 def make_globals(
     variables: tuple[str, ...],
     bits: int,
-    tmp_used: bool,
     inputs: tuple[ChannelSpec, ...],
     outputs: tuple[ChannelSpec, ...],
     declass_count: int,
@@ -128,8 +122,6 @@ def make_globals(
     control: set[str] = set()  # channel indices
     for name in variables:
         cells.append((name, bits))
-    if tmp_used:
-        cells.append((TMP, bits))
     for spec in inputs:
         for cname in spec.cells:
             cells.append((cname, bits))
@@ -153,7 +145,7 @@ def _first_symbol(cmd: Command) -> str:
 
 def _check_names(program: Program) -> None:
     for name in program.variables:
-        if name == TMP or name.startswith("xi("):
+        if name.startswith("xi("):
             raise ValueError(f"variable name {name!r} is reserved by the model")
 
 
@@ -177,11 +169,6 @@ def build_model(
         sorted(site for site, real in policy.declass_real.items() if real)
     )
     rho = {site: i for i, site in enumerate(declass_sites)}
-    declass_symbols = {s: (f"de{s}", f"dx{s}") for s in declass_sites}
-    declass_targets: dict[int, str] = {}
-    for cmd in walk_commands(program.root):
-        if isinstance(cmd, DeclassAssign) and cmd.site.id in rho:
-            declass_targets[cmd.site.id] = cmd.target
 
     low_in = sorted(
         name
@@ -205,14 +192,10 @@ def build_model(
         ChannelSpec(name, tuple(cell_name(name, k) for k in range(capacity)), q_name(name))
         for name in low_out
     )
-    output_symbols = {spec.name: (f"oe[{spec.name}]", f"ox[{spec.name}]") for spec in outputs}
-
-    tmp_used = bool(declass_sites) or any(
-        isinstance(c, Output) and c.channel in output_symbols for c in walk_commands(program.root)
-    )
+    observable_outputs = {spec.name for spec in outputs}
 
     globals_decl = make_globals(
-        tuple(program.variables), bits, tmp_used, inputs, outputs, len(declass_sites)
+        tuple(program.variables), bits, inputs, outputs, len(declass_sites)
     )
 
     input_by_name = {spec.name: spec for spec in inputs}
@@ -229,15 +212,11 @@ def build_model(
             case Assign(_, target, expr):
                 spec = RuleSpec.make(updates={target: expr})
                 rules.append(Rule(sym, (next_sym,), spec, f"{target} := ..."))
-            case DeclassAssign(site, target, expr):
-                if site.id in rho:
-                    entry, exit_ = declass_symbols[site.id]
-                    push = RuleSpec.make(updates={TMP: expr})
-                    rules.append(Rule(sym, (entry, next_sym), push, "downgrade entry"))
-                    rules.append(Rule(exit_, (), RuleSpec.make(), "downgrade exit"))
-                else:
-                    spec = RuleSpec.make(updates={target: expr})
-                    rules.append(Rule(sym, (next_sym,), spec, f"{target} := ... (no downgrade)"))
+            case DeclassAssign(site, _, _) if site.id in rho:
+                rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "downgrade site"))
+            case DeclassAssign(_, target, expr):
+                spec = RuleSpec.make(updates={target: expr})
+                rules.append(Rule(sym, (next_sym,), spec, f"{target} := ... (no downgrade)"))
             case If(_, guard, then_branch, else_branch):
                 rules.append(
                     Rule(sym, (_first_symbol(then_branch),), RuleSpec.make(guard=guard), "if taken")
@@ -269,21 +248,13 @@ def build_model(
                 else:
                     spec = RuleSpec.make(updates={target: HAVOC})
                     rules.append(Rule(sym, (next_sym,), spec, f"unobservable read into {target}"))
-            case Output(_, expr, channel):
-                if channel in output_symbols:
-                    entry, _ = output_symbols[channel]
-                    push = RuleSpec.make(updates={TMP: expr})
-                    rules.append(Rule(sym, (entry, next_sym), push, f"write {channel}"))
-                else:
-                    rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "unobservable write"))
+            case Output(_, _, channel):
+                note = f"write {channel}" if channel in observable_outputs else "unobservable write"
+                rules.append(Rule(sym, (next_sym,), RuleSpec.make(), note))
             case _:
                 raise TypeError(f"unknown command: {cmd!r}")
 
     emit(program.root, FINAL_SYMBOL)
-    for spec in outputs:
-        _, exit_ = output_symbols[spec.name]
-        rules.append(Rule(exit_, (), RuleSpec.make(), f"{spec.name} write done"))
-    rules.append(Rule(FINAL_SYMBOL, (), RuleSpec.make(), "termination"))
 
     alphabet: list[str] = []
     for rule in rules:
@@ -306,11 +277,8 @@ def build_model(
         observable_vars=observable_vars,
         declass_sites=declass_sites,
         rho=rho,
-        declass_symbols=declass_symbols,
-        declass_targets=declass_targets,
         inputs=inputs,
         outputs=outputs,
-        output_symbols=output_symbols,
         final_symbol=FINAL_SYMBOL,
         start_symbol=start,
     )
@@ -351,6 +319,5 @@ def dump_model(skeleton: ModelSkeleton) -> str:
         cmd = skeleton.program.site_command(site.id)
         lines.append(f"# site g{site.id}: {_describe_site(cmd)}")
     for site in skeleton.declass_sites:
-        entry, exit_ = skeleton.declass_symbols[site]
-        lines.append(f"# downgrade g{site}: {entry}/{exit_} -> {d_name(skeleton.rho[site])}")
+        lines.append(f"# downgrade g{site} -> {d_name(skeleton.rho[site])}")
     return "\n".join(lines)

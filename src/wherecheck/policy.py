@@ -29,9 +29,6 @@ from .syntax import (
     walk_commands,
 )
 
-RESERVED_VARIABLES = ("tmp",)  # the model's scratch cell, modelgen.TMP
-
-
 class PolicyError(Exception):
     """Malformed policy file or policy/program mismatch."""
 
@@ -217,8 +214,6 @@ def domain_of_expr(e: Expr, policy: Policy) -> str:
 def validate_bindings(program: Program, policy: Policy) -> None:
     """Check the policy covers the program: levels total, directions right."""
     for name in program.variables:
-        if name in RESERVED_VARIABLES:
-            raise PolicyError(f"variable name {name!r} is reserved by the model")
         if name not in policy.sigma:
             raise PolicyError(f"variable {name!r} has no declared level")
         if name in policy.channels:

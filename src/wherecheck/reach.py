@@ -1,48 +1,24 @@
-"""Forward reachability over the composed pushdown system.
+"""Forward reachability over the composed finite-state system.
 
-post_star saturates a small automaton whose edges carry relations over the
-global valuations; a configuration (valuation, stack word) is reachable
-from the initial set iff the automaton accepts it.  Edge relations use a
-chain convention: a pair (g, c) on an edge means the edge's symbol can be
-exposed as top of stack at valuation g, handing the promise c down to the
-edge that consumes the next stack symbol.  The promise threads pushes and
-pops so that acceptance needs no re-exploration: follow a path, linking
-each edge's second component to the next edge's first.
+post_star runs a layered forward image search: layer k holds, per control
+symbol, the set of valuations first reached in exactly k rule applications,
+each set one BDD over the current levels.  Layer k+1 is the image of layer
+k under every rule, less everything already reached.  The search stops at
+the first layer that holds the error symbol, or when a layer adds nothing,
+so is_error_reachable reads where it stopped.  Rules are applied in
+declaration order and symbols in the order a layer first met them, so the
+search statistics are deterministic.
 
-A promise c on an edge into q is feasible when a path from q to the final
-state can complete from it: the least sets F with F(final) holding every
-valuation and F(p) holding g whenever (g, c) lies on an edge (p, sym, q)
-with c in F(q), over the saturated automaton.  Every promise post_star
-stores is feasible.  By induction over the order in which pairs are added,
-and since edges only grow:
-
-- the initial edge enters the final state, where every promise is feasible;
-- a rename rule's transpose_compose keeps the promise c of the delta;
-- a push rule puts identity_on_domain(moved), the pairs (b, b) with b in
-  the domain of moved, on (initial, rhs0, m_i), and the same step puts
-  moved, whose promises come from the delta, on (m_i, rhs1, q); so each
-  such b is in F(m_i);
-- both compose calls of a pop take each new pair's promise from an existing
-  relation on an edge into the same target.
-
-As grow stores no empty relation, a configuration with the error symbol on
-top is reachable iff the automaton holds an (initial, error, q) edge, and
-the decision is a lookup of the edge keys.
-
-Push rules get one auxiliary mid-state each; the worklist carries
-(edge, relation-delta) pairs and is FIFO over rules in declaration order,
-so saturation statistics are deterministic.
-
-Witness extraction does not walk the saturation history.  It re-runs a
-layered breadth-first search with the same relation algebra (layer k holds
-the valuations first reached in k rule applications, per stack word), then
-concretizes one shortest path backwards, picking the numerically smallest
-valuation at every step.  The mismatch is read from that path: the step
-that first set the store-match MISMATCH cell names the output channel and
-position; failing that, the first observable variable whose two copies
-differ at the end; under tr, the channel checker that entered error.  The
-decoded two-run counterexample is replayed through the reference
-interpreter and the replay verdict is recorded.
+Witness extraction walks back over the stored layers: from the least
+valuation at error in the last layer, it takes at every layer the first
+rule in declaration order whose pre-image meets the previous layer, and
+picks the numerically smallest valuation there.  That gives one shortest
+path.  The mismatch is read from that path: the step that first set the
+store-match MISMATCH cell names the output channel and position; failing
+that, the first observable variable whose two copies differ at the end;
+under tr, the channel checker that entered error.  The decoded two-run
+counterexample is replayed through the reference interpreter and the
+replay verdict is recorded.
 """
 
 from __future__ import annotations
@@ -59,9 +35,6 @@ from .semantics import OUTCOME_HALTED, low_equiv_store, run_program
 from .spds import RelationAlgebra, SPDS, successors
 from .syntax import Input
 
-INITIAL_STATE = "s"
-FINAL_STATE = "f"
-
 _SITE = re.compile(r"g(\d+)$")
 
 
@@ -71,20 +44,23 @@ def _spds_of(model: Union[ComposedModel, SPDS]) -> SPDS:
 
 @dataclass
 class PAutomaton:
-    """Saturated reachability automaton for one pushdown system."""
+    """The layers of one forward search, kept for the witness walk.
+
+    steps counts frontier expansions, one per (layer, symbol): each pushes
+    the valuations the symbol first reached in that layer through its
+    rules.  edge_count counts the control symbols reached.
+    """
 
     spds: SPDS
     algebra: RelationAlgebra
-    initial: str
-    final: str
-    trans: dict[tuple[str, str, str], int]  # (state, symbol, state) -> relation
-    eps: dict[str, int]  # state -> pop contraction relation
+    layers: list[dict[str, int]]  # per layer: symbol -> valuations first reached there
+    reached: dict[str, int]  # symbol -> every valuation reached
     rule_relations: list[tuple[int, frozenset[str]]]  # (relation, written cells) per rule
-    steps: int  # worklist deltas processed
+    steps: int
 
     @property
     def edge_count(self) -> int:
-        return len(self.trans)
+        return len(self.reached)
 
     @property
     def node_count(self) -> int:
@@ -96,79 +72,42 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
     rels = [(alg.compile_spec(rule.spec), rule.spec.written_globals()) for rule in spds.rules]
-
     rules_by_lhs: dict[str, list[int]] = {}
     for i, rule in enumerate(spds.rules):
         rules_by_lhs.setdefault(rule.lhs, []).append(i)
-    mid = {i: f"m{i}" for i, rule in enumerate(spds.rules) if len(rule.rhs) == 2}
 
-    trans: dict[tuple[str, str, str], int] = {}
-    out_edges: dict[str, list[tuple[str, str]]] = {}
-    eps: dict[str, int] = {}
-    queue: deque[tuple[str, str, str, int]] = deque()
-
-    def grow(p: str, sym: str, q: str, cand: int) -> None:
-        cur = trans.get((p, sym, q), mgr.FALSE)
-        delta = mgr.diff(cand, cur)
-        if delta == mgr.FALSE:
-            return
-        if (p, sym, q) not in trans:
-            out_edges.setdefault(p, []).append((sym, q))
-        trans[(p, sym, q)] = mgr.disj(cur, delta)
-        queue.append((p, sym, q, delta))
-
-    grow(INITIAL_STATE, spds.start, FINAL_STATE, alg.set_from_fixed(dict(spds.initial_fixed)))
-
+    init = alg.set_from_fixed(dict(spds.initial_fixed))
+    reached = {spds.start: init}
+    layers = [{spds.start: init}]
     steps = 0
-    while queue:
-        p, sym, q, delta = queue.popleft()
-        steps += 1
-        if p == INITIAL_STATE:
+    while spds.error not in layers[-1]:
+        grown: dict[str, int] = {}
+        for sym, frontier in layers[-1].items():
+            steps += 1
             for i in rules_by_lhs.get(sym, ()):
-                rule = spds.rules[i]
                 rel, written = rels[i]
-                moved = alg.transpose_compose(rel, delta, written)
-                if moved == mgr.FALSE:
+                target = spds.rules[i].rhs[0]
+                old = reached.get(target, mgr.FALSE)
+                fresh = mgr.diff(alg.transpose_compose(rel, frontier, written), old)
+                if fresh == mgr.FALSE:
                     continue
-                if len(rule.rhs) == 1:
-                    grow(INITIAL_STATE, rule.rhs[0], q, moved)
-                elif len(rule.rhs) == 2:
-                    grow(INITIAL_STATE, rule.rhs[0], mid[i], alg.identity_on_domain(moved))
-                    grow(mid[i], rule.rhs[1], q, moved)
-                else:
-                    held = eps.get(q, mgr.FALSE)
-                    fresh = mgr.diff(moved, held)
-                    if fresh == mgr.FALSE:
-                        continue
-                    eps[q] = mgr.disj(held, fresh)
-                    for sym2, q2 in list(out_edges.get(q, ())):
-                        grow(INITIAL_STATE, sym2, q2, alg.compose(fresh, trans[(q, sym2, q2)]))
-        held = eps.get(p, mgr.FALSE)
-        if held != mgr.FALSE:
-            grow(INITIAL_STATE, sym, q, alg.compose(held, delta))
+                reached[target] = mgr.disj(old, fresh)
+                grown[target] = mgr.disj(grown.get(target, mgr.FALSE), fresh)
+        if not grown:
+            break
+        layers.append(grown)
 
     return PAutomaton(
-        spds=spds,
-        algebra=alg,
-        initial=INITIAL_STATE,
-        final=FINAL_STATE,
-        trans=trans,
-        eps=eps,
-        rule_relations=rels,
-        steps=steps,
+        spds=spds, algebra=alg, layers=layers, reached=reached, rule_relations=rels, steps=steps
     )
 
 
 def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None] = None) -> bool:
-    """Whether an error-top configuration is reachable: a lookup of the edge keys.
-
-    grow stores no empty relation and every promise is feasible (see the
-    module docstring), so an (initial, error, q) edge answers the question.
-    """
+    """Whether the search stopped on a layer that holds the error symbol."""
     error = auto.spds.error
     if error is None:
         raise ValueError("system declares no error symbol")
-    return any(p == auto.initial and sym == error for p, sym, _ in auto.trans)
+    return error in auto.layers[-1]
 
 
 def explicit_error_search(
@@ -178,20 +117,20 @@ def explicit_error_search(
     spds = _spds_of(model)
     if spds.error is None:
         raise ValueError("system declares no error symbol")
-    seen: set[tuple[tuple[int, ...], tuple[str, ...]]] = set()
-    work: deque[tuple[tuple[int, ...], tuple[str, ...]]] = deque(
-        (val, (spds.start,)) for val in spds.initial_valuations()
+    seen: set[tuple[tuple[int, ...], str]] = set()
+    work: deque[tuple[tuple[int, ...], str]] = deque(
+        (val, spds.start) for val in spds.initial_valuations()
     )
     while work:
-        val, stack = work.popleft()
-        if (val, stack) in seen:
+        config = work.popleft()
+        if config in seen:
             continue
-        seen.add((val, stack))
+        seen.add(config)
         if len(seen) > max_configs:
             raise BudgetExceeded(f"explicit search budget {max_configs} exhausted")
-        if stack and stack[0] == spds.error:
+        if config[1] == spds.error:
             return True
-        for nxt in successors(spds, val, stack):
+        for nxt in successors(spds, *config):
             if nxt not in seen:
                 work.append(nxt)
     return False
@@ -206,7 +145,7 @@ class WitnessStep:
     rule_index: Optional[int]  # None for the initial configuration
     note: str
     valuation: dict[str, int]
-    stack: tuple[str, ...]
+    symbol: str
 
 
 @dataclass
@@ -226,71 +165,28 @@ class Witness:
         return len(self.steps) - 1
 
 
-def _forward_layers(spds: SPDS, alg: RelationAlgebra, rels: list[tuple[int, frozenset[str]]]):
-    """Per-layer first-reached valuation sets, keyed by stack word."""
-    mgr = alg.mgr
-    start_word = (spds.start,)
-    init = alg.set_from_fixed(dict(spds.initial_fixed))
-    seen: dict[tuple[str, ...], int] = {start_word: init}
-    layers: list[dict[tuple[str, ...], int]] = [{start_word: init}]
-    depth_cap = len(spds.alphabet) + 2
-    while True:
-        frontier = layers[-1]
-        grown: dict[tuple[str, ...], int] = {}
-        for word, dset in frontier.items():
-            if not word:
-                continue
-            for i, rule in enumerate(spds.rules):
-                if rule.lhs != word[0]:
-                    continue
-                rel, written = rels[i]
-                img = alg.transpose_compose(rel, dset, written)
-                if img == mgr.FALSE:
-                    continue
-                nw = rule.rhs + word[1:]
-                if len(nw) > depth_cap:
-                    continue
-                old = seen.get(nw, mgr.FALSE)
-                delta = mgr.diff(img, old)
-                if delta == mgr.FALSE:
-                    continue
-                seen[nw] = mgr.disj(old, delta)
-                grown[nw] = mgr.disj(grown.get(nw, mgr.FALSE), delta)
-        if not grown:
-            return layers, False
-        layers.append(grown)
-        if any(w and w[0] == spds.error for w in grown):
-            return layers, True
-
-
-def _backward_path(
-    spds: SPDS, alg: RelationAlgebra, rels: list[tuple[int, frozenset[str]]], layers
-):
+def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
     """Concretize one shortest error path; first rule in declaration order wins ties."""
-    last = layers[-1]
-    word = next(w for w in last if w and w[0] == spds.error)
-    val = alg.pick_set(last[word])
-    tail: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = []
+    spds, alg, layers = auto.spds, auto.algebra, auto.layers
+    sym = spds.error
+    val = alg.pick_set(layers[-1][sym])
+    tail: list[tuple[int, tuple[int, ...], str]] = []
     for k in range(len(layers) - 1, 0, -1):
         here = alg.set_from_valuation(val)
         for i, rule in enumerate(spds.rules):
-            n = len(rule.rhs)
-            if word[:n] != rule.rhs:
+            prev = layers[k - 1].get(rule.lhs)
+            if rule.rhs[0] != sym or prev is None:
                 continue
-            pred_word = (rule.lhs,) + word[n:]
-            prev = layers[k - 1].get(pred_word)
-            if prev is None:
-                continue
-            rel, written = rels[i]
+            rel, written = auto.rule_relations[i]
             cand = alg.mgr.conj(alg.preimage(rel, here, written), prev)
             if cand == alg.mgr.FALSE:
                 continue
-            tail.append((i, val, word))
-            val, word = alg.pick_set(cand), pred_word
+            tail.append((i, val, sym))
+            val, sym = alg.pick_set(cand), rule.lhs
             break
         else:
             raise RuntimeError("path reconstruction lost the predecessor layer")
-    return val, word, list(reversed(tail))
+    return val, sym, list(reversed(tail))
 
 
 def _strip_second_run(symbol: str) -> tuple[str, bool]:
@@ -355,8 +251,8 @@ def _mismatch_location(
         raise RuntimeError("checker fired without a stream difference")
     for k in range(1, len(steps)):
         if steps[k].valuation.get(MISMATCH):
-            entry, _ = _strip_second_run(model.spds.rules[steps[k].rule_index].lhs)
-            name = next(n for n, (e, _) in skel.output_symbols.items() if e == entry)
+            site, _ = _strip_second_run(model.spds.rules[steps[k].rule_index].lhs)
+            name = skel.program.site_command(int(_SITE.match(site).group(1))).channel
             return name, steps[k - 1].valuation[skel.output_spec(name).index]
     for k, x in enumerate(skel.observable_vars):
         if before[x] != before[xi_name(x)]:
@@ -411,17 +307,13 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
 
 def extract_witness(auto: PAutomaton, model: ComposedModel) -> Witness:
     if not is_error_reachable(auto, model):
-        raise ValueError("no error-top configuration is reachable")
+        raise ValueError("the error symbol is not reachable")
     spds = model.spds
-    alg, rels = auto.algebra, auto.rule_relations
-    layers, found = _forward_layers(spds, alg, rels)
-    if not found:
-        raise RuntimeError("saturation and layered search disagree on reachability")
-    val0, word0, tail = _backward_path(spds, alg, rels, layers)
+    val0, sym0, tail = _backward_path(auto)
     as_dict = spds.globals.as_dict
-    steps = [WitnessStep(None, "initial", as_dict(val0), word0)]
-    for i, val, word in tail:
-        steps.append(WitnessStep(i, spds.rules[i].note, as_dict(val), word))
+    steps = [WitnessStep(None, "initial", as_dict(val0), sym0)]
+    for i, val, sym in tail:
+        steps.append(WitnessStep(i, spds.rules[i].note, as_dict(val), sym))
     witness = _decode(model, steps)
     witness.replay_ok, witness.replay_outcomes = replay_witness(model, witness)
     return witness

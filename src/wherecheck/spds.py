@@ -1,10 +1,12 @@
-"""Symbolic pushdown systems over fixed-width global state.
+"""Symbolic finite-state systems over fixed-width global state.
 
-A system is a stack alphabet plus rules <lhs> -> <rhs...> with at most two
-right-hand symbols, each rule carrying a RuleSpec: a guard over the current
-valuation and next-state updates (expression, havoc, or indexed channel
-write).  Expressions are the source language's own (syntax.Expr): a Var
-reads a global of any name and a CellRef reads a channel cell.
+A system is a set of control symbols plus rules <lhs> -> <rhs> that move
+from one control symbol to exactly one other, each rule carrying a
+RuleSpec: a guard over the current valuation and next-state updates
+(expression, havoc, or indexed channel write).  The source language has no
+procedures, so no model needs a stack; the class keeps the name SPDS.
+Expressions are the source language's own (syntax.Expr): a Var reads a
+global of any name and a CellRef reads a channel cell.
 
 Globals not mentioned keep their value; that frame condition is part of
 the spec's meaning, and the explicit evaluator below implements it
@@ -16,9 +18,9 @@ every unwritten bit stands for itself on both sides, which is exactly what
 the frame nxt == cur would force.  A full relation is the case where every
 cell is written.
 
-Level layout: global bit slot t occupies levels 3t (current), 3t+1 (scratch)
-and 3t+2 (next).  Every level map of the relation algebra's relprod steps
-moves bits sideways within their triples and is therefore order-preserving.
+Level layout: global bit slot t occupies levels 2t (current) and 2t+1
+(next).  A step moves a written bit only between the two levels of its
+slot, over a level it quantifies, so every level map is order-preserving.
 Slots are handed out control cells first (channel indices and the
 store-match mismatch cell), then in bands: band j holds bit j, counted from
 the most significant bit, of every remaining cell wider than j, in
@@ -128,12 +130,13 @@ class RuleSpec:
 @dataclass(frozen=True)
 class Rule:
     lhs: str
-    rhs: tuple[str, ...]  # 0 = pop, 1 = rename, 2 = push
+    rhs: tuple[str]  # the one control symbol the rule moves to
     spec: RuleSpec
     note: str = ""
 
     def __post_init__(self):
-        assert len(self.rhs) <= 2, "rules push at most one extra symbol"
+        if len(self.rhs) != 1:
+            raise ValueError(f"rule from {self.lhs} has {len(self.rhs)} right-hand symbols, not 1")
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,10 @@ class GlobalsDecl:
         return self._index[name]
 
     def cur_levels(self, name: str) -> list[int]:
-        return [3 * t for t in self._slots[name]]
+        return [2 * t for t in self._slots[name]]
 
     def nxt_levels(self, name: str) -> list[int]:
-        return [3 * t + 2 for t in self._slots[name]]
-
-    def block_levels(self, block: int) -> list[int]:
-        return [3 * t + block for t in range(self.total_bits)]
-
-    def block_map(self, src: int, dst: int) -> dict[int, int]:
-        return {3 * t + src: 3 * t + dst for t in range(self.total_bits)}
+        return [2 * t + 1 for t in self._slots[name]]
 
     def valuation(self, values: dict[str, int]) -> tuple[int, ...]:
         out = []
@@ -219,7 +216,7 @@ class SPDS:
 
 
 def format_rule(rule: Rule) -> str:
-    rhs = " ".join(rule.rhs) if rule.rhs else "."
+    (rhs,) = rule.rhs
     guard = format_expr(rule.spec.guard) if rule.spec.guard is not None else "1"
     parts = []
     for name, e in rule.spec.updates:
@@ -355,17 +352,14 @@ def spec_successors(
 
 
 def successors(
-    spds: SPDS, val: tuple[int, ...], stack: tuple[str, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
-    """One-step successors of a concrete configuration (top of stack first)."""
-    if not stack:
-        return
-    top, rest = stack[0], stack[1:]
+    spds: SPDS, val: tuple[int, ...], symbol: str
+) -> Iterator[tuple[tuple[int, ...], str]]:
+    """One-step successors of a concrete configuration (valuation, control symbol)."""
     for rule in spds.rules:
-        if rule.lhs != top:
+        if rule.lhs != symbol:
             continue
         for nxt in spec_successors(rule.spec, spds.globals, val):
-            yield nxt, rule.rhs + rest
+            yield nxt, rule.rhs[0]
 
 
 class _WrittenSteps(NamedTuple):
@@ -376,37 +370,23 @@ class _WrittenSteps(NamedTuple):
 
 
 class RelationAlgebra:
-    """BDD-backed sets of valuations and valuation pairs.
+    """BDD-backed sets of valuations and rule relations over them.
 
-    Sets live on the current block; pair relations put the first component
-    on the current block and the second on the next block.  A rule relation
-    carries next bits for its written cells only (see compile_spec), so the
-    steps that take one also take its written set; every cell is the case
-    of a full relation.  Each step is one relprod call.  Node indices are
-    canonical, so equality of results is integer equality.
+    Sets live on the current levels.  A rule relation puts its first
+    component on the current levels and carries next levels for its
+    written cells only (see compile_spec), so the steps that take one also
+    take its written set; every cell is the case of a full relation.  Each
+    step is one relprod call.  Node indices are canonical, so equality of
+    results is integer equality.
     """
 
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
         self.g = globals_decl
         self.mgr = mgr if mgr is not None else BDD()
-        self._size = 3 * globals_decl.total_bits
-        self._compose = self.mgr.step(
-            self._size,
-            umap=globals_decl.block_map(2, 1),
-            vmap=globals_decl.block_map(0, 1),
-            drop=globals_decl.block_levels(1),
-        )
-        self._identity_on_domain = self.mgr.step(
-            self._size, vmap=globals_decl.block_map(2, 1), drop=globals_decl.block_levels(1)
-        )
+        self._size = 2 * globals_decl.total_bits
         self._written: dict[frozenset[str], _WrittenSteps] = {}
-        mgr, ident = self.mgr, self.mgr.TRUE
-        for cur in reversed(globals_decl.block_levels(0)):  # nxt == cur on every bit, bottom-up
-            nxt = cur + 2
-            ident = mgr.node(cur, mgr.node(nxt, ident, mgr.FALSE), mgr.node(nxt, mgr.FALSE, ident))
-        self._identity = ident
 
-    # Sets over the current block.
+    # Sets over the current levels.
 
     def set_from_fixed(self, fixed: dict[str, int]) -> int:
         mgr = self.mgr
@@ -465,7 +445,7 @@ class RelationAlgebra:
         width = guard_width(e, self.g)
         return bv_nonzero(self.mgr, self.compile_value(e, width))
 
-    # Pair relations: current block x next block.
+    # Rule relations: current levels x the written cells' next levels.
 
     def compile_spec(self, spec: RuleSpec) -> int:
         """The guard and one equation nxt == value per written cell, without a frame.
@@ -500,47 +480,25 @@ class RelationAlgebra:
             cur = [lvl for name in sorted(written) for lvl in self.g.cur_levels(name)]
             step = self.mgr.step
             found = self._written[written] = _WrittenSteps(
-                step(
-                    self._size,
-                    umap={lvl + 2: lvl + 1 for lvl in cur},
-                    drop=cur,
-                    out={lvl + 1: lvl for lvl in cur},
-                ),
-                step(self._size, vmap={lvl: lvl + 2 for lvl in cur}, drop=[lvl + 2 for lvl in cur]),
+                step(self._size, drop=cur, out={lvl + 1: lvl for lvl in cur}),
+                step(self._size, vmap={lvl: lvl + 1 for lvl in cur}, drop=[lvl + 1 for lvl in cur]),
             )
         return found
 
-    def compose(self, r: int, s: int) -> int:
-        """{(a, c) | exists b: (a, b) in r and (b, c) in s}.
-
-        r's next block and s's current block both move to the scratch
-        block, which is quantified.
-        """
-        return self.mgr.relprod(r, s, self._compose)
-
     def transpose_compose(self, r: int, s: int, written: frozenset[str]) -> int:
-        """{(b, c) | exists a: (a, b) in r and (a, c) in s}, r writing only written.
+        """{b | exists a: (a, b) in r and a in s}, r writing only written: the image of s.
 
-        The written cells' next bits of r move to the scratch block, their
-        current bits are quantified, and the scratch bits land on the
-        current block as the result is built; an unwritten bit of a is the
-        same bit of b, so it stays where it is.  On a set s this is the
-        image of s under r.
+        The written cells' current bits are quantified and their next bits
+        land on the current levels as the result is built; an unwritten bit
+        of a is the same bit of b, so it stays where it is.  s must be a
+        set: a next bit of s would meet the next bit of r.
         """
         return self.mgr.relprod(r, s, self._bits(written).transpose_compose)
-
-    def identity_on_domain(self, r: int) -> int:
-        """{(a, a) | exists c: (a, c) in r}.
-
-        r's next block moves to the scratch block, which is quantified, and
-        the identity supplies the equality of the current and next blocks.
-        """
-        return self.mgr.relprod(self._identity, r, self._identity_on_domain)
 
     def preimage(self, r: int, set_cur: int, written: frozenset[str]) -> int:
         """{a | exists b: (a, b) in r and b in set_cur}, r writing only written.
 
-        The set's written bits move to the next block, where they are
+        The set's written bits move to the next levels, where they are
         quantified; its unwritten bits stand for themselves on both sides.
         """
         return self.mgr.relprod(r, set_cur, self._bits(written).preimage)

@@ -1,6 +1,6 @@
 """Abstract syntax for the source language, plus site labels and printing.
 
-Expressions are also the model's: pushdown rules hold these same objects,
+Expressions are also the model's: model rules hold these same objects,
 with model globals (channel cells, indices, companions) as Var names.
 CellRef is the one model-only leaf, a read of a channel cell at a runtime
 index; the parser never builds it and the interpreter never sees it.

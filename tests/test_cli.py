@@ -220,13 +220,23 @@ def test_policy_error_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_reserved_variable_name_exits_three(tmp_path, capsys):
-    args = write_pair(tmp_path, "tmp := h; l := tmp", TWO_LEVEL + "var tmp : H\n")
-    code, out, err = run(capsys, ["analyze", *args])
-    assert code == EXIT_USAGE
-    assert "reserved" in err
-    assert "Traceback" not in err and "internal error" not in err
-    assert "RESULT" not in out
+@pytest.mark.parametrize("mode", ["storematch", "tr"])
+def test_a_variable_named_tmp_is_like_any_other(tmp_path, capsys, mode):
+    # a downgrade and a low output through the variable, and a leak of k in l
+    text = "tmp := declass(h); output(tmp, o); l := k + tmp"
+    policy = TWO_LEVEL + "var k : H\nvar tmp : L\nchannel o : L output\n"
+    lines = []
+    for name in ("tmp", "t"):
+        (tmp_path / name).mkdir()
+        args = write_pair(tmp_path / name, text.replace("tmp", name), policy.replace("tmp", name))
+        code, out, err = run(capsys, ["analyze", *args, "--bits", "2", "--mode", mode])
+        assert code == EXIT_INSECURE, err
+        lines.append(result_lines(out))
+    assert lines[0] == lines[1] == [
+        "RESULT level=H verdict=secure",
+        "RESULT level=L verdict=insecure",
+        "RESULT overall=insecure",
+    ]
 
 
 def test_missing_flag_exits_three(capsys):

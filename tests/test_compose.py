@@ -16,7 +16,7 @@ from wherecheck.modelgen import build_model, index_width, xi_name
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.spds import dump_spds, successors
-from wherecheck.syntax import BinOp, CellRef, Var
+from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars, walk_commands
 
 from test_pinned_outputs import _cases
 
@@ -48,8 +48,8 @@ def outgoing(model: ComposedModel, symbol: str):
 def test_p0_storematch_rule_count_frozen():
     program, policy = load("P0")
     skel = build_model(program, policy, "L", bits=3)
-    assert len(skel.spds.rules) == 4
-    assert len(self_compose(skel).spds.rules) == 13
+    assert len(skel.spds.rules) == 2
+    assert len(self_compose(skel).spds.rules) == 9
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -59,8 +59,12 @@ def test_storematch_rule_count_law(name):
     model = self_compose(skel)
     base = len(skel.spds.rules)
     sites = len(skel.declass_sites)
-    chans = len(skel.outputs)
-    assert len(model.spds.rules) == 2 * base + 3 * sites + 3 * chans + 2
+    observable = {spec.name for spec in skel.outputs}
+    writes = [c for c in walk_commands(program.root) if isinstance(c, Output)]
+    low_writes = sum(c.channel in observable for c in writes)
+    # each run keeps every rule, run two splits each downgrade and low write
+    # in two; plus init, restart, the end check and idle
+    assert len(model.spds.rules) == 2 * base + sites + low_writes + 4
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -80,8 +84,8 @@ def test_error_sink_and_idle_loop(name, mode):
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
 def test_run_separation(name, mode):
     # First-run rules leave every companion alone; second-run rules leave
-    # every original program variable alone.  Channels, tmp and the
-    # downgrade cells are the only shared mutable state.
+    # every original program variable alone.  Channels and the downgrade
+    # cells are the only shared mutable state.
     program, policy = load(name)
     skel = build_model(program, policy, "L", bits=2, capacity=2)
     model = mode(skel)
@@ -115,7 +119,7 @@ def test_restart_rewinds_channel_indices(mode, resets_outputs):
     model = compose("input(l, src); output(l, snk)", pol, mode, bits=1)
     skel = model.skeleton
     (rst,) = outgoing(model, skel.final_symbol)
-    assert rst.rhs == (model.xi_stack[skel.start_symbol],)
+    assert rst.rhs == (model.xi_symbols[skel.start_symbol],)
     reset_names = {name for name, _ in rst.spec.updates}
     expected = {spec.index for spec in skel.inputs}
     # a duplicated channel keeps its first-run index for the checker
@@ -125,28 +129,30 @@ def test_restart_rewinds_channel_indices(mode, resets_outputs):
 
 
 def test_downgrade_stuffing_shape():
+    # each run replaces the site's plain rule with its own, evaluating the
+    # site's expression where the value is stored or matched
     program, policy = load("P4")
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
     assert len(skel.declass_sites) == 2
     for site in skel.declass_sites:
-        entry, exit_ = skel.declass_symbols[site]
-        (store,) = outgoing(model, entry)
-        assert store.rhs == (exit_,)
-        assert {n for n, _ in store.spec.updates} == {
-            f"D[{skel.rho[site]}]",
-            skel.declass_targets[site],
-        }
-        second = outgoing(model, model.xi_stack[entry])
+        sym = f"g{site}"
+        (plain,) = [r for r in skel.spds.rules if r.lhs == sym]
+        cmd = program.site_command(site)
+        cell = f"D[{skel.rho[site]}]"
+        (store,) = outgoing(model, sym)
+        assert store.rhs == plain.rhs
+        assert store.spec.updates == tuple(sorted({cell: cmd.expr, cmd.target: cmd.expr}.items()))
+        second = outgoing(model, model.xi_symbols[sym])
         assert len(second) == 2
         bail, advance = second
+        renamed = subst_vars(cmd.expr, {x: xi_name(x) for x in program.variables})
+        assert renamed != cmd.expr
         assert bail.rhs == (IDLE_SYMBOL,)
-        assert isinstance(bail.spec.guard, BinOp) and bail.spec.guard.op == "!="
-        assert advance.rhs == (model.xi_stack[exit_],)
-        assert advance.spec.guard.op == "=="
-        assert advance.spec.updates == (
-            (xi_name(skel.declass_targets[site]), Var("tmp")),
-        )
+        assert bail.spec.guard == BinOp("!=", Var(cell), renamed)
+        assert advance.rhs == (model.xi_symbols[plain.rhs[0]],)
+        assert advance.spec.guard == BinOp("==", Var(cell), renamed)
+        assert advance.spec.updates == ((xi_name(cmd.target), renamed),)
 
 
 def test_output_match_shape():
@@ -154,12 +160,16 @@ def test_output_match_shape():
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
     (spec,) = skel.outputs
-    entry, exit_ = skel.output_symbols[spec.name]
-    second = outgoing(model, model.xi_stack[entry])
+    (store,) = outgoing(model, "g1")
+    assert store.rhs == (skel.final_symbol,)
+    assert store.spec.writes[0].cells == spec.cells
+    assert store.spec.writes[0].expr == Var("l")
+    second = outgoing(model, model.xi_symbols["g1"])
     # a differing output only sets the mismatch cell: the second run goes on
-    assert [r.rhs for r in second] == [(model.xi_stack[exit_],)] * 2
+    assert [r.rhs for r in second] == [(model.xi_symbols[skel.final_symbol],)] * 2
     differ, agree = second
-    assert any(isinstance(e, CellRef) for e in (differ.spec.guard.right.left,))
+    assert isinstance(differ.spec.guard.right.left, CellRef)
+    assert differ.spec.guard.right.right == Var(xi_name("l"))
     assert {n for n, _ in differ.spec.updates} == {spec.index, MISMATCH}
     assert {n for n, _ in agree.spec.updates} == {spec.index}
 
@@ -169,7 +179,7 @@ def test_second_run_end_is_the_only_way_into_error(mode):
     program, policy = load("P0")
     model = mode(build_model(program, policy, "L", bits=2))
     skel = model.skeleton
-    end = model.xi_stack[skel.final_symbol]
+    end = model.xi_symbols[skel.final_symbol]
     into_error = [r for r in model.spds.rules if ERROR_SYMBOL in r.rhs]
     if mode is tr_compose:
         into_error = [r for r in into_error if not r.lhs.startswith("chk")]
@@ -184,7 +194,7 @@ def test_second_run_end_is_the_only_way_into_error(mode):
 def test_end_check_reads_the_mismatch_cell_and_every_observable():
     pol = "lattice: L < H\nvar l : L\nvar m : L\nvar h : H\nchannel snk : L output\n"
     model = compose("output(h, snk); l := m", pol, self_compose)
-    (check,) = outgoing(model, model.xi_stack[model.skeleton.final_symbol])
+    (check,) = outgoing(model, model.xi_symbols[model.skeleton.final_symbol])
     assert check.rhs == (ERROR_SYMBOL,)
     assert check.spec.guard == BinOp(
         "|",
@@ -236,7 +246,7 @@ def test_composed_order_puts_control_first_and_pairs_copies():
         assert g.control == control
 
         def slots(name):
-            return [lvl // 3 for lvl in g.cur_levels(name)]
+            return [lvl // 2 for lvl in g.cur_levels(name)]
 
         control_bits = sum(g.width_of(name) for name in control)
         assert sorted(t for name in control for t in slots(name)) == list(range(control_bits))
@@ -273,7 +283,7 @@ def test_tr_matches_storematch_bits_without_channels():
 def test_tr_checker_chain_shape():
     program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
     model = tr_compose(build_model(program, policy, "L", bits=2))
-    end = outgoing(model, model.xi_stack[model.skeleton.final_symbol])
+    end = outgoing(model, model.xi_symbols[model.skeleton.final_symbol])
     assert [r.rhs for r in end] == [(ERROR_SYMBOL,), ("chk0",)]
     first = outgoing(model, "chk0")
     assert [r.rhs for r in first] == [(ERROR_SYMBOL,), (ERROR_SYMBOL,), ("chk1",)]
@@ -282,8 +292,7 @@ def test_tr_checker_chain_shape():
     # second run of the output body writes the duplicated cells
     skel = model.skeleton
     snk = skel.output_spec("snk")
-    entry = model.xi_stack[skel.output_symbols["snk"][0]]
-    (writer,) = outgoing(model, entry)
+    (writer,) = outgoing(model, model.xi_symbols["g1"])
     assert writer.spec.writes[0].cells == tuple(xi_name(c) for c in snk.cells)
 
 
@@ -298,8 +307,8 @@ def test_stack_renaming_is_fresh_and_total():
     program, policy = load("P7")
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
-    assert set(model.xi_stack) == set(skel.spds.alphabet)
-    assert not set(model.xi_stack.values()) & set(skel.spds.alphabet)
+    assert set(model.xi_symbols) == set(skel.spds.alphabet)
+    assert not set(model.xi_symbols.values()) & set(skel.spds.alphabet)
     assert len(model.spds.alphabet) == len(set(model.spds.alphabet))
 
 
@@ -314,16 +323,16 @@ def test_construction_is_deterministic(mode):
 def error_reachable(model: ComposedModel, limit: int = 40000) -> bool:
     spds = model.spds
     seen = set()
-    frontier = [(val, (spds.start,)) for val in spds.initial_valuations()]
+    frontier = [(val, spds.start) for val in spds.initial_valuations()]
     while frontier:
         nxt = []
-        for val, stack in frontier:
-            if (val, stack) in seen or len(stack) > 8:
+        for config in frontier:
+            if config in seen:
                 continue
-            seen.add((val, stack))
-            if stack and stack[0] == model.spds.error:
+            seen.add(config)
+            if config[1] == model.spds.error:
                 return True
-            nxt.extend(successors(spds, val, stack))
+            nxt.extend(successors(spds, *config))
         assert len(seen) < limit, "state space blow-up"
         frontier = nxt
     return False
@@ -349,3 +358,15 @@ def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
             for model in (self_compose(skel), tr_compose(skel)):
                 names = [*model.spds.globals.names, *model.spds.alphabet]
                 assert not [n for n in names if stale.search(n)], (name, level)
+
+
+def test_every_rule_moves_to_one_symbol_without_tmp_or_site_bodies():
+    body = re.compile(r"^(xi\()?(de\d|dx\d|oe\[|ox\[)")
+    for name, text, pol, bits, capacity, _ in _cases():
+        program, policy = prog(text, pol)
+        for level in sorted(policy.domains):
+            skel = build_model(program, policy, level, bits=bits, capacity=capacity)
+            for spds in (skel.spds, self_compose(skel).spds, tr_compose(skel).spds):
+                assert all(len(rule.rhs) == 1 for rule in spds.rules), (name, level)
+                assert "tmp" not in spds.globals.names, (name, level)
+                assert not [s for s in spds.alphabet if body.match(s)], (name, level)

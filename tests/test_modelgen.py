@@ -5,14 +5,14 @@ import pytest
 
 from wherecheck.modelgen import (
     FINAL_SYMBOL,
-    TMP,
     ModelSkeleton,
     build_model,
     dump_model,
     index_width,
 )
 from wherecheck.parser import parse_program
-from wherecheck.policy import PolicyError, gather_downgrades, parse_policy
+from wherecheck.compose import self_compose
+from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import OUTCOME_HALTED, run_program
 from wherecheck.spds import HAVOC, successors
 from wherecheck.syntax import (
@@ -45,7 +45,6 @@ def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
     bits = skeleton.bits
     report: dict[str, int] = {}
     report["vars"] = len(skeleton.program.variables) * bits
-    report[TMP] = bits if TMP in skeleton.spds.globals.names else 0
     for spec in skeleton.inputs:
         report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length)
     for spec in skeleton.outputs:
@@ -69,14 +68,15 @@ def test_rules_hold_the_parsers_expression_objects():
         "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n",
     )
     skel = build_model(program, policy, "L", bits=2)
-    assert skel.declass_sites  # the downgrade's expression goes into its push rule
+    assert skel.declass_sites  # the downgrade's expression goes into its store rule
     held = []
-    for rule in skel.spds.rules:
+    for rule in self_compose(skel).spds.rules:
         guard = rule.spec.guard
         held.append(guard)
         if isinstance(guard, BinOp):
             held.append(guard.left)  # a branch not taken guards on "g == 0"
         held += [e for _, e in rule.spec.updates]
+        held += [w.expr for w in rule.spec.writes]
     parsed = []
     for cmd in walk_commands(program.root):
         match cmd:
@@ -94,9 +94,8 @@ def test_p1_bit_budget_frozen():
     skel = build_model(program, policy, "L", bits=3)
     report = count_globals(skel)
     assert report["vars"] == 6
-    assert report["tmp"] == 3
     assert report["downgrades"] == 3
-    assert report["total"] == 12
+    assert report["total"] == 9
 
 
 def test_skip_has_no_globals():
@@ -104,18 +103,6 @@ def test_skip_has_no_globals():
     skel = build_model(program, policy, "L", bits=3)
     assert count_globals(skel)["total"] == 0
     assert skel.spds.globals.names == []
-
-
-def test_tmp_only_where_an_output_or_downgrade_site_uses_it():
-    pol = "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n"
-    for text, used in [
-        ("l := h", False),
-        ("output(h, o)", True),
-        ("l := declass(h)", True),
-    ]:
-        program, policy = prog(text, pol)
-        names = build_model(program, policy, "L", bits=2).spds.globals.names
-        assert (TMP in names) == used, text
 
 
 def test_capacity_scales_only_channel_cells():
@@ -136,12 +123,11 @@ def test_p0_skeleton_shape():
     skel = build_model(program, policy, "L", bits=3)
     assert skel.declass_sites == (1,)
     assert skel.rho == {1: 0}
-    assert skel.declass_targets == {1: "l"}
     assert skel.observable_vars == ("l",)
     assert skel.outputs == ()
     assert "D[0]" in skel.spds.globals.names
-    # The last command leads straight to the final symbol.
-    assert [r.rhs for r in skel.spds.rules if r.lhs == "g1"] == [("de1", FINAL_SYMBOL)]
+    # The last command, the downgrade site, leads straight to the final symbol.
+    assert [r.rhs for r in skel.spds.rules if r.lhs == "g1"] == [(FINAL_SYMBOL,)]
 
 
 def test_high_output_is_frame_rule_without_channel_state():
@@ -157,7 +143,6 @@ def test_high_output_is_frame_rule_without_channel_state():
     rule = site_rules[0]
     assert rule.rhs == (FINAL_SYMBOL,)
     assert rule.spec.guard is None and rule.spec.updates == ()
-    assert TMP not in names
 
 
 def test_low_input_rule_shape():
@@ -173,8 +158,8 @@ def test_low_input_rule_shape():
     assert "x" in updates and "p[in0]" in updates
     # a read past the end has no successor, as in the interpreter
     g = skel.spds.globals
-    assert list(successors(skel.spds, g.valuation({"p[in0]": 1}), ("g0",)))
-    assert not list(successors(skel.spds, g.valuation({"p[in0]": 2}), ("g0",)))
+    assert list(successors(skel.spds, g.valuation({"p[in0]": 1}), "g0"))
+    assert not list(successors(skel.spds, g.valuation({"p[in0]": 2}), "g0"))
 
 
 def test_high_input_havocs_target():
@@ -189,22 +174,23 @@ def test_high_input_havocs_target():
     # Post-states project onto every value of x.
     g = skel.spds.globals
     val = g.valuation({})
-    seen = {g.as_dict(nxt)["x"] for nxt, _ in successors(skel.spds, val, ("g0",))}
+    seen = {g.as_dict(nxt)["x"] for nxt, _ in successors(skel.spds, val, "g0")}
     assert seen == {0, 1, 2, 3}
 
 
-def test_entry_symbols_have_no_body():
-    program, policy = load("P4")
-    skel = build_model(program, policy, "L", bits=3)
-    entries = {entry for entry, _ in skel.declass_symbols.values()}
-    entries |= {entry for entry, _ in skel.output_symbols.values()}
-    for rule in skel.spds.rules:
-        assert rule.lhs not in entries
-    # Exit symbols pop.
-    exits = {exit_ for _, exit_ in skel.declass_symbols.values()}
-    for rule in skel.spds.rules:
-        if rule.lhs in exits:
-            assert rule.rhs == ()
+def test_downgrade_and_low_output_sites_are_plain_rules():
+    # self-composition fills in what a site does in each run
+    program, policy = prog(
+        "l := declass(h); output(l, o); output(h, oH)",
+        "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\nchannel oH : H output\n",
+    )
+    skel = build_model(program, policy, "L", bits=2)
+    assert [(r.lhs, r.rhs, r.note) for r in skel.spds.rules] == [
+        ("g0", ("g1",), "downgrade site"),
+        ("g1", ("g2",), "write o"),
+        ("g2", (FINAL_SYMBOL,), "unobservable write"),
+    ]
+    assert all(r.spec.guard is None and not r.spec.updates for r in skel.spds.rules)
 
 
 def test_two_declass_sites_get_distinct_cells():
@@ -212,18 +198,7 @@ def test_two_declass_sites_get_distinct_cells():
     skel = build_model(program, policy, "L", bits=3)
     assert skel.declass_sites == (2, 3)
     assert skel.rho == {2: 0, 3: 1}
-    assert skel.declass_targets == {2: "l", 3: "l"}
     assert "D[0]" in skel.spds.globals.names and "D[1]" in skel.spds.globals.names
-
-
-def test_reserved_variable_name_rejected():
-    # gather_downgrades already rejects the name (a PolicyError); the model
-    # keeps its own guard for callers that skip it.
-    text, pol = "tmp := 1", "lattice: L < H\nvar tmp : L\n"
-    with pytest.raises(PolicyError, match="reserved"):
-        prog(text, pol)
-    with pytest.raises(ValueError, match="reserved"):
-        build_model(parse_program(text), parse_policy(pol), "L")
 
 
 def test_start_and_final_symbols():
@@ -231,8 +206,9 @@ def test_start_and_final_symbols():
     skel = build_model(program, policy, "L", bits=3)
     assert skel.start_symbol == "g0"
     assert skel.final_symbol == FINAL_SYMBOL
-    last = skel.spds.rules[-1]
-    assert last.lhs == FINAL_SYMBOL and last.rhs == ()
+    # the program's end is a symbol without rules; composition continues it
+    assert FINAL_SYMBOL in skel.spds.alphabet
+    assert not [r for r in skel.spds.rules if r.lhs == FINAL_SYMBOL]
 
 
 def test_dump_model_deterministic_and_annotated():
@@ -241,7 +217,7 @@ def test_dump_model_deterministic_and_annotated():
     text = dump_model(skel)
     assert text == dump_model(build_model(program, policy, "L", bits=3))
     assert "# site g1: l := declass(h)" in text
-    assert "# downgrade g1: de1/dx1 -> D[0]" in text
+    assert "# downgrade g1 -> D[0]" in text
 
 
 # Lockstep differential: for downgrade-free, channel-free programs the model
@@ -262,15 +238,15 @@ LOCKSTEP_PROGRAMS = [
 def _spds_store_trace(skel, store, max_steps=200):
     g = skel.spds.globals
     val = g.valuation(store)
-    stack = (skel.start_symbol,)
+    symbol = skel.start_symbol
     names = skel.program.variables
     seen = [{n: g.as_dict(val)[n] for n in names}]
     for _ in range(max_steps):
-        nexts = list(successors(skel.spds, val, stack))
+        nexts = list(successors(skel.spds, val, symbol))
         if not nexts:
             break
-        assert len(nexts) == 1, f"nondeterministic at {stack[0]}"
-        val, stack = nexts[0]
+        assert len(nexts) == 1, f"nondeterministic at {symbol}"
+        val, symbol = nexts[0]
         snap = {n: g.as_dict(val)[n] for n in names}
         if snap != seen[-1]:
             seen.append(snap)

@@ -55,7 +55,7 @@ def _cases():
 
 def _witness_digest(model, witness) -> str:
     path = [
-        (step.rule_index, step.note, sorted(step.valuation.items()), step.stack)
+        (step.rule_index, step.note, sorted(step.valuation.items()), step.symbol)
         for step in witness.steps
     ]
     text = format_witness(model, witness) + "\n" + repr(path)

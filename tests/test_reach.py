@@ -1,5 +1,3 @@
-import itertools
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -19,8 +17,9 @@ from wherecheck.reach import (
     replay_witness,
 )
 from wherecheck.semantics import run_program
-from wherecheck.spds import GlobalsDecl, Rule, RuleSpec, SPDS, successors
-from wherecheck.syntax import Var
+from wherecheck.spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS, successors
+from wherecheck.syntax import BinOp, Num, Var
+from test_bdd import sat_all
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus" / "table3"
@@ -94,58 +93,59 @@ def tiny_spds(rules, start="a", alphabet=("a", "b"), fixed=(("x", 0),)):
     )
 
 
-def accepts(auto, valuation: tuple[int, ...], word: tuple[str, ...]) -> bool:
-    """Membership under the chain convention (reachability of the config)."""
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    every_cell = frozenset(alg.g.names)
-    if not word:
-        emptied = exists(alg, auto.eps.get(auto.final, mgr.FALSE), alg.g.block_levels(2))
-        return mgr.conj(alg.set_from_valuation(valuation), emptied) != mgr.FALSE
-    reach: dict[str, int] = {auto.initial: alg.set_from_valuation(valuation)}
-    for sym in word:
-        step: dict[str, int] = {}
-        for (p, s, q), rel in auto.trans.items():
-            if s != sym or p not in reach:
-                continue
-            img = alg.transpose_compose(rel, reach[p], every_cell)
-            if img != mgr.FALSE:
-                step[q] = mgr.disj(step.get(q, mgr.FALSE), img)
-        if not step:
-            return False
-        reach = step
-    return reach.get(auto.final, mgr.FALSE) != mgr.FALSE
+def valuations(alg, set_cur):
+    """The valuations of a set over the current levels."""
+    levels = list(range(0, 2 * alg.g.total_bits, 2))
+    return {
+        alg._decode(dict(zip(levels, bits)), alg.g.cur_levels)
+        for bits in sat_all(alg.mgr, set_cur, levels)
+    }
 
 
-def exists(alg, u, levels):
-    return alg.mgr.relprod(u, alg.mgr.TRUE, alg.mgr.step(3 * alg.g.total_bits, drop=levels))
+def symbolic_layers(auto):
+    return [
+        {sym: valuations(auto.algebra, node) for sym, node in layer.items()}
+        for layer in auto.layers
+    ]
 
 
-def lift_to_nxt(alg, set_cur):
-    """The set with every bit moved to the next block."""
-    step = alg.mgr.step(3 * alg.g.total_bits, umap=alg.g.block_map(0, 2))
-    return alg.mgr.relprod(set_cur, alg.mgr.TRUE, step)
+def explicit_layers(spds, cap=60000):
+    """Per distance k: symbol -> the valuations whose shortest explicit distance is k.
+
+    Like post_star, it stops after the first layer that holds the error symbol.
+    """
+    frontier = {(val, spds.start) for val in spds.initial_valuations()}
+    seen = set(frontier)
+    layers = []
+    while frontier:
+        layer = {}
+        for val, sym in frontier:
+            layer.setdefault(sym, set()).add(val)
+        layers.append(layer)
+        if spds.error in layer:
+            break
+        frontier = {nxt for config in frontier for nxt in successors(spds, *config)} - seen
+        seen |= frontier
+        assert len(seen) < cap
+    return layers
 
 
 def test_no_rules_accepts_exactly_initial():
     spds = tiny_spds(())
     auto = post_star(spds)
-    assert auto.steps == 1  # the seeded transition itself
-    assert accepts(auto, (0,), ("a",))
-    assert not accepts(auto, (1,), ("a",))
-    assert not accepts(auto, (0,), ("b",))
-    assert not accepts(auto, (0,), ("a", "a"))
+    assert auto.steps == 1  # the initial frontier itself
+    assert auto.edge_count == 1
+    assert symbolic_layers(auto) == [{"a": {(0,)}}]
 
 
 def test_self_loop_fixpoint_after_one_iteration():
     loop = Rule("a", ("a",), RuleSpec.make(), "spin")
     auto = post_star(tiny_spds((loop,)))
-    assert auto.steps == 1  # re-derived relation adds nothing new
-    assert accepts(auto, (0,), ("a",))
+    assert auto.steps == 1  # re-derived valuations add nothing new
+    assert symbolic_layers(auto) == [{"a": {(0,)}}]
 
 
 def test_counting_loop_saturates_values():
-    from wherecheck.syntax import BinOp, Num
-
     bump = Rule(
         "a",
         ("a",),
@@ -153,21 +153,22 @@ def test_counting_loop_saturates_values():
         "bump",
     )
     auto = post_star(tiny_spds((bump,)))
-    for v in range(4):
-        assert accepts(auto, (v,), ("a",))
+    assert symbolic_layers(auto) == [{"a": {(v,)}} for v in range(4)]
+    assert valuations(auto.algebra, auto.reached["a"]) == {(v,) for v in range(4)}
 
 
 def test_pop_to_empty_stack():
-    done = Rule("a", (), RuleSpec.make(), "done")
-    auto = post_star(tiny_spds((done,)))
-    assert accepts(auto, (0,), ())
-    assert not accepts(auto, (1,), ())
+    # a run ends in a symbol without rules, as the program's end symbol does
+    done = Rule("a", ("b",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(0))), "done")
+    auto = post_star(tiny_spds((done,), fixed=()))
+    assert symbolic_layers(auto) == [{"a": {(0,), (1,), (2,), (3,)}}, {"b": {(0,)}}]
+    assert auto.steps == 2
 
 
 def test_budget_exceeded_propagates():
-    model = corpus_model("P1", bits=2, capacity=2)
+    model = corpus_model("P1", bits=2, capacity=2)  # 138 nodes unbounded
     with pytest.raises(BudgetExceeded):
-        post_star(model, node_budget=200)
+        post_star(model, node_budget=100)
 
 
 def test_saturation_is_deterministic():
@@ -175,64 +176,73 @@ def test_saturation_is_deterministic():
     b = post_star(corpus_model("P3", bits=2, capacity=2))
     assert a.steps == b.steps
     assert a.edge_count == b.edge_count
-    assert list(a.trans) == list(b.trans)
-
-
-def explicit_reach_sets(spds, cap=60000):
-    seen = {}
-    work = deque((val, (spds.start,)) for val in spds.initial_valuations())
-    while work:
-        val, stack = work.popleft()
-        if val in seen.get(stack, ()):
-            continue
-        seen.setdefault(stack, set()).add(val)
-        assert sum(len(v) for v in seen.values()) < cap
-        work.extend(successors(spds, val, stack))
-    return seen
+    assert a.layers == b.layers
 
 
 def test_acceptance_matches_explicit_reachability():
-    # The automaton's language must be exactly the reachable configurations.
+    # Every layer must hold exactly the configurations first reached there.
     model = build(
         "l := declass(h); output(l, snk)",
         "lattice: L < H\nvar h : H\nvar l : L\nchannel snk : L output\n",
         bits=1,
         capacity=1,
     )
-    spds = model.spds
     auto = post_star(model)
-    reached = explicit_reach_sets(spds)
-    for stack, vals in reached.items():
-        for val in vals:
-            assert accepts(auto, val, stack), (val, stack)
-    universe = list(spds.globals.all_valuations())
-    for stack, vals in reached.items():
-        for val in itertools.islice((v for v in universe if v not in vals), 5):
-            assert not accepts(auto, val, stack), (val, stack)
-    assert not accepts(auto, universe[0], ("no-such-symbol",))
+    assert symbolic_layers(auto) == explicit_layers(model.spds)
+    assert "no-such-symbol" not in auto.reached
+
+
+BUMP = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
+TRIPLE = RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))})
 
 
 def test_nested_pushes_match_explicit_reachability():
-    # A push inside a called procedure: the inner push's entry edge is built
-    # from a delta whose promise is already constrained by the outer push.
-    from wherecheck.syntax import BinOp, Num
-
-    bump = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
+    # Without recursion, calls nest no deeper than the text, so pushes can
+    # be inlined: a calls b, b calls c, each return continues the caller.
     rules = (
-        Rule("a", ("b", "r"), bump, "call b"),
-        Rule("b", ("c", "s"), bump, "call c"),
-        Rule("c", (), RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))}), "c returns"),
-        Rule("s", (), bump, "b returns"),
+        Rule("a", ("b",), BUMP, "call b"),
+        Rule("b", ("c",), BUMP, "call c"),
+        Rule("c", ("s",), TRIPLE, "c returns"),
+        Rule("s", ("r",), BUMP, "b returns"),
         Rule("r", ("a",), RuleSpec.make(guard=BinOp("<", Var("x"), Num(2))), "again"),
     )
     spds = tiny_spds(rules, alphabet=("a", "b", "c", "r", "s"))
+    assert symbolic_layers(post_star(spds)) == explicit_layers(spds)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        (Rule("a", ("b",), RuleSpec.make(updates={"x": HAVOC}), "any"),),
+        (
+            Rule("a", ("b",), RuleSpec.make(guard=BinOp("<", Var("x"), Num(3))), "small"),
+            Rule("b", ("a",), BUMP, "bump"),
+            Rule("b", ("b",), TRIPLE, "triple"),
+        ),
+        (
+            Rule("a", ("a",), BUMP, "bump"),
+            Rule("a", ("b",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(2))), "two"),
+            Rule("b", ("a",), RuleSpec.make(updates={"x": Num(0)}), "reset"),
+        ),
+    ],
+    ids=["havoc", "branching", "reset"],
+)
+@pytest.mark.parametrize("fixed", [(("x", 0),), ()], ids=["x=0", "free"])
+def test_layers_are_shortest_distance_sets_on_tiny_systems(rules, fixed):
+    spds = tiny_spds(rules, fixed=fixed)
+    assert symbolic_layers(post_star(spds)) == explicit_layers(spds)
+
+
+def test_the_search_stops_at_the_first_layer_that_holds_error():
+    rules = (
+        Rule("a", ("a",), BUMP, "bump"),
+        Rule("a", ("e",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(1))), "fail"),
+    )
+    spds = SPDS(GlobalsDecl((("x", 2),)), ("a", "e"), rules, "a", (("x", 0),), error="e")
     auto = post_star(spds)
-    reached = explicit_reach_sets(spds)
-    universe = list(spds.globals.all_valuations())
-    stacks = set(reached) | {(sym,) for sym in spds.alphabet} | {("c", "s", "r"), ("s", "r")}
-    for stack in stacks:
-        for val in universe:
-            assert accepts(auto, val, stack) == (val in reached.get(stack, ())), (val, stack)
+    assert is_error_reachable(auto, spds)
+    assert symbolic_layers(auto) == [{"a": {(0,)}}, {"a": {(1,)}}, {"a": {(2,)}, "e": {(1,)}}]
+    assert symbolic_layers(auto) == explicit_layers(spds)
 
 
 def test_leak_witness_decodes_and_replays():
@@ -253,11 +263,11 @@ def test_witness_steps_form_a_rule_path():
     auto = post_star(model)
     w = extract_witness(auto, model)
     assert w.steps[0].rule_index is None
-    assert w.steps[0].stack == (model.spds.start,)
-    assert w.steps[-1].stack[0] == model.spds.error
-    for step in w.steps[1:]:
+    assert w.steps[0].symbol == model.spds.start
+    assert w.steps[-1].symbol == model.spds.error
+    for before, step in zip(w.steps, w.steps[1:]):
         rule = model.spds.rules[step.rule_index]
-        assert step.stack[: len(rule.rhs)] == rule.rhs
+        assert (before.symbol, (step.symbol,)) == (rule.lhs, rule.rhs)
 
 
 def test_witness_extraction_is_deterministic():
@@ -265,7 +275,7 @@ def test_witness_extraction_is_deterministic():
     w1 = extract_witness(post_star(model), model)
     w2 = extract_witness(post_star(model), model)
     assert (w1.mu1, w1.mu2, w1.channel, w1.index) == (w2.mu1, w2.mu2, w2.channel, w2.index)
-    assert [s.stack for s in w1.steps] == [s.stack for s in w2.steps]
+    assert [s.symbol for s in w1.steps] == [s.symbol for s in w2.steps]
 
 
 def test_p5_witness_skips_declass_branch():
@@ -400,62 +410,31 @@ def test_tr_witness_decodes():
     assert w.replay_ok
 
 
-# The decision reads only the edge keys.  The reference below is the least
-# fixpoint that decided before: per state, the promise values from which a
-# path can complete at final.  Every promise on every edge must lie in the
-# reference set of its target, and the two decisions must agree.
-
-
-def feasible_chains(auto):
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    feas = {state: mgr.FALSE for p, _, q in auto.trans for state in (p, q)}
-    feas[auto.final] = mgr.TRUE
-    every_cell = frozenset(alg.g.names)
-    entering = {}
-    for edge in auto.trans:
-        entering.setdefault(edge[2], []).append(edge)
-    work = deque(entering.get(auto.final, ()))
-    queued = set(work)
-    while work:
-        edge = work.popleft()
-        queued.discard(edge)
-        p, q = edge[0], edge[2]
-        merged = mgr.disj(feas[p], alg.preimage(auto.trans[edge], feas[q], every_cell))
-        if merged != feas[p]:
-            feas[p] = merged
-            for e in entering.get(p, ()):
-                if e not in queued:
-                    queued.add(e)
-                    work.append(e)
-    return feas
-
-
-def reference_decision(auto, feas):
-    alg, mgr = auto.algebra, auto.algebra.mgr
-    return any(
-        mgr.conj(rel, lift_to_nxt(alg, feas[q])) != mgr.FALSE
-        for (p, sym, q), rel in auto.trans.items()
-        if p == auto.initial and sym == auto.spds.error
-    )
+# The search against explicit breadth-first search on the inputs that once
+# checked the saturation's promises.  Layer k claims that each of its
+# valuations is first reached in exactly k rule applications; the claim is
+# feasible when the explicit search finds the same sets at distance k.  The
+# explicit side enumerates every configuration, so each input runs at one
+# bit and capacity 2, whatever its width.
 
 
 def _feasibility_cases():
-    """(name, program text, policy text, bits, capacity, compose)."""
+    """(name, program text, policy text, compose)."""
     for i in range(8):
         text = (CORPUS / f"P{i}").read_text()
         pol = (CORPUS / f"P{i}.policy").read_text()
         for bits in (2, 3):
-            yield f"table3/P{i}@{bits}", text, pol, bits, 8, self_compose
+            yield f"table3/P{i}@{bits}", text, pol, self_compose
     for i in range(8):
         path = ROOT / "corpus" / "iobench" / f"B{i}"
         for mode in (self_compose, tr_compose):
             name = f"iobench/B{i}/{'tr' if mode is tr_compose else 'storematch'}"
-            yield name, path.read_text(), path.with_suffix(".policy").read_text(), 2, 8, mode
+            yield name, path.read_text(), path.with_suffix(".policy").read_text(), mode
     for seed in range(60):
         for io in (False, True):
             gen = generate(seed, GenConfig(io=io))
             name = f"randprog/{seed}{'io' if io else ''}"
-            yield name, gen.text, gen.policy_text, 2, 4, self_compose
+            yield name, gen.text, gen.policy_text, self_compose
 
 
 FEASIBILITY_CASES = list(_feasibility_cases())
@@ -465,16 +444,11 @@ FEASIBILITY_CASES = list(_feasibility_cases())
     "case", FEASIBILITY_CASES, ids=[case[0] for case in FEASIBILITY_CASES]
 )
 def test_every_promise_is_feasible_and_the_decision_matches(case):
-    _, text, pol, bits, capacity, mode = case
+    _, text, pol, mode = case
     program = parse_program(text)
     policy = gather_downgrades(program, parse_policy(pol))
     for level in sorted(policy.domains):
-        model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+        model = mode(build_model(program, policy, level, bits=1, capacity=2))
         auto = post_star(model)
-        alg, mgr = auto.algebra, auto.algebra.mgr
-        feas = feasible_chains(auto)
-        drop_cur = mgr.step(3 * alg.g.total_bits, drop=alg.g.block_levels(0))
-        for (p, sym, q), rel in auto.trans.items():
-            promises = mgr.relprod(rel, mgr.TRUE, drop_cur)
-            assert mgr.diff(promises, lift_to_nxt(alg, feas[q])) == mgr.FALSE, (level, p, sym, q)
-        assert is_error_reachable(auto, model) == reference_decision(auto, feas), level
+        assert symbolic_layers(auto) == explicit_layers(model.spds), level
+        assert is_error_reachable(auto, model) == explicit_error_search(model), level
