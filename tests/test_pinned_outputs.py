@@ -1,7 +1,7 @@
-"""Verdicts, saturation counts and witnesses pinned across commits.
+"""Verdicts, search counts and witnesses pinned across commits.
 
 Each line of ``pinned_outputs.txt`` is one (program, bits, mode, level):
-the verdict, the saturation's ``steps`` and ``edge_count``, and the first
+the verdict, the forward search's ``steps`` and ``edge_count``, and the first
 16 hex digits of a sha256 over the formatted witness and its step path
 (``-`` on a secure level).  Each line of ``decoded_witnesses.txt`` is one
 insecure (program, bits, mode, level): the decoded witness without its

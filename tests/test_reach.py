@@ -410,12 +410,12 @@ def test_tr_witness_decodes():
     assert w.replay_ok
 
 
-# The search against explicit breadth-first search on the inputs that once
-# checked the saturation's promises.  Layer k claims that each of its
-# valuations is first reached in exactly k rule applications; the claim is
-# feasible when the explicit search finds the same sets at distance k.  The
-# explicit side enumerates every configuration, so each input runs at one
-# bit and capacity 2, whatever its width.
+# The search against explicit breadth-first search on 152 corpus and random
+# inputs.  Layer k promises that each of its valuations is first reached in
+# exactly k rule applications; the promise is feasible when the explicit
+# search finds the same sets at distance k.  The explicit side enumerates
+# every configuration, so each input runs at one bit and capacity 2,
+# whatever the width its name gives.
 
 
 def _feasibility_cases():
