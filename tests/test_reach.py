@@ -93,6 +93,10 @@ def tiny_spds(rules, start="a", alphabet=("a", "b"), fixed=(("x", 0),)):
     )
 
 
+BUMP = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
+TRIPLE = RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))})
+
+
 def valuations(alg, set_cur):
     """The valuations of a set over the current levels."""
     levels = list(range(0, 2 * alg.g.total_bits, 2))
@@ -146,13 +150,7 @@ def test_self_loop_fixpoint_after_one_iteration():
 
 
 def test_counting_loop_saturates_values():
-    bump = Rule(
-        "a",
-        ("a",),
-        RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))}),
-        "bump",
-    )
-    auto = post_star(tiny_spds((bump,)))
+    auto = post_star(tiny_spds((Rule("a", ("a",), BUMP, "bump"),)))
     assert symbolic_layers(auto) == [{"a": {(v,)}} for v in range(4)]
     assert valuations(auto.algebra, auto.reached["a"]) == {(v,) for v in range(4)}
 
@@ -190,10 +188,6 @@ def test_acceptance_matches_explicit_reachability():
     auto = post_star(model)
     assert symbolic_layers(auto) == explicit_layers(model.spds)
     assert "no-such-symbol" not in auto.reached
-
-
-BUMP = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
-TRIPLE = RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))})
 
 
 def test_nested_pushes_match_explicit_reachability():
