@@ -4,9 +4,9 @@ Nodes are hash-consed triples (level, lo, hi) stored in parallel arrays and
 addressed by index; 0 and 1 are the terminals.  Levels are plain integers
 assigned by the caller.  Quantification and relabelling happen in one
 kernel, the relational product with substitution (Burch, Clarke, McMillan,
-Dill & Hwang 1990): relprod conjoins two diagrams whose levels it relabels,
-quantifies some product levels and places the rest at their result levels
-as it builds.  It only supports order-preserving level maps, which is all
+Dill & Hwang 1990): relprod conjoins two diagrams, relabelling the levels
+of the second, quantifies some product levels and places the rest at their
+result levels as it builds.  It only supports order-preserving level maps, which is all
 the relation algebra here needs: rule relations place the current-state
 copy of global bit slot k at level 2k and the next-state copy at 2k+1, and
 a step moves a bit only between the two levels of its slot, over a level
@@ -50,7 +50,6 @@ class Step(NamedTuple):
     """An interned relational product; every list is indexed by level (see BDD.step)."""
 
     sid: int  # the cache-key id
-    umap: list[int]  # level of u -> product level
     vmap: list[int]  # level of v -> product level
     drop: list[bool]  # product level -> quantified
     out: list[int]  # kept product level -> result level
@@ -225,24 +224,23 @@ class BDD:
     def step(
         self,
         size: int,
-        umap: Mapping[int, int] = {},
         vmap: Mapping[int, int] = {},
         drop: Iterable[int] = (),
         out: Mapping[int, int] = {},
     ) -> Step:
         """The relational product that relprod(u, v, step) computes, interned.
 
-        umap and vmap relabel the levels of u and of v to product levels,
-        drop names the product levels to quantify, and out places each
-        kept product level in the result; a level a map leaves out stays
-        where it is.  Every level involved must be below size.  Each map
+        The levels of u are product levels already; vmap relabels the
+        levels of v to product levels, drop names the product levels to
+        quantify, and out places each kept product level in the result; a
+        level a map leaves out stays where it is.  Every level involved must be below size.  Each map
         must preserve the order of the levels it meets, and out must not
         land a kept level on another kept level; the node() assertion
         enforces this as a side effect.  Equal arguments give the same
         step, so its results persist in the cache across calls.
         """
         wanted = frozenset(drop)
-        key = (size, *(tuple(sorted(m.items())) for m in (umap, vmap, out)), wanted)
+        key = (size, *(tuple(sorted(m.items())) for m in (vmap, out)), wanted)
         found = self._steps.get(key)
         if found is None:
 
@@ -252,10 +250,9 @@ class BDD:
                     levels[src] = dst
                 return levels
 
-            moved = [src for m in (umap, vmap, out) for src, dst in m.items() if src != dst]
+            moved = [src for m in (vmap, out) for src, dst in m.items() if src != dst]
             found = self._steps[key] = Step(
                 _fresh_id(self._steps, "relational steps"),
-                table(umap),
                 table(vmap),
                 [lvl in wanted for lvl in range(size)],
                 table(out),
@@ -264,7 +261,7 @@ class BDD:
         return found
 
     def relprod(self, u: int, v: int, step: Step) -> int:
-        """exists drop . (u o umap and v o vmap), kept levels placed by out, in one pass.
+        """exists drop . (u and v o vmap), kept levels placed by out, in one pass.
 
         The conjunction is never built, a TRUE cofactor under a dropped
         level short-circuits its sibling, and each kept level lands at its
@@ -284,7 +281,6 @@ class BDD:
         found = self._cache.get(key)
         if found is not None:
             return found
-        lu = LEAF_LEVEL if u == 1 else step.umap[lu]
         lv = LEAF_LEVEL if v == 1 else step.vmap[lv]
         top = lu if lu < lv else lv
         u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)

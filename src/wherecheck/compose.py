@@ -38,20 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modelgen import ModelSkeleton, d_name, site_symbol, xi_name
+from .modelgen import FINAL_SYMBOL, ModelSkeleton, d_name, xi_name
 from .spds import ArrayWrite, GlobalsDecl, Rule, RuleSpec, SPDS
-from .syntax import (
-    BinOp,
-    CellRef,
-    Command,
-    DeclassAssign,
-    Expr,
-    Num,
-    Output,
-    Var,
-    subst_vars,
-    walk_commands,
-)
+from .syntax import BinOp, CellRef, Command, DeclassAssign, Expr, Num, Var, subst_vars
 
 MODE_STORE_MATCH = "storematch"
 MODE_TR = "tr"
@@ -70,15 +59,6 @@ class ComposedModel:
     spds: SPDS
     skeleton: ModelSkeleton
     mode: str
-    xi_symbols: dict[str, str]  # skeleton control symbol -> its second-run copy
-
-    @property
-    def level(self) -> str:
-        return self.skeleton.level
-
-    @property
-    def bits(self) -> int:
-        return self.skeleton.bits
 
 
 def _conj(parts: list[Expr]) -> Expr:
@@ -123,17 +103,6 @@ def _composed_globals(skeleton: ModelSkeleton, tr: bool, mismatch_cell: bool) ->
     return GlobalsDecl(tuple(cells), frozenset(control))
 
 
-def _site_bodies(skeleton: ModelSkeleton) -> dict[str, Command]:
-    """The command of each real downgrade and observable-output site, by site symbol."""
-    observable = {spec.name for spec in skeleton.outputs}
-    return {
-        site_symbol(cmd.site.id): cmd
-        for cmd in walk_commands(skeleton.program.root)
-        if (isinstance(cmd, DeclassAssign) and cmd.site.id in skeleton.rho)
-        or (isinstance(cmd, Output) and cmd.channel in observable)
-    }
-
-
 def _channel_write(cells: tuple[str, ...], index: str, expr: Expr, label: str) -> RuleSpec:
     """cells[index] := expr and index += 1, while a cell is left."""
     return RuleSpec.make(
@@ -148,13 +117,13 @@ def _first_run_body(skeleton: ModelSkeleton, cmd: Command, lhs: str, rhs: str) -
     if isinstance(cmd, DeclassAssign):
         cell = d_name(skeleton.rho[cmd.site.id])
         store = RuleSpec.make(updates={cell: cmd.expr, cmd.target: cmd.expr})
-        return [Rule(lhs, (rhs,), store, "record downgrade")]
+        return [Rule(lhs, rhs, store, "record downgrade")]
     spec = skeleton.output_spec(cmd.channel)
     if not spec.cells:
         # At capacity 0 no write fits and the run blocks here.
         return []
     store = _channel_write(spec.cells, spec.index, cmd.expr, f"O({spec.name})")
-    return [Rule(lhs, (rhs,), store, "record output")]
+    return [Rule(lhs, rhs, store, "record output")]
 
 
 def _second_run_body(
@@ -169,8 +138,8 @@ def _second_run_body(
             guard=BinOp("==", Var(cell), expr), updates={xi_name(cmd.target): expr}
         )
         return [
-            Rule(lhs, (IDLE_SYMBOL,), mismatch, "premise fails"),
-            Rule(lhs, (rhs,), match, "downgrade matches"),
+            Rule(lhs, IDLE_SYMBOL, mismatch, "premise fails"),
+            Rule(lhs, rhs, match, "downgrade matches"),
         ]
     spec = skeleton.output_spec(cmd.channel)
     if not spec.cells:
@@ -179,7 +148,7 @@ def _second_run_body(
     if tr:
         xcells = tuple(xi_name(c) for c in spec.cells)
         write2 = _channel_write(xcells, xi_name(q), expr, f"O'({spec.name})")
-        return [Rule(lhs, (rhs,), write2, "second-run output")]
+        return [Rule(lhs, rhs, write2, "second-run output")]
     in_cap = BinOp("<", Var(q), Num(spec.length))
     recorded = CellRef(spec.cells, q, f"O({spec.name})")
     differ = RuleSpec.make(
@@ -191,15 +160,13 @@ def _second_run_body(
         updates={q: BinOp("+", Var(q), Num(1))},
     )
     return [
-        Rule(lhs, (rhs,), differ, "observation differs"),
-        Rule(lhs, (rhs,), agree, "output matches"),
+        Rule(lhs, rhs, differ, "observation differs"),
+        Rule(lhs, rhs, agree, "output matches"),
     ]
 
 
 def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     var_map = {name: xi_name(name) for name in skeleton.program.variables}
-    xi_symbols = {s: xi_name(s) for s in skeleton.spds.alphabet}
-    bodies = _site_bodies(skeleton)
     tr = mode == MODE_TR
 
     mismatch_cell = not tr and bool(skeleton.outputs)
@@ -210,14 +177,14 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     init_spec = RuleSpec.make(
         updates={xi_name(x): Var(x) for x in skeleton.observable_vars}
     )
-    rules.append(Rule(INIT_SYMBOL, (skeleton.start_symbol,), init_spec, "pair start"))
+    rules.append(Rule(INIT_SYMBOL, skeleton.spds.start, init_spec, "pair start"))
 
     for rule in skeleton.spds.rules:
-        cmd = bodies.get(rule.lhs)
+        cmd = skeleton.sites.get(rule.lhs)
         if cmd is None:
             rules.append(rule)
         else:
-            rules += _first_run_body(skeleton, cmd, rule.lhs, rule.rhs[0])
+            rules += _first_run_body(skeleton, cmd, rule.lhs, rule.rhs)
 
     resets: dict[str, Expr] = {spec.index: Num(0) for spec in skeleton.inputs}
     if not tr:
@@ -226,36 +193,36 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         resets |= {spec.index: Num(0) for spec in skeleton.outputs}
     rules.append(
         Rule(
-            skeleton.final_symbol,
-            (xi_symbols[skeleton.start_symbol],),
+            FINAL_SYMBOL,
+            xi_name(skeleton.spds.start),
             RuleSpec.make(updates=resets),
             "restart as second run",
         )
     )
 
     for rule in skeleton.spds.rules:
-        lhs, rhs = xi_symbols[rule.lhs], xi_symbols[rule.rhs[0]]
-        cmd = bodies.get(rule.lhs)
+        lhs, rhs = xi_name(rule.lhs), xi_name(rule.rhs)
+        cmd = skeleton.sites.get(rule.lhs)
         if cmd is None:
             note = f"second-run {rule.note}" if rule.note else ""
-            rules.append(Rule(lhs, (rhs,), rule.spec.renamed(var_map), note))
+            rules.append(Rule(lhs, rhs, rule.spec.renamed(var_map), note))
         else:
             rules += _second_run_body(skeleton, cmd, var_map, lhs, rhs, tr)
 
-    end = xi_symbols[skeleton.final_symbol]
+    end = xi_name(FINAL_SYMBOL)
     differs: list[Expr] = [Var(MISMATCH)] if mismatch_cell else []
     differs += [BinOp("!=", Var(x), Var(xi_name(x))) for x in skeleton.observable_vars]
     if differs:
-        rules.append(Rule(end, (ERROR_SYMBOL,), RuleSpec.make(guard=_disj(differs)), "runs differ"))
+        rules.append(Rule(end, ERROR_SYMBOL, RuleSpec.make(guard=_disj(differs)), "runs differ"))
     if tr:
-        rules.append(Rule(end, ("chk0",), RuleSpec.make(), "begin comparison"))
+        rules.append(Rule(end, "chk0", RuleSpec.make(), "begin comparison"))
         for i, spec in enumerate(skeleton.outputs):
             here, nxt = f"chk{i}", f"chk{i + 1}"
             q, xq = spec.index, xi_name(spec.index)
             rules.append(
                 Rule(
                     here,
-                    (ERROR_SYMBOL,),
+                    ERROR_SYMBOL,
                     RuleSpec.make(guard=BinOp("!=", Var(q), Var(xq))),
                     f"{spec.name} counts differ",
                 )
@@ -273,26 +240,18 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
                 rules.append(
                     Rule(
                         here,
-                        (ERROR_SYMBOL,),
+                        ERROR_SYMBOL,
                         RuleSpec.make(guard=_disj(bad_parts)),
                         f"{spec.name} cells differ",
                     )
                 )
             rules.append(
-                Rule(here, (nxt,), RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
+                Rule(here, nxt, RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
             )
         done = f"chk{len(skeleton.outputs)}"
-        rules.append(Rule(done, (done,), RuleSpec.make(), "comparison done"))
+        rules.append(Rule(done, done, RuleSpec.make(), "comparison done"))
 
-    rules.append(Rule(IDLE_SYMBOL, (IDLE_SYMBOL,), RuleSpec.make(), "out of scope"))
-
-    alphabet: list[str] = [INIT_SYMBOL]
-    for rule in rules:
-        for s in (rule.lhs, *rule.rhs):
-            if s not in alphabet:
-                alphabet.append(s)
-    if ERROR_SYMBOL not in alphabet:
-        alphabet.append(ERROR_SYMBOL)
+    rules.append(Rule(IDLE_SYMBOL, IDLE_SYMBOL, RuleSpec.make(), "out of scope"))
 
     initial_fixed = list(skeleton.spds.initial_fixed)
     if tr:
@@ -301,19 +260,9 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
         initial_fixed.append((MISMATCH, 0))
 
     spds = SPDS(
-        globals_decl,
-        tuple(alphabet),
-        tuple(rules),
-        INIT_SYMBOL,
-        tuple(initial_fixed),
-        error=ERROR_SYMBOL,
+        globals_decl, tuple(rules), INIT_SYMBOL, tuple(initial_fixed), error=ERROR_SYMBOL
     )
-    return ComposedModel(
-        spds=spds,
-        skeleton=skeleton,
-        mode=mode,
-        xi_symbols=xi_symbols,
-    )
+    return ComposedModel(spds=spds, skeleton=skeleton, mode=mode)
 
 
 def self_compose(skeleton: ModelSkeleton) -> ComposedModel:

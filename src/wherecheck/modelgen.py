@@ -8,11 +8,12 @@ counter.  A read past the end of an observable input has no successor: as
 in the interpreter, such a run is stuck and never halts.
 
 Each real downgrade site and each observable-output site is one plain rule
-to its continuation.  What it does depends on the run, so the
-self-composition pass replaces it, in each run, with the site's own store
-or match rules.  The program's last command leads to the final symbol,
-where the self-composition restarts as the second run and, at the second
-run's end, compares the two runs' final stores.
+to its continuation, and the skeleton's site table maps its symbol to its
+command.  What it does depends on the run, so the self-composition pass
+replaces it, in each run, with the site's own store or match rules.  The
+program's last command leads to the final symbol, where the
+self-composition restarts as the second run and, at the second run's end,
+compares the two runs' final stores.
 
 Rules hold the parser's own expression objects; the model adds only the
 guards and updates of channel bookkeeping, built from the same syntax
@@ -97,12 +98,10 @@ class ModelSkeleton:
     program: Program
     policy: Policy
     observable_vars: tuple[str, ...]
-    declass_sites: tuple[int, ...]  # real downgrade sites, ascending
-    rho: dict[int, int]
+    rho: dict[int, int]  # real downgrade site -> its D cell, in site order
     inputs: tuple[ChannelSpec, ...]
     outputs: tuple[ChannelSpec, ...]
-    final_symbol: str
-    start_symbol: str
+    sites: dict[str, Command]  # real downgrade and observable-output sites, by symbol
 
     def output_spec(self, channel: str) -> ChannelSpec:
         for spec in self.outputs:
@@ -165,10 +164,8 @@ def build_model(
     observable_vars = tuple(
         name for name in program.variables if policy.observable(name, level)
     )
-    declass_sites = tuple(
-        sorted(site for site, real in policy.declass_real.items() if real)
-    )
-    rho = {site: i for i, site in enumerate(declass_sites)}
+    real = sorted(site for site, is_real in policy.declass_real.items() if is_real)
+    rho = {site: i for i, site in enumerate(real)}
 
     low_in = sorted(
         name
@@ -194,12 +191,11 @@ def build_model(
     )
     observable_outputs = {spec.name for spec in outputs}
 
-    globals_decl = make_globals(
-        tuple(program.variables), bits, inputs, outputs, len(declass_sites)
-    )
+    globals_decl = make_globals(tuple(program.variables), bits, inputs, outputs, len(rho))
 
     input_by_name = {spec.name: spec for spec in inputs}
     rules: list[Rule] = []
+    sites: dict[str, Command] = {}
 
     def emit(cmd: Command, next_sym: str) -> None:
         sym = site_symbol(cmd.site.id) if not isinstance(cmd, Seq) else None
@@ -208,31 +204,32 @@ def build_model(
                 emit(first, _first_symbol(second))
                 emit(second, next_sym)
             case Skip(_):
-                rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "skip"))
+                rules.append(Rule(sym, next_sym, RuleSpec.make(), "skip"))
             case Assign(_, target, expr):
                 spec = RuleSpec.make(updates={target: expr})
-                rules.append(Rule(sym, (next_sym,), spec, f"{target} := ..."))
+                rules.append(Rule(sym, next_sym, spec, f"{target} := ..."))
             case DeclassAssign(site, _, _) if site.id in rho:
-                rules.append(Rule(sym, (next_sym,), RuleSpec.make(), "downgrade site"))
+                sites[sym] = cmd
+                rules.append(Rule(sym, next_sym, RuleSpec.make(), "downgrade site"))
             case DeclassAssign(_, target, expr):
                 spec = RuleSpec.make(updates={target: expr})
-                rules.append(Rule(sym, (next_sym,), spec, f"{target} := ... (no downgrade)"))
+                rules.append(Rule(sym, next_sym, spec, f"{target} := ... (no downgrade)"))
             case If(_, guard, then_branch, else_branch):
                 rules.append(
-                    Rule(sym, (_first_symbol(then_branch),), RuleSpec.make(guard=guard), "if taken")
+                    Rule(sym, _first_symbol(then_branch), RuleSpec.make(guard=guard), "if taken")
                 )
                 zero = BinOp("==", guard, Num(0))
                 rules.append(
-                    Rule(sym, (_first_symbol(else_branch),), RuleSpec.make(guard=zero), "if not taken")
+                    Rule(sym, _first_symbol(else_branch), RuleSpec.make(guard=zero), "if not taken")
                 )
                 emit(then_branch, next_sym)
                 emit(else_branch, next_sym)
             case While(_, guard, body):
                 rules.append(
-                    Rule(sym, (_first_symbol(body),), RuleSpec.make(guard=guard), "loop entered")
+                    Rule(sym, _first_symbol(body), RuleSpec.make(guard=guard), "loop entered")
                 )
                 zero = BinOp("==", guard, Num(0))
-                rules.append(Rule(sym, (next_sym,), RuleSpec.make(guard=zero), "loop exited"))
+                rules.append(Rule(sym, next_sym, RuleSpec.make(guard=zero), "loop exited"))
                 emit(body, sym)
             case Input(_, target, channel):
                 if channel in input_by_name:
@@ -244,29 +241,24 @@ def build_model(
                             spec.index: BinOp("+", Var(spec.index), Num(1)),
                         },
                     )
-                    rules.append(Rule(sym, (next_sym,), in_range, f"read {channel}"))
+                    rules.append(Rule(sym, next_sym, in_range, f"read {channel}"))
                 else:
                     spec = RuleSpec.make(updates={target: HAVOC})
-                    rules.append(Rule(sym, (next_sym,), spec, f"unobservable read into {target}"))
-            case Output(_, _, channel):
-                note = f"write {channel}" if channel in observable_outputs else "unobservable write"
-                rules.append(Rule(sym, (next_sym,), RuleSpec.make(), note))
+                    rules.append(Rule(sym, next_sym, spec, f"unobservable read into {target}"))
+            case Output(_, _, channel) if channel in observable_outputs:
+                sites[sym] = cmd
+                rules.append(Rule(sym, next_sym, RuleSpec.make(), f"write {channel}"))
+            case Output(_, _, _):
+                rules.append(Rule(sym, next_sym, RuleSpec.make(), "unobservable write"))
             case _:
                 raise TypeError(f"unknown command: {cmd!r}")
 
     emit(program.root, FINAL_SYMBOL)
 
-    alphabet: list[str] = []
-    for rule in rules:
-        for s in (rule.lhs, *rule.rhs):
-            if s not in alphabet:
-                alphabet.append(s)
-
     initial_fixed = tuple(
         [(spec.index, 0) for spec in inputs] + [(spec.index, 0) for spec in outputs]
     )
-    start = _first_symbol(program.root)
-    spds = SPDS(globals_decl, tuple(alphabet), tuple(rules), start, initial_fixed)
+    spds = SPDS(globals_decl, tuple(rules), _first_symbol(program.root), initial_fixed)
     return ModelSkeleton(
         spds=spds,
         level=level,
@@ -275,12 +267,10 @@ def build_model(
         program=program,
         policy=policy,
         observable_vars=observable_vars,
-        declass_sites=declass_sites,
         rho=rho,
         inputs=inputs,
         outputs=outputs,
-        final_symbol=FINAL_SYMBOL,
-        start_symbol=start,
+        sites=sites,
     )
 
 
@@ -318,6 +308,6 @@ def dump_model(skeleton: ModelSkeleton) -> str:
     for site in skeleton.program.sites:
         cmd = skeleton.program.site_command(site.id)
         lines.append(f"# site g{site.id}: {_describe_site(cmd)}")
-    for site in skeleton.declass_sites:
+    for site in sorted(skeleton.rho):
         lines.append(f"# downgrade g{site} -> {d_name(skeleton.rho[site])}")
     return "\n".join(lines)

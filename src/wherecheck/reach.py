@@ -86,7 +86,7 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
             steps += 1
             for i in rules_by_lhs.get(sym, ()):
                 rel, written = rels[i]
-                target = spds.rules[i].rhs[0]
+                target = spds.rules[i].rhs
                 old = reached.get(target, mgr.FALSE)
                 fresh = mgr.diff(alg.transpose_compose(rel, frontier, written), old)
                 if fresh == mgr.FALSE:
@@ -175,7 +175,7 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
         here = alg.set_from_valuation(val)
         for i, rule in enumerate(spds.rules):
             prev = layers[k - 1].get(rule.lhs)
-            if rule.rhs[0] != sym or prev is None:
+            if rule.rhs != sym or prev is None:
                 continue
             rel, written = auto.rule_relations[i]
             cand = alg.mgr.conj(alg.preimage(rel, here, written), prev)

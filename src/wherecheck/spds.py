@@ -4,7 +4,8 @@ A system is a set of control symbols plus rules <lhs> -> <rhs> that move
 from one control symbol to exactly one other, each rule carrying a
 RuleSpec: a guard over the current valuation and next-state updates
 (expression, havoc, or indexed channel write).  The source language has no
-procedures, so no model needs a stack; the class keeps the name SPDS.
+procedures, so no model needs a stack.  The class keeps the name SPDS
+because the benchmark reads model.spds and patches spds.RelationAlgebra.
 Expressions are the source language's own (syntax.Expr): a Var reads a
 global of any name and a CellRef reads a channel cell.
 
@@ -130,13 +131,9 @@ class RuleSpec:
 @dataclass(frozen=True)
 class Rule:
     lhs: str
-    rhs: tuple[str]  # the one control symbol the rule moves to
+    rhs: str  # the one control symbol the rule moves to
     spec: RuleSpec
     note: str = ""
-
-    def __post_init__(self):
-        if len(self.rhs) != 1:
-            raise ValueError(f"rule from {self.lhs} has {len(self.rhs)} right-hand symbols, not 1")
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,6 @@ class GlobalsDecl:
 @dataclass(frozen=True)
 class SPDS:
     globals: GlobalsDecl
-    alphabet: tuple[str, ...]
     rules: tuple[Rule, ...]
     start: str
     initial_fixed: tuple[tuple[str, int], ...]  # pinned initial globals; rest free
@@ -216,7 +212,6 @@ class SPDS:
 
 
 def format_rule(rule: Rule) -> str:
-    (rhs,) = rule.rhs
     guard = format_expr(rule.spec.guard) if rule.spec.guard is not None else "1"
     parts = []
     for name, e in rule.spec.updates:
@@ -224,7 +219,7 @@ def format_rule(rule: Rule) -> str:
     for w in rule.spec.writes:
         parts.append(f"{w.label}[{w.index}]:={format_expr(w.expr)}")
     effect = ", ".join(parts) if parts else "-"
-    return f"<{rule.lhs}> -> <{rhs}> | {guard} | {effect}"
+    return f"<{rule.lhs}> -> <{rule.rhs}> | {guard} | {effect}"
 
 
 def dump_spds(spds: SPDS) -> str:
@@ -359,7 +354,7 @@ def successors(
         if rule.lhs != symbol:
             continue
         for nxt in spec_successors(rule.spec, spds.globals, val):
-            yield nxt, rule.rhs[0]
+            yield nxt, rule.rhs
 
 
 class _WrittenSteps(NamedTuple):

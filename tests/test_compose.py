@@ -12,10 +12,11 @@ from wherecheck.compose import (
     self_compose,
     tr_compose,
 )
-from wherecheck.modelgen import build_model, index_width, xi_name
+from wherecheck.modelgen import FINAL_SYMBOL, build_model, index_width, xi_name
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.spds import dump_spds, successors
+from wherecheck.reach import explicit_error_search
+from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars, walk_commands
 
 from test_pinned_outputs import _cases
@@ -45,6 +46,10 @@ def outgoing(model: ComposedModel, symbol: str):
     return [r for r in model.spds.rules if r.lhs == symbol]
 
 
+def symbols(spds) -> set[str]:
+    return {s for rule in spds.rules for s in (rule.lhs, rule.rhs)}
+
+
 def test_p0_storematch_rule_count_frozen():
     program, policy = load("P0")
     skel = build_model(program, policy, "L", bits=3)
@@ -58,7 +63,7 @@ def test_storematch_rule_count_law(name):
     skel = build_model(program, policy, "L", bits=2, capacity=2)
     model = self_compose(skel)
     base = len(skel.spds.rules)
-    sites = len(skel.declass_sites)
+    sites = len(skel.rho)
     observable = {spec.name for spec in skel.outputs}
     writes = [c for c in walk_commands(program.root) if isinstance(c, Output)]
     low_writes = sum(c.channel in observable for c in writes)
@@ -75,7 +80,7 @@ def test_error_sink_and_idle_loop(name, mode):
     assert outgoing(model, ERROR_SYMBOL) == []
     loops = outgoing(model, IDLE_SYMBOL)
     assert len(loops) == 1
-    assert loops[0].rhs == (IDLE_SYMBOL,)
+    assert loops[0].rhs == IDLE_SYMBOL
     assert loops[0].spec.guard is None and loops[0].spec.updates == ()
     assert model.spds.start == INIT_SYMBOL
 
@@ -104,7 +109,7 @@ def test_init_constrains_only_observable_companions():
     program, policy = load("P4")
     model = self_compose(build_model(program, policy, "L", bits=2))
     (rule,) = outgoing(model, INIT_SYMBOL)
-    assert rule.rhs == (model.skeleton.start_symbol,)
+    assert rule.rhs == model.skeleton.spds.start
     assert rule.spec.updates == ((xi_name("l"), Var("l")),)
 
 
@@ -118,8 +123,8 @@ def test_restart_rewinds_channel_indices(mode, resets_outputs):
     )
     model = compose("input(l, src); output(l, snk)", pol, mode, bits=1)
     skel = model.skeleton
-    (rst,) = outgoing(model, skel.final_symbol)
-    assert rst.rhs == (model.xi_symbols[skel.start_symbol],)
+    (rst,) = outgoing(model, FINAL_SYMBOL)
+    assert rst.rhs == xi_name(skel.spds.start)
     reset_names = {name for name, _ in rst.spec.updates}
     expected = {spec.index for spec in skel.inputs}
     # a duplicated channel keeps its first-run index for the checker
@@ -134,8 +139,8 @@ def test_downgrade_stuffing_shape():
     program, policy = load("P4")
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
-    assert len(skel.declass_sites) == 2
-    for site in skel.declass_sites:
+    assert len(skel.rho) == 2
+    for site in sorted(skel.rho):
         sym = f"g{site}"
         (plain,) = [r for r in skel.spds.rules if r.lhs == sym]
         cmd = program.site_command(site)
@@ -143,14 +148,14 @@ def test_downgrade_stuffing_shape():
         (store,) = outgoing(model, sym)
         assert store.rhs == plain.rhs
         assert store.spec.updates == tuple(sorted({cell: cmd.expr, cmd.target: cmd.expr}.items()))
-        second = outgoing(model, model.xi_symbols[sym])
+        second = outgoing(model, xi_name(sym))
         assert len(second) == 2
         bail, advance = second
         renamed = subst_vars(cmd.expr, {x: xi_name(x) for x in program.variables})
         assert renamed != cmd.expr
-        assert bail.rhs == (IDLE_SYMBOL,)
+        assert bail.rhs == IDLE_SYMBOL
         assert bail.spec.guard == BinOp("!=", Var(cell), renamed)
-        assert advance.rhs == (model.xi_symbols[plain.rhs[0]],)
+        assert advance.rhs == xi_name(plain.rhs)
         assert advance.spec.guard == BinOp("==", Var(cell), renamed)
         assert advance.spec.updates == ((xi_name(cmd.target), renamed),)
 
@@ -161,12 +166,12 @@ def test_output_match_shape():
     model = self_compose(skel)
     (spec,) = skel.outputs
     (store,) = outgoing(model, "g1")
-    assert store.rhs == (skel.final_symbol,)
+    assert store.rhs == FINAL_SYMBOL
     assert store.spec.writes[0].cells == spec.cells
     assert store.spec.writes[0].expr == Var("l")
-    second = outgoing(model, model.xi_symbols["g1"])
+    second = outgoing(model, xi_name("g1"))
     # a differing output only sets the mismatch cell: the second run goes on
-    assert [r.rhs for r in second] == [(model.xi_symbols[skel.final_symbol],)] * 2
+    assert [r.rhs for r in second] == [xi_name(FINAL_SYMBOL)] * 2
     differ, agree = second
     assert isinstance(differ.spec.guard.right.left, CellRef)
     assert differ.spec.guard.right.right == Var(xi_name("l"))
@@ -178,15 +183,14 @@ def test_output_match_shape():
 def test_second_run_end_is_the_only_way_into_error(mode):
     program, policy = load("P0")
     model = mode(build_model(program, policy, "L", bits=2))
-    skel = model.skeleton
-    end = model.xi_symbols[skel.final_symbol]
-    into_error = [r for r in model.spds.rules if ERROR_SYMBOL in r.rhs]
+    end = xi_name(FINAL_SYMBOL)
+    into_error = [r for r in model.spds.rules if r.rhs == ERROR_SYMBOL]
     if mode is tr_compose:
         into_error = [r for r in into_error if not r.lhs.startswith("chk")]
     assert [r.lhs for r in into_error] == [end]
     # the end check comes first, so under tr final values are compared
     # before the channel checker
-    assert [r.rhs for r in outgoing(model, end)][0] == (ERROR_SYMBOL,)
+    assert [r.rhs for r in outgoing(model, end)][0] == ERROR_SYMBOL
     guard = into_error[0].spec.guard
     assert guard == BinOp("!=", Var("l"), Var(xi_name("l")))
 
@@ -194,8 +198,8 @@ def test_second_run_end_is_the_only_way_into_error(mode):
 def test_end_check_reads_the_mismatch_cell_and_every_observable():
     pol = "lattice: L < H\nvar l : L\nvar m : L\nvar h : H\nchannel snk : L output\n"
     model = compose("output(h, snk); l := m", pol, self_compose)
-    (check,) = outgoing(model, model.xi_symbols[model.skeleton.final_symbol])
-    assert check.rhs == (ERROR_SYMBOL,)
+    (check,) = outgoing(model, xi_name(FINAL_SYMBOL))
+    assert check.rhs == ERROR_SYMBOL
     assert check.spec.guard == BinOp(
         "|",
         BinOp("|", Var(MISMATCH), BinOp("!=", Var("l"), Var(xi_name("l")))),
@@ -283,16 +287,16 @@ def test_tr_matches_storematch_bits_without_channels():
 def test_tr_checker_chain_shape():
     program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
     model = tr_compose(build_model(program, policy, "L", bits=2))
-    end = outgoing(model, model.xi_symbols[model.skeleton.final_symbol])
-    assert [r.rhs for r in end] == [(ERROR_SYMBOL,), ("chk0",)]
+    end = outgoing(model, xi_name(FINAL_SYMBOL))
+    assert [r.rhs for r in end] == [ERROR_SYMBOL, "chk0"]
     first = outgoing(model, "chk0")
-    assert [r.rhs for r in first] == [(ERROR_SYMBOL,), (ERROR_SYMBOL,), ("chk1",)]
+    assert [r.rhs for r in first] == [ERROR_SYMBOL, ERROR_SYMBOL, "chk1"]
     done = outgoing(model, "chk1")
-    assert len(done) == 1 and done[0].rhs == ("chk1",)
+    assert len(done) == 1 and done[0].rhs == "chk1"
     # second run of the output body writes the duplicated cells
     skel = model.skeleton
     snk = skel.output_spec("snk")
-    (writer,) = outgoing(model, model.xi_symbols["g1"])
+    (writer,) = outgoing(model, xi_name("g1"))
     assert writer.spec.writes[0].cells == tuple(xi_name(c) for c in snk.cells)
 
 
@@ -300,16 +304,19 @@ def test_tr_chain_is_empty_without_channels():
     program, policy = load("P4")
     model = tr_compose(build_model(program, policy, "L", bits=1))
     (done,) = outgoing(model, "chk0")
-    assert done.rhs == ("chk0",)
+    assert done.rhs == "chk0"
 
 
 def test_stack_renaming_is_fresh_and_total():
+    # the composed symbols are the skeleton's, their second-run copies and
+    # the pair-run symbols, and no copy names a skeleton symbol
     program, policy = load("P7")
     skel = build_model(program, policy, "L", bits=2)
-    model = self_compose(skel)
-    assert set(model.xi_symbols) == set(skel.spds.alphabet)
-    assert not set(model.xi_symbols.values()) & set(skel.spds.alphabet)
-    assert len(model.spds.alphabet) == len(set(model.spds.alphabet))
+    first = symbols(skel.spds)
+    copies = {xi_name(s) for s in first}
+    assert not first & copies
+    pair = {INIT_SYMBOL, ERROR_SYMBOL, IDLE_SYMBOL}
+    assert symbols(self_compose(skel).spds) == first | copies | pair
 
 
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
@@ -320,33 +327,15 @@ def test_construction_is_deterministic(mode):
     assert dump_spds(a.spds) == dump_spds(b.spds)
 
 
-def error_reachable(model: ComposedModel, limit: int = 40000) -> bool:
-    spds = model.spds
-    seen = set()
-    frontier = [(val, spds.start) for val in spds.initial_valuations()]
-    while frontier:
-        nxt = []
-        for config in frontier:
-            if config in seen:
-                continue
-            seen.add(config)
-            if config[1] == model.spds.error:
-                return True
-            nxt.extend(successors(spds, *config))
-        assert len(seen) < limit, "state space blow-up"
-        frontier = nxt
-    return False
-
-
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
 def test_explicit_reachability_agrees_on_tiny_programs(mode):
     pol = "lattice: L < H\nvar h : H\nvar l : L\n"
     leak = compose("l := h", pol, mode, bits=1)
-    assert error_reachable(leak)
+    assert explicit_error_search(leak)
     sanctioned = compose("l := declass(h)", pol, mode, bits=1)
-    assert not error_reachable(sanctioned)
+    assert not explicit_error_search(sanctioned)
     noop = compose("skip", pol, mode, bits=1)
-    assert not error_reachable(noop)
+    assert not explicit_error_search(noop)
 
 
 def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
@@ -356,7 +345,7 @@ def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)
             for model in (self_compose(skel), tr_compose(skel)):
-                names = [*model.spds.globals.names, *model.spds.alphabet]
+                names = [*model.spds.globals.names, *symbols(model.spds)]
                 assert not [n for n in names if stale.search(n)], (name, level)
 
 
@@ -367,6 +356,6 @@ def test_every_rule_moves_to_one_symbol_without_tmp_or_site_bodies():
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)
             for spds in (skel.spds, self_compose(skel).spds, tr_compose(skel).spds):
-                assert all(len(rule.rhs) == 1 for rule in spds.rules), (name, level)
+                assert all(isinstance(rule.rhs, str) for rule in spds.rules), (name, level)
                 assert "tmp" not in spds.globals.names, (name, level)
-                assert not [s for s in spds.alphabet if body.match(s)], (name, level)
+                assert not [s for s in symbols(spds) if body.match(s)], (name, level)

@@ -9,10 +9,12 @@ from wherecheck.modelgen import (
     build_model,
     dump_model,
     index_width,
+    site_symbol,
 )
 from wherecheck.parser import parse_program
 from wherecheck.compose import self_compose
 from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.randprog import GenConfig, generate
 from wherecheck.semantics import OUTCOME_HALTED, run_program
 from wherecheck.spds import HAVOC, successors
 from wherecheck.syntax import (
@@ -49,7 +51,7 @@ def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
         report[f"in {spec.name}"] = spec.length * bits + index_width(spec.length)
     for spec in skeleton.outputs:
         report[f"out {spec.name}"] = spec.length * bits + index_width(spec.length)
-    report["downgrades"] = len(skeleton.declass_sites) * bits
+    report["downgrades"] = len(skeleton.rho) * bits
     report["total"] = sum(report.values())
     assert report["total"] == skeleton.spds.globals.total_bits
     return report
@@ -68,7 +70,7 @@ def test_rules_hold_the_parsers_expression_objects():
         "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n",
     )
     skel = build_model(program, policy, "L", bits=2)
-    assert skel.declass_sites  # the downgrade's expression goes into its store rule
+    assert skel.rho  # the downgrade's expression goes into its store rule
     held = []
     for rule in self_compose(skel).spds.rules:
         guard = rule.spec.guard
@@ -121,13 +123,12 @@ def test_capacity_scales_only_channel_cells():
 def test_p0_skeleton_shape():
     program, policy = load("P0")
     skel = build_model(program, policy, "L", bits=3)
-    assert skel.declass_sites == (1,)
     assert skel.rho == {1: 0}
     assert skel.observable_vars == ("l",)
     assert skel.outputs == ()
     assert "D[0]" in skel.spds.globals.names
     # The last command, the downgrade site, leads straight to the final symbol.
-    assert [r.rhs for r in skel.spds.rules if r.lhs == "g1"] == [(FINAL_SYMBOL,)]
+    assert [r.rhs for r in skel.spds.rules if r.lhs == "g1"] == [FINAL_SYMBOL]
 
 
 def test_high_output_is_frame_rule_without_channel_state():
@@ -141,7 +142,7 @@ def test_high_output_is_frame_rule_without_channel_state():
     site_rules = [r for r in skel.spds.rules if r.lhs == "g0"]
     assert len(site_rules) == 1
     rule = site_rules[0]
-    assert rule.rhs == (FINAL_SYMBOL,)
+    assert rule.rhs == FINAL_SYMBOL
     assert rule.spec.guard is None and rule.spec.updates == ()
 
 
@@ -186,9 +187,9 @@ def test_downgrade_and_low_output_sites_are_plain_rules():
     )
     skel = build_model(program, policy, "L", bits=2)
     assert [(r.lhs, r.rhs, r.note) for r in skel.spds.rules] == [
-        ("g0", ("g1",), "downgrade site"),
-        ("g1", ("g2",), "write o"),
-        ("g2", (FINAL_SYMBOL,), "unobservable write"),
+        ("g0", "g1", "downgrade site"),
+        ("g1", "g2", "write o"),
+        ("g2", FINAL_SYMBOL, "unobservable write"),
     ]
     assert all(r.spec.guard is None and not r.spec.updates for r in skel.spds.rules)
 
@@ -196,7 +197,6 @@ def test_downgrade_and_low_output_sites_are_plain_rules():
 def test_two_declass_sites_get_distinct_cells():
     program, policy = load("P4")
     skel = build_model(program, policy, "L", bits=3)
-    assert skel.declass_sites == (2, 3)
     assert skel.rho == {2: 0, 3: 1}
     assert "D[0]" in skel.spds.globals.names and "D[1]" in skel.spds.globals.names
 
@@ -204,11 +204,43 @@ def test_two_declass_sites_get_distinct_cells():
 def test_start_and_final_symbols():
     program, policy = load("P3")
     skel = build_model(program, policy, "L", bits=3)
-    assert skel.start_symbol == "g0"
-    assert skel.final_symbol == FINAL_SYMBOL
+    assert skel.spds.start == "g0"
     # the program's end is a symbol without rules; composition continues it
-    assert FINAL_SYMBOL in skel.spds.alphabet
+    assert FINAL_SYMBOL in {r.rhs for r in skel.spds.rules}
     assert not [r for r in skel.spds.rules if r.lhs == FINAL_SYMBOL]
+
+
+def site_bodies(skeleton: ModelSkeleton) -> dict:
+    """Reference for the site table: every real downgrade and observable output, by walking."""
+    observable = {spec.name for spec in skeleton.outputs}
+    return {
+        site_symbol(cmd.site.id): cmd
+        for cmd in walk_commands(skeleton.program.root)
+        if (isinstance(cmd, DeclassAssign) and cmd.site.id in skeleton.rho)
+        or (isinstance(cmd, Output) and cmd.channel in observable)
+    }
+
+
+def site_table_cases():
+    """(name, program text, policy text) over table3, iobench and randprog seeds 0-59."""
+    root = CORPUS.parent
+    for name in [f"table3/P{i}" for i in range(8)] + [f"iobench/B{i}" for i in range(8)]:
+        yield name, (root / name).read_text(), (root / f"{name}.policy").read_text()
+    for seed in range(60):
+        for io in (False, True):
+            gen = generate(seed, GenConfig(io=io))
+            yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text
+
+
+def test_the_site_table_lists_every_real_downgrade_and_observable_output():
+    filled = 0
+    for name, text, pol in site_table_cases():
+        program, policy = prog(text, pol)
+        for level in sorted(policy.domains):
+            skel = build_model(program, policy, level, bits=2, capacity=2)
+            assert skel.sites == site_bodies(skel), (name, level)
+            filled += bool(skel.sites)
+    assert filled > 90  # 98 of the 272 (program, level) tables hold a site
 
 
 def test_dump_model_deterministic_and_annotated():
@@ -238,7 +270,7 @@ LOCKSTEP_PROGRAMS = [
 def _spds_store_trace(skel, store, max_steps=200):
     g = skel.spds.globals
     val = g.valuation(store)
-    symbol = skel.start_symbol
+    symbol = skel.spds.start
     names = skel.program.variables
     seen = [{n: g.as_dict(val)[n] for n in names}]
     for _ in range(max_steps):

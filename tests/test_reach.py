@@ -82,15 +82,8 @@ def test_monotone_bits_spot_check(bits):
     assert not is_error_reachable(post_star(secure), secure)
 
 
-def tiny_spds(rules, start="a", alphabet=("a", "b"), fixed=(("x", 0),)):
-    return SPDS(
-        GlobalsDecl((("x", 2),)),
-        tuple(alphabet),
-        tuple(rules),
-        start,
-        tuple(fixed),
-        error=None,
-    )
+def tiny_spds(rules, start="a", fixed=(("x", 0),)):
+    return SPDS(GlobalsDecl((("x", 2),)), tuple(rules), start, tuple(fixed), error=None)
 
 
 BUMP = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
@@ -143,21 +136,21 @@ def test_no_rules_accepts_exactly_initial():
 
 
 def test_self_loop_fixpoint_after_one_iteration():
-    loop = Rule("a", ("a",), RuleSpec.make(), "spin")
+    loop = Rule("a", "a", RuleSpec.make(), "spin")
     auto = post_star(tiny_spds((loop,)))
     assert auto.steps == 1  # re-derived valuations add nothing new
     assert symbolic_layers(auto) == [{"a": {(0,)}}]
 
 
-def test_counting_loop_saturates_values():
-    auto = post_star(tiny_spds((Rule("a", ("a",), BUMP, "bump"),)))
+def test_counting_loop_reaches_one_value_per_layer():
+    auto = post_star(tiny_spds((Rule("a", "a", BUMP, "bump"),)))
     assert symbolic_layers(auto) == [{"a": {(v,)}} for v in range(4)]
     assert valuations(auto.algebra, auto.reached["a"]) == {(v,) for v in range(4)}
 
 
-def test_pop_to_empty_stack():
-    # a run ends in a symbol without rules, as the program's end symbol does
-    done = Rule("a", ("b",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(0))), "done")
+def test_a_run_ends_in_a_symbol_without_rules():
+    # as at the program's end symbol, the search stops once a layer adds nothing
+    done = Rule("a", "b", RuleSpec.make(guard=BinOp("==", Var("x"), Num(0))), "done")
     auto = post_star(tiny_spds((done,), fixed=()))
     assert symbolic_layers(auto) == [{"a": {(0,), (1,), (2,), (3,)}}, {"b": {(0,)}}]
     assert auto.steps == 2
@@ -169,7 +162,7 @@ def test_budget_exceeded_propagates():
         post_star(model, node_budget=100)
 
 
-def test_saturation_is_deterministic():
+def test_the_search_is_deterministic():
     a = post_star(corpus_model("P3", bits=2, capacity=2))
     b = post_star(corpus_model("P3", bits=2, capacity=2))
     assert a.steps == b.steps
@@ -190,33 +183,32 @@ def test_acceptance_matches_explicit_reachability():
     assert "no-such-symbol" not in auto.reached
 
 
-def test_nested_pushes_match_explicit_reachability():
-    # Without recursion, calls nest no deeper than the text, so pushes can
-    # be inlined: a calls b, b calls c, each return continues the caller.
+def test_a_cycle_through_five_symbols_matches_explicit_reachability():
+    # a loop body spread over several symbols, left by a guard on the way back
     rules = (
-        Rule("a", ("b",), BUMP, "call b"),
-        Rule("b", ("c",), BUMP, "call c"),
-        Rule("c", ("s",), TRIPLE, "c returns"),
-        Rule("s", ("r",), BUMP, "b returns"),
-        Rule("r", ("a",), RuleSpec.make(guard=BinOp("<", Var("x"), Num(2))), "again"),
+        Rule("a", "b", BUMP, "bump"),
+        Rule("b", "c", BUMP, "bump"),
+        Rule("c", "s", TRIPLE, "triple"),
+        Rule("s", "r", BUMP, "bump"),
+        Rule("r", "a", RuleSpec.make(guard=BinOp("<", Var("x"), Num(2))), "again"),
     )
-    spds = tiny_spds(rules, alphabet=("a", "b", "c", "r", "s"))
+    spds = tiny_spds(rules)
     assert symbolic_layers(post_star(spds)) == explicit_layers(spds)
 
 
 @pytest.mark.parametrize(
     "rules",
     [
-        (Rule("a", ("b",), RuleSpec.make(updates={"x": HAVOC}), "any"),),
+        (Rule("a", "b", RuleSpec.make(updates={"x": HAVOC}), "any"),),
         (
-            Rule("a", ("b",), RuleSpec.make(guard=BinOp("<", Var("x"), Num(3))), "small"),
-            Rule("b", ("a",), BUMP, "bump"),
-            Rule("b", ("b",), TRIPLE, "triple"),
+            Rule("a", "b", RuleSpec.make(guard=BinOp("<", Var("x"), Num(3))), "small"),
+            Rule("b", "a", BUMP, "bump"),
+            Rule("b", "b", TRIPLE, "triple"),
         ),
         (
-            Rule("a", ("a",), BUMP, "bump"),
-            Rule("a", ("b",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(2))), "two"),
-            Rule("b", ("a",), RuleSpec.make(updates={"x": Num(0)}), "reset"),
+            Rule("a", "a", BUMP, "bump"),
+            Rule("a", "b", RuleSpec.make(guard=BinOp("==", Var("x"), Num(2))), "two"),
+            Rule("b", "a", RuleSpec.make(updates={"x": Num(0)}), "reset"),
         ),
     ],
     ids=["havoc", "branching", "reset"],
@@ -229,10 +221,10 @@ def test_layers_are_shortest_distance_sets_on_tiny_systems(rules, fixed):
 
 def test_the_search_stops_at_the_first_layer_that_holds_error():
     rules = (
-        Rule("a", ("a",), BUMP, "bump"),
-        Rule("a", ("e",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(1))), "fail"),
+        Rule("a", "a", BUMP, "bump"),
+        Rule("a", "e", RuleSpec.make(guard=BinOp("==", Var("x"), Num(1))), "fail"),
     )
-    spds = SPDS(GlobalsDecl((("x", 2),)), ("a", "e"), rules, "a", (("x", 0),), error="e")
+    spds = SPDS(GlobalsDecl((("x", 2),)), rules, "a", (("x", 0),), error="e")
     auto = post_star(spds)
     assert is_error_reachable(auto, spds)
     assert symbolic_layers(auto) == [{"a": {(0,)}}, {"a": {(1,)}}, {"a": {(2,)}, "e": {(1,)}}]
@@ -261,7 +253,7 @@ def test_witness_steps_form_a_rule_path():
     assert w.steps[-1].symbol == model.spds.error
     for before, step in zip(w.steps, w.steps[1:]):
         rule = model.spds.rules[step.rule_index]
-        assert (before.symbol, (step.symbol,)) == (rule.lhs, rule.rhs)
+        assert (before.symbol, step.symbol) == (rule.lhs, rule.rhs)
 
 
 def test_witness_extraction_is_deterministic():
@@ -412,7 +404,7 @@ def test_tr_witness_decodes():
 # whatever the width its name gives.
 
 
-def _feasibility_cases():
+def _layer_cases():
     """(name, program text, policy text, compose)."""
     for i in range(8):
         text = (CORPUS / f"P{i}").read_text()
@@ -431,12 +423,10 @@ def _feasibility_cases():
             yield name, gen.text, gen.policy_text, self_compose
 
 
-FEASIBILITY_CASES = list(_feasibility_cases())
+LAYER_CASES = list(_layer_cases())
 
 
-@pytest.mark.parametrize(
-    "case", FEASIBILITY_CASES, ids=[case[0] for case in FEASIBILITY_CASES]
-)
+@pytest.mark.parametrize("case", LAYER_CASES, ids=[case[0] for case in LAYER_CASES])
 def test_every_promise_is_feasible_and_the_decision_matches(case):
     _, text, pol, mode = case
     program = parse_program(text)

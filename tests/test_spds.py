@@ -140,11 +140,11 @@ def test_rule_format_and_dump():
         guard=BinOp("<", Var("y"), Num(1)),
         updates={"x": BinOp("+", Var("x"), Num(1)), "y": HAVOC},
     )
-    rule = Rule("g0", ("g1",), spec)
+    rule = Rule("g0", "g1", spec)
     assert format_rule(rule) == "<g0> -> <g1> | y < 1 | x:=x + 1, y:=*"
-    back = Rule("g1", ("g0",), RuleSpec.make())
+    back = Rule("g1", "g0", RuleSpec.make())
     assert format_rule(back) == "<g1> -> <g0> | 1 | -"
-    spds = SPDS(G3, ("g0", "g1"), (rule, back), "g0", (("y", 0),))
+    spds = SPDS(G3, (rule, back), "g0", (("y", 0),))
     text = dump_spds(spds)
     assert text.splitlines()[0] == "globals: x:2 y:1"
     assert text.splitlines()[1] == "start: g0"
@@ -152,17 +152,10 @@ def test_rule_format_and_dump():
     assert dump_spds(spds) == text  # deterministic
 
 
-def test_rule_rhs_bounded():
-    # a rule moves to exactly one symbol: no pop, no push
-    for rhs in [(), ("b", "c"), ("b", "c", "d")]:
-        with pytest.raises(ValueError, match=f"{len(rhs)} right-hand symbols"):
-            Rule("a", rhs, RuleSpec.make())
-
-
 def test_spds_initial_valuations_and_successors():
-    rule1 = Rule("g0", ("g1",), RuleSpec.make(updates={"x": Num(3)}))
-    rule2 = Rule("g1", ("g2",), RuleSpec.make(guard=BinOp("==", Var("x"), Num(3))))
-    spds = SPDS(G3, ("g0", "g1", "g2"), (rule1, rule2), "g0", (("x", 0),))
+    rule1 = Rule("g0", "g1", RuleSpec.make(updates={"x": Num(3)}))
+    rule2 = Rule("g1", "g2", RuleSpec.make(guard=BinOp("==", Var("x"), Num(3))))
+    spds = SPDS(G3, (rule1, rule2), "g0", (("x", 0),))
     inits = list(spds.initial_valuations())
     assert inits == [(0, 0), (0, 1)]
     nexts = list(successors(spds, (0, 1), "g0"))
@@ -223,8 +216,8 @@ def exists(ra, u, levels):
 
 def lift_to_nxt(ra, set_cur):
     """The set with every bit moved to its next level."""
-    step = ra.mgr.step(2 * ra.g.total_bits, umap={lvl: lvl + 1 for lvl in cur_all(ra.g)})
-    return ra.mgr.relprod(set_cur, ra.mgr.TRUE, step)
+    step = ra.mgr.step(2 * ra.g.total_bits, vmap={lvl: lvl + 1 for lvl in cur_all(ra.g)})
+    return ra.mgr.relprod(ra.mgr.TRUE, set_cur, step)
 
 
 CATALOGUE = [
