@@ -362,6 +362,19 @@ def _witness_block(program: Program, policy: Policy, report: AnalysisReport) -> 
 # ----------------------------------------------------------------- commands
 
 
+def _emit(text: str) -> None:
+    """Print a line of output; once its reader has gone away, drop the rest.
+
+    A pipe closed early, as by `| head`, is no fault of the analysis, so
+    the command runs on to its own exit code.  Python flushes standard
+    output again at exit, so the stream is pointed at the null device.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _node_budget() -> int | None:
     raw = os.environ.get(BUDGET_ENV)
     if not raw:
@@ -416,45 +429,45 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             line += f" note={verdict.note}"
         out.append(line)
     out.extend(result_lines(report))
-    print("\n".join(out))
+    _emit("\n".join(out))
     return report.exit_code
 
 
 def _cmd_nmin(args: argparse.Namespace) -> int:
     program = _coerce_program(args.program)
     policy = gather_downgrades(program, _coerce_policy(args.policy))
-    print(f"probing bits 1..{args.max_bits} (capacity={args.capacity} mode={MODE_STORE_MATCH})")
+    _emit(f"probing bits 1..{args.max_bits} (capacity={args.capacity} mode={MODE_STORE_MATCH})")
     probes: list[str] = []
 
     def note(width: int, report: AnalysisReport) -> None:
         probes.append(f"bits={width}: {report.overall}")
-        print(probes[-1])
+        _emit(probes[-1])
 
     found, hit_budget = _nmin_probe(
         program, policy, args.max_bits, args.capacity, MODE_STORE_MATCH, _node_budget(), note
     )
     if found is not None:
-        print(f"NMIN bits={found}")
+        _emit(f"NMIN bits={found}")
         return EXIT_INSECURE
     if hit_budget:
-        print("NMIN unknown")
+        _emit("NMIN unknown")
         return EXIT_INCONCLUSIVE
-    print("NMIN absent")
+    _emit("NMIN absent")
     return EXIT_SECURE
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     table = bench(args.corpus, bits=args.bits, capacity=args.capacity, node_budget=_node_budget())
     for row in table.rows:
-        print(
+        _emit(
             f"BENCH program={row.name} verdict={row.verdict}"
             f" storematch_bits={row.store_bits} storematch_steps={row.store_steps}"
             f" tr_bits={row.tr_bits} tr_steps={row.tr_steps}"
         )
-    print(f"BENCH aggregate programs={len(table.rows)} step_ratio={table.step_ratio:.4f}")
+    _emit(f"BENCH aggregate programs={len(table.rows)} step_ratio={table.step_ratio:.4f}")
     store_s = sum(r.store_seconds for r in table.rows)
     tr_s = sum(r.tr_seconds for r in table.rows)
-    print(f"wall time: storematch {store_s:.2f}s tr {tr_s:.2f}s")
+    _emit(f"wall time: storematch {store_s:.2f}s tr {tr_s:.2f}s")
     return EXIT_SECURE
 
 
@@ -519,13 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModeDisagreement as exc:
+    except (UsageError, ParseError, PolicyError, ModeDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # an internal fault must not exit 1, which means insecure

@@ -1,6 +1,9 @@
 """Driver tests: verdicts, exit codes, machine lines, search and bench."""
 
+import contextlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -191,6 +194,47 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert "error: internal error: RuntimeError: kernel fault" in err
     assert "RESULT" not in out
+
+
+class ClosedPipe:
+    """Standard output whose reader has gone away."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("name,expected", [("P0", EXIT_SECURE), ("P3", EXIT_INSECURE)])
+def test_a_closed_stdout_ends_quietly_with_the_verdict_exit_code(capsys, name, expected):
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        with contextlib.redirect_stdout(ClosedPipe(fd)):
+            code = main(["analyze", *corpus_args(name), "--dump-composed"])
+    finally:
+        os.close(fd)
+    assert code == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_a_pipe_closed_by_its_reader_leaves_no_error_at_exit():
+    # the interpreter flushes standard output once more as it exits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "wherecheck.cli", "analyze", *corpus_args("P3"), "--dump-composed"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_INSECURE
+    assert err == b""
 
 
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch):
