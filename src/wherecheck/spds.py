@@ -219,7 +219,8 @@ def format_rule(rule: Rule) -> str:
     for w in rule.spec.writes:
         parts.append(f"{w.label}[{w.index}]:={format_expr(w.expr)}")
     effect = ", ".join(parts) if parts else "-"
-    return f"<{rule.lhs}> -> <{rule.rhs}> | {guard} | {effect}"
+    # no expression or effect prints a semicolon, so the three columns split back
+    return f"<{rule.lhs}> -> <{rule.rhs}> ; {guard} ; {effect}"
 
 
 def dump_spds(spds: SPDS) -> str:

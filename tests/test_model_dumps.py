@@ -65,6 +65,19 @@ def test_model_dumps_match_the_pinned_file():
     assert len(got) == len(expected), f"{len(got)} lines now, {len(expected)} pinned"
 
 
+def test_every_composed_rule_line_splits_into_three_columns():
+    # symbols, guard and effect; no expression or effect prints the separator
+    for name, text, policy_text, bits, capacity, _ in _cases():
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(policy_text))
+        for level in sorted(policy.domains):
+            skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
+            for model in (self_compose(skeleton), tr_compose(skeleton)):
+                for line in dump_spds(model.spds).splitlines():
+                    if line.startswith("<"):
+                        assert len(line.split(" ; ")) == 3, (name, level, line)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("\n".join(dump_lines()) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

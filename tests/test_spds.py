@@ -141,9 +141,9 @@ def test_rule_format_and_dump():
         updates={"x": BinOp("+", Var("x"), Num(1)), "y": HAVOC},
     )
     rule = Rule("g0", "g1", spec)
-    assert format_rule(rule) == "<g0> -> <g1> | y < 1 | x:=x + 1, y:=*"
+    assert format_rule(rule) == "<g0> -> <g1> ; y < 1 ; x:=x + 1, y:=*"
     back = Rule("g1", "g0", RuleSpec.make())
-    assert format_rule(back) == "<g1> -> <g0> | 1 | -"
+    assert format_rule(back) == "<g1> -> <g0> ; 1 ; -"
     spds = SPDS(G3, (rule, back), "g0", (("y", 0),))
     text = dump_spds(spds)
     assert text.splitlines()[0] == "globals: x:2 y:1"
