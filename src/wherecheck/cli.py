@@ -363,7 +363,7 @@ def _witness_block(program: Program, policy: Policy, report: AnalysisReport) -> 
 
 
 def _emit(text: str) -> None:
-    """Print a line of output; once its reader has gone away, drop the rest.
+    """Print to standard output; once its reader has gone away, drop the rest.
 
     A pipe closed early, as by `| head`, is no fault of the analysis, so
     the command runs on to its own exit code.  Python flushes standard

@@ -252,7 +252,7 @@ def _mismatch_location(
     for k in range(1, len(steps)):
         if steps[k].valuation.get(MISMATCH):
             site, _ = _strip_second_run(model.spds.rules[steps[k].rule_index].lhs)
-            name = skel.program.site_command(int(_SITE.match(site).group(1))).channel
+            name = skel.sites[site].channel
             return name, steps[k - 1].valuation[skel.output_spec(name).index]
     for k, x in enumerate(skel.observable_vars):
         if before[x] != before[xi_name(x)]:
