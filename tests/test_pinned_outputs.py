@@ -6,10 +6,14 @@ the verdict, the forward search's ``steps`` and ``edge_count``, and the first
 (``-`` on a secure level).  Each line of ``decoded_witnesses.txt`` is one
 insecure (program, bits, mode, level): the decoded witness without its
 path, that is both initial stores and input streams, the ``mismatch:`` line
-of ``format_witness`` and whether the witness replays.  A change that means
-to move none of these leaves both files as they are; on a mismatch the test
-names the first line that differs.  Regenerate both, only when an output is
-meant to change, with
+of ``format_witness`` and whether the witness replays.  Each line of
+``pinned_oracle.txt`` is the brute-force oracle's where-security verdict on
+one benchmark input (``table3`` and ``iobench`` at bits 2 and capacity 8, the
+103 ``randprog-sweep`` programs at bits 2 and capacity 4): its status,
+``pairs_checked`` and note, and its witness's level, both initial states and
+reason.  A change that means to move none of these leaves all three files as
+they are; on a mismatch the test names the first line that differs.
+Regenerate them, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
@@ -23,6 +27,7 @@ from pathlib import Path
 
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
+from wherecheck.oracle import check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
@@ -31,6 +36,11 @@ from wherecheck.reach import extract_witness, format_witness, is_error_reachable
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
 DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
+ORACLE = Path(__file__).resolve().parent / "pinned_oracle.txt"
+
+# The randprog-sweep benchmark's programs: seeds 0-99, odd seeds with
+# channel I/O, plus three more I/O seeds.
+SWEEP_SEEDS = [(s, s % 2 == 1) for s in range(100)] + [(113, True), (135, True), (141, True)]
 
 
 def _corpus(corpus: str, name: str) -> tuple[str, str]:
@@ -51,6 +61,16 @@ def _cases():
             gen = generate(seed, GenConfig(io=io))
             name = f"randprog/{seed}{'io' if io else ''}"
             yield name, gen.text, gen.policy_text, 2, 4, MODE_STORE_MATCH
+
+
+def _oracle_cases():
+    """(name, program text, policy text, bits, capacity) of each benchmark input."""
+    for corpus, stem in (("table3", "P"), ("iobench", "B")):
+        for i in range(8):
+            yield (f"{corpus}/{stem}{i}", *_corpus(corpus, f"{stem}{i}"), 2, 8)
+    for seed, io in SWEEP_SEEDS:
+        gen = generate(seed, GenConfig(io=io))
+        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 2, 4
 
 
 def _witness_digest(model, witness) -> str:
@@ -97,6 +117,30 @@ def _outputs() -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(lines), tuple(decoded)
 
 
+def _state(state) -> str:
+    return f"store={state.store} inputs={state.inputs}"
+
+
+@functools.cache
+def oracle_lines() -> tuple[str, ...]:
+    lines = []
+    for name, text, policy_text, bits, capacity in _oracle_cases():
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(policy_text))
+        verdict = check_where_security(program, policy, bits=bits, capacity=capacity)
+        w = verdict.witness
+        witness = (
+            "-"
+            if w is None
+            else f"{w.level} first: {_state(w.first)} second: {_state(w.second)} reason: {w.reason}"
+        )
+        lines.append(
+            f"ORACLE {name} bits={bits} capacity={capacity} {verdict.status} "
+            f"pairs={verdict.pairs_checked} note={verdict.note or '-'} witness={witness}"
+        )
+    return tuple(lines)
+
+
 def pinned_lines() -> list[str]:
     return list(_outputs()[0])
 
@@ -120,7 +164,12 @@ def test_decoded_witnesses_match_the_pinned_file():
     _assert_lines_match(DECODED, decoded_lines())
 
 
+def test_oracle_verdicts_match_the_pinned_file():
+    _assert_lines_match(ORACLE, list(oracle_lines()))
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("\n".join(pinned_lines()) + "\n")
     DECODED.write_text("\n".join(decoded_lines()) + "\n")
-    print(f"wrote {GOLDEN} and {DECODED}", file=sys.stderr)
+    ORACLE.write_text("\n".join(oracle_lines()) + "\n")
+    print(f"wrote {GOLDEN}, {DECODED} and {ORACLE}", file=sys.stderr)
