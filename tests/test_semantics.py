@@ -12,7 +12,10 @@ from wherecheck.semantics import (
     HALTED,
     INPUT_EXHAUSTED,
     OUTCOME_DIVERGES,
+    OUTCOME_FUEL,
     OUTCOME_HALTED,
+    PLAIN,
+    StepLabel,
     eval_expr,
     format_trace,
     initial_configuration,
@@ -124,6 +127,14 @@ def test_divergence_detected_exactly():
     policy = gather_downgrades(program, parse_policy("lattice: L < H\n"))
     trace = run_program(program, policy)
     assert trace.outcome == OUTCOME_DIVERGES
+    # The run stops at the first repeated configuration: back at the loop
+    # head after one unrolling.
+    loop = program.root
+    assert [(config.cmd, label) for config, label in trace.entries] == [
+        (syntax.Seq(loop.body, loop), StepLabel(PLAIN, loop.site)),
+        (loop, StepLabel(PLAIN, loop.body.site)),
+    ]
+    assert trace.lines == ["g0 | while-true | plain | ", "g1 | seq-skip | plain | "]
 
 
 def test_ins_are_immutable_and_indices_monotone():
@@ -154,6 +165,92 @@ def test_trace_dump_format():
     assert lines[1] == "g0 | seq-skip | plain | "
     assert lines[2] == "g1 | declass | declass(g1, 2) | l=2"
     assert lines[-1] == "outcome: halted"
+
+
+TRACE_CASES = {
+    OUTCOME_HALTED: (
+        "input(x, in0); if x < 2 then y := declass(x) else y := declass(h) fi; "
+        "while y < 3 do y := y + 1 od; output(y, out0)",
+        "var x : H\nvar h : H\nvar y : L\nchannel in0 : H input\nchannel out0 : L output\n",
+        {"store": {"h": 1}, "inputs": {"in0": (1,)}},
+        [
+            "g0 | input | plain | x=1 p[in0]=1",
+            "g0 | seq-skip | plain | ",
+            "g1 | if-true | plain | ",
+            "g2 | declass | declass(g2, 1) | y=1",
+            "g2 | seq-skip | plain | ",
+            "g4 | while-true | plain | ",
+            "g5 | assign | plain | y=2",
+            "g5 | seq-skip | plain | ",
+            "g4 | while-true | plain | ",
+            "g5 | assign | plain | y=3",
+            "g5 | seq-skip | plain | ",
+            "g4 | while-false | plain | ",
+            "g4 | seq-skip | plain | ",
+            "g6 | output | plain | out0[0]=3 q[out0]=1",
+            "g6 | halt | halted |",
+        ],
+    ),
+    OUTCOME_DIVERGES: (
+        "while 1 do skip od",
+        "",
+        {},
+        ["g0 | while-true | plain | ", "g1 | seq-skip | plain | "],
+    ),
+    CAPACITY_EXCEEDED: (
+        "x := 0; while 1 do output(x, out0); x := x + 1 od",
+        "var x : L\nchannel out0 : L output\n",
+        {"capacity": 2},
+        [
+            "g0 | assign | plain | x=0",
+            "g0 | seq-skip | plain | ",
+            "g1 | while-true | plain | ",
+            "g2 | output | plain | out0[0]=0 q[out0]=1",
+            "g2 | seq-skip | plain | ",
+            "g3 | assign | plain | x=1",
+            "g3 | seq-skip | plain | ",
+            "g1 | while-true | plain | ",
+            "g2 | output | plain | out0[1]=1 q[out0]=2",
+            "g2 | seq-skip | plain | ",
+            "g3 | assign | plain | x=2",
+            "g3 | seq-skip | plain | ",
+            "g1 | while-true | plain | ",
+            "g2 | output | capacity-exceeded | ",
+        ],
+    ),
+    INPUT_EXHAUSTED: (
+        "input(x, in0); input(y, in0)",
+        "var x : L\nvar y : L\nchannel in0 : L input\n",
+        {"inputs": {"in0": (3,)}},
+        [
+            "g0 | input | plain | x=3 p[in0]=1",
+            "g0 | seq-skip | plain | ",
+            "g1 | input | input-exhausted | ",
+        ],
+    ),
+    OUTCOME_FUEL: (
+        "x := 0; while 1 do x := x + 1 od",
+        "var x : L\n",
+        {"fuel": 5},
+        [
+            "g0 | assign | plain | x=0",
+            "g0 | seq-skip | plain | ",
+            "g1 | while-true | plain | ",
+            "g2 | assign | plain | x=1",
+            "g2 | seq-skip | plain | ",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("outcome", list(TRACE_CASES))
+def test_trace_text_for_each_outcome(outcome):
+    text, declarations, options, lines = TRACE_CASES[outcome]
+    program = parse_program(text)
+    policy = gather_downgrades(program, parse_policy("lattice: L < H\n" + declarations))
+    trace = run_program(program, policy, **options)
+    assert trace.outcome == outcome
+    assert format_trace(trace) == "\n".join(lines + [f"outcome: {outcome}"])
 
 
 def test_step_is_total_and_deterministic():
