@@ -10,7 +10,7 @@ rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .policy import Policy
@@ -113,15 +113,6 @@ class Configuration:
     def terminated(self) -> bool:
         return isinstance(self.cmd, Skip)
 
-    def freeze(self) -> tuple:
-        """Hashable snapshot for cycle detection."""
-        return (
-            tuple(sorted(self.mu.items())),
-            tuple(sorted(self.p.items())),
-            tuple(sorted((k, v) for k, v in self.outs.items())),
-            id_free_command_key(self.cmd),
-        )
-
 
 def id_free_command_key(cmd: Command):
     """Structural key of the remaining command.
@@ -198,24 +189,25 @@ def _step_command(
     match cmd:
         case Seq(first, second):
             if isinstance(first, Skip):
-                new = replace(config, cmd=second)
+                new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, second)
                 return _StepResult(new, StepLabel(PLAIN, first.site), "seq-skip", "")
             inner = _step_command(config, first, policy, bits, capacity)
             if inner.label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
                 return inner
-            new = replace(inner.config, cmd=Seq(inner.config.cmd, second))
+            c = inner.config
+            new = Configuration(c.mu, c.ins, c.outs, c.p, c.q, Seq(c.cmd, second))
             return _StepResult(new, inner.label, inner.rule, inner.changed)
         case Assign(site, target, expr):
             value = eval_expr(expr, config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
-            new = replace(config, mu=mu, cmd=Skip(site))
+            new = Configuration(mu, config.ins, config.outs, config.p, config.q, Skip(site))
             return _StepResult(new, StepLabel(PLAIN, site), "assign", f"{target}={value}")
         case DeclassAssign(site, target, expr):
             value = eval_expr(expr, config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
-            new = replace(config, mu=mu, cmd=Skip(site))
+            new = Configuration(mu, config.ins, config.outs, config.p, config.q, Skip(site))
             if _is_real_declass(cmd, policy):
                 label = StepLabel(DECLASS, site, value)
                 return _StepResult(new, label, "declass", f"{target}={value}")
@@ -223,14 +215,16 @@ def _step_command(
         case If(site, guard, then_branch, else_branch):
             taken = eval_expr(guard, config.mu, bits) != 0
             branch = then_branch if taken else else_branch
-            new = replace(config, cmd=branch)
+            new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, branch)
             rule = "if-true" if taken else "if-false"
             return _StepResult(new, StepLabel(PLAIN, site), rule, "")
         case While(site, guard, body):
             if eval_expr(guard, config.mu, bits) != 0:
-                new = replace(config, cmd=Seq(body, cmd))
+                new = Configuration(
+                    config.mu, config.ins, config.outs, config.p, config.q, Seq(body, cmd)
+                )
                 return _StepResult(new, StepLabel(PLAIN, site), "while-true", "")
-            new = replace(config, cmd=Skip(site))
+            new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, Skip(site))
             return _StepResult(new, StepLabel(PLAIN, site), "while-false", "")
         case Input(site, target, channel):
             idx = config.p[channel]
@@ -242,7 +236,7 @@ def _step_command(
             mu[target] = value
             p = dict(config.p)
             p[channel] = idx + 1
-            new = replace(config, mu=mu, p=p, cmd=Skip(site))
+            new = Configuration(mu, config.ins, config.outs, p, config.q, Skip(site))
             changed = f"{target}={value} p[{channel}]={idx + 1}"
             return _StepResult(new, StepLabel(PLAIN, site), "input", changed)
         case Output(site, expr, channel):
@@ -254,7 +248,7 @@ def _step_command(
             outs[channel] = outs[channel] + (value,)
             q = dict(config.q)
             q[channel] = idx + 1
-            new = replace(config, outs=outs, q=q, cmd=Skip(site))
+            new = Configuration(config.mu, config.ins, outs, config.p, q, Skip(site))
             changed = f"{channel}[{idx}]={value} q[{channel}]={idx + 1}"
             return _StepResult(new, StepLabel(PLAIN, site), "output", changed)
     raise TypeError(f"not a command: {cmd!r}")
@@ -262,16 +256,31 @@ def _step_command(
 
 @dataclass
 class Trace:
-    """Result of run(): per-step entries plus the overall outcome."""
+    """Result of run(): per-step entries plus the overall outcome.
+
+    ``steps`` keeps the step result behind each entry, and ``lines`` formats
+    their text only when read.
+    """
 
     entries: list[tuple[Configuration, StepLabel]]
     outcome: str
-    lines: list[str] = field(default_factory=list)
+    steps: list[_StepResult] = field(default_factory=list, repr=False)
     initial: Optional[Configuration] = None
 
     @property
     def final(self) -> Configuration:
         return self.entries[-1][0] if self.entries else self.initial
+
+    @property
+    def lines(self) -> list[str]:
+        # A step's label names the command it reduced, the head of the
+        # remaining command; a halted entry's command is a lone Skip.
+        return [
+            f"g{r.config.cmd.site.id} | halt | halted |"
+            if r.label.kind == HALTED
+            else f"g{r.label.site.id} | {r.rule} | {r.label} | {r.changed}"
+            for r in self.steps
+        ]
 
     def declass_events(self) -> list[tuple[int, int]]:
         """(site id, declassified value) for each downgrade step, in order."""
@@ -280,14 +289,6 @@ class Trace:
             for _, label in self.entries
             if label.kind == DECLASS
         ]
-
-
-def _head_site(cmd: Command) -> str:
-    match cmd:
-        case Seq(first, _):
-            return _head_site(first)
-        case _:
-            return f"g{cmd.site.id}"
 
 
 def run(
@@ -301,28 +302,36 @@ def run(
 
     The machine is deterministic over a finite state space, so a repeated
     configuration proves divergence exactly; fuel is the fallback bound.
+    A configuration's key lists the values of its store, read indices and
+    outputs without their names: every configuration of one run holds the
+    same names in the same order, and its input contents never change.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
-    lines: list[str] = []
+    steps: list[_StepResult] = []
     seen: set[tuple] = set()
     current = config
     for _ in range(fuel):
         if current.terminated():
-            entries.append((current, StepLabel(HALTED)))
-            lines.append(f"{_head_site(current.cmd)} | halt | halted |")
-            return Trace(entries, OUTCOME_HALTED, lines, initial=config)
-        key = current.freeze()
+            halt = _StepResult(current, StepLabel(HALTED), "halt", "")
+            entries.append((current, halt.label))
+            steps.append(halt)
+            return Trace(entries, OUTCOME_HALTED, steps, initial=config)
+        key = (
+            tuple(current.mu.values()),
+            tuple(current.p.values()),
+            tuple(current.outs.values()),
+            id_free_command_key(current.cmd),
+        )
         if key in seen:
-            return Trace(entries, OUTCOME_DIVERGES, lines, initial=config)
+            return Trace(entries, OUTCOME_DIVERGES, steps, initial=config)
         seen.add(key)
-        site = _head_site(current.cmd)
-        result = step(current, policy, bits, capacity)
+        result = _step_command(current, current.cmd, policy, bits, capacity)
         entries.append((result.config, result.label))
-        lines.append(f"{site} | {result.rule} | {result.label} | {result.changed}")
+        steps.append(result)
         if result.label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-            return Trace(entries, result.label.kind, lines, initial=config)
+            return Trace(entries, result.label.kind, steps, initial=config)
         current = result.config
-    return Trace(entries, OUTCOME_FUEL, lines, initial=config)
+    return Trace(entries, OUTCOME_FUEL, steps, initial=config)
 
 
 def run_program(

@@ -234,7 +234,7 @@ class Program:
         """Every variable of the program, sorted; walked once per program."""
         return tuple(sorted(command_vars(self.root)))
 
-    @property
+    @cached_property
     def channels(self) -> dict[str, str]:
         return command_channels(self.root)
 

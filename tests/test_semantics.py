@@ -29,9 +29,9 @@ from wherecheck.semantics import (
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
 
-def load(name: str):
-    program = parse_program((CORPUS / name).read_text())
-    policy = parse_policy((CORPUS / f"{name}.policy").read_text())
+def load(name: str, corpus: Path = CORPUS):
+    program = parse_program((corpus / name).read_text())
+    policy = parse_policy((corpus / f"{name}.policy").read_text())
     return program, gather_downgrades(program, policy)
 
 
@@ -328,4 +328,22 @@ def test_program_variables_walk_the_tree_once(monkeypatch):
         for h in range(4):
             run_program(program, policy, store={"h": h}, bits=2)
             assert program.variables == tuple(sorted(real(program.root)))
+    assert len(walks) == len(programs)
+
+
+def test_program_channels_walk_the_tree_once(monkeypatch):
+    walks = []
+
+    def counting(c):
+        walks.append(c)
+        return real(c)
+
+    real = syntax.command_channels
+    monkeypatch.setattr(syntax, "command_channels", counting)
+    iobench = CORPUS.parent / "iobench"
+    programs = [load("B4", iobench), load("B6", iobench)]
+    for program, policy in programs:
+        for h in range(4):
+            run_program(program, policy, store={"h": h}, inputs={"hid": (h,)}, bits=2)
+            assert program.channels == real(program.root)
     assert len(walks) == len(programs)
