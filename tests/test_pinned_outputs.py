@@ -121,8 +121,7 @@ def _state(state) -> str:
     return f"store={state.store} inputs={state.inputs}"
 
 
-@functools.cache
-def oracle_lines() -> tuple[str, ...]:
+def oracle_lines() -> list[str]:
     lines = []
     for name, text, policy_text, bits, capacity in _oracle_cases():
         program = parse_program(text)
@@ -138,7 +137,7 @@ def oracle_lines() -> tuple[str, ...]:
             f"ORACLE {name} bits={bits} capacity={capacity} {verdict.status} "
             f"pairs={verdict.pairs_checked} note={verdict.note or '-'} witness={witness}"
         )
-    return tuple(lines)
+    return lines
 
 
 def pinned_lines() -> list[str]:
@@ -165,7 +164,7 @@ def test_decoded_witnesses_match_the_pinned_file():
 
 
 def test_oracle_verdicts_match_the_pinned_file():
-    _assert_lines_match(ORACLE, list(oracle_lines()))
+    _assert_lines_match(ORACLE, oracle_lines())
 
 
 if __name__ == "__main__":
