@@ -311,24 +311,21 @@ def run(
     seen: set[tuple] = set()
     current = config
     for _ in range(fuel):
-        if current.terminated():
-            halt = _StepResult(current, StepLabel(HALTED), "halt", "")
-            entries.append((current, halt.label))
-            steps.append(halt)
-            return Trace(entries, OUTCOME_HALTED, steps, initial=config)
-        key = (
-            tuple(current.mu.values()),
-            tuple(current.p.values()),
-            tuple(current.outs.values()),
-            id_free_command_key(current.cmd),
-        )
-        if key in seen:
-            return Trace(entries, OUTCOME_DIVERGES, steps, initial=config)
-        seen.add(key)
-        result = _step_command(current, current.cmd, policy, bits, capacity)
+        if not current.terminated():
+            key = (
+                tuple(current.mu.values()),
+                tuple(current.p.values()),
+                tuple(current.outs.values()),
+                id_free_command_key(current.cmd),
+            )
+            if key in seen:
+                return Trace(entries, OUTCOME_DIVERGES, steps, initial=config)
+            seen.add(key)
+        result = step(current, policy, bits, capacity)
         entries.append((result.config, result.label))
         steps.append(result)
-        if result.label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
+        # Each terminal label is also the outcome it ends the run with.
+        if result.label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             return Trace(entries, result.label.kind, steps, initial=config)
         current = result.config
     return Trace(entries, OUTCOME_FUEL, steps, initial=config)
