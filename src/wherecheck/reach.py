@@ -26,13 +26,13 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .bdd import BDD, BudgetExceeded
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
 from .semantics import OUTCOME_HALTED, low_equiv_store, run_program
-from .spds import RelationAlgebra, SPDS, successors
+from .spds import Piece, RelationAlgebra, SPDS, successors
 from .syntax import Input
 
 _SITE = re.compile(r"g(\d+)$")
@@ -55,7 +55,7 @@ class PAutomaton:
     algebra: RelationAlgebra
     layers: list[dict[str, int]]  # per layer: symbol -> valuations first reached there
     reached: dict[str, int]  # symbol -> every valuation reached
-    rule_relations: list[tuple[int, frozenset[str]]]  # (relation, written cells) per rule
+    rule_relations: list[tuple[Piece, ...]]  # the pieces of each rule
     steps: int
 
     @property
@@ -67,11 +67,25 @@ class PAutomaton:
         return len(self.algebra.mgr)
 
 
+def _through(
+    mgr: BDD, step: Callable[[int, int, frozenset[str]], int], pieces: tuple[Piece, ...], s: int
+) -> int:
+    """The union over a rule's pieces of step(relation, s, written).
+
+    With step the algebra's transpose_compose this is the rule's image of
+    s; with its preimage, the rule's pre-image.
+    """
+    out = mgr.FALSE
+    for rel, written in pieces:
+        out = mgr.disj(out, step(rel, s, written))
+    return out
+
+
 def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = None) -> PAutomaton:
     spds = _spds_of(model)
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
-    rels = [(alg.compile_spec(rule.spec), rule.spec.written_globals()) for rule in spds.rules]
+    rels = [alg.compile_spec(rule.spec) for rule in spds.rules]
     rules_by_lhs: dict[str, list[int]] = {}
     for i, rule in enumerate(spds.rules):
         rules_by_lhs.setdefault(rule.lhs, []).append(i)
@@ -85,10 +99,9 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
         for sym, frontier in layers[-1].items():
             steps += 1
             for i in rules_by_lhs.get(sym, ()):
-                rel, written = rels[i]
                 target = spds.rules[i].rhs
                 old = reached.get(target, mgr.FALSE)
-                fresh = mgr.diff(alg.transpose_compose(rel, frontier, written), old)
+                fresh = mgr.diff(_through(mgr, alg.transpose_compose, rels[i], frontier), old)
                 if fresh == mgr.FALSE:
                     continue
                 reached[target] = mgr.disj(old, fresh)
@@ -177,8 +190,8 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
             prev = layers[k - 1].get(rule.lhs)
             if rule.rhs != sym or prev is None:
                 continue
-            rel, written = auto.rule_relations[i]
-            cand = alg.mgr.conj(alg.preimage(rel, here, written), prev)
+            pre = _through(alg.mgr, alg.preimage, auto.rule_relations[i], here)
+            cand = alg.mgr.conj(pre, prev)
             if cand == alg.mgr.FALSE:
                 continue
             tail.append((i, val, sym))

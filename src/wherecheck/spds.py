@@ -11,13 +11,19 @@ global of any name and a CellRef reads a channel cell.
 
 Globals not mentioned keep their value; that frame condition is part of
 the spec's meaning, and the explicit evaluator below implements it
-directly.  The compiled relation leaves it out: it is the guard and one
-equation per written cell, over the current bits and the next bits of the
-written cells only.  Each relational step that takes a rule relation also
-takes the rule's written cells and quantifies just their current bits, so
-every unwritten bit stands for itself on both sides, which is exactly what
-the frame nxt == cur would force.  A full relation is the case where every
-cell is written.
+directly.  The compiled form leaves it out.  A spec compiles to a few
+pieces, each a relation paired with the cells it writes, and the rule's
+relation is the union of its pieces.  A piece is the guard and one
+equation per written cell, over the current bits and the next bits of its
+written cells only.  Each relational step that takes a piece also takes
+its written cells and quantifies just their current bits, so every
+unwritten bit stands for itself on both sides, which is exactly what the
+frame nxt == cur would force.  A spec without a channel write is one
+piece.  A channel write cells[index] := e is one piece per cell k, with
+index == k and the equation for cells[k] alone, plus one piece for an
+index past the last cell, which writes no cell of the channel.  No piece
+spells out that the other cells of the channel keep their value, so a
+write costs one small piece per cell, not an equation for every cell.
 
 Level layout: global bit slot t occupies levels 2t (current) and 2t+1
 (next).  A step moves a written bit only between the two levels of its
@@ -101,6 +107,17 @@ class RuleSpec:
     updates: tuple[tuple[str, object], ...] = ()  # (global, Expr | HAVOC), sorted
     writes: tuple[ArrayWrite, ...] = ()
 
+    def __post_init__(self):
+        # Two writers of one cell would leave its next value undefined; the
+        # explicit evaluator and the compiled pieces would each pick one.
+        # make() builds the updates from a dict, so only a write can repeat a cell.
+        if not self.writes:
+            return
+        written = [name for name, _ in self.updates] + [c for w in self.writes for c in w.cells]
+        if len(set(written)) < len(written):
+            twice = sorted({c for c in written if written.count(c) > 1})
+            raise ValueError(f"cells written twice by one rule: {', '.join(twice)}")
+
     @staticmethod
     def make(
         guard: Optional[Expr] = None,
@@ -119,13 +136,6 @@ class RuleSpec:
             )
         )
         return RuleSpec(guard, updates, tuple(w.renamed(mapping) for w in self.writes))
-
-    def written_globals(self) -> frozenset[str]:
-        """Every cell the rule may change: updated, havoc'd or in a written channel."""
-        out = {name for name, _ in self.updates}
-        for w in self.writes:
-            out |= set(w.cells)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -359,21 +369,25 @@ def successors(
 
 
 class _WrittenSteps(NamedTuple):
-    """The relational steps that take a rule relation writing one set of cells."""
+    """The relational steps that take a piece writing one set of cells."""
 
     transpose_compose: Step
     preimage: Step
 
 
+Piece = tuple[int, frozenset[str]]  # (relation, the cells it writes)
+
+
 class RelationAlgebra:
     """BDD-backed sets of valuations and rule relations over them.
 
-    Sets live on the current levels.  A rule relation puts its first
-    component on the current levels and carries next levels for its
-    written cells only (see compile_spec), so the steps that take one also
-    take its written set; every cell is the case of a full relation.  Each
-    step is one relprod call.  Node indices are canonical, so equality of
-    results is integer equality.
+    Sets live on the current levels.  A rule compiles to pieces (see
+    compile_spec), each a relation paired with the cells it writes: the
+    relation puts its first component on the current levels and carries
+    next levels for those cells only, so the steps that take a piece also
+    take its written set, and every cell is the case of a full relation.
+    A channel write is one piece per cell.  Each step is one relprod call.
+    Node indices are canonical, so equality of results is integer equality.
     """
 
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
@@ -443,32 +457,36 @@ class RelationAlgebra:
 
     # Rule relations: current levels x the written cells' next levels.
 
-    def compile_spec(self, spec: RuleSpec) -> int:
-        """The guard and one equation nxt == value per written cell, without a frame.
+    def _assigns(self, name: str, e: Expr) -> int:
+        """nxt(name) == e, e read over the current levels."""
+        nxt = bv_from_levels(self.mgr, self.g.nxt_levels(name))
+        return bv_eq(self.mgr, nxt, self.compile_value(e, self.g.width_of(name)))
 
-        The next bits of the unwritten cells stay free (a havoc'd cell is
-        written but gets no equation); see the module docstring.
+    def compile_spec(self, spec: RuleSpec) -> tuple[Piece, ...]:
+        """The spec's pieces, whose union is its relation; FALSE pieces are left out.
+
+        See the module docstring.  A havoc'd cell is written but gets no
+        equation, and each channel write splits every piece by cell.
         """
         mgr = self.mgr
-        out = self.compile_guard(spec.guard)
-        updates = dict(spec.updates)
-        write_by_cell = {name: w for w in spec.writes for name in w.cells}
-        for name, width in self.g.cells:
-            if name in updates:
-                e = updates[name]
-                if e is HAVOC:
-                    continue
-                value = self.compile_value(e, width)
-            elif name in write_by_cell:
-                w = write_by_cell[name]
-                idx = bv_from_levels(mgr, self.g.cur_levels(w.index))
-                hit = bv_eq(mgr, idx, bv_const(mgr, w.cells.index(name), self.g.width_of(w.index)))
-                cur = bv_from_levels(mgr, self.g.cur_levels(name))
-                value = bv_ite(mgr, hit, self.compile_value(w.expr, width), cur)
-            else:
-                continue
-            out = mgr.conj(out, bv_eq(mgr, bv_from_levels(mgr, self.g.nxt_levels(name)), value))
-        return out
+        base = self.compile_guard(spec.guard)
+        for name, e in spec.updates:
+            if e is not HAVOC:
+                base = mgr.conj(base, self._assigns(name, e))
+        pieces = [(base, frozenset(name for name, _ in spec.updates))]
+        for w in spec.writes:
+            idx = bv_from_levels(mgr, self.g.cur_levels(w.index))
+            # an index never reaches a cell past the largest value it holds
+            held = range(min(len(w.cells), 1 << len(idx)))
+            hits = [bv_eq(mgr, idx, bv_const(mgr, k, len(idx))) for k in held]
+            cases = [(hit, self._assigns(c, w.expr), frozenset({c})) for c, hit in zip(w.cells, hits)]
+            cases.append((mgr.neg(mgr.disj_all(hits)), mgr.TRUE, frozenset()))
+            pieces = [
+                (mgr.conj(mgr.conj(rel, hit), assigns), written | cells)
+                for rel, written in pieces
+                for hit, assigns, cells in cases
+            ]
+        return tuple((rel, written) for rel, written in pieces if rel != mgr.FALSE)
 
     def _bits(self, written: frozenset[str]) -> _WrittenSteps:
         found = self._written.get(written)

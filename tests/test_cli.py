@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wherecheck import cli
+from wherecheck import bdd, cli
 from wherecheck.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INSECURE,
@@ -183,6 +183,23 @@ def test_recursion_overflow_is_inconclusive_not_insecure(tmp_path, capsys):
     assert code == EXIT_INCONCLUSIVE
     assert "RESULT overall=inconclusive" in out
     assert "inconclusive (recursion limit" in out
+
+
+def test_step_id_overflow_is_inconclusive_not_a_verdict(capsys, monkeypatch):
+    # Each written set interns its own pair of steps, and a channel write has
+    # one per cell, so the step count grows with the capacity: B3 at capacity
+    # 8 interns 25 per level.  Past the bound a level must end inconclusive.
+    monkeypatch.setattr(bdd, "_STEP_ID_LIMIT", 8)
+    iobench = CORPUS.parent / "iobench"
+    args = [str(iobench / "B3"), "--policy", str(iobench / "B3.policy")]
+    code, out, _ = run(capsys, ["analyze", *args, "--bits", "2", "--capacity", "8"])
+    assert code == EXIT_INCONCLUSIVE
+    assert result_lines(out) == [
+        "RESULT level=H verdict=inconclusive",
+        "RESULT level=L verdict=inconclusive",
+        "RESULT overall=inconclusive",
+    ]
+    assert out.count("more than 8 relational steps would alias") == 2
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars, walk_commands
 
 from test_pinned_outputs import _cases
+from test_spds import written_globals
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 TABLE3 = [f"P{i}" for i in range(8)]
@@ -96,7 +97,7 @@ def test_run_separation(name, mode):
     model = mode(skel)
     program_vars = set(skel.program.variables)
     for rule in model.spds.rules:
-        written = rule.spec.written_globals()
+        written = written_globals(rule.spec)
         if rule.lhs == INIT_SYMBOL:
             continue
         if rule.lhs.startswith("xi(") or rule.lhs.startswith("chk"):

@@ -121,6 +121,26 @@ def test_spec_successors_frame_and_havoc():
     assert outs == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
 
+def written_globals(spec):
+    """Every cell the rule may change: updated, havoc'd or in a written channel."""
+    return frozenset(name for name, _ in spec.updates) | {c for w in spec.writes for c in w.cells}
+
+
+def test_a_cell_written_twice_is_rejected():
+    # Two writers leave the cell's next value undefined, and the symbolic
+    # and explicit evaluators could each pick another one.
+    z_plus_1 = BinOp("+", Var("z"), Num(1))
+    with pytest.raises(ValueError, match="written twice by one rule: x"):
+        RuleSpec.make(updates={"x": Num(3)}, writes=(ArrayWrite(("x", "z"), "y", z_plus_1, "C"),))
+    twice = (ArrayWrite(("x",), "y", Num(1), "C"), ArrayWrite(("z", "x"), "y", Num(2), "D"))
+    with pytest.raises(ValueError, match="written twice by one rule: x"):
+        RuleSpec.make(writes=twice)
+    # the index may be updated; a renaming that merges two writers is caught too
+    fine = RuleSpec.make(updates={"y": Num(1)}, writes=(ArrayWrite(("x", "z"), "y", z_plus_1, "C"),))
+    with pytest.raises(ValueError, match="written twice by one rule: z"):
+        fine.renamed({"y": "z"})
+
+
 def test_spec_successors_array_write():
     g = GlobalsDecl((("c0", 2), ("c1", 2), ("q", 2), ("v", 2)))
     spec = RuleSpec.make(
@@ -207,7 +227,9 @@ def frame(ra, written):
 
 
 def framed(ra, spec):
-    return ra.mgr.conj(ra.compile_spec(spec), frame(ra, spec.written_globals()))
+    """The spec's full relation: the union of its pieces, each with its frame."""
+    mgr = ra.mgr
+    return mgr.disj_all(mgr.conj(rel, frame(ra, written)) for rel, written in ra.compile_spec(spec))
 
 
 def exists(ra, u, levels):
@@ -305,11 +327,12 @@ def test_drawn_spec_compiles_to_explicit_pairs(spec):
 def test_compiled_rule_leaves_unwritten_next_bits_free():
     ra = RelationAlgebra(G5)
     spec = RuleSpec.make(guard=Var("y"), updates={"x": BinOp("+", Var("x"), Var("z"))})
-    node = ra.compile_spec(spec)
+    ((node, written),) = ra.compile_spec(spec)
+    assert written == {"x"}
     unwritten_nxt = ra.g.nxt_levels("y") + ra.g.nxt_levels("z")
     assert exists(ra, node, unwritten_nxt) == node
     assert exists(ra, node, ra.g.nxt_levels("x")) != node
-    assert enumerate_pairs(ra, frame(ra, spec.written_globals())) == {
+    assert enumerate_pairs(ra, frame(ra, written)) == {
         (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
     }
     assert enumerate_pairs(ra, frame(ra, frozenset())) == {(v, v) for v in G5.all_valuations()}
@@ -330,6 +353,52 @@ def test_compile_spec_array_write_matches_explicit():
         for nxt in spec_successors(spec, g, val)
     }
     assert symbolic == explicit
+
+
+# A channel write is one piece per cell the index can name, plus one for an
+# index past the last cell, which writes no cell of the channel.
+WRITE_CASES = {
+    # guard-free: q = 2 and q = 3 run past the last cell
+    "past-the-end": (
+        (("c0", 1), ("c1", 1), ("q", 2), ("v", 1)),
+        RuleSpec.make(writes=(ArrayWrite(("c0", "c1"), "q", Var("v"), "C"),)),
+        [{"c0"}, {"c1"}, set()],
+    ),
+    "three-cells-2-bit-index": (
+        (("c0", 1), ("c1", 1), ("c2", 1), ("q", 2), ("v", 1)),
+        RuleSpec.make(
+            guard=BinOp("!=", Var("v"), Num(0)),
+            updates={"q": BinOp("+", Var("q"), Num(1))},
+            writes=(ArrayWrite(("c0", "c1", "c2"), "q", BinOp("+", Var("c0"), Var("v")), "C"),),
+        ),
+        [{"q", "c0"}, {"q", "c1"}, {"q", "c2"}, {"q"}],
+    ),
+    "one-cell": (
+        (("c0", 2), ("q", 1), ("v", 2)),
+        RuleSpec.make(
+            guard=BinOp("<", Var("q"), Num(1)),
+            updates={"v": HAVOC},
+            writes=(ArrayWrite(("c0",), "q", BinOp("*", Var("v"), Num(3)), "C"),),
+        ),
+        [{"v", "c0"}],  # the guard empties the out-of-range piece
+    ),
+    # every value of the 1-bit index names a cell: no out-of-range piece
+    "index-covers-the-cells": (
+        (("c0", 1), ("c1", 1), ("q", 1), ("v", 1)),
+        RuleSpec.make(writes=(ArrayWrite(("c0", "c1"), "q", Var("v"), "C"),)),
+        [{"c0"}, {"c1"}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRITE_CASES.values(), ids=WRITE_CASES)
+def test_channel_write_pieces_match_explicit(case):
+    cells, spec, written_sets = case
+    g = GlobalsDecl(cells)
+    ra = RelationAlgebra(g)
+    assert [set(written) for _, written in ra.compile_spec(spec)] == written_sets
+    explicit = {(val, nxt) for val in g.all_valuations() for nxt in spec_successors(spec, g, val)}
+    assert enumerate_pairs(ra, framed(ra, spec)) == explicit
 
 
 def test_compile_cellref_matches_explicit():
@@ -391,17 +460,23 @@ def test_dom_image_preimage(p1):
     assert enumerate_set(ra, ra.preimage(r, node, every_cell)) == {a for a, b in p1 if b in some}
 
 
-# The partitioned steps against the framed ones: a rule relation without its
-# frame, stepped with its written set, must give the very node that the
-# framed relation gives when every current bit is quantified.
+# The partitioned steps against the framed ones: the union over a rule's
+# pieces, each without its frame and stepped with its written set, must give
+# the very node that the framed relation gives when every current bit is
+# quantified, and the image and pre-image the explicit evaluator gives.
 
 G5_VALS = list(G5.all_valuations())
 CHANNEL = ArrayWrite(("x", "z"), "y", BinOp("+", Var("z"), Num(1)), "C")
-partitioned_spec_st = st.builds(
-    lambda spec, writes: RuleSpec(spec.guard, spec.updates, writes),
-    drawn_spec_st,
-    st.sampled_from([(), (CHANNEL,)]),
-)
+
+
+def _with_writes(spec, writes):
+    """spec plus writes, less the updates of the cells the writes write."""
+    cells = {c for w in writes for c in w.cells}
+    updates = tuple((name, e) for name, e in spec.updates if name not in cells)
+    return RuleSpec(spec.guard, updates, writes)
+
+
+partitioned_spec_st = st.builds(_with_writes, drawn_spec_st, st.sampled_from([(), (CHANNEL,)]))
 SOME = frozenset({(0, 1, 2), (3, 0, 1), (2, 1, 2)})
 
 
@@ -414,13 +489,20 @@ SOME = frozenset({(0, 1, 2), (3, 0, 1), (2, 1, 2)})
 @example(RuleSpec.make(guard=Var("y"), writes=(CHANNEL,)), SOME)
 def test_partitioned_steps_equal_framed_steps(spec, vals):
     ra = RelationAlgebra(G5)
-    written = spec.written_globals()
-    rel = ra.compile_spec(spec)
+    mgr = ra.mgr
+    pieces = ra.compile_spec(spec)
+    assert all(written <= written_globals(spec) for _, written in pieces)
     full = framed(ra, spec)
-    some = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
+    explicit = {(val, nxt) for val in G5_VALS for nxt in spec_successors(spec, G5, val)}
+    assert enumerate_pairs(ra, full) == explicit
+    some = mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
     every_cell = frozenset(G5.names)
-    assert ra.transpose_compose(rel, some, written) == ra.transpose_compose(full, some, every_cell)
-    assert ra.preimage(rel, some, written) == ra.preimage(full, some, every_cell)
+    image = mgr.disj_all(ra.transpose_compose(rel, some, written) for rel, written in pieces)
+    assert image == ra.transpose_compose(full, some, every_cell)
+    assert enumerate_set(ra, image) == {b for a, b in explicit if a in vals}
+    pre = mgr.disj_all(ra.preimage(rel, some, written) for rel, written in pieces)
+    assert pre == ra.preimage(full, some, every_cell)
+    assert enumerate_set(ra, pre) == {a for a, b in explicit if b in vals}
 
 
 def test_pick_set_is_minimal():
