@@ -5,8 +5,9 @@ of channels.  Run one executes the original rules and additionally records
 every downgraded value in the 𝒟 array and every observable output in the
 channel cells.  A restart rule then rewinds the channel indices and starts
 the renamed copy, whose downgrade sites must match the recorded 𝒟 entry
-(a mismatch falsifies the property's premise and parks the run on idle)
-and whose output sites compare with the recorded cells.  A differing
+and whose output sites compare with the recorded cells.  A downgrade that
+does not match puts the pair outside the property's premise, so the run
+blocks there, as it does on a read past the end of an input.  A differing
 output does not end the run: it sets the 1-bit control cell MISMATCH and
 the second run goes on, since an observation difference is a leak only if
 the second run also halts.  Each downgrade and observable-output site rule
@@ -19,14 +20,16 @@ error: the end check fires when MISMATCH is set or when some observable
 variable x differs from its copy xi(x).  A run that blocks, for instance
 on a read past the end of an observable input, never gets there.
 
-The alternative transformer keeps two disjoint copies of the declared
-output channels, lets both runs write freely, and after the end check
-compares the streams in a checker chain.  Either way the composed globals
-are the skeleton's, each cell the second run owns followed by its copy,
-and MISMATCH exists only in store-match models with a low output channel,
-so the two modes produce identical globals on channel-free programs.  The
-baseline exists for comparison: verdicts must coincide while the
-store-match encoding uses fewer bits whenever a low channel exists.
+The alternative transformer keeps two disjoint copies of the low output
+channels, lets both runs write freely, and after the end check compares
+the streams in a checker chain, one symbol per channel, which enters error
+on the first difference and blocks once every channel agrees.  Either way
+the composed globals are the skeleton's, each cell the second run owns
+followed by its copy, and MISMATCH exists only in store-match models with
+a low output channel, so on a program without one the two modes build the
+same system.  The baseline exists for comparison: verdicts must coincide
+while the store-match encoding uses fewer bits whenever a low channel
+exists.
 
 Initial valuations pin only the channel indices and MISMATCH to zero.
 Everything else, in particular the 𝒟 cells and the unwritten channel
@@ -47,7 +50,6 @@ MODE_TR = "tr"
 
 INIT_SYMBOL = "init"
 ERROR_SYMBOL = "error"
-IDLE_SYMBOL = "idle"
 
 # No program variable or channel cell can carry this name: the parser's
 # identifiers have no brackets and channel cells are numbered.
@@ -133,14 +135,10 @@ def _second_run_body(
     expr = subst_vars(cmd.expr, var_map)
     if isinstance(cmd, DeclassAssign):
         cell = d_name(skeleton.rho[cmd.site.id])
-        mismatch = RuleSpec.make(guard=BinOp("!=", Var(cell), expr))
         match = RuleSpec.make(
             guard=BinOp("==", Var(cell), expr), updates={xi_name(cmd.target): expr}
         )
-        return [
-            Rule(lhs, IDLE_SYMBOL, mismatch, "premise fails"),
-            Rule(lhs, rhs, match, "downgrade matches"),
-        ]
+        return [Rule(lhs, rhs, match, "downgrade matches")]
     spec = skeleton.output_spec(cmd.channel)
     if not spec.cells:
         return []
@@ -214,7 +212,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     differs += [BinOp("!=", Var(x), Var(xi_name(x))) for x in skeleton.observable_vars]
     if differs:
         rules.append(Rule(end, ERROR_SYMBOL, RuleSpec.make(guard=_disj(differs)), "runs differ"))
-    if tr:
+    if tr and skeleton.outputs:
         rules.append(Rule(end, "chk0", RuleSpec.make(), "begin comparison"))
         for i, spec in enumerate(skeleton.outputs):
             here, nxt = f"chk{i}", f"chk{i + 1}"
@@ -245,13 +243,11 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
                         f"{spec.name} cells differ",
                     )
                 )
-            rules.append(
-                Rule(here, nxt, RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
-            )
-        done = f"chk{len(skeleton.outputs)}"
-        rules.append(Rule(done, done, RuleSpec.make(), "comparison done"))
-
-    rules.append(Rule(IDLE_SYMBOL, IDLE_SYMBOL, RuleSpec.make(), "out of scope"))
+            # past the last channel nothing is left to compare: the run blocks
+            if i + 1 < len(skeleton.outputs):
+                rules.append(
+                    Rule(here, nxt, RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
+                )
 
     initial_fixed = list(skeleton.spds.initial_fixed)
     if tr:

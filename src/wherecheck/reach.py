@@ -24,15 +24,14 @@ replay verdict is recorded.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .bdd import BDD, BudgetExceeded
+from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
 from .semantics import OUTCOME_HALTED, low_equiv_store, run_program
-from .spds import Piece, RelationAlgebra, SPDS, successors
+from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
 _SITE = re.compile(r"g(\d+)$")
@@ -121,32 +120,6 @@ def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None]
     if error is None:
         raise ValueError("system declares no error symbol")
     return error in auto.layers[-1]
-
-
-def explicit_error_search(
-    model: Union[ComposedModel, SPDS], max_configs: int = 250_000
-) -> bool:
-    """Concrete breadth-first search; the independent check on post_star."""
-    spds = _spds_of(model)
-    if spds.error is None:
-        raise ValueError("system declares no error symbol")
-    seen: set[tuple[tuple[int, ...], str]] = set()
-    work: deque[tuple[tuple[int, ...], str]] = deque(
-        (val, spds.start) for val in spds.initial_valuations()
-    )
-    while work:
-        config = work.popleft()
-        if config in seen:
-            continue
-        seen.add(config)
-        if len(seen) > max_configs:
-            raise BudgetExceeded(f"explicit search budget {max_configs} exhausted")
-        if config[1] == spds.error:
-            return True
-        for nxt in successors(spds, *config):
-            if nxt not in seen:
-                work.append(nxt)
-    return False
 
 
 # ---------------------------------------------------------------------------

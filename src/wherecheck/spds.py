@@ -10,8 +10,8 @@ Expressions are the source language's own (syntax.Expr): a Var reads a
 global of any name and a CellRef reads a channel cell.
 
 Globals not mentioned keep their value; that frame condition is part of
-the spec's meaning, and the explicit evaluator below implements it
-directly.  The compiled form leaves it out.  A spec compiles to a few
+the spec's meaning, and the tests' explicit evaluator (tests/explicit.py)
+implements it directly.  The compiled form leaves it out.  A spec compiles to a few
 pieces, each a relation paired with the cells it writes, and the rule's
 relation is the union of its pieces.  A piece is the guard and one
 equation per written cell, over the current bits and the next bits of its
@@ -38,10 +38,9 @@ builds between them linear in the width.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .bdd import (
     BDD,
@@ -109,7 +108,7 @@ class RuleSpec:
 
     def __post_init__(self):
         # Two writers of one cell would leave its next value undefined; the
-        # explicit evaluator and the compiled pieces would each pick one.
+        # tests' explicit evaluator and the compiled pieces would each pick one.
         # make() builds the updates from a dict, so only a write can repeat a cell.
         if not self.writes:
             return
@@ -188,18 +187,8 @@ class GlobalsDecl:
     def nxt_levels(self, name: str) -> list[int]:
         return [2 * t + 1 for t in self._slots[name]]
 
-    def valuation(self, values: dict[str, int]) -> tuple[int, ...]:
-        out = []
-        for name, width in self.cells:
-            out.append(values.get(name, 0) & ((1 << width) - 1))
-        return tuple(out)
-
     def as_dict(self, valuation: tuple[int, ...]) -> dict[str, int]:
         return {name: valuation[i] for i, (name, _) in enumerate(self.cells)}
-
-    def all_valuations(self) -> Iterator[tuple[int, ...]]:
-        spaces = [range(1 << width) for _, width in self.cells]
-        yield from itertools.product(*spaces)
 
 
 @dataclass(frozen=True)
@@ -209,16 +198,6 @@ class SPDS:
     start: str
     initial_fixed: tuple[tuple[str, int], ...]  # pinned initial globals; rest free
     error: Optional[str] = None
-
-    def initial_valuations(self) -> Iterator[tuple[int, ...]]:
-        fixed = dict(self.initial_fixed)
-        spaces = []
-        for name, width in self.globals.cells:
-            if name in fixed:
-                spaces.append((fixed[name] & ((1 << width) - 1),))
-            else:
-                spaces.append(tuple(range(1 << width)))
-        yield from itertools.product(*spaces)
 
 
 def format_rule(rule: Rule) -> str:
@@ -244,53 +223,6 @@ def dump_spds(spds: SPDS) -> str:
     return "\n".join(lines)
 
 
-# Explicit evaluation.  Used by the interpreter-backed test oracle for rule
-# compilation and by the enumerative reachability backend.
-
-
-def eval_gexpr(e: Expr, globals_decl: GlobalsDecl, val: tuple[int, ...], width: int) -> int:
-    mask = (1 << width) - 1
-    match e:
-        case Num(value):
-            return value & mask
-        case Var(name):
-            return val[globals_decl.index_of(name)] & mask
-        case CellRef(cells, index, _):
-            idx = val[globals_decl.index_of(index)]
-            if idx < len(cells):
-                return val[globals_decl.index_of(cells[idx])] & mask
-            return 0
-        case BinOp(op, left, right):
-            if op in _COMPARISONS:
-                # Comparison operands carry their own width; the 0/1 result
-                # coerces to whatever width the context needs.
-                w = infer_width(left, globals_decl) or infer_width(right, globals_decl) or width
-            else:
-                w = width
-            a = eval_gexpr(left, globals_decl, val, w)
-            b = eval_gexpr(right, globals_decl, val, w)
-            if op == "+":
-                return (a + b) & mask
-            if op == "-":
-                return (a - b) & mask
-            if op == "*":
-                return (a * b) & mask
-            if op == "==":
-                return int(a == b)
-            if op == "!=":
-                return int(a != b)
-            if op == "<":
-                return int(a < b)
-            if op == "<=":
-                return int(a <= b)
-            if op == "&":
-                return a & b
-            if op == "|":
-                return a | b
-            raise ValueError(f"unknown operator {op!r}")
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
     match e:
         case Num(_):
@@ -314,58 +246,6 @@ def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
 def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
     width = infer_width(e, globals_decl)
     return width if width is not None else 1
-
-
-def eval_guard(spec: RuleSpec, globals_decl: GlobalsDecl, val: tuple[int, ...]) -> bool:
-    if spec.guard is None:
-        return True
-    return eval_gexpr(spec.guard, globals_decl, val, guard_width(spec.guard, globals_decl)) != 0
-
-
-def spec_successors(
-    spec: RuleSpec, globals_decl: GlobalsDecl, val: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """All next valuations from val; empty when the guard fails.
-
-    Havoc'd globals branch over their whole range (ascending), so this is
-    only usable at small widths.
-    """
-    if not eval_guard(spec, globals_decl, val):
-        return
-    updates = dict(spec.updates)
-    base = list(val)
-    havocs: list[int] = []
-    for name, e in spec.updates:
-        i = globals_decl.index_of(name)
-        if e is HAVOC:
-            havocs.append(i)
-        else:
-            base[i] = eval_gexpr(e, globals_decl, val, globals_decl.width_of(name))
-    for w in spec.writes:
-        idx = val[globals_decl.index_of(w.index)]
-        if idx < len(w.cells):
-            i = globals_decl.index_of(w.cells[idx])
-            base[i] = eval_gexpr(w.expr, globals_decl, val, globals_decl.width_of(w.cells[idx]))
-    if not havocs:
-        yield tuple(base)
-        return
-    spaces = [range(1 << globals_decl.cells[i][1]) for i in havocs]
-    for choice in itertools.product(*spaces):
-        nxt = list(base)
-        for i, v in zip(havocs, choice):
-            nxt[i] = v
-        yield tuple(nxt)
-
-
-def successors(
-    spds: SPDS, val: tuple[int, ...], symbol: str
-) -> Iterator[tuple[tuple[int, ...], str]]:
-    """One-step successors of a concrete configuration (valuation, control symbol)."""
-    for rule in spds.rules:
-        if rule.lhs != symbol:
-            continue
-        for nxt in spec_successors(rule.spec, spds.globals, val):
-            yield nxt, rule.rhs
 
 
 class _WrittenSteps(NamedTuple):

@@ -20,7 +20,8 @@ from wherecheck.oracle import check_noninterference, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, declass_free, generate
-from wherecheck.reach import explicit_error_search, is_error_reachable, post_star
+from wherecheck.reach import is_error_reachable, post_star
+from explicit import explicit_error_search
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE3 = ROOT / "corpus" / "table3"

@@ -6,7 +6,6 @@ import pytest
 from wherecheck.compose import (
     ComposedModel,
     ERROR_SYMBOL,
-    IDLE_SYMBOL,
     INIT_SYMBOL,
     MISMATCH,
     self_compose,
@@ -15,20 +14,23 @@ from wherecheck.compose import (
 from wherecheck.modelgen import FINAL_SYMBOL, build_model, index_width, xi_name
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.reach import explicit_error_search
+from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars, walk_commands
 
+from explicit import explicit_error_search
 from test_pinned_outputs import _cases
 from test_spds import written_globals
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE3 = [f"P{i}" for i in range(8)]
+IOBENCH = [f"B{i}" for i in range(8)]
 
 
-def load(name: str):
-    program = parse_program((CORPUS / name).read_text())
-    policy = parse_policy((CORPUS / f"{name}.policy").read_text())
+def load(name: str, corpus: str = "table3"):
+    path = CORPUS / corpus / name
+    program = parse_program(path.read_text())
+    policy = parse_policy(path.with_suffix(".policy").read_text())
     return program, gather_downgrades(program, policy)
 
 
@@ -55,7 +57,7 @@ def test_p0_storematch_rule_count_frozen():
     program, policy = load("P0")
     skel = build_model(program, policy, "L", bits=3)
     assert len(skel.spds.rules) == 2
-    assert len(self_compose(skel).spds.rules) == 9
+    assert len(self_compose(skel).spds.rules) == 7
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -64,26 +66,59 @@ def test_storematch_rule_count_law(name):
     skel = build_model(program, policy, "L", bits=2, capacity=2)
     model = self_compose(skel)
     base = len(skel.spds.rules)
-    sites = len(skel.rho)
     observable = {spec.name for spec in skel.outputs}
     writes = [c for c in walk_commands(program.root) if isinstance(c, Output)]
     low_writes = sum(c.channel in observable for c in writes)
-    # each run keeps every rule, run two splits each downgrade and low write
-    # in two; plus init, restart, the end check and idle
-    assert len(model.spds.rules) == 2 * base + sites + low_writes + 4
+    # each run keeps every rule, run two splits each low write in two; plus
+    # init, restart and the end check
+    assert len(model.spds.rules) == 2 * base + low_writes + 3
 
 
-@pytest.mark.parametrize("name", TABLE3)
+def dead_ends(spds) -> list:
+    """The rules whose rhs cannot reach error in the control graph."""
+    preds: dict[str, set[str]] = {}
+    for rule in spds.rules:
+        preds.setdefault(rule.rhs, set()).add(rule.lhs)
+    live, work = {spds.error}, [spds.error]
+    while work:
+        for sym in preds.get(work.pop(), ()):
+            if sym not in live:
+                live.add(sym)
+                work.append(sym)
+    return [rule for rule in spds.rules if rule.rhs not in live]
+
+
+@pytest.mark.parametrize(
+    "path", [f"table3/{n}" for n in TABLE3] + [f"iobench/{n}" for n in IOBENCH]
+)
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
-def test_error_sink_and_idle_loop(name, mode):
-    program, policy = load(name)
-    model = mode(build_model(program, policy, "L", bits=2, capacity=2))
-    assert outgoing(model, ERROR_SYMBOL) == []
-    loops = outgoing(model, IDLE_SYMBOL)
-    assert len(loops) == 1
-    assert loops[0].rhs == IDLE_SYMBOL
-    assert loops[0].spec.guard is None and loops[0].spec.updates == ()
-    assert model.spds.start == INIT_SYMBOL
+def test_every_rule_can_reach_error(path, mode):
+    # a run whose downgrade premise fails, or whose channels all agree under
+    # tr, blocks: no rule leads only to a symbol that cannot reach error
+    corpus, name = path.split("/")
+    bits = 3 if corpus == "table3" else 2
+    program, policy = load(name, corpus)
+    for level in sorted(policy.domains):
+        model = mode(build_model(program, policy, level, bits=bits, capacity=8))
+        assert model.spds.start == INIT_SYMBOL
+        assert outgoing(model, ERROR_SYMBOL) == []
+        assert dead_ends(model.spds) == [], level
+
+
+def test_every_random_rule_can_reach_error_unless_nothing_is_observable():
+    # a model with no rule into error at all observes nothing at its level;
+    # every other model has no dead end
+    for seed in range(400):
+        for io in (False, True):
+            gen = generate(seed, GenConfig(io=io))
+            program, policy = prog(gen.text, gen.policy_text)
+            for level in sorted(policy.domains):
+                skel = build_model(program, policy, level, bits=2, capacity=4)
+                for model in (self_compose(skel), tr_compose(skel)):
+                    spds = model.spds
+                    assert outgoing(model, ERROR_SYMBOL) == []
+                    if any(rule.rhs == ERROR_SYMBOL for rule in spds.rules):
+                        assert dead_ends(spds) == [], (seed, io, level, model.mode)
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -149,13 +184,10 @@ def test_downgrade_stuffing_shape():
         (store,) = outgoing(model, sym)
         assert store.rhs == plain.rhs
         assert store.spec.updates == tuple(sorted({cell: cmd.expr, cmd.target: cmd.expr}.items()))
-        second = outgoing(model, xi_name(sym))
-        assert len(second) == 2
-        bail, advance = second
+        # a second run whose downgrade does not match blocks here
+        (advance,) = outgoing(model, xi_name(sym))
         renamed = subst_vars(cmd.expr, {x: xi_name(x) for x in program.variables})
         assert renamed != cmd.expr
-        assert bail.rhs == IDLE_SYMBOL
-        assert bail.spec.guard == BinOp("!=", Var(cell), renamed)
         assert advance.rhs == xi_name(plain.rhs)
         assert advance.spec.guard == BinOp("==", Var(cell), renamed)
         assert advance.spec.updates == ((xi_name(cmd.target), renamed),)
@@ -291,9 +323,9 @@ def test_tr_checker_chain_shape():
     end = outgoing(model, xi_name(FINAL_SYMBOL))
     assert [r.rhs for r in end] == [ERROR_SYMBOL, "chk0"]
     first = outgoing(model, "chk0")
-    assert [r.rhs for r in first] == [ERROR_SYMBOL, ERROR_SYMBOL, "chk1"]
-    done = outgoing(model, "chk1")
-    assert len(done) == 1 and done[0].rhs == "chk1"
+    assert [r.rhs for r in first] == [ERROR_SYMBOL, ERROR_SYMBOL]
+    # once the last channel agrees the run blocks: nothing enters chk1
+    assert [r for r in model.spds.rules if "chk1" in (r.lhs, r.rhs)] == []
     # second run of the output body writes the duplicated cells
     skel = model.skeleton
     snk = skel.output_spec("snk")
@@ -301,11 +333,13 @@ def test_tr_checker_chain_shape():
     assert writer.spec.writes[0].cells == tuple(xi_name(c) for c in snk.cells)
 
 
-def test_tr_chain_is_empty_without_channels():
-    program, policy = load("P4")
-    model = tr_compose(build_model(program, policy, "L", bits=1))
-    (done,) = outgoing(model, "chk0")
-    assert done.rhs == "chk0"
+@pytest.mark.parametrize("name", TABLE3)
+def test_tr_equals_storematch_without_a_low_output(name):
+    program, policy = load(name)
+    for level in sorted(policy.domains):
+        skel = build_model(program, policy, level, bits=3)
+        assert not skel.outputs
+        assert dump_spds(tr_compose(skel).spds) == dump_spds(self_compose(skel).spds), level
 
 
 def test_stack_renaming_is_fresh_and_total():
@@ -316,7 +350,7 @@ def test_stack_renaming_is_fresh_and_total():
     first = symbols(skel.spds)
     copies = {xi_name(s) for s in first}
     assert not first & copies
-    pair = {INIT_SYMBOL, ERROR_SYMBOL, IDLE_SYMBOL}
+    pair = {INIT_SYMBOL, ERROR_SYMBOL}
     assert symbols(self_compose(skel).spds) == first | copies | pair
 
 

@@ -16,7 +16,7 @@ from wherecheck.compose import self_compose
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.semantics import OUTCOME_HALTED, run_program
-from wherecheck.spds import HAVOC, successors
+from wherecheck.spds import HAVOC
 from wherecheck.syntax import (
     Assign,
     BinOp,
@@ -26,6 +26,7 @@ from wherecheck.syntax import (
     While,
     walk_commands,
 )
+from explicit import successors, valuation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -159,8 +160,8 @@ def test_low_input_rule_shape():
     assert "x" in updates and "p[in0]" in updates
     # a read past the end has no successor, as in the interpreter
     g = skel.spds.globals
-    assert list(successors(skel.spds, g.valuation({"p[in0]": 1}), "g0"))
-    assert not list(successors(skel.spds, g.valuation({"p[in0]": 2}), "g0"))
+    assert list(successors(skel.spds, valuation(g, {"p[in0]": 1}), "g0"))
+    assert not list(successors(skel.spds, valuation(g, {"p[in0]": 2}), "g0"))
 
 
 def test_high_input_havocs_target():
@@ -174,7 +175,7 @@ def test_high_input_havocs_target():
     assert dict(rule.spec.updates)["x"] is HAVOC
     # Post-states project onto every value of x.
     g = skel.spds.globals
-    val = g.valuation({})
+    val = valuation(g, {})
     seen = {g.as_dict(nxt)["x"] for nxt, _ in successors(skel.spds, val, "g0")}
     assert seen == {0, 1, 2, 3}
 
@@ -269,7 +270,7 @@ LOCKSTEP_PROGRAMS = [
 
 def _spds_store_trace(skel, store, max_steps=200):
     g = skel.spds.globals
-    val = g.valuation(store)
+    val = valuation(g, store)
     symbol = skel.spds.start
     names = skel.program.variables
     seen = [{n: g.as_dict(val)[n] for n in names}]

@@ -10,15 +10,15 @@ from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
     Witness,
-    explicit_error_search,
     extract_witness,
     is_error_reachable,
     post_star,
     replay_witness,
 )
 from wherecheck.semantics import run_program
-from wherecheck.spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS, successors
+from wherecheck.spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
+from explicit import explicit_error_search, initial_valuations, successors
 from test_bdd import sat_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,7 +111,7 @@ def explicit_layers(spds, cap=60000):
 
     Like post_star, it stops after the first layer that holds the error symbol.
     """
-    frontier = {(val, spds.start) for val in spds.initial_valuations()}
+    frontier = {(val, spds.start) for val in initial_valuations(spds)}
     seen = set(frontier)
     layers = []
     while frontier:

@@ -13,14 +13,19 @@ from wherecheck.spds import (
     RuleSpec,
     SPDS,
     dump_spds,
-    eval_gexpr,
-    eval_guard,
     format_rule,
     infer_width,
-    spec_successors,
-    successors,
 )
 from wherecheck.syntax import BinOp, CellRef, Num, Var, format_expr, subst_vars
+from explicit import (
+    all_valuations,
+    eval_gexpr,
+    eval_guard,
+    initial_valuations,
+    spec_successors,
+    successors,
+    valuation,
+)
 from test_bdd import sat_all
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
@@ -35,9 +40,9 @@ def test_globals_layout():
     assert g.nxt_levels("a") == [1, 5]
     assert g.cur_levels("b") == [2, 6, 8]
     assert g.nxt_levels("b") == [3, 7, 9]
-    assert g.valuation({"a": 5, "b": 3}) == (1, 3)
+    assert valuation(g, {"a": 5, "b": 3}) == (1, 3)
     assert g.as_dict((1, 3)) == {"a": 1, "b": 3}
-    assert len(list(g.all_valuations())) == 32
+    assert len(list(all_valuations(g))) == 32
 
 
 def test_control_first_band_layout():
@@ -59,7 +64,7 @@ def test_control_first_band_layout():
     assert slots("c[0]") == [7, 10, 13]
     assert sorted(t for name in g.names for t in slots(name)) == list(range(g.total_bits))
     # the valuation keeps declaration order
-    assert g.valuation({"x": 5, "f": 1}) == (5, 0, 0, 0, 0, 1)
+    assert valuation(g, {"x": 5, "f": 1}) == (5, 0, 0, 0, 0, 1)
 
 
 def test_subst_vars_renames_a_cell_reads_cells_and_index():
@@ -96,9 +101,9 @@ def test_infer_width_rules():
 
 def test_eval_gexpr_cells_and_mixed_guard():
     g = GlobalsDecl((("c0", 2), ("c1", 2), ("idx", 2), ("t", 2)))
-    val = g.valuation({"c0": 1, "c1": 3, "idx": 1, "t": 3})
+    val = valuation(g, {"c0": 1, "c1": 3, "idx": 1, "t": 3})
     assert eval_gexpr(CellRef(("c0", "c1"), "idx", "C"), g, val, 2) == 3
-    out_of_range = g.valuation({"c0": 1, "c1": 3, "idx": 2})
+    out_of_range = valuation(g, {"c0": 1, "c1": 3, "idx": 2})
     assert eval_gexpr(CellRef(("c0", "c1"), "idx", "C"), g, out_of_range, 2) == 0
     guard = BinOp(
         "&",
@@ -106,7 +111,7 @@ def test_eval_gexpr_cells_and_mixed_guard():
         BinOp("<", Var("idx"), Num(2)),
     )
     assert eval_guard(RuleSpec.make(guard), g, val) is False
-    val2 = g.valuation({"c0": 1, "c1": 2, "idx": 1, "t": 3})
+    val2 = valuation(g, {"c0": 1, "c1": 2, "idx": 1, "t": 3})
     assert eval_guard(RuleSpec.make(guard), g, val2) is True
 
 
@@ -115,8 +120,8 @@ def test_spec_successors_frame_and_havoc():
         guard=BinOp("==", Var("y"), Num(1)),
         updates={"x": HAVOC},
     )
-    assert list(spec_successors(spec, G3, G3.valuation({"x": 2, "y": 0}))) == []
-    outs = list(spec_successors(spec, G3, G3.valuation({"x": 2, "y": 1})))
+    assert list(spec_successors(spec, G3, valuation(G3, {"x": 2, "y": 0}))) == []
+    outs = list(spec_successors(spec, G3, valuation(G3, {"x": 2, "y": 1})))
     # y is framed, x ranges over 0..3 ascending.
     assert outs == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
@@ -148,11 +153,11 @@ def test_spec_successors_array_write():
         updates={"q": BinOp("+", Var("q"), Num(1))},
         writes=(ArrayWrite(("c0", "c1"), "q", Var("v"), "C"),),
     )
-    val = g.valuation({"c0": 0, "c1": 0, "q": 1, "v": 3})
+    val = valuation(g, {"c0": 0, "c1": 0, "q": 1, "v": 3})
     outs = list(spec_successors(spec, g, val))
-    assert outs == [g.valuation({"c0": 0, "c1": 3, "q": 2, "v": 3})]
+    assert outs == [valuation(g, {"c0": 0, "c1": 3, "q": 2, "v": 3})]
     # Guard blocks the out-of-range write.
-    assert list(spec_successors(spec, g, g.valuation({"q": 2}))) == []
+    assert list(spec_successors(spec, g, valuation(g, {"q": 2}))) == []
 
 
 def test_rule_format_and_dump():
@@ -176,7 +181,7 @@ def test_spds_initial_valuations_and_successors():
     rule1 = Rule("g0", "g1", RuleSpec.make(updates={"x": Num(3)}))
     rule2 = Rule("g1", "g2", RuleSpec.make(guard=BinOp("==", Var("x"), Num(3))))
     spds = SPDS(G3, (rule1, rule2), "g0", (("x", 0),))
-    inits = list(spds.initial_valuations())
+    inits = list(initial_valuations(spds))
     assert inits == [(0, 0), (0, 1)]
     nexts = list(successors(spds, (0, 1), "g0"))
     assert nexts == [((3, 1), "g1")]
@@ -267,7 +272,7 @@ def test_compile_spec_matches_explicit(spec):
     symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
-        for val in G3.all_valuations()
+        for val in all_valuations(G3)
         for nxt in spec_successors(spec, G3, val)
     }
     assert symbolic == explicit
@@ -318,7 +323,7 @@ def test_drawn_spec_compiles_to_explicit_pairs(spec):
     assert node == per_cell_relation(ra, spec)
     explicit = {
         (val, nxt)
-        for val in G5.all_valuations()
+        for val in all_valuations(G5)
         for nxt in spec_successors(spec, G5, val)
     }
     assert enumerate_pairs(ra, node) == explicit
@@ -333,9 +338,9 @@ def test_compiled_rule_leaves_unwritten_next_bits_free():
     assert exists(ra, node, unwritten_nxt) == node
     assert exists(ra, node, ra.g.nxt_levels("x")) != node
     assert enumerate_pairs(ra, frame(ra, written)) == {
-        (a, b) for a in G5.all_valuations() for b in G5.all_valuations() if a[1:] == b[1:]
+        (a, b) for a in all_valuations(G5) for b in all_valuations(G5) if a[1:] == b[1:]
     }
-    assert enumerate_pairs(ra, frame(ra, frozenset())) == {(v, v) for v in G5.all_valuations()}
+    assert enumerate_pairs(ra, frame(ra, frozenset())) == {(v, v) for v in all_valuations(G5)}
 
 
 def test_compile_spec_array_write_matches_explicit():
@@ -349,7 +354,7 @@ def test_compile_spec_array_write_matches_explicit():
     symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
-        for val in g.all_valuations()
+        for val in all_valuations(g)
         for nxt in spec_successors(spec, g, val)
     }
     assert symbolic == explicit
@@ -397,7 +402,7 @@ def test_channel_write_pieces_match_explicit(case):
     g = GlobalsDecl(cells)
     ra = RelationAlgebra(g)
     assert [set(written) for _, written in ra.compile_spec(spec)] == written_sets
-    explicit = {(val, nxt) for val in g.all_valuations() for nxt in spec_successors(spec, g, val)}
+    explicit = {(val, nxt) for val in all_valuations(g) for nxt in spec_successors(spec, g, val)}
     assert enumerate_pairs(ra, framed(ra, spec)) == explicit
 
 
@@ -410,7 +415,7 @@ def test_compile_cellref_matches_explicit():
     symbolic = enumerate_pairs(ra, framed(ra, spec))
     explicit = {
         (val, nxt)
-        for val in g.all_valuations()
+        for val in all_valuations(g)
         for nxt in spec_successors(spec, g, val)
     }
     assert symbolic == explicit
@@ -418,7 +423,7 @@ def test_compile_cellref_matches_explicit():
 
 # Relation algebra laws against plain set arithmetic.
 
-VALS = list(G3.all_valuations())
+VALS = list(all_valuations(G3))
 val_st = st.sampled_from(VALS)
 pairs_st = st.frozensets(st.tuples(val_st, val_st), max_size=12)
 
@@ -465,7 +470,7 @@ def test_dom_image_preimage(p1):
 # the very node that the framed relation gives when every current bit is
 # quantified, and the image and pre-image the explicit evaluator gives.
 
-G5_VALS = list(G5.all_valuations())
+G5_VALS = list(all_valuations(G5))
 CHANNEL = ArrayWrite(("x", "z"), "y", BinOp("+", Var("z"), Num(1)), "C")
 
 
@@ -519,7 +524,7 @@ def test_pick_set_is_minimal():
 # Witnesses pick the least valuation in declaration order whatever the
 # variable order, so they read the same as under a contiguous layout.
 MIXED = GlobalsDecl((("a", 2), ("k", 1), ("b", 3), ("xi(a)", 2)), frozenset({"k"}))
-MIXED_VALS = list(MIXED.all_valuations())
+MIXED_VALS = list(all_valuations(MIXED))
 
 
 @settings(max_examples=60)
