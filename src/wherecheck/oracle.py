@@ -14,14 +14,25 @@ is decided exactly by repeated-state detection, so "inconclusive" only
 arises from the enumeration budget or from a run that exhausts its fuel.
 
 A run does not depend on the observer, so each initial state runs once per
-check and its summary serves every level.  The pairs of a level are all
-ordered pairs inside one low class (one choice of observable variable values
-and observable input contents), so a level is violated iff two halted runs
-of one class share a bucket key but differ in the observation filed under
-it (see ``_observations``).  A clean level is proved in one pass over the
-states.  A violated level is scanned pair by pair in lexicographic order,
-over the memoised runs, because the verdict names the first violating pair,
-its reason, and the number of pairs checked up to it.
+check and its summary serves every level.  The runs of one check also share
+their futures through one map of the configurations they stepped: the
+interpreter is deterministic, so a run that reaches a configuration of an
+earlier run takes that run's outcome, final configuration and later
+downgrades (``semantics.run`` gives the fuel arithmetic).  Each distinct
+configuration is then stepped once per check, unless a run out of fuel
+leaves a future unknown.  The summary of a halted run is exact; of the
+other runs only the outcome is read.  Each level lists its observable
+variables and output channels once, and the views below read values over
+those lists.
+
+The pairs of a level are all ordered pairs inside one low class (one choice
+of observable variable values and observable input contents), so a level is
+violated iff two halted runs of one class share a bucket key but differ in
+the observation filed under it (see ``_observations``).  A clean level is
+proved in one pass over the states.  A violated level is scanned pair by
+pair in lexicographic order, over the memoised runs, because the verdict
+names the first violating pair, its reason, and the number of pairs checked
+up to it.
 """
 
 from __future__ import annotations
@@ -38,9 +49,8 @@ from .semantics import (
     DEFAULT_FUEL,
     OUTCOME_FUEL,
     OUTCOME_HALTED,
+    Known,
     Trace,
-    low_equiv_channels,
-    low_equiv_store,
     run_program,
 )
 from .syntax import Input, Program, walk_commands
@@ -195,14 +205,19 @@ def _summarise(trace: Trace) -> _Run:
         if label.kind == DECLASS:
             declass.append((label.site.id, label.value, pre, config.mu))
         pre = config.mu
+    # A run that joined an earlier run: the earlier run's later downgrades.
+    declass += [(label.site.id, label.value, b.mu, a.mu) for _, b, a, label in trace.later]
     final = trace.final
     return _Run(trace.outcome, final.mu, final.outs, final.q, declass)
 
 
 def _all_states(
     program: Program, bits: int, input_lengths: dict[str, int]
-) -> Iterator[InitialState]:
-    """Every initial state; each level's pairs draw on exactly this set."""
+) -> Iterator[tuple[tuple, InitialState]]:
+    """Every initial state, keyed by the value tuples of its store and inputs.
+
+    Each level's pairs draw on exactly this set.
+    """
     values = range(1 << bits)
     names = list(program.variables)
     in_channels = sorted(n for n, d in program.channels.items() if d == "input")
@@ -212,34 +227,55 @@ def _all_states(
     ]
     for store in itertools.product(values, repeat=len(names)):
         for ins in itertools.product(*contents):
-            yield InitialState(dict(zip(names, store)), dict(zip(in_channels, ins)))
+            state = InitialState(dict(zip(names, store)), dict(zip(in_channels, ins)))
+            yield (store, ins), state
 
 
-def _store_view(policy: Policy, level: str, mu: dict[str, int]) -> tuple:
+@dataclass(frozen=True)
+class _Observer:
+    """One observer level, and what it sees of a run, each list sorted."""
+
+    policy: Policy
+    level: str
+    variables: tuple[str, ...]  # observable variables with a declared level
+    outputs: tuple[str, ...]  # observable output channels
+
+    @classmethod
+    def at(cls, program: Program, policy: Policy, level: str) -> "_Observer":
+        return cls(
+            policy,
+            level,
+            tuple(
+                n
+                for n in sorted(program.variables)
+                if n in policy.sigma and policy.observable(n, level)
+            ),
+            tuple(
+                n
+                for n, d in sorted(program.channels.items())
+                if d != "input" and policy.observable(n, level)
+            ),
+        )
+
+
+def _store_view(observer: _Observer, mu: dict[str, int]) -> tuple:
     """Equal for two stores iff ``low_equiv_store`` holds."""
-    return tuple(
-        (n, v)
-        for n, v in sorted(mu.items())
-        if n in policy.sigma and policy.observable(n, level)
-    )
+    return tuple([(n, mu[n]) for n in observer.variables])
 
 
-def _final_view(policy: Policy, level: str, run: _Run) -> tuple:
+def _final_view(observer: _Observer, run: _Run) -> tuple:
     """Equal for two runs iff both observational equivalences of the finals hold.
 
     A channel at index 0 is left out: ``low_equiv_channels`` reads an absent
     index as 0 with an empty prefix.
     """
-    channels = tuple(
-        (n, i, run.outs.get(n, ())[:i])
-        for n, i in sorted(run.q.items())
-        if i and policy.observable(n, level)
-    )
-    return _store_view(policy, level, run.mu), channels
+    q, outs = run.q, run.outs
+    channels = tuple([(n, q[n], outs[n][: q[n]]) for n in observer.outputs if q[n]])
+    return _store_view(observer, run.mu), channels
 
 
 def _observations(
-    policy: Policy, level: str, property_name: str, run: _Run
+    observer: _Observer, property_name: str, run: _Run
 ) -> Iterator[tuple[tuple, tuple]]:
     """(bucket key, observation) pairs of one halted run.
 
@@ -251,11 +287,11 @@ def _observations(
     observation.
     """
     if property_name == "noninterference":
-        yield (), _final_view(policy, level, run)
+        yield (), _final_view(observer, run)
         return
     for k, (_, value, pre, post) in enumerate(run.declass):
-        yield (k, _store_view(policy, level, pre), value), _store_view(policy, level, post)
-    yield (tuple(v for _, v, _, _ in run.declass),), _final_view(policy, level, run)
+        yield (k, _store_view(observer, pre), value), _store_view(observer, post)
+    yield (tuple(v for _, v, _, _ in run.declass),), _final_view(observer, run)
 
 
 def _check_pairs(
@@ -279,17 +315,25 @@ def _check_pairs(
         )
 
     runs: dict[tuple, _Run] = {}  # one run per initial state, shared by the levels
+    known: Known = {}  # each configuration stepped, shared by the runs
+    names = program.variables
+    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
 
-    def run_of(state: InitialState) -> _Run:
-        key = (tuple(sorted(state.store.items())), tuple(sorted(state.inputs.items())))
+    def run_of(state: InitialState, key: Optional[tuple] = None) -> _Run:
+        if key is None:  # the orders of ``_all_states``, not a pair's low-first one
+            key = (
+                tuple([state.store[n] for n in names]),
+                tuple([state.inputs[n] for n in in_channels]),
+            )
         found = runs.get(key)
         if found is None:
             trace = run_program(
-                program, policy, state.store, state.inputs, bits, capacity, fuel
+                program, policy, state.store, state.inputs, bits, capacity, fuel, known
             )
             found = runs[key] = _summarise(trace)
         return found
 
+    states = list(_all_states(program, bits, input_lengths))
     saw_fuel_limit = False
     pairs_checked = 0
     for level in sorted(policy.domains):
@@ -299,22 +343,23 @@ def _check_pairs(
             for n, d in sorted(program.channels.items())
             if d == "input" and policy.observable(n, level)
         ]
+        observer = _Observer.at(program, policy, level)
         buckets: dict[tuple, tuple] = {}
         clean = True
-        for state in _all_states(program, bits, input_lengths):
-            run = run_of(state)
+        for key, state in states:
+            run = run_of(state, key)
             if run.outcome == OUTCOME_FUEL:
                 saw_fuel_limit = True
                 continue
             if run.outcome != OUTCOME_HALTED:
                 continue
             low = (
-                tuple(state.store[n] for n in low_vars),
-                tuple(state.inputs[n] for n in low_ch),
+                tuple([state.store[n] for n in low_vars]),
+                tuple([state.inputs[n] for n in low_ch]),
             )
             if any(
-                buckets.setdefault((low, key), seen) != seen
-                for key, seen in _observations(policy, level, property_name, run)
+                buckets.setdefault((low, bucket), seen) != seen
+                for bucket, seen in _observations(observer, property_name, run)
             ):
                 clean = False
                 break
@@ -331,7 +376,7 @@ def _check_pairs(
                 continue
             if run1.outcome != OUTCOME_HALTED or run2.outcome != OUTCOME_HALTED:
                 continue  # no final configuration: premise unsatisfied
-            reason = _violation(policy, level, property_name, run1, run2)
+            reason = _violation(observer, property_name, run1, run2)
             if reason is not None:
                 witness = OracleWitness(
                     level=level,
@@ -355,16 +400,21 @@ def _check_pairs(
 
 
 def _final_observation_mismatch(
-    policy: Policy, level: str, f1: _Run, f2: _Run
+    observer: _Observer, f1: _Run, f2: _Run
 ) -> Optional[str]:
-    if not low_equiv_store(f1.mu, f2.mu, level, policy):
+    policy, level = observer.policy, observer.level
+    (store1, channels1), (store2, channels2) = (
+        _final_view(observer, f1),
+        _final_view(observer, f2),
+    )
+    if store1 != store2:
         diffs = [
             f"{n}: {f1.mu.get(n)} vs {f2.mu.get(n)}"
             for n in sorted(set(f1.mu) | set(f2.mu))
             if policy.observable(n, level) and f1.mu.get(n) != f2.mu.get(n)
         ]
         return "final store differs on " + ", ".join(diffs)
-    if not low_equiv_channels(f1.outs, f1.q, f2.outs, f2.q, level, policy):
+    if channels1 != channels2:
         diffs = []
         for name in sorted(set(f1.q) | set(f2.q)):
             if not policy.observable(name, level):
@@ -380,23 +430,22 @@ def _final_observation_mismatch(
 
 
 def _violation(
-    policy: Policy,
-    level: str,
+    observer: _Observer,
     property_name: str,
     run1: _Run,
     run2: _Run,
 ) -> Optional[str]:
     if property_name == "noninterference":
-        return _final_observation_mismatch(policy, level, run1, run2)
+        return _final_observation_mismatch(observer, run1, run2)
 
     rec1, rec2 = run1.declass, run2.declass
     for k, ((s1, v1, pre1, post1), (s2, v2, pre2, post2)) in enumerate(
         zip(rec1, rec2)
     ):
         if (
-            low_equiv_store(pre1, pre2, level, policy)
-            and v1 == v2
-            and not low_equiv_store(post1, post2, level, policy)
+            v1 == v2
+            and _store_view(observer, pre1) == _store_view(observer, pre2)
+            and _store_view(observer, post1) != _store_view(observer, post2)
         ):
             return (
                 f"downgrade pair {k} (sites g{s1}/g{s2}, value {v1}) breaks "
@@ -406,7 +455,7 @@ def _violation(
         return None  # premise unsatisfied
     if any(v1 != v2 for (_, v1, _, _), (_, v2, _, _) in zip(rec1, rec2)):
         return None  # premise unsatisfied
-    return _final_observation_mismatch(policy, level, run1, run2)
+    return _final_observation_mismatch(observer, run1, run2)
 
 
 def check_noninterference(

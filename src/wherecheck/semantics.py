@@ -254,21 +254,32 @@ def _step_command(
     raise TypeError(f"not a command: {cmd!r}")
 
 
+Downgrade = tuple[int, Configuration, Configuration, StepLabel]
+
+
 @dataclass
 class Trace:
     """Result of run(): per-step entries plus the overall outcome.
 
     ``steps`` keeps the step result behind each entry, and ``lines`` formats
-    their text only when read.
+    their text only when read.  A run that took the rest of an earlier run
+    (see ``run``) holds only its own steps in ``entries``, ``steps`` and
+    ``lines``.  ``joined`` is then the earlier run's final configuration,
+    and ``later`` its downgrade steps from the meeting point on, each as
+    (index in this run, configuration before, after, label).
     """
 
     entries: list[tuple[Configuration, StepLabel]]
     outcome: str
     steps: list[_StepResult] = field(default_factory=list, repr=False)
     initial: Optional[Configuration] = None
+    joined: Optional[Configuration] = field(default=None, repr=False)
+    later: list[Downgrade] = field(default_factory=list, repr=False)
 
     @property
     def final(self) -> Configuration:
+        if self.joined is not None:
+            return self.joined
         return self.entries[-1][0] if self.entries else self.initial
 
     @property
@@ -288,7 +299,13 @@ class Trace:
             (label.site.id, label.value)
             for _, label in self.entries
             if label.kind == DECLASS
-        ]
+        ] + [(label.site.id, label.value) for _, _, _, label in self.later]
+
+
+# What a run registers in ``known`` for each configuration it stepped: the
+# run's (outcome, final configuration, downgrades), then the configuration's
+# index in the run and its distance to the run's end.
+Known = dict[tuple, tuple[tuple[str, Configuration, list[Downgrade]], int, int]]
 
 
 def run(
@@ -297,38 +314,87 @@ def run(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
+    known: Optional[Known] = None,
 ) -> Trace:
     """Run to termination, a diagnostic, a repeated state, or fuel exhaustion.
 
     The machine is deterministic over a finite state space, so a repeated
     configuration proves divergence exactly; fuel is the fallback bound.
-    A configuration's key lists the values of its store, read indices and
-    outputs without their names: every configuration of one run holds the
-    same names in the same order, and its input contents never change.
+    A configuration's key lists the values of its store, read indices,
+    outputs and input contents without their names: every configuration of
+    one run holds the same names in the same order, and so does every run
+    of one program whose store names only the program's variables.
+
+    ``known``, shared by the runs of one program under one fuel, lets a run
+    take the rest of an earlier run: the machine is deterministic, so the
+    future of a configuration is the same whichever run reaches it.  A run
+    registers each configuration it stepped, at its index k, with the
+    distance d from it to the run's end: the configuration whose step ended
+    the run (halted or a channel diagnostic), or the one that repeated.  So
+    d = end - k, except inside a diverging run's cycle, where d is the cycle
+    length wherever the configuration sits: a run that enters the cycle
+    there meets it again after one lap.  For a run out of fuel, d = fuel - k
+    is only a lower bound.  A run that meets a known configuration at its
+    own index n ends at n + d, with the earlier outcome if n + d < fuel and
+    out of fuel otherwise; its own earlier configurations were not known,
+    so they are not on the earlier run's path and cannot repeat first.  If
+    the earlier run ran out of fuel and n + d < fuel, the rest is unknown:
+    the run steps on and joins no other run, since its next configurations
+    may lie on known paths.  A run that ends at a join takes the earlier
+    run's final configuration and its downgrades from the meeting point on
+    (``joined`` and ``later``); they are a lone run's if the run ends by a
+    step, not by a repeat or out of fuel.  Without ``known`` a run is on
+    its own, and its trace is complete.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
     steps: list[_StepResult] = []
-    seen: set[tuple] = set()
+    seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
+    ins = tuple(config.ins.values())
+    outcome, end, loop, joined, later = OUTCOME_FUEL, fuel, fuel, None, []
+    lookup = known
     current = config
-    for _ in range(fuel):
-        if not current.terminated():
-            key = (
-                tuple(current.mu.values()),
-                tuple(current.p.values()),
-                tuple(current.outs.values()),
-                id_free_command_key(current.cmd),
-            )
-            if key in seen:
-                return Trace(entries, OUTCOME_DIVERGES, steps, initial=config)
-            seen.add(key)
+    for n in range(fuel):
+        key = (
+            tuple(current.mu.values()),
+            tuple(current.p.values()),
+            tuple(current.outs.values()),
+            ins,
+            id_free_command_key(current.cmd),
+        )
+        first = seen.setdefault(key, n)
+        if first != n:
+            outcome, end, loop = OUTCOME_DIVERGES, n, first
+            break
+        hit = lookup.get(key) if lookup is not None else None
+        if hit is not None:
+            (ended, final, rest), i, d = hit
+            if n + d < fuel and ended == OUTCOME_FUEL:
+                lookup = None  # the rest is unknown: step on, and join no more
+            else:
+                del seen[key]  # registered by the earlier run
+                outcome = ended if n + d < fuel else OUTCOME_FUEL
+                end, loop, joined = n + d, n + d, final
+                later = [(n + j - i, pre, post, label) for j, pre, post, label in rest if j >= i]
+                break
         result = step(current, policy, bits, capacity)
         entries.append((result.config, result.label))
         steps.append(result)
         # Each terminal label is also the outcome it ends the run with.
         if result.label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-            return Trace(entries, result.label.kind, steps, initial=config)
+            outcome, end, loop = result.label.kind, n, n
+            break
         current = result.config
-    return Trace(entries, OUTCOME_FUEL, steps, initial=config)
+    trace = Trace(entries, outcome, steps, config, joined, later)
+    if known is not None:
+        downgrades = [
+            (k, entries[k - 1][0] if k else config, after, label)
+            for k, (after, label) in enumerate(entries)
+            if label.kind == DECLASS
+        ]
+        ending = (outcome, trace.final, downgrades + later)
+        for key, k in seen.items():
+            known[key] = (ending, k, end - (k if k < loop else loop))
+    return trace
 
 
 def run_program(
@@ -339,9 +405,10 @@ def run_program(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
+    known: Optional[Known] = None,
 ) -> Trace:
     config = initial_configuration(program, store, inputs)
-    return run(config, policy, bits, capacity, fuel)
+    return run(config, policy, bits, capacity, fuel, known)
 
 
 # ---------------------------------------------------------------------------

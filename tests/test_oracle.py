@@ -440,3 +440,81 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
     )
     # Three variables and one input cell of 2 bits each.
     assert len(started) == len(set(started)) == 4**4
+
+
+# ---------------------------------------------------------------------------
+# Shared futures: a run that meets a configuration of an earlier run of the
+# same check takes the rest of that run (``semantics.run``).  Its summary
+# must equal that of a run on its own: the outcome always, and for a halted
+# run its final observables and downgrades too.
+
+
+def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
+    lengths = default_input_lengths(program, policy)
+    states = [state for _, state in oracle._all_states(program, bits, lengths)]
+    for fuel in fuels:
+        for order in (states, states[::-1]):
+            known = {}
+            for state in order:
+                args = (program, policy, state.store, state.inputs, bits, capacity, fuel)
+                shared = oracle._summarise(run_program(*args, known))
+                alone = oracle._summarise(run_program(*args))
+                assert shared.outcome == alone.outcome, (fuel, state)
+                if alone.outcome == OUTCOME_HALTED:
+                    assert (shared.mu, shared.outs, shared.q, shared.declass) == (
+                        alone.mu, alone.outs, alone.q, alone.declass,
+                    ), (fuel, state)
+
+
+@pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
+@pytest.mark.parametrize("seed", range(0, 400, 7))
+def test_shared_runs_match_runs_alone_on_randprog(seed, io):
+    gen = randprog.generate(seed, randprog.GenConfig(io=io))
+    program, policy = prog(gen.text, gen.policy_text)
+    assert_shared_runs_exact(program, policy, (3, 6, 11, DEFAULT_FUEL))
+
+
+def test_shared_runs_match_runs_alone_entering_a_cycle_anywhere():
+    # A tail of h steps, then a cycle through every value of l: the runs
+    # enter the cycle at every point, after tails of every length, and the
+    # fuels cut them before, inside and after their first lap.
+    program, policy = prog(
+        "while h != 0 do h := h - 1 od; while 1 do l := l + 1 od", TWO_LEVEL
+    )
+    assert_shared_runs_exact(program, policy, range(1, 40))
+
+
+def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
+    from wherecheck import semantics
+
+    # Every run sets x first, so the 64 initial states share their futures.
+    program, policy = prog(
+        "x := 0; l := declass(h & 1); while x < 2 do x := x + 1 od",
+        "lattice: L < H\nvar h : H\nvar l : L\nvar x : L\n",
+    )
+    lengths = default_input_lengths(program, policy)
+    distinct, total = set(), 0
+    for _, state in oracle._all_states(program, 2, lengths):
+        trace = run_program(program, policy, state.store, state.inputs, bits=2)
+        stepped = [trace.initial] + [config for config, _ in trace.entries[:-1]]
+        total += len(stepped)
+        distinct.update(
+            (
+                tuple(sorted(c.mu.items())),
+                tuple(sorted(c.p.items())),
+                tuple(sorted(c.outs.items())),
+                tuple(sorted(c.ins.items())),
+                c.cmd,
+            )
+            for c in stepped
+        )
+    steps = []
+
+    def counted(config, *args):
+        steps.append(config)
+        return real(config, *args)
+
+    real = semantics.step
+    monkeypatch.setattr(semantics, "step", counted)
+    assert check_where_security(program, policy, bits=2).status == SECURE
+    assert len(steps) == len(distinct) < total
