@@ -213,10 +213,11 @@ def _summarise(trace: Trace) -> _Run:
 
 def _all_states(
     program: Program, bits: int, input_lengths: dict[str, int]
-) -> Iterator[tuple[tuple, InitialState]]:
-    """Every initial state, keyed by the value tuples of its store and inputs.
+) -> Iterator[tuple[tuple, tuple]]:
+    """Every initial state, as the values of its store and of its inputs.
 
-    Each level's pairs draw on exactly this set.
+    The store lists ``program.variables`` in order, the inputs the sorted
+    input channels.  Each level's pairs draw on exactly this set.
     """
     values = range(1 << bits)
     names = list(program.variables)
@@ -227,8 +228,7 @@ def _all_states(
     ]
     for store in itertools.product(values, repeat=len(names)):
         for ins in itertools.product(*contents):
-            state = InitialState(dict(zip(names, store)), dict(zip(in_channels, ins)))
-            yield (store, ins), state
+            yield store, ins
 
 
 @dataclass(frozen=True)
@@ -319,44 +319,39 @@ def _check_pairs(
     names = program.variables
     in_channels = sorted(n for n, d in program.channels.items() if d == "input")
 
-    def run_of(state: InitialState, key: Optional[tuple] = None) -> _Run:
-        if key is None:  # the orders of ``_all_states``, not a pair's low-first one
-            key = (
-                tuple([state.store[n] for n in names]),
-                tuple([state.inputs[n] for n in in_channels]),
-            )
+    def run_of(key: tuple) -> _Run:
         found = runs.get(key)
         if found is None:
-            trace = run_program(
-                program, policy, state.store, state.inputs, bits, capacity, fuel, known
-            )
+            store, inputs = dict(zip(names, key[0])), dict(zip(in_channels, key[1]))
+            trace = run_program(program, policy, store, inputs, bits, capacity, fuel, known)
             found = runs[key] = _summarise(trace)
         return found
 
-    states = list(_all_states(program, bits, input_lengths))
+    def key_of(state: InitialState) -> tuple:
+        # A pair's stores list their low variables first.
+        return (
+            tuple([state.store[n] for n in names]),
+            tuple([state.inputs[n] for n in in_channels]),
+        )
+
+    states = list(_all_states(program, bits, input_lengths))  # the keys of ``runs``
     saw_fuel_limit = False
     pairs_checked = 0
     for level in sorted(policy.domains):
-        low_vars = [n for n in program.variables if policy.observable(n, level)]
-        low_ch = [
-            n
-            for n, d in sorted(program.channels.items())
-            if d == "input" and policy.observable(n, level)
-        ]
+        low_vars = [i for i, n in enumerate(names) if policy.observable(n, level)]
+        low_ch = [i for i, n in enumerate(in_channels) if policy.observable(n, level)]
         observer = _Observer.at(program, policy, level)
         buckets: dict[tuple, tuple] = {}
         clean = True
-        for key, state in states:
-            run = run_of(state, key)
+        for key in states:
+            run = run_of(key)
             if run.outcome == OUTCOME_FUEL:
                 saw_fuel_limit = True
                 continue
             if run.outcome != OUTCOME_HALTED:
                 continue
-            low = (
-                tuple([state.store[n] for n in low_vars]),
-                tuple([state.inputs[n] for n in low_ch]),
-            )
+            store, ins = key
+            low = (tuple([store[i] for i in low_vars]), tuple([ins[i] for i in low_ch]))
             if any(
                 buckets.setdefault((low, bucket), seen) != seen
                 for bucket, seen in _observations(observer, property_name, run)
@@ -370,7 +365,7 @@ def _check_pairs(
         # Some pair violates: scan in order for the lexicographically first.
         for first, second in _enumerate_pairs(program, policy, level, bits, input_lengths):
             pairs_checked += 1
-            run1, run2 = run_of(first), run_of(second)
+            run1, run2 = run_of(key_of(first)), run_of(key_of(second))
             if OUTCOME_FUEL in (run1.outcome, run2.outcome):
                 saw_fuel_limit = True
                 continue

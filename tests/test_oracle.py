@@ -449,21 +449,30 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 # run its final observables and downgrades too.
 
 
-def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
+def initial_states(program, policy, bits=2):
+    """(store, inputs) of every initial state, in the oracle's order."""
     lengths = default_input_lengths(program, policy)
-    states = [state for _, state in oracle._all_states(program, bits, lengths)]
+    channels = sorted(n for n, d in program.channels.items() if d == "input")
+    return [
+        (dict(zip(program.variables, store)), dict(zip(channels, ins)))
+        for store, ins in oracle._all_states(program, bits, lengths)
+    ]
+
+
+def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
+    states = initial_states(program, policy, bits)
     for fuel in fuels:
         for order in (states, states[::-1]):
             known = {}
-            for state in order:
-                args = (program, policy, state.store, state.inputs, bits, capacity, fuel)
+            for store, inputs in order:
+                args = (program, policy, store, inputs, bits, capacity, fuel)
                 shared = oracle._summarise(run_program(*args, known))
                 alone = oracle._summarise(run_program(*args))
-                assert shared.outcome == alone.outcome, (fuel, state)
+                assert shared.outcome == alone.outcome, (fuel, store, inputs)
                 if alone.outcome == OUTCOME_HALTED:
                     assert (shared.mu, shared.outs, shared.q, shared.declass) == (
                         alone.mu, alone.outs, alone.q, alone.declass,
-                    ), (fuel, state)
+                    ), (fuel, store, inputs)
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
@@ -492,10 +501,9 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
         "x := 0; l := declass(h & 1); while x < 2 do x := x + 1 od",
         "lattice: L < H\nvar h : H\nvar l : L\nvar x : L\n",
     )
-    lengths = default_input_lengths(program, policy)
     distinct, total = set(), 0
-    for _, state in oracle._all_states(program, 2, lengths):
-        trace = run_program(program, policy, state.store, state.inputs, bits=2)
+    for store, inputs in initial_states(program, policy):
+        trace = run_program(program, policy, store, inputs, bits=2)
         stepped = [trace.initial] + [config for config, _ in trace.entries[:-1]]
         total += len(stepped)
         distinct.update(
