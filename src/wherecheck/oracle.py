@@ -266,8 +266,8 @@ def _store_view(observer: _Observer, mu: dict[str, int]) -> tuple:
 def _final_view(observer: _Observer, run: _Run) -> tuple:
     """Equal for two runs iff both observational equivalences of the finals hold.
 
-    A channel at index 0 is left out: ``low_equiv_channels`` reads an absent
-    index as 0 with an empty prefix.
+    A channel at index 0 is left out: the tests' reference checker
+    (``low_equiv_channels``) reads an absent index as 0 with an empty prefix.
     """
     q, outs = run.q, run.outs
     channels = tuple([(n, q[n], outs[n][: q[n]]) for n in observer.outputs if q[n]])

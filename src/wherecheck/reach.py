@@ -11,14 +11,16 @@ search statistics are deterministic.
 
 Witness extraction walks back over the stored layers: from the least
 valuation at error in the last layer, it takes at every layer the first
-rule in declaration order whose pre-image meets the previous layer, and
-picks the numerically smallest valuation there.  That gives one shortest
-path.  The mismatch is read from that path: the step that first set the
-store-match MISMATCH cell names the output channel and position; failing
-that, the first observable variable whose two copies differ at the end;
-under tr, the channel checker that entered error.  The decoded two-run
-counterexample is replayed through the reference interpreter and the
-replay verdict is recorded.
+rule into the current symbol, in declaration order, whose pre-image of
+that valuation's cube meets the previous layer, and picks the least
+valuation there.  That gives one shortest path.  Cubes are built one node
+per bit and least valuations read off paths of the diagram, with no
+conjunction and no recursion.  The mismatch is read from that path: the
+step that first set the store-match MISMATCH cell names the output channel
+and position; failing that, the first observable variable whose two copies
+differ at the end; under tr, the channel checker that entered error.  The
+decoded two-run counterexample is replayed through the reference
+interpreter and the replay verdict is recorded.
 """
 
 from __future__ import annotations
@@ -80,14 +82,20 @@ def _through(
     return out
 
 
+def _rules_by(spds: SPDS, side: str) -> dict[str, list[int]]:
+    """The indices of the rules on each symbol of one side, in declaration order."""
+    out: dict[str, list[int]] = {}
+    for i, rule in enumerate(spds.rules):
+        out.setdefault(getattr(rule, side), []).append(i)
+    return out
+
+
 def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = None) -> PAutomaton:
     spds = _spds_of(model)
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
     rels = [alg.compile_spec(rule.spec) for rule in spds.rules]
-    rules_by_lhs: dict[str, list[int]] = {}
-    for i, rule in enumerate(spds.rules):
-        rules_by_lhs.setdefault(rule.lhs, []).append(i)
+    rules_by_lhs = _rules_by(spds, "lhs")
 
     init = alg.set_from_fixed(dict(spds.initial_fixed))
     reached = {spds.start: init}
@@ -156,12 +164,14 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
     spds, alg, layers = auto.spds, auto.algebra, auto.layers
     sym = spds.error
     val = alg.pick_set(layers[-1][sym])
+    rules_by_rhs = _rules_by(spds, "rhs")
     tail: list[tuple[int, tuple[int, ...], str]] = []
     for k in range(len(layers) - 1, 0, -1):
         here = alg.set_from_valuation(val)
-        for i, rule in enumerate(spds.rules):
+        for i in rules_by_rhs.get(sym, ()):
+            rule = spds.rules[i]
             prev = layers[k - 1].get(rule.lhs)
-            if rule.rhs != sym or prev is None:
+            if prev is None:
                 continue
             pre = _through(alg.mgr, alg.preimage, auto.rule_relations[i], here)
             cand = alg.mgr.conj(pre, prev)

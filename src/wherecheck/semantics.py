@@ -426,30 +426,6 @@ def low_equiv_store(
     return True
 
 
-def low_equiv_channels(
-    contents1: dict[str, tuple[int, ...]],
-    index1: dict[str, int],
-    contents2: dict[str, tuple[int, ...]],
-    index2: dict[str, int],
-    level: str,
-    policy: Policy,
-) -> bool:
-    """Channel states agree at the observer level.
-
-    Observable channels need equal indices and an equal consumed/produced
-    prefix; channels above the observer are vacuously equivalent.
-    """
-    for name in set(index1) | set(index2):
-        if not policy.observable(name, level):
-            continue
-        i1, i2 = index1.get(name, 0), index2.get(name, 0)
-        if i1 != i2:
-            return False
-        if contents1.get(name, ())[:i1] != contents2.get(name, ())[:i2]:
-            return False
-    return True
-
-
 def format_trace(trace: Trace) -> str:
     return "\n".join(trace.lines + [f"outcome: {trace.outcome}"])
 

@@ -155,17 +155,17 @@ class GlobalsDecl:
         return {name: i for i, (name, _) in enumerate(self.cells)}
 
     @cached_property
-    def _slots(self) -> dict[str, list[int]]:
-        """Bit slots of each cell, most significant bit first."""
+    def _levels(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Current and next levels of each cell's bit slots, most significant bit first."""
         order = sorted(
             (name not in self.control, j, i)
             for i, (name, width) in enumerate(self.cells)
             for j in range(width)
         )
-        out: dict[str, list[int]] = {name: [0] * width for name, width in self.cells}
+        slots: dict[str, list[int]] = {name: [0] * width for name, width in self.cells}
         for t, (_, j, i) in enumerate(order):
-            out[self.cells[i][0]][j] = t
-        return out
+            slots[self.cells[i][0]][j] = t
+        return {n: (tuple(2 * t for t in s), tuple(2 * t + 1 for t in s)) for n, s in slots.items()}
 
     @property
     def names(self) -> list[str]:
@@ -181,11 +181,11 @@ class GlobalsDecl:
     def index_of(self, name: str) -> int:
         return self._index[name]
 
-    def cur_levels(self, name: str) -> list[int]:
-        return [2 * t for t in self._slots[name]]
+    def cur_levels(self, name: str) -> tuple[int, ...]:
+        return self._levels[name][0]
 
-    def nxt_levels(self, name: str) -> list[int]:
-        return [2 * t + 1 for t in self._slots[name]]
+    def nxt_levels(self, name: str) -> tuple[int, ...]:
+        return self._levels[name][1]
 
     def as_dict(self, valuation: tuple[int, ...]) -> dict[str, int]:
         return {name: valuation[i] for i, (name, _) in enumerate(self.cells)}
@@ -279,11 +279,15 @@ class RelationAlgebra:
     # Sets over the current levels.
 
     def set_from_fixed(self, fixed: dict[str, int]) -> int:
-        mgr = self.mgr
-        out = mgr.TRUE
-        for name, value in sorted(fixed.items()):
-            vec = bv_from_levels(mgr, self.g.cur_levels(name))
-            out = mgr.conj(out, bv_eq(mgr, vec, bv_const(mgr, value, self.g.width_of(name))))
+        """The cube of the given cells' values, chained deepest bit first, one node per bit."""
+        bits = sorted(
+            (lvl, value >> j & 1)
+            for name, value in fixed.items()
+            for j, lvl in enumerate(reversed(self.g.cur_levels(name)))
+        )
+        mgr, out = self.mgr, self.mgr.TRUE
+        for lvl, bit in reversed(bits):
+            out = mgr.node(lvl, mgr.FALSE, out) if bit else mgr.node(lvl, out, mgr.FALSE)
         return out
 
     def set_from_valuation(self, val: tuple[int, ...]) -> int:
@@ -399,35 +403,55 @@ class RelationAlgebra:
 
     # Witness decoding.
 
-    def _decode(self, assignment: dict[int, bool], levels_of) -> tuple[int, ...]:
+    def _decode(self, assignment: dict[int, int], levels_of) -> tuple[int, ...]:
         out = []
         for name, _ in self.g.cells:
             levels = levels_of(name)
             out.append(bv_value(lambda lvl: assignment.get(lvl, False), levels))
         return tuple(out)
 
-    def _least(self, u: int, levels: list[int]) -> Optional[dict[int, bool]]:
-        """The least assignment satisfying u, read as a number over levels.
+    def _path(self, u: int, fixed: dict[int, int]) -> Optional[dict[int, int]]:
+        """A root-to-1 path of u that agrees with fixed, as {level: bit}; None if none.
 
-        Levels come most significant first and need not follow the BDD
-        order, so each bit is fixed by one conjunction with a literal.
+        Depth first, 0-branch first, only the fixed branch at a fixed level and
+        never back into a node it has left: it makes no node and does not recurse.
         """
-        mgr = self.mgr
-        if u == mgr.FALSE:
-            return None
-        out: dict[int, bool] = {}
-        for lvl in levels:
-            if u == mgr.TRUE:
-                break
-            low = mgr.conj(u, mgr.nvar(lvl))
-            out[lvl] = low == mgr.FALSE
-            u = mgr.conj(u, mgr.var(lvl)) if out[lvl] else low
-        return out
+        level, lo, hi = self.mgr.level, self.mgr.lo, self.mgr.hi
+        seen: set[int] = set()
+        path: list[tuple[int, int]] = []  # (node, branch taken)
+        n = u
+        while n != self.mgr.TRUE:
+            if n != self.mgr.FALSE and n not in seen:
+                seen.add(n)
+                path.append((n, fixed.get(level[n], 0)))
+                n = hi[n] if path[-1][1] else lo[n]
+                continue
+            while path and (path[-1][1] or level[path[-1][0]] in fixed):
+                path.pop()
+            if not path:
+                return None
+            path[-1] = (path[-1][0], 1)
+            n = hi[path[-1][0]]
+        return {level[m]: bit for m, bit in path}
 
     def pick_set(self, set_cur: int) -> Optional[tuple[int, ...]]:
-        """The least valuation in the set: cells in declaration order, MSB first."""
-        levels = [lvl for name in self.g.names for lvl in self.g.cur_levels(name)]
-        assignment = self._least(set_cur, levels)
-        if assignment is None:
+        """The least valuation in the set: cells in declaration order, MSB first.
+
+        Bit by bit in that order, which need not be the BDD order, a bit is 0
+        if a root-to-1 path agrees with that 0 and the bits fixed before it,
+        else 1: the greedy choice gives the least number.  One such path is
+        kept, and a walk for a new one runs only when it sets the bit to 1.
+        """
+        path = self._path(set_cur, {})
+        if path is None:
             return None
-        return self._decode(assignment, self.g.cur_levels)
+        out: dict[int, int] = {}
+        for lvl in (lvl for name in self.g.names for lvl in self.g.cur_levels(name)):
+            out[lvl] = 0
+            if path.get(lvl) == 1:
+                found = self._path(set_cur, out)
+                if found is None:
+                    out[lvl] = 1
+                else:
+                    path = found
+        return self._decode(out, self.g.cur_levels)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wherecheck.bdd import bv_eq, bv_from_levels
+from wherecheck.bdd import bv_const, bv_eq, bv_from_levels
 
 from wherecheck.parser import parse_program
 from wherecheck.spds import (
@@ -36,10 +36,10 @@ def test_globals_layout():
     assert g.total_bits == 5
     assert g.width_of("b") == 3
     # MSB bands: slots a0 b0 a1 b1 b2; slot t is levels 2t (cur) and 2t+1 (nxt)
-    assert g.cur_levels("a") == [0, 4]
-    assert g.nxt_levels("a") == [1, 5]
-    assert g.cur_levels("b") == [2, 6, 8]
-    assert g.nxt_levels("b") == [3, 7, 9]
+    assert g.cur_levels("a") == (0, 4)
+    assert g.nxt_levels("a") == (1, 5)
+    assert g.cur_levels("b") == (2, 6, 8)
+    assert g.nxt_levels("b") == (3, 7, 9)
     assert valuation(g, {"a": 5, "b": 3}) == (1, 3)
     assert g.as_dict((1, 3)) == {"a": 1, "b": 3}
     assert len(list(all_valuations(g))) == 32
@@ -534,3 +534,27 @@ def test_pick_set_is_least_in_declaration_order(vals):
     node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
     assert enumerate_set(ra, node) == set(vals)
     assert ra.pick_set(node) == min(enumerate_set(ra, node))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(MIXED_VALS), st.sets(st.sampled_from(MIXED.names)))
+def test_set_from_fixed_matches_the_conjunction_of_its_cells(val, names):
+    ra = RelationAlgebra(MIXED)
+    mgr = ra.mgr
+    fixed = {name: val[MIXED.index_of(name)] for name in names}
+    cube = ra.set_from_fixed(fixed)
+    # the construction the cube replaced: one equality per cell, conjoined by name
+    reference = mgr.TRUE
+    for name, value in sorted(fixed.items()):
+        vec = bv_from_levels(mgr, MIXED.cur_levels(name))
+        reference = mgr.conj(reference, bv_eq(mgr, vec, bv_const(mgr, value, MIXED.width_of(name))))
+    assert cube == reference
+
+
+def test_a_wide_valuation_round_trips_at_the_default_recursion_limit():
+    # 130 cells of 8 bits and a control cell: a cube 1042 levels deep, more
+    # than the default limit of 1000 Python frames
+    wide = GlobalsDecl(tuple((f"v{i}", 8) for i in range(130)) + (("k", 2),), frozenset({"k"}))
+    val = tuple((37 * i + 11) % 256 for i in range(130)) + (2,)
+    ra = RelationAlgebra(wide)
+    assert ra.pick_set(ra.set_from_valuation(val)) == val
