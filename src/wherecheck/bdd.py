@@ -19,7 +19,7 @@ same canonical node.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 LEAF_LEVEL = 1 << 60
 
@@ -307,7 +307,7 @@ def bv_const(mgr: BDD, value: int, width: int) -> list[int]:
     ]
 
 
-def bv_from_levels(mgr: BDD, levels: list[int]) -> list[int]:
+def bv_from_levels(mgr: BDD, levels: Sequence[int]) -> list[int]:
     return [mgr.var(lvl) for lvl in levels]
 
 
@@ -385,7 +385,7 @@ def bv_bool(mgr: BDD, bit: int, width: int) -> list[int]:
     return [mgr.FALSE] * (width - 1) + [bit]
 
 
-def bv_value(bits_assignment: Callable[[int], bool], levels: list[int]) -> int:
+def bv_value(bits_assignment: Callable[[int], bool], levels: Sequence[int]) -> int:
     """Decode an integer from a level->bool assignment (MSB first)."""
     value = 0
     for lvl in levels:

@@ -281,7 +281,7 @@ class RelationAlgebra:
     def set_from_fixed(self, fixed: dict[str, int]) -> int:
         """The cube of the given cells' values, chained deepest bit first, one node per bit."""
         bits = sorted(
-            (lvl, value >> j & 1)
+            (lvl, (value >> j) & 1)
             for name, value in fixed.items()
             for j, lvl in enumerate(reversed(self.g.cur_levels(name)))
         )
