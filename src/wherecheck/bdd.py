@@ -26,33 +26,26 @@ LEAF_LEVEL = 1 << 60
 # Cache keys are single ints: operand ids and a small opcode packed into
 # one word-ish integer.  A tuple key costs about twice as much memory and
 # the table below is the dominant allocation at scale.  Keys hold node ids
-# in 30 bits and step ids in 12, so past those bounds two keys would alias;
-# the manager gives up before that happens.
+# in 30 bits, and the manager gives up before a node id outgrows them; a
+# relprod key puts its step id above both node ids, so no two keys alias.
 _OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_RELPROD = range(6)
 _NODE_ID_LIMIT = 1 << 30
-_STEP_ID_LIMIT = 1 << 12
 # Operation caches are memo tables, so dropping them wholesale is always
 # sound; the cap keeps long searches from hoarding memory.
 _CACHE_LIMIT = 6_000_000
 
 
 class BudgetExceeded(Exception):
-    """Raised when the node table outgrows the configured budget or a cache-key bound."""
-
-
-def _fresh_id(table: dict, what: str) -> int:
-    if len(table) >= _STEP_ID_LIMIT:
-        raise BudgetExceeded(f"more than {_STEP_ID_LIMIT} {what} would alias in the cache keys")
-    return len(table)
+    """Raised when the node table outgrows the configured budget or the node-id bound."""
 
 
 class Step(NamedTuple):
-    """An interned relational product; every list is indexed by level (see BDD.step)."""
+    """A relational product; each map holds only the levels it moves (see BDD.step)."""
 
     sid: int  # the cache-key id
-    vmap: list[int]  # level of v -> product level
-    drop: list[bool]  # product level -> quantified
-    out: list[int]  # kept product level -> result level
+    vmap: dict[int, int]  # level of v -> product level
+    drop: frozenset[int]  # product levels to quantify
+    out: dict[int, int]  # kept product level -> result level
     last: int  # deepest level a map moves or drop quantifies, -1 if none
 
 
@@ -67,7 +60,7 @@ class BDD:
         self._unique: dict[int, int] = {}
         self._cache: dict[int, int] = {}
         self.cache_clears = 0
-        self._steps: dict[tuple, Step] = {}
+        self._last_sid = 0
         limit = _NODE_ID_LIMIT if node_budget is None else min(node_budget, _NODE_ID_LIMIT)
         self._node_limit = limit
         # Always 0: the node table is never compacted.  Reports read it.
@@ -223,42 +216,28 @@ class BDD:
 
     def step(
         self,
-        size: int,
         vmap: Mapping[int, int] = {},
         drop: Iterable[int] = (),
         out: Mapping[int, int] = {},
     ) -> Step:
-        """The relational product that relprod(u, v, step) computes, interned.
+        """The relational product that relprod(u, v, step) computes, under a fresh id.
 
         The levels of u are product levels already; vmap relabels the
         levels of v to product levels, drop names the product levels to
         quantify, and out places each kept product level in the result; a
-        level a map leaves out stays where it is.  Every level involved must be below size.  Each map
-        must preserve the order of the levels it meets, and out must not
-        land a kept level on another kept level; the node() assertion
-        enforces this as a side effect.  Equal arguments give the same
-        step, so its results persist in the cache across calls.
+        level a map leaves out stays where it is.  Each map must preserve
+        the order of the levels it meets, and out must not land a kept
+        level on another kept level; the node() assertion enforces this as
+        a side effect.  Nothing is interned: a caller that wants a step's
+        results to persist in the cache across calls keeps the step.
         """
-        wanted = frozenset(drop)
-        key = (size, *(tuple(sorted(m.items())) for m in (vmap, out)), wanted)
-        found = self._steps.get(key)
-        if found is None:
 
-            def table(mapping: Mapping[int, int]) -> list[int]:
-                levels = list(range(size))
-                for src, dst in mapping.items():
-                    levels[src] = dst
-                return levels
+        def moves(mapping: Mapping[int, int]) -> dict[int, int]:
+            return {src: dst for src, dst in mapping.items() if src != dst}
 
-            moved = [src for m in (vmap, out) for src, dst in m.items() if src != dst]
-            found = self._steps[key] = Step(
-                _fresh_id(self._steps, "relational steps"),
-                table(vmap),
-                [lvl in wanted for lvl in range(size)],
-                table(out),
-                max([*moved, *wanted], default=-1),
-            )
-        return found
+        vmap, drop, out = moves(vmap), frozenset(drop), moves(out)
+        self._last_sid += 1
+        return Step(self._last_sid, vmap, drop, out, max([*vmap, *drop, *out], default=-1))
 
     def relprod(self, u: int, v: int, step: Step) -> int:
         """exists drop . (u and v o vmap), kept levels placed by out, in one pass.
@@ -277,22 +256,23 @@ class BDD:
         lu, lv = level[u], level[v]
         if lu > step.last and lv > step.last:
             return self.conj(u, v)
-        key = (((((u << 30) | v) << 12) | step.sid) << 4) | _OP_RELPROD
+        key = (((((step.sid << 30) | u) << 30) | v) << 4) | _OP_RELPROD
         found = self._cache.get(key)
         if found is not None:
             return found
-        lv = LEAF_LEVEL if v == 1 else step.vmap[lv]
+        lv = LEAF_LEVEL if v == 1 else step.vmap.get(lv, lv)
         top = lu if lu < lv else lv
         u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
         v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
         lo = self.relprod(u0, v0, step) if u0 and v0 else 0
-        if step.drop[top]:
+        if top in step.drop:
             if lo == 1:
                 out = 1
             else:
                 out = self.disj(lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
         else:
-            out = self.node(step.out[top], lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
+            hi = self.relprod(u1, v1, step) if u1 and v1 else 0
+            out = self.node(step.out.get(top, top), lo, hi)
         return self._cache_put(key, out)
 
 

@@ -41,6 +41,7 @@ from .spds import dump_spds
 from .syntax import Program
 
 DEFAULT_MAX_BITS = 6
+MODES = (MODE_STORE_MATCH, MODE_TR)
 BUDGET_ENV = "WHERECHECK_BUDGET"
 
 EXIT_SECURE = 0
@@ -130,6 +131,11 @@ def _check_at_least(low: int, **numbers: int) -> None:
             raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+
+
 def analyze(
     program: Program | str | Path,
     policy: Policy | str | Path,
@@ -144,11 +150,12 @@ def analyze(
     Each level gets its own model, composition and search; the overall
     verdict is secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
-    of aborting the report.  A width below 1 or a capacity below 0 raises
-    ValueError.
+    of aborting the report.  A width below 1, a capacity below 0 or a mode
+    not in MODES raises ValueError.
     """
     _check_at_least(1, bits=bits)
     _check_at_least(0, capacity=capacity)
+    _check_mode(mode)
     program = _coerce_program(program)
     policy = gather_downgrades(program, _coerce_policy(policy))
     compose = tr_compose if mode == MODE_TR else self_compose
@@ -226,11 +233,12 @@ def find_nmin(
     """Least bit width in [1, max_bits] at which the program is insecure.
 
     None means no width in range was shown insecure.  Widths are probed in
-    increasing order, so the first hit is minimal.  A max_bits below 1 or a
-    capacity below 0 raises ValueError.
+    increasing order, so the first hit is minimal.  A max_bits below 1, a
+    capacity below 0 or a mode not in MODES raises ValueError.
     """
     _check_at_least(1, max_bits=max_bits)
     _check_at_least(0, capacity=capacity)
+    _check_mode(mode)
     program = _coerce_program(program)
     policy = _coerce_policy(policy)
     found, _ = _nmin_probe(program, policy, max_bits, capacity, mode, node_budget)
@@ -503,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--policy", required=True)
     p_analyze.add_argument("--bits", type=_int_at_least(1), default=DEFAULT_BITS)
     p_analyze.add_argument("--capacity", type=_int_at_least(0), default=DEFAULT_CAPACITY)
-    p_analyze.add_argument("--mode", choices=(MODE_STORE_MATCH, MODE_TR), default=MODE_STORE_MATCH)
+    p_analyze.add_argument("--mode", choices=MODES, default=MODE_STORE_MATCH)
     p_analyze.add_argument("--witness", action="store_true", help="decode a counterexample")
     p_analyze.add_argument("--oracle", action="store_true", help="cross-check by enumeration")
     p_analyze.add_argument("--dump-model", action="store_true")
@@ -535,6 +543,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ParseError, PolicyError, ModeDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:  # as a program too deep to parse; each level catches its own
+        _emit(f"inconclusive ({_inconclusive_reason(exc)})\nRESULT overall=inconclusive")
+        return EXIT_INCONCLUSIVE
     except Exception as exc:  # an internal fault must not exit 1, which means insecure
         traceback.print_exc()
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -273,7 +273,6 @@ class RelationAlgebra:
     def __init__(self, globals_decl: GlobalsDecl, mgr: Optional[BDD] = None):
         self.g = globals_decl
         self.mgr = mgr if mgr is not None else BDD()
-        self._size = 2 * globals_decl.total_bits
         self._written: dict[frozenset[str], _WrittenSteps] = {}
 
     # Sets over the current levels.
@@ -378,8 +377,8 @@ class RelationAlgebra:
             cur = [lvl for name in sorted(written) for lvl in self.g.cur_levels(name)]
             step = self.mgr.step
             found = self._written[written] = _WrittenSteps(
-                step(self._size, drop=cur, out={lvl + 1: lvl for lvl in cur}),
-                step(self._size, vmap={lvl: lvl + 1 for lvl in cur}, drop=[lvl + 1 for lvl in cur]),
+                step(drop=cur, out={lvl + 1: lvl for lvl in cur}),
+                step(vmap={lvl: lvl + 1 for lvl in cur}, drop=[lvl + 1 for lvl in cur]),
             )
         return found
 

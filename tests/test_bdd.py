@@ -115,7 +115,7 @@ def test_exists_quantifies_out():
     u = mgr.conj(mgr.var(0), mgr.var(3))
 
     def exists(w, levels):
-        return mgr.relprod(w, mgr.TRUE, mgr.step(4, drop=levels))
+        return mgr.relprod(w, mgr.TRUE, mgr.step(drop=levels))
 
     assert exists(u, [0]) == mgr.var(3)
     assert exists(u, [0, 3]) == mgr.TRUE
@@ -128,18 +128,18 @@ def test_rename_monotone_shift():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.nvar(3))
     expected = mgr.conj(mgr.var(1), mgr.nvar(4))
-    assert mgr.relprod(mgr.TRUE, u, mgr.step(5, vmap={0: 1, 3: 4})) == expected
-    assert mgr.relprod(u, mgr.TRUE, mgr.step(5, out={0: 1, 3: 4})) == expected
-    assert mgr.relprod(u, mgr.TRUE, mgr.step(5)) == u
+    assert mgr.relprod(mgr.TRUE, u, mgr.step(vmap={0: 1, 3: 4})) == expected
+    assert mgr.relprod(u, mgr.TRUE, mgr.step(out={0: 1, 3: 4})) == expected
+    assert mgr.relprod(u, mgr.TRUE, mgr.step()) == u
 
 
 def test_rename_order_violation_asserts():
     mgr = BDD()
     u = mgr.conj(mgr.var(0), mgr.var(3))
     with pytest.raises(AssertionError):
-        mgr.relprod(mgr.TRUE, u, mgr.step(6, vmap={0: 5, 3: 2}))
+        mgr.relprod(mgr.TRUE, u, mgr.step(vmap={0: 5, 3: 2}))
     with pytest.raises(AssertionError):
-        mgr.relprod(u, mgr.TRUE, mgr.step(6, out={0: 5, 3: 2}))
+        mgr.relprod(u, mgr.TRUE, mgr.step(out={0: 5, 3: 2}))
 
 
 LEVELS = 9
@@ -197,7 +197,7 @@ def test_relprod_matches_truth_tables(case):
     su, fu, sv, fv, vmap, drop, out = case
     mgr = BDD()
     u, v = from_truth_table(mgr, su, fu), from_truth_table(mgr, sv, fv)
-    step = mgr.step(LEVELS, vmap=vmap, drop=drop, out=out)
+    step = mgr.step(vmap=vmap, drop=drop, out=out)
     got = mgr.relprod(u, v, step)
     if not vmap:  # with v not relabelled, the operands may swap
         assert mgr.relprod(v, u, step) == got
@@ -219,12 +219,12 @@ def test_relprod_matches_truth_tables(case):
 
 def test_step_last_is_the_deepest_level_a_step_moves_or_drops():
     mgr = BDD()
-    assert mgr.step(8).last == -1
-    assert mgr.step(8, vmap={0: 3, 2: 4}).last == 2
-    assert mgr.step(8, drop=[6, 2]).last == 6
-    assert mgr.step(8, out={3: 1, 5: 4}).last == 5
-    assert mgr.step(8, vmap={6: 6}, out={7: 7}).last == -1  # identity entries
-    assert mgr.step(8, vmap={3: 2}, drop=[2], out={5: 4}).last == 5
+    assert mgr.step().last == -1
+    assert mgr.step(vmap={0: 3, 2: 4}).last == 2
+    assert mgr.step(drop=[6, 2]).last == 6
+    assert mgr.step(out={3: 1, 5: 4}).last == 5
+    assert mgr.step(vmap={6: 6}, out={7: 7}).last == -1  # identity entries
+    assert mgr.step(vmap={3: 2}, drop=[2], out={5: 4}).last == 5
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_relprod_below_last_is_conj(case):
     su, fu, sv, fv, last, kwargs = case
     mgr = BDD()
     u, v = from_truth_table(mgr, su, fu), from_truth_table(mgr, sv, fv)
-    step = mgr.step(LEVELS, **kwargs)
+    step = mgr.step(**kwargs)
     assert step.last == last
     assert mgr.relprod(u, v, step) == mgr.conj(u, v)
     # The shortcut answers before relprod makes or stores a key of its own.
@@ -272,17 +272,25 @@ def test_node_budget():
             acc = mgr.conj(acc, mgr.var(3 * i))
 
 
-def test_step_ids_stop_at_the_cache_key_bound():
-    # Step ids take 12 bits of a packed cache key; one more step would alias.
+def test_step_ids_never_alias():
+    # Step k and step k + 4096 quantify level 0 in turn, so a cache key
+    # that kept only 12 bits of the step id would hand one the other's
+    # answer.  There is no bound on the number of steps to stop at.
     mgr = BDD()
     x = mgr.var(0)
-    for k in range(4096):  # every subset of levels 0-11 as a drop set
-        drop = [lvl for lvl in range(12) if (k >> lvl) & 1]
-        step = mgr.step(13, drop=drop)
-        assert mgr.relprod(x, mgr.TRUE, step) == (mgr.TRUE if k & 1 else x)
-        assert mgr.step(13, drop=drop) is step  # interned, no new id
-    with pytest.raises(BudgetExceeded):
-        mgr.step(13, drop=[12])
+    for k in range(5000):
+        odd = bin(k).count("1") % 2 == 1
+        drop = [lvl + 1 for lvl in range(13) if (k >> lvl) & 1] + ([0] if odd else [])
+        assert mgr.relprod(x, mgr.TRUE, mgr.step(drop=drop)) == (mgr.TRUE if odd else x)
+
+
+def test_step_keeps_only_the_levels_it_moves():
+    mgr = BDD()
+    step = mgr.step(vmap={2: 3, 4: 4}, drop=[3, 3], out={5: 4, 6: 6})
+    assert (step.vmap, step.drop, step.out) == ({2: 3}, frozenset({3}), {5: 4})
+    # Equal arguments make a new step under a new id; nothing is interned.
+    again = mgr.step(vmap={2: 3}, drop=[3], out={5: 4})
+    assert again[1:] == step[1:] and again.sid != step.sid
 
 
 WIDTH = 4

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wherecheck import bdd, cli
+from wherecheck import cli
 from wherecheck.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INSECURE,
@@ -185,21 +185,24 @@ def test_recursion_overflow_is_inconclusive_not_insecure(tmp_path, capsys):
     assert "inconclusive (recursion limit" in out
 
 
-def test_step_id_overflow_is_inconclusive_not_a_verdict(capsys, monkeypatch):
-    # Each written set interns its own pair of steps, and a channel write has
-    # one per cell, so the step count grows with the capacity: B3 at capacity
-    # 8 interns 25 per level.  Past the bound a level must end inconclusive.
-    monkeypatch.setattr(bdd, "_STEP_ID_LIMIT", 8)
-    iobench = CORPUS.parent / "iobench"
-    args = [str(iobench / "B3"), "--policy", str(iobench / "B3.policy")]
-    code, out, _ = run(capsys, ["analyze", *args, "--bits", "2", "--capacity", "8"])
-    assert code == EXIT_INCONCLUSIVE
-    assert result_lines(out) == [
-        "RESULT level=H verdict=inconclusive",
-        "RESULT level=L verdict=inconclusive",
-        "RESULT overall=inconclusive",
-    ]
-    assert out.count("more than 8 relational steps would alias") == 2
+def assert_overflow_is_inconclusive(capsys, args):
+    for command in ("analyze", "nmin"):
+        code, out, err = run(capsys, [command, *args])
+        assert code == EXIT_INCONCLUSIVE, err
+        reason = f"recursion limit {sys.getrecursionlimit()} exceeded"
+        assert out == f"inconclusive ({reason})\nRESULT overall=inconclusive\n"
+
+
+def test_deep_expression_overflow_is_inconclusive(tmp_path, capsys):
+    # The parser reads the sum as a loop; checking its variables recurses.
+    text = "l := " + " + ".join(["h"] * 1200) + "\n"
+    assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
+
+
+def test_long_sequence_overflow_is_inconclusive(tmp_path, capsys):
+    # The parser nests one Seq per ";", so 3000 statements overflow it.
+    text = ";\n".join(["l := l + 1"] * 3000) + "\n"
+    assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
@@ -347,6 +350,13 @@ def test_analyze_rejects_out_of_range_numbers(kwargs, name):
 def test_find_nmin_rejects_out_of_range_numbers(kwargs, name):
     with pytest.raises(ValueError, match=name):
         find_nmin(CORPUS / "P3", CORPUS / "P3.policy", **kwargs)
+
+
+@pytest.mark.parametrize("check", ["analyze", "find_nmin"])
+def test_unknown_mode_is_rejected_not_run_as_storematch(check):
+    fn = analyze if check == "analyze" else find_nmin
+    with pytest.raises(ValueError, match="mode must be one of storematch, tr, got 'TR'"):
+        fn(CORPUS / "P0", CORPUS / "P0.policy", capacity=4, mode="TR")
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,31 @@ def corpus_model(name: str, bits=3, capacity=8, mode=self_compose):
     return mode(build_model(program, policy, "L", bits=bits, capacity=capacity))
 
 
+def test_relational_steps_stay_small_and_are_reused():
+    # A channel write makes one written set per cell, so B3 at capacity 64
+    # makes many steps; each holds only its own written bits.
+    folder = ROOT / "corpus" / "iobench"
+    program = parse_program((folder / "B3").read_text())
+    policy = gather_downgrades(program, parse_policy((folder / "B3.policy").read_text()))
+    model = self_compose(build_model(program, policy, "L", bits=2, capacity=64))
+    auto = post_star(model)
+    alg, mgr = auto.algebra, auto.algebra.mgr
+    assert len(alg._written) > 64
+    for written, steps in alg._written.items():
+        written_bits = sum(alg.g.width_of(name) for name in written)
+        for step in steps:
+            assert len(step.vmap) + len(step.drop) + len(step.out) <= 2 * written_bits
+    # Imaging again through the same piece finds every answer in the cache.
+    (i, (rel, written)), *_ = [
+        (i, piece) for i, pieces in enumerate(auto.rule_relations) for piece in pieces if piece[1]
+    ]
+    s = auto.reached[model.spds.rules[i].lhs]
+    first = alg.transpose_compose(rel, s, written)
+    sizes = len(mgr), len(mgr._cache)
+    assert alg.transpose_compose(rel, s, written) == first
+    assert (len(mgr), len(mgr._cache)) == sizes
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_corpus_error_reachability(name):
     model = corpus_model(name)

@@ -238,12 +238,12 @@ def framed(ra, spec):
 
 
 def exists(ra, u, levels):
-    return ra.mgr.relprod(u, ra.mgr.TRUE, ra.mgr.step(2 * ra.g.total_bits, drop=levels))
+    return ra.mgr.relprod(u, ra.mgr.TRUE, ra.mgr.step(drop=levels))
 
 
 def lift_to_nxt(ra, set_cur):
     """The set with every bit moved to its next level."""
-    step = ra.mgr.step(2 * ra.g.total_bits, vmap={lvl: lvl + 1 for lvl in cur_all(ra.g)})
+    step = ra.mgr.step(vmap={lvl: lvl + 1 for lvl in cur_all(ra.g)})
     return ra.mgr.relprod(ra.mgr.TRUE, set_cur, step)
 
 
