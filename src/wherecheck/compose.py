@@ -39,6 +39,7 @@ output-count mismatches and downgrades the first run never reached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .modelgen import FINAL_SYMBOL, ModelSkeleton, d_name, xi_name
@@ -63,18 +64,9 @@ class ComposedModel:
     mode: str
 
 
-def _conj(parts: list[Expr]) -> Expr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = BinOp("&", out, p)
-    return out
-
-
-def _disj(parts: list[Expr]) -> Expr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = BinOp("|", out, p)
-    return out
+def _fold(op: str, parts: list[Expr]) -> Expr:
+    """parts joined by op, nested to the left."""
+    return functools.reduce(lambda out, p: BinOp(op, out, p), parts)
 
 
 def _composed_globals(skeleton: ModelSkeleton, tr: bool, mismatch_cell: bool) -> GlobalsDecl:
@@ -211,7 +203,9 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     differs: list[Expr] = [Var(MISMATCH)] if mismatch_cell else []
     differs += [BinOp("!=", Var(x), Var(xi_name(x))) for x in skeleton.observable_vars]
     if differs:
-        rules.append(Rule(end, ERROR_SYMBOL, RuleSpec.make(guard=_disj(differs)), "runs differ"))
+        rules.append(
+            Rule(end, ERROR_SYMBOL, RuleSpec.make(guard=_fold("|", differs)), "runs differ")
+        )
     if tr and skeleton.outputs:
         rules.append(Rule(end, "chk0", RuleSpec.make(), "begin comparison"))
         for i, spec in enumerate(skeleton.outputs):
@@ -239,14 +233,16 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
                     Rule(
                         here,
                         ERROR_SYMBOL,
-                        RuleSpec.make(guard=_disj(bad_parts)),
+                        RuleSpec.make(guard=_fold("|", bad_parts)),
                         f"{spec.name} cells differ",
                     )
                 )
             # past the last channel nothing is left to compare: the run blocks
             if i + 1 < len(skeleton.outputs):
                 rules.append(
-                    Rule(here, nxt, RuleSpec.make(guard=_conj(ok_parts)), f"{spec.name} agrees")
+                    Rule(
+                        here, nxt, RuleSpec.make(guard=_fold("&", ok_parts)), f"{spec.name} agrees"
+                    )
                 )
 
     initial_fixed = list(skeleton.spds.initial_fixed)

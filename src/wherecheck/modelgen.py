@@ -121,12 +121,7 @@ def make_globals(
     control: set[str] = set()  # channel indices
     for name in variables:
         cells.append((name, bits))
-    for spec in inputs:
-        for cname in spec.cells:
-            cells.append((cname, bits))
-        cells.append((spec.index, index_width(spec.length)))
-        control.add(spec.index)
-    for spec in outputs:
+    for spec in inputs + outputs:
         for cname in spec.cells:
             cells.append((cname, bits))
         cells.append((spec.index, index_width(spec.length)))

@@ -5,13 +5,15 @@ states that agree on the observable part (stores equal on observable
 variables, observable input channels with identical contents, unobservable
 inputs independent), and compare the observations of the two runs.
 
-Downgrade pairing is positional: the k-th downgrade step of one run is
-paired with the k-th of the other.  Runs with unequal downgrade counts, or
-with differing declassified values at some pair, fail the property's premise
-and impose no constraint.  Runs that diverge or end in a channel diagnostic
-never reach a final configuration and are likewise unconstrained; divergence
-is decided exactly by repeated-state detection, so "inconclusive" only
-arises from the enumeration budget or from a run that exhausts its fuel.
+``_observations`` is the one statement of the property and of its downgrade
+premise; both passes below read it.  Downgrade pairing is positional: the
+k-th downgrade step of one run is paired with the k-th of the other.  Runs
+with unequal downgrade counts, or with differing declassified values at some
+pair, fail the property's premise and impose no constraint.  Runs that
+diverge or end in a channel diagnostic never reach a final configuration and
+are likewise unconstrained; divergence is decided exactly by repeated-state
+detection, so "inconclusive" only arises from the enumeration budget or from
+a run that exhausts its fuel.
 
 A run does not depend on the observer, so each initial state runs once per
 check and its summary serves every level.  The runs of one check also share
@@ -32,7 +34,7 @@ the observation filed under it (see ``_observations``).  A clean level is
 proved in one pass over the states.  A violated level is scanned pair by
 pair in lexicographic order, over the memoised runs, because the verdict
 names the first violating pair, its reason, and the number of pairs checked
-up to it.
+up to it.  A pair is judged by the same buckets (``_violation``).
 """
 
 from __future__ import annotations
@@ -151,37 +153,23 @@ def _enumerate_pairs(
     low_ch = [n for n in in_channels if policy.observable(n, level)]
     high_ch = [n for n in in_channels if not policy.observable(n, level)]
 
-    def channel_space(chans: list[str]) -> list[list[tuple[int, ...]]]:
-        return [
-            [tuple(c) for c in itertools.product(values, repeat=input_lengths.get(ch, 0))]
-            for ch in chans
-        ]
+    def contents(chans: list[str]) -> Iterator[tuple]:
+        return itertools.product(
+            *[itertools.product(values, repeat=input_lengths.get(ch, 0)) for ch in chans]
+        )
 
-    low_ch_space = channel_space(low_ch)
-    high_ch_space = channel_space(high_ch)
-
-    for low_vals in itertools.product(values, repeat=len(low_vars)):
-        for high1 in itertools.product(values, repeat=len(high_vars)):
-            for high2 in itertools.product(values, repeat=len(high_vars)):
-                for low_contents in itertools.product(*low_ch_space):
-                    for hc1 in itertools.product(*high_ch_space):
-                        for hc2 in itertools.product(*high_ch_space):
-                            store1 = dict(zip(low_vars, low_vals)) | dict(
-                                zip(high_vars, high1)
-                            )
-                            store2 = dict(zip(low_vars, low_vals)) | dict(
-                                zip(high_vars, high2)
-                            )
-                            ins1 = dict(zip(low_ch, low_contents)) | dict(
-                                zip(high_ch, hc1)
-                            )
-                            ins2 = dict(zip(low_ch, low_contents)) | dict(
-                                zip(high_ch, hc2)
-                            )
-                            yield (
-                                InitialState(store1, ins1),
-                                InitialState(store2, ins2),
-                            )
+    lows = itertools.product(values, repeat=len(low_vars))
+    highs = list(itertools.product(values, repeat=len(high_vars)))
+    high_ins = list(contents(high_ch))
+    # Outermost first: low values, high stores, low contents, high contents.
+    for low_vals, high1, high2, low_ins, hc1, hc2 in itertools.product(
+        lows, highs, highs, contents(low_ch), high_ins, high_ins
+    ):
+        store1 = dict(zip(low_vars, low_vals)) | dict(zip(high_vars, high1))
+        store2 = dict(zip(low_vars, low_vals)) | dict(zip(high_vars, high2))
+        ins1 = dict(zip(low_ch, low_ins)) | dict(zip(high_ch, hc1))
+        ins2 = dict(zip(low_ch, low_ins)) | dict(zip(high_ch, hc2))
+        yield InitialState(store1, ins1), InitialState(store2, ins2)
 
 
 @dataclass(slots=True)
@@ -235,16 +223,12 @@ def _all_states(
 class _Observer:
     """One observer level, and what it sees of a run, each list sorted."""
 
-    policy: Policy
-    level: str
     variables: tuple[str, ...]  # observable variables with a declared level
     outputs: tuple[str, ...]  # observable output channels
 
     @classmethod
     def at(cls, program: Program, policy: Policy, level: str) -> "_Observer":
         return cls(
-            policy,
-            level,
             tuple(
                 n
                 for n in sorted(program.variables)
@@ -394,63 +378,39 @@ def _check_pairs(
     return OracleVerdict(property_name, SECURE, pairs_checked=pairs_checked)
 
 
-def _final_observation_mismatch(
-    observer: _Observer, f1: _Run, f2: _Run
-) -> Optional[str]:
-    policy, level = observer.policy, observer.level
-    (store1, channels1), (store2, channels2) = (
-        _final_view(observer, f1),
-        _final_view(observer, f2),
-    )
-    if store1 != store2:
-        diffs = [
-            f"{n}: {f1.mu.get(n)} vs {f2.mu.get(n)}"
-            for n in sorted(set(f1.mu) | set(f2.mu))
-            if policy.observable(n, level) and f1.mu.get(n) != f2.mu.get(n)
-        ]
-        return "final store differs on " + ", ".join(diffs)
-    if channels1 != channels2:
-        diffs = []
-        for name in sorted(set(f1.q) | set(f2.q)):
-            if not policy.observable(name, level):
-                continue
-            if f1.q.get(name, 0) != f2.q.get(name, 0) or f1.outs.get(
-                name, ()
-            ) != f2.outs.get(name, ()):
-                diffs.append(
-                    f"{name}: {list(f1.outs.get(name, ()))} vs {list(f2.outs.get(name, ()))}"
-                )
-        return "final outputs differ on " + ", ".join(diffs)
-    return None
-
-
 def _violation(
     observer: _Observer,
     property_name: str,
     run1: _Run,
     run2: _Run,
 ) -> Optional[str]:
-    if property_name == "noninterference":
-        return _final_observation_mismatch(observer, run1, run2)
+    """Why two halted runs of one low class violate the property, or None.
 
-    rec1, rec2 = run1.declass, run2.declass
-    for k, ((s1, v1, pre1, post1), (s2, v2, pre2, post2)) in enumerate(
-        zip(rec1, rec2)
-    ):
-        if (
-            v1 == v2
-            and _store_view(observer, pre1) == _store_view(observer, pre2)
-            and _store_view(observer, post1) != _store_view(observer, post2)
-        ):
+    They violate it iff they file different observations under one bucket
+    key of ``_observations``; the reason names the first such key of run 2.
+    """
+    seen = dict(_observations(observer, property_name, run1))
+    for key, observation in _observations(observer, property_name, run2):
+        if seen.get(key, observation) == observation:
+            continue
+        if len(key) == 3:  # (k, observable pre-store, value) of a paired downgrade
+            k, _, value = key
             return (
-                f"downgrade pair {k} (sites g{s1}/g{s2}, value {v1}) breaks "
-                "observable equivalence of the post-states"
+                f"downgrade pair {k} (sites g{run1.declass[k][0]}/g{run2.declass[k][0]}, "
+                f"value {value}) breaks observable equivalence of the post-states"
             )
-    if len(rec1) != len(rec2):
-        return None  # premise unsatisfied
-    if any(v1 != v2 for (_, v1, _, _), (_, v2, _, _) in zip(rec1, rec2)):
-        return None  # premise unsatisfied
-    return _final_observation_mismatch(observer, run1, run2)
+        if seen[key][0] != observation[0]:
+            return "final store differs on " + ", ".join(
+                f"{n}: {run1.mu[n]} vs {run2.mu[n]}"
+                for n in observer.variables
+                if run1.mu[n] != run2.mu[n]
+            )
+        return "final outputs differ on " + ", ".join(
+            f"{n}: {list(run1.outs[n])} vs {list(run2.outs[n])}"
+            for n in observer.outputs
+            if run1.outs[n] != run2.outs[n]
+        )
+    return None
 
 
 def check_noninterference(
@@ -478,10 +438,12 @@ def check_where_security(
 ) -> OracleVerdict:
     """Exhaustively test that only declassified values are released.
 
-    Violations: (a) a positionally paired downgrade with observably equal
-    pre-states and equal declassified values whose post-states differ
-    observably; (b) runs whose paired declassified values all agree (and
-    counts match) but whose final stores or outputs differ observably.
+    ``_observations`` states the property and its positional downgrade
+    premise.  Violations: (a) a positionally paired downgrade with
+    observably equal pre-states and equal declassified values whose
+    post-states differ observably; (b) runs whose paired declassified values
+    all agree (and counts match) but whose final stores or outputs differ
+    observably.
     """
     lengths = default_input_lengths(program, policy)
     return _check_pairs(

@@ -1,17 +1,14 @@
 """Seeded random program generator for the property suites.
 
 Programs stay tiny on purpose: at most a handful of variables, a bounded
-command count, at most one loop.  The default profile keeps generated
-programs inside the zone where the analyzer's per-site downgrade matching
-and the oracle's positional pairing of downgrade events provably agree:
+command count, at most one loop.  Every profile keeps generated programs
+inside the zone where the analyzer's per-site downgrade matching and the
+oracle's positional pairing of downgrade events provably agree:
 
   - at most one declass command per program,
   - declass never inside a while body,
   - input commands only at top level (so consumption counts are equal
     across paired runs and declared lengths can equal static counts).
-
-Looser profiles exist for stress tests that expect divergence; the
-soundness suite must use the default.
 
 Generation builds a small command sketch first, then renders concrete
 syntax, so a variant with one assignment upgraded to a declassification
@@ -26,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 VAR_NAMES = ("x0", "x1", "x2")
+MAX_COMMANDS = 6
 CONSTS = (0, 1, 2, 3)
 ARITH = ("+", "-", "*", "&", "|")
 CMP = ("==", "!=", "<", "<=")
@@ -33,15 +31,8 @@ CMP = ("==", "!=", "<", "<=")
 
 @dataclass(frozen=True)
 class GenConfig:
-    max_vars: int = 3
-    max_commands: int = 6
-    max_loops: int = 1
     max_declass: int = 1
-    declass_in_loops: bool = False
-    inputs_top_level_only: bool = True
-    io: bool = False
-    input_channels: int = 1
-    output_channels: int = 1
+    io: bool = False  # one input and one output channel
 
 
 @dataclass
@@ -119,13 +110,11 @@ def render(body: list[Sketch], depth: int = 0) -> str:
 
 class _Budget:
     def __init__(self, cfg: GenConfig, rng: random.Random):
-        self.cfg = cfg
         self.rng = rng
-        self.commands = rng.randint(1, cfg.max_commands)
-        self.loops = cfg.max_loops
+        self.commands = rng.randint(1, MAX_COMMANDS)
+        self.loops = 1
         self.declass = cfg.max_declass
         self.input_sites: dict[str, int] = {}
-        self.output_used = False
 
 
 def _expr(rng: random.Random, variables: tuple[str, ...], depth: int = 2) -> str:
@@ -155,15 +144,15 @@ def _command(
     in_loop: bool,
     at_top: bool,
 ) -> Sketch:
-    rng, cfg = b.rng, b.cfg
+    rng = b.rng
     choices = ["assign", "assign", "skip"]
-    if b.declass > 0 and (cfg.declass_in_loops or not in_loop):
+    if b.declass > 0 and not in_loop:
         choices.append("declass")
     if b.commands >= 2:
         choices.append("if")
     if b.loops > 0 and b.commands >= 2 and not in_loop:
         choices.append("while")
-    if inputs and (at_top or not cfg.inputs_top_level_only):
+    if inputs and at_top:
         choices.append("input")
     if outputs:
         choices.append("output")
@@ -183,7 +172,6 @@ def _command(
         b.input_sites[chan] = b.input_sites.get(chan, 0) + 1
         return Sketch("input", var=rng.choice(variables), channel=chan)
     if kind == "output":
-        b.output_used = True
         return Sketch("output", expr=_expr(rng, variables), channel=rng.choice(outputs))
     if kind == "while":
         b.loops -= 1
@@ -206,19 +194,19 @@ def _sequence(b, variables, inputs, outputs, in_loop, at_top, limit) -> list[Ske
 
 def generate(seed: int, cfg: GenConfig = GenConfig()) -> GeneratedProgram:
     rng = random.Random(seed)
-    nvars = rng.randint(2, cfg.max_vars)
+    nvars = rng.randint(2, len(VAR_NAMES))
     variables = VAR_NAMES[:nvars]
     # the first variable is observable so verdicts are rarely vacuous
     levels = {variables[0]: "L"}
     for name in variables[1:]:
         levels[name] = rng.choice(("L", "H", "H"))
 
-    inputs = [f"in{i}" for i in range(cfg.input_channels)] if cfg.io else []
-    outputs = [f"out{i}" for i in range(cfg.output_channels)] if cfg.io else []
+    inputs = ["in0"] if cfg.io else []
+    outputs = ["out0"] if cfg.io else []
 
     b = _Budget(cfg, rng)
     body = _sequence(
-        b, variables, inputs, outputs, in_loop=False, at_top=True, limit=cfg.max_commands
+        b, variables, inputs, outputs, in_loop=False, at_top=True, limit=MAX_COMMANDS
     )
 
     lines = ["lattice: L < H"]

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from wherecheck.oracle import (
     INCONCLUSIVE,
     INSECURE,
     SECURE,
+    InitialState,
     OracleVerdict,
     OracleWitness,
     _enumerate_pairs,
@@ -421,6 +423,68 @@ HAND_WRITTEN = {
 def test_matches_pairwise_reference_on_hand_written(name):
     program, policy = prog(*HAND_WRITTEN[name])
     assert_matches_reference(program, policy, bits=2, capacity=4)
+
+
+def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
+    """One loop per component, outermost first: the order ``_enumerate_pairs`` keeps."""
+    values = range(1 << bits)
+    names = list(program.variables)
+    low_vars = [n for n in names if policy.observable(n, level)]
+    high_vars = [n for n in names if not policy.observable(n, level)]
+    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    low_ch = [n for n in in_channels if policy.observable(n, level)]
+    high_ch = [n for n in in_channels if not policy.observable(n, level)]
+
+    def channel_space(chans):
+        return [
+            [tuple(c) for c in itertools.product(values, repeat=input_lengths.get(ch, 0))]
+            for ch in chans
+        ]
+
+    low_ch_space = channel_space(low_ch)
+    high_ch_space = channel_space(high_ch)
+    for low_vals in itertools.product(values, repeat=len(low_vars)):
+        for high1 in itertools.product(values, repeat=len(high_vars)):
+            for high2 in itertools.product(values, repeat=len(high_vars)):
+                for low_contents in itertools.product(*low_ch_space):
+                    for hc1 in itertools.product(*high_ch_space):
+                        for hc2 in itertools.product(*high_ch_space):
+                            store1 = dict(zip(low_vars, low_vals)) | dict(zip(high_vars, high1))
+                            store2 = dict(zip(low_vars, low_vals)) | dict(zip(high_vars, high2))
+                            ins1 = dict(zip(low_ch, low_contents)) | dict(zip(high_ch, hc1))
+                            ins2 = dict(zip(low_ch, low_contents)) | dict(zip(high_ch, hc2))
+                            yield InitialState(store1, ins1), InitialState(store2, ins2)
+
+
+def _items(pairs):
+    # Dict equality ignores key order; the listed items keep it.
+    return [
+        tuple((list(s.store.items()), list(s.inputs.items())) for s in pair) for pair in pairs
+    ]
+
+
+IOBENCH = CORPUS.parent / "iobench"
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+@pytest.mark.parametrize("case", ["channels", "iobench/B4", "two-by-two"])
+def test_pair_order_matches_the_nested_loop_reference(case, bits):
+    if case == "channels":
+        program, policy = prog(*HAND_WRITTEN["channels"])
+    elif case == "iobench/B4":
+        program = parse_program((IOBENCH / "B4").read_text())
+        policy = gather_downgrades(program, parse_policy((IOBENCH / "B4.policy").read_text()))
+    else:
+        program, policy = prog(
+            "h1 := l1 + h2; l2 := declass(h1 & 1)",
+            "lattice: L < H\nvar l1 : L\nvar l2 : L\nvar h1 : H\nvar h2 : H\n",
+        )
+    lengths = default_input_lengths(program, policy)
+    for level in sorted(policy.domains):
+        args = (program, policy, level, bits, lengths)
+        got = _items(_enumerate_pairs(*args))
+        assert got == _items(_ref_enumerate_pairs(*args)), level
+        assert len(got) == _pair_count(*args)
 
 
 def test_fuel_exhausted_secure_program_is_inconclusive():

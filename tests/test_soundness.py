@@ -7,6 +7,8 @@ pairs downgrades structurally), but it must never accept a program the
 oracle rejects.
 """
 
+import pytest
+
 from wherecheck.cli import INSECURE, SECURE, analyze
 from wherecheck.oracle import check_where_security
 from wherecheck.parser import parse_program
@@ -37,17 +39,23 @@ def sweep(seeds, cfg=GenConfig(), want_witness=True):
     return rows
 
 
-def test_analyzer_never_accepts_an_oracle_rejection():
+@pytest.fixture(scope="module")
+def plain_rows():
+    """One sweep of the default profile, with witnesses, for both checks below."""
+    return sweep(range(SWEEP_SEEDS))
+
+
+def test_analyzer_never_accepts_an_oracle_rejection(plain_rows):
     unsound = []
-    for seed, gen, report, verdict in sweep(range(SWEEP_SEEDS), want_witness=False):
+    for seed, gen, report, verdict in plain_rows:
         if report.overall == SECURE and verdict.status == INSECURE:
             unsound.append(seed)
     assert unsound == []
 
 
-def test_every_insecure_verdict_carries_a_replaying_witness():
+def test_every_insecure_verdict_carries_a_replaying_witness(plain_rows):
     insecure = 0
-    for seed, gen, report, verdict in sweep(range(SWEEP_SEEDS)):
+    for seed, gen, report, verdict in plain_rows:
         for level in report.levels:
             if level.verdict != INSECURE:
                 continue
