@@ -13,8 +13,8 @@ a step moves a bit only between the two levels of its slot, over a level
 it quantifies, so it never swaps two kept levels.  Below the deepest level
 a step moves or quantifies, every map is the identity and nothing is
 quantified, so there the product is a plain conjunction: relprod hands
-that tail to conj, whose cache every step shares, and the result is the
-same canonical node.
+that tail to apply's conjunction, whose cache every step shares, and the
+result is the same canonical node.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ LEAF_LEVEL = 1 << 60
 # the table below is the dominant allocation at scale.  Keys hold node ids
 # in 30 bits, and the manager gives up before a node id outgrows them; a
 # relprod key puts its step id above both node ids, so no two keys alias.
-_OP_AND, _OP_OR, _OP_XOR, _OP_DIFF, _OP_NOT, _OP_RELPROD = range(6)
+# apply compares its opcodes as the literals 0-3, so their order is fixed.
+AND, OR, XOR, DIFF, _OP_RELPROD = range(5)
 _NODE_ID_LIMIT = 1 << 30
 # Operation caches are memo tables, so dropping them wholesale is always
 # sound; the cap keeps long searches from hoarding memory.
@@ -99,114 +100,68 @@ class BDD:
     def var(self, level: int) -> int:
         return self.node(level, self.FALSE, self.TRUE)
 
-    def nvar(self, level: int) -> int:
-        return self.node(level, self.TRUE, self.FALSE)
+    # The binary connectives share one memoised recursion, apply; each op
+    # keeps its own terminal cases, and the commutative ones order their
+    # operands so both orders share a key.  Negation is diff(TRUE, u).
 
-    # Binary connectives: one memoized recursion each, terminals 0 and 1.
-    # The commutative ones order their operands so both orders share a key.
+    def apply(self, op: int, u: int, v: int) -> int:
+        """u op v for op AND, OR, XOR or DIFF (u and not v)."""
+        # The opcodes are compared as literals and top is picked by a
+        # conditional expression: global lookups and min() measured
+        # several percent slower here.
+        if op == 0:  # AND
+            if u == 0 or v == 0:
+                return 0
+            if u == 1 or u == v:
+                return v
+            if v == 1:
+                return u
+            if u > v:
+                u, v = v, u
+        elif op == 1:  # OR
+            if u == 1 or v == 1:
+                return 1
+            if u == 0 or u == v:
+                return v
+            if v == 0:
+                return u
+            if u > v:
+                u, v = v, u
+        elif op == 2:  # XOR
+            if u == v:
+                return 0
+            if u == 0:
+                return v
+            if v == 0:
+                return u
+            if u > v:
+                u, v = v, u
+        else:  # DIFF
+            if u == 0 or v == 1 or u == v:
+                return 0
+            if v == 0:
+                return u
+        key = (((u << 30) | v) << 4) | op
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        lu, lv = self.level[u], self.level[v]
+        top = lu if lu < lv else lv
+        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
+        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
+        return self._cache_put(key, self.node(top, self.apply(op, u0, v0), self.apply(op, u1, v1)))
 
     def conj(self, u: int, v: int) -> int:
-        if u == 0 or v == 0:
-            return 0
-        if u == 1 or u == v:
-            return v
-        if v == 1:
-            return u
-        if u > v:
-            u, v = v, u
-        key = (((u << 30) | v) << 4) | _OP_AND
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lu, lv = self.level[u], self.level[v]
-        top = min(lu, lv)
-        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
-        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        return self._cache_put(key, self.node(top, self.conj(u0, v0), self.conj(u1, v1)))
+        return self.apply(AND, u, v)
 
     def disj(self, u: int, v: int) -> int:
-        if u == 1 or v == 1:
-            return 1
-        if u == 0 or u == v:
-            return v
-        if v == 0:
-            return u
-        if u > v:
-            u, v = v, u
-        key = (((u << 30) | v) << 4) | _OP_OR
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lu, lv = self.level[u], self.level[v]
-        top = min(lu, lv)
-        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
-        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        return self._cache_put(key, self.node(top, self.disj(u0, v0), self.disj(u1, v1)))
+        return self.apply(OR, u, v)
 
     def xor(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        if u == 0:
-            return v
-        if v == 0:
-            return u
-        if u == 1:
-            return self.neg(v)
-        if v == 1:
-            return self.neg(u)
-        if u > v:
-            u, v = v, u
-        key = (((u << 30) | v) << 4) | _OP_XOR
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lu, lv = self.level[u], self.level[v]
-        top = min(lu, lv)
-        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
-        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        return self._cache_put(key, self.node(top, self.xor(u0, v0), self.xor(u1, v1)))
+        return self.apply(XOR, u, v)
 
     def diff(self, u: int, v: int) -> int:
-        """u and not v, without building the negation of v."""
-        if u == 0 or v == 1 or u == v:
-            return 0
-        if v == 0:
-            return u
-        if u == 1:
-            return self.neg(v)
-        key = (((u << 30) | v) << 4) | _OP_DIFF
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        lu, lv = self.level[u], self.level[v]
-        top = min(lu, lv)
-        u0, u1 = (self.lo[u], self.hi[u]) if lu == top else (u, u)
-        v0, v1 = (self.lo[v], self.hi[v]) if lv == top else (v, v)
-        return self._cache_put(key, self.node(top, self.diff(u0, v0), self.diff(u1, v1)))
-
-    def neg(self, u: int) -> int:
-        if u == self.FALSE:
-            return self.TRUE
-        if u == self.TRUE:
-            return self.FALSE
-        key = (u << 4) | _OP_NOT
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        out = self.node(self.level[u], self.neg(self.lo[u]), self.neg(self.hi[u]))
-        return self._cache_put(key, out)
-
-    def iff(self, u: int, v: int) -> int:
-        return self.neg(self.xor(u, v))
-
-    def ite(self, g: int, t: int, e: int) -> int:
-        return self.disj(self.conj(g, t), self.diff(e, g))
-
-    def conj_all(self, items: Iterable[int]) -> int:
-        out = self.TRUE
-        for u in items:
-            out = self.conj(out, u)
-        return out
+        return self.apply(DIFF, u, v)
 
     def disj_all(self, items: Iterable[int]) -> int:
         out = self.FALSE
@@ -246,7 +201,7 @@ class BDD:
         level short-circuits its sibling, and each kept level lands at its
         result level as the node is made, so no relabelling pass follows.
         Once both operands lie below step.last, every map is the identity
-        there and no level is quantified, so the product is conj(u, v):
+        there and no level is quantified, so the product is u AND v:
         the same canonical node, from a cache every step shares.  Relation
         composition spends nearly all its time here.
         """
@@ -255,7 +210,7 @@ class BDD:
         level = self.level
         lu, lv = level[u], level[v]
         if lu > step.last and lv > step.last:
-            return self.conj(u, v)
+            return self.apply(AND, u, v)
         key = (((((step.sid << 30) | u) << 30) | v) << 4) | _OP_RELPROD
         found = self._cache.get(key)
         if found is not None:
@@ -269,7 +224,7 @@ class BDD:
             if lo == 1:
                 out = 1
             else:
-                out = self.disj(lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
+                out = self.apply(OR, lo, self.relprod(u1, v1, step) if u1 and v1 else 0)
         else:
             hi = self.relprod(u1, v1, step) if u1 and v1 else 0
             out = self.node(step.out.get(top, top), lo, hi)
@@ -291,10 +246,6 @@ def bv_from_levels(mgr: BDD, levels: Sequence[int]) -> list[int]:
     return [mgr.var(lvl) for lvl in levels]
 
 
-def bv_not(mgr: BDD, a: list[int]) -> list[int]:
-    return [mgr.neg(x) for x in a]
-
-
 def bv_bitand(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
     return [mgr.conj(x, y) for x, y in zip(a, b)]
 
@@ -314,9 +265,14 @@ def bv_add(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
 
 
 def bv_sub(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
-    nb = bv_not(mgr, b)
-    one = bv_const(mgr, 1, len(a))
-    return bv_add(mgr, bv_add(mgr, a, nb), one)
+    out = [mgr.FALSE] * len(a)
+    borrow = mgr.FALSE
+    for i in range(len(a) - 1, -1, -1):
+        x, y = a[i], b[i]
+        d = mgr.xor(x, y)
+        out[i] = mgr.xor(d, borrow)
+        borrow = mgr.disj(mgr.diff(y, x), mgr.diff(borrow, d))
+    return out
 
 
 def bv_mul(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
@@ -332,11 +288,11 @@ def bv_mul(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
 
 
 def bv_eq(mgr: BDD, a: list[int], b: list[int]) -> int:
-    return mgr.conj_all(mgr.iff(x, y) for x, y in zip(a, b))
+    return mgr.diff(mgr.TRUE, bv_ne(mgr, a, b))
 
 
 def bv_ne(mgr: BDD, a: list[int], b: list[int]) -> int:
-    return mgr.neg(bv_eq(mgr, a, b))
+    return mgr.disj_all(mgr.xor(x, y) for x, y in zip(a, b))
 
 
 def bv_lt(mgr: BDD, a: list[int], b: list[int]) -> int:
@@ -344,21 +300,17 @@ def bv_lt(mgr: BDD, a: list[int], b: list[int]) -> int:
     out = mgr.FALSE
     eq_above = mgr.TRUE
     for x, y in zip(a, b):
-        out = mgr.disj(out, mgr.conj(eq_above, mgr.conj(mgr.neg(x), y)))
-        eq_above = mgr.conj(eq_above, mgr.iff(x, y))
+        out = mgr.disj(out, mgr.diff(mgr.conj(eq_above, y), x))
+        eq_above = mgr.diff(eq_above, mgr.xor(x, y))
     return out
 
 
 def bv_le(mgr: BDD, a: list[int], b: list[int]) -> int:
-    return mgr.disj(bv_lt(mgr, a, b), bv_eq(mgr, a, b))
+    return mgr.diff(mgr.TRUE, bv_lt(mgr, b, a))
 
 
 def bv_nonzero(mgr: BDD, a: list[int]) -> int:
     return mgr.disj_all(a)
-
-
-def bv_ite(mgr: BDD, guard: int, a: list[int], b: list[int]) -> list[int]:
-    return [mgr.ite(guard, x, y) for x, y in zip(a, b)]
 
 
 def bv_bool(mgr: BDD, bit: int, width: int) -> list[int]:

@@ -129,8 +129,8 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "KEYWORD" and tok.text == word
 
-    def make_site(self, kind: str, channel: str | None = None) -> SiteLabel:
-        site = SiteLabel(self.next_site, kind, channel)
+    def make_site(self) -> SiteLabel:
+        site = SiteLabel(self.next_site)
         self.next_site += 1
         return site
 
@@ -154,10 +154,10 @@ class _Parser:
         if tok.kind == "KEYWORD":
             if tok.text == "skip":
                 self.advance()
-                return Skip(self.make_site("plain"))
+                return Skip(self.make_site())
             if tok.text == "if":
                 self.advance()
-                site = self.make_site("plain")
+                site = self.make_site()
                 guard = self.parse_expr()
                 self.expect("KEYWORD", "then")
                 then_branch = self.parse_command()
@@ -167,7 +167,7 @@ class _Parser:
                 return If(site, guard, then_branch, else_branch)
             if tok.text == "while":
                 self.advance()
-                site = self.make_site("plain")
+                site = self.make_site()
                 guard = self.parse_expr()
                 self.expect("KEYWORD", "do")
                 body = self.parse_command()
@@ -180,17 +180,15 @@ class _Parser:
                 self.expect("OP", ",")
                 channel = self.expect("IDENT").text
                 self.expect("OP", ")")
-                return Input(self.make_site("input", channel), target, channel)
+                return Input(self.make_site(), target, channel)
             if tok.text == "output":
                 self.advance()
-                site_id_reserved = self.make_site("output")
                 self.expect("OP", "(")
                 expr = self.parse_expr()
                 self.expect("OP", ",")
                 channel = self.expect("IDENT").text
                 self.expect("OP", ")")
-                site = SiteLabel(site_id_reserved.id, "output", channel)
-                return Output(site, expr, channel)
+                return Output(self.make_site(), expr, channel)
             raise ParseError(
                 f"line {tok.line}:{tok.col}: unexpected keyword {tok.text!r}"
             )
@@ -202,8 +200,8 @@ class _Parser:
                 self.expect("OP", "(")
                 expr = self.parse_expr()
                 self.expect("OP", ")")
-                return DeclassAssign(self.make_site("declass"), target, expr)
-            return Assign(self.make_site("plain"), target, self.parse_expr())
+                return DeclassAssign(self.make_site(), target, expr)
+            return Assign(self.make_site(), target, self.parse_expr())
         raise ParseError(f"line {tok.line}:{tok.col}: expected a command, found {tok.text!r}")
 
     # -- expressions --------------------------------------------------------

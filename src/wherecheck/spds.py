@@ -52,7 +52,6 @@ from .bdd import (
     bv_const,
     bv_eq,
     bv_from_levels,
-    bv_ite,
     bv_le,
     bv_lt,
     bv_mul,
@@ -301,12 +300,11 @@ class RelationAlgebra:
                 assert self.g.width_of(name) == width, f"{name} width mismatch"
                 return bv_from_levels(mgr, self.g.cur_levels(name))
             case CellRef(cells, index, _):
-                idx_w = self.g.width_of(index)
-                idx = bv_from_levels(mgr, self.g.cur_levels(index))
+                # the hits are disjoint, so the read is the union of hit k and cell k
                 acc = bv_const(mgr, 0, width)
-                for k in range(len(cells) - 1, -1, -1):
-                    hit = bv_eq(mgr, idx, bv_const(mgr, k, idx_w))
-                    acc = bv_ite(mgr, hit, self.compile_value(Var(cells[k]), width), acc)
+                for k, hit in enumerate(self._hits(index, len(cells))):
+                    cell = self.compile_value(Var(cells[k]), width)
+                    acc = bv_bitor(mgr, acc, [mgr.conj(hit, x) for x in cell])
                 return acc
             case BinOp(op, left, right):
                 if op in _COMPARISONS:
@@ -331,6 +329,13 @@ class RelationAlgebra:
                 }[op]
                 return fn(mgr, a, b)
         raise TypeError(f"not an expression: {e!r}")
+
+    def _hits(self, index: str, cells: int) -> list[int]:
+        """index == k for each cell k that the index can reach."""
+        idx = bv_from_levels(self.mgr, self.g.cur_levels(index))
+        # an index never reaches a cell past the largest value it holds
+        held = range(min(cells, 1 << len(idx)))
+        return [bv_eq(self.mgr, idx, bv_const(self.mgr, k, len(idx))) for k in held]
 
     def compile_guard(self, e: Optional[Expr]) -> int:
         if e is None:
@@ -358,12 +363,9 @@ class RelationAlgebra:
                 base = mgr.conj(base, self._assigns(name, e))
         pieces = [(base, frozenset(name for name, _ in spec.updates))]
         for w in spec.writes:
-            idx = bv_from_levels(mgr, self.g.cur_levels(w.index))
-            # an index never reaches a cell past the largest value it holds
-            held = range(min(len(w.cells), 1 << len(idx)))
-            hits = [bv_eq(mgr, idx, bv_const(mgr, k, len(idx))) for k in held]
+            hits = self._hits(w.index, len(w.cells))
             cases = [(hit, self._assigns(c, w.expr), frozenset({c})) for c, hit in zip(w.cells, hits)]
-            cases.append((mgr.neg(mgr.disj_all(hits)), mgr.TRUE, frozenset()))
+            cases.append((mgr.diff(mgr.TRUE, mgr.disj_all(hits)), mgr.TRUE, frozenset()))
             pieces = [
                 (mgr.conj(mgr.conj(rel, hit), assigns), written | cells)
                 for rel, written in pieces
@@ -401,13 +403,6 @@ class RelationAlgebra:
         return self.mgr.relprod(r, set_cur, self._bits(written).preimage)
 
     # Witness decoding.
-
-    def _decode(self, assignment: dict[int, int], levels_of) -> tuple[int, ...]:
-        out = []
-        for name, _ in self.g.cells:
-            levels = levels_of(name)
-            out.append(bv_value(lambda lvl: assignment.get(lvl, False), levels))
-        return tuple(out)
 
     def _path(self, u: int, fixed: dict[int, int]) -> Optional[dict[int, int]]:
         """A root-to-1 path of u that agrees with fixed, as {level: bit}; None if none.
@@ -453,4 +448,4 @@ class RelationAlgebra:
                     out[lvl] = 1
                 else:
                     path = found
-        return self._decode(out, self.g.cur_levels)
+        return tuple(bv_value(out.__getitem__, self.g.cur_levels(name)) for name in self.g.names)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -96,13 +96,10 @@ class SiteLabel:
     """Unique label of a command occurrence.
 
     id is the index of the command in a fixed preorder traversal of the
-    program; kind is one of "plain", "declass", "input", "output"; channel is
-    set for input/output sites.
+    program.
     """
 
     id: int
-    kind: str
-    channel: Optional[str] = None
 
     def __str__(self) -> str:
         return f"g{self.id}"

@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from typing import Iterator, Union
 
-from wherecheck.bdd import BudgetExceeded
+from wherecheck.bdd import BudgetExceeded, bv_value
 from wherecheck.compose import ComposedModel
 from wherecheck.spds import (
     _COMPARISONS,
@@ -34,6 +34,11 @@ def valuation(globals_decl: GlobalsDecl, values: dict[str, int]) -> tuple[int, .
     for name, width in globals_decl.cells:
         out.append(values.get(name, 0) & ((1 << width) - 1))
     return tuple(out)
+
+
+def decode(globals_decl: GlobalsDecl, assignment: dict[int, int], levels_of) -> tuple[int, ...]:
+    """The valuation that a {level: bit} assignment gives on levels_of(cell), per cell."""
+    return tuple(bv_value(assignment.__getitem__, levels_of(name)) for name in globals_decl.names)
 
 
 def all_valuations(globals_decl: GlobalsDecl) -> Iterator[tuple[int, ...]]:

@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from wherecheck.bdd import (
     _OP_RELPROD,
+    AND,
     BDD,
+    DIFF,
+    OR,
+    XOR,
     BudgetExceeded,
     bv_add,
     bv_bitand,
@@ -14,13 +18,11 @@ from wherecheck.bdd import (
     bv_const,
     bv_eq,
     bv_from_levels,
-    bv_ite,
     bv_le,
     bv_lt,
     bv_mul,
     bv_ne,
     bv_nonzero,
-    bv_not,
     bv_sub,
     bv_value,
 )
@@ -30,6 +32,11 @@ def eval_node(mgr, u, assignment):
     while mgr.level[u] < 1 << 60:
         u = mgr.hi[u] if assignment.get(mgr.level[u], False) else mgr.lo[u]
     return u == mgr.TRUE
+
+
+def literal(mgr, level, bit):
+    """The variable at level, or its complement when bit is false."""
+    return mgr.node(level, mgr.FALSE, mgr.TRUE) if bit else mgr.node(level, mgr.TRUE, mgr.FALSE)
 
 
 def truth_table(mgr, u, levels):
@@ -67,8 +74,9 @@ def test_terminals_and_vars():
     mgr = BDD()
     x = mgr.var(0)
     assert truth_table(mgr, x, [0]) == [False, True]
-    assert truth_table(mgr, mgr.nvar(0), [0]) == [True, False]
-    assert mgr.neg(mgr.TRUE) == mgr.FALSE
+    assert truth_table(mgr, literal(mgr, 0, False), [0]) == [True, False]
+    assert mgr.diff(mgr.TRUE, mgr.TRUE) == mgr.FALSE
+    assert mgr.diff(mgr.TRUE, mgr.FALSE) == mgr.TRUE
 
 
 def test_hash_consing_is_canonical():
@@ -76,7 +84,7 @@ def test_hash_consing_is_canonical():
     a = mgr.conj(mgr.var(0), mgr.var(3))
     b = mgr.conj(mgr.var(3), mgr.var(0))
     assert a == b
-    c = mgr.disj(mgr.neg(mgr.nvar(0)), mgr.FALSE)
+    c = mgr.disj(mgr.diff(mgr.TRUE, literal(mgr, 0, False)), mgr.FALSE)
     assert c == mgr.var(0)
 
 
@@ -94,7 +102,7 @@ def test_connectives_match_truth_tables(fa, fb):
                 term = mgr.TRUE
                 for i, lvl in enumerate(levels):
                     bit = (row >> i) & 1
-                    term = mgr.conj(term, mgr.var(lvl) if bit else mgr.nvar(lvl))
+                    term = mgr.conj(term, literal(mgr, lvl, bit))
                 out = mgr.disj(out, term)
         return out
 
@@ -106,8 +114,36 @@ def test_connectives_match_truth_tables(fa, fb):
         assert eval_node(mgr, mgr.disj(u, v), env) == (ev_u or ev_v)
         assert eval_node(mgr, mgr.xor(u, v), env) == (ev_u != ev_v)
         assert eval_node(mgr, mgr.diff(u, v), env) == (ev_u and not ev_v)
-        assert eval_node(mgr, mgr.neg(u), env) == (not ev_u)
-        assert eval_node(mgr, mgr.iff(u, v), env) == (ev_u == ev_v)
+
+
+def test_apply_matches_truth_tables_exhaustively():
+    # Every pair of the 16 functions over two levels, under each op.
+    mgr = BDD()
+    levels = [0, 3]
+    funcs = [from_truth_table(mgr, levels, table) for table in range(16)]
+    ops = {
+        AND: lambda a, b: a and b,
+        OR: lambda a, b: a or b,
+        XOR: lambda a, b: a != b,
+        DIFF: lambda a, b: a and not b,
+    }
+    for (u, v), (op, fn) in itertools.product(itertools.product(funcs, repeat=2), ops.items()):
+        tu, tv = truth_table(mgr, u, levels), truth_table(mgr, v, levels)
+        expected = [fn(a, b) for a, b in zip(tu, tv)]
+        assert truth_table(mgr, mgr.apply(op, u, v), levels) == expected
+    # Distinct functions are distinct nodes.
+    assert len(set(funcs)) == 16
+
+
+def test_diff_from_true_is_negation():
+    mgr = BDD()
+    levels = [0, 3, 6]
+    for table in range(256):
+        u = from_truth_table(mgr, levels, table)
+        neg = mgr.diff(mgr.TRUE, u)
+        assert truth_table(mgr, neg, levels) == [not b for b in truth_table(mgr, u, levels)]
+        assert neg == from_truth_table(mgr, levels, 255 ^ table)
+        assert mgr.diff(mgr.TRUE, neg) == u
 
 
 def test_exists_quantifies_out():
@@ -126,8 +162,8 @@ def test_exists_quantifies_out():
 
 def test_rename_monotone_shift():
     mgr = BDD()
-    u = mgr.conj(mgr.var(0), mgr.nvar(3))
-    expected = mgr.conj(mgr.var(1), mgr.nvar(4))
+    u = mgr.conj(mgr.var(0), literal(mgr, 3, False))
+    expected = mgr.conj(mgr.var(1), literal(mgr, 4, False))
     assert mgr.relprod(mgr.TRUE, u, mgr.step(vmap={0: 1, 3: 4})) == expected
     assert mgr.relprod(u, mgr.TRUE, mgr.step(out={0: 1, 3: 4})) == expected
     assert mgr.relprod(u, mgr.TRUE, mgr.step()) == u
@@ -186,7 +222,7 @@ def from_truth_table(mgr, levels, table):
         if (table >> row) & 1:
             term = mgr.TRUE
             for i, lvl in enumerate(levels):
-                term = mgr.conj(term, mgr.var(lvl) if (row >> i) & 1 else mgr.nvar(lvl))
+                term = mgr.conj(term, literal(mgr, lvl, (row >> i) & 1))
             out = mgr.disj(out, term)
     return out
 
@@ -323,7 +359,6 @@ def test_bitvector_arithmetic_matches_python(x, y):
     assert eval_bv(mgr, bv_mul(mgr, a, b), env) == (x * y) & MASK
     assert eval_bv(mgr, bv_bitand(mgr, a, b), env) == x & y
     assert eval_bv(mgr, bv_bitor(mgr, a, b), env) == x | y
-    assert eval_bv(mgr, bv_not(mgr, a), env) == (~x) & MASK
     assert eval_node(mgr, bv_eq(mgr, a, b), env) == (x == y)
     assert eval_node(mgr, bv_ne(mgr, a, b), env) == (x != y)
     assert eval_node(mgr, bv_lt(mgr, a, b), env) == (x < y)
@@ -337,16 +372,6 @@ def test_bv_const_and_bool():
     assert eval_bv(mgr, bv_const(mgr, 19, 4), {}) == 3
     assert eval_bv(mgr, bv_bool(mgr, mgr.TRUE, 4), {}) == 1
     assert eval_bv(mgr, bv_bool(mgr, mgr.FALSE, 4), {}) == 0
-
-
-def test_bv_ite_muxes():
-    mgr = BDD()
-    g = mgr.var(12)
-    five = bv_const(mgr, 5, 4)
-    nine = bv_const(mgr, 9, 4)
-    out = bv_ite(mgr, g, five, nine)
-    assert eval_bv(mgr, out, {12: True}) == 5
-    assert eval_bv(mgr, out, {12: False}) == 9
 
 
 def test_bv_value_decodes_msb_first():

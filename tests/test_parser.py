@@ -7,6 +7,7 @@ from wherecheck.syntax import (
     BinOp,
     DeclassAssign,
     If,
+    Input,
     Num,
     Output,
     Seq,
@@ -20,7 +21,7 @@ from wherecheck.syntax import (
 def test_declass_sequence_sites():
     p = parse_program("l := declass(h); l := h")
     assert isinstance(p.root, Seq)
-    assert [s.kind for s in p.sites] == ["declass", "plain"]
+    assert (type(p.root.first), type(p.root.second)) == (DeclassAssign, Assign)
     assert [s.id for s in p.sites] == [0, 1]
 
 
@@ -39,8 +40,8 @@ def test_while_and_io():
     p = parse_program("while h do input(x, in0); output(x + 1, out0) od")
     root = p.root
     assert isinstance(root, While)
-    kinds = {s.id: s.kind for s in p.sites}
-    assert kinds == {0: "plain", 1: "input", 2: "output"}
+    kinds = {c.site.id: type(c) for c in (root, root.body.first, root.body.second)}
+    assert kinds == {0: While, 1: Input, 2: Output}
     assert p.channels == {"in0": "input", "out0": "output"}
 
 
@@ -117,7 +118,7 @@ def _commands(site_counter=None):
     # use a dummy id.
     from wherecheck.syntax import SiteLabel
 
-    dummy = SiteLabel(0, "plain")
+    dummy = SiteLabel(0)
 
     def assign(t):
         return Assign(dummy, t[0], t[1])
@@ -127,7 +128,7 @@ def _commands(site_counter=None):
         st.tuples(_names, _exprs()).map(assign),
         st.tuples(_names, _exprs()).map(lambda t: DeclassAssign(dummy, t[0], t[1])),
         st.tuples(_exprs(), st.sampled_from(["out0", "out1"])).map(
-            lambda t: Output(SiteLabel(0, "output", t[1]), t[0], t[1])
+            lambda t: Output(dummy, t[0], t[1])
         ),
     )
     return st.recursive(

@@ -18,7 +18,7 @@ from wherecheck.reach import (
 from wherecheck.semantics import run_program
 from wherecheck.spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
-from explicit import explicit_error_search, initial_valuations, successors
+from explicit import decode, explicit_error_search, initial_valuations, successors
 from test_bdd import sat_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,7 +119,7 @@ def valuations(alg, set_cur):
     """The valuations of a set over the current levels."""
     levels = list(range(0, 2 * alg.g.total_bits, 2))
     return {
-        alg._decode(dict(zip(levels, bits)), alg.g.cur_levels)
+        decode(alg.g, dict(zip(levels, bits)), alg.g.cur_levels)
         for bits in sat_all(alg.mgr, set_cur, levels)
     }
 

@@ -19,6 +19,7 @@ from wherecheck.spds import (
 from wherecheck.syntax import BinOp, CellRef, Num, Var, format_expr, subst_vars
 from explicit import (
     all_valuations,
+    decode,
     eval_gexpr,
     eval_guard,
     initial_valuations,
@@ -206,7 +207,7 @@ def nxt_all(g):
 def enumerate_set(ra, set_cur):
     levels = cur_all(ra.g)
     return {
-        ra._decode(dict(zip(levels, bits)), ra.g.cur_levels)
+        decode(ra.g, dict(zip(levels, bits)), ra.g.cur_levels)
         for bits in sat_all(ra.mgr, set_cur, levels)
     }
 
@@ -216,7 +217,7 @@ def enumerate_pairs(ra, r):
     out = set()
     for bits in sat_all(ra.mgr, r, levels):
         assignment = dict(zip(levels, bits))
-        out.add((ra._decode(assignment, ra.g.cur_levels), ra._decode(assignment, ra.g.nxt_levels)))
+        out.add((decode(ra.g, assignment, ra.g.cur_levels), decode(ra.g, assignment, ra.g.nxt_levels)))
     return out
 
 
