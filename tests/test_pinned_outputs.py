@@ -11,9 +11,13 @@ of ``format_witness`` and whether the witness replays.  Each line of
 one benchmark input (``table3`` and ``iobench`` at bits 2 and capacity 8, the
 103 ``randprog-sweep`` programs at bits 2 and capacity 4): its status,
 ``pairs_checked`` and note, and its witness's level, both initial states and
-reason.  A change that means to move none of these leaves all three files as
-they are; on a mismatch the test names the first line that differs.
-Regenerate them, only when an output is meant to change, with
+reason.  Each line of ``pinned_traces.txt`` pins the reference interpreter on
+one of those oracle inputs: a sha256 over the lone run of every initial
+state (its ``format_trace`` text, final configuration and
+``declass_events()``), at the default fuel and at fuel 3.  A change that
+means to move none of these leaves all four files as they are; on a
+mismatch the test names the first line that differs.  Regenerate them,
+only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
@@ -27,16 +31,18 @@ from pathlib import Path
 
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
-from wherecheck.oracle import check_where_security
+from wherecheck.oracle import _all_states, check_where_security, default_input_lengths
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
+from wherecheck.semantics import DEFAULT_FUEL, format_trace, run_program
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
 DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
 ORACLE = Path(__file__).resolve().parent / "pinned_oracle.txt"
+TRACES = Path(__file__).resolve().parent / "pinned_traces.txt"
 
 # The randprog-sweep benchmark's programs: seeds 0-99, odd seeds with
 # channel I/O, plus three more I/O seeds.
@@ -140,6 +146,38 @@ def oracle_lines() -> list[str]:
     return lines
 
 
+def _run_text(trace) -> str:
+    """A lone run's trace text, final configuration and downgrades."""
+    f = trace.final
+    final = f"mu={f.mu} ins={f.ins} outs={f.outs} p={f.p} cmd={f.cmd!r}"
+    return f"{format_trace(trace)}\nfinal {final}\ndeclass {trace.declass_events()}\n"
+
+
+def trace_lines() -> list[str]:
+    lines = []
+    for name, text, policy_text, bits, capacity in _oracle_cases():
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(policy_text))
+        names = program.variables
+        channels = sorted(n for n, d in program.channels.items() if d == "input")
+        states = list(_all_states(program, bits, default_input_lengths(program, policy)))
+        digests = []
+        for fuel in (DEFAULT_FUEL, 3):
+            digest = hashlib.sha256()
+            for store, ins in states:
+                trace = run_program(
+                    program, policy, dict(zip(names, store)), dict(zip(channels, ins)),
+                    bits, capacity, fuel,
+                )
+                digest.update(_run_text(trace).encode())
+            digests.append(f"fuel={fuel}:{digest.hexdigest()[:16]}")
+        lines.append(
+            f"TRACES {name} bits={bits} capacity={capacity} states={len(states)} "
+            + " ".join(digests)
+        )
+    return lines
+
+
 def pinned_lines() -> list[str]:
     return list(_outputs()[0])
 
@@ -167,8 +205,13 @@ def test_oracle_verdicts_match_the_pinned_file():
     _assert_lines_match(ORACLE, oracle_lines())
 
 
+def test_interpreter_runs_match_the_pinned_file():
+    _assert_lines_match(TRACES, trace_lines())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text("\n".join(pinned_lines()) + "\n")
     DECODED.write_text("\n".join(decoded_lines()) + "\n")
     ORACLE.write_text("\n".join(oracle_lines()) + "\n")
-    print(f"wrote {GOLDEN}, {DECODED} and {ORACLE}", file=sys.stderr)
+    TRACES.write_text("\n".join(trace_lines()) + "\n")
+    print(f"wrote {GOLDEN}, {DECODED}, {ORACLE} and {TRACES}", file=sys.stderr)
