@@ -343,26 +343,16 @@ def result_lines(report: AnalysisReport) -> list[str]:
     return lines
 
 
-def _witness_block(program: Program, policy: Policy, report: AnalysisReport) -> list[str]:
+def _witness_block(report: AnalysisReport) -> list[str]:
+    """Each witness with the two runs its replay ran."""
     lines = []
     for r in report.levels:
         if r.witness is None or r.model is None:
             continue
         lines.append(f"--- witness level={r.level} ---")
         lines.append(format_witness(r.model, r.witness))
-        for tag, store, inputs in (
-            ("run 1", r.witness.mu1, r.witness.inputs1),
-            ("run 2", r.witness.mu2, r.witness.inputs2),
-        ):
-            trace = run_program(
-                program,
-                policy,
-                store=dict(store),
-                inputs={k: list(v) for k, v in inputs.items()},
-                bits=report.bits,
-                capacity=report.capacity,
-            )
-            lines.append(f"{tag} trace:")
+        for n, trace in enumerate(r.witness.runs, 1):
+            lines.append(f"run {n} trace:")
             lines.extend("  " + ln for ln in format_trace(trace).splitlines())
     return lines
 
@@ -425,7 +415,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 out.append(f"--- composed level={r.level} ---")
                 out.append(dump_spds(r.model.spds))
     if args.witness:
-        out.extend(_witness_block(program, policy, report))
+        out.extend(_witness_block(report))
     if args.trace:
         trace = run_program(program, policy, bits=args.bits, capacity=args.capacity)
         out.append("--- reference run (all-zero store) ---")

@@ -42,6 +42,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    format_command,
     format_expr,
     walk_commands,
 )
@@ -279,22 +280,13 @@ def _cell_read(spec: ChannelSpec) -> CellRef:
 
 
 def _describe_site(cmd: Command) -> str:
+    """The command at a site; a branch or loop by its header only."""
     match cmd:
-        case Skip(_):
-            return "skip"
-        case Assign(_, target, expr):
-            return f"{target} := {format_expr(expr)}"
-        case DeclassAssign(_, target, expr):
-            return f"{target} := declass({format_expr(expr)})"
         case If(_, guard, _, _):
             return f"if {format_expr(guard)}"
         case While(_, guard, _):
             return f"while {format_expr(guard)}"
-        case Input(_, target, channel):
-            return f"input({target}, {channel})"
-        case Output(_, expr, channel):
-            return f"output({format_expr(expr)}, {channel})"
-    return "?"
+    return format_command(cmd)
 
 
 def dump_model(skeleton: ModelSkeleton) -> str:

@@ -22,10 +22,12 @@ interpreter is deterministic, so a run that reaches a configuration of an
 earlier run takes that run's outcome, final configuration and later
 downgrades (``semantics.run`` gives the fuel arithmetic).  Each distinct
 configuration is then stepped once per check, unless a run out of fuel
-leaves a future unknown.  The summary of a halted run is exact; of the
-other runs only the outcome is read.  Each level lists its observable
-variables and output channels once, and the views below read values over
-those lists.
+leaves a future unknown.  A run's summary reads the trace's final
+configuration and its one list of downgrades (``Trace.downgrades``), the
+earlier run's later downgrades included.  The summary of a halted run is
+exact; of the other runs only the outcome is read.  Each level lists its
+observable variables and output channels once, and the views below read
+values over those lists; an output stream's length is its write index.
 
 The pairs of a level are all ordered pairs inside one low class (one choice
 of observable variable values and observable input contents), so a level is
@@ -45,7 +47,6 @@ from typing import Iterator, Optional
 
 from .policy import Policy
 from .semantics import (
-    DECLASS,
     DEFAULT_BITS,
     DEFAULT_CAPACITY,
     DEFAULT_FUEL,
@@ -179,7 +180,6 @@ class _Run:
     outcome: str
     mu: dict[str, int]
     outs: dict[str, tuple[int, ...]]
-    q: dict[str, int]
     declass: list[tuple[int, int, dict, dict]]  # (site, value, pre-store, post-store)
 
     def declass_events(self) -> list[tuple[int, int]]:
@@ -187,16 +187,12 @@ class _Run:
 
 
 def _summarise(trace: Trace) -> _Run:
-    declass = []
-    pre = trace.initial.mu
-    for config, label in trace.entries:
-        if label.kind == DECLASS:
-            declass.append((label.site.id, label.value, pre, config.mu))
-        pre = config.mu
-    # A run that joined an earlier run: the earlier run's later downgrades.
-    declass += [(label.site.id, label.value, b.mu, a.mu) for _, b, a, label in trace.later]
+    declass = [
+        (label.site.id, label.value, before.mu, after.mu)
+        for _, before, after, label in trace.downgrades
+    ]
     final = trace.final
-    return _Run(trace.outcome, final.mu, final.outs, final.q, declass)
+    return _Run(trace.outcome, final.mu, final.outs, declass)
 
 
 def _all_states(
@@ -250,11 +246,12 @@ def _store_view(observer: _Observer, mu: dict[str, int]) -> tuple:
 def _final_view(observer: _Observer, run: _Run) -> tuple:
     """Equal for two runs iff both observational equivalences of the finals hold.
 
-    A channel at index 0 is left out: the tests' reference checker
-    (``low_equiv_channels``) reads an absent index as 0 with an empty prefix.
+    A stream's length is its write index.  An empty stream is left out: the
+    tests' reference checker (``low_equiv_channels``) reads an absent index
+    as 0 with an empty prefix.
     """
-    q, outs = run.q, run.outs
-    channels = tuple([(n, q[n], outs[n][: q[n]]) for n in observer.outputs if q[n]])
+    outs = run.outs
+    channels = tuple([(n, outs[n]) for n in observer.outputs if outs[n]])
     return _store_view(observer, run.mu), channels
 
 

@@ -26,13 +26,13 @@ interpreter and the replay verdict is recorded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
-from .semantics import OUTCOME_HALTED, low_equiv_store, run_program
+from .semantics import OUTCOME_HALTED, Trace, low_equiv_store, run_program
 from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
@@ -152,11 +152,15 @@ class Witness:
     channel: Optional[str]  # the output channel that differs; None for the final store
     index: int  # position in that channel, or of the variable in observable_vars
     replay_ok: bool = False
-    replay_outcomes: tuple[str, str] = ("", "")
+    runs: tuple[Trace, ...] = field(default=(), repr=False)  # the two replayed runs
 
     @property
     def length(self) -> int:
         return len(self.steps) - 1
+
+    @property
+    def replay_outcomes(self) -> tuple[str, ...]:
+        return tuple(trace.outcome for trace in self.runs)
 
 
 def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
@@ -270,25 +274,26 @@ def _releases(trace) -> dict[int, list[int]]:
     return by_site
 
 
-def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[str, str]]:
+def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[Trace, Trace]]:
     """Run both decoded executions and confirm the claimed observation gap.
 
-    The gap counts only under the downgrade premise: every downgrade site
-    that both runs execute must release the same values.
+    Returns whether the gap is confirmed, and the two traces.  The gap
+    counts only under the downgrade premise: every downgrade site that both
+    runs execute must release the same values.
     """
     skel = model.skeleton
     fuel = max(1024, 8 * len(witness.steps))
     kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel)
     t1 = run_program(skel.program, skel.policy, store=witness.mu1, inputs=witness.inputs1, **kw)
     t2 = run_program(skel.program, skel.policy, store=witness.mu2, inputs=witness.inputs2, **kw)
-    outcomes = (t1.outcome, t2.outcome)
-    if outcomes != (OUTCOME_HALTED, OUTCOME_HALTED):
-        return False, outcomes
+    runs = (t1, t2)
+    if (t1.outcome, t2.outcome) != (OUTCOME_HALTED, OUTCOME_HALTED):
+        return False, runs
     if not low_equiv_store(witness.mu1, witness.mu2, skel.level, skel.policy):
-        return False, outcomes
+        return False, runs
     rel1, rel2 = _releases(t1), _releases(t2)
     if any(rel1[site] != rel2[site] for site in rel1.keys() & rel2.keys()):
-        return False, outcomes
+        return False, runs
     if witness.channel is None:
         var = skel.observable_vars[witness.index]
         ok = t1.final.mu.get(var) != t2.final.mu.get(var)
@@ -298,7 +303,7 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
             t2.final.outs.get(witness.channel, ()),
             witness.index,
         )
-    return ok, outcomes
+    return ok, runs
 
 
 def extract_witness(auto: PAutomaton, model: ComposedModel) -> Witness:
@@ -311,7 +316,7 @@ def extract_witness(auto: PAutomaton, model: ComposedModel) -> Witness:
     for i, val, sym in tail:
         steps.append(WitnessStep(i, spds.rules[i].note, as_dict(val), sym))
     witness = _decode(model, steps)
-    witness.replay_ok, witness.replay_outcomes = replay_witness(model, witness)
+    witness.replay_ok, witness.runs = replay_witness(model, witness)
     return witness
 
 

@@ -3,9 +3,13 @@
 Values are unsigned integers reduced modulo 2**bits (bits defaults to 3);
 zero is false, anything else true.  Input channels are finite lists consumed
 by a read index p; output channels are append-only lists guarded by a
-capacity bound, tracked by a write index q.  Reading past an input or
-writing past the capacity ends the run with a terminal diagnostic label
-rather than an error.
+capacity bound, and a stream's length is its write index.  Reading past an
+input or writing past the capacity ends the run with a terminal diagnostic
+label rather than an error.
+
+A run is recorded once: ``Trace.entries`` lists each step's configuration
+and label, the label carries the step's trace text, and
+``Trace.downgrades`` is the one definition of a run's downgrade steps.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ class StepLabel:
     kind: str  # PLAIN | DECLASS | HALTED | INPUT_EXHAUSTED | CAPACITY_EXCEEDED
     site: Optional[SiteLabel] = None
     value: Optional[int] = None  # declassified expression value for DECLASS
+    # The step's trace text: the rule applied and what it changed.
+    rule: str = field(default="", compare=False, repr=False)
+    changed: str = field(default="", compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.kind == DECLASS:
@@ -96,18 +103,18 @@ class StepLabel:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Machine state: store, channels with their indices, remaining command.
+    """Machine state: store, channels with their read indices, remaining command.
 
     ins maps each input channel to its full (immutable) contents; p is the
-    per-channel read index.  outs holds values written so far; q mirrors the
-    written count.  cmd is the remaining command; a lone Skip means done.
+    per-channel read index.  outs holds the values written so far, so a
+    stream's length is its write index.  cmd is the remaining command; a
+    lone Skip means done.
     """
 
     mu: dict[str, int]
     ins: dict[str, tuple[int, ...]]
     outs: dict[str, tuple[int, ...]]
     p: dict[str, int]
-    q: dict[str, int]
     cmd: Command
 
     def terminated(self) -> bool:
@@ -139,23 +146,13 @@ def initial_configuration(
     ins: dict[str, tuple[int, ...]] = {}
     outs: dict[str, tuple[int, ...]] = {}
     p: dict[str, int] = {}
-    q: dict[str, int] = {}
     for name, direction in sorted(program.channels.items()):
         if direction == "input":
             ins[name] = tuple(inputs.get(name, ())) if inputs else ()
             p[name] = 0
         else:
             outs[name] = ()
-            q[name] = 0
-    return Configuration(mu=mu, ins=ins, outs=outs, p=p, q=q, cmd=program.root)
-
-
-@dataclass
-class _StepResult:
-    config: Configuration
-    label: StepLabel
-    rule: str
-    changed: str
+    return Configuration(mu=mu, ins=ins, outs=outs, p=p, cmd=program.root)
 
 
 def _is_real_declass(cmd: DeclassAssign, policy: Policy) -> bool:
@@ -172,10 +169,10 @@ def step(
     policy: Policy,
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
-) -> _StepResult:
+) -> tuple[Configuration, StepLabel]:
     """Apply the unique applicable rule; terminal configs yield HALTED."""
     if config.terminated():
-        return _StepResult(config, StepLabel(HALTED), "halt", "")
+        return config, StepLabel(HALTED)
     return _step_command(config, config.cmd, policy, bits, capacity)
 
 
@@ -185,72 +182,65 @@ def _step_command(
     policy: Policy,
     bits: int,
     capacity: int,
-) -> _StepResult:
+) -> tuple[Configuration, StepLabel]:
     match cmd:
         case Seq(first, second):
             if isinstance(first, Skip):
-                new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, second)
-                return _StepResult(new, StepLabel(PLAIN, first.site), "seq-skip", "")
-            inner = _step_command(config, first, policy, bits, capacity)
-            if inner.label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-                return inner
-            c = inner.config
-            new = Configuration(c.mu, c.ins, c.outs, c.p, c.q, Seq(c.cmd, second))
-            return _StepResult(new, inner.label, inner.rule, inner.changed)
+                new = Configuration(config.mu, config.ins, config.outs, config.p, second)
+                return new, StepLabel(PLAIN, first.site, rule="seq-skip")
+            inner, label = _step_command(config, first, policy, bits, capacity)
+            if label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
+                return inner, label
+            new = Configuration(inner.mu, inner.ins, inner.outs, inner.p, Seq(inner.cmd, second))
+            return new, label
         case Assign(site, target, expr):
             value = eval_expr(expr, config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
-            new = Configuration(mu, config.ins, config.outs, config.p, config.q, Skip(site))
-            return _StepResult(new, StepLabel(PLAIN, site), "assign", f"{target}={value}")
+            new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
+            return new, StepLabel(PLAIN, site, None, "assign", f"{target}={value}")
         case DeclassAssign(site, target, expr):
             value = eval_expr(expr, config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
-            new = Configuration(mu, config.ins, config.outs, config.p, config.q, Skip(site))
+            new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
             if _is_real_declass(cmd, policy):
-                label = StepLabel(DECLASS, site, value)
-                return _StepResult(new, label, "declass", f"{target}={value}")
-            return _StepResult(new, StepLabel(PLAIN, site), "declass-ordinary", f"{target}={value}")
+                return new, StepLabel(DECLASS, site, value, "declass", f"{target}={value}")
+            return new, StepLabel(PLAIN, site, None, "declass-ordinary", f"{target}={value}")
         case If(site, guard, then_branch, else_branch):
             taken = eval_expr(guard, config.mu, bits) != 0
             branch = then_branch if taken else else_branch
-            new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, branch)
-            rule = "if-true" if taken else "if-false"
-            return _StepResult(new, StepLabel(PLAIN, site), rule, "")
+            new = Configuration(config.mu, config.ins, config.outs, config.p, branch)
+            return new, StepLabel(PLAIN, site, rule="if-true" if taken else "if-false")
         case While(site, guard, body):
             if eval_expr(guard, config.mu, bits) != 0:
-                new = Configuration(
-                    config.mu, config.ins, config.outs, config.p, config.q, Seq(body, cmd)
-                )
-                return _StepResult(new, StepLabel(PLAIN, site), "while-true", "")
-            new = Configuration(config.mu, config.ins, config.outs, config.p, config.q, Skip(site))
-            return _StepResult(new, StepLabel(PLAIN, site), "while-false", "")
+                new = Configuration(config.mu, config.ins, config.outs, config.p, Seq(body, cmd))
+                return new, StepLabel(PLAIN, site, rule="while-true")
+            new = Configuration(config.mu, config.ins, config.outs, config.p, Skip(site))
+            return new, StepLabel(PLAIN, site, rule="while-false")
         case Input(site, target, channel):
             idx = config.p[channel]
             contents = config.ins[channel]
             if idx >= len(contents):
-                return _StepResult(config, StepLabel(INPUT_EXHAUSTED, site), "input", "")
+                return config, StepLabel(INPUT_EXHAUSTED, site, rule="input")
             value = contents[idx] & ((1 << bits) - 1)
             mu = dict(config.mu)
             mu[target] = value
             p = dict(config.p)
             p[channel] = idx + 1
-            new = Configuration(mu, config.ins, config.outs, p, config.q, Skip(site))
+            new = Configuration(mu, config.ins, config.outs, p, Skip(site))
             changed = f"{target}={value} p[{channel}]={idx + 1}"
-            return _StepResult(new, StepLabel(PLAIN, site), "input", changed)
+            return new, StepLabel(PLAIN, site, None, "input", changed)
         case Output(site, expr, channel):
-            idx = config.q[channel]
+            idx = len(config.outs[channel])
             if idx >= capacity:
-                return _StepResult(config, StepLabel(CAPACITY_EXCEEDED, site), "output", "")
+                return config, StepLabel(CAPACITY_EXCEEDED, site, rule="output")
             value = eval_expr(expr, config.mu, bits)
             outs = dict(config.outs)
             outs[channel] = outs[channel] + (value,)
-            q = dict(config.q)
-            q[channel] = idx + 1
-            new = Configuration(config.mu, config.ins, outs, config.p, q, Skip(site))
+            new = Configuration(config.mu, config.ins, outs, config.p, Skip(site))
             changed = f"{channel}[{idx}]={value} q[{channel}]={idx + 1}"
-            return _StepResult(new, StepLabel(PLAIN, site), "output", changed)
+            return new, StepLabel(PLAIN, site, None, "output", changed)
     raise TypeError(f"not a command: {cmd!r}")
 
 
@@ -261,17 +251,16 @@ Downgrade = tuple[int, Configuration, Configuration, StepLabel]
 class Trace:
     """Result of run(): per-step entries plus the overall outcome.
 
-    ``steps`` keeps the step result behind each entry, and ``lines`` formats
-    their text only when read.  A run that took the rest of an earlier run
-    (see ``run``) holds only its own steps in ``entries``, ``steps`` and
-    ``lines``.  ``joined`` is then the earlier run's final configuration,
-    and ``later`` its downgrade steps from the meeting point on, each as
-    (index in this run, configuration before, after, label).
+    ``entries`` is the one record of the steps: each step's configuration
+    after it and its label, whose trace text ``lines`` formats only when
+    read.  A run that took the rest of an earlier run (see ``run``) holds
+    only its own steps in ``entries``.  ``joined`` is then the earlier run's
+    final configuration, and ``later`` its downgrade steps from the meeting
+    point on, in the form of ``downgrades``.
     """
 
     entries: list[tuple[Configuration, StepLabel]]
     outcome: str
-    steps: list[_StepResult] = field(default_factory=list, repr=False)
     initial: Optional[Configuration] = None
     joined: Optional[Configuration] = field(default=None, repr=False)
     later: list[Downgrade] = field(default_factory=list, repr=False)
@@ -287,19 +276,26 @@ class Trace:
         # A step's label names the command it reduced, the head of the
         # remaining command; a halted entry's command is a lone Skip.
         return [
-            f"g{r.config.cmd.site.id} | halt | halted |"
-            if r.label.kind == HALTED
-            else f"g{r.label.site.id} | {r.rule} | {r.label} | {r.changed}"
-            for r in self.steps
+            f"g{config.cmd.site.id} | halt | halted |"
+            if label.kind == HALTED
+            else f"g{label.site.id} | {label.rule} | {label} | {label.changed}"
+            for config, label in self.entries
         ]
+
+    @property
+    def downgrades(self) -> list[Downgrade]:
+        """(index in the run, configuration before, after, label) of each
+        downgrade step, in order: the run's own entries, then ``later``."""
+        own, before = [], self.initial
+        for k, (after, label) in enumerate(self.entries):
+            if label.kind == DECLASS:
+                own.append((k, before, after, label))
+            before = after
+        return own + self.later
 
     def declass_events(self) -> list[tuple[int, int]]:
         """(site id, declassified value) for each downgrade step, in order."""
-        return [
-            (label.site.id, label.value)
-            for _, label in self.entries
-            if label.kind == DECLASS
-        ] + [(label.site.id, label.value) for _, _, _, label in self.later]
+        return [(label.site.id, label.value) for _, _, _, label in self.downgrades]
 
 
 # What a run registers in ``known`` for each configuration it stepped: the
@@ -347,7 +343,6 @@ def run(
     its own, and its trace is complete.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
-    steps: list[_StepResult] = []
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
     ins = tuple(config.ins.values())
     outcome, end, loop, joined, later = OUTCOME_FUEL, fuel, fuel, None, []
@@ -376,22 +371,15 @@ def run(
                 end, loop, joined = n + d, n + d, final
                 later = [(n + j - i, pre, post, label) for j, pre, post, label in rest if j >= i]
                 break
-        result = step(current, policy, bits, capacity)
-        entries.append((result.config, result.label))
-        steps.append(result)
+        current, label = step(current, policy, bits, capacity)
+        entries.append((current, label))
         # Each terminal label is also the outcome it ends the run with.
-        if result.label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-            outcome, end, loop = result.label.kind, n, n
+        if label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
+            outcome, end, loop = label.kind, n, n
             break
-        current = result.config
-    trace = Trace(entries, outcome, steps, config, joined, later)
+    trace = Trace(entries, outcome, config, joined, later)
     if known is not None:
-        downgrades = [
-            (k, entries[k - 1][0] if k else config, after, label)
-            for k, (after, label) in enumerate(entries)
-            if label.kind == DECLASS
-        ]
-        ending = (outcome, trace.final, downgrades + later)
+        ending = (outcome, trace.final, trace.downgrades)
         for key, k in seen.items():
             known[key] = (ending, k, end - (k if k < loop else loop))
     return trace

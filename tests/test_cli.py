@@ -114,6 +114,28 @@ def test_witness_flag_prints_replayed_counterexample(capsys):
     assert out.count("outcome: halted") == 2
 
 
+def test_witness_traces_are_the_replayed_runs(capsys, monkeypatch):
+    # The printed traces are the runs the replay judged, not a second run.
+    witnesses = []
+
+    def extracting(*args):
+        witnesses.append(real(*args))
+        return witnesses[-1]
+
+    def no_second_run(*args, **kwargs):
+        raise AssertionError("the witness block ran the interpreter again")
+
+    real = cli.extract_witness
+    monkeypatch.setattr(cli, "extract_witness", extracting)
+    monkeypatch.setattr(cli, "run_program", no_second_run)
+    code, out, _ = run(capsys, ["analyze", *corpus_args("P3"), "--witness"])
+    assert code == EXIT_INSECURE
+    assert "run 1 trace:" in out and "run 2 trace:" in out
+    outcomes = [ln.split(": ", 1)[1] for ln in out.splitlines() if ln.startswith("  outcome: ")]
+    assert witnesses
+    assert outcomes == [o for w in witnesses for o in w.replay_outcomes]
+
+
 def test_oracle_flag_reports_ground_truth(capsys):
     _, out, _ = run(capsys, ["analyze", *corpus_args("P0"), "--bits", "2", "--oracle"])
     assert "ORACLE verdict=secure pairs=80" in out.splitlines()

@@ -307,12 +307,15 @@ def _ref_final_mismatch(policy, level, trace1, trace2):
             if policy.observable(n, level) and f1.mu.get(n) != f2.mu.get(n)
         ]
         return "final store differs on " + ", ".join(diffs)
-    if not low_equiv_channels(f1.outs, f1.q, f2.outs, f2.q, level, policy):
+    # A stream's length is its write index.
+    q1 = {name: len(stream) for name, stream in f1.outs.items()}
+    q2 = {name: len(stream) for name, stream in f2.outs.items()}
+    if not low_equiv_channels(f1.outs, q1, f2.outs, q2, level, policy):
         diffs = []
-        for name in sorted(set(f1.q) | set(f2.q)):
+        for name in sorted(set(q1) | set(q2)):
             if not policy.observable(name, level):
                 continue
-            if f1.q.get(name, 0) != f2.q.get(name, 0) or f1.outs.get(
+            if q1.get(name, 0) != q2.get(name, 0) or f1.outs.get(
                 name, ()
             ) != f2.outs.get(name, ()):
                 diffs.append(
@@ -533,7 +536,8 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 # Shared futures: a run that meets a configuration of an earlier run of the
 # same check takes the rest of that run (``semantics.run``).  Its summary
 # must equal that of a run on its own: the outcome always, and for a halted
-# run its final observables and downgrades too.
+# run its final observables and downgrades too, each downgrade at the same
+# index in the run.
 
 
 def initial_states(program, policy, bits=2):
@@ -546,6 +550,10 @@ def initial_states(program, policy, bits=2):
     ]
 
 
+def _downgrade_record(trace):
+    return [(k, before.mu, after.mu, label) for k, before, after, label in trace.downgrades]
+
+
 def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
     states = initial_states(program, policy, bits)
     for fuel in fuels:
@@ -553,12 +561,16 @@ def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
             known = {}
             for store, inputs in order:
                 args = (program, policy, store, inputs, bits, capacity, fuel)
-                shared = oracle._summarise(run_program(*args, known))
-                alone = oracle._summarise(run_program(*args))
+                shared_trace, alone_trace = run_program(*args, known), run_program(*args)
+                shared = oracle._summarise(shared_trace)
+                alone = oracle._summarise(alone_trace)
                 assert shared.outcome == alone.outcome, (fuel, store, inputs)
                 if alone.outcome == OUTCOME_HALTED:
-                    assert (shared.mu, shared.outs, shared.q, shared.declass) == (
-                        alone.mu, alone.outs, alone.q, alone.declass,
+                    assert (shared.mu, shared.outs, shared.declass) == (
+                        alone.mu, alone.outs, alone.declass,
+                    ), (fuel, store, inputs)
+                    assert _downgrade_record(shared_trace) == _downgrade_record(
+                        alone_trace
                     ), (fuel, store, inputs)
 
 

@@ -376,9 +376,9 @@ def test_replay_rejects_bogus_mismatch():
     model = build("l := h", "lattice: L < H\nvar h : H\nvar l : L\n")
     w = extract_witness(post_star(model), model)
     w.mu2 = dict(w.mu1)  # identical runs cannot differ
-    ok, outcomes = replay_witness(model, w)
+    ok, runs = replay_witness(model, w)
     assert not ok
-    assert outcomes == ("halted", "halted")
+    assert tuple(trace.outcome for trace in runs) == ("halted", "halted")
 
 
 def test_replay_rejects_witness_breaking_the_downgrade_premise():
@@ -386,9 +386,9 @@ def test_replay_rejects_witness_breaking_the_downgrade_premise():
     # gap in l proves nothing
     model = build("l := declass(h)", "lattice: L < H\nvar h : H\nvar l : L\n")
     w = Witness([], {"h": 0, "l": 0}, {"h": 1, "l": 0}, {}, {}, channel=None, index=0)
-    ok, outcomes = replay_witness(model, w)
+    ok, runs = replay_witness(model, w)
     assert not ok
-    assert outcomes == ("halted", "halted")
+    assert tuple(trace.outcome for trace in runs) == ("halted", "halted")
 
 
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
