@@ -147,8 +147,10 @@ def analyze(
 ) -> AnalysisReport:
     """Decide where-security at every level of the policy lattice.
 
-    Each level gets its own model, composition and search; the overall
-    verdict is secure only when every level is.  A blown resource budget,
+    Each level gets its own model and composition, and post_star searches
+    it unless the level observes every variable and channel, which it
+    decides secure with that reason (see reach); the overall verdict is
+    secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
     of aborting the report.  A width below 1, a capacity below 0 or a mode
     not in MODES raises ValueError.
@@ -180,12 +182,13 @@ def analyze(
                 )
             )
             continue
-        steps = auto.steps
+        steps, reason = auto.steps, auto.reason
         del auto  # free this level's BDD before the next level builds its own
         report.levels.append(
             LevelReport(
                 level,
                 verdict,
+                reason=reason,
                 witness=witness,
                 skeleton_rules=len(skeleton.spds.rules),
                 composed_rules=len(model.spds.rules),
@@ -331,8 +334,9 @@ def bench(
 def _level_line(r: LevelReport) -> str:
     if r.verdict == INCONCLUSIVE:
         return f"level {r.level}: inconclusive ({r.reason})"
+    why = f" ({r.reason})" if r.reason else ""
     return (
-        f"level {r.level}: {r.verdict} [rules={r.composed_rules}"
+        f"level {r.level}: {r.verdict}{why} [rules={r.composed_rules}"
         f" global-bits={r.global_bits} steps={r.steps} time={r.seconds * 1000:.1f}ms]"
     )
 

@@ -9,6 +9,15 @@ so is_error_reachable reads where it stopped.  Rules are applied in
 declaration order and symbols in the order a layer first met them, so the
 search statistics are deterministic.
 
+A composed model whose level observes every variable and every channel is
+not searched: post_star returns the automaton of the start layer alone,
+with a reason.  That is exact.  Two runs that agree on every variable and
+every input stream start in the same state, and the interpreter is
+deterministic, so they take the same steps, release the same values and
+end equal; the error symbol is unreachable.  A bare SPDS carries no
+policy, so post_star always searches it; the tests use that to hold the
+argument against the full search.
+
 Witness extraction walks back over the stored layers: from the least
 valuation at error in the last layer, it takes at every layer the first
 rule into the current symbol, in declaration order, whose pre-image of
@@ -37,6 +46,7 @@ from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
 _SITE = re.compile(r"g(\d+)$")
+OBSERVES_EVERYTHING = "observes every variable and channel"
 
 
 def _spds_of(model: Union[ComposedModel, SPDS]) -> SPDS:
@@ -49,7 +59,10 @@ class PAutomaton:
 
     steps counts frontier expansions, one per (layer, symbol): each pushes
     the valuations the symbol first reached in that layer through its
-    rules.  edge_count counts the control symbols reached.
+    rules.  edge_count counts the control symbols reached.  A level that
+    observes everything is decided without a search (see the module
+    docstring): its automaton holds the start layer alone, compiles no rule
+    relation, takes no step, and says why in reason.
     """
 
     spds: SPDS
@@ -58,6 +71,7 @@ class PAutomaton:
     reached: dict[str, int]  # symbol -> every valuation reached
     rule_relations: list[tuple[Piece, ...]]  # the pieces of each rule
     steps: int
+    reason: str = ""  # why the search was skipped; empty when it ran
 
     @property
     def edge_count(self) -> int:
@@ -94,10 +108,13 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     spds = _spds_of(model)
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
+    init = alg.set_from_fixed(dict(spds.initial_fixed))
+    if isinstance(model, ComposedModel) and model.skeleton.observes_everything:
+        start = {spds.start: init}
+        return PAutomaton(spds, alg, [start], dict(start), [], 0, reason=OBSERVES_EVERYTHING)
     rels = [alg.compile_spec(rule.spec) for rule in spds.rules]
     rules_by_lhs = _rules_by(spds, "lhs")
 
-    init = alg.set_from_fixed(dict(spds.initial_fixed))
     reached = {spds.start: init}
     layers = [{spds.start: init}]
     steps = 0

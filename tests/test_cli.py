@@ -159,6 +159,33 @@ def test_dump_flags_render_models(capsys):
     assert "globals:" in out
 
 
+def test_dumps_build_a_level_that_observes_everything(capsys):
+    folder = CORPUS.parent / "iobench"
+    argv = ["analyze", str(folder / "B3"), "--policy", str(folder / "B3.policy")]
+    _, out, _ = run(capsys, [*argv, "--dump-model", "--dump-composed"])
+    assert "level L: secure (observes every variable and channel) [" in out
+    model = out.split("--- model level=L ---\n")[1].split("\n---")[0]
+    composed = out.split("--- composed level=L ---\n")[1].split("\nRESULT")[0]
+    assert model.startswith("globals: x:3 snk[0]:3")
+    assert composed.startswith("globals: ") and "<g0> -> " in composed
+
+
+def test_level_line_names_why_a_level_was_not_searched(capsys):
+    code, out, _ = run(capsys, ["analyze", *corpus_args("P3")])
+    assert code == EXIT_INSECURE
+    lines = out.splitlines()
+    high = next(ln for ln in lines if ln.startswith("level H:"))
+    assert high.startswith("level H: secure (observes every variable and channel) [rules=")
+    assert " steps=0 " in high
+    low = next(ln for ln in lines if ln.startswith("level L:"))
+    assert low.startswith("level L: insecure [rules=") and " steps=0 " not in low
+    assert result_lines(out) == [
+        "RESULT level=H verdict=secure",
+        "RESULT level=L verdict=insecure",
+        "RESULT overall=insecure",
+    ]
+
+
 def test_trace_flag_prints_reference_run(capsys):
     _, out, _ = run(capsys, ["analyze", *corpus_args("P0"), "--trace"])
     assert "--- reference run (all-zero store) ---" in out

@@ -9,6 +9,7 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
+    OBSERVES_EVERYTHING,
     Witness,
     extract_witness,
     is_error_reachable,
@@ -56,12 +57,13 @@ def corpus_model(name: str, bits=3, capacity=8, mode=self_compose):
 
 def test_relational_steps_stay_small_and_are_reused():
     # A channel write makes one written set per cell, so B3 at capacity 64
-    # makes many steps; each holds only its own written bits.
+    # makes many steps; each holds only its own written bits.  Level L
+    # observes everything, so the bare system is searched.
     folder = ROOT / "corpus" / "iobench"
     program = parse_program((folder / "B3").read_text())
     policy = gather_downgrades(program, parse_policy((folder / "B3.policy").read_text()))
     model = self_compose(build_model(program, policy, "L", bits=2, capacity=64))
-    auto = post_star(model)
+    auto = post_star(model.spds)
     alg, mgr = auto.algebra, auto.algebra.mgr
     assert len(alg._written) > 64
     for written, steps in alg._written.items():
@@ -442,7 +444,8 @@ def test_tr_witness_decodes():
 # exactly k rule applications; the promise is feasible when the explicit
 # search finds the same sets at distance k.  The explicit side enumerates
 # every configuration, so each input runs at one bit and capacity 2,
-# whatever the width its name gives.
+# whatever the width its name gives.  The bare system is searched, so a
+# level that observes everything is held to the full search as well.
 
 
 def _layer_cases():
@@ -474,6 +477,74 @@ def test_every_promise_is_feasible_and_the_decision_matches(case):
     policy = gather_downgrades(program, parse_policy(pol))
     for level in sorted(policy.domains):
         model = mode(build_model(program, policy, level, bits=1, capacity=2))
-        auto = post_star(model)
+        auto = post_star(model.spds)
         assert symbolic_layers(auto) == explicit_layers(model.spds), level
         assert is_error_reachable(auto, model) == explicit_error_search(model), level
+
+
+# A level that observes every variable and channel is decided without a
+# search.  The gate holds that argument against the full search of the bare
+# system, on both corpora at bits 2 / capacity 8 and randprog seeds 0-399
+# with and without I/O at bits 2 / capacity 4, in both modes.
+
+OBSERVING_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
+
+
+def _observing_cases(group: str):
+    """(name, program text, policy text, bits, capacity) of one group."""
+    if group in ("table3", "iobench"):
+        stem = "P" if group == "table3" else "B"
+        for i in range(8):
+            path = ROOT / "corpus" / group / f"{stem}{i}"
+            pol = path.with_suffix(".policy").read_text()
+            yield f"{group}/{stem}{i}", path.read_text(), pol, 2, 8
+        return
+    io = group == "randprog-io"
+    for seed in range(400):
+        gen = generate(seed, GenConfig(io=io))
+        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 2, 4
+
+
+@pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
+@pytest.mark.parametrize("group", OBSERVING_GROUPS)
+def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode):
+    decided = 0
+    for name, text, pol, bits, capacity in _observing_cases(group):
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(pol))
+        for level in sorted(policy.domains):
+            model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+            names = [*program.variables, *program.channels]
+            everything = all(policy.observable(n, level) for n in names)
+            assert model.skeleton.observes_everything == everything, (name, level)
+            if not everything:
+                continue
+            full = post_star(model.spds)
+            assert not is_error_reachable(full, model), (name, level)
+            auto = post_star(model)
+            start = {model.spds.start: auto.algebra.set_from_fixed(dict(model.spds.initial_fixed))}
+            assert auto.layers == [start], (name, level)
+            assert (auto.steps, auto.edge_count, auto.rule_relations) == (0, 1, []), (name, level)
+            assert auto.reason == OBSERVES_EVERYTHING
+            assert not is_error_reachable(auto, model)
+            decided += 1
+    assert decided > 0
+
+
+@pytest.mark.parametrize(
+    "text, pol",
+    [
+        ("l := l + 1;\nh := h + 1\n", "lattice: L < H\nvar l : L\nvar h : H\n"),
+        ("output(l, hc);\nl := l + 1\n", "lattice: L < H\nvar l : L\nchannel hc : H output\n"),
+    ],
+    ids=["one-variable-above", "one-channel-above"],
+)
+@pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
+def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
+    program = parse_program(text)
+    policy = gather_downgrades(program, parse_policy(pol))
+    model = mode(build_model(program, policy, "L", bits=2, capacity=4))
+    assert not model.skeleton.observes_everything
+    auto = post_star(model)
+    assert auto.steps > 0 and auto.reason == ""
+    assert not is_error_reachable(auto, model)
