@@ -210,7 +210,8 @@ def test_criterion_6_backend_agreement():
                 except BudgetExceeded:
                     skipped += 1
                     continue
-                auto = post_star(model)
+                # the bare system: a level that observes everything is searched too
+                auto = post_star(model.spds)
                 symbolic = is_error_reachable(auto, model)
                 compared += 1
                 if explicit != symbolic:

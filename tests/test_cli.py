@@ -150,24 +150,15 @@ def test_oracle_flag_on_insecure_program(capsys):
 
 
 def test_dump_flags_render_models(capsys):
+    # level H observes everything and is not searched; its models still print
     _, out, _ = run(
         capsys,
         ["analyze", *corpus_args("P0"), "--bits", "1", "--dump-model", "--dump-composed"],
     )
-    assert "--- model level=L ---" in out
-    assert "--- composed level=L ---" in out
-    assert "globals:" in out
-
-
-def test_dumps_build_a_level_that_observes_everything(capsys):
-    folder = CORPUS.parent / "iobench"
-    argv = ["analyze", str(folder / "B3"), "--policy", str(folder / "B3.policy")]
-    _, out, _ = run(capsys, [*argv, "--dump-model", "--dump-composed"])
-    assert "level L: secure (observes every variable and channel) [" in out
-    model = out.split("--- model level=L ---\n")[1].split("\n---")[0]
-    composed = out.split("--- composed level=L ---\n")[1].split("\nRESULT")[0]
-    assert model.startswith("globals: x:3 snk[0]:3")
-    assert composed.startswith("globals: ") and "<g0> -> " in composed
+    for level in ("H", "L"):
+        for kind in ("model", "composed"):
+            section = out.split(f"--- {kind} level={level} ---\n")[1]
+            assert section.startswith("globals: h:1 ")
 
 
 def test_level_line_names_why_a_level_was_not_searched(capsys):

@@ -192,6 +192,7 @@ def test_budget_exceeded_propagates():
 def test_channel_writes_grow_linearly_with_capacity():
     # A write is one piece per cell, so storematch B3 at capacity 128 makes
     # about 13,000 nodes; a relation framing every cell made 92,466 at 32.
+    # Every level of B3 observes everything, so the bare system is searched.
     path = ROOT / "corpus" / "iobench" / "B3"
     program = parse_program(path.read_text())
     policy = gather_downgrades(program, parse_policy(path.with_suffix(".policy").read_text()))
@@ -199,7 +200,7 @@ def test_channel_writes_grow_linearly_with_capacity():
         verdicts = []
         for capacity in (8, 128):
             model = self_compose(build_model(program, policy, level, bits=2, capacity=capacity))
-            auto = post_star(model)
+            auto = post_star(model.spds)
             verdicts.append(is_error_reachable(auto, model))
         assert verdicts[0] == verdicts[1], level
         assert auto.node_count < 20_000, level
