@@ -150,7 +150,7 @@ def _enumerate_pairs(
     names = list(program.variables)
     low_vars = [n for n in names if policy.observable(n, level)]
     high_vars = [n for n in names if not policy.observable(n, level)]
-    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    in_channels = program.input_channels
     low_ch = [n for n in in_channels if policy.observable(n, level)]
     high_ch = [n for n in in_channels if not policy.observable(n, level)]
 
@@ -205,7 +205,7 @@ def _all_states(
     """
     values = range(1 << bits)
     names = list(program.variables)
-    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    in_channels = program.input_channels
     contents = [
         list(itertools.product(values, repeat=input_lengths.get(ch, 0)))
         for ch in in_channels
@@ -296,9 +296,9 @@ def _check_pairs(
         )
 
     runs: dict[tuple, _Run] = {}  # one run per initial state, shared by the levels
-    known: Known = {}  # each configuration stepped, shared by the runs
+    known = Known()  # each configuration stepped, shared by the runs
     names = program.variables
-    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    in_channels = program.input_channels
 
     def run_of(key: tuple) -> _Run:
         found = runs.get(key)

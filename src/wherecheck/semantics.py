@@ -9,12 +9,23 @@ label rather than an error.
 
 A run is recorded once: ``Trace.entries`` lists each step's configuration
 and label, the label carries the step's trace text, and
-``Trace.downgrades`` is the one definition of a run's downgrade steps.
+``Trace.downgrades`` is the one definition of a run's downgrade steps,
+computed once per run.
+
+The interpreter steps through a table of program points.  A point is one
+remaining command of a program, interned once with an int id: it knows its
+redex, the points its step can reach and the labels that depend on nothing
+but the point.  A step evaluates only the redex's expressions; the next
+remaining command is the successor point's, built when that point was
+interned, so ``Configuration.cmd`` is the same structural command as a
+tree-rewriting step would build, and a configuration's key names its
+command by the point id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .policy import Policy
@@ -117,9 +128,6 @@ class Configuration:
     p: dict[str, int]
     cmd: Command
 
-    def terminated(self) -> bool:
-        return isinstance(self.cmd, Skip)
-
 
 def id_free_command_key(cmd: Command):
     """Structural key of the remaining command.
@@ -133,6 +141,97 @@ def id_free_command_key(cmd: Command):
             return ("seq", id_free_command_key(first), id_free_command_key(second))
         case _:
             return (type(cmd).__name__, cmd.site.id)
+
+
+class Point:
+    """A remaining command of a program, interned once in a ``Points`` table.
+
+    ``key`` is the command's ``id_free_command_key``.  ``redex`` is what a
+    step reduces: the head of ``cmd`` below its ``Seq`` spine, or the
+    ``Seq(Skip, rest)`` that drops a finished head, or the lone ``Skip`` of a
+    finished run; ``redex_key`` is its key.  ``next[k]`` is the point a step
+    reaches by branch k (0 taken, 1 not taken, for an ``if`` or a ``while``;
+    0 for any other step), and ``labels[k]`` its step label when that
+    depends on nothing but the point; both are set on the first step by
+    that branch.
+    """
+
+    __slots__ = ("id", "cmd", "key", "redex", "redex_key", "next", "labels")
+
+    def __init__(self, id: int, cmd: Command, key: tuple) -> None:
+        self.id, self.cmd, self.key = id, cmd, key
+        while type(cmd) is Seq and type(cmd.first) is not Skip:
+            cmd, key = cmd.first, key[1]
+        self.redex, self.redex_key = cmd, key
+        self.next: list[Optional[Point]] = [None, None]
+        self.labels: list[Optional[StepLabel]] = [None, None]
+
+
+def _plug(cmd: Command, key: tuple, result: Command, result_key: tuple) -> tuple[Command, tuple]:
+    """``cmd``, whose key is ``key``, with its redex replaced by ``result``;
+    and the key of that, built from the keys of the parts it keeps."""
+    if type(cmd) is Seq and type(cmd.first) is not Skip:
+        first, first_key = _plug(cmd.first, key[1], result, result_key)
+        return Seq(first, cmd.second), ("seq", first_key, key[2])
+    return result, result_key
+
+
+class Points:
+    """The program points of one program, each interned once by its key.
+
+    A successor's key is built from the keys of the parts of the command
+    that it keeps (``_plug``), so ``id_free_command_key`` walks only a run's
+    first command and the branches and loop bodies a step enters.
+    """
+
+    def __init__(self) -> None:
+        self._by_key: dict[tuple, Point] = {}
+        # A run's first command, usually the program's root, is found by
+        # identity; the point holds the command, so its id is not reused.
+        self._by_id: dict[int, Point] = {}
+
+    def __len__(self) -> int:
+        return len(self._by_key)
+
+    def of(self, cmd: Command) -> Point:
+        """The point of ``cmd``, interned on first sight."""
+        found = self._by_id.get(id(cmd))
+        if found is None:
+            key = id_free_command_key(cmd)
+            found = self._by_key.get(key)
+            if found is None:
+                found = self._by_key[key] = Point(len(self._by_key), cmd, key)
+                self._by_id[id(cmd)] = found
+        return found
+
+    def successor(self, point: Point, k: int) -> Point:
+        """Set and return ``point.next[k]``, and ``point.labels[k]``."""
+        redex = point.redex
+        kind = type(redex)
+        if kind is Seq:
+            result, result_key = redex.second, point.redex_key[2]
+            point.labels[k] = StepLabel(PLAIN, redex.first.site, rule="seq-skip")
+        elif kind is If:
+            result = redex.else_branch if k else redex.then_branch
+            result_key = id_free_command_key(result)
+            point.labels[k] = StepLabel(PLAIN, redex.site, rule=("if-true", "if-false")[k])
+        elif kind is While:
+            if k:
+                result = Skip(redex.site)
+                result_key = ("Skip", redex.site.id)
+            else:
+                result = Seq(redex.body, redex)
+                result_key = ("seq", id_free_command_key(redex.body), point.redex_key)
+            point.labels[k] = StepLabel(PLAIN, redex.site, rule=("while-true", "while-false")[k])
+        else:  # an assignment, a downgrade, an input or an output
+            result = Skip(redex.site)
+            result_key = ("Skip", redex.site.id)  # as id_free_command_key(result)
+        cmd, key = _plug(point.cmd, point.key, result, result_key)
+        found = self._by_key.get(key)
+        if found is None:
+            found = self._by_key[key] = Point(len(self._by_key), cmd, key)
+        point.next[k] = found
+        return found
 
 
 def initial_configuration(
@@ -164,6 +263,9 @@ def _is_real_declass(cmd: DeclassAssign, policy: Policy) -> bool:
         ) from None
 
 
+_HALTED = StepLabel(HALTED)
+
+
 def step(
     config: Configuration,
     policy: Policy,
@@ -171,77 +273,78 @@ def step(
     capacity: int = DEFAULT_CAPACITY,
 ) -> tuple[Configuration, StepLabel]:
     """Apply the unique applicable rule; terminal configs yield HALTED."""
-    if config.terminated():
-        return config, StepLabel(HALTED)
-    return _step_command(config, config.cmd, policy, bits, capacity)
+    points = Points()
+    new, label, _ = step_point(config, points.of(config.cmd), points, policy, bits, capacity)
+    return new, label
 
 
-def _step_command(
+def step_point(
     config: Configuration,
-    cmd: Command,
+    point: Point,
+    points: Points,
     policy: Policy,
     bits: int,
     capacity: int,
-) -> tuple[Configuration, StepLabel]:
-    match cmd:
-        case Seq(first, second):
-            if isinstance(first, Skip):
-                new = Configuration(config.mu, config.ins, config.outs, config.p, second)
-                return new, StepLabel(PLAIN, first.site, rule="seq-skip")
-            inner, label = _step_command(config, first, policy, bits, capacity)
-            if label.kind in (INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-                return inner, label
-            new = Configuration(inner.mu, inner.ins, inner.outs, inner.p, Seq(inner.cmd, second))
-            return new, label
-        case Assign(site, target, expr):
-            value = eval_expr(expr, config.mu, bits)
-            mu = dict(config.mu)
-            mu[target] = value
-            new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
-            return new, StepLabel(PLAIN, site, None, "assign", f"{target}={value}")
-        case DeclassAssign(site, target, expr):
-            value = eval_expr(expr, config.mu, bits)
-            mu = dict(config.mu)
-            mu[target] = value
-            new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
-            if _is_real_declass(cmd, policy):
-                return new, StepLabel(DECLASS, site, value, "declass", f"{target}={value}")
-            return new, StepLabel(PLAIN, site, None, "declass-ordinary", f"{target}={value}")
-        case If(site, guard, then_branch, else_branch):
-            taken = eval_expr(guard, config.mu, bits) != 0
-            branch = then_branch if taken else else_branch
-            new = Configuration(config.mu, config.ins, config.outs, config.p, branch)
-            return new, StepLabel(PLAIN, site, rule="if-true" if taken else "if-false")
-        case While(site, guard, body):
-            if eval_expr(guard, config.mu, bits) != 0:
-                new = Configuration(config.mu, config.ins, config.outs, config.p, Seq(body, cmd))
-                return new, StepLabel(PLAIN, site, rule="while-true")
-            new = Configuration(config.mu, config.ins, config.outs, config.p, Skip(site))
-            return new, StepLabel(PLAIN, site, rule="while-false")
-        case Input(site, target, channel):
-            idx = config.p[channel]
-            contents = config.ins[channel]
-            if idx >= len(contents):
-                return config, StepLabel(INPUT_EXHAUSTED, site, rule="input")
-            value = contents[idx] & ((1 << bits) - 1)
-            mu = dict(config.mu)
-            mu[target] = value
-            p = dict(config.p)
-            p[channel] = idx + 1
-            new = Configuration(mu, config.ins, config.outs, p, Skip(site))
-            changed = f"{target}={value} p[{channel}]={idx + 1}"
-            return new, StepLabel(PLAIN, site, None, "input", changed)
-        case Output(site, expr, channel):
-            idx = len(config.outs[channel])
-            if idx >= capacity:
-                return config, StepLabel(CAPACITY_EXCEEDED, site, rule="output")
-            value = eval_expr(expr, config.mu, bits)
-            outs = dict(config.outs)
-            outs[channel] = outs[channel] + (value,)
-            new = Configuration(config.mu, config.ins, outs, config.p, Skip(site))
-            changed = f"{channel}[{idx}]={value} q[{channel}]={idx + 1}"
-            return new, StepLabel(PLAIN, site, None, "output", changed)
-    raise TypeError(f"not a command: {cmd!r}")
+) -> tuple[Configuration, StepLabel, Point]:
+    """``step`` from ``config``, whose remaining command is ``point``'s;
+    also returns the point after.
+
+    A channel diagnostic or a halt leaves the configuration and the point.
+    """
+    redex = point.redex
+    kind = type(redex)
+    mu, ins, outs, p = config.mu, config.ins, config.outs, config.p
+    if kind is Assign or kind is DeclassAssign:
+        target, site = redex.target, redex.site
+        after = point.next[0] or points.successor(point, 0)
+        value = eval_expr(redex.expr, mu, bits)
+        mu = dict(mu)
+        mu[target] = value
+        changed = f"{target}={value}"
+        if kind is Assign:
+            label = StepLabel(PLAIN, site, None, "assign", changed)
+        elif _is_real_declass(redex, policy):
+            label = StepLabel(DECLASS, site, value, "declass", changed)
+        else:
+            label = StepLabel(PLAIN, site, None, "declass-ordinary", changed)
+        return Configuration(mu, ins, outs, p, after.cmd), label, after
+    if kind is If or kind is While:
+        k = 0 if eval_expr(redex.guard, mu, bits) != 0 else 1
+        after = point.next[k] or points.successor(point, k)
+        return Configuration(mu, ins, outs, p, after.cmd), point.labels[k], after
+    if kind is Seq:
+        after = point.next[0] or points.successor(point, 0)
+        return Configuration(mu, ins, outs, p, after.cmd), point.labels[0], after
+    if kind is Skip:
+        return config, _HALTED, point
+    if kind is Input:
+        target, channel, site = redex.target, redex.channel, redex.site
+        idx = p[channel]
+        contents = ins[channel]
+        if idx >= len(contents):
+            return config, StepLabel(INPUT_EXHAUSTED, site, rule="input"), point
+        after = point.next[0] or points.successor(point, 0)
+        value = contents[idx] & ((1 << bits) - 1)
+        mu = dict(mu)
+        mu[target] = value
+        p = dict(p)
+        p[channel] = idx + 1
+        changed = f"{target}={value} p[{channel}]={idx + 1}"
+        label = StepLabel(PLAIN, site, None, "input", changed)
+        return Configuration(mu, ins, outs, p, after.cmd), label, after
+    if kind is not Output:
+        raise TypeError(f"not a command: {redex!r}")
+    channel, site = redex.channel, redex.site
+    idx = len(outs[channel])
+    if idx >= capacity:
+        return config, StepLabel(CAPACITY_EXCEEDED, site, rule="output"), point
+    after = point.next[0] or points.successor(point, 0)
+    value = eval_expr(redex.expr, mu, bits)
+    outs = dict(outs)
+    outs[channel] = outs[channel] + (value,)
+    changed = f"{channel}[{idx}]={value} q[{channel}]={idx + 1}"
+    label = StepLabel(PLAIN, site, None, "output", changed)
+    return Configuration(mu, ins, outs, p, after.cmd), label, after
 
 
 Downgrade = tuple[int, Configuration, Configuration, StepLabel]
@@ -252,11 +355,12 @@ class Trace:
     """Result of run(): per-step entries plus the overall outcome.
 
     ``entries`` is the one record of the steps: each step's configuration
-    after it and its label, whose trace text ``lines`` formats only when
-    read.  A run that took the rest of an earlier run (see ``run``) holds
-    only its own steps in ``entries``.  ``joined`` is then the earlier run's
-    final configuration, and ``later`` its downgrade steps from the meeting
-    point on, in the form of ``downgrades``.
+    after it and its label, which carries the step's rule and changed text;
+    ``lines`` joins them into trace lines only when read.  A run that took
+    the rest of an earlier run (see ``run``) holds only its own steps in
+    ``entries``.  ``joined`` is then the earlier run's final configuration,
+    and ``later`` its downgrade steps from the meeting point on, in the form
+    of ``downgrades``.
     """
 
     entries: list[tuple[Configuration, StepLabel]]
@@ -282,10 +386,11 @@ class Trace:
             for config, label in self.entries
         ]
 
-    @property
+    @cached_property
     def downgrades(self) -> list[Downgrade]:
         """(index in the run, configuration before, after, label) of each
-        downgrade step, in order: the run's own entries, then ``later``."""
+        downgrade step, in order: the run's own entries, then ``later``.
+        Computed once per trace; ``run`` and the oracle both read it."""
         own, before = [], self.initial
         for k, (after, label) in enumerate(self.entries):
             if label.kind == DECLASS:
@@ -298,10 +403,21 @@ class Trace:
         return [(label.site.id, label.value) for _, _, _, label in self.downgrades]
 
 
-# What a run registers in ``known`` for each configuration it stepped: the
-# run's (outcome, final configuration, downgrades), then the configuration's
-# index in the run and its distance to the run's end.
-Known = dict[tuple, tuple[tuple[str, Configuration, list[Downgrade]], int, int]]
+# What a run registers in ``Known.configs`` for each configuration it
+# stepped: the run's (outcome, final configuration, downgrades), then the
+# configuration's index in the run and its distance to the run's end.
+Ending = tuple[tuple[str, Configuration, list[Downgrade]], int, int]
+
+
+class Known:
+    """What the runs of one program under one fuel share: the configurations
+    they stepped, by key, and the program points those keys name."""
+
+    __slots__ = ("configs", "points")
+
+    def __init__(self) -> None:
+        self.configs: dict[tuple, Ending] = {}
+        self.points = Points()
 
 
 def run(
@@ -317,9 +433,11 @@ def run(
     The machine is deterministic over a finite state space, so a repeated
     configuration proves divergence exactly; fuel is the fallback bound.
     A configuration's key lists the values of its store, read indices,
-    outputs and input contents without their names: every configuration of
-    one run holds the same names in the same order, and so does every run
-    of one program whose store names only the program's variables.
+    outputs and input contents without their names, and the id of its
+    remaining command's point: every configuration of one run holds the
+    same names in the same order, and so does every run of one program
+    whose store names only the program's variables.  The points come from
+    ``known.points``, or from a table of the run's own without ``known``.
 
     ``known``, shared by the runs of one program under one fuel, lets a run
     take the rest of an earlier run: the machine is deterministic, so the
@@ -340,21 +458,23 @@ def run(
     run's final configuration and its downgrades from the meeting point on
     (``joined`` and ``later``); they are a lone run's if the run ends by a
     step, not by a repeat or out of fuel.  Without ``known`` a run is on
-    its own, and its trace is complete.
+    its own, and its trace is complete.  Each step goes through
+    ``step_point``.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
     ins = tuple(config.ins.values())
     outcome, end, loop, joined, later = OUTCOME_FUEL, fuel, fuel, None, []
-    lookup = known
-    current = config
+    points = known.points if known is not None else Points()
+    lookup = known.configs if known is not None else None
+    current, point = config, points.of(config.cmd)
     for n in range(fuel):
         key = (
             tuple(current.mu.values()),
             tuple(current.p.values()),
             tuple(current.outs.values()),
             ins,
-            id_free_command_key(current.cmd),
+            point.id,
         )
         first = seen.setdefault(key, n)
         if first != n:
@@ -371,7 +491,7 @@ def run(
                 end, loop, joined = n + d, n + d, final
                 later = [(n + j - i, pre, post, label) for j, pre, post, label in rest if j >= i]
                 break
-        current, label = step(current, policy, bits, capacity)
+        current, label, point = step_point(current, point, points, policy, bits, capacity)
         entries.append((current, label))
         # Each terminal label is also the outcome it ends the run with.
         if label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
@@ -380,8 +500,9 @@ def run(
     trace = Trace(entries, outcome, config, joined, later)
     if known is not None:
         ending = (outcome, trace.final, trace.downgrades)
+        configs = known.configs
         for key, k in seen.items():
-            known[key] = (ending, k, end - (k if k < loop else loop))
+            configs[key] = (ending, k, end - (k if k < loop else loop))
     return trace
 
 

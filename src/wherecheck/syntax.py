@@ -235,6 +235,11 @@ class Program:
     def channels(self) -> dict[str, str]:
         return command_channels(self.root)
 
+    @cached_property
+    def input_channels(self) -> tuple[str, ...]:
+        """The input channels' names, sorted."""
+        return tuple(sorted(n for n, d in self.channels.items() if d == "input"))
+
     def site_command(self, site_id: int) -> Command:
         for node in walk_commands(self.root):
             if not isinstance(node, Seq) and node.site.id == site_id:

@@ -25,6 +25,7 @@ from wherecheck.semantics import (
     DEFAULT_FUEL,
     OUTCOME_FUEL,
     OUTCOME_HALTED,
+    Known,
     low_equiv_store,
     run_program,
 )
@@ -434,7 +435,7 @@ def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
     names = list(program.variables)
     low_vars = [n for n in names if policy.observable(n, level)]
     high_vars = [n for n in names if not policy.observable(n, level)]
-    in_channels = sorted(n for n, d in program.channels.items() if d == "input")
+    in_channels = program.input_channels
     low_ch = [n for n in in_channels if policy.observable(n, level)]
     high_ch = [n for n in in_channels if not policy.observable(n, level)]
 
@@ -543,7 +544,7 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 def initial_states(program, policy, bits=2):
     """(store, inputs) of every initial state, in the oracle's order."""
     lengths = default_input_lengths(program, policy)
-    channels = sorted(n for n, d in program.channels.items() if d == "input")
+    channels = program.input_channels
     return [
         (dict(zip(program.variables, store)), dict(zip(channels, ins)))
         for store, ins in oracle._all_states(program, bits, lengths)
@@ -558,7 +559,7 @@ def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
     states = initial_states(program, policy, bits)
     for fuel in fuels:
         for order in (states, states[::-1]):
-            known = {}
+            known = Known()
             for store, inputs in order:
                 args = (program, policy, store, inputs, bits, capacity, fuel)
                 shared_trace, alone_trace = run_program(*args, known), run_program(*args)
@@ -621,7 +622,7 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
         steps.append(config)
         return real(config, *args)
 
-    real = semantics.step
-    monkeypatch.setattr(semantics, "step", counted)
+    real = semantics.step_point
+    monkeypatch.setattr(semantics, "step_point", counted)
     assert check_where_security(program, policy, bits=2).status == SECURE
     assert len(steps) == len(distinct) < total

@@ -159,7 +159,7 @@ def trace_lines() -> list[str]:
         program = parse_program(text)
         policy = gather_downgrades(program, parse_policy(policy_text))
         names = program.variables
-        channels = sorted(n for n, d in program.channels.items() if d == "input")
+        channels = program.input_channels
         states = list(_all_states(program, bits, default_input_lengths(program, policy)))
         digests = []
         for fuel in (DEFAULT_FUEL, 3):
