@@ -21,7 +21,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bdd import BudgetExceeded
 from .compose import (
@@ -68,7 +68,6 @@ class LevelReport:
     verdict: str
     reason: str = ""
     witness: Witness | None = None
-    skeleton_rules: int = 0
     composed_rules: int = 0
     global_bits: int = 0
     steps: int = 0
@@ -190,7 +189,6 @@ def analyze(
                 verdict,
                 reason=reason,
                 witness=witness,
-                skeleton_rules=len(skeleton.spds.rules),
                 composed_rules=len(model.spds.rules),
                 global_bits=model.spds.globals.total_bits,
                 steps=steps,
@@ -202,27 +200,19 @@ def analyze(
     return report
 
 
-def _nmin_probe(
+def _probe_widths(
     program: Program,
     policy: Policy,
     max_bits: int,
     capacity: int,
     mode: str,
     node_budget: int | None,
-    on_probe=None,
-) -> tuple[int | None, bool]:
-    """(least insecure width or None, whether any probe was inconclusive)."""
-    hit_budget = False
+) -> Iterator[tuple[int, AnalysisReport]]:
+    """(width, report) for widths 1 to max_bits, each analyzed when it is asked for."""
     for width in range(1, max_bits + 1):
-        report = analyze(
+        yield width, analyze(
             program, policy, bits=width, capacity=capacity, mode=mode, node_budget=node_budget
         )
-        if on_probe is not None:
-            on_probe(width, report)
-        if report.overall == INSECURE:
-            return width, hit_budget
-        hit_budget = hit_budget or report.overall == INCONCLUSIVE
-    return None, hit_budget
 
 
 def find_nmin(
@@ -244,8 +234,8 @@ def find_nmin(
     _check_mode(mode)
     program = _coerce_program(program)
     policy = _coerce_policy(policy)
-    found, _ = _nmin_probe(program, policy, max_bits, capacity, mode, node_budget)
-    return found
+    probes = _probe_widths(program, policy, max_bits, capacity, mode, node_budget)
+    return next((width for width, report in probes if report.overall == INSECURE), None)
 
 
 @dataclass
@@ -439,19 +429,17 @@ def _cmd_nmin(args: argparse.Namespace) -> int:
     program = _coerce_program(args.program)
     policy = gather_downgrades(program, _coerce_policy(args.policy))
     _emit(f"probing bits 1..{args.max_bits} (capacity={args.capacity} mode={MODE_STORE_MATCH})")
-    probes: list[str] = []
-
-    def note(width: int, report: AnalysisReport) -> None:
-        probes.append(f"bits={width}: {report.overall}")
-        _emit(probes[-1])
-
-    found, hit_budget = _nmin_probe(
-        program, policy, args.max_bits, args.capacity, MODE_STORE_MATCH, _node_budget(), note
+    probes = _probe_widths(
+        program, policy, args.max_bits, args.capacity, MODE_STORE_MATCH, _node_budget()
     )
-    if found is not None:
-        _emit(f"NMIN bits={found}")
-        return EXIT_INSECURE
-    if hit_budget:
+    inconclusive = False
+    for width, report in probes:
+        _emit(f"bits={width}: {report.overall}")
+        if report.overall == INSECURE:
+            _emit(f"NMIN bits={width}")
+            return EXIT_INSECURE
+        inconclusive = inconclusive or report.overall == INCONCLUSIVE
+    if inconclusive:
         _emit("NMIN unknown")
         return EXIT_INCONCLUSIVE
     _emit("NMIN absent")

@@ -61,7 +61,6 @@ MISMATCH = "mismatch[]"
 class ComposedModel:
     spds: SPDS
     skeleton: ModelSkeleton
-    mode: str
 
 
 def _fold(op: str, parts: list[Expr]) -> Expr:
@@ -254,7 +253,7 @@ def _compose(skeleton: ModelSkeleton, mode: str) -> ComposedModel:
     spds = SPDS(
         globals_decl, tuple(rules), INIT_SYMBOL, tuple(initial_fixed), error=ERROR_SYMBOL
     )
-    return ComposedModel(spds=spds, skeleton=skeleton, mode=mode)
+    return ComposedModel(spds=spds, skeleton=skeleton)
 
 
 def self_compose(skeleton: ModelSkeleton) -> ComposedModel:

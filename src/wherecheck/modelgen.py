@@ -300,9 +300,8 @@ def _describe_site(cmd: Command) -> str:
 def dump_model(skeleton: ModelSkeleton) -> str:
     lines = [dump_spds(skeleton.spds)]
     lines.append(f"# level {skeleton.level}, bits {skeleton.bits}, capacity {skeleton.capacity}")
-    for site in skeleton.program.sites:
-        cmd = skeleton.program.site_command(site.id)
-        lines.append(f"# site g{site.id}: {_describe_site(cmd)}")
+    for cmd in skeleton.program.sites:
+        lines.append(f"# site g{cmd.site.id}: {_describe_site(cmd)}")
     for site in sorted(skeleton.rho):
         lines.append(f"# downgrade g{site} -> {d_name(skeleton.rho[site])}")
     return "\n".join(lines)

@@ -89,12 +89,6 @@ class OracleVerdict:
     pairs_checked: int = 0
     note: str = ""
 
-    @property
-    def secure(self) -> Optional[bool]:
-        if self.status == INCONCLUSIVE:
-            return None
-        return self.status == SECURE
-
 
 def static_input_counts(program: Program) -> dict[str, int]:
     """Input statements per channel, counting loop bodies once."""

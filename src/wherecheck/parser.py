@@ -36,7 +36,6 @@ from .syntax import (
     Skip,
     Var,
     While,
-    walk_commands,
 )
 
 KEYWORDS = {
@@ -237,13 +236,6 @@ class _Parser:
         )
 
 
-def _collect_sites(root: Command) -> tuple[SiteLabel, ...]:
-    sites = [c.site for c in walk_commands(root) if not isinstance(c, Seq)]
-    ids = [s.id for s in sites]
-    assert ids == sorted(ids) == list(range(len(ids))), "site ids must be dense preorder"
-    return tuple(sites)
-
-
 def parse_program(text: str) -> Program:
     """Parse program text into a Program with dense preorder site labels."""
     parser = _Parser(tokenize(text))
@@ -251,4 +243,7 @@ def parse_program(text: str) -> Program:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"line {tok.line}:{tok.col}: trailing input {tok.text!r}")
-    return Program(root=root, sites=_collect_sites(root))
+    program = Program(root)
+    ids = [c.site.id for c in program.sites]
+    assert ids == list(range(len(ids))), "site ids must be dense preorder"
+    return program

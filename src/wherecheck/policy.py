@@ -176,27 +176,6 @@ def parse_policy(text: str) -> Policy:
     )
 
 
-def format_policy(policy: Policy) -> str:
-    """Render a policy back to file syntax (edges as a transitive reduction)."""
-    edges = []
-    for a in policy.domains:
-        for b in policy.domains:
-            if policy.lt(a, b) and not any(
-                policy.lt(a, c) and policy.lt(c, b) for c in policy.domains
-            ):
-                edges.append(f"{a} < {b}")
-    items = edges or list(policy.domains)
-    lines = ["lattice: " + ", ".join(items)]
-    for name, level in sorted(policy.sigma.items()):
-        if name in policy.channels:
-            ch = policy.channels[name]
-            suffix = f" length {ch.length}" if ch.length is not None else ""
-            lines.append(f"channel {name} : {level} {ch.direction}{suffix}")
-        else:
-            lines.append(f"var {name} : {level}")
-    return "\n".join(lines) + "\n"
-
-
 def domain_of_expr(e: Expr, policy: Policy) -> str:
     """Join of the levels of an expression's variables.
 

@@ -139,6 +139,7 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     )
 
 
+# model is read by nothing; it stays because perfbench/workloads.py passes it positionally
 def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None] = None) -> bool:
     """Whether the search stopped on a layer that holds the error symbol."""
     error = auto.spds.error
@@ -232,7 +233,7 @@ def _decode(model: ComposedModel, steps: list[WitnessStep]) -> Witness:
         m = _SITE.match(sym)
         if not m:
             continue
-        cmd = program.site_command(int(m.group(1)))
+        cmd = program.sites[int(m.group(1))]
         if isinstance(cmd, Input) and not policy.observable(cmd.channel, level):
             target = xi_name(cmd.target) if second else cmd.target
             bucket = inputs2 if second else inputs1

@@ -266,18 +266,6 @@ def _is_real_declass(cmd: DeclassAssign, policy: Policy) -> bool:
 _HALTED = StepLabel(HALTED)
 
 
-def step(
-    config: Configuration,
-    policy: Policy,
-    bits: int = DEFAULT_BITS,
-    capacity: int = DEFAULT_CAPACITY,
-) -> tuple[Configuration, StepLabel]:
-    """Apply the unique applicable rule; terminal configs yield HALTED."""
-    points = Points()
-    new, label, _ = step_point(config, points.of(config.cmd), points, policy, bits, capacity)
-    return new, label
-
-
 def step_point(
     config: Configuration,
     point: Point,
@@ -286,8 +274,9 @@ def step_point(
     bits: int,
     capacity: int,
 ) -> tuple[Configuration, StepLabel, Point]:
-    """``step`` from ``config``, whose remaining command is ``point``'s;
-    also returns the point after.
+    """Apply the unique applicable rule to ``config``, whose remaining
+    command is ``point``'s; also returns the point after.  A terminal
+    configuration yields HALTED.
 
     A channel diagnostic or a halt leaves the configuration and the point.
     """

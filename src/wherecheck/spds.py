@@ -64,13 +64,6 @@ from .syntax import BinOp, CellRef, Expr, Num, Var, format_expr, subst_vars
 
 
 class HavocType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "HAVOC"
 
@@ -89,14 +82,6 @@ class ArrayWrite:
     index: str
     expr: Expr
     label: str
-
-    def renamed(self, mapping: dict[str, str]) -> "ArrayWrite":
-        return ArrayWrite(
-            tuple(mapping.get(c, c) for c in self.cells),
-            mapping.get(self.index, self.index),
-            subst_vars(self.expr, mapping),
-            self.label,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,6 +111,7 @@ class RuleSpec:
         return RuleSpec(guard=guard, updates=pairs, writes=writes)
 
     def renamed(self, mapping: dict[str, str]) -> "RuleSpec":
+        assert not self.writes, "only skeleton rules, which write no channel, are renamed"
         guard = subst_vars(self.guard, mapping) if self.guard is not None else None
         updates = tuple(
             sorted(
@@ -133,7 +119,7 @@ class RuleSpec:
                 for name, e in self.updates
             )
         )
-        return RuleSpec(guard, updates, tuple(w.renamed(mapping) for w in self.writes))
+        return RuleSpec(guard, updates)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ coincide with source order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
@@ -25,16 +25,10 @@ from typing import Iterator, Union
 class Num:
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Var:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -42,9 +36,6 @@ class BinOp:
     op: str
     left: "Expr"
     right: "Expr"
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
 
 
 @dataclass(frozen=True)
@@ -100,9 +91,6 @@ class SiteLabel:
     """
 
     id: int
-
-    def __str__(self) -> str:
-        return f"g{self.id}"
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +209,15 @@ def command_channels(c: Command) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed program: root command plus its site table in source order."""
+    """A program: its root command, and the site table derived from it."""
 
     root: Command
-    sites: tuple[SiteLabel, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def sites(self) -> tuple[Command, ...]:
+        """Every command but Seq, in preorder; sites[i] has site id i when the
+        labels are dense preorder, as the parser makes them."""
+        return tuple(c for c in walk_commands(self.root) if not isinstance(c, Seq))
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
@@ -239,12 +232,6 @@ class Program:
     def input_channels(self) -> tuple[str, ...]:
         """The input channels' names, sorted."""
         return tuple(sorted(n for n, d in self.channels.items() if d == "input"))
-
-    def site_command(self, site_id: int) -> Command:
-        for node in walk_commands(self.root):
-            if not isinstance(node, Seq) and node.site.id == site_id:
-                return node
-        raise KeyError(site_id)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +281,3 @@ def format_command(c: Command) -> str:
         case Output(_, expr, channel):
             return f"output({format_expr(expr)}, {channel})"
     raise TypeError(f"not a command: {c!r}")
-
-
-def format_program(p: Program) -> str:
-    return format_command(p.root)

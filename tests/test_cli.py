@@ -436,6 +436,16 @@ def test_nmin_absent_for_secure_program(capsys):
     assert "bits=4: secure" in out
 
 
+def test_nmin_unknown_when_every_width_runs_out_of_budget(capsys, monkeypatch):
+    monkeypatch.setenv(cli.BUDGET_ENV, "5")
+    code, out, _ = run(capsys, ["nmin", *corpus_args("P0"), "--max-bits", "3"])
+    assert code == EXIT_INCONCLUSIVE
+    assert [ln for ln in out.splitlines() if ln.startswith("bits=")] == [
+        f"bits={w}: inconclusive" for w in (1, 2, 3)
+    ]
+    assert out.splitlines()[-1] == "NMIN unknown"
+
+
 def test_nmin_passes_capacity(capsys):
     code, out, _ = run(capsys, ["nmin", *corpus_args("P3"), "--capacity", "4"])
     assert code == EXIT_INSECURE
@@ -507,7 +517,7 @@ def test_analyze_accepts_parsed_objects():
     assert by_level["L"].verdict == "insecure"
     assert by_level["H"].verdict == "secure"
     assert by_level["L"].steps > 0
-    assert by_level["L"].composed_rules > by_level["L"].skeleton_rules
+    assert by_level["L"].composed_rules > len(by_level["L"].skeleton.spds.rules)
 
 
 def test_analyze_witness_only_on_request():

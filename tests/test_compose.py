@@ -114,11 +114,12 @@ def test_every_random_rule_can_reach_error_unless_nothing_is_observable():
             program, policy = prog(gen.text, gen.policy_text)
             for level in sorted(policy.domains):
                 skel = build_model(program, policy, level, bits=2, capacity=4)
-                for model in (self_compose(skel), tr_compose(skel)):
+                for compose in (self_compose, tr_compose):
+                    model = compose(skel)
                     spds = model.spds
                     assert outgoing(model, ERROR_SYMBOL) == []
                     if any(rule.rhs == ERROR_SYMBOL for rule in spds.rules):
-                        assert dead_ends(spds) == [], (seed, io, level, model.mode)
+                        assert dead_ends(spds) == [], (seed, io, level, compose.__name__)
 
 
 @pytest.mark.parametrize("name", TABLE3)
@@ -179,7 +180,7 @@ def test_downgrade_stuffing_shape():
     for site in sorted(skel.rho):
         sym = f"g{site}"
         (plain,) = [r for r in skel.spds.rules if r.lhs == sym]
-        cmd = program.site_command(site)
+        cmd = program.sites[site]
         cell = f"D[{skel.rho[site]}]"
         (store,) = outgoing(model, sym)
         assert store.rhs == plain.rhs

@@ -22,8 +22,15 @@ from wherecheck.syntax import (
     BinOp,
     DeclassAssign,
     If,
+    Num,
     Output,
+    Program,
+    Seq,
+    SiteLabel,
+    Skip,
+    Var,
     While,
+    format_command,
     walk_commands,
 )
 from explicit import successors, valuation
@@ -251,6 +258,30 @@ def test_dump_model_deterministic_and_annotated():
     assert text == dump_model(build_model(program, policy, "L", bits=3))
     assert "# site g1: l := declass(h)" in text
     assert "# downgrade g1 -> D[0]" in text
+
+
+def test_code_built_program_dumps_like_its_parsed_text():
+    # the site table is derived from the root, so a program built in code
+    # lists its sites as the parser's program of the same text does
+    g = SiteLabel
+    root = Seq(
+        DeclassAssign(g(0), "l", Var("h")),
+        Seq(
+            If(g(1), Var("h"), Output(g(2), Var("l"), "o"), Skip(g(3))),
+            While(g(4), Var("l"), Assign(g(5), "l", BinOp("-", Var("l"), Num(1)))),
+        ),
+    )
+    built = Program(root)
+    parsed = parse_program(format_command(root))
+    assert parsed.root == root
+    pol = parse_policy("lattice: L < H\nvar h : H\nvar l : L\nchannel o : L output\n")
+    for level in ("L", "H"):
+        dumps = [
+            dump_model(build_model(p, gather_downgrades(p, pol), level, bits=2, capacity=2))
+            for p in (built, parsed)
+        ]
+        assert dumps[0] == dumps[1]
+        assert "# site g5: l := l - 1" in dumps[0]
 
 
 # Lockstep differential: for downgrade-free, channel-free programs the model

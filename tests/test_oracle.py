@@ -224,7 +224,6 @@ def test_budget_exhaustion_is_inconclusive():
     program, policy = load("P3")
     verdict = check_where_security(program, policy, bits=3, budget=4)
     assert verdict.status == INCONCLUSIVE
-    assert verdict.secure is None
     assert verdict.note
 
 

@@ -4,7 +4,6 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import (
     PolicyError,
     domain_of_expr,
-    format_policy,
     gather_downgrades,
     parse_policy,
 )
@@ -68,15 +67,6 @@ def test_malformed_lines_rejected():
 def test_comments_and_blank_lines():
     pol = parse_policy("# header\n\nlattice: L < H\nvar x : L  # tail comment\n")
     assert pol.sigma["x"] == "L"
-
-
-def test_format_round_trip():
-    pol = parse_policy(THREE_LEVEL)
-    again = parse_policy(format_policy(pol))
-    assert again.domains == pol.domains
-    assert again.order == pol.order
-    assert again.sigma == pol.sigma
-    assert again.channels == pol.channels
 
 
 def test_domain_of_expr():

@@ -9,12 +9,15 @@ from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
     DECLASS,
+    DEFAULT_BITS,
+    DEFAULT_CAPACITY,
     HALTED,
     INPUT_EXHAUSTED,
     OUTCOME_DIVERGES,
     OUTCOME_FUEL,
     OUTCOME_HALTED,
     PLAIN,
+    Points,
     StepLabel,
     eval_expr,
     format_trace,
@@ -22,7 +25,7 @@ from wherecheck.semantics import (
     low_equiv_store,
     run,
     run_program,
-    step,
+    step_point,
 )
 from test_oracle import low_equiv_channels
 
@@ -256,7 +259,11 @@ def test_trace_text_for_each_outcome(outcome):
 def test_step_is_total_and_deterministic():
     program, policy = load("P5")
     config = initial_configuration(program, {"h": 1, "l": 1})
-    (c1, l1), (c2, l2) = step(config, policy), step(config, policy)
+    points = Points()
+    (c1, l1, _), (c2, l2, _) = (
+        step_point(config, points.of(config.cmd), points, policy, DEFAULT_BITS, DEFAULT_CAPACITY)
+        for _ in range(2)
+    )
     assert c1 == c2 and l1 == l2 and (l1.rule, l1.changed) == (l2.rule, l2.changed)
 
 

@@ -141,10 +141,8 @@ def test_a_cell_written_twice_is_rejected():
     twice = (ArrayWrite(("x",), "y", Num(1), "C"), ArrayWrite(("z", "x"), "y", Num(2), "D"))
     with pytest.raises(ValueError, match="written twice by one rule: x"):
         RuleSpec.make(writes=twice)
-    # the index may be updated; a renaming that merges two writers is caught too
-    fine = RuleSpec.make(updates={"y": Num(1)}, writes=(ArrayWrite(("x", "z"), "y", z_plus_1, "C"),))
-    with pytest.raises(ValueError, match="written twice by one rule: z"):
-        fine.renamed({"y": "z"})
+    # the index may be updated
+    RuleSpec.make(updates={"y": Num(1)}, writes=(ArrayWrite(("x", "z"), "y", z_plus_1, "C"),))
 
 
 def test_spec_successors_array_write():
