@@ -16,18 +16,17 @@ detection, so "inconclusive" only arises from the enumeration budget or from
 a run that exhausts its fuel.
 
 A run does not depend on the observer, so each initial state runs once per
-check and its summary serves every level.  The runs of one check also share
-their futures through one map of the configurations they stepped: the
-interpreter is deterministic, so a run that reaches a configuration of an
-earlier run takes that run's outcome, final configuration and later
-downgrades (``semantics.run`` gives the fuel arithmetic).  Each distinct
-configuration is then stepped once per check, unless a run out of fuel
-leaves a future unknown.  A run's summary reads the trace's final
-configuration and its one list of downgrades (``Trace.downgrades``), the
-earlier run's later downgrades included.  The summary of a halted run is
-exact; of the other runs only the outcome is read.  Each level lists its
-observable variables and output channels once, and the views below read
-values over those lists; an output stream's length is its write index.
+check and its ``semantics.Ending`` (outcome, final configuration,
+downgrades) serves every level; the rest of its trace is not kept.  The
+runs of one check also share their futures through one map of the
+configurations they stepped: the interpreter is deterministic, so a run
+that reaches a configuration of an earlier run takes that run's outcome,
+final configuration and later downgrades (``semantics.run`` gives the fuel
+arithmetic).  Each distinct configuration is then stepped once per check,
+unless a run out of fuel leaves a future unknown.  The ending of a halted
+run is exact; of the other runs only the outcome is read.  Each level lists
+its observable variables and output channels once, and the views below
+read values over those lists; an output stream's length is its write index.
 
 The pairs of a level are all ordered pairs inside one low class (one choice
 of observable variable values and observable input contents), so a level is
@@ -52,8 +51,8 @@ from .semantics import (
     DEFAULT_FUEL,
     OUTCOME_FUEL,
     OUTCOME_HALTED,
+    Ending,
     Known,
-    Trace,
     run_program,
 )
 from .syntax import Input, Program, walk_commands
@@ -167,28 +166,6 @@ def _enumerate_pairs(
         yield InitialState(store1, ins1), InitialState(store2, ins2)
 
 
-@dataclass(slots=True)
-class _Run:
-    """What the checks read of one run; the full ``Trace`` is not kept."""
-
-    outcome: str
-    mu: dict[str, int]
-    outs: dict[str, tuple[int, ...]]
-    declass: list[tuple[int, int, dict, dict]]  # (site, value, pre-store, post-store)
-
-    def declass_events(self) -> list[tuple[int, int]]:
-        return [(site, value) for site, value, _, _ in self.declass]
-
-
-def _summarise(trace: Trace) -> _Run:
-    declass = [
-        (label.site.id, label.value, before.mu, after.mu)
-        for _, before, after, label in trace.downgrades
-    ]
-    final = trace.final
-    return _Run(trace.outcome, final.mu, final.outs, declass)
-
-
 def _all_states(
     program: Program, bits: int, input_lengths: dict[str, int]
 ) -> Iterator[tuple[tuple, tuple]]:
@@ -237,20 +214,20 @@ def _store_view(observer: _Observer, mu: dict[str, int]) -> tuple:
     return tuple([(n, mu[n]) for n in observer.variables])
 
 
-def _final_view(observer: _Observer, run: _Run) -> tuple:
+def _final_view(observer: _Observer, run: Ending) -> tuple:
     """Equal for two runs iff both observational equivalences of the finals hold.
 
     A stream's length is its write index.  An empty stream is left out: the
     tests' reference checker (``low_equiv_channels``) reads an absent index
     as 0 with an empty prefix.
     """
-    outs = run.outs
+    outs = run.final.outs
     channels = tuple([(n, outs[n]) for n in observer.outputs if outs[n]])
-    return _store_view(observer, run.mu), channels
+    return _store_view(observer, run.final.mu), channels
 
 
 def _observations(
-    observer: _Observer, property_name: str, run: _Run
+    observer: _Observer, property_name: str, run: Ending
 ) -> Iterator[tuple[tuple, tuple]]:
     """(bucket key, observation) pairs of one halted run.
 
@@ -264,9 +241,9 @@ def _observations(
     if property_name == "noninterference":
         yield (), _final_view(observer, run)
         return
-    for k, (_, value, pre, post) in enumerate(run.declass):
-        yield (k, _store_view(observer, pre), value), _store_view(observer, post)
-    yield (tuple(v for _, v, _, _ in run.declass),), _final_view(observer, run)
+    for k, (_, pre, post, label) in enumerate(run.downgrades):
+        yield (k, _store_view(observer, pre.mu), label.value), _store_view(observer, post.mu)
+    yield (tuple([label.value for _, _, _, label in run.downgrades]),), _final_view(observer, run)
 
 
 def _check_pairs(
@@ -289,17 +266,17 @@ def _check_pairs(
             note=f"budget-exceeded: {total} pairs > {budget}",
         )
 
-    runs: dict[tuple, _Run] = {}  # one run per initial state, shared by the levels
+    runs: dict[tuple, Ending] = {}  # one run per initial state, shared by the levels
     known = Known()  # each configuration stepped, shared by the runs
     names = program.variables
     in_channels = program.input_channels
 
-    def run_of(key: tuple) -> _Run:
+    def run_of(key: tuple) -> Ending:
         found = runs.get(key)
         if found is None:
             store, inputs = dict(zip(names, key[0])), dict(zip(in_channels, key[1]))
             trace = run_program(program, policy, store, inputs, bits, capacity, fuel, known)
-            found = runs[key] = _summarise(trace)
+            found = runs[key] = Ending(trace.outcome, trace.final, trace.downgrades)
         return found
 
     def key_of(state: InitialState) -> tuple:
@@ -372,8 +349,8 @@ def _check_pairs(
 def _violation(
     observer: _Observer,
     property_name: str,
-    run1: _Run,
-    run2: _Run,
+    run1: Ending,
+    run2: Ending,
 ) -> Optional[str]:
     """Why two halted runs of one low class violate the property, or None.
 
@@ -386,20 +363,21 @@ def _violation(
             continue
         if len(key) == 3:  # (k, observable pre-store, value) of a paired downgrade
             k, _, value = key
+            site1, site2 = run1.downgrades[k][3].site.id, run2.downgrades[k][3].site.id
             return (
-                f"downgrade pair {k} (sites g{run1.declass[k][0]}/g{run2.declass[k][0]}, "
+                f"downgrade pair {k} (sites g{site1}/g{site2}, "
                 f"value {value}) breaks observable equivalence of the post-states"
             )
+        mu1, mu2 = run1.final.mu, run2.final.mu
         if seen[key][0] != observation[0]:
             return "final store differs on " + ", ".join(
-                f"{n}: {run1.mu[n]} vs {run2.mu[n]}"
-                for n in observer.variables
-                if run1.mu[n] != run2.mu[n]
+                f"{n}: {mu1[n]} vs {mu2[n]}" for n in observer.variables if mu1[n] != mu2[n]
             )
+        outs1, outs2 = run1.final.outs, run2.final.outs
         return "final outputs differ on " + ", ".join(
-            f"{n}: {list(run1.outs[n])} vs {list(run2.outs[n])}"
+            f"{n}: {list(outs1[n])} vs {list(outs2[n])}"
             for n in observer.outputs
-            if run1.outs[n] != run2.outs[n]
+            if outs1[n] != outs2[n]
         )
     return None
 

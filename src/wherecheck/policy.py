@@ -23,6 +23,8 @@ from typing import Optional
 from .syntax import (
     DeclassAssign,
     Expr,
+    Input,
+    Output,
     Program,
     Seq,
     expr_vars,
@@ -151,6 +153,8 @@ def parse_policy(text: str) -> Policy:
             if len(fields) == 7:
                 if fields[5] != "length":
                     raise PolicyError(f"line {lineno}: expected 'length'")
+                if direction != "input":
+                    raise PolicyError(f"line {lineno}: only an input channel has a length")
                 try:
                     length = int(fields[6])
                 except ValueError:
@@ -197,7 +201,13 @@ def validate_bindings(program: Program, policy: Policy) -> None:
             raise PolicyError(f"variable {name!r} has no declared level")
         if name in policy.channels:
             raise PolicyError(f"name {name!r} is declared as a channel but used as a variable")
-    for name, direction in sorted(program.channels.items()):
+    # Every use, not one per channel: a channel may be both read and written.
+    uses = {
+        (c.channel, "input" if isinstance(c, Input) else "output")
+        for c in walk_commands(program.root)
+        if isinstance(c, (Input, Output))
+    }
+    for name, direction in sorted(uses):
         ch = policy.channels.get(name)
         if ch is None:
             raise PolicyError(f"channel {name!r} has no declaration")

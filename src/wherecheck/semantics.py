@@ -8,9 +8,10 @@ input or writing past the capacity ends the run with a terminal diagnostic
 label rather than an error.
 
 A run is recorded once: ``Trace.entries`` lists each step's configuration
-and label, the label carries the step's trace text, and
-``Trace.downgrades`` is the one definition of a run's downgrade steps,
-computed once per run.
+and label, the label carries the step's trace text, and an ``Ending``
+(outcome, final configuration, downgrade steps) says how the run ended.
+``run`` fills the downgrades in as it steps; the same ``Ending`` is what
+a later run that joins this one takes, and what the oracle keeps.
 
 The interpreter steps through a table of program points.  A point is one
 remaining command of a program, interned once with an int id: it knows its
@@ -25,8 +26,7 @@ command by the point id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .policy import Policy
 from .syntax import (
@@ -339,30 +339,37 @@ def step_point(
 Downgrade = tuple[int, Configuration, Configuration, StepLabel]
 
 
+class Ending(NamedTuple):
+    """How a run ended: its outcome, its final configuration, and (index in
+    the run, configuration before, after, label) of each downgrade step, in
+    order."""
+
+    outcome: str
+    final: Configuration
+    downgrades: list[Downgrade]
+
+    def declass_events(self) -> list[tuple[int, int]]:
+        """(site id, declassified value) for each downgrade step, in order."""
+        return [(label.site.id, label.value) for _, _, _, label in self.downgrades]
+
+
 @dataclass
 class Trace:
-    """Result of run(): per-step entries plus the overall outcome.
+    """Result of run(): the steps it took, and how it ended.
 
     ``entries`` is the one record of the steps: each step's configuration
     after it and its label, which carries the step's rule and changed text;
-    ``lines`` joins them into trace lines only when read.  A run that took
+    ``lines`` joins them into trace lines only when read.  ``outcome``,
+    ``final`` and ``downgrades`` are the run's ``Ending``.  A run that took
     the rest of an earlier run (see ``run``) holds only its own steps in
-    ``entries``.  ``joined`` is then the earlier run's final configuration,
-    and ``later`` its downgrade steps from the meeting point on, in the form
-    of ``downgrades``.
+    ``entries``, but its ending is the whole run's.
     """
 
     entries: list[tuple[Configuration, StepLabel]]
     outcome: str
-    initial: Optional[Configuration] = None
-    joined: Optional[Configuration] = field(default=None, repr=False)
-    later: list[Downgrade] = field(default_factory=list, repr=False)
-
-    @property
-    def final(self) -> Configuration:
-        if self.joined is not None:
-            return self.joined
-        return self.entries[-1][0] if self.entries else self.initial
+    initial: Configuration
+    final: Configuration
+    downgrades: list[Downgrade] = field(repr=False)
 
     @property
     def lines(self) -> list[str]:
@@ -375,27 +382,14 @@ class Trace:
             for config, label in self.entries
         ]
 
-    @cached_property
-    def downgrades(self) -> list[Downgrade]:
-        """(index in the run, configuration before, after, label) of each
-        downgrade step, in order: the run's own entries, then ``later``.
-        Computed once per trace; ``run`` and the oracle both read it."""
-        own, before = [], self.initial
-        for k, (after, label) in enumerate(self.entries):
-            if label.kind == DECLASS:
-                own.append((k, before, after, label))
-            before = after
-        return own + self.later
-
     def declass_events(self) -> list[tuple[int, int]]:
-        """(site id, declassified value) for each downgrade step, in order."""
-        return [(label.site.id, label.value) for _, _, _, label in self.downgrades]
-
-
-# What a run registers in ``Known.configs`` for each configuration it
-# stepped: the run's (outcome, final configuration, downgrades), then the
-# configuration's index in the run and its distance to the run's end.
-Ending = tuple[tuple[str, Configuration, list[Downgrade]], int, int]
+        """(site id, declassified value) for each downgrade step, in order:
+        read off the labels of ``entries``, then of the downgrades a join
+        took after them."""
+        own = len(self.entries)
+        labels = [label for _, label in self.entries if label.kind == DECLASS]
+        labels += [label for k, _, _, label in self.downgrades if k >= own]
+        return [(label.site.id, label.value) for label in labels]
 
 
 class Known:
@@ -405,7 +399,8 @@ class Known:
     __slots__ = ("configs", "points")
 
     def __init__(self) -> None:
-        self.configs: dict[tuple, Ending] = {}
+        # key -> (ending, index in the run, distance to the end); see run
+        self.configs: dict[tuple, tuple[Ending, int, int]] = {}
         self.points = Points()
 
 
@@ -431,12 +426,13 @@ def run(
     ``known``, shared by the runs of one program under one fuel, lets a run
     take the rest of an earlier run: the machine is deterministic, so the
     future of a configuration is the same whichever run reaches it.  A run
-    registers each configuration it stepped, at its index k, with the
-    distance d from it to the run's end: the configuration whose step ended
-    the run (halted or a channel diagnostic), or the one that repeated.  So
-    d = end - k, except inside a diverging run's cycle, where d is the cycle
-    length wherever the configuration sits: a run that enters the cycle
-    there meets it again after one lap.  For a run out of fuel, d = fuel - k
+    registers each configuration it stepped with the run's ``Ending``, the
+    configuration's index k, and the distance d from it to the run's end:
+    the configuration whose step ended the run (halted or a channel
+    diagnostic), or the one that repeated.  So d = end - k, except inside a
+    diverging run's cycle, where d is the cycle length wherever the
+    configuration sits: a run that enters the cycle there meets it again
+    after one lap.  For a run out of fuel, d = fuel - k
     is only a lower bound.  A run that meets a known configuration at its
     own index n ends at n + d, with the earlier outcome if n + d < fuel and
     out of fuel otherwise; its own earlier configurations were not known,
@@ -444,16 +440,17 @@ def run(
     the earlier run ran out of fuel and n + d < fuel, the rest is unknown:
     the run steps on and joins no other run, since its next configurations
     may lie on known paths.  A run that ends at a join takes the earlier
-    run's final configuration and its downgrades from the meeting point on
-    (``joined`` and ``later``); they are a lone run's if the run ends by a
-    step, not by a repeat or out of fuel.  Without ``known`` a run is on
+    run's final configuration, and its downgrades from the meeting point on,
+    each re-indexed into this run; they are a lone run's if the run ends by
+    a step, not by a repeat or out of fuel.  Without ``known`` a run is on
     its own, and its trace is complete.  Each step goes through
     ``step_point``.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
+    downgrades: list[Downgrade] = []
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
     ins = tuple(config.ins.values())
-    outcome, end, loop, joined, later = OUTCOME_FUEL, fuel, fuel, None, []
+    outcome, end, loop = OUTCOME_FUEL, fuel, fuel
     points = known.points if known is not None else Points()
     lookup = known.configs if known is not None else None
     current, point = config, points.of(config.cmd)
@@ -471,28 +468,35 @@ def run(
             break
         hit = lookup.get(key) if lookup is not None else None
         if hit is not None:
-            (ended, final, rest), i, d = hit
-            if n + d < fuel and ended == OUTCOME_FUEL:
+            earlier, i, d = hit
+            if n + d < fuel and earlier.outcome == OUTCOME_FUEL:
                 lookup = None  # the rest is unknown: step on, and join no more
             else:
                 del seen[key]  # registered by the earlier run
-                outcome = ended if n + d < fuel else OUTCOME_FUEL
-                end, loop, joined = n + d, n + d, final
-                later = [(n + j - i, pre, post, label) for j, pre, post, label in rest if j >= i]
+                outcome = earlier.outcome if n + d < fuel else OUTCOME_FUEL
+                end, loop, current = n + d, n + d, earlier.final  # where it ended
+                downgrades += [
+                    (n + j - i, pre, post, label)
+                    for j, pre, post, label in earlier.downgrades
+                    if j >= i
+                ]
                 break
-        current, label, point = step_point(current, point, points, policy, bits, capacity)
-        entries.append((current, label))
+        after, label, point = step_point(current, point, points, policy, bits, capacity)
+        entries.append((after, label))
+        kind = label.kind
+        if kind == DECLASS:
+            downgrades.append((n, current, after, label))
+        current = after
         # Each terminal label is also the outcome it ends the run with.
-        if label.kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-            outcome, end, loop = label.kind, n, n
+        if kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
+            outcome, end, loop = kind, n, n
             break
-    trace = Trace(entries, outcome, config, joined, later)
     if known is not None:
-        ending = (outcome, trace.final, trace.downgrades)
+        ending = Ending(outcome, current, downgrades)
         configs = known.configs
         for key, k in seen.items():
             configs[key] = (ending, k, end - (k if k < loop else loop))
-    return trace
+    return Trace(entries, outcome, config, current, downgrades)
 
 
 def run_program(

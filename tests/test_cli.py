@@ -324,6 +324,21 @@ def test_policy_error_exits_three(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text, declared, flag",
+    [
+        ("input(x, c); output(x, c)", "input length 1", "--oracle"),
+        ("output(x, c); input(x, c)", "output", "--trace"),
+    ],
+)
+def test_channel_used_both_ways_exits_three(tmp_path, capsys, text, declared, flag):
+    policy = f"lattice: L < H\nvar x : L\nchannel c : L {declared}\n"
+    code, out, err = run(capsys, ["analyze", *write_pair(tmp_path, text, policy), flag])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: channel 'c' is declared") and err.count("\n") == 1
+    assert "Traceback" not in err and "RESULT" not in out
+
+
 @pytest.mark.parametrize("mode", ["storematch", "tr"])
 def test_a_variable_named_tmp_is_like_any_other(tmp_path, capsys, mode):
     # a downgrade and a low output through the variable, and a leak of k in l

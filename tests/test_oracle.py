@@ -561,17 +561,15 @@ def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
             known = Known()
             for store, inputs in order:
                 args = (program, policy, store, inputs, bits, capacity, fuel)
-                shared_trace, alone_trace = run_program(*args, known), run_program(*args)
-                shared = oracle._summarise(shared_trace)
-                alone = oracle._summarise(alone_trace)
+                shared, alone = run_program(*args, known), run_program(*args)
                 assert shared.outcome == alone.outcome, (fuel, store, inputs)
                 if alone.outcome == OUTCOME_HALTED:
-                    assert (shared.mu, shared.outs, shared.declass) == (
-                        alone.mu, alone.outs, alone.declass,
+                    assert (shared.final.mu, shared.final.outs) == (
+                        alone.final.mu, alone.final.outs,
                     ), (fuel, store, inputs)
-                    assert _downgrade_record(shared_trace) == _downgrade_record(
-                        alone_trace
-                    ), (fuel, store, inputs)
+                    assert _downgrade_record(shared) == _downgrade_record(alone), (
+                        fuel, store, inputs,
+                    )
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])

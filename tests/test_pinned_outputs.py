@@ -36,7 +36,7 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
-from wherecheck.semantics import DEFAULT_FUEL, format_trace, run_program
+from wherecheck.semantics import DECLASS, DEFAULT_FUEL, format_trace, run_program
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
@@ -153,26 +153,37 @@ def _run_text(trace) -> str:
     return f"{format_trace(trace)}\nfinal {final}\ndeclass {trace.declass_events()}\n"
 
 
+def _lone_runs(text: str, policy_text: str, bits: int, capacity: int):
+    """(fuel, lone runs) at each pinned fuel: the run of every initial state
+    of one oracle input, in the oracle's order, made as they are read."""
+    program = parse_program(text)
+    policy = gather_downgrades(program, parse_policy(policy_text))
+    names = program.variables
+    channels = program.input_channels
+    states = list(_all_states(program, bits, default_input_lengths(program, policy)))
+    for fuel in (DEFAULT_FUEL, 3):
+        yield fuel, (
+            run_program(
+                program, policy, dict(zip(names, store)), dict(zip(channels, ins)),
+                bits, capacity, fuel,
+            )
+            for store, ins in states
+        )
+
+
 def trace_lines() -> list[str]:
     lines = []
     for name, text, policy_text, bits, capacity in _oracle_cases():
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
-        names = program.variables
-        channels = program.input_channels
-        states = list(_all_states(program, bits, default_input_lengths(program, policy)))
         digests = []
-        for fuel in (DEFAULT_FUEL, 3):
+        for fuel, traces in _lone_runs(text, policy_text, bits, capacity):
             digest = hashlib.sha256()
-            for store, ins in states:
-                trace = run_program(
-                    program, policy, dict(zip(names, store)), dict(zip(channels, ins)),
-                    bits, capacity, fuel,
-                )
+            states = 0
+            for trace in traces:
                 digest.update(_run_text(trace).encode())
+                states += 1
             digests.append(f"fuel={fuel}:{digest.hexdigest()[:16]}")
         lines.append(
-            f"TRACES {name} bits={bits} capacity={capacity} states={len(states)} "
+            f"TRACES {name} bits={bits} capacity={capacity} states={states} "
             + " ".join(digests)
         )
     return lines
@@ -207,6 +218,26 @@ def test_oracle_verdicts_match_the_pinned_file():
 
 def test_interpreter_runs_match_the_pinned_file():
     _assert_lines_match(TRACES, trace_lines())
+
+
+def _stepped_downgrades(trace) -> list:
+    """(index in the run, configuration before, after, label) of each
+    downgrade step, read off the trace's steps."""
+    found, before = [], trace.initial
+    for k, (after, label) in enumerate(trace.entries):
+        if label.kind == DECLASS:
+            found.append((k, before, after, label))
+        before = after
+    return found
+
+
+def test_lone_runs_record_the_downgrades_they_step():
+    # The pinned trace digests read only the (site, value) of a downgrade,
+    # not the stores before and after it, which the oracle's buckets read.
+    for name, text, policy_text, bits, capacity in _oracle_cases():
+        for fuel, traces in _lone_runs(text, policy_text, bits, capacity):
+            for trace in traces:
+                assert trace.downgrades == _stepped_downgrades(trace), (name, fuel)
 
 
 if __name__ == "__main__":

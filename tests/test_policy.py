@@ -120,6 +120,27 @@ def test_channel_direction_mismatch():
         gather_downgrades(program, policy)
 
 
+# One channel read and written, in both orders, each declared one way.
+BOTH_WAYS = [
+    ("input(x, c); output(x, c)", "input", "output"),
+    ("output(x, c); input(x, c)", "output", "input"),
+]
+
+
+@pytest.mark.parametrize("text, declared, other", BOTH_WAYS)
+def test_channel_used_both_ways_is_rejected(text, declared, other):
+    program = parse_program(text)
+    length = " length 1" if declared == "input" else ""
+    policy = parse_policy(f"lattice: L < H\nvar x : L\nchannel c : L {declared}{length}\n")
+    with pytest.raises(PolicyError, match=f"declared {declared} but used for {other}"):
+        gather_downgrades(program, policy)
+
+
+def test_output_channel_length_rejected():
+    with pytest.raises(PolicyError, match="line 3: only an input channel has a length"):
+        parse_policy("lattice: L < H\nvar x : L\nchannel o : L output length 2\n")
+
+
 def test_incomparable_levels_need_join():
     text = "lattice: A < T, B < T\nvar x : A\nvar y : B\nvar z : T\n"
     pol = parse_policy(text)
