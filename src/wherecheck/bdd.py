@@ -19,7 +19,7 @@ result is the same canonical node.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 LEAF_LEVEL = 1 << 60
 
@@ -315,11 +315,3 @@ def bv_nonzero(mgr: BDD, a: list[int]) -> int:
 
 def bv_bool(mgr: BDD, bit: int, width: int) -> list[int]:
     return [mgr.FALSE] * (width - 1) + [bit]
-
-
-def bv_value(bits_assignment: Callable[[int], bool], levels: Sequence[int]) -> int:
-    """Decode an integer from a level->bool assignment (MSB first)."""
-    value = 0
-    for lvl in levels:
-        value = (value << 1) | (1 if bits_assignment(lvl) else 0)
-    return value

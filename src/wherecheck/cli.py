@@ -71,7 +71,8 @@ class LevelReport:
     composed_rules: int = 0
     global_bits: int = 0
     steps: int = 0
-    seconds: float = 0.0
+    seconds: float = 0.0  # the whole level
+    witness_seconds: float = 0.0  # the part spent in extract_witness
     # kept for witness formatting and --dump-*; not part of the printed report
     skeleton: ModelSkeleton | None = field(default=None, repr=False)
     model: ComposedModel | None = field(default=None, repr=False)
@@ -168,9 +169,11 @@ def analyze(
             model = compose(skeleton)
             auto = post_star(model, node_budget=node_budget)
             verdict = INSECURE if is_error_reachable(auto, model) else SECURE
-            witness = None
+            witness, witness_seconds = None, 0.0
             if verdict == INSECURE and want_witness:
+                began = time.perf_counter()
                 witness = extract_witness(auto, model)
+                witness_seconds = time.perf_counter() - began
         except (BudgetExceeded, RecursionError, MemoryError) as exc:
             report.levels.append(
                 LevelReport(
@@ -193,6 +196,7 @@ def analyze(
                 global_bits=model.spds.globals.total_bits,
                 steps=steps,
                 seconds=time.perf_counter() - start,
+                witness_seconds=witness_seconds,
                 skeleton=skeleton,
                 model=model,
             )
@@ -325,9 +329,10 @@ def _level_line(r: LevelReport) -> str:
     if r.verdict == INCONCLUSIVE:
         return f"level {r.level}: inconclusive ({r.reason})"
     why = f" ({r.reason})" if r.reason else ""
+    witness = f" witness={r.witness_seconds * 1000:.1f}ms" if r.witness is not None else ""
     return (
         f"level {r.level}: {r.verdict}{why} [rules={r.composed_rules}"
-        f" global-bits={r.global_bits} steps={r.steps} time={r.seconds * 1000:.1f}ms]"
+        f" global-bits={r.global_bits} steps={r.steps} time={r.seconds * 1000:.1f}ms{witness}]"
     )
 
 

@@ -22,11 +22,16 @@ Witness extraction walks back over the stored layers: from the least
 valuation at error in the last layer, it takes at every layer the first
 rule into the current symbol, in declaration order, whose pre-image of
 that valuation's cube meets the previous layer, and picks the least
-valuation there.  That gives one shortest path.  Cubes are built one node
-per bit and least valuations read off paths of the diagram, with no
-conjunction and no recursion.  The mismatch is read from that path: the
-step that first set the store-match MISMATCH cell names the output channel
-and position; failing that, the first observable variable whose two copies
+valuation there.  That gives one shortest path.  Each step costs the
+pre-images of the rules it tries, one conjunction and one pick, so the
+walk is linear in the witness length.  The set picked from is nearly
+always a single cube, read in one walk from its root; when it fixes every
+bit it is already the picked valuation's cube, which the next step takes
+as is.  Any other set takes a greedy walk over paths of the diagram.  A
+pick whose set is not its own cube gets its cube built one node per bit,
+with no recursion.  The mismatch is read from that path: the step that
+first set the store-match MISMATCH cell names the output channel and
+position; failing that, the first observable variable whose two copies
 differ at the end; under tr, the channel checker that entered error.  The
 decoded two-run counterexample is replayed through the reference
 interpreter and the replay verdict is recorded.
@@ -185,11 +190,10 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
     """Concretize one shortest error path; first rule in declaration order wins ties."""
     spds, alg, layers = auto.spds, auto.algebra, auto.layers
     sym = spds.error
-    val = alg.pick_set(layers[-1][sym])
+    val, here = alg.pick_point(layers[-1][sym])
     rules_by_rhs = _rules_by(spds, "rhs")
     tail: list[tuple[int, tuple[int, ...], str]] = []
     for k in range(len(layers) - 1, 0, -1):
-        here = alg.set_from_valuation(val)
         for i in rules_by_rhs.get(sym, ()):
             rule = spds.rules[i]
             prev = layers[k - 1].get(rule.lhs)
@@ -200,7 +204,7 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
             if cand == alg.mgr.FALSE:
                 continue
             tail.append((i, val, sym))
-            val, sym = alg.pick_set(cand), rule.lhs
+            (val, here), sym = alg.pick_point(cand), rule.lhs
             break
         else:
             raise RuntimeError("path reconstruction lost the predecessor layer")

@@ -58,7 +58,6 @@ from .bdd import (
     bv_ne,
     bv_nonzero,
     bv_sub,
-    bv_value,
 )
 from .syntax import BinOp, CellRef, Expr, Num, Var, format_expr, subst_vars
 
@@ -171,6 +170,23 @@ class GlobalsDecl:
 
     def nxt_levels(self, name: str) -> tuple[int, ...]:
         return self._levels[name][1]
+
+    @cached_property
+    def cur_slots(self) -> tuple[tuple[int, int, int], ...]:
+        """Every current-state bit slot as (level, cell index, bit weight)."""
+        return tuple(
+            (lvl, i, 1 << (width - 1 - j))
+            for i, (name, width) in enumerate(self.cells)
+            for j, lvl in enumerate(self.cur_levels(name))
+        )
+
+    def decode(self, ones: set[int]) -> tuple[int, ...]:
+        """The valuation that is 1 at the current levels in ones and 0 at every other."""
+        out = [0] * len(self.cells)
+        for lvl, i, weight in self.cur_slots:
+            if lvl in ones:
+                out[i] |= weight
+        return tuple(out)
 
     def as_dict(self, valuation: tuple[int, ...]) -> dict[str, int]:
         return {name: valuation[i] for i, (name, _) in enumerate(self.cells)}
@@ -414,17 +430,45 @@ class RelationAlgebra:
             n = hi[path[-1][0]]
         return {level[m]: bit for m, bit in path}
 
-    def pick_set(self, set_cur: int) -> Optional[tuple[int, ...]]:
-        """The least valuation in the set: cells in declaration order, MSB first.
+    def pick_point(self, set_cur: int) -> Optional[tuple[tuple[int, ...], int]]:
+        """The set's least valuation and that valuation's cube; None if the set is empty.
 
-        Bit by bit in that order, which need not be the BDD order, a bit is 0
-        if a root-to-1 path agrees with that 0 and the bits fixed before it,
-        else 1: the greedy choice gives the least number.  One such path is
-        kept, and a walk for a new one runs only when it sets the bit to 1.
+        Least means cells in declaration order, MSB first.  A set that is a
+        single cube is read in one walk from the root: each node on its one
+        path to 1 has a FALSE child, the path fixes the cube's bits, and 0
+        at every free bit is the least valuation.  When the path fixes
+        every bit, the set is that valuation's cube.  Any other set takes
+        the greedy walk of _pick_greedy.
+        """
+        mgr = self.mgr
+        if set_cur == mgr.FALSE:
+            return None
+        level, lo, hi = mgr.level, mgr.lo, mgr.hi
+        ones: set[int] = set()
+        n, fixed = set_cur, 0
+        while n != mgr.TRUE:
+            fixed += 1
+            if lo[n] == mgr.FALSE:
+                ones.add(level[n])
+                n = hi[n]
+            elif hi[n] == mgr.FALSE:
+                n = lo[n]
+            else:
+                val = self._pick_greedy(set_cur)
+                return val, self.set_from_valuation(val)
+        val = self.g.decode(ones)
+        return val, set_cur if fixed == len(self.g.cur_slots) else self.set_from_valuation(val)
+
+    def _pick_greedy(self, set_cur: int) -> tuple[int, ...]:
+        """The least valuation in a nonempty set, bit by bit in declaration order.
+
+        That order need not be the BDD order.  A bit is 0 if a root-to-1
+        path agrees with that 0 and the bits fixed before it, else 1: the
+        greedy choice gives the least number.  One such path is kept, and a
+        walk for a new one runs only when it sets the bit to 1.
         """
         path = self._path(set_cur, {})
-        if path is None:
-            return None
+        assert path is not None, "the set is empty"
         out: dict[int, int] = {}
         for lvl in (lvl for name in self.g.names for lvl in self.g.cur_levels(name)):
             out[lvl] = 0
@@ -434,4 +478,4 @@ class RelationAlgebra:
                     out[lvl] = 1
                 else:
                     path = found
-        return tuple(bv_value(out.__getitem__, self.g.cur_levels(name)) for name in self.g.names)
+        return self.g.decode({lvl for lvl, bit in out.items() if bit})

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from wherecheck.bdd import BudgetExceeded, bv_value
+from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import ComposedModel
 from wherecheck.spds import (
     _COMPARISONS,
@@ -34,6 +34,14 @@ def valuation(globals_decl: GlobalsDecl, values: dict[str, int]) -> tuple[int, .
     for name, width in globals_decl.cells:
         out.append(values.get(name, 0) & ((1 << width) - 1))
     return tuple(out)
+
+
+def bv_value(bits_assignment: Callable[[int], bool], levels: Sequence[int]) -> int:
+    """Decode an integer from a level->bool assignment (MSB first)."""
+    value = 0
+    for lvl in levels:
+        value = (value << 1) | (1 if bits_assignment(lvl) else 0)
+    return value
 
 
 def decode(globals_decl: GlobalsDecl, assignment: dict[int, int], levels_of) -> tuple[int, ...]:

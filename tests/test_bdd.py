@@ -24,8 +24,8 @@ from wherecheck.bdd import (
     bv_ne,
     bv_nonzero,
     bv_sub,
-    bv_value,
 )
+from explicit import bv_value
 
 
 def eval_node(mgr, u, assignment):

@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,17 @@ def test_level_line_names_why_a_level_was_not_searched(capsys):
         "RESULT level=L verdict=insecure",
         "RESULT overall=insecure",
     ]
+
+
+def test_level_line_shows_the_witness_time_only_with_a_witness(capsys):
+    _, out, _ = run(capsys, ["analyze", *corpus_args("P3"), "--witness"])
+    low = next(ln for ln in out.splitlines() if ln.startswith("level L:"))
+    assert re.search(r" time=[0-9.]+ms witness=[0-9.]+ms\]$", low)
+    high = next(ln for ln in out.splitlines() if ln.startswith("level H:"))
+    assert "witness=" not in high
+    assert not any("witness" in ln for ln in result_lines(out))
+    _, out, _ = run(capsys, ["analyze", *corpus_args("P3")])
+    assert "witness=" not in out
 
 
 def test_trace_flag_prints_reference_run(capsys):

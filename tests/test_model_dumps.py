@@ -5,7 +5,7 @@ Each line of ``model_dumps.txt`` is one (program, bits, level) of the cases
 ``dump_model`` of the skeleton, and over ``dump_spds`` plus the sorted
 control cells of each composition.  Together they pin every rule's text and
 the declaration order of the cells, which fixes the BDD variable order and,
-through ``pick_set``, the witnesses.  A change that means to move neither
+through ``pick_point``, the witnesses.  A change that means to move neither
 leaves the file as it is.  Regenerate it, only when a model is meant to
 change, with
 

@@ -11,13 +11,14 @@ from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
     OBSERVES_EVERYTHING,
     Witness,
+    _backward_path,
     extract_witness,
     is_error_reachable,
     post_star,
     replay_witness,
 )
 from wherecheck.semantics import run_program
-from wherecheck.spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS
+from wherecheck.spds import HAVOC, GlobalsDecl, RelationAlgebra, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
 from explicit import decode, explicit_error_search, initial_valuations, successors
 from test_bdd import sat_all
@@ -549,3 +550,85 @@ def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
     auto = post_star(model)
     assert auto.steps > 0 and auto.reason == ""
     assert not is_error_reachable(auto, model)
+
+
+# The witness walk reads most of its picks in one walk of a cube.  On a
+# counting loop (program D of the ROADMAP) the greedy walks it still takes
+# do not grow with the loop's length, so the walk is linear in the witness.
+
+D_SHAPE = "i := 0;\nwhile (i < {n}) do\n  i := i + 1;\n  l := l + 1\nod;\nl := l + h\n"
+D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
+
+
+def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
+    walks = [0]
+    path = RelationAlgebra._path
+
+    def counted(self, u, fixed):
+        walks[0] += 1
+        return path(self, u, fixed)
+
+    monkeypatch.setattr(RelationAlgebra, "_path", counted)
+    counts = []
+    for n in (50, 100):
+        model = build(D_SHAPE.format(n=n), D_POLICY, bits=8)
+        auto = post_star(model)
+        walks[0] = 0
+        w = extract_witness(auto, model)
+        assert w.length == 6 * n + 9 and w.replay_ok
+        counts.append(walks[0])
+    assert counts[0] == counts[1]
+
+
+# Every set the witness walk picks from, on the benchmark inputs, gives the
+# same valuation through the cube walk and through the greedy walk.
+
+WALK_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
+
+
+def _walk_cases(group: str):
+    """(program text, policy text, bits, capacity, compose) of one group."""
+    if group == "table3":
+        for i in range(8):
+            path = CORPUS / f"P{i}"
+            for bits in (2, 3, 4):
+                yield path.read_text(), path.with_suffix(".policy").read_text(), bits, 8, self_compose
+    elif group == "iobench":
+        for i in range(8):
+            path = ROOT / "corpus" / "iobench" / f"B{i}"
+            for mode in (self_compose, tr_compose):
+                yield path.read_text(), path.with_suffix(".policy").read_text(), 2, 8, mode
+    else:
+        for seed in range(100):
+            gen = generate(seed, GenConfig(io=group == "randprog-io"))
+            yield gen.text, gen.policy_text, 2, 4, self_compose
+
+
+@pytest.mark.parametrize("group", WALK_GROUPS)
+def test_the_cube_walk_picks_what_the_greedy_walk_picks(group, monkeypatch):
+    picked = []
+    pick_point = RelationAlgebra.pick_point
+
+    def recorded(self, set_cur):
+        picked.append(set_cur)
+        return pick_point(self, set_cur)
+
+    monkeypatch.setattr(RelationAlgebra, "pick_point", recorded)
+    walks = 0
+    for text, pol, bits, capacity, mode in _walk_cases(group):
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(pol))
+        for level in sorted(policy.domains):
+            model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+            auto = post_star(model)
+            if not is_error_reachable(auto, model):
+                continue
+            picked.clear()
+            _backward_path(auto)
+            alg = auto.algebra
+            for s in picked:
+                val, cube = pick_point(alg, s)
+                assert val == alg._pick_greedy(s)
+                assert cube == alg.set_from_valuation(val)
+            walks += 1
+    assert walks > 0

@@ -514,10 +514,10 @@ def test_pick_set_is_minimal():
     node = ra.mgr.disj(
         ra.set_from_valuation((3, 1)), ra.set_from_valuation((1, 0))
     )
-    assert ra.pick_set(node) == (1, 0)
+    assert ra.pick_point(node)[0] == (1, 0)
     node2 = ra.mgr.disj(node, ra.set_from_valuation((1, 1)))
-    assert ra.pick_set(node2) == (1, 0)
-    assert ra.pick_set(ra.mgr.FALSE) is None
+    assert ra.pick_point(node2)[0] == (1, 0)
+    assert ra.pick_point(ra.mgr.FALSE) is None
 
 
 # Witnesses pick the least valuation in declaration order whatever the
@@ -532,7 +532,24 @@ def test_pick_set_is_least_in_declaration_order(vals):
     ra = RelationAlgebra(MIXED)
     node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
     assert enumerate_set(ra, node) == set(vals)
-    assert ra.pick_set(node) == min(enumerate_set(ra, node))
+    assert ra.pick_point(node)[0] == min(enumerate_set(ra, node))
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(MIXED_VALS),
+    st.sets(st.sampled_from(MIXED.names)),
+    st.frozensets(st.sampled_from(MIXED_VALS), max_size=4),
+)
+def test_pick_point_reads_the_least_valuation_of_a_cube(val, names, others):
+    # a cube with free bits for every cell left out of names; joined with
+    # others it is mostly no longer a cube, and takes the greedy walk
+    ra = RelationAlgebra(MIXED)
+    node = ra.set_from_fixed({name: val[MIXED.index_of(name)] for name in names})
+    node = ra.mgr.disj_all([node, *(ra.set_from_valuation(v) for v in sorted(others))])
+    least = min(enumerate_set(ra, node))
+    assert ra.pick_point(node) == (least, ra.set_from_valuation(least))
+    assert ra._pick_greedy(node) == least
 
 
 @settings(max_examples=60)
@@ -556,4 +573,5 @@ def test_a_wide_valuation_round_trips_at_the_default_recursion_limit():
     wide = GlobalsDecl(tuple((f"v{i}", 8) for i in range(130)) + (("k", 2),), frozenset({"k"}))
     val = tuple((37 * i + 11) % 256 for i in range(130)) + (2,)
     ra = RelationAlgebra(wide)
-    assert ra.pick_set(ra.set_from_valuation(val)) == val
+    cube = ra.set_from_valuation(val)
+    assert ra.pick_point(cube) == (val, cube)
