@@ -112,8 +112,7 @@ class StepLabel:
         return self.kind
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Machine state: store, channels with their read indices, remaining command.
 
     ins maps each input channel to its full (immutable) contents; p is the
@@ -416,11 +415,12 @@ def run(
 
     The machine is deterministic over a finite state space, so a repeated
     configuration proves divergence exactly; fuel is the fallback bound.
-    A configuration's key lists the values of its store, read indices,
-    outputs and input contents without their names, and the id of its
-    remaining command's point: every configuration of one run holds the
-    same names in the same order, and so does every run of one program
-    whose store names only the program's variables.  The points come from
+    A configuration's key is one flat tuple: the id of its remaining
+    command's point, its input contents, and the values of its store, read
+    indices and outputs without their names.  Every configuration of one
+    run holds the same names in the same order, and so does every run of
+    one program whose store names only the program's variables, so each
+    value keeps its position.  The points come from
     ``known.points``, or from a table of the run's own without ``known``.
 
     ``known``, shared by the runs of one program under one fuel, lets a run
@@ -455,13 +455,7 @@ def run(
     lookup = known.configs if known is not None else None
     current, point = config, points.of(config.cmd)
     for n in range(fuel):
-        key = (
-            tuple(current.mu.values()),
-            tuple(current.p.values()),
-            tuple(current.outs.values()),
-            ins,
-            point.id,
-        )
+        key = (point.id, ins, *current.mu.values(), *current.p.values(), *current.outs.values())
         first = seen.setdefault(key, n)
         if first != n:
             outcome, end, loop = OUTCOME_DIVERGES, n, first

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from wherecheck import oracle, randprog
+from wherecheck.cli import analyze
 from wherecheck.oracle import (
     INCONCLUSIVE,
     INSECURE,
@@ -227,15 +228,42 @@ def test_budget_exhaustion_is_inconclusive():
     assert verdict.note
 
 
+def test_a_scan_past_the_budget_is_inconclusive():
+    # Level H sees everything (16 pairs); level L's first violation is its
+    # 50th pair: l = 3, h = 0 against l = 3, h = 1.
+    program, policy = prog("if l == 3 then l := h else skip fi", TWO_LEVEL)
+    full = check_noninterference(program, policy, bits=2)
+    assert (full.status, full.pairs_checked) == (INSECURE, 16 + 50)
+    assert check_noninterference(program, policy, bits=2, budget=50) == full
+    cut = check_noninterference(program, policy, bits=2, budget=49)
+    assert (cut.status, cut.pairs_checked) == (INCONCLUSIVE, 16 + 49)
+    assert cut.note == "budget-exceeded: level L scanned 49 pairs"
+
+
+@pytest.mark.parametrize("seed", [133, 262])
+def test_the_budget_counts_states_not_the_pairs_of_clean_levels(seed):
+    # Both programs have more pairs than the default budget, and far fewer
+    # states; 133 is secure, 262 insecure.
+    gen = randprog.generate(seed, randprog.GenConfig(io=True))
+    program, policy = prog(gen.text, gen.policy_text)
+    lengths = default_input_lengths(program, policy)
+    pairs = sum(_pair_count(program, policy, level, 3, lengths) for level in policy.domains)
+    assert pairs > oracle.DEFAULT_PAIR_BUDGET
+    verdict = check_where_security(program, policy, bits=3, capacity=8)
+    assert verdict.status != INCONCLUSIVE
+    assert verdict.status == analyze(program, policy, bits=3, capacity=8).overall
+
+
 def test_witness_is_lexicographically_first():
     program, policy = prog("l := h", TWO_LEVEL)
     v1 = check_noninterference(program, policy, bits=2)
     v2 = check_noninterference(program, policy, bits=2)
     assert v1.witness.first == v2.witness.first
     assert v1.witness.second == v2.witness.second
-    # Smallest differing pair: l = 0 shared, h = 0 versus h = 1.
-    assert v1.witness.first.store == {"h": 0, "l": 0}
-    assert v1.witness.second.store == {"h": 1, "l": 0}
+    # Smallest differing pair: l = 0 shared, h = 0 versus h = 1, each store
+    # listing its observable variables first.
+    assert list(v1.witness.first.store.items()) == [("l", 0), ("h", 0)]
+    assert list(v1.witness.second.store.items()) == [("l", 0), ("h", 1)]
 
 
 def test_static_input_counts_and_lengths():
@@ -352,7 +380,7 @@ def reference_check(program, policy, property_name, bits, capacity, fuel=DEFAULT
     saw_fuel_limit = False
     pairs_checked = 0
     for level in sorted(policy.domains):
-        for first, second in _enumerate_pairs(program, policy, level, bits, lengths):
+        for first, second in _ref_enumerate_pairs(program, policy, level, bits, lengths):
             pairs_checked += 1
             trace1 = run_program(program, policy, first.store, first.inputs, bits, capacity, fuel)
             trace2 = run_program(program, policy, second.store, second.inputs, bits, capacity, fuel)
@@ -428,6 +456,15 @@ def test_matches_pairwise_reference_on_hand_written(name):
     assert_matches_reference(program, policy, bits=2, capacity=4)
 
 
+@pytest.mark.parametrize("seed", [262, 295])
+def test_matches_pairwise_reference_on_a_bits_3_scan(seed):
+    # Each scans a violated level at bits 3 and capacity 8: 4,098 and 4,609
+    # pairs checked.
+    gen = randprog.generate(seed, randprog.GenConfig(io=True))
+    program, policy = prog(gen.text, gen.policy_text)
+    assert_matches_reference(program, policy, bits=3, capacity=8)
+
+
 def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
     """One loop per component, outermost first: the order ``_enumerate_pairs`` keeps."""
     values = range(1 << bits)
@@ -459,11 +496,19 @@ def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
                             yield InitialState(store1, ins1), InitialState(store2, ins2)
 
 
-def _items(pairs):
-    # Dict equality ignores key order; the listed items keep it.
-    return [
-        tuple((list(s.store.items()), list(s.inputs.items())) for s in pair) for pair in pairs
-    ]
+def _keys(program, bits, lengths, pairs):
+    """Each pair of initial states as two indices into ``oracle._all_states``."""
+    index = {
+        state: i for i, state in enumerate(oracle._all_states(program, bits, lengths))
+    }
+
+    def key(state):
+        return (
+            tuple(state.store[n] for n in program.variables),
+            tuple(state.inputs[n] for n in program.input_channels),
+        )
+
+    return [(index[key(first)], index[key(second)]) for first, second in pairs]
 
 
 IOBENCH = CORPUS.parent / "iobench"
@@ -485,8 +530,8 @@ def test_pair_order_matches_the_nested_loop_reference(case, bits):
     lengths = default_input_lengths(program, policy)
     for level in sorted(policy.domains):
         args = (program, policy, level, bits, lengths)
-        got = _items(_enumerate_pairs(*args))
-        assert got == _items(_ref_enumerate_pairs(*args)), level
+        got = list(_enumerate_pairs(*args))
+        assert got == _keys(program, bits, lengths, _ref_enumerate_pairs(*args)), level
         assert len(got) == _pair_count(*args)
 
 
@@ -623,3 +668,98 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
     monkeypatch.setattr(semantics, "step_point", counted)
     assert check_where_security(program, policy, bits=2).status == SECURE
     assert len(steps) == len(distinct) < total
+
+
+# ---------------------------------------------------------------------------
+# A level with one initial state per low class builds no observations: each
+# of its pairs is a state with itself (``oracle`` part 1).
+
+
+def _count_bucket_passes(monkeypatch):
+    passes = []
+
+    def counted(view):
+        passes.append(view)
+        return real(view)
+
+    real = oracle._Level.conflict
+    monkeypatch.setattr(oracle._Level, "conflict", counted)
+    return passes
+
+
+def test_a_bottom_level_program_out_of_fuel_stays_inconclusive(monkeypatch):
+    program, policy = prog(
+        "i := 0; while i < 3 do i := i + 1; l := l + 1 od",
+        "lattice: L < H\nvar i : L\nvar l : L\n",
+    )
+    passes = _count_bucket_passes(monkeypatch)
+    verdict = check_where_security(program, policy, bits=2, capacity=4, fuel=5)
+    assert (verdict.status, verdict.pairs_checked) == (INCONCLUSIVE, 16 + 16)
+    assert passes == []
+    assert_matches_reference(program, policy, bits=2, capacity=4, fuel=5)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_an_unobservable_input_takes_the_shortcut_only_when_empty(monkeypatch, length):
+    program, policy = prog(
+        "input(l, hin)",
+        f"lattice: L < H\nvar l : L\nchannel hin : H input length {length}\n",
+    )
+    passes = _count_bucket_passes(monkeypatch)
+    verdict = check_noninterference(program, policy, bits=2, capacity=4)
+    assert verdict.status == (SECURE if length == 0 else INSECURE)
+    assert len(passes) == length  # level L's, when hin has a cell
+    assert_matches_reference(program, policy, bits=2, capacity=4)
+
+
+def test_a_shortcut_level_still_makes_every_run(monkeypatch):
+    # Level H takes the shortcut; level L's bucket pass stops at its fifth
+    # state and its scan at its second pair, but every state has run.
+    program, policy = prog("l := h", TWO_LEVEL)
+    started = []
+
+    def counted(*args):
+        started.append(args)
+        return run_program(*args)
+
+    monkeypatch.setattr(oracle, "run_program", counted)
+    verdict = check_noninterference(program, policy, bits=2)
+    assert (verdict.status, verdict.pairs_checked) == (INSECURE, 16 + 2)
+    assert len(started) == 16
+
+
+# The shortcut against the bucket pass it skips, on both corpora at bits 2 /
+# capacity 8 and randprog seeds 0-399 with and without I/O at bits 2 /
+# capacity 4: on every level that takes it, the pass finds no conflict.
+
+SHORTCUT_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
+
+
+def _shortcut_cases(group):
+    """(name, program text, policy text, capacity) of one group."""
+    if group in ("table3", "iobench"):
+        stem = "P" if group == "table3" else "B"
+        for i in range(8):
+            path = CORPUS.parent / group / f"{stem}{i}"
+            yield f"{group}/{stem}{i}", path.read_text(), path.with_suffix(".policy").read_text(), 8
+        return
+    io = group == "randprog-io"
+    for seed in range(400):
+        gen = randprog.generate(seed, randprog.GenConfig(io=io))
+        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 4
+
+
+@pytest.mark.parametrize("group", SHORTCUT_GROUPS)
+def test_the_bucket_pass_finds_no_conflict_where_the_shortcut_is_taken(group):
+    taken = 0
+    for name, text, pol, capacity in _shortcut_cases(group):
+        program, policy = prog(text, pol)
+        lengths = default_input_lengths(program, policy)
+        runs = oracle._Runs(program, policy, 2, capacity, DEFAULT_FUEL, lengths)
+        for level in sorted(policy.domains):
+            if _pair_count(program, policy, level, 2, lengths) != len(runs):
+                continue
+            taken += 1
+            for prop in ("noninterference", "where-security"):
+                assert not oracle._Level(runs, level, prop).conflict(), (name, level, prop)
+    assert taken
