@@ -16,46 +16,53 @@ are likewise unconstrained; divergence is decided exactly by repeated-state
 detection, so "inconclusive" only arises from the budget or from a run that
 exhausts its fuel.
 
-A run does not depend on the observer, so each initial state runs once per
-check, on first use, and its ``semantics.Ending`` (outcome, final
+A run does not depend on the observer, so each initial state runs at most
+once per check, on first use, and its ``semantics.Ending`` (outcome, final
 configuration, downgrades) serves every level (``_Runs``); the rest of its
 trace is not kept.  The runs of one check also share their futures through
 one map of the configurations they stepped: the interpreter is
 deterministic, so a run that reaches a configuration of an earlier run takes
 that run's outcome, final configuration and later downgrades
 (``semantics.run`` gives the fuel arithmetic).  The ending of a halted run
-is exact; of the other runs only the outcome is read.  A state is named by
-its index in ``_all_states``, and a pair by two indices.
+is exact; of the other runs only the outcome is read.
+
+A state is its index.  ``_Runs`` fixes the layout once: one ``bits``-wide
+digit per variable of ``program.variables``, then one per input cell of the
+sorted input channels, most significant first.  An index is decoded into a
+store and input contents only to run its state or to name it in a witness;
+every fact of a level reads the same digits.  A state's low class is its
+index masked to the level's observable digits, a level's pair count is the
+state count shifted by ``bits`` per unobservable digit, and a pair is two
+indices.
 
 A level costs what its states cost, in three ways:
 
-1. A level that sees everything but empty inputs has one state per low
-   class (``_pair_count`` equals the number of states), so each of its
-   pairs is a state paired with itself.  A deterministic run cannot differ
-   from itself, so such a level builds no observations: it reads each
-   state's outcome, since a run out of fuel still makes the verdict
-   inconclusive, and adds its pairs.
+1. A level with no unobservable digit has one state per low class, so each
+   of its pairs is a state paired with itself.  A deterministic run cannot
+   differ from itself, so such a level makes no run of its own; it adds its
+   pairs.  Once no level is violated, every state that has not run runs,
+   since a run out of fuel still makes the verdict inconclusive.
 2. Any other level is violated iff two halted runs of one low class file
    different observations under one bucket key, so a clean level is proved
    in one pass over the states (``_Level.conflict``).
-3. A violated level is scanned pair by pair in lexicographic order, because
-   the verdict names the first violating pair, its reason, and the number
-   of pairs checked up to it.  The scan runs over pairs of state indices
-   and judges a pair by the same bucket keys; each state's observations are
+3. A violated level is scanned pair by pair in lexicographic order
+   (``_Level.pair_order``), because the verdict names the first violating
+   pair, its reason, and the number of pairs checked up to it.  The scan
+   judges a pair by the same bucket keys; each state's observations are
    made once per level and shared with the bucket pass.  Only the witness
-   becomes an ``InitialState``.
+   becomes an ``InitialState``.  A violated level's verdict reads only the
+   runs of its pass and its scan.
 
-The budget counts that work: a check of more initial states than the
-budget is inconclusive before it runs any, and a scan that passes the
-budget in pairs is inconclusive too.  Clean levels are not counted in
-pairs, since their pass is linear in the states.
+The budget counts states: a check of more initial states than the budget
+is inconclusive before it runs any, and a scan that passes the budget in
+pairs is inconclusive too.  Clean levels are not counted in pairs, since
+their pass is linear in the states.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Iterator, Optional
 
 from .policy import Policy
@@ -125,87 +132,6 @@ def default_input_lengths(program: Program, policy: Policy) -> dict[str, int]:
     return lengths
 
 
-def _pair_count(
-    program: Program,
-    policy: Policy,
-    level: str,
-    bits: int,
-    input_lengths: dict[str, int],
-) -> int:
-    values = 1 << bits
-    total = 1
-    for name in program.variables:
-        total *= values if policy.observable(name, level) else values * values
-    for name, direction in program.channels.items():
-        if direction != "input":
-            continue
-        length = input_lengths.get(name, 0)
-        cells = values**length
-        total *= cells if policy.observable(name, level) else cells * cells
-    return total
-
-
-def _state_count(program: Program, bits: int, input_lengths: dict[str, int]) -> int:
-    """The number of initial states: the length of ``_all_states``."""
-    cells = sum(input_lengths.get(ch, 0) for ch in program.input_channels)
-    return (1 << bits) ** (len(program.variables) + cells)
-
-
-def _all_states(
-    program: Program, bits: int, input_lengths: dict[str, int]
-) -> Iterator[tuple[tuple, tuple]]:
-    """Every initial state, as the values of its store and of its inputs.
-
-    The store lists ``program.variables`` in order, the inputs the sorted
-    input channels.  Each level's pairs draw on exactly this set.  A
-    state's index in this order reads its store's values, then its input
-    cells, as the digits of one number in base ``2**bits``.
-    """
-    values = range(1 << bits)
-    names = list(program.variables)
-    in_channels = program.input_channels
-    contents = [
-        list(itertools.product(values, repeat=input_lengths.get(ch, 0)))
-        for ch in in_channels
-    ]
-    for store in itertools.product(values, repeat=len(names)):
-        for ins in itertools.product(*contents):
-            yield store, ins
-
-
-def _enumerate_pairs(
-    program: Program,
-    policy: Policy,
-    level: str,
-    bits: int,
-    input_lengths: dict[str, int],
-) -> Iterator[tuple[int, int]]:
-    """Observer-equivalent initial pairs, as indices into ``_all_states``,
-    in lexicographic order: outermost the low values, then the high stores
-    of the first and of the second state, the low contents, and the high
-    contents of the first and of the second state."""
-    values = range(1 << bits)
-    digits = [*program.variables] + [
-        ch for ch in program.input_channels for _ in range(input_lengths.get(ch, 0))
-    ]
-    # The weight of each digit of a state's index, by part: (is an input, observable).
-    parts: dict[tuple[bool, bool], list[int]] = {
-        (False, True): [], (False, False): [], (True, True): [], (True, False): []
-    }
-    for k, name in enumerate(digits):
-        parts[k >= len(program.variables), policy.observable(name, level)].append(
-            len(values) ** (len(digits) - 1 - k)
-        )
-    lows, highs, low_ins, high_ins = [
-        [sum(map(mul, d, w)) for d in itertools.product(values, repeat=len(w))]
-        for w in parts.values()
-    ]
-    for low, high1, high2, low_in, hc1, hc2 in itertools.product(
-        lows, highs, highs, low_ins, high_ins, high_ins
-    ):
-        yield low + high1 + low_in + hc1, low + high2 + low_in + hc2
-
-
 def _conflict(seen1: dict[tuple, tuple], seen2: dict[tuple, tuple]) -> Optional[tuple]:
     """The first bucket key of run 2 under which run 1 files another
     observation, or None: two halted runs of one low class violate the
@@ -217,63 +143,75 @@ def _conflict(seen1: dict[tuple, tuple], seen2: dict[tuple, tuple]) -> Optional[
 
 
 class _Runs:
-    """The initial states of one check, in ``_all_states`` order, and the
-    ending of each state's run, made on first use and shared by the levels."""
+    """The initial states of one check, each named by its index, and the
+    ending of each state's run, made on first use and shared by the levels.
+
+    The layout is fixed here once: an index has one ``bits``-wide digit per
+    variable of ``program.variables``, then one per input cell of the sorted
+    input channels (``default_input_lengths``), most significant first.
+    """
 
     def __init__(
-        self,
-        program: Program,
-        policy: Policy,
-        bits: int,
-        capacity: int,
-        fuel: int,
-        input_lengths: dict[str, int],
+        self, program: Program, policy: Policy, bits: int, capacity: int, fuel: int
     ) -> None:
         self.program, self.policy = program, policy
         self.limits = (bits, capacity, fuel)
-        self.states = list(_all_states(program, bits, input_lengths))
-        self.endings: list[Optional[Ending]] = [None] * len(self.states)
+        lengths = default_input_lengths(program, policy)
+        self.lengths = [lengths.get(ch, 0) for ch in program.input_channels]
+        # The variable or input channel each digit reads, most significant first.
+        self.digits = [*program.variables] + [
+            ch for ch, n in zip(program.input_channels, self.lengths) for _ in range(n)
+        ]
+        self.count = 1 << bits * len(self.digits)
+        self.endings: dict[int, Ending] = {}
         self.known = Known()  # each configuration stepped, shared by the runs
 
-    def __len__(self) -> int:
-        return len(self.states)
+    def state(self, i: int) -> tuple[dict[str, int], dict[str, tuple[int, ...]]]:
+        """The store and the input contents of state i, read off its digits."""
+        bits, program = self.limits[0], self.program
+        values = [(i >> bits * k) & ((1 << bits) - 1) for k in reversed(range(len(self.digits)))]
+        cells = iter(values[len(program.variables) :])
+        return dict(zip(program.variables, values)), {
+            ch: tuple(itertools.islice(cells, n))
+            for ch, n in zip(program.input_channels, self.lengths)
+        }
 
     def __getitem__(self, i: int) -> Ending:
-        found = self.endings[i]
+        found = self.endings.get(i)
         if found is None:
-            store, ins = self.states[i]
-            program = self.program
-            store, ins = dict(zip(program.variables, store)), dict(zip(program.input_channels, ins))
-            trace = run_program(program, self.policy, store, ins, *self.limits, self.known)
+            store, ins = self.state(i)
+            trace = run_program(self.program, self.policy, store, ins, *self.limits, self.known)
             found = self.endings[i] = Ending(trace.outcome, trace.final, trace.downgrades)
         return found
-
-    def all(self) -> list[Ending]:
-        """Every state's ending, in order."""
-        return [self[i] for i in range(len(self.states))]
 
 
 _UNSEEN = object()
 
 
 class _Level:
-    """What one observer level sees of the runs of a check: each state's
-    observations, made once on first use and shared by the bucket pass and
-    the scan."""
+    """What one observer level sees of the runs of a check: the digits of a
+    state's index it observes, and each state's observations, made once on
+    first use and shared by the bucket pass and the scan."""
 
     def __init__(self, runs: _Runs, level: str, property_name: str) -> None:
         self.runs, self.level, self.property_name = runs, level, property_name
-        program, policy = runs.program, runs.policy
-        names, in_channels = program.variables, program.input_channels
-        self.low_vars = [i for i, n in enumerate(names) if policy.observable(n, level)]
-        self.low_ch = [i for i, n in enumerate(in_channels) if policy.observable(n, level)]
-        self.variables = tuple([names[i] for i in self.low_vars])
+        program, policy, bits = runs.program, runs.policy, runs.limits[0]
+        # A state's low class is its index masked to the observable digits.
+        self.low_mask = hidden = 0
+        for k, name in enumerate(reversed(runs.digits)):
+            if policy.observable(name, level):
+                self.low_mask |= ((1 << bits) - 1) << bits * k
+            else:
+                hidden += 1
+        # Each state pairs with every state of its low class.
+        self.pairs = runs.count << bits * hidden
+        self.variables = tuple([n for n in program.variables if policy.observable(n, level)])
         self.outputs = tuple(
             n
             for n, d in sorted(program.channels.items())
             if d != "input" and policy.observable(n, level)
         )
-        self.seen: list = [_UNSEEN] * len(runs)
+        self.seen: dict[int, Optional[dict[tuple, tuple]]] = {}
 
     def observations(self, run: Ending) -> dict[tuple, tuple]:
         """The observation of one halted run under each bucket key.
@@ -305,7 +243,7 @@ class _Level:
 
     def observed(self, i: int) -> Optional[dict[tuple, tuple]]:
         """State i's observations by bucket key, or None if its run did not halt."""
-        seen = self.seen[i]
+        seen = self.seen.get(i, _UNSEEN)
         if seen is _UNSEEN:
             run = self.runs[i]
             halted = run.outcome == OUTCOME_HALTED
@@ -316,24 +254,48 @@ class _Level:
         """Whether some pair of the level violates the property: two halted
         runs of one low class that file different observations under one
         bucket key.  One pass over the states."""
-        low_vars, low_ch = self.low_vars, self.low_ch
+        low_mask = self.low_mask
         buckets: dict[tuple, tuple] = {}
-        for i, (store, ins) in enumerate(self.runs.states):
+        for i in range(self.runs.count):
             seen = self.observed(i)
             if seen is None:
                 continue
-            low = (tuple([store[k] for k in low_vars]), tuple([ins[k] for k in low_ch]))
+            low = i & low_mask
             for bucket, observation in seen.items():
                 if buckets.setdefault((low, bucket), observation) != observation:
                     return True
         return False
 
-    def scan(self, pairs: Iterator[tuple[int, int]], checked: int, budget: int) -> OracleVerdict:
-        """The verdict of a violated level: the first violating pair of the
-        level's ``pairs`` in order, found within ``budget`` of them, after
-        ``checked`` pairs of the levels before."""
+    def pair_order(self) -> Iterator[tuple[int, int]]:
+        """The level's pairs in lexicographic order: outermost the low
+        values, then the high stores of the first and of the second state,
+        the low contents, and the high contents of the first and of the
+        second state."""
+
+        def indices(mask: int) -> list[int]:
+            # Every index whose digits outside mask are 0, in increasing order:
+            # the product of mask's digits, the most significant outermost.
+            found = [0]
+            while found[-1] != mask:
+                found.append((found[-1] - mask) & mask)
+            return found
+
+        runs, low_mask = self.runs, self.low_mask
+        ins = (1 << runs.limits[0] * sum(runs.lengths)) - 1  # the input cells' digits
+        store = runs.count - 1 - ins
+        lows, highs = indices(low_mask & store), indices(store & ~low_mask)
+        low_ins, high_ins = indices(low_mask & ins), indices(ins & ~low_mask)
+        for low, high1, high2, low_in, hc1, hc2 in itertools.product(
+            lows, highs, highs, low_ins, high_ins, high_ins
+        ):
+            yield low | high1 | low_in | hc1, low | high2 | low_in | hc2
+
+    def scan(self, checked: int, budget: int) -> OracleVerdict:
+        """The verdict of a violated level: its first violating pair in
+        ``pair_order``, found within ``budget`` pairs, after ``checked``
+        pairs of the levels before."""
         runs = self.runs
-        for scanned, (i, j) in enumerate(itertools.islice(pairs, budget), 1):
+        for scanned, (i, j) in enumerate(itertools.islice(self.pair_order(), budget), 1):
             seen1, seen2 = self.observed(i), self.observed(j)
             if seen1 is None or seen2 is None:
                 continue  # no final configuration: premise unsatisfied
@@ -357,16 +319,13 @@ class _Level:
 
     def initial_state(self, i: int) -> InitialState:
         """State i, its observable names first, as the pair order lists them."""
-        store, ins = self.runs.states[i]
-        program, policy, level = self.runs.program, self.runs.policy, self.level
+        policy, level = self.runs.policy, self.level
 
-        def low_first(names: tuple[str, ...], values: tuple) -> dict:
-            items = zip(names, values)
+        def low_first(values: dict) -> dict:
+            items = values.items()
             return dict(sorted(items, key=lambda item: not policy.observable(item[0], level)))
 
-        return InitialState(
-            low_first(program.variables, store), low_first(program.input_channels, ins)
-        )
+        return InitialState(*map(low_first, self.runs.state(i)))
 
     def reason(self, i: int, j: int, key: tuple) -> str:
         """Why states i and j violate the property, given the first
@@ -398,31 +357,26 @@ def _check_pairs(
     bits: int,
     capacity: int,
     fuel: int,
-    input_lengths: dict[str, int],
     budget: int,
 ) -> OracleVerdict:
-    count = _state_count(program, bits, input_lengths)
-    if count > budget:
+    runs = _Runs(program, policy, bits, capacity, fuel)
+    if runs.count > budget:
         return OracleVerdict(
             property_name,
             INCONCLUSIVE,
-            note=f"budget-exceeded: {count} states > {budget}",
+            note=f"budget-exceeded: {runs.count} states > {budget}",
         )
 
-    runs = _Runs(program, policy, bits, capacity, fuel, input_lengths)
     pairs_checked = 0
     for level in sorted(policy.domains):
-        pairs = _pair_count(program, policy, level, bits, input_lengths)
-        if pairs == count:
-            # Each pair is a state with itself, which no run can violate.
-            # The runs are still made: one out of fuel makes the verdict
-            # inconclusive below.
-            runs.all()
-        elif (view := _Level(runs, level, property_name)).conflict():
-            scan = _enumerate_pairs(program, policy, level, bits, input_lengths)
-            return view.scan(scan, pairs_checked, budget)
-        pairs_checked += pairs
-    if any(run.outcome == OUTCOME_FUEL for run in runs.all()):
+        view = _Level(runs, level, property_name)
+        # A level with no unobservable digit pairs each state with itself,
+        # which no run can violate, so it makes no run of its own.
+        if view.pairs > runs.count and view.conflict():
+            return view.scan(pairs_checked, budget)
+        pairs_checked += view.pairs
+    # Every state not run yet runs here: one out of fuel makes the verdict inconclusive.
+    if any(runs[i].outcome == OUTCOME_FUEL for i in range(runs.count)):
         return OracleVerdict(
             property_name,
             INCONCLUSIVE,
@@ -441,10 +395,7 @@ def check_noninterference(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> OracleVerdict:
     """Exhaustively test observational equivalence of final states."""
-    lengths = default_input_lengths(program, policy)
-    return _check_pairs(
-        program, policy, "noninterference", bits, capacity, fuel, lengths, budget
-    )
+    return _check_pairs(program, policy, "noninterference", bits, capacity, fuel, budget)
 
 
 def check_where_security(
@@ -464,7 +415,4 @@ def check_where_security(
     all agree (and counts match) but whose final stores or outputs differ
     observably.
     """
-    lengths = default_input_lengths(program, policy)
-    return _check_pairs(
-        program, policy, "where-security", bits, capacity, fuel, lengths, budget
-    )
+    return _check_pairs(program, policy, "where-security", bits, capacity, fuel, budget)

@@ -12,8 +12,6 @@ from wherecheck.oracle import (
     InitialState,
     OracleVerdict,
     OracleWitness,
-    _enumerate_pairs,
-    _pair_count,
     check_noninterference,
     check_where_security,
     default_input_lengths,
@@ -47,6 +45,16 @@ def prog(text: str, pol: str):
 
 
 TWO_LEVEL = "lattice: L < H\nvar h : H\nvar l : L\n"
+
+
+def layout(program, policy, bits=2, capacity=4):
+    """The oracle's initial states of one check, each named by its index."""
+    return oracle._Runs(program, policy, bits, capacity, DEFAULT_FUEL)
+
+
+def level_pairs(runs, level):
+    """The number of pairs the oracle counts at one level."""
+    return oracle._Level(runs, level, "noninterference").pairs
 
 
 def test_noninterference_direct_leak():
@@ -246,8 +254,8 @@ def test_the_budget_counts_states_not_the_pairs_of_clean_levels(seed):
     # states; 133 is secure, 262 insecure.
     gen = randprog.generate(seed, randprog.GenConfig(io=True))
     program, policy = prog(gen.text, gen.policy_text)
-    lengths = default_input_lengths(program, policy)
-    pairs = sum(_pair_count(program, policy, level, 3, lengths) for level in policy.domains)
+    runs = layout(program, policy, bits=3, capacity=8)
+    pairs = sum(level_pairs(runs, level) for level in policy.domains)
     assert pairs > oracle.DEFAULT_PAIR_BUDGET
     verdict = check_where_security(program, policy, bits=3, capacity=8)
     assert verdict.status != INCONCLUSIVE
@@ -496,43 +504,75 @@ def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
                             yield InitialState(store1, ins1), InitialState(store2, ins2)
 
 
-def _keys(program, bits, lengths, pairs):
-    """Each pair of initial states as two indices into ``oracle._all_states``."""
-    index = {
-        state: i for i, state in enumerate(oracle._all_states(program, bits, lengths))
-    }
+def _ref_all_states(program, bits, input_lengths):
+    """Every initial state as (store, inputs), one nested product per part:
+    the order of the oracle's state indices."""
+    values = range(1 << bits)
+    names = list(program.variables)
+    in_channels = program.input_channels
+    contents = [
+        list(itertools.product(values, repeat=input_lengths.get(ch, 0))) for ch in in_channels
+    ]
+    for store in itertools.product(values, repeat=len(names)):
+        for ins in itertools.product(*contents):
+            yield dict(zip(names, store)), dict(zip(in_channels, ins))
 
-    def key(state):
+
+def _keys(runs, pairs):
+    """Each pair of initial states as two state indices of ``runs``."""
+    program = runs.program
+
+    def key(store, inputs):
         return (
-            tuple(state.store[n] for n in program.variables),
-            tuple(state.inputs[n] for n in program.input_channels),
+            tuple(store[n] for n in program.variables),
+            tuple(inputs[n] for n in program.input_channels),
         )
 
-    return [(index[key(first)], index[key(second)]) for first, second in pairs]
+    index = {key(*runs.state(i)): i for i in range(runs.count)}
+    return [
+        (index[key(first.store, first.inputs)], index[key(second.store, second.inputs)])
+        for first, second in pairs
+    ]
 
 
 IOBENCH = CORPUS.parent / "iobench"
+LAYOUT_CASES = ["channels", "iobench/B4", "two-by-two"]
+
+
+def _layout_case(case):
+    if case == "channels":
+        return prog(*HAND_WRITTEN["channels"])
+    if case == "iobench/B4":
+        return prog((IOBENCH / "B4").read_text(), (IOBENCH / "B4.policy").read_text())
+    return prog(
+        "h1 := l1 + h2; l2 := declass(h1 & 1)",
+        "lattice: L < H\nvar l1 : L\nvar l2 : L\nvar h1 : H\nvar h2 : H\n",
+    )
 
 
 @pytest.mark.parametrize("bits", [1, 2])
-@pytest.mark.parametrize("case", ["channels", "iobench/B4", "two-by-two"])
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_state_indices_decode_in_nested_product_order(case, bits):
+    program, policy = _layout_case(case)
+    runs = layout(program, policy, bits)
+    lengths = default_input_lengths(program, policy)
+    assert [runs.state(i) for i in range(runs.count)] == list(
+        _ref_all_states(program, bits, lengths)
+    )
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+@pytest.mark.parametrize("case", LAYOUT_CASES)
 def test_pair_order_matches_the_nested_loop_reference(case, bits):
-    if case == "channels":
-        program, policy = prog(*HAND_WRITTEN["channels"])
-    elif case == "iobench/B4":
-        program = parse_program((IOBENCH / "B4").read_text())
-        policy = gather_downgrades(program, parse_policy((IOBENCH / "B4.policy").read_text()))
-    else:
-        program, policy = prog(
-            "h1 := l1 + h2; l2 := declass(h1 & 1)",
-            "lattice: L < H\nvar l1 : L\nvar l2 : L\nvar h1 : H\nvar h2 : H\n",
-        )
+    program, policy = _layout_case(case)
+    runs = layout(program, policy, bits)
     lengths = default_input_lengths(program, policy)
     for level in sorted(policy.domains):
-        args = (program, policy, level, bits, lengths)
-        got = list(_enumerate_pairs(*args))
-        assert got == _keys(program, bits, lengths, _ref_enumerate_pairs(*args)), level
-        assert len(got) == _pair_count(*args)
+        view = oracle._Level(runs, level, "noninterference")
+        got = list(view.pair_order())
+        reference = _ref_enumerate_pairs(program, policy, level, bits, lengths)
+        assert got == _keys(runs, reference), level
+        assert len(got) == view.pairs
 
 
 def test_fuel_exhausted_secure_program_is_inconclusive():
@@ -569,10 +609,8 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
     monkeypatch.setattr(oracle, "run_program", counted)
     verdict = check_where_security(program, policy, bits=2)
     assert verdict.status == SECURE
-    lengths = default_input_lengths(program, policy)
-    assert verdict.pairs_checked == sum(
-        _pair_count(program, policy, level, 2, lengths) for level in policy.domains
-    )
+    runs = layout(program, policy)
+    assert verdict.pairs_checked == sum(level_pairs(runs, level) for level in policy.domains)
     # Three variables and one input cell of 2 bits each.
     assert len(started) == len(set(started)) == 4**4
 
@@ -587,12 +625,8 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 
 def initial_states(program, policy, bits=2):
     """(store, inputs) of every initial state, in the oracle's order."""
-    lengths = default_input_lengths(program, policy)
-    channels = program.input_channels
-    return [
-        (dict(zip(program.variables, store)), dict(zip(channels, ins)))
-        for store, ins in oracle._all_states(program, bits, lengths)
-    ]
+    runs = layout(program, policy, bits)
+    return [runs.state(i) for i in range(runs.count)]
 
 
 def _downgrade_record(trace):
@@ -712,20 +746,39 @@ def test_an_unobservable_input_takes_the_shortcut_only_when_empty(monkeypatch, l
     assert_matches_reference(program, policy, bits=2, capacity=4)
 
 
-def test_a_shortcut_level_still_makes_every_run(monkeypatch):
-    # Level H takes the shortcut; level L's bucket pass stops at its fifth
-    # state and its scan at its second pair, but every state has run.
-    program, policy = prog("l := h", TWO_LEVEL)
+def _count_runs(monkeypatch):
+    """The (store, inputs) of each run the oracle starts, in order."""
     started = []
 
-    def counted(*args):
-        started.append(args)
-        return run_program(*args)
+    def counted(program, policy, store, inputs, *args):
+        started.append((tuple(store.items()), tuple(inputs.items())))
+        return run_program(program, policy, store, inputs, *args)
 
     monkeypatch.setattr(oracle, "run_program", counted)
+    return started
+
+
+def test_a_shortcut_level_makes_no_run_of_its_own(monkeypatch):
+    # Level H takes the shortcut; level L's bucket pass stops at its fifth
+    # state and its scan at its second pair, whose two states the pass ran.
+    program, policy = prog("l := h", TWO_LEVEL)
+    started = _count_runs(monkeypatch)
     verdict = check_noninterference(program, policy, bits=2)
     assert (verdict.status, verdict.pairs_checked) == (INSECURE, 16 + 2)
-    assert len(started) == 16
+    assert len(started) == len(set(started)) == 5
+
+
+def test_a_secure_check_with_a_shortcut_level_runs_every_state(monkeypatch):
+    # Both levels take the shortcut, so every state runs in the final check
+    # for a run out of fuel, once.
+    program, policy = prog(
+        "i := 0; while i < 3 do i := i + 1; l := l + 1 od",
+        "lattice: L < H\nvar i : L\nvar l : L\n",
+    )
+    started = _count_runs(monkeypatch)
+    verdict = check_where_security(program, policy, bits=2, capacity=4)
+    assert (verdict.status, verdict.pairs_checked) == (SECURE, 16 + 16)
+    assert len(started) == len(set(started)) == 16
 
 
 # The shortcut against the bucket pass it skips, on both corpora at bits 2 /
@@ -754,10 +807,9 @@ def test_the_bucket_pass_finds_no_conflict_where_the_shortcut_is_taken(group):
     taken = 0
     for name, text, pol, capacity in _shortcut_cases(group):
         program, policy = prog(text, pol)
-        lengths = default_input_lengths(program, policy)
-        runs = oracle._Runs(program, policy, 2, capacity, DEFAULT_FUEL, lengths)
+        runs = layout(program, policy, capacity=capacity)
         for level in sorted(policy.domains):
-            if _pair_count(program, policy, level, 2, lengths) != len(runs):
+            if level_pairs(runs, level) != runs.count:
                 continue
             taken += 1
             for prop in ("noninterference", "where-security"):

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
-from wherecheck.oracle import _all_states, check_where_security, default_input_lengths
+from wherecheck.oracle import _Runs, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
@@ -158,15 +158,11 @@ def _lone_runs(text: str, policy_text: str, bits: int, capacity: int):
     of one oracle input, in the oracle's order, made as they are read."""
     program = parse_program(text)
     policy = gather_downgrades(program, parse_policy(policy_text))
-    names = program.variables
-    channels = program.input_channels
-    states = list(_all_states(program, bits, default_input_lengths(program, policy)))
+    runs = _Runs(program, policy, bits, capacity, DEFAULT_FUEL)
+    states = [runs.state(i) for i in range(runs.count)]
     for fuel in (DEFAULT_FUEL, 3):
         yield fuel, (
-            run_program(
-                program, policy, dict(zip(names, store)), dict(zip(channels, ins)),
-                bits, capacity, fuel,
-            )
+            run_program(program, policy, store, ins, bits, capacity, fuel)
             for store, ins in states
         )
 

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from wherecheck import randprog
-from wherecheck.oracle import _all_states, default_input_lengths
+from wherecheck.oracle import _Runs
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
     DECLASS,
+    DEFAULT_FUEL,
     HALTED,
     INPUT_EXHAUSTED,
     OUTCOME_HALTED,
@@ -60,13 +61,10 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
     serves the program, as one ``Known`` serves the runs of an oracle check.
     """
     points, seen, labels = Points(), set(), set()
-    lengths = default_input_lengths(program, policy)
+    runs = _Runs(program, policy, BITS, capacity, DEFAULT_FUEL)
     todo = []
-    for store, ins in _all_states(program, BITS, lengths):
-        config = initial_configuration(
-            program, dict(zip(program.variables, store)),
-            dict(zip(program.input_channels, ins)),
-        )
+    for i in range(runs.count):
+        config = initial_configuration(program, *runs.state(i))
         todo.append((config, points.of(config.cmd)))
     while todo:
         config, point = todo.pop()

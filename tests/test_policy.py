@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from wherecheck.parser import parse_program
@@ -39,6 +41,15 @@ def test_parse_three_level_chain_and_channels():
     assert pol.channels["in0"].length == 2
     assert pol.channels["outm"].direction == "output"
     assert pol.sigma["outm"] == "M"
+
+
+def test_the_readme_example_policy_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Policies and programs", 1)[1]
+    example = section.split("```", 2)[1]
+    pol = parse_policy(example)
+    assert pol.leq("L", "M") and pol.leq("M", "H") and pol.leq("L", "H")
+    assert pol.sigma == {"l": "L", "h": "H", "src": "L", "snk": "L"}
 
 
 def test_lattice_cycle_rejected():

@@ -9,8 +9,8 @@ oracle rejects.
 
 import pytest
 
-from wherecheck.cli import INSECURE, SECURE, analyze
-from wherecheck.oracle import check_where_security
+from wherecheck.cli import INSECURE, MODES, SECURE, analyze
+from wherecheck.oracle import INCONCLUSIVE, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
@@ -71,3 +71,24 @@ def test_io_programs_stay_sound():
     cfg = GenConfig(io=True)
     for seed, gen, report, verdict in sweep(range(60), cfg, want_witness=False):
         assert not (report.overall == SECURE and verdict.status == INSECURE), f"seed {seed}"
+
+
+@pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
+def test_bits_3_sweep_is_sound_in_both_modes(io):
+    # At bits 3 and capacity 8, over seeds 0-399: the oracle is conclusive
+    # on every program, an `analyze` `secure` is never an oracle `insecure`,
+    # every insecure level's witness replays, and the modes agree.
+    for seed in range(400):
+        program, policy = _load(generate(seed, GenConfig(io=io)))
+        verdict = check_where_security(program, policy, bits=3, capacity=8)
+        assert verdict.status != INCONCLUSIVE, (seed, verdict.note)
+        overall = set()
+        for mode in MODES:
+            report = analyze(program, policy, bits=3, capacity=8, mode=mode, want_witness=True)
+            assert not (report.overall == SECURE and verdict.status == INSECURE), (seed, mode)
+            for level in report.levels:
+                if level.verdict == INSECURE:
+                    witness = level.witness
+                    assert witness is not None and witness.replay_ok, (seed, mode, level.level)
+            overall.add(report.overall)
+        assert len(overall) == 1, (seed, overall)
