@@ -1,4 +1,4 @@
-"""Security policies: finite lattice of domains, level map, downgrade relation.
+"""Security policies: finite lattice of domains, level map, declass sites.
 
 Policy files are line oriented:
 
@@ -45,13 +45,13 @@ class Channel:
 
 @dataclass(frozen=True)
 class Policy:
-    """Security policy: (domains, order, downgrades, level assignment)."""
+    """Security policy: (domains, order, level assignment), and which declass
+    sites are real downgrades once ``gather_downgrades`` has classified them."""
 
     domains: tuple[str, ...]
     order: frozenset[tuple[str, str]]  # reflexive-transitive, pairs (lo, hi)
     sigma: dict[str, str]  # variable and channel names to domains
     channels: dict[str, Channel] = field(default_factory=dict)
-    downgrades: frozenset[tuple[str, str]] = frozenset()  # (from, to)
     declass_real: dict[int, bool] = field(default_factory=dict)  # site id -> real?
 
     def leq(self, a: str, b: str) -> bool:
@@ -218,13 +218,13 @@ def validate_bindings(program: Program, policy: Policy) -> None:
 
 
 def gather_downgrades(program: Program, policy: Policy) -> Policy:
-    """Collect the downgrade relation and classify declassification sites.
+    """Classify declassification sites.
 
     A site x := declass(e) with sigma(x) strictly below sigma(e) performs a
-    real downgrade and contributes (sigma(e), sigma(x)); any other declass
-    site behaves as an ordinary assignment.  Also validates that the policy
-    covers the program and that every expression in it has a join.  The
-    result is a new Policy; the computation is idempotent.
+    real downgrade; any other declass site behaves as an ordinary
+    assignment.  Also validates that the policy covers the program and that
+    every expression in it has a join.  The result is a new Policy; the
+    computation is idempotent.
     """
     validate_bindings(program, policy)
     for cmd in walk_commands(program.root):
@@ -232,25 +232,14 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
             continue
         for e in _command_exprs(cmd):
             domain_of_expr(e, policy)  # raises when a join is missing
-    downgrades: set[tuple[str, str]] = set()
     declass_real: dict[int, bool] = {}
     for cmd in walk_commands(program.root):
         if not isinstance(cmd, DeclassAssign):
             continue
         target_level = policy.level_of(cmd.target)
         expr_level = domain_of_expr(cmd.expr, policy)
-        real = policy.lt(target_level, expr_level)
-        declass_real[cmd.site.id] = real
-        if real:
-            downgrades.add((expr_level, target_level))
-    assert all(pair not in policy.order for pair in downgrades), (
-        "downgrade relation must be disjoint from the lattice order"
-    )
-    return replace(
-        policy,
-        downgrades=frozenset(downgrades),
-        declass_real=declass_real,
-    )
+        declass_real[cmd.site.id] = policy.lt(target_level, expr_level)
+    return replace(policy, declass_real=declass_real)
 
 
 def _command_exprs(cmd) -> list[Expr]:

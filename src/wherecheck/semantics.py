@@ -14,11 +14,13 @@ and label, the label carries the step's trace text, and an ``Ending``
 a later run that joins this one takes, and what the oracle keeps.
 
 The interpreter steps through a table of program points.  A point is one
-remaining command of a program, interned once with an int id: it knows its
-redex, the points its step can reach and the labels that depend on nothing
-but the point.  A step evaluates only the redex's expressions; the next
-remaining command is the successor point's, built when that point was
-interned, so ``Configuration.cmd`` is the same structural command as a
+remaining command of a program, found by that command and interned once
+with an int id: commands are frozen dataclasses, so equal commands hash
+equal, and a reduced ``Skip`` differs from the command it replaced by its
+node type.  A point knows its redex, the points its step can reach and the
+labels that depend on nothing but the point.  A step evaluates only the
+redex's expressions; the next remaining command is the successor point's,
+so ``Configuration.cmd`` is the same structural command as a
 tree-rewriting step would build, and a configuration's key names its
 command by the point id.
 """
@@ -128,78 +130,61 @@ class Configuration(NamedTuple):
     cmd: Command
 
 
-def id_free_command_key(cmd: Command):
-    """Structural key of the remaining command.
-
-    The node type matters: a reduced Skip reuses the site id of the command
-    it replaced, so the id alone would conflate pre- and post-states of
-    assignments that happen to leave the store unchanged.
-    """
-    match cmd:
-        case Seq(first, second):
-            return ("seq", id_free_command_key(first), id_free_command_key(second))
-        case _:
-            return (type(cmd).__name__, cmd.site.id)
-
-
 class Point:
     """A remaining command of a program, interned once in a ``Points`` table.
 
-    ``key`` is the command's ``id_free_command_key``.  ``redex`` is what a
-    step reduces: the head of ``cmd`` below its ``Seq`` spine, or the
-    ``Seq(Skip, rest)`` that drops a finished head, or the lone ``Skip`` of a
-    finished run; ``redex_key`` is its key.  ``next[k]`` is the point a step
-    reaches by branch k (0 taken, 1 not taken, for an ``if`` or a ``while``;
-    0 for any other step), and ``labels[k]`` its step label when that
-    depends on nothing but the point; both are set on the first step by
-    that branch.
+    A point is found by its command.  ``redex`` is what a step reduces: the
+    head of ``cmd`` below its ``Seq`` spine, or the ``Seq(Skip, rest)`` that
+    drops a finished head, or the lone ``Skip`` of a finished run.
+    ``next[k]`` is the point a step reaches by branch k (0 taken, 1 not
+    taken, for an ``if`` or a ``while``; 0 for any other step), and
+    ``labels[k]`` its step label when that depends on nothing but the
+    point; both are set on the first step by that branch.
     """
 
-    __slots__ = ("id", "cmd", "key", "redex", "redex_key", "next", "labels")
+    __slots__ = ("id", "cmd", "redex", "next", "labels")
 
-    def __init__(self, id: int, cmd: Command, key: tuple) -> None:
-        self.id, self.cmd, self.key = id, cmd, key
+    def __init__(self, id: int, cmd: Command) -> None:
+        self.id, self.cmd = id, cmd
         while type(cmd) is Seq and type(cmd.first) is not Skip:
-            cmd, key = cmd.first, key[1]
-        self.redex, self.redex_key = cmd, key
+            cmd = cmd.first
+        self.redex = cmd
         self.next: list[Optional[Point]] = [None, None]
         self.labels: list[Optional[StepLabel]] = [None, None]
 
 
-def _plug(cmd: Command, key: tuple, result: Command, result_key: tuple) -> tuple[Command, tuple]:
-    """``cmd``, whose key is ``key``, with its redex replaced by ``result``;
-    and the key of that, built from the keys of the parts it keeps."""
+def _plug(cmd: Command, result: Command) -> Command:
+    """``cmd`` with its redex replaced by ``result``."""
     if type(cmd) is Seq and type(cmd.first) is not Skip:
-        first, first_key = _plug(cmd.first, key[1], result, result_key)
-        return Seq(first, cmd.second), ("seq", first_key, key[2])
-    return result, result_key
+        return Seq(_plug(cmd.first, result), cmd.second)
+    return result
 
 
 class Points:
-    """The program points of one program, each interned once by its key.
+    """The program points of one program, each interned once by its command.
 
-    A successor's key is built from the keys of the parts of the command
-    that it keeps (``_plug``), so ``id_free_command_key`` walks only a run's
-    first command and the branches and loop bodies a step enters.
+    Commands are frozen dataclasses, so equal remaining commands compare and
+    hash equal, and a reduced ``Skip`` differs from the command it replaced
+    by its node type.  A run's first command, usually the program's root,
+    is found by identity, so a run does not hash the whole root.
     """
 
     def __init__(self) -> None:
-        self._by_key: dict[tuple, Point] = {}
-        # A run's first command, usually the program's root, is found by
-        # identity; the point holds the command, so its id is not reused.
+        self._by_cmd: dict[Command, Point] = {}
+        # Only the command a point holds is registered, so its id is not
+        # reused; an equal successor command is a temporary object.
         self._by_id: dict[int, Point] = {}
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._by_cmd)
 
     def of(self, cmd: Command) -> Point:
         """The point of ``cmd``, interned on first sight."""
         found = self._by_id.get(id(cmd))
         if found is None:
-            key = id_free_command_key(cmd)
-            found = self._by_key.get(key)
+            found = self._by_cmd.get(cmd)
             if found is None:
-                found = self._by_key[key] = Point(len(self._by_key), cmd, key)
+                found = self._by_cmd[cmd] = Point(len(self._by_cmd), cmd)
                 self._by_id[id(cmd)] = found
         return found
 
@@ -208,29 +193,18 @@ class Points:
         redex = point.redex
         kind = type(redex)
         if kind is Seq:
-            result, result_key = redex.second, point.redex_key[2]
+            result = redex.second
             point.labels[k] = StepLabel(PLAIN, redex.first.site, rule="seq-skip")
         elif kind is If:
             result = redex.else_branch if k else redex.then_branch
-            result_key = id_free_command_key(result)
             point.labels[k] = StepLabel(PLAIN, redex.site, rule=("if-true", "if-false")[k])
         elif kind is While:
-            if k:
-                result = Skip(redex.site)
-                result_key = ("Skip", redex.site.id)
-            else:
-                result = Seq(redex.body, redex)
-                result_key = ("seq", id_free_command_key(redex.body), point.redex_key)
+            result = Skip(redex.site) if k else Seq(redex.body, redex)
             point.labels[k] = StepLabel(PLAIN, redex.site, rule=("while-true", "while-false")[k])
         else:  # an assignment, a downgrade, an input or an output
             result = Skip(redex.site)
-            result_key = ("Skip", redex.site.id)  # as id_free_command_key(result)
-        cmd, key = _plug(point.cmd, point.key, result, result_key)
-        found = self._by_key.get(key)
-        if found is None:
-            found = self._by_key[key] = Point(len(self._by_key), cmd, key)
-        point.next[k] = found
-        return found
+        point.next[k] = self.of(_plug(point.cmd, result))
+        return point.next[k]
 
 
 def initial_configuration(

@@ -136,6 +136,25 @@ class Seq:
     first: "Command"
     second: "Command"
 
+    # Both walk the spine by a loop, so a long sequence hashes and compares
+    # without a recursive call per statement and can key a dict.
+    def __hash__(self) -> int:
+        parts, cmd = [], self
+        while type(cmd) is Seq:
+            parts.append(cmd.first)
+            cmd = cmd.second
+        return hash((*parts, cmd))
+
+    def __eq__(self, other: object) -> bool:
+        a, b = self, other
+        while type(a) is Seq and type(b) is Seq:
+            if a is b:
+                return True
+            if a.first != b.first:
+                return False
+            a, b = a.second, b.second
+        return type(a) is not Seq and type(b) is not Seq and a == b
+
 
 @dataclass(frozen=True)
 class Input:

@@ -556,3 +556,17 @@ def test_analyze_witness_only_on_request():
     insecure = [r for r in rich.levels if r.verdict == "insecure"]
     assert insecure and all(r.witness is not None for r in insecure)
     assert all(r.witness.replay_ok for r in insecure)
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text().split("## Library", 1)[1]
+    example = section.split("```python", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    namespace = {}
+    exec(example, namespace)
+    report = namespace["report"]
+    assert report.overall == "insecure"
+    assert [(r.level, r.verdict) for r in report.levels] == [
+        ("H", "secure"), ("L", "insecure"),
+    ]

@@ -29,6 +29,7 @@ from wherecheck.semantics import (
     run_program,
     step_point,
 )
+from wherecheck.syntax import Assign, Skip
 from tree_step import tree_step
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -153,3 +154,49 @@ def test_a_loop_interns_the_same_points_at_any_iteration_count():
         assert trace.outcome == OUTCOME_HALTED and trace.final.mu["i"] == n
         sizes.append(len(known.points))
     assert sizes[0] == sizes[1] <= 12
+
+
+# A point is found by its command: the contract the table interns by.
+
+
+def test_equal_roots_of_two_parses_intern_to_one_point():
+    first, second = parse_program(D_TEXT.format(n=3)), parse_program(D_TEXT.format(n=3))
+    assert first.root is not second.root and first.root == second.root
+    points = Points()
+    assert points.of(first.root) is points.of(second.root)
+    assert len(points) == 1
+
+
+def test_an_assignment_and_the_skip_it_steps_to_are_two_points():
+    program, policy = prog("x := x", "lattice: L < H\nvar x : L\n")
+    points = Points()
+    assign = points.of(program.root)
+    skip = points.successor(assign, 0)
+    assert type(assign.cmd) is Assign and type(skip.cmd) is Skip
+    assert assign.cmd.site == skip.cmd.site and assign is not skip
+    assert run_program(program, policy, {"x": 1}).outcome == OUTCOME_HALTED
+
+
+def test_a_successor_equal_to_a_point_is_that_point_and_registers_no_id():
+    # The loop's body runs and its Seq(Skip, loop) drops the Skip: the
+    # remaining command is built afresh, equal to the root.
+    program, _ = prog("while c do c := 0 od; y := 2", "lattice: L < H\nvar c : L\nvar y : L\n")
+    points = Points()
+    root = points.of(program.root)
+    body = points.successor(root, 0)  # while-true
+    done = points.successor(body, 0)  # the assignment
+    ids = dict(points._by_id)
+    back = points.successor(done, 0)  # seq-skip
+    assert back is root and back.cmd is program.root
+    assert len(points) == 3 and points._by_id == ids
+
+
+def test_a_long_sequence_runs_and_interns_without_recursing_per_statement():
+    # Near the parser's own depth bound: a recursive hash or comparison of
+    # the spine would pass the default recursion limit.
+    text = "; ".join(["x := x + 1"] * 900)
+    program, policy = prog(text, "lattice: L < H\nvar x : L\n")
+    trace = run_program(program, policy, bits=12, known=Known())
+    assert trace.outcome == OUTCOME_HALTED and trace.final.mu["x"] == 900
+    points = Points()
+    assert points.of(program.root) is points.of(parse_program(text).root)

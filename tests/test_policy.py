@@ -98,24 +98,20 @@ def test_domain_of_expr_monotone_under_extension():
 def test_gather_downgrades_real_site():
     program = parse_program("l := declass(h); l := h")
     pol = gather_downgrades(program, parse_policy(TWO_LEVEL))
-    assert pol.downgrades == frozenset({("H", "L")})
     assert pol.declass_real == {0: True}
 
 
 def test_gather_downgrades_ordinary_site():
     program = parse_program("h := declass(l)")
     pol = gather_downgrades(program, parse_policy(TWO_LEVEL))
-    assert pol.downgrades == frozenset()
     assert pol.declass_real == {0: False}
 
 
-def test_gather_downgrades_idempotent_and_disjoint():
+def test_gather_downgrades_idempotent():
     program = parse_program("l := declass(h)")
     pol1 = gather_downgrades(program, parse_policy(TWO_LEVEL))
     pol2 = gather_downgrades(program, pol1)
-    assert pol1.downgrades == pol2.downgrades
     assert pol1.declass_real == pol2.declass_real
-    assert all(pair not in pol1.order for pair in pol1.downgrades)
 
 
 def test_gather_downgrades_missing_sigma():
