@@ -44,7 +44,6 @@ from .syntax import (
     While,
     format_command,
     format_expr,
-    walk_commands,
 )
 
 FINAL_SYMBOL = "end"
@@ -159,9 +158,7 @@ def build_model(
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
 ) -> ModelSkeleton:
-    if not policy.declass_real and any(
-        isinstance(c, DeclassAssign) for c in walk_commands(program.root)
-    ):
+    if not policy.declass_real and any(isinstance(c, DeclassAssign) for c in program.sites):
         raise ValueError("policy has no downgrade marks; run gather_downgrades first")
     _check_names(program)
 
@@ -202,11 +199,12 @@ def build_model(
     sites: dict[str, Command] = {}
 
     def emit(cmd: Command, next_sym: str) -> None:
-        sym = site_symbol(cmd.site.id) if not isinstance(cmd, Seq) else None
+        # A loop down a Seq spine; only if and while bodies recurse.
+        while isinstance(cmd, Seq):
+            emit(cmd.first, _first_symbol(cmd.second))
+            cmd = cmd.second
+        sym = site_symbol(cmd.site.id)
         match cmd:
-            case Seq(first, second):
-                emit(first, _first_symbol(second))
-                emit(second, next_sym)
             case Skip(_):
                 rules.append(Rule(sym, next_sym, RuleSpec.make(), "skip"))
             case Assign(_, target, expr):

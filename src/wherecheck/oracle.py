@@ -76,7 +76,7 @@ from .semantics import (
     Known,
     run_program,
 )
-from .syntax import Input, Program, walk_commands
+from .syntax import Input, Program
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -113,7 +113,7 @@ class OracleVerdict:
 def static_input_counts(program: Program) -> dict[str, int]:
     """Input statements per channel, counting loop bodies once."""
     counts: dict[str, int] = {}
-    for cmd in walk_commands(program.root):
+    for cmd in program.sites:
         if isinstance(cmd, Input):
             counts[cmd.channel] = counts.get(cmd.channel, 0) + 1
     return counts

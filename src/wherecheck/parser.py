@@ -136,17 +136,23 @@ class _Parser:
     # -- commands -----------------------------------------------------------
 
     def parse_command(self) -> Command:
-        first = self.parse_atom()
-        if self.peek().kind == "OP" and self.peek().text == ";":
+        # A loop over the statements, folded from the last into a
+        # right-nested Seq: a sequence of any length parses without a
+        # recursive call per ";".
+        atoms = [self.parse_atom()]
+        while self.peek().kind == "OP" and self.peek().text == ";":
             self.advance()
             # Tolerate a trailing ";" before a closing keyword or EOF.
             tok = self.peek()
             if tok.kind == "EOF" or (
                 tok.kind == "KEYWORD" and tok.text in ("else", "fi", "od")
             ):
-                return first
-            return Seq(first, self.parse_command())
-        return first
+                break
+            atoms.append(self.parse_atom())
+        cmd = atoms.pop()
+        while atoms:
+            cmd = Seq(atoms.pop(), cmd)
+        return cmd
 
     def parse_atom(self) -> Command:
         tok = self.peek()

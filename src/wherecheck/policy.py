@@ -20,16 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .syntax import (
-    DeclassAssign,
-    Expr,
-    Input,
-    Output,
-    Program,
-    Seq,
-    expr_vars,
-    walk_commands,
-)
+from .syntax import DeclassAssign, Expr, Input, Output, Program, expr_vars
 
 class PolicyError(Exception):
     """Malformed policy file or policy/program mismatch."""
@@ -204,7 +195,7 @@ def validate_bindings(program: Program, policy: Policy) -> None:
     # Every use, not one per channel: a channel may be both read and written.
     uses = {
         (c.channel, "input" if isinstance(c, Input) else "output")
-        for c in walk_commands(program.root)
+        for c in program.sites
         if isinstance(c, (Input, Output))
     }
     for name, direction in sorted(uses):
@@ -227,28 +218,12 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
     computation is idempotent.
     """
     validate_bindings(program, policy)
-    for cmd in walk_commands(program.root):
-        if isinstance(cmd, Seq):
-            continue
-        for e in _command_exprs(cmd):
-            domain_of_expr(e, policy)  # raises when a join is missing
     declass_real: dict[int, bool] = {}
-    for cmd in walk_commands(program.root):
-        if not isinstance(cmd, DeclassAssign):
+    for cmd in program.sites:
+        e = getattr(cmd, "guard", getattr(cmd, "expr", None))
+        if e is None:  # a skip or an input
             continue
-        target_level = policy.level_of(cmd.target)
-        expr_level = domain_of_expr(cmd.expr, policy)
-        declass_real[cmd.site.id] = policy.lt(target_level, expr_level)
+        level = domain_of_expr(e, policy)  # raises when a join is missing
+        if isinstance(cmd, DeclassAssign):
+            declass_real[cmd.site.id] = policy.lt(policy.level_of(cmd.target), level)
     return replace(policy, declass_real=declass_real)
-
-
-def _command_exprs(cmd) -> list[Expr]:
-    match cmd:
-        case DeclassAssign(_, _, expr):
-            return [expr]
-        case _ if hasattr(cmd, "expr"):
-            return [cmd.expr]
-        case _ if hasattr(cmd, "guard"):
-            return [cmd.guard]
-        case _:
-            return []

@@ -165,27 +165,21 @@ class Points:
 
     Commands are frozen dataclasses, so equal remaining commands compare and
     hash equal, and a reduced ``Skip`` differs from the command it replaced
-    by its node type.  A run's first command, usually the program's root,
-    is found by identity, so a run does not hash the whole root.
+    by its node type.  A ``Seq`` takes its hash once, when it is built, so
+    finding a point, the root's included, does not walk its spine to hash it.
     """
 
     def __init__(self) -> None:
         self._by_cmd: dict[Command, Point] = {}
-        # Only the command a point holds is registered, so its id is not
-        # reused; an equal successor command is a temporary object.
-        self._by_id: dict[int, Point] = {}
 
     def __len__(self) -> int:
         return len(self._by_cmd)
 
     def of(self, cmd: Command) -> Point:
         """The point of ``cmd``, interned on first sight."""
-        found = self._by_id.get(id(cmd))
+        found = self._by_cmd.get(cmd)
         if found is None:
-            found = self._by_cmd.get(cmd)
-            if found is None:
-                found = self._by_cmd[cmd] = Point(len(self._by_cmd), cmd)
-                self._by_id[id(cmd)] = found
+            found = self._by_cmd[cmd] = Point(len(self._by_cmd), cmd)
         return found
 
     def successor(self, point: Point, k: int) -> Point:

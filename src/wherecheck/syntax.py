@@ -8,14 +8,15 @@ index; the parser never builds it and the interpreter never sees it.
 Commands are immutable dataclasses.  Every command occurrence except
 sequencing carries a SiteLabel; ";" is a binary operator on commands and has
 no site of its own.  Site ids are assigned by preorder traversal, so they
-coincide with source order.
+coincide with source order.  ``Program.sites`` is the one walk of a command
+tree: every pass that gathers facts about a program reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -133,17 +134,20 @@ class While:
 
 @dataclass(frozen=True)
 class Seq:
+    """``first; second``.  Its hash is taken once, when it is built: a tail
+    is built before its head, so a new point of a long sequence hashes one
+    statement.  Equality walks the spine by a loop, so a long sequence
+    compares without a recursive call per statement and can key a dict."""
+
     first: "Command"
     second: "Command"
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    # Both walk the spine by a loop, so a long sequence hashes and compares
-    # without a recursive call per statement and can key a dict.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+
     def __hash__(self) -> int:
-        parts, cmd = [], self
-        while type(cmd) is Seq:
-            parts.append(cmd.first)
-            cmd = cmd.second
-        return hash((*parts, cmd))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         a, b = self, other
@@ -173,55 +177,6 @@ class Output:
 Command = Union[Skip, Assign, DeclassAssign, If, While, Seq, Input, Output]
 
 
-def walk_commands(c: Command) -> Iterator[Command]:
-    """Preorder traversal over command occurrences (Seq nodes included)."""
-    yield c
-    match c:
-        case If(_, _, then_branch, else_branch):
-            yield from walk_commands(then_branch)
-            yield from walk_commands(else_branch)
-        case While(_, _, body):
-            yield from walk_commands(body)
-        case Seq(first, second):
-            yield from walk_commands(first)
-            yield from walk_commands(second)
-        case _:
-            pass
-
-
-def command_vars(c: Command) -> set[str]:
-    """All variable names occurring in a command."""
-    out: set[str] = set()
-    for node in walk_commands(c):
-        match node:
-            case Assign(_, target, expr) | DeclassAssign(_, target, expr):
-                out.add(target)
-                out |= expr_vars(expr)
-            case If(_, guard, _, _) | While(_, guard, _):
-                out |= expr_vars(guard)
-            case Input(_, target, _):
-                out.add(target)
-            case Output(_, expr, _):
-                out |= expr_vars(expr)
-            case _:
-                pass
-    return out
-
-
-def command_channels(c: Command) -> dict[str, str]:
-    """Channels used by a command, mapped to direction ("input"/"output")."""
-    out: dict[str, str] = {}
-    for node in walk_commands(c):
-        match node:
-            case Input(_, _, channel):
-                out.setdefault(channel, "input")
-            case Output(_, _, channel):
-                out.setdefault(channel, "output")
-            case _:
-                pass
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Programs
 
@@ -234,18 +189,50 @@ class Program:
 
     @cached_property
     def sites(self) -> tuple[Command, ...]:
-        """Every command but Seq, in preorder; sites[i] has site id i when the
-        labels are dense preorder, as the parser makes them."""
-        return tuple(c for c in walk_commands(self.root) if not isinstance(c, Seq))
+        """Every command but Seq, in preorder: the one walk of the tree, a
+        loop over a stack, that every pass reads.  sites[i] has site id i
+        when the labels are dense preorder, as the parser makes them."""
+        out: list[Command] = []
+        stack = [self.root]
+        while stack:
+            cmd = stack.pop()
+            match cmd:
+                case Seq(first, second):
+                    stack += (second, first)
+                    continue
+                case If(_, _, then_branch, else_branch):
+                    stack += (else_branch, then_branch)
+                case While(_, _, body):
+                    stack.append(body)
+            out.append(cmd)
+        return tuple(out)
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
-        """Every variable of the program, sorted; walked once per program."""
-        return tuple(sorted(command_vars(self.root)))
+        """Every variable of the program, sorted."""
+        out: set[str] = set()
+        for cmd in self.sites:
+            match cmd:
+                case Assign(_, target, expr) | DeclassAssign(_, target, expr):
+                    out.add(target)
+                    out |= expr_vars(expr)
+                case If(_, guard, _, _) | While(_, guard, _):
+                    out |= expr_vars(guard)
+                case Input(_, target, _):
+                    out.add(target)
+                case Output(_, expr, _):
+                    out |= expr_vars(expr)
+        return tuple(sorted(out))
 
     @cached_property
     def channels(self) -> dict[str, str]:
-        return command_channels(self.root)
+        """Channels used by the program, mapped to the direction ("input" or
+        "output") of their first use."""
+        out: dict[str, str] = {}
+        for cmd in self.sites:
+            if isinstance(cmd, (Input, Output)):
+                out.setdefault(cmd.channel, "input" if isinstance(cmd, Input) else "output")
+        return out
 
     @cached_property
     def input_channels(self) -> tuple[str, ...]:

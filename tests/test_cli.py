@@ -251,10 +251,21 @@ def test_deep_expression_overflow_is_inconclusive(tmp_path, capsys):
     assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
 
 
-def test_long_sequence_overflow_is_inconclusive(tmp_path, capsys):
-    # The parser nests one Seq per ";", so 3000 statements overflow it.
-    text = ";\n".join(["l := l + 1"] * 3000) + "\n"
+def test_deep_if_nesting_overflow_is_inconclusive(tmp_path, capsys):
+    # The parser recurses into each nested body, so 600 nested ifs overflow it.
+    text = "if l then " * 600 + "skip" + " else skip fi" * 600 + "\n"
     assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
+
+
+def test_long_sequence_decides(tmp_path, capsys):
+    # The parser reads a sequence in a loop, so 3000 statements decide.
+    args = write_pair(tmp_path, ";\n".join(["l := l + 1"] * 3000) + "\n", TWO_LEVEL)
+    code, out, err = run(capsys, ["analyze", *args, "--bits", "2"])
+    assert code == 0, err
+    assert out.endswith("RESULT overall=secure\n")
+    code, out, err = run(capsys, ["nmin", *args, "--max-bits", "2"])
+    assert code == 0, err
+    assert out.endswith("NMIN absent\n")
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

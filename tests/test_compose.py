@@ -16,7 +16,7 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import dump_spds
-from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars, walk_commands
+from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars
 
 from explicit import explicit_error_search
 from test_pinned_outputs import _cases
@@ -67,7 +67,7 @@ def test_storematch_rule_count_law(name):
     model = self_compose(skel)
     base = len(skel.spds.rules)
     observable = {spec.name for spec in skel.outputs}
-    writes = [c for c in walk_commands(program.root) if isinstance(c, Output)]
+    writes = [c for c in program.sites if isinstance(c, Output)]
     low_writes = sum(c.channel in observable for c in writes)
     # each run keeps every rule, run two splits each low write in two; plus
     # init, restart and the end check

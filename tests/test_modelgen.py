@@ -31,7 +31,6 @@ from wherecheck.syntax import (
     Var,
     While,
     format_command,
-    walk_commands,
 )
 from explicit import successors, valuation
 
@@ -88,7 +87,7 @@ def test_rules_hold_the_parsers_expression_objects():
         held += [e for _, e in rule.spec.updates]
         held += [w.expr for w in rule.spec.writes]
     parsed = []
-    for cmd in walk_commands(program.root):
+    for cmd in program.sites:
         match cmd:
             case Assign(_, _, e) | DeclassAssign(_, _, e) | If(_, e, _, _) | While(_, e, _):
                 parsed.append(e)
@@ -219,11 +218,11 @@ def test_start_and_final_symbols():
 
 
 def site_bodies(skeleton: ModelSkeleton) -> dict:
-    """Reference for the site table: every real downgrade and observable output, by walking."""
+    """Reference for the site table: every real downgrade and observable output, by site."""
     observable = {spec.name for spec in skeleton.outputs}
     return {
         site_symbol(cmd.site.id): cmd
-        for cmd in walk_commands(skeleton.program.root)
+        for cmd in skeleton.program.sites
         if (isinstance(cmd, DeclassAssign) and cmd.site.id in skeleton.rho)
         or (isinstance(cmd, Output) and cmd.channel in observable)
     }

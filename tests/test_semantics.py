@@ -1,9 +1,12 @@
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wherecheck import syntax
+from wherecheck.modelgen import build_model
+from wherecheck.oracle import INSECURE, SECURE, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import (
@@ -320,36 +323,27 @@ def test_run_twice_identical():
     assert t1.final.mu == {"h": 3, "h1": 2, "l": 1, "l1": 2}
 
 
-def test_program_variables_walk_the_tree_once(monkeypatch):
-    walks = []
+def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
+    # Every pass reads Program.sites, so only the site table walks the root.
+    # The model's translation and each run's start read the root too, to
+    # follow it, not to gather facts.
+    readers = []
 
-    def counting(c):
-        walks.append(c)
-        return real(c)
+    def get_root(self):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return vars(self)["root"]
 
-    real = syntax.command_vars
-    monkeypatch.setattr(syntax, "command_vars", counting)
-    programs = [load("P3"), load("P7")]
-    for program, policy in programs:
-        for h in range(4):
-            run_program(program, policy, store={"h": h}, bits=2)
-            assert program.variables == tuple(sorted(real(program.root)))
-    assert len(walks) == len(programs)
+    def set_root(self, value):
+        vars(self)["root"] = value
 
-
-def test_program_channels_walk_the_tree_once(monkeypatch):
-    walks = []
-
-    def counting(c):
-        walks.append(c)
-        return real(c)
-
-    real = syntax.command_channels
-    monkeypatch.setattr(syntax, "command_channels", counting)
+    monkeypatch.setattr(syntax.Program, "root", property(get_root, set_root), raising=False)
     iobench = CORPUS.parent / "iobench"
-    programs = [load("B4", iobench), load("B6", iobench)]
+    programs = [load("P3"), load("P7"), load("B4", iobench), load("B6", iobench)]
     for program, policy in programs:
-        for h in range(4):
-            run_program(program, policy, store={"h": h}, inputs={"hid": (h,)}, bits=2)
-            assert program.channels == real(program.root)
-    assert len(walks) == len(programs)
+        for level in policy.domains:
+            build_model(program, policy, level, bits=2, capacity=2)
+        verdict = check_where_security(program, policy, bits=2, capacity=2)
+        assert verdict.status in (SECURE, INSECURE)
+        run_program(program, policy, bits=2, capacity=2)
+    assert readers.count("sites") == len(programs)
+    assert set(readers) == {"sites", "build_model", "initial_configuration"}
