@@ -323,10 +323,8 @@ def test_run_twice_identical():
     assert t1.final.mu == {"h": 3, "h1": 2, "l": 1, "l1": 2}
 
 
-def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
-    # Every pass reads Program.sites, so only the site table walks the root.
-    # The model's translation and each run's start read the root too, to
-    # follow it, not to gather facts.
+def count_root_reads(monkeypatch) -> list[str]:
+    """Record the name of each function that reads a Program's root."""
     readers = []
 
     def get_root(self):
@@ -337,6 +335,71 @@ def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
         vars(self)["root"] = value
 
     monkeypatch.setattr(syntax.Program, "root", property(get_root, set_root), raising=False)
+    return readers
+
+
+def reference_facts(c, names: set[str], channels: dict[str, str]) -> None:
+    """A recursive walk, kept apart from Program.sites, that gathers the
+    variables and the channels (by direction of first use) of a command."""
+    match c:
+        case syntax.Seq(first, second):
+            reference_facts(first, names, channels)
+            reference_facts(second, names, channels)
+        case syntax.Assign(_, target, expr) | syntax.DeclassAssign(_, target, expr):
+            names.add(target)
+            names |= syntax.expr_vars(expr)
+        case syntax.If(_, guard, then_branch, else_branch):
+            names |= syntax.expr_vars(guard)
+            reference_facts(then_branch, names, channels)
+            reference_facts(else_branch, names, channels)
+        case syntax.While(_, guard, body):
+            names |= syntax.expr_vars(guard)
+            reference_facts(body, names, channels)
+        case syntax.Input(_, target, channel):
+            names.add(target)
+            channels.setdefault(channel, "input")
+        case syntax.Output(_, expr, channel):
+            names |= syntax.expr_vars(expr)
+            channels.setdefault(channel, "output")
+
+
+def test_program_variables_walk_the_tree_once(monkeypatch):
+    readers = count_root_reads(monkeypatch)
+    programs = [load("P3"), load("P7")]
+    expected = []
+    for program, _ in programs:
+        names: set[str] = set()
+        reference_facts(vars(program)["root"], names, {})
+        expected.append(tuple(sorted(names)))
+    for (program, policy), want in zip(programs, expected):
+        for h in range(4):
+            run_program(program, policy, store={"h": h}, bits=2)
+            assert program.variables == want
+    assert readers.count("sites") == len(programs)
+
+
+def test_program_channels_walk_the_tree_once(monkeypatch):
+    readers = count_root_reads(monkeypatch)
+    iobench = CORPUS.parent / "iobench"
+    programs = [load("B4", iobench), load("B6", iobench)]
+    expected = []
+    for program, _ in programs:
+        channels: dict[str, str] = {}
+        reference_facts(vars(program)["root"], set(), channels)
+        expected.append(channels)
+    assert all(expected)
+    for (program, policy), want in zip(programs, expected):
+        for h in range(4):
+            run_program(program, policy, store={"h": h}, inputs={"hid": (h,)}, bits=2)
+            assert program.channels == want
+    assert readers.count("sites") == len(programs)
+
+
+def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
+    # Every pass reads Program.sites, so only the site table walks the root.
+    # The model's translation and each run's start read the root too, to
+    # follow it, not to gather facts.
+    readers = count_root_reads(monkeypatch)
     iobench = CORPUS.parent / "iobench"
     programs = [load("P3"), load("P7"), load("B4", iobench), load("B6", iobench)]
     for program, policy in programs:
