@@ -31,7 +31,7 @@ from .compose import (
     self_compose,
     tr_compose,
 )
-from .modelgen import ModelSkeleton, build_model, dump_model
+from .modelgen import build_model, dump_model
 from .oracle import INCONCLUSIVE, INSECURE, SECURE, check_where_security
 from .parser import ParseError, parse_program
 from .policy import Policy, PolicyError, gather_downgrades, parse_policy
@@ -74,7 +74,6 @@ class LevelReport:
     seconds: float = 0.0  # the whole level
     witness_seconds: float = 0.0  # the part spent in extract_witness
     # kept for witness formatting and --dump-*; not part of the printed report
-    skeleton: ModelSkeleton | None = field(default=None, repr=False)
     model: ComposedModel | None = field(default=None, repr=False)
 
 
@@ -197,7 +196,6 @@ def analyze(
                 steps=steps,
                 seconds=time.perf_counter() - start,
                 witness_seconds=witness_seconds,
-                skeleton=skeleton,
                 model=model,
             )
         )
@@ -405,9 +403,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out.extend(_level_line(r) for r in report.levels)
     if args.dump_model:
         for r in report.levels:
-            if r.skeleton is not None:
+            if r.model is not None:
                 out.append(f"--- model level={r.level} ---")
-                out.append(dump_model(r.skeleton))
+                out.append(dump_model(r.model.skeleton))
     if args.dump_composed:
         for r in report.levels:
             if r.model is not None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .oracle import static_input_counts
 from .policy import Policy
 from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY
 from .spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS, dump_spds
@@ -178,12 +179,9 @@ def build_model(
         for name, direction in program.channels.items()
         if direction == "output" and policy.observable(name, level)
     )
+    lengths = {name: _input_length(program, policy, name, capacity) for name in low_in}
     inputs = tuple(
-        ChannelSpec(
-            name,
-            tuple(cell_name(name, k) for k in range(_input_length(policy, name, capacity))),
-            p_name(name),
-        )
+        ChannelSpec(name, tuple(cell_name(name, k) for k in range(lengths[name])), p_name(name))
         for name in low_in
     )
     outputs = tuple(
@@ -276,9 +274,12 @@ def build_model(
     )
 
 
-def _input_length(policy: Policy, channel: str, capacity: int) -> int:
+def _input_length(program: Program, policy: Policy, channel: str, capacity: int) -> int:
+    """A declared length, or enough cells for each input statement and the capacity."""
     declared = policy.channels[channel].length
-    return declared if declared is not None else capacity
+    if declared is not None:
+        return declared
+    return max(capacity, static_input_counts(program).get(channel, 0))
 
 
 def _cell_read(spec: ChannelSpec) -> CellRef:

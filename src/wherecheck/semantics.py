@@ -8,17 +8,19 @@ input or writing past the capacity ends the run with a terminal diagnostic
 label rather than an error.
 
 A run is recorded once: ``Trace.entries`` lists each step's configuration
-and label, the label carries the step's trace text, and an ``Ending``
-(outcome, final configuration, downgrade steps) says how the run ended.
-``run`` fills the downgrades in as it steps; the same ``Ending`` is what
-a later run that joins this one takes, and what the oracle keeps.
+and label, and an ``Ending`` (outcome, final configuration, downgrade
+steps) says how the run ended.  ``run`` fills the downgrades in as it
+steps; the same ``Ending`` is what a later run that joins this one takes,
+and what the oracle keeps.  A trace's text is rendered only when it is
+read, from each step's label and the configurations before and after it.
 
 The interpreter steps through a table of program points.  A point is one
 remaining command of a program, found by that command and interned once
 with an int id: commands are frozen dataclasses, so equal commands hash
 equal, and a reduced ``Skip`` differs from the command it replaced by its
-node type.  A point knows its redex, the points its step can reach and the
-labels that depend on nothing but the point.  A step evaluates only the
+node type.  A point knows its redex, the points its step can reach and
+their labels: every step's label but a real downgrade's, which carries the
+released value, and a diagnostic's or a halt's.  A step evaluates only the
 redex's expressions; the next remaining command is the successor point's,
 so ``Configuration.cmd`` is the same structural command as a
 tree-rewriting step would build, and a configuration's key names its
@@ -104,14 +106,17 @@ class StepLabel:
     kind: str  # PLAIN | DECLASS | HALTED | INPUT_EXHAUSTED | CAPACITY_EXCEEDED
     site: Optional[SiteLabel] = None
     value: Optional[int] = None  # declassified expression value for DECLASS
-    # The step's trace text: the rule applied and what it changed.
+    # The rule applied, for the trace text.
     rule: str = field(default="", compare=False, repr=False)
-    changed: str = field(default="", compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.kind == DECLASS:
             return f"declass(g{self.site.id}, {self.value})"
         return self.kind
+
+
+# The rule of a step by the type of its redex; a real downgrade's is "declass".
+_RULES = {Assign: "assign", DeclassAssign: "declass-ordinary", Input: "input", Output: "output"}
 
 
 class Configuration(NamedTuple):
@@ -138,19 +143,24 @@ class Point:
     drops a finished head, or the lone ``Skip`` of a finished run.
     ``next[k]`` is the point a step reaches by branch k (0 taken, 1 not
     taken, for an ``if`` or a ``while``; 0 for any other step), and
-    ``labels[k]`` its step label when that depends on nothing but the
-    point; both are set on the first step by that branch.
+    ``labels[k]`` that step's label, which a real downgrade's step replaces
+    by one carrying the released value; both are set on the first step by
+    that branch.
     """
 
     __slots__ = ("id", "cmd", "redex", "next", "labels")
 
     def __init__(self, id: int, cmd: Command) -> None:
-        self.id, self.cmd = id, cmd
-        while type(cmd) is Seq and type(cmd.first) is not Skip:
-            cmd = cmd.first
-        self.redex = cmd
+        self.id, self.cmd, self.redex = id, cmd, _redex(cmd)
         self.next: list[Optional[Point]] = [None, None]
         self.labels: list[Optional[StepLabel]] = [None, None]
+
+
+def _redex(cmd: Command) -> Command:
+    """The command a step of ``cmd`` reduces (see ``Point``)."""
+    while type(cmd) is Seq and type(cmd.first) is not Skip:
+        cmd = cmd.first
+    return cmd
 
 
 def _plug(cmd: Command, result: Command) -> Command:
@@ -187,16 +197,16 @@ class Points:
         redex = point.redex
         kind = type(redex)
         if kind is Seq:
-            result = redex.second
-            point.labels[k] = StepLabel(PLAIN, redex.first.site, rule="seq-skip")
+            result, site, rule = redex.second, redex.first.site, "seq-skip"
         elif kind is If:
             result = redex.else_branch if k else redex.then_branch
-            point.labels[k] = StepLabel(PLAIN, redex.site, rule=("if-true", "if-false")[k])
+            site, rule = redex.site, ("if-true", "if-false")[k]
         elif kind is While:
             result = Skip(redex.site) if k else Seq(redex.body, redex)
-            point.labels[k] = StepLabel(PLAIN, redex.site, rule=("while-true", "while-false")[k])
+            site, rule = redex.site, ("while-true", "while-false")[k]
         else:  # an assignment, a downgrade, an input or an output
-            result = Skip(redex.site)
+            result, site, rule = Skip(redex.site), redex.site, _RULES[kind]
+        point.labels[k] = StepLabel(PLAIN, site, rule=rule)
         point.next[k] = self.of(_plug(point.cmd, result))
         return point.next[k]
 
@@ -246,61 +256,60 @@ def step_point(
     configuration yields HALTED.
 
     A channel diagnostic or a halt leaves the configuration and the point.
+    Every other step's label is the point's, unless it is a real downgrade.
     """
     redex = point.redex
     kind = type(redex)
     mu, ins, outs, p = config.mu, config.ins, config.outs, config.p
+    k = 0
     if kind is Assign or kind is DeclassAssign:
-        target, site = redex.target, redex.site
-        after = point.next[0] or points.successor(point, 0)
         value = eval_expr(redex.expr, mu, bits)
         mu = dict(mu)
-        mu[target] = value
-        changed = f"{target}={value}"
-        if kind is Assign:
-            label = StepLabel(PLAIN, site, None, "assign", changed)
-        elif _is_real_declass(redex, policy):
-            label = StepLabel(DECLASS, site, value, "declass", changed)
-        else:
-            label = StepLabel(PLAIN, site, None, "declass-ordinary", changed)
-        return Configuration(mu, ins, outs, p, after.cmd), label, after
-    if kind is If or kind is While:
+        mu[redex.target] = value
+    elif kind is If or kind is While:
         k = 0 if eval_expr(redex.guard, mu, bits) != 0 else 1
-        after = point.next[k] or points.successor(point, k)
-        return Configuration(mu, ins, outs, p, after.cmd), point.labels[k], after
-    if kind is Seq:
-        after = point.next[0] or points.successor(point, 0)
-        return Configuration(mu, ins, outs, p, after.cmd), point.labels[0], after
-    if kind is Skip:
-        return config, _HALTED, point
-    if kind is Input:
-        target, channel, site = redex.target, redex.channel, redex.site
+    elif kind is Input:
+        channel = redex.channel
         idx = p[channel]
-        contents = ins[channel]
-        if idx >= len(contents):
-            return config, StepLabel(INPUT_EXHAUSTED, site, rule="input"), point
-        after = point.next[0] or points.successor(point, 0)
-        value = contents[idx] & ((1 << bits) - 1)
+        if idx >= len(ins[channel]):
+            return config, StepLabel(INPUT_EXHAUSTED, redex.site, rule="input"), point
         mu = dict(mu)
-        mu[target] = value
+        mu[redex.target] = ins[channel][idx] & ((1 << bits) - 1)
         p = dict(p)
         p[channel] = idx + 1
-        changed = f"{target}={value} p[{channel}]={idx + 1}"
-        label = StepLabel(PLAIN, site, None, "input", changed)
-        return Configuration(mu, ins, outs, p, after.cmd), label, after
-    if kind is not Output:
+    elif kind is Output:
+        channel = redex.channel
+        if len(outs[channel]) >= capacity:
+            return config, StepLabel(CAPACITY_EXCEEDED, redex.site, rule="output"), point
+        outs = dict(outs)
+        outs[channel] += (eval_expr(redex.expr, mu, bits),)
+    elif kind is Skip:
+        return config, _HALTED, point
+    elif kind is not Seq:
         raise TypeError(f"not a command: {redex!r}")
-    channel, site = redex.channel, redex.site
-    idx = len(outs[channel])
-    if idx >= capacity:
-        return config, StepLabel(CAPACITY_EXCEEDED, site, rule="output"), point
-    after = point.next[0] or points.successor(point, 0)
-    value = eval_expr(redex.expr, mu, bits)
-    outs = dict(outs)
-    outs[channel] = outs[channel] + (value,)
-    changed = f"{channel}[{idx}]={value} q[{channel}]={idx + 1}"
-    label = StepLabel(PLAIN, site, None, "output", changed)
+    after = point.next[k] or points.successor(point, k)
+    label = point.labels[k]
+    if kind is DeclassAssign and _is_real_declass(redex, policy):
+        label = StepLabel(DECLASS, redex.site, value, "declass")
     return Configuration(mu, ins, outs, p, after.cmd), label, after
+
+
+def _changed(label: StepLabel, before: Configuration, after: Configuration) -> str:
+    """What a step wrote, as trace text: read off the command it reduced and
+    the configuration after it.  A diagnostic writes nothing."""
+    if label.kind not in (PLAIN, DECLASS):
+        return ""
+    redex = _redex(before.cmd)
+    kind = type(redex)
+    if kind is Assign or kind is DeclassAssign:
+        return f"{redex.target}={after.mu[redex.target]}"
+    if kind is Input:
+        c = redex.channel
+        return f"{redex.target}={after.mu[redex.target]} p[{c}]={after.p[c]}"
+    if kind is Output:
+        c, q = redex.channel, len(after.outs[redex.channel])
+        return f"{c}[{q - 1}]={after.outs[c][-1]} q[{c}]={q}"
+    return ""
 
 
 Downgrade = tuple[int, Configuration, Configuration, StepLabel]
@@ -325,11 +334,11 @@ class Trace:
     """Result of run(): the steps it took, and how it ended.
 
     ``entries`` is the one record of the steps: each step's configuration
-    after it and its label, which carries the step's rule and changed text;
-    ``lines`` joins them into trace lines only when read.  ``outcome``,
-    ``final`` and ``downgrades`` are the run's ``Ending``.  A run that took
-    the rest of an earlier run (see ``run``) holds only its own steps in
-    ``entries``, but its ending is the whole run's.
+    after it and its label.  ``lines`` renders them as trace lines only when
+    read, each from its label and the configurations before and after it.
+    ``outcome``, ``final`` and ``downgrades`` are the run's ``Ending``.  A
+    run that took the rest of an earlier run (see ``run``) holds only its
+    own steps in ``entries``, but its ending is the whole run's.
     """
 
     entries: list[tuple[Configuration, StepLabel]]
@@ -342,11 +351,12 @@ class Trace:
     def lines(self) -> list[str]:
         # A step's label names the command it reduced, the head of the
         # remaining command; a halted entry's command is a lone Skip.
+        befores = [self.initial] + [config for config, _ in self.entries]
         return [
-            f"g{config.cmd.site.id} | halt | halted |"
+            f"g{after.cmd.site.id} | halt | halted |"
             if label.kind == HALTED
-            else f"g{label.site.id} | {label.rule} | {label} | {label.changed}"
-            for config, label in self.entries
+            else f"g{label.site.id} | {label.rule} | {label} | {_changed(label, before, after)}"
+            for before, (after, label) in zip(befores, self.entries)
         ]
 
     def declass_events(self) -> list[tuple[int, int]]:
@@ -394,33 +404,31 @@ def run(
     ``known``, shared by the runs of one program under one fuel, lets a run
     take the rest of an earlier run: the machine is deterministic, so the
     future of a configuration is the same whichever run reaches it.  A run
-    registers each configuration it stepped with the run's ``Ending``, the
-    configuration's index k, and the distance d from it to the run's end:
-    the configuration whose step ended the run (halted or a channel
-    diagnostic), or the one that repeated.  So d = end - k, except inside a
-    diverging run's cycle, where d is the cycle length wherever the
-    configuration sits: a run that enters the cycle there meets it again
-    after one lap.  For a run out of fuel, d = fuel - k
-    is only a lower bound.  A run that meets a known configuration at its
-    own index n ends at n + d, with the earlier outcome if n + d < fuel and
-    out of fuel otherwise; its own earlier configurations were not known,
-    so they are not on the earlier run's path and cannot repeat first.  If
-    the earlier run ran out of fuel and n + d < fuel, the rest is unknown:
-    the run steps on and joins no other run, since its next configurations
-    may lie on known paths.  A run that ends at a join takes the earlier
-    run's final configuration, and its downgrades from the meeting point on,
-    each re-indexed into this run; they are a lone run's if the run ends by
-    a step, not by a repeat or out of fuel.  Without ``known`` a run is on
-    its own, and its trace is complete.  Each step goes through
+    that did not run out of fuel registers each configuration it stepped
+    with the run's ``Ending``, the configuration's index k, and the distance
+    d from it to the run's end: the configuration whose step ended the run
+    (halted or a channel diagnostic), or the one that repeated.  So
+    d = end - k, except inside a diverging run's cycle, where d is the cycle
+    length wherever the configuration sits: a run that enters the cycle
+    there meets it again after one lap.  A run out of fuel registers
+    nothing, so every known future is exact.  A run that meets a known
+    configuration at its own index n ends at n + d, with the earlier outcome
+    if n + d < fuel and out of fuel otherwise; its own earlier
+    configurations were not known, so they are not on the earlier run's
+    path and cannot repeat first.  A run that ends at a join takes the
+    earlier run's final configuration, and its downgrades from the meeting
+    point on, each re-indexed into this run; they are a lone run's if the
+    run ends by a step, not by a repeat or out of fuel.  Without ``known``
+    a run is on its own, and its trace is complete.  Each step goes through
     ``step_point``.
     """
     entries: list[tuple[Configuration, StepLabel]] = []
     downgrades: list[Downgrade] = []
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
     ins = tuple(config.ins.values())
-    outcome, end, loop = OUTCOME_FUEL, fuel, fuel
+    outcome = OUTCOME_FUEL
     points = known.points if known is not None else Points()
-    lookup = known.configs if known is not None else None
+    configs = known.configs if known is not None else {}
     current, point = config, points.of(config.cmd)
     for n in range(fuel):
         key = (point.id, ins, *current.mu.values(), *current.p.values(), *current.outs.values())
@@ -428,21 +436,14 @@ def run(
         if first != n:
             outcome, end, loop = OUTCOME_DIVERGES, n, first
             break
-        hit = lookup.get(key) if lookup is not None else None
+        hit = configs.get(key)
         if hit is not None:
             earlier, i, d = hit
-            if n + d < fuel and earlier.outcome == OUTCOME_FUEL:
-                lookup = None  # the rest is unknown: step on, and join no more
-            else:
-                del seen[key]  # registered by the earlier run
-                outcome = earlier.outcome if n + d < fuel else OUTCOME_FUEL
-                end, loop, current = n + d, n + d, earlier.final  # where it ended
-                downgrades += [
-                    (n + j - i, pre, post, label)
-                    for j, pre, post, label in earlier.downgrades
-                    if j >= i
-                ]
-                break
+            del seen[key]  # registered by the earlier run
+            outcome = earlier.outcome if n + d < fuel else OUTCOME_FUEL
+            end, loop, current = n + d, n + d, earlier.final  # where it ended
+            downgrades += [(n + j - i, *step) for j, *step in earlier.downgrades if j >= i]
+            break
         after, label, point = step_point(current, point, points, policy, bits, capacity)
         entries.append((after, label))
         kind = label.kind
@@ -453,9 +454,8 @@ def run(
         if kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             outcome, end, loop = kind, n, n
             break
-    if known is not None:
+    if known is not None and outcome != OUTCOME_FUEL:
         ending = Ending(outcome, current, downgrades)
-        configs = known.configs
         for key, k in seen.items():
             configs[key] = (ending, k, end - (k if k < loop else loop))
     return Trace(entries, outcome, config, current, downgrades)

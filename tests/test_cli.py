@@ -555,7 +555,7 @@ def test_analyze_accepts_parsed_objects():
     assert by_level["L"].verdict == "insecure"
     assert by_level["H"].verdict == "secure"
     assert by_level["L"].steps > 0
-    assert by_level["L"].composed_rules > len(by_level["L"].skeleton.spds.rules)
+    assert by_level["L"].composed_rules > len(by_level["L"].model.skeleton.spds.rules)
 
 
 def test_analyze_witness_only_on_request():

@@ -4,7 +4,8 @@
 remaining command.  ``tree_step`` (the tests' reference) rewrites the
 command tree instead.  From every initial state of the oracle's inputs, at
 bits 2, both step every reachable configuration to an equal configuration
-and an equal label, trace text included.
+and an equal label, trace text included: the text ``Trace.lines`` renders
+for the step is the text the reference built as it stepped.
 """
 
 from pathlib import Path
@@ -25,6 +26,7 @@ from wherecheck.semantics import (
     PLAIN,
     Known,
     Points,
+    Trace,
     initial_configuration,
     run_program,
     step_point,
@@ -75,12 +77,16 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
         seen.add(key)
         assert point.cmd == config.cmd
         new, label, after = step_point(config, point, points, policy, BITS, capacity)
-        ref, ref_label = tree_step(config, policy, BITS, capacity)
+        ref, ref_label, ref_changed = tree_step(config, policy, BITS, capacity)
         assert new == ref, config
         assert after.cmd == new.cmd
-        assert label == ref_label and (label.rule, label.changed) == (
-            ref_label.rule, ref_label.changed,
-        ), config
+        assert label == ref_label and label.rule == ref_label.rule, config
+        expected = (
+            f"g{config.cmd.site.id} | halt | halted |"
+            if label.kind == HALTED
+            else f"g{label.site.id} | {label.rule} | {label} | {ref_changed}"
+        )
+        assert Trace([(new, label)], "", config, new, []).lines == [expected], config
         labels.add((label.kind, label.rule))
         if label.kind not in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             todo.append((new, after))
@@ -199,3 +205,74 @@ def test_a_long_sequence_runs_and_interns_without_recursing_per_statement():
     assert trace.outcome == OUTCOME_HALTED and trace.final.mu["x"] == 3000
     points = Points()
     assert points.of(program.root) is points.of(parse_program(text).root)
+
+
+# A step's label is its point's: built once per point and branch, and only
+# a real downgrade, a diagnostic or a halt gives another.
+
+
+def test_stepping_a_point_twice_returns_its_one_label():
+    program, policy = prog(
+        "x := 1; h := declass(x); output(x, o); input(x, i)",
+        "lattice: L < H\nvar h : H\nvar x : L\nchannel o : L output\n"
+        "channel i : L input length 1\n",
+    )
+    points = Points()
+    config = initial_configuration(program, inputs={"i": (2,)})
+    point = points.of(config.cmd)
+    rules = []
+    while type(point.cmd) is not Skip:
+        (new, label, after), (_, again, _) = (
+            step_point(config, point, points, policy, BITS, 2) for _ in range(2)
+        )
+        assert label is again is point.labels[0]
+        rules.append(label.rule)
+        config, point = new, after
+    assert rules == [
+        "assign", "seq-skip", "declass-ordinary", "seq-skip", "output", "seq-skip", "input",
+    ]
+
+
+def test_one_check_builds_a_label_per_point_and_branch_and_per_release(monkeypatch):
+    from wherecheck import semantics
+    from wherecheck.oracle import check_where_security
+
+    # A counting loop with a real downgrade, an ordinary one, an output
+    # that outgrows its capacity and an input that runs out.
+    program, policy = prog(
+        "i := 0; while i < 3 do l := declass(h); h := declass(l);"
+        " if h then output(i, o) else input(x, c) fi; i := i + 1 od",
+        "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\nvar x : L\n"
+        "channel o : L output\nchannel c : L input length 1\n",
+    )
+    built, tables, returned = [], [], []
+    real_label, real_points, real_step = semantics.StepLabel, semantics.Points, semantics.step_point
+
+    def label(kind, *args, **kwargs):
+        built.append(kind)
+        return real_label(kind, *args, **kwargs)
+
+    class Table(real_points):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    def step(*args):
+        stepped = real_step(*args)
+        returned.append(stepped[1].kind)
+        return stepped
+
+    monkeypatch.setattr(semantics, "StepLabel", label)
+    monkeypatch.setattr(semantics, "Points", Table)
+    monkeypatch.setattr(semantics, "step_point", step)
+    check_where_security(program, policy, bits=BITS, capacity=2)
+    branches = sum(
+        label is not None for table in tables for point in table._by_cmd.values()
+        for label in point.labels
+    )
+    assert 0 < built.count(PLAIN) == branches < returned.count(PLAIN)
+    for kind in (DECLASS, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
+        assert 0 < built.count(kind) == returned.count(kind), kind
+    assert len(built) == branches + sum(
+        returned.count(kind) for kind in (DECLASS, INPUT_EXHAUSTED, CAPACITY_EXCEEDED)
+    )

@@ -267,7 +267,8 @@ def test_step_is_total_and_deterministic():
         step_point(config, points.of(config.cmd), points, policy, DEFAULT_BITS, DEFAULT_CAPACITY)
         for _ in range(2)
     )
-    assert c1 == c2 and l1 == l2 and (l1.rule, l1.changed) == (l2.rule, l2.changed)
+    # Not a real downgrade: both steps return the label the point holds.
+    assert c1 == c2 and l1 is l2 and l1.rule == "assign"
 
 
 def test_low_equiv_store_is_equivalence():

@@ -92,3 +92,25 @@ def test_bits_3_sweep_is_sound_in_both_modes(io):
                     assert witness is not None and witness.replay_ok, (seed, mode, level.level)
             overall.add(report.overall)
         assert len(overall) == 1, (seed, overall)
+
+
+# An observable input channel with no declared length: the model gives it
+# a cell for each input statement, as the oracle does, whatever the capacity.
+UNDECLARED_INPUT = "lattice: L < H\nvar l : L\nvar h : H\nchannel i : L input\n"
+THREE_INPUTS = "input(l, i); input(l, i); input(l, i); l := h"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text, capacity",
+    [("input(l, i); l := h", 0), (THREE_INPUTS, 1), (THREE_INPUTS, 2)],
+    ids=["one-input-cap0", "three-inputs-cap1", "three-inputs-cap2"],
+)
+def test_an_undeclared_input_is_as_long_in_the_model_as_in_the_oracle(mode, text, capacity):
+    program = parse_program(text)
+    policy = gather_downgrades(program, parse_policy(UNDECLARED_INPUT))
+    report = analyze(program, policy, bits=1, capacity=capacity, mode=mode, want_witness=True)
+    verdict = check_where_security(program, policy, bits=1, capacity=capacity)
+    assert report.overall == verdict.status == INSECURE
+    [level] = [r for r in report.levels if r.verdict == INSECURE]
+    assert level.witness.replay_ok
