@@ -52,8 +52,8 @@ MODE_TR = "tr"
 INIT_SYMBOL = "init"
 ERROR_SYMBOL = "error"
 
-# No program variable or channel cell can carry this name: the parser's
-# identifiers have no brackets and channel cells are numbered.
+# No program variable or channel cell can carry this name: build_model takes
+# only identifier names (syntax.IDENTIFIER), and channel cells are numbered.
 MISMATCH = "mismatch[]"
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import static_input_counts
-from .policy import Policy
+from .policy import Policy, input_length
 from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY
 from .spds import HAVOC, GlobalsDecl, Rule, RuleSpec, SPDS, dump_spds
 from .syntax import (
+    IDENTIFIER,
     Assign,
     BinOp,
     CellRef,
@@ -147,9 +147,9 @@ def _first_symbol(cmd: Command) -> str:
 
 
 def _check_names(program: Program) -> None:
-    for name in program.variables:
-        if name.startswith("xi("):
-            raise ValueError(f"variable name {name!r} is reserved by the model")
+    for name in (*program.variables, *program.channels):
+        if not IDENTIFIER.fullmatch(name):
+            raise ValueError(f"name {name!r} is not an identifier and could alias a model cell")
 
 
 def build_model(
@@ -169,17 +169,9 @@ def build_model(
     real = sorted(site for site, is_real in policy.declass_real.items() if is_real)
     rho = {site: i for i, site in enumerate(real)}
 
-    low_in = sorted(
-        name
-        for name, direction in program.channels.items()
-        if direction == "input" and policy.observable(name, level)
-    )
-    low_out = sorted(
-        name
-        for name, direction in program.channels.items()
-        if direction == "output" and policy.observable(name, level)
-    )
-    lengths = {name: _input_length(program, policy, name, capacity) for name in low_in}
+    low_in = [name for name in program.input_channels if policy.observable(name, level)]
+    low_out = [name for name in program.output_channels if policy.observable(name, level)]
+    lengths = {name: input_length(program, policy, name, capacity) for name in low_in}
     inputs = tuple(
         ChannelSpec(name, tuple(cell_name(name, k) for k in range(lengths[name])), p_name(name))
         for name in low_in
@@ -272,14 +264,6 @@ def build_model(
         outputs=outputs,
         sites=sites,
     )
-
-
-def _input_length(program: Program, policy: Policy, channel: str, capacity: int) -> int:
-    """A declared length, or enough cells for each input statement and the capacity."""
-    declared = policy.channels[channel].length
-    if declared is not None:
-        return declared
-    return max(capacity, static_input_counts(program).get(channel, 0))
 
 
 def _cell_read(spec: ChannelSpec) -> CellRef:

@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .policy import Policy
+from .policy import Policy, input_length
 from .semantics import (
     DEFAULT_BITS,
     DEFAULT_CAPACITY,
@@ -76,7 +76,7 @@ from .semantics import (
     Known,
     run_program,
 )
-from .syntax import Input, Program
+from .syntax import Program
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -110,28 +110,6 @@ class OracleVerdict:
     note: str = ""
 
 
-def static_input_counts(program: Program) -> dict[str, int]:
-    """Input statements per channel, counting loop bodies once."""
-    counts: dict[str, int] = {}
-    for cmd in program.sites:
-        if isinstance(cmd, Input):
-            counts[cmd.channel] = counts.get(cmd.channel, 0) + 1
-    return counts
-
-
-def default_input_lengths(program: Program, policy: Policy) -> dict[str, int]:
-    counts = static_input_counts(program)
-    lengths: dict[str, int] = {}
-    for name, ch in policy.channels.items():
-        if ch.direction != "input":
-            continue
-        if ch.length is not None:
-            lengths[name] = ch.length
-        else:
-            lengths[name] = counts.get(name, 0)
-    return lengths
-
-
 def _conflict(seen1: dict[tuple, tuple], seen2: dict[tuple, tuple]) -> Optional[tuple]:
     """The first bucket key of run 2 under which run 1 files another
     observation, or None: two halted runs of one low class violate the
@@ -148,7 +126,7 @@ class _Runs:
 
     The layout is fixed here once: an index has one ``bits``-wide digit per
     variable of ``program.variables``, then one per input cell of the sorted
-    input channels (``default_input_lengths``), most significant first.
+    input channels (``policy.input_length``), most significant first.
     """
 
     def __init__(
@@ -156,8 +134,7 @@ class _Runs:
     ) -> None:
         self.program, self.policy = program, policy
         self.limits = (bits, capacity, fuel)
-        lengths = default_input_lengths(program, policy)
-        self.lengths = [lengths.get(ch, 0) for ch in program.input_channels]
+        self.lengths = [input_length(program, policy, ch) for ch in program.input_channels]
         # The variable or input channel each digit reads, most significant first.
         self.digits = [*program.variables] + [
             ch for ch, n in zip(program.input_channels, self.lengths) for _ in range(n)
@@ -206,11 +183,7 @@ class _Level:
         # Each state pairs with every state of its low class.
         self.pairs = runs.count << bits * hidden
         self.variables = tuple([n for n in program.variables if policy.observable(n, level)])
-        self.outputs = tuple(
-            n
-            for n, d in sorted(program.channels.items())
-            if d != "input" and policy.observable(n, level)
-        )
+        self.outputs = tuple([n for n in program.output_channels if policy.observable(n, level)])
         self.seen: dict[int, Optional[dict[tuple, tuple]]] = {}
 
     def observations(self, run: Ending) -> dict[tuple, tuple]:

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
+    IDENTIFIER,
     Assign,
     BinOp,
     Command,
@@ -54,7 +55,7 @@ KEYWORDS = {
 
 _TOKEN_SPEC = [
     ("NUMBER", r"\d+"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("IDENT", IDENTIFIER.pattern),
     ("OP", r"==|!=|<=|:=|[+\-*<&|;(),]"),
     ("COMMENT", r"#[^\n]*"),
     ("NEWLINE", r"\n"),

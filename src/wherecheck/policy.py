@@ -208,6 +208,13 @@ def validate_bindings(program: Program, policy: Policy) -> None:
             )
 
 
+def input_length(program: Program, policy: Policy, channel: str, floor: int = 0) -> int:
+    """An input channel's declared ``length``, else the larger of ``floor`` and
+    its input statements.  The oracle's floor is 0; the model's is its capacity."""
+    declared = policy.channels[channel].length
+    return declared if declared is not None else max(floor, program.input_counts.get(channel, 0))
+
+
 def gather_downgrades(program: Program, policy: Policy) -> Policy:
     """Classify declassification sites.
 

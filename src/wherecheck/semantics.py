@@ -219,15 +219,9 @@ def initial_configuration(
     mu = {name: 0 for name in program.variables}
     if store:
         mu.update(store)
-    ins: dict[str, tuple[int, ...]] = {}
-    outs: dict[str, tuple[int, ...]] = {}
-    p: dict[str, int] = {}
-    for name, direction in sorted(program.channels.items()):
-        if direction == "input":
-            ins[name] = tuple(inputs.get(name, ())) if inputs else ()
-            p[name] = 0
-        else:
-            outs[name] = ()
+    ins = {n: tuple(inputs.get(n, ())) if inputs else () for n in program.input_channels}
+    outs = {n: () for n in program.output_channels}
+    p = dict.fromkeys(program.input_channels, 0)
     return Configuration(mu=mu, ins=ins, outs=outs, p=p, cmd=program.root)
 
 

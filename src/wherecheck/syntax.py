@@ -14,9 +14,15 @@ tree: every pass that gathers facts about a program reads it.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
+
+# The parser's identifier token, which build_model asks of every name: each
+# model cell name holds a bracket or a parenthesis, so none can alias one.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -238,6 +244,16 @@ class Program:
     def input_channels(self) -> tuple[str, ...]:
         """The input channels' names, sorted."""
         return tuple(sorted(n for n, d in self.channels.items() if d == "input"))
+
+    @cached_property
+    def output_channels(self) -> tuple[str, ...]:
+        """The output channels' names, sorted."""
+        return tuple(sorted(n for n, d in self.channels.items() if d == "output"))
+
+    @cached_property
+    def input_counts(self) -> dict[str, int]:
+        """Input statements per channel, counting loop bodies once."""
+        return Counter(cmd.channel for cmd in self.sites if isinstance(cmd, Input))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from wherecheck.oracle import (
     OracleWitness,
     check_noninterference,
     check_where_security,
-    default_input_lengths,
-    static_input_counts,
 )
+from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.policy import Policy, gather_downgrades, parse_policy
+from wherecheck.policy import Policy, gather_downgrades, input_length, parse_policy
 from wherecheck.semantics import (
     DECLASS,
     DEFAULT_FUEL,
@@ -274,17 +273,30 @@ def test_witness_is_lexicographically_first():
     assert list(v1.witness.second.store.items()) == [("l", 0), ("h", 1)]
 
 
-def test_static_input_counts_and_lengths():
+def test_channel_facts_and_input_length():
     program = parse_program(
-        "input(x, a); while x do input(x, a); input(y, b) od"
+        "input(x, a); while x do input(x, a); input(y, b) od; output(x, o); output(y, c)"
     )
-    assert static_input_counts(program) == {"a": 2, "b": 1}
+    assert program.input_channels == ("a", "b")
+    assert program.output_channels == ("c", "o")
+    # The input in the loop body counts once, however often the loop runs.
+    assert program.input_counts == {"a": 2, "b": 1}
     policy = parse_policy(
-        "lattice: L < H\nvar x : L\nvar y : L\n"
-        "channel a : L input\nchannel b : L input length 3\n"
+        "lattice: L < H\nvar x : L\nvar y : L\nchannel a : L input\n"
+        "channel b : L input length 3\nchannel o : L output\nchannel c : L output\n"
+        "channel z : L input\n"
     )
     policy = gather_downgrades(program, policy)
-    assert default_input_lengths(program, policy) == {"a": 2, "b": 3}
+    # A declared length ignores the floor.
+    assert [input_length(program, policy, "b", floor) for floor in (0, 2, 5)] == [3, 3, 3]
+    # An undeclared length is the larger of the floor and the channel's input statements.
+    assert [input_length(program, policy, "a", floor) for floor in (0, 1, 2, 4)] == [2, 2, 2, 4]
+    assert [input_length(program, policy, "z", floor) for floor in (0, 3)] == [0, 3]
+    # The oracle's floor is 0 and the model's its capacity.
+    assert layout(program, policy, capacity=4).lengths == [2, 3]
+    model = build_model(program, policy, "L", bits=2, capacity=4)
+    assert [spec.length for spec in model.inputs] == [4, 3]
+    assert [spec.name for spec in model.outputs] == ["c", "o"]
 
 
 def test_where_implies_relaxation_of_ni():
@@ -384,7 +396,7 @@ def _ref_violation(policy, level, property_name, trace1, trace2):
 
 
 def reference_check(program, policy, property_name, bits, capacity, fuel=DEFAULT_FUEL):
-    lengths = default_input_lengths(program, policy)
+    lengths = _ref_lengths(program, policy)
     saw_fuel_limit = False
     pairs_checked = 0
     for level in sorted(policy.domains):
@@ -473,6 +485,11 @@ def test_matches_pairwise_reference_on_a_bits_3_scan(seed):
     assert_matches_reference(program, policy, bits=3, capacity=8)
 
 
+def _ref_lengths(program, policy):
+    """Each input channel's length in the oracle: floor 0."""
+    return {ch: input_length(program, policy, ch) for ch in program.input_channels}
+
+
 def _ref_enumerate_pairs(program, policy, level, bits, input_lengths):
     """One loop per component, outermost first: the order ``_enumerate_pairs`` keeps."""
     values = range(1 << bits)
@@ -555,7 +572,7 @@ def _layout_case(case):
 def test_state_indices_decode_in_nested_product_order(case, bits):
     program, policy = _layout_case(case)
     runs = layout(program, policy, bits)
-    lengths = default_input_lengths(program, policy)
+    lengths = _ref_lengths(program, policy)
     assert [runs.state(i) for i in range(runs.count)] == list(
         _ref_all_states(program, bits, lengths)
     )
@@ -566,7 +583,7 @@ def test_state_indices_decode_in_nested_product_order(case, bits):
 def test_pair_order_matches_the_nested_loop_reference(case, bits):
     program, policy = _layout_case(case)
     runs = layout(program, policy, bits)
-    lengths = default_input_lengths(program, policy)
+    lengths = _ref_lengths(program, policy)
     for level in sorted(policy.domains):
         view = oracle._Level(runs, level, "noninterference")
         got = list(view.pair_order())

@@ -7,13 +7,16 @@ pairs downgrades structurally), but it must never accept a program the
 oracle rejects.
 """
 
+import dataclasses
+
 import pytest
 
 from wherecheck.cli import INSECURE, MODES, SECURE, analyze
 from wherecheck.oracle import INCONCLUSIVE, check_where_security
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.policy import Channel, gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
+from wherecheck.syntax import Assign, Input, Num, Output, Program, Seq, SiteLabel, Var
 
 BITS = 2
 CAPACITY = 4
@@ -114,3 +117,40 @@ def test_an_undeclared_input_is_as_long_in_the_model_as_in_the_oracle(mode, text
     assert report.overall == verdict.status == INSECURE
     [level] = [r for r in report.levels if r.verdict == INSECURE]
     assert level.witness.replay_ok
+
+
+# A program built in code can name a variable after a model cell: `q[o]`
+# would alias an output index, `i[0]` an input cell and `mismatch[]` the
+# store-match flag, so the model would contradict the oracle or fail replay.
+# build_model rejects every variable or channel name that is not an
+# identifier, in both modes.
+NAMED_POLICY = (
+    "lattice: L < H\nvar l : L\nvar h : H\nvar x : L\n"
+    "channel i : L input length 2\nchannel o : L output\n"
+)
+LEAK_H = Output(SiteLabel(0), Var("h"), "o")
+READ_X = Input(SiteLabel(0), "x", "i")
+CELL_NAMED = {
+    "output-index": ("q[o]", "L", Seq(LEAK_H, Assign(SiteLabel(1), "q[o]", Num(0)))),
+    "input-cell": (
+        "i[0]",
+        "H",
+        Seq(READ_X, Seq(Assign(SiteLabel(1), "i[0]", Var("h")), Assign(SiteLabel(2), "l", Var("x")))),
+    ),
+    "mismatch": ("mismatch[]", "L", Seq(LEAK_H, Assign(SiteLabel(1), "mismatch[]", Num(0)))),
+    "channel": ("o[0]", "L", Output(SiteLabel(0), Var("l"), "o[0]")),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", CELL_NAMED)
+def test_a_name_that_is_not_an_identifier_is_rejected(mode, case):
+    name, level, root = CELL_NAMED[case]
+    program, policy = Program(root), parse_policy(NAMED_POLICY)
+    channels = policy.channels
+    if name in program.channels:
+        channels = {**channels, name: Channel(name, level, "output")}
+    policy = dataclasses.replace(policy, sigma={**policy.sigma, name: level}, channels=channels)
+    policy = gather_downgrades(program, policy)
+    with pytest.raises(ValueError, match="not an identifier"):
+        analyze(program, policy, bits=2, capacity=2, mode=mode, want_witness=True)
