@@ -147,8 +147,8 @@ def analyze(
     """Decide where-security at every level of the policy lattice.
 
     Each level gets its own model and composition, and post_star searches
-    it unless the level observes every variable and channel, which it
-    decides secure with that reason (see reach); the overall verdict is
+    it unless the level types, which it decides secure with the typing
+    check's reason (see reach); the overall verdict is
     secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
     of aborting the report.  A width below 1, a capacity below 0 or a mode

@@ -104,14 +104,6 @@ class ModelSkeleton:
     outputs: tuple[ChannelSpec, ...]
     sites: dict[str, Command]  # real downgrade and observable-output sites, by symbol
 
-    @property
-    def observes_everything(self) -> bool:
-        """Whether the level observes every variable and every channel of the program."""
-        channels = {spec.name for spec in self.inputs + self.outputs}
-        return len(self.observable_vars) == len(self.program.variables) and channels == set(
-            self.program.channels
-        )
-
     def output_spec(self, channel: str) -> ChannelSpec:
         for spec in self.outputs:
             if spec.name == channel:

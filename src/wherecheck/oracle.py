@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .policy import Policy, input_length
+from .policy import Policy, input_length, validate_bindings
 from .semantics import (
     DEFAULT_BITS,
     DEFAULT_CAPACITY,
@@ -332,6 +332,7 @@ def _check_pairs(
     fuel: int,
     budget: int,
 ) -> OracleVerdict:
+    validate_bindings(program, policy)  # PolicyError, as in build_model
     runs = _Runs(program, policy, bits, capacity, fuel)
     if runs.count > budget:
         return OracleVerdict(

@@ -13,6 +13,9 @@ Policy files are line oriented:
 domain without edges).  The partial order is the reflexive-transitive closure
 of the declared edges; cycles are rejected.  Channel declarations carry a
 direction and an optional declared input length.
+
+``typable`` is a security type check of one observer level; a level it
+accepts is where-secure, so the search need not run there.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .syntax import DeclassAssign, Expr, Input, Output, Program, expr_vars
+from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, Seq, While, expr_vars
+
+OBSERVES_EVERYTHING = "observes every variable and channel"
+TYPABLE = "typable"
+
 
 class PolicyError(Exception):
     """Malformed policy file or policy/program mismatch."""
@@ -234,3 +241,68 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
         if isinstance(cmd, DeclassAssign):
             declass_real[cmd.site.id] = policy.lt(policy.level_of(cmd.target), level)
     return replace(policy, declass_real=declass_real)
+
+
+def typable(program: Program, policy: Policy, level: str) -> str:
+    """Why a gathered policy's observer level is secure by typing, or "".
+
+    A Volpano-Smith-Irvine check over two points: a name is low when its
+    level flows to ``level``, an expression when all its variables are, and
+    the pc is low while every enclosing guard is.  ``if`` and ``while``
+    raise the pc by their guard.  ``x := e`` and an ordinary ``declass``
+    need x high, or the pc and e low; ``input(x, c)`` needs c and the pc
+    low, or c and x high; ``output(e, c)`` needs c high, or the pc and e
+    low; a real ``x := declass(e)`` (typed as in delimited release) needs x
+    high, or a low pc with e low or the site outside every ``while`` body.
+
+    Typable implies that the composed model cannot reach error.  Take two
+    runs that start observably equal, with the same observable input
+    streams, and both halt.  Under a high pc a command writes no low
+    variable and touches no low channel, so both runs execute the same
+    low-pc commands in the same order, and each keeps the low variables
+    and channel positions equal: an assignment reads low values, a low
+    read takes the same position of the shared stream, and a low output
+    writes equal values.  A real downgrade into a low target outside every
+    loop runs at most once per run, and the model's premise makes run two
+    release the value run one recorded at that site, so the target stays
+    equal.  In a loop, run two is matched only against run one's last
+    release there, so earlier ones could differ; such a target must read a
+    low value.  So the final stores and the output streams are observably
+    equal and the end check never fires.  A blocked read, a full channel
+    or a run that does not halt only stops a run, which the
+    termination-insensitive property allows.  A level that observes
+    everything types trivially and keeps its own reason.
+    """
+    names = (*program.variables, *program.channels)
+    low = {n for n in names if policy.observable(n, level)}
+    if len(low) == len(names):
+        return OBSERVES_EVERYTHING
+
+    def is_low(e: Expr) -> bool:
+        return expr_vars(e) <= low
+
+    # Program.sites loses each command's enclosing guards, so walk the tree.
+    stack = [(program.root, True, False)]  # (command, pc low, inside a while body)
+    while stack:
+        cmd, pc, looped = stack.pop()
+        match cmd:
+            case Seq(first, second):
+                stack += ((first, pc, looped), (second, pc, looped))
+            case If(_, guard, then_branch, else_branch):
+                pc = pc and is_low(guard)
+                stack += ((then_branch, pc, looped), (else_branch, pc, looped))
+            case While(_, guard, body):
+                stack.append((body, pc and is_low(guard), True))
+            case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
+                if target in low and not (pc and (not looped or is_low(expr))):
+                    return ""
+            case Assign(_, target, expr) | DeclassAssign(_, target, expr):
+                if target in low and not (pc and is_low(expr)):
+                    return ""
+            case Input(_, target, channel):
+                if not ((pc and channel in low) or (channel not in low and target not in low)):
+                    return ""
+            case Output(_, expr, channel):
+                if channel in low and not (pc and is_low(expr)):
+                    return ""
+    return TYPABLE

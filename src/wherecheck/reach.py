@@ -9,12 +9,14 @@ so is_error_reachable reads where it stopped.  Rules are applied in
 declaration order and symbols in the order a layer first met them, so the
 search statistics are deterministic.
 
-A composed model whose level observes every variable and every channel is
-not searched: post_star returns the automaton of the start layer alone,
-with a reason.  That is exact.  Two runs that agree on every variable and
-every input stream start in the same state, and the interpreter is
-deterministic, so they take the same steps, release the same values and
-end equal; the error symbol is unreachable.  A bare SPDS carries no
+A composed model whose level types is not searched: post_star returns
+the automaton of the start layer alone, with the reason policy.typable
+gives.  That is exact, since typable implies the error symbol is
+unreachable (the argument is in that function's docstring).  A level that
+observes every variable and every channel types trivially and keeps its
+own reason: two runs that agree on everything start in the same state and,
+the interpreter being deterministic, end equal.  The type system decides
+what it can, and the search is exact on the rest.  A bare SPDS carries no
 policy, so post_star always searches it; the tests use that to hold the
 argument against the full search.
 
@@ -46,12 +48,12 @@ from typing import Callable, Optional, Union
 from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
+from .policy import typable
 from .semantics import OUTCOME_HALTED, Trace, low_equiv_store, run_program
 from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
 _SITE = re.compile(r"g(\d+)$")
-OBSERVES_EVERYTHING = "observes every variable and channel"
 
 
 def _spds_of(model: Union[ComposedModel, SPDS]) -> SPDS:
@@ -65,9 +67,9 @@ class PAutomaton:
     steps counts frontier expansions, one per (layer, symbol): each pushes
     the valuations the symbol first reached in that layer through its
     rules.  edge_count counts the control symbols reached.  A level that
-    observes everything is decided without a search (see the module
-    docstring): its automaton holds the start layer alone, compiles no rule
-    relation, takes no step, and says why in reason.
+    types is decided without a search (see the module docstring): its
+    automaton holds the start layer alone, compiles no rule relation,
+    takes no step, and says why in reason.
     """
 
     spds: SPDS
@@ -114,9 +116,12 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     alg = RelationAlgebra(spds.globals, BDD(node_budget=node_budget))
     mgr = alg.mgr
     init = alg.set_from_fixed(dict(spds.initial_fixed))
-    if isinstance(model, ComposedModel) and model.skeleton.observes_everything:
-        start = {spds.start: init}
-        return PAutomaton(spds, alg, [start], dict(start), [], 0, reason=OBSERVES_EVERYTHING)
+    if isinstance(model, ComposedModel):
+        skel = model.skeleton
+        reason = typable(skel.program, skel.policy, skel.level)
+        if reason:
+            start = {spds.start: init}
+            return PAutomaton(spds, alg, [start], dict(start), [], 0, reason=reason)
     rels = [alg.compile_spec(rule.spec) for rule in spds.rules]
     rules_by_lhs = _rules_by(spds, "lhs")
 

@@ -197,7 +197,7 @@ def test_trace_flag_prints_reference_run(capsys):
 
 def test_budget_env_degrades_to_inconclusive(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "200")
-    code, out, _ = run(capsys, ["analyze", *corpus_args("P7")])
+    code, out, _ = run(capsys, ["analyze", *corpus_args("P6")])  # P7 types: no search
     assert code == EXIT_INCONCLUSIVE
     assert "RESULT overall=inconclusive" in out
     assert "budget exceeded" in out

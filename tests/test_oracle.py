@@ -17,7 +17,7 @@ from wherecheck.oracle import (
 )
 from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.policy import Policy, gather_downgrades, input_length, parse_policy
+from wherecheck.policy import Policy, PolicyError, gather_downgrades, input_length, parse_policy
 from wherecheck.semantics import (
     DECLASS,
     DEFAULT_FUEL,
@@ -297,6 +297,16 @@ def test_channel_facts_and_input_length():
     model = build_model(program, policy, "L", bits=2, capacity=4)
     assert [spec.length for spec in model.inputs] == [4, 3]
     assert [spec.name for spec in model.outputs] == ["c", "o"]
+
+
+@pytest.mark.parametrize("check", [check_where_security, check_noninterference])
+def test_a_policy_that_does_not_cover_the_program_is_rejected(check):
+    # As build_model does: the channel i has no declaration.
+    program = parse_program("input(l, i); l := h")
+    with pytest.raises(PolicyError, match="'i'"):
+        check(program, parse_policy(TWO_LEVEL), bits=1)
+    with pytest.raises(PolicyError, match="'i'"):
+        build_model(program, parse_policy(TWO_LEVEL), "L", bits=1)
 
 
 def test_where_implies_relaxation_of_ni():

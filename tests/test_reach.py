@@ -6,10 +6,9 @@ from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.policy import OBSERVES_EVERYTHING, gather_downgrades, parse_policy, typable
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
-    OBSERVES_EVERYTHING,
     Witness,
     _backward_path,
     extract_witness,
@@ -85,14 +84,14 @@ def test_relational_steps_stay_small_and_are_reused():
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_corpus_error_reachability(name):
     model = corpus_model(name)
-    auto = post_star(model)
+    auto = post_star(model.spds)  # P2 and P7 type at L; search them anyway
     assert is_error_reachable(auto, model) == EXPECTED[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_tr_mode_agrees_on_corpus(name):
     model = corpus_model(name, bits=2, capacity=4, mode=tr_compose)
-    assert is_error_reachable(post_star(model), model) == EXPECTED[name]
+    assert is_error_reachable(post_star(model.spds), model) == EXPECTED[name]
 
 
 @pytest.mark.parametrize("name", ["P0", "P3", "P4", "P5"])
@@ -223,7 +222,7 @@ def test_acceptance_matches_explicit_reachability():
         bits=1,
         capacity=1,
     )
-    auto = post_star(model)
+    auto = post_star(model.spds)  # level L types, so the bare system is searched
     assert symbolic_layers(auto) == explicit_layers(model.spds)
     assert "no-such-symbol" not in auto.reached
 
@@ -484,10 +483,11 @@ def test_every_promise_is_feasible_and_the_decision_matches(case):
         assert is_error_reachable(auto, model) == explicit_error_search(model), level
 
 
-# A level that observes every variable and channel is decided without a
-# search.  The gate holds that argument against the full search of the bare
-# system, on both corpora at bits 2 / capacity 8 and randprog seeds 0-399
-# with and without I/O at bits 2 / capacity 4, in both modes.
+# A level that observes every variable and channel types trivially, and
+# policy.typable gives it its own reason.  The gate holds that argument
+# against the full search of the bare system, on both corpora at bits 2 /
+# capacity 8 and randprog seeds 0-399 with and without I/O at bits 2 /
+# capacity 4, in both modes.
 
 OBSERVING_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
 
@@ -518,7 +518,8 @@ def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
             names = [*program.variables, *program.channels]
             everything = all(policy.observable(n, level) for n in names)
-            assert model.skeleton.observes_everything == everything, (name, level)
+            reason = typable(program, policy, level)
+            assert (reason == OBSERVES_EVERYTHING) == everything, (name, level)
             if not everything:
                 continue
             full = post_star(model.spds)
@@ -533,11 +534,15 @@ def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode
     assert decided > 0
 
 
+# Each program is secure at L but does not type there, so L is searched.
 @pytest.mark.parametrize(
     "text, pol",
     [
-        ("l := l + 1;\nh := h + 1\n", "lattice: L < H\nvar l : L\nvar h : H\n"),
-        ("output(l, hc);\nl := l + 1\n", "lattice: L < H\nvar l : L\nchannel hc : H output\n"),
+        ("h := h + 1;\nl := h - h\n", "lattice: L < H\nvar l : L\nvar h : H\n"),
+        (
+            "input(l, hi);\nl := l - l\n",
+            "lattice: L < H\nvar l : L\nchannel hi : H input length 1\n",
+        ),
     ],
     ids=["one-variable-above", "one-channel-above"],
 )
@@ -546,7 +551,7 @@ def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
     program = parse_program(text)
     policy = gather_downgrades(program, parse_policy(pol))
     model = mode(build_model(program, policy, "L", bits=2, capacity=4))
-    assert not model.skeleton.observes_everything
+    assert not typable(program, policy, "L")
     auto = post_star(model)
     assert auto.steps > 0 and auto.reason == ""
     assert not is_error_reachable(auto, model)

@@ -1,0 +1,190 @@
+"""The typing check that decides a level without a search.
+
+``policy.typable`` accepts a level only when a security type system
+proves it where-secure, and ``reach.post_star`` then skips the search.
+The argument test holds that proof against the full search of the bare
+system: every level the check accepts as typable, over both corpora,
+randprog seeds 0-399 with and without I/O, the deep loops D' and D'',
+``wide(n)`` and hand-written cases, must be secure under
+``post_star(model.spds)`` in both modes.  A level that observes everything
+keeps its own reason, and ``tests/test_reach.py`` holds that case against
+the full search.  A failure here is a fault of the check, not of the search.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from wherecheck.compose import self_compose, tr_compose
+from wherecheck.modelgen import build_model
+from wherecheck.parser import parse_program
+from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, gather_downgrades, parse_policy, typable
+from wherecheck.randprog import GenConfig, generate
+from wherecheck.reach import is_error_reachable, post_star
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TWO = "lattice: L < H\nvar h : H\nvar l : L\n"
+THREE = "lattice: L < M, M < H\nvar h : H\nvar m : M\nvar l : L\n"
+
+
+def load(text: str, pol: str):
+    program = parse_program(text)
+    return program, gather_downgrades(program, parse_policy(pol))
+
+
+# One case per rule, accepted and rejected, at observer L unless it says M.
+RULES = [
+    ("l := l + 1; h := h + l", TWO, "L", TYPABLE),
+    ("l := h", TWO, "L", ""),
+    ("if h then h := 1 else skip fi; l := 2", TWO, "L", TYPABLE),
+    ("if h then l := 1 else skip fi", TWO, "L", ""),
+    ("while h do h := h - 1 od", TWO, "L", TYPABLE),
+    ("while h do l := 0 od", TWO, "L", ""),
+    ("l := declass(h)", TWO, "L", TYPABLE),
+    ("if l then l := declass(h) else skip fi", TWO, "L", TYPABLE),
+    ("if h then l := declass(h) else skip fi", TWO, "L", ""),
+    ("while l do l := declass(h) od", TWO, "L", ""),
+    ("while l do l := declass(l + 1) od; h := 0", TWO, "L", TYPABLE),
+    ("while l do l := declass(m) od; h := h + 1", THREE, "M", TYPABLE),
+    ("while l do l := declass(m) od; h := h + 1", THREE, "L", ""),
+    ("h := declass(l)", TWO, "L", TYPABLE),
+    ("l := declass(l + h)", TWO, "L", TYPABLE),
+    ("input(l, i); h := l", TWO + "channel i : L input length 1\n", "L", TYPABLE),
+    ("if h then input(h, i) else skip fi", TWO + "channel i : L input length 1\n", "L", ""),
+    ("input(h, hi)", TWO + "channel hi : H input length 1\n", "L", TYPABLE),
+    ("input(l, hi)", TWO + "channel hi : H input length 1\n", "L", ""),
+    ("output(l, o); h := l", TWO + "channel o : L output\n", "L", TYPABLE),
+    ("output(h, o)", TWO + "channel o : L output\n", "L", ""),
+    ("if h then output(1, o) else skip fi", TWO + "channel o : L output\n", "L", ""),
+    ("if h then output(h, ho) else skip fi", TWO + "channel ho : H output\n", "L", TYPABLE),
+    ("m := declass(h); l := m", THREE, "M", TYPABLE),
+    ("m := declass(h); l := m", THREE, "L", ""),
+    ("l := l + 1; h := l", TWO, "H", OBSERVES_EVERYTHING),
+]
+
+
+@pytest.mark.parametrize("text, pol, level, reason", RULES)
+def test_each_rule_accepts_and_rejects(text, pol, level, reason):
+    assert typable(*load(text, pol), level) == reason
+
+
+# ROADMAP item 2's first hand-written loop case.  Under the model's reading
+# run two's releases at a site are matched only against run one's last one,
+# so level L is insecure in both modes, while replay_witness (whole per-site
+# lists) and the oracle (positional pairs) call the pair outside the
+# premise.  The check must keep this level searched, or it would hide that.
+LOOP = (
+    "i := 0;\nwhile (i < 2) do\n  l := declass(h);\n  output(l, o);\n  h := h & 1;\n"
+    "  i := i + 1\nod\n"
+)
+LOOP_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\nchannel o : L output\n"
+
+
+@pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
+def test_a_downgrade_in_a_loop_is_searched(mode):
+    program, policy = load(LOOP, LOOP_POLICY)
+    assert not typable(program, policy, "L")
+    model = mode(build_model(program, policy, "L", bits=2, capacity=4))
+    auto = post_star(model)
+    assert auto.steps > 0 and auto.reason == ""
+
+
+# The argument test.
+
+D_SHAPE = "i := 0;\nwhile (i < 1000) do\n  i := i + 1;\n  {body}\nod;\nh := h + l\n"
+D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
+
+
+def wide(n: int) -> tuple[str, str]:
+    text = "".join(f"x{i} := x{i} + 1;\n" for i in range(n)) + "x0 := x0 + h\n"
+    return text, "lattice: L < H\nvar h : H\n" + "".join(f"var x{i} : L\n" for i in range(n))
+
+
+HAND_WRITTEN = [
+    ("if h then l := declass(h) else skip fi\n", TWO),
+    ("if h then m := declass(h) else skip fi;\nl := l + 1\n", THREE),
+    ("if h then input(l, i) else skip fi;\ninput(l, i)\n", TWO + "channel i : L input length 2\n"),
+    ("if h then output(1, o) else skip fi;\noutput(l, o)\n", TWO + "channel o : L output\n"),
+    (
+        "m := l + 1;\nh := m;\nif m then output(m, om) else output(h, ho) fi\n",
+        THREE + "channel om : M output\nchannel ho : H output\n",
+    ),
+]
+
+ARGUMENT_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "deep", "wide", "hand")
+
+
+def _argument_cases(group: str):
+    """(name, program text, policy text, bits, capacity) of one group."""
+    if group in ("table3", "iobench"):
+        stem = "P" if group == "table3" else "B"
+        widths = range(1, 7) if group == "table3" else (2,)
+        for i in range(8):
+            path = ROOT / "corpus" / group / f"{stem}{i}"
+            for bits in widths:
+                yield f"{stem}{i}@{bits}", path.read_text(), path.with_suffix(".policy").read_text(), bits, 8
+    elif group.startswith("randprog"):
+        cfg = GenConfig(io=group == "randprog-io")
+        for seed in range(400):
+            gen = generate(seed, cfg)
+            for bits in (1, 2, 3):
+                yield f"{seed}@{bits}", gen.text, gen.policy_text, bits, 4
+    elif group == "deep":
+        yield "D'", D_SHAPE.format(body="l := l + 1"), D_POLICY, 10, 8
+        yield "D''", D_SHAPE.format(body="l := l + 1 + h - h"), D_POLICY, 10, 8
+    elif group == "wide":
+        for n in range(1, 9):
+            yield f"wide({n})", *wide(n), 8, 8
+    else:
+        for k, (text, pol) in enumerate(HAND_WRITTEN):
+            yield f"hand{k}", text, pol, 2, 4
+
+
+@pytest.mark.parametrize("group", ARGUMENT_GROUPS)
+def test_every_typable_level_is_secure_under_the_full_search(group):
+    accepted = []
+    for name, text, pol, bits, capacity in _argument_cases(group):
+        program, policy = load(text, pol)
+        for level in sorted(policy.domains):
+            reason = typable(program, policy, level)
+            if not reason:
+                continue
+            for mode in (self_compose, tr_compose):
+                model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+                if reason == TYPABLE:
+                    assert not is_error_reachable(post_star(model.spds), model), (name, level)
+                auto = post_star(model)
+                assert (auto.reason, auto.steps, auto.edge_count) == (reason, 0, 1), (name, level)
+            if reason == TYPABLE:
+                accepted.append((name, level))
+    if group == "deep":
+        assert accepted == [("D'", "L")]
+    elif group == "wide":
+        assert accepted == []  # x0 := x0 + h: only H, which observes everything, types
+    else:
+        assert accepted
+
+
+@pytest.mark.parametrize(
+    "group, secure, typed",
+    [("table3", 5, 2), ("iobench", 6, 5), ("randprog", 341, 283), ("randprog-io", 316, 269)],
+)
+def test_precision_against_the_search(group, secure, typed):
+    """At bits 2, the programs secure at every level, and those typable at every level."""
+    programs = {}
+    for name, text, pol, bits, capacity in _argument_cases(group):
+        if bits != 2:
+            continue
+        program, policy = load(text, pol)
+        verdicts = []
+        for level in sorted(policy.domains):
+            model = self_compose(build_model(program, policy, level, bits=2, capacity=capacity))
+            verdicts.append(
+                (not is_error_reachable(post_star(model), model), bool(typable(program, policy, level)))
+            )
+        programs[name] = [all(column) for column in zip(*verdicts)]
+    assert sum(s for s, _ in programs.values()) == secure
+    assert sum(t for _, t in programs.values()) == typed
+    if group == "table3":
+        assert sorted(n for n, (s, t) in programs.items() if s and not t) == ["P0@2", "P1@2", "P6@2"]
