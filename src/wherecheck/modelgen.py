@@ -1,11 +1,12 @@
 """Translate a program, a policy and an observer level into a finite-state model.
 
 Each command site becomes a control symbol; control flow is a chain of
-guarded rules between sites.  Channels above the observer level are not
-modeled at all: reads from them havoc the target variable and writes to
-them are frame rules.  Observable channels get value cells and an index
-counter.  A read past the end of an observable input has no successor: as
-in the interpreter, such a run is stuck and never halts.
+guarded rules between sites, made in one loop over ``Program.flow``.
+Channels above the observer level are not modeled at all: reads from them
+havoc the target variable and writes to them are frame rules.  Observable
+channels get value cells and an index counter.  A read past the end of an
+observable input has no successor: as in the interpreter, such a run is
+stuck and never halts.
 
 Each real downgrade site and each observable-output site is one plain rule
 to its continuation, and the skeleton's site table maps its symbol to its
@@ -39,10 +40,10 @@ from .syntax import (
     Num,
     Output,
     Program,
-    Seq,
     Skip,
     Var,
     While,
+    first_site,
     format_command,
     format_expr,
 )
@@ -133,9 +134,7 @@ def make_globals(
 
 
 def _first_symbol(cmd: Command) -> str:
-    while isinstance(cmd, Seq):
-        cmd = cmd.first
-    return site_symbol(cmd.site.id)
+    return site_symbol(first_site(cmd).site.id)
 
 
 def _check_names(program: Program) -> None:
@@ -180,12 +179,9 @@ def build_model(
     rules: list[Rule] = []
     sites: dict[str, Command] = {}
 
-    def emit(cmd: Command, next_sym: str) -> None:
-        # A loop down a Seq spine; only if and while bodies recurse.
-        while isinstance(cmd, Seq):
-            emit(cmd.first, _first_symbol(cmd.second))
-            cmd = cmd.second
+    for cmd, nxt, _ in program.flow:  # in preorder, the rules' order
         sym = site_symbol(cmd.site.id)
+        next_sym = FINAL_SYMBOL if nxt is None else site_symbol(nxt.site.id)
         match cmd:
             case Skip(_):
                 rules.append(Rule(sym, next_sym, RuleSpec.make(), "skip"))
@@ -206,15 +202,12 @@ def build_model(
                 rules.append(
                     Rule(sym, _first_symbol(else_branch), RuleSpec.make(guard=zero), "if not taken")
                 )
-                emit(then_branch, next_sym)
-                emit(else_branch, next_sym)
             case While(_, guard, body):
                 rules.append(
                     Rule(sym, _first_symbol(body), RuleSpec.make(guard=guard), "loop entered")
                 )
                 zero = BinOp("==", guard, Num(0))
                 rules.append(Rule(sym, next_sym, RuleSpec.make(guard=zero), "loop exited"))
-                emit(body, sym)
             case Input(_, target, channel):
                 if channel in input_by_name:
                     spec = input_by_name[channel]
@@ -237,12 +230,10 @@ def build_model(
             case _:
                 raise TypeError(f"unknown command: {cmd!r}")
 
-    emit(program.root, FINAL_SYMBOL)
-
     initial_fixed = tuple(
         [(spec.index, 0) for spec in inputs] + [(spec.index, 0) for spec in outputs]
     )
-    spds = SPDS(globals_decl, tuple(rules), _first_symbol(program.root), initial_fixed)
+    spds = SPDS(globals_decl, tuple(rules), site_symbol(program.sites[0].site.id), initial_fixed)
     return ModelSkeleton(
         spds=spds,
         level=level,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, Seq, While, expr_vars
+from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars
 
 OBSERVES_EVERYTHING = "observes every variable and channel"
 TYPABLE = "typable"
@@ -254,6 +254,8 @@ def typable(program: Program, policy: Policy, level: str) -> str:
     low, or c and x high; ``output(e, c)`` needs c high, or the pc and e
     low; a real ``x := declass(e)`` (typed as in delimited release) needs x
     high, or a low pc with e low or the site outside every ``while`` body.
+    One loop over ``Program.flow`` checks them: a site takes its pc, and
+    whether it is in a loop, from its enclosing block's entry.
 
     Typable implies that the composed model cannot reach error.  Take two
     runs that start observably equal, with the same observable input
@@ -281,18 +283,12 @@ def typable(program: Program, policy: Policy, level: str) -> str:
     def is_low(e: Expr) -> bool:
         return expr_vars(e) <= low
 
-    # Program.sites loses each command's enclosing guards, so walk the tree.
-    stack = [(program.root, True, False)]  # (command, pc low, inside a while body)
-    while stack:
-        cmd, pc, looped = stack.pop()
+    inner = {None: (True, False)}  # block position -> (pc low, in a while body) inside it
+    for i, (cmd, _, block) in enumerate(program.flow):
+        pc, looped = inner[block]
         match cmd:
-            case Seq(first, second):
-                stack += ((first, pc, looped), (second, pc, looped))
-            case If(_, guard, then_branch, else_branch):
-                pc = pc and is_low(guard)
-                stack += ((then_branch, pc, looped), (else_branch, pc, looped))
-            case While(_, guard, body):
-                stack.append((body, pc and is_low(guard), True))
+            case If(_, guard, _, _) | While(_, guard, _):
+                inner[i] = (pc and is_low(guard), looped or type(cmd) is While)
             case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
                 if target in low and not (pc and (not looped or is_low(expr))):
                     return ""

@@ -8,8 +8,8 @@ index; the parser never builds it and the interpreter never sees it.
 Commands are immutable dataclasses.  Every command occurrence except
 sequencing carries a SiteLabel; ";" is a binary operator on commands and has
 no site of its own.  Site ids are assigned by preorder traversal, so they
-coincide with source order.  ``Program.sites`` is the one walk of a command
-tree: every pass that gathers facts about a program reads it.
+coincide with source order, and a site's id names its model control symbol.
+``Program.flow`` is the one walk of a command tree: every pass loops over it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 # The parser's identifier token, which build_model asks of every name: each
 # model cell name holds a bracket or a parenthesis, so none can alias one.
@@ -187,6 +187,13 @@ Command = Union[Skip, Assign, DeclassAssign, If, While, Seq, Input, Output]
 # Programs
 
 
+def first_site(cmd: Command) -> Command:
+    """The site control reaches first in ``cmd``: its head below any ``Seq``."""
+    while type(cmd) is Seq:
+        cmd = cmd.first
+    return cmd
+
+
 @dataclass(frozen=True)
 class Program:
     """A program: its root command, and the site table derived from it."""
@@ -194,24 +201,32 @@ class Program:
     root: Command
 
     @cached_property
-    def sites(self) -> tuple[Command, ...]:
-        """Every command but Seq, in preorder: the one walk of the tree, a
-        loop over a stack, that every pass reads.  sites[i] has site id i
-        when the labels are dense preorder, as the parser makes them."""
-        out: list[Command] = []
-        stack = [self.root]
+    def flow(self) -> tuple[tuple[Command, Optional[Command], Optional[int]], ...]:
+        """The one walk of the tree, a loop over a stack: per command but Seq,
+        in preorder, the command, the site control reaches after it (None at
+        the end) and the position of its innermost enclosing if or while (None
+        at top level).  Labels that are not dense preorder raise ValueError."""
+        out: list[tuple] = []
+        stack = [(self.root, None, None)]
         while stack:
-            cmd = stack.pop()
+            cmd, nxt, block = stack.pop()
             match cmd:
                 case Seq(first, second):
-                    stack += (second, first)
+                    stack += ((second, nxt, block), (first, first_site(second), block))
                     continue
                 case If(_, _, then_branch, else_branch):
-                    stack += (else_branch, then_branch)
+                    stack += ((else_branch, nxt, len(out)), (then_branch, nxt, len(out)))
                 case While(_, _, body):
-                    stack.append(body)
-            out.append(cmd)
+                    stack.append((body, cmd, len(out)))
+            if cmd.site.id != len(out):
+                raise ValueError(f"site {cmd.site.id} is at position {len(out)}, not dense preorder")
+            out.append((cmd, nxt, block))
         return tuple(out)
+
+    @cached_property
+    def sites(self) -> tuple[Command, ...]:
+        """Every command but Seq, in preorder, so sites[i] has site id i."""
+        return tuple(cmd for cmd, _, _ in self.flow)
 
     @cached_property
     def variables(self) -> tuple[str, ...]:

@@ -16,14 +16,17 @@ from wherecheck.cli import (
     EXIT_INSECURE,
     EXIT_SECURE,
     EXIT_USAGE,
+    MODES,
     AnalysisReport,
     analyze,
     bench,
     find_nmin,
     main,
 )
+from wherecheck.oracle import check_where_security
 from wherecheck.parser import parse_program
-from wherecheck.policy import parse_policy
+from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.syntax import Assign, BinOp, If, Num, Program, SiteLabel, Skip, Var, While
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -255,6 +258,33 @@ def test_deep_if_nesting_overflow_is_inconclusive(tmp_path, capsys):
     # The parser recurses into each nested body, so 600 nested ifs overflow it.
     text = "if l then " * 600 + "skip" + " else skip fi" * 600 + "\n"
     assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
+
+
+def nested_program(kind: str, depth: int) -> Program:
+    """l := l + 1 inside depth nested `if h then ... else skip fi` or
+    `while h < 1 do ... od`, built in code with dense preorder labels."""
+    cmd = Assign(SiteLabel(depth), "l", BinOp("+", Var("l"), Num(1)))
+    for k in reversed(range(depth)):
+        if kind == "if":
+            cmd = If(SiteLabel(k), Var("h"), cmd, Skip(SiteLabel(2 * depth - k)))
+        else:
+            cmd = While(SiteLabel(k), BinOp("<", Var("h"), Num(1)), cmd)
+    return Program(cmd)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind, expected", [("if", "insecure"), ("while", "secure")])
+def test_deep_nesting_built_in_code_decides(kind, expected, mode):
+    # The model and the typing check loop over the site table, so 1500
+    # levels decide.  No witness is asked for: replay hashes a command by
+    # recursing into it.
+    policy = parse_policy(TWO_LEVEL)
+    report = analyze(nested_program(kind, 1500), policy, bits=2, capacity=0, mode=mode)
+    assert [(r.level, r.verdict) for r in report.levels] == [("H", "secure"), ("L", expected)]
+    shallow = nested_program(kind, 3)
+    verdict = check_where_security(shallow, gather_downgrades(shallow, policy), bits=2, capacity=0)
+    assert verdict.status == expected
+    assert analyze(shallow, policy, bits=2, capacity=0, mode=mode).overall == expected
 
 
 def test_long_sequence_decides(tmp_path, capsys):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wherecheck import syntax
+from wherecheck.compose import self_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import INSECURE, SECURE, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.reach import post_star
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
     DECLASS,
@@ -340,7 +342,7 @@ def count_root_reads(monkeypatch) -> list[str]:
 
 
 def reference_facts(c, names: set[str], channels: dict[str, str]) -> None:
-    """A recursive walk, kept apart from Program.sites, that gathers the
+    """A recursive walk, kept apart from Program.flow, that gathers the
     variables and the channels (by direction of first use) of a command."""
     match c:
         case syntax.Seq(first, second):
@@ -376,7 +378,7 @@ def test_program_variables_walk_the_tree_once(monkeypatch):
         for h in range(4):
             run_program(program, policy, store={"h": h}, bits=2)
             assert program.variables == want
-    assert readers.count("sites") == len(programs)
+    assert readers.count("flow") == len(programs)
 
 
 def test_program_channels_walk_the_tree_once(monkeypatch):
@@ -393,21 +395,21 @@ def test_program_channels_walk_the_tree_once(monkeypatch):
         for h in range(4):
             run_program(program, policy, store={"h": h}, inputs={"hid": (h,)}, bits=2)
             assert program.channels == want
-    assert readers.count("sites") == len(programs)
+    assert readers.count("flow") == len(programs)
 
 
 def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
-    # Every pass reads Program.sites, so only the site table walks the root.
-    # The model's translation and each run's start read the root too, to
-    # follow it, not to gather facts.
+    # Every pass, the model's translation and the typing check in post_star
+    # included, reads Program.flow, so only the site table walks the root.
+    # Each run's start reads the root too, to follow it, not to gather facts.
     readers = count_root_reads(monkeypatch)
     iobench = CORPUS.parent / "iobench"
     programs = [load("P3"), load("P7"), load("B4", iobench), load("B6", iobench)]
     for program, policy in programs:
         for level in policy.domains:
-            build_model(program, policy, level, bits=2, capacity=2)
+            post_star(self_compose(build_model(program, policy, level, bits=2, capacity=2)))
         verdict = check_where_security(program, policy, bits=2, capacity=2)
         assert verdict.status in (SECURE, INSECURE)
         run_program(program, policy, bits=2, capacity=2)
-    assert readers.count("sites") == len(programs)
-    assert set(readers) == {"sites", "build_model", "initial_configuration"}
+    assert readers.count("flow") == len(programs)
+    assert set(readers) == {"flow", "initial_configuration"}

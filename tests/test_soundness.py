@@ -16,7 +16,7 @@ from wherecheck.oracle import INCONCLUSIVE, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import Channel, gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
-from wherecheck.syntax import Assign, Input, Num, Output, Program, Seq, SiteLabel, Var
+from wherecheck.syntax import Assign, Input, Num, Output, Program, Seq, SiteLabel, Skip, Var
 
 BITS = 2
 CAPACITY = 4
@@ -154,3 +154,19 @@ def test_a_name_that_is_not_an_identifier_is_rejected(mode, case):
     policy = gather_downgrades(program, policy)
     with pytest.raises(ValueError, match="not an identifier"):
         analyze(program, policy, bits=2, capacity=2, mode=mode, want_witness=True)
+
+
+# Each site is one control symbol named by its label, so a program built in
+# code whose labels repeat would merge two sites: this one would read as
+# insecure at L with a witness that fails replay, while the oracle says
+# secure.  The site walk rejects labels that are not dense preorder.
+REPEATED_LABEL = Seq(
+    Assign(SiteLabel(0), "l", Var("h")), Seq(Assign(SiteLabel(1), "l", Num(0)), Skip(SiteLabel(1)))
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_site_labels_that_are_not_dense_preorder_are_rejected(mode):
+    policy = parse_policy("lattice: L < H\nvar h : H\nvar l : L\n")
+    with pytest.raises(ValueError, match="dense preorder"):
+        analyze(Program(REPEATED_LABEL), policy, bits=2, mode=mode, want_witness=True)
