@@ -14,17 +14,15 @@ steps; the same ``Ending`` is what a later run that joins this one takes,
 and what the oracle keeps.  A trace's text is rendered only when it is
 read, from each step's label and the configurations before and after it.
 
-The interpreter steps through a table of program points.  A point is one
-remaining command of a program, found by that command and interned once
-with an int id: commands are frozen dataclasses, so equal commands hash
-equal, and a reduced ``Skip`` differs from the command it replaced by its
-node type.  A point knows its redex, the points its step can reach and
-their labels: every step's label but a real downgrade's, which carries the
-released value, and a diagnostic's or a halt's.  A step evaluates only the
-redex's expressions; the next remaining command is the successor point's,
-so ``Configuration.cmd`` is the same structural command as a
-tree-rewriting step would build, and a configuration's key names its
-command by the point id.
+The interpreter steps through a table of program points, built once per
+program by one loop over ``Program.flow``.  Each site has two points, to
+run and finished, whose ids are fixed as ``2 * site + finished``; no
+command is rewritten, hashed or compared.  A point knows the points its
+step can reach and their labels: every step's label but a real
+downgrade's, which carries the released value, and a diagnostic's or a
+halt's.  A step evaluates only its point's expressions, and
+``Configuration.point`` is the point it reaches, so a configuration's key
+names its point by id.
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ from .syntax import (
     Num,
     Output,
     Program,
-    Seq,
     SiteLabel,
     Skip,
     Var,
     While,
+    first_site,
 )
 
 DEFAULT_BITS = 3
@@ -115,114 +113,94 @@ class StepLabel:
         return self.kind
 
 
-# The rule of a step by the type of its redex; a real downgrade's is "declass".
+# The rule of a step by the type of its command; a real downgrade's is "declass".
 _RULES = {Assign: "assign", DeclassAssign: "declass-ordinary", Input: "input", Output: "output"}
 
 
 class Configuration(NamedTuple):
-    """Machine state: store, channels with their read indices, remaining command.
+    """Machine state: store, channels with their read indices, program point.
 
     ins maps each input channel to its full (immutable) contents; p is the
     per-channel read index.  outs holds the values written so far, so a
-    stream's length is its write index.  cmd is the remaining command; a
-    lone Skip means done.
+    stream's length is its write index.  point is where control is; a
+    finished point with no successor means done.
     """
 
     mu: dict[str, int]
     ins: dict[str, tuple[int, ...]]
     outs: dict[str, tuple[int, ...]]
     p: dict[str, int]
-    cmd: Command
+    point: Point
 
 
 class Point:
-    """A remaining command of a program, interned once in a ``Points`` table.
+    """A program point: a site of ``Program.flow`` to run, or finished.
 
-    A point is found by its command.  ``redex`` is what a step reduces: the
-    head of ``cmd`` below its ``Seq`` spine, or the ``Seq(Skip, rest)`` that
-    drops a finished head, or the lone ``Skip`` of a finished run.
-    ``next[k]`` is the point a step reaches by branch k (0 taken, 1 not
-    taken, for an ``if`` or a ``while``; 0 for any other step), and
-    ``labels[k]`` that step's label, which a real downgrade's step replaces
-    by one carrying the released value; both are set on the first step by
-    that branch.
+    Site i's points have the ids ``2 * i`` (to run) and ``2 * i + 1``
+    (finished).  ``cmd`` is the site's command to run, or ``Skip`` of its
+    site once finished; a source ``skip`` is entered finished.  ``next[k]``
+    is the point a step reaches by branch k (0 taken, 1 not taken, for an
+    ``if`` or a ``while``; 0 for any other step), None where a finished
+    point halts, and ``labels[k]`` that step's label, which a real
+    downgrade's step replaces by one carrying the released value.
     """
 
-    __slots__ = ("id", "cmd", "redex", "next", "labels")
+    __slots__ = ("id", "cmd", "next", "labels")
 
-    def __init__(self, id: int, cmd: Command) -> None:
-        self.id, self.cmd, self.redex = id, cmd, _redex(cmd)
-        self.next: list[Optional[Point]] = [None, None]
-        self.labels: list[Optional[StepLabel]] = [None, None]
+    def __init__(self, id: int) -> None:
+        self.id = id  # point_table sets cmd, next and labels
 
 
-def _redex(cmd: Command) -> Command:
-    """The command a step of ``cmd`` reduces (see ``Point``)."""
-    while type(cmd) is Seq and type(cmd.first) is not Skip:
-        cmd = cmd.first
-    return cmd
+def _entry(points: list[Point], cmd: Command) -> Point:
+    """The point control enters ``cmd`` at: its first site's, to run, or
+    finished for a ``skip``, which has nothing to run."""
+    cmd = first_site(cmd)
+    return points[2 * cmd.site.id + (type(cmd) is Skip)]
 
 
-def _plug(cmd: Command, result: Command) -> Command:
-    """``cmd`` with its redex replaced by ``result``."""
-    if type(cmd) is Seq and type(cmd.first) is not Skip:
-        return Seq(_plug(cmd.first, result), cmd.second)
-    return result
-
-
-class Points:
-    """The program points of one program, each interned once by its command.
-
-    Commands are frozen dataclasses, so equal remaining commands compare and
-    hash equal, and a reduced ``Skip`` differs from the command it replaced
-    by its node type.  A ``Seq`` takes its hash once, when it is built, so
-    finding a point, the root's included, does not walk its spine to hash it.
-    """
-
-    def __init__(self) -> None:
-        self._by_cmd: dict[Command, Point] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_cmd)
-
-    def of(self, cmd: Command) -> Point:
-        """The point of ``cmd``, interned on first sight."""
-        found = self._by_cmd.get(cmd)
-        if found is None:
-            found = self._by_cmd[cmd] = Point(len(self._by_cmd), cmd)
-        return found
-
-    def successor(self, point: Point, k: int) -> Point:
-        """Set and return ``point.next[k]``, and ``point.labels[k]``."""
-        redex = point.redex
-        kind = type(redex)
-        if kind is Seq:
-            result, site, rule = redex.second, redex.first.site, "seq-skip"
-        elif kind is If:
-            result = redex.else_branch if k else redex.then_branch
-            site, rule = redex.site, ("if-true", "if-false")[k]
+def point_table(program: Program) -> list[Point]:
+    """The points of ``program`` by id, linked in one loop over its flow:
+    a finished site goes to the entry of the next site (``seq-skip``) or
+    halts; an ``if`` to a branch's entry; a ``while`` to its body's entry
+    or to its finished point; any other command to its finished point."""
+    points = [Point(i) for i in range(2 * len(program.flow))]
+    for (cmd, nxt, _), to_run, done in zip(program.flow, points[::2], points[1::2]):
+        site, kind = cmd.site, type(cmd)
+        done.cmd = Skip(site)
+        done.next = (None if nxt is None else _entry(points, nxt),)
+        done.labels = (StepLabel(PLAIN, site, rule="seq-skip"),)
+        to_run.cmd = cmd
+        if kind is If:
+            to_run.next = (_entry(points, cmd.then_branch), _entry(points, cmd.else_branch))
+            rules = ("if-true", "if-false")
         elif kind is While:
-            result = Skip(redex.site) if k else Seq(redex.body, redex)
-            site, rule = redex.site, ("while-true", "while-false")[k]
+            to_run.next, rules = (_entry(points, cmd.body), done), ("while-true", "while-false")
+        elif kind is Skip:
+            to_run.next, to_run.labels = done.next, done.labels
+            continue
         else:  # an assignment, a downgrade, an input or an output
-            result, site, rule = Skip(redex.site), redex.site, _RULES[kind]
-        point.labels[k] = StepLabel(PLAIN, site, rule=rule)
-        point.next[k] = self.of(_plug(point.cmd, result))
-        return point.next[k]
+            to_run.next, rules = (done,), (_RULES[kind],)
+        to_run.labels = tuple(StepLabel(PLAIN, site, rule=rule) for rule in rules)
+    return points
 
 
 def initial_configuration(
     program: Program,
     store: dict[str, int] | None = None,
     inputs: dict[str, Iterable[int]] | None = None,
+    points: Optional[list[Point]] = None,
 ) -> Configuration:
+    """The configuration at the program's entry, in ``points``, or in a
+    table of its own without them."""
     mu = {name: 0 for name in program.variables}
     if store:
         mu.update(store)
     ins = {n: tuple(inputs.get(n, ())) if inputs else () for n in program.input_channels}
     outs = {n: () for n in program.output_channels}
     p = dict.fromkeys(program.input_channels, 0)
-    return Configuration(mu=mu, ins=ins, outs=outs, p=p, cmd=program.root)
+    if points is None:
+        points = point_table(program)
+    return Configuration(mu, ins, outs, p, _entry(points, program.sites[0]))
 
 
 def _is_real_declass(cmd: DeclassAssign, policy: Policy) -> bool:
@@ -238,70 +216,63 @@ _HALTED = StepLabel(HALTED)
 
 
 def step_point(
-    config: Configuration,
-    point: Point,
-    points: Points,
-    policy: Policy,
-    bits: int,
-    capacity: int,
-) -> tuple[Configuration, StepLabel, Point]:
-    """Apply the unique applicable rule to ``config``, whose remaining
-    command is ``point``'s; also returns the point after.  A terminal
-    configuration yields HALTED.
+    config: Configuration, policy: Policy, bits: int, capacity: int
+) -> tuple[Configuration, StepLabel]:
+    """Apply the unique applicable rule to ``config`` at its point.  A
+    terminal configuration yields HALTED.
 
-    A channel diagnostic or a halt leaves the configuration and the point.
+    A channel diagnostic or a halt leaves the configuration as it is.
     Every other step's label is the point's, unless it is a real downgrade.
     """
-    redex = point.redex
-    kind = type(redex)
+    point = config.point
+    cmd = point.cmd
+    kind = type(cmd)
     mu, ins, outs, p = config.mu, config.ins, config.outs, config.p
     k = 0
     if kind is Assign or kind is DeclassAssign:
-        value = eval_expr(redex.expr, mu, bits)
+        value = eval_expr(cmd.expr, mu, bits)
         mu = dict(mu)
-        mu[redex.target] = value
+        mu[cmd.target] = value
     elif kind is If or kind is While:
-        k = 0 if eval_expr(redex.guard, mu, bits) != 0 else 1
+        k = 0 if eval_expr(cmd.guard, mu, bits) != 0 else 1
     elif kind is Input:
-        channel = redex.channel
+        channel = cmd.channel
         idx = p[channel]
         if idx >= len(ins[channel]):
-            return config, StepLabel(INPUT_EXHAUSTED, redex.site, rule="input"), point
+            return config, StepLabel(INPUT_EXHAUSTED, cmd.site, rule="input")
         mu = dict(mu)
-        mu[redex.target] = ins[channel][idx] & ((1 << bits) - 1)
+        mu[cmd.target] = ins[channel][idx] & ((1 << bits) - 1)
         p = dict(p)
         p[channel] = idx + 1
     elif kind is Output:
-        channel = redex.channel
+        channel = cmd.channel
         if len(outs[channel]) >= capacity:
-            return config, StepLabel(CAPACITY_EXCEEDED, redex.site, rule="output"), point
+            return config, StepLabel(CAPACITY_EXCEEDED, cmd.site, rule="output")
         outs = dict(outs)
-        outs[channel] += (eval_expr(redex.expr, mu, bits),)
-    elif kind is Skip:
-        return config, _HALTED, point
-    elif kind is not Seq:
-        raise TypeError(f"not a command: {redex!r}")
-    after = point.next[k] or points.successor(point, k)
+        outs[channel] += (eval_expr(cmd.expr, mu, bits),)
+    elif point.next[0] is None:  # a finished site with nothing after it
+        return config, _HALTED
     label = point.labels[k]
-    if kind is DeclassAssign and _is_real_declass(redex, policy):
-        label = StepLabel(DECLASS, redex.site, value, "declass")
-    return Configuration(mu, ins, outs, p, after.cmd), label, after
+    if kind is DeclassAssign and _is_real_declass(cmd, policy):
+        label = StepLabel(DECLASS, cmd.site, value, "declass")
+    return Configuration(mu, ins, outs, p, point.next[k]), label
 
 
 def _changed(label: StepLabel, before: Configuration, after: Configuration) -> str:
-    """What a step wrote, as trace text: read off the command it reduced and
-    the configuration after it.  A diagnostic writes nothing."""
+    """What a step wrote, as trace text: read off the command of the point
+    it left and the configuration after it.  A diagnostic, and a finished
+    point's step, write nothing."""
     if label.kind not in (PLAIN, DECLASS):
         return ""
-    redex = _redex(before.cmd)
-    kind = type(redex)
+    cmd = before.point.cmd
+    kind = type(cmd)
     if kind is Assign or kind is DeclassAssign:
-        return f"{redex.target}={after.mu[redex.target]}"
+        return f"{cmd.target}={after.mu[cmd.target]}"
     if kind is Input:
-        c = redex.channel
-        return f"{redex.target}={after.mu[redex.target]} p[{c}]={after.p[c]}"
+        c = cmd.channel
+        return f"{cmd.target}={after.mu[cmd.target]} p[{c}]={after.p[c]}"
     if kind is Output:
-        c, q = redex.channel, len(after.outs[redex.channel])
+        c, q = cmd.channel, len(after.outs[cmd.channel])
         return f"{c}[{q - 1}]={after.outs[c][-1]} q[{c}]={q}"
     return ""
 
@@ -343,11 +314,11 @@ class Trace:
 
     @property
     def lines(self) -> list[str]:
-        # A step's label names the command it reduced, the head of the
-        # remaining command; a halted entry's command is a lone Skip.
+        # A step's label names the site it left; a halted entry's point is
+        # a finished site with nothing after it.
         befores = [self.initial] + [config for config, _ in self.entries]
         return [
-            f"g{after.cmd.site.id} | halt | halted |"
+            f"g{after.point.cmd.site.id} | halt | halted |"
             if label.kind == HALTED
             else f"g{label.site.id} | {label.rule} | {label} | {_changed(label, before, after)}"
             for before, (after, label) in zip(befores, self.entries)
@@ -365,14 +336,15 @@ class Trace:
 
 class Known:
     """What the runs of one program under one fuel share: the configurations
-    they stepped, by key, and the program points those keys name."""
+    they stepped, by key, and the program's point table, which the first
+    run builds."""
 
     __slots__ = ("configs", "points")
 
     def __init__(self) -> None:
         # key -> (ending, index in the run, distance to the end); see run
         self.configs: dict[tuple, tuple[Ending, int, int]] = {}
-        self.points = Points()
+        self.points: Optional[list[Point]] = None
 
 
 def run(
@@ -387,13 +359,13 @@ def run(
 
     The machine is deterministic over a finite state space, so a repeated
     configuration proves divergence exactly; fuel is the fallback bound.
-    A configuration's key is one flat tuple: the id of its remaining
-    command's point, its input contents, and the values of its store, read
-    indices and outputs without their names.  Every configuration of one
-    run holds the same names in the same order, and so does every run of
-    one program whose store names only the program's variables, so each
-    value keeps its position.  The points come from
-    ``known.points``, or from a table of the run's own without ``known``.
+    A configuration's key is one flat tuple: its point's id, its input
+    contents, and the values of its store, read indices and outputs
+    without their names.  Every configuration of one run holds the same
+    names in the same order, and so does every run of one program whose
+    store names only the program's variables, so each value keeps its
+    position.  A point's id is fixed by its site and phase, so the key is
+    the same whichever table of the program the point is in.
 
     ``known``, shared by the runs of one program under one fuel, lets a run
     take the rest of an earlier run: the machine is deterministic, so the
@@ -421,11 +393,13 @@ def run(
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
     ins = tuple(config.ins.values())
     outcome = OUTCOME_FUEL
-    points = known.points if known is not None else Points()
     configs = known.configs if known is not None else {}
-    current, point = config, points.of(config.cmd)
+    current = config
     for n in range(fuel):
-        key = (point.id, ins, *current.mu.values(), *current.p.values(), *current.outs.values())
+        key = (
+            current.point.id, ins, *current.mu.values(), *current.p.values(),
+            *current.outs.values(),
+        )
         first = seen.setdefault(key, n)
         if first != n:
             outcome, end, loop = OUTCOME_DIVERGES, n, first
@@ -438,7 +412,7 @@ def run(
             end, loop, current = n + d, n + d, earlier.final  # where it ended
             downgrades += [(n + j - i, *step) for j, *step in earlier.downgrades if j >= i]
             break
-        after, label, point = step_point(current, point, points, policy, bits, capacity)
+        after, label = step_point(current, policy, bits, capacity)
         entries.append((after, label))
         kind = label.kind
         if kind == DECLASS:
@@ -465,7 +439,10 @@ def run_program(
     fuel: int = DEFAULT_FUEL,
     known: Optional[Known] = None,
 ) -> Trace:
-    config = initial_configuration(program, store, inputs)
+    points = None
+    if known is not None:
+        points = known.points = known.points or point_table(program)
+    config = initial_configuration(program, store, inputs, points)
     return run(config, policy, bits, capacity, fuel, known)
 
 

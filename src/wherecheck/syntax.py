@@ -8,15 +8,17 @@ index; the parser never builds it and the interpreter never sees it.
 Commands are immutable dataclasses.  Every command occurrence except
 sequencing carries a SiteLabel; ";" is a binary operator on commands and has
 no site of its own.  Site ids are assigned by preorder traversal, so they
-coincide with source order, and a site's id names its model control symbol.
-``Program.flow`` is the one walk of a command tree: every pass loops over it.
+coincide with source order, and a site's id names its model control symbol
+and the interpreter's two points of it.  ``Program.flow`` is the one walk of
+a command tree: every pass loops over it, and none hashes or compares a
+command, so the depth of a command built in code costs no recursion.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -140,30 +142,10 @@ class While:
 
 @dataclass(frozen=True)
 class Seq:
-    """``first; second``.  Its hash is taken once, when it is built: a tail
-    is built before its head, so a new point of a long sequence hashes one
-    statement.  Equality walks the spine by a loop, so a long sequence
-    compares without a recursive call per statement and can key a dict."""
+    """``first; second``."""
 
     first: "Command"
     second: "Command"
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.first, self.second)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        a, b = self, other
-        while type(a) is Seq and type(b) is Seq:
-            if a is b:
-                return True
-            if a.first != b.first:
-                return False
-            a, b = a.second, b.second
-        return type(a) is not Seq and type(b) is not Seq and a == b
 
 
 @dataclass(frozen=True)

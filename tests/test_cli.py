@@ -26,6 +26,7 @@ from wherecheck.cli import (
 from wherecheck.oracle import check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.reach import replay_witness
 from wherecheck.syntax import Assign, BinOp, If, Num, Program, SiteLabel, Skip, Var, While
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
@@ -275,16 +276,30 @@ def nested_program(kind: str, depth: int) -> Program:
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("kind, expected", [("if", "insecure"), ("while", "secure")])
 def test_deep_nesting_built_in_code_decides(kind, expected, mode):
-    # The model and the typing check loop over the site table, so 1500
-    # levels decide.  No witness is asked for: replay hashes a command by
-    # recursing into it.
+    # The model, the typing check and the interpreter's point table loop
+    # over the site table, so 1500 levels decide, with a witness that
+    # replays and against the oracle, as 3 levels do.
     policy = parse_policy(TWO_LEVEL)
-    report = analyze(nested_program(kind, 1500), policy, bits=2, capacity=0, mode=mode)
-    assert [(r.level, r.verdict) for r in report.levels] == [("H", "secure"), ("L", expected)]
-    shallow = nested_program(kind, 3)
-    verdict = check_where_security(shallow, gather_downgrades(shallow, policy), bits=2, capacity=0)
-    assert verdict.status == expected
-    assert analyze(shallow, policy, bits=2, capacity=0, mode=mode).overall == expected
+    for depth in (3, 1500):
+        program = nested_program(kind, depth)
+        report = analyze(program, policy, bits=2, capacity=0, mode=mode, want_witness=True)
+        assert [(r.level, r.verdict) for r in report.levels] == [("H", "secure"), ("L", expected)]
+        for r in report.levels:
+            if r.verdict == "insecure":
+                assert replay_witness(r.model, r.witness)[0], depth
+        verdict = check_where_security(
+            program, gather_downgrades(program, policy), bits=2, capacity=0
+        )
+        assert verdict.status == expected, depth
+
+
+def test_a_deep_expression_before_a_statement_parses_and_stays_inconclusive(tmp_path, capsys):
+    # A sequence no longer hashes its first command, so the 1500-term sum
+    # parses into a program of two sites.  Gathering its variables still
+    # recurses into the sum, so the level ends inconclusive, not in a crash.
+    text = "l := " + " + ".join(["l"] * 1500) + "; l := l + h\n"
+    assert len(parse_program(text).flow) == 2
+    assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
 
 
 def test_long_sequence_decides(tmp_path, capsys):

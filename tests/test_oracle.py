@@ -715,7 +715,7 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
                 tuple(sorted(c.p.items())),
                 tuple(sorted(c.outs.items())),
                 tuple(sorted(c.ins.items())),
-                c.cmd,
+                c.point.id,
             )
             for c in stepped
         )

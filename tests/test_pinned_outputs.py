@@ -13,8 +13,9 @@ one benchmark input (``table3`` and ``iobench`` at bits 2 and capacity 8, the
 ``pairs_checked`` and note, and its witness's level, both initial states and
 reason.  Each line of ``pinned_traces.txt`` pins the reference interpreter on
 one of those oracle inputs: a sha256 over the lone run of every initial
-state (its ``format_trace`` text, final configuration and
-``declass_events()``), at the default fuel and at fuel 3.  A change that
+state (its ``format_trace`` text, final configuration with the remaining
+command its point stands for, and ``declass_events()``), at the default
+fuel and at fuel 3.  A change that
 means to move none of these leaves all four files as they are; on a
 mismatch the test names the first line that differs.  Regenerate them,
 only when an output is meant to change, with
@@ -37,6 +38,7 @@ from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
 from wherecheck.semantics import DECLASS, DEFAULT_FUEL, format_trace, run_program
+from tree_step import residual
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
@@ -146,22 +148,25 @@ def oracle_lines() -> list[str]:
     return lines
 
 
-def _run_text(trace) -> str:
-    """A lone run's trace text, final configuration and downgrades."""
+def _run_text(program, trace) -> str:
+    """A lone run's trace text, final configuration, with the remaining
+    command its point stands for, and downgrades."""
     f = trace.final
-    final = f"mu={f.mu} ins={f.ins} outs={f.outs} p={f.p} cmd={f.cmd!r}"
+    cmd = residual(program, f.point)
+    final = f"mu={f.mu} ins={f.ins} outs={f.outs} p={f.p} cmd={cmd!r}"
     return f"{format_trace(trace)}\nfinal {final}\ndeclass {trace.declass_events()}\n"
 
 
 def _lone_runs(text: str, policy_text: str, bits: int, capacity: int):
-    """(fuel, lone runs) at each pinned fuel: the run of every initial state
-    of one oracle input, in the oracle's order, made as they are read."""
+    """(fuel, program, lone runs) at each pinned fuel: the run of every
+    initial state of one oracle input, in the oracle's order, made as they
+    are read."""
     program = parse_program(text)
     policy = gather_downgrades(program, parse_policy(policy_text))
     runs = _Runs(program, policy, bits, capacity, DEFAULT_FUEL)
     states = [runs.state(i) for i in range(runs.count)]
     for fuel in (DEFAULT_FUEL, 3):
-        yield fuel, (
+        yield fuel, program, (
             run_program(program, policy, store, ins, bits, capacity, fuel)
             for store, ins in states
         )
@@ -171,11 +176,11 @@ def trace_lines() -> list[str]:
     lines = []
     for name, text, policy_text, bits, capacity in _oracle_cases():
         digests = []
-        for fuel, traces in _lone_runs(text, policy_text, bits, capacity):
+        for fuel, program, traces in _lone_runs(text, policy_text, bits, capacity):
             digest = hashlib.sha256()
             states = 0
             for trace in traces:
-                digest.update(_run_text(trace).encode())
+                digest.update(_run_text(program, trace).encode())
                 states += 1
             digests.append(f"fuel={fuel}:{digest.hexdigest()[:16]}")
         lines.append(
@@ -231,7 +236,7 @@ def test_lone_runs_record_the_downgrades_they_step():
     # The pinned trace digests read only the (site, value) of a downgrade,
     # not the stores before and after it, which the oracle's buckets read.
     for name, text, policy_text, bits, capacity in _oracle_cases():
-        for fuel, traces in _lone_runs(text, policy_text, bits, capacity):
+        for fuel, _, traces in _lone_runs(text, policy_text, bits, capacity):
             for trace in traces:
                 assert trace.downgrades == _stepped_downgrades(trace), (name, fuel)
 

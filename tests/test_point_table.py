@@ -1,11 +1,13 @@
 """The interpreter's table of program points against the tree-rewriting step.
 
-``semantics.step_point`` steps a configuration through the point of its
-remaining command.  ``tree_step`` (the tests' reference) rewrites the
-command tree instead.  From every initial state of the oracle's inputs, at
-bits 2, both step every reachable configuration to an equal configuration
-and an equal label, trace text included: the text ``Trace.lines`` renders
-for the step is the text the reference built as it stepped.
+``semantics.step_point`` steps a configuration through its point, one of
+the two points of a site of ``Program.flow``.  ``tree_step`` (the tests'
+reference) rewrites the command tree instead, and ``residual`` gives the
+remaining command a point stands for.  From every initial state of the
+oracle's inputs, at bits 2, both step every reachable configuration to an
+equal configuration, remaining command included, and an equal label,
+trace text included: the text ``Trace.lines`` renders for the step is the
+text the reference built as it stepped.
 """
 
 from pathlib import Path
@@ -25,14 +27,14 @@ from wherecheck.semantics import (
     OUTCOME_HALTED,
     PLAIN,
     Known,
-    Points,
     Trace,
     initial_configuration,
+    point_table,
     run_program,
     step_point,
 )
 from wherecheck.syntax import Assign, Skip
-from tree_step import tree_step
+from tree_step import residual, tree_configuration, tree_step, tree_successors
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 BITS = 2
@@ -53,7 +55,7 @@ def _corpus(name):
 def _config_key(c):
     return (
         tuple(c.mu.values()), tuple(c.p.values()), tuple(c.outs.values()),
-        tuple(c.ins.values()), c.cmd,
+        tuple(c.ins.values()), c.point.id,
     )
 
 
@@ -63,33 +65,29 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
     Returns the (kind, rule) of every label the steps gave.  One point table
     serves the program, as one ``Known`` serves the runs of an oracle check.
     """
-    points, seen, labels = Points(), set(), set()
+    points, seen, labels = point_table(program), set(), set()
     runs = _Runs(program, policy, BITS, capacity, DEFAULT_FUEL)
-    todo = []
-    for i in range(runs.count):
-        config = initial_configuration(program, *runs.state(i))
-        todo.append((config, points.of(config.cmd)))
+    todo = [initial_configuration(program, *runs.state(i), points) for i in range(runs.count)]
     while todo:
-        config, point = todo.pop()
+        config = todo.pop()
         key = _config_key(config)
         if key in seen:
             continue
         seen.add(key)
-        assert point.cmd == config.cmd
-        new, label, after = step_point(config, point, points, policy, BITS, capacity)
-        ref, ref_label, ref_changed = tree_step(config, policy, BITS, capacity)
-        assert new == ref, config
-        assert after.cmd == new.cmd
-        assert label == ref_label and label.rule == ref_label.rule, config
+        tree = tree_configuration(program, config)
+        new, label = step_point(config, policy, BITS, capacity)
+        ref, ref_label, ref_changed = tree_step(tree, policy, BITS, capacity)
+        assert tree_configuration(program, new) == ref, tree
+        assert label == ref_label and label.rule == ref_label.rule, tree
         expected = (
-            f"g{config.cmd.site.id} | halt | halted |"
+            f"g{tree.cmd.site.id} | halt | halted |"
             if label.kind == HALTED
             else f"g{label.site.id} | {label.rule} | {label} | {ref_changed}"
         )
-        assert Trace([(new, label)], "", config, new, []).lines == [expected], config
+        assert Trace([(new, label)], "", config, new, []).lines == [expected], tree
         labels.add((label.kind, label.rule))
         if label.kind not in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
-            todo.append((new, after))
+            todo.append(new)
     return labels
 
 
@@ -159,56 +157,66 @@ def test_a_loop_interns_the_same_points_at_any_iteration_count():
         trace = run_program(program, policy, {"h": 1}, bits=12, fuel=30_000, known=known)
         assert trace.outcome == OUTCOME_HALTED and trace.final.mu["i"] == n
         sizes.append(len(known.points))
-    assert sizes[0] == sizes[1] <= 12
+    assert sizes[0] == sizes[1] == 2 * len(program.sites)
 
 
-# A point is found by its command: the contract the table interns by.
+# The table: two points per site, whose ids are fixed by the site and the
+# phase, linked as the tree-rewriting step goes.
 
 
-def test_equal_roots_of_two_parses_intern_to_one_point():
-    first, second = parse_program(D_TEXT.format(n=3)), parse_program(D_TEXT.format(n=3))
-    assert first.root is not second.root and first.root == second.root
-    points = Points()
-    assert points.of(first.root) is points.of(second.root)
-    assert len(points) == 1
+def test_the_table_has_two_points_per_site_with_fixed_ids():
+    program, policy = prog(D_TEXT.format(n=3), D_POLICY)
+    points = point_table(program)
+    assert len(points) == 2 * len(program.sites)
+    for site, cmd in enumerate(program.sites):
+        to_run, done = points[2 * site], points[2 * site + 1]
+        assert (to_run.id, done.id) == (2 * site, 2 * site + 1)
+        assert to_run.cmd is cmd and done.cmd == Skip(cmd.site)
+    # A second table of the program, or of another parse of its text, names
+    # each configuration by the same ids.
+    again = parse_program(D_TEXT.format(n=3))
+    first, second = (
+        [config.point.id for config, _ in run_program(p, policy, {"h": 1}).entries]
+        for p in (program, again)
+    )
+    assert first == second
+
+
+def test_each_point_links_to_the_points_of_the_tree_step():
+    for program, _ in _corpus("table3") + _corpus("iobench") + [
+        prog("if x then skip else while x do skip od fi; skip", "lattice: L < H\nvar x : L\n")
+    ]:
+        for point in point_table(program):
+            expected = tree_successors(residual(program, point))
+            if not expected:  # a finished site with nothing after it halts
+                assert point.next == (None,)
+                continue
+            assert len(point.next) == len(point.labels) == len(expected)
+            for after, label, (cmd, ref_label) in zip(point.next, point.labels, expected):
+                assert residual(program, after) == cmd
+                assert label == ref_label and label.rule == ref_label.rule
 
 
 def test_an_assignment_and_the_skip_it_steps_to_are_two_points():
     program, policy = prog("x := x", "lattice: L < H\nvar x : L\n")
-    points = Points()
-    assign = points.of(program.root)
-    skip = points.successor(assign, 0)
+    assign, skip = point_table(program)
+    assert assign.next == (skip,) and assign.labels[0].rule == "assign"
     assert type(assign.cmd) is Assign and type(skip.cmd) is Skip
     assert assign.cmd.site == skip.cmd.site and assign is not skip
     assert run_program(program, policy, {"x": 1}).outcome == OUTCOME_HALTED
 
 
-def test_a_successor_equal_to_a_point_is_that_point_and_registers_no_id():
-    # The loop's body runs and its Seq(Skip, loop) drops the Skip: the
-    # remaining command is built afresh, equal to the root.
-    program, _ = prog("while c do c := 0 od; y := 2", "lattice: L < H\nvar c : L\nvar y : L\n")
-    points = Points()
-    root = points.of(program.root)
-    body = points.successor(root, 0)  # while-true
-    done = points.successor(body, 0)  # the assignment
-    back = points.successor(done, 0)  # seq-skip
-    assert back is root and back.cmd is program.root
-    assert len(points) == 3
-
-
-def test_a_long_sequence_runs_and_interns_without_recursing_per_statement():
+def test_a_long_sequence_runs_without_recursing_per_statement():
     # Three times the default recursion limit: a recursive parse, hash or
     # comparison of the spine would pass it.
     text = "; ".join(["x := x + 1"] * 3000)
     program, policy = prog(text, "lattice: L < H\nvar x : L\n")
     trace = run_program(program, policy, bits=12, known=Known())
     assert trace.outcome == OUTCOME_HALTED and trace.final.mu["x"] == 3000
-    points = Points()
-    assert points.of(program.root) is points.of(parse_program(text).root)
 
 
-# A step's label is its point's: built once per point and branch, and only
-# a real downgrade, a diagnostic or a halt gives another.
+# A step's label is its point's: built once per point and branch with the
+# table, and only a real downgrade, a diagnostic or a halt gives another.
 
 
 def test_stepping_a_point_twice_returns_its_one_label():
@@ -217,17 +225,14 @@ def test_stepping_a_point_twice_returns_its_one_label():
         "lattice: L < H\nvar h : H\nvar x : L\nchannel o : L output\n"
         "channel i : L input length 1\n",
     )
-    points = Points()
     config = initial_configuration(program, inputs={"i": (2,)})
-    point = points.of(config.cmd)
     rules = []
-    while type(point.cmd) is not Skip:
-        (new, label, after), (_, again, _) = (
-            step_point(config, point, points, policy, BITS, 2) for _ in range(2)
-        )
+    while config.point.next != (None,):
+        point = config.point
+        (new, label), (_, again) = (step_point(config, policy, BITS, 2) for _ in range(2))
         assert label is again is point.labels[0]
         rules.append(label.rule)
-        config, point = new, after
+        config = new
     assert rules == [
         "assign", "seq-skip", "declass-ordinary", "seq-skip", "output", "seq-skip", "input",
     ]
@@ -246,16 +251,17 @@ def test_one_check_builds_a_label_per_point_and_branch_and_per_release(monkeypat
         "channel o : L output\nchannel c : L input length 1\n",
     )
     built, tables, returned = [], [], []
-    real_label, real_points, real_step = semantics.StepLabel, semantics.Points, semantics.step_point
+    real_label, real_table, real_step = (
+        semantics.StepLabel, semantics.point_table, semantics.step_point,
+    )
 
     def label(kind, *args, **kwargs):
         built.append(kind)
         return real_label(kind, *args, **kwargs)
 
-    class Table(real_points):
-        def __init__(self):
-            super().__init__()
-            tables.append(self)
+    def table(program):
+        tables.append(real_table(program))
+        return tables[-1]
 
     def step(*args):
         stepped = real_step(*args)
@@ -263,12 +269,13 @@ def test_one_check_builds_a_label_per_point_and_branch_and_per_release(monkeypat
         return stepped
 
     monkeypatch.setattr(semantics, "StepLabel", label)
-    monkeypatch.setattr(semantics, "Points", Table)
+    monkeypatch.setattr(semantics, "point_table", table)
     monkeypatch.setattr(semantics, "step_point", step)
     check_where_security(program, policy, bits=BITS, capacity=2)
+    # One table serves the check, built with a label per site and branch.
+    [points] = tables
     branches = sum(
-        label is not None for table in tables for point in table._by_cmd.values()
-        for label in point.labels
+        len(point.labels) for point in points if type(point.cmd) is not Skip or point.id % 2
     )
     assert 0 < built.count(PLAIN) == branches < returned.count(PLAIN)
     for kind in (DECLASS, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):

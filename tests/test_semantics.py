@@ -22,7 +22,6 @@ from wherecheck.semantics import (
     OUTCOME_FUEL,
     OUTCOME_HALTED,
     PLAIN,
-    Points,
     StepLabel,
     eval_expr,
     format_trace,
@@ -33,6 +32,7 @@ from wherecheck.semantics import (
     step_point,
 )
 from test_oracle import low_equiv_channels
+from tree_step import residual
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -138,7 +138,7 @@ def test_divergence_detected_exactly():
     # The run stops at the first repeated configuration: back at the loop
     # head after one unrolling.
     loop = program.root
-    assert [(config.cmd, label) for config, label in trace.entries] == [
+    assert [(residual(program, config.point), label) for config, label in trace.entries] == [
         (syntax.Seq(loop.body, loop), StepLabel(PLAIN, loop.site)),
         (loop, StepLabel(PLAIN, loop.body.site)),
     ]
@@ -264,10 +264,8 @@ def test_trace_text_for_each_outcome(outcome):
 def test_step_is_total_and_deterministic():
     program, policy = load("P5")
     config = initial_configuration(program, {"h": 1, "l": 1})
-    points = Points()
-    (c1, l1, _), (c2, l2, _) = (
-        step_point(config, points.of(config.cmd), points, policy, DEFAULT_BITS, DEFAULT_CAPACITY)
-        for _ in range(2)
+    (c1, l1), (c2, l2) = (
+        step_point(config, policy, DEFAULT_BITS, DEFAULT_CAPACITY) for _ in range(2)
     )
     # Not a real downgrade: both steps return the label the point holds.
     assert c1 == c2 and l1 is l2 and l1.rule == "assign"
@@ -399,9 +397,9 @@ def test_program_channels_walk_the_tree_once(monkeypatch):
 
 
 def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
-    # Every pass, the model's translation and the typing check in post_star
-    # included, reads Program.flow, so only the site table walks the root.
-    # Each run's start reads the root too, to follow it, not to gather facts.
+    # Every pass, the model's translation, the typing check in post_star and
+    # the interpreter's point table included, reads Program.flow, so only
+    # the site table walks the root.
     readers = count_root_reads(monkeypatch)
     iobench = CORPUS.parent / "iobench"
     programs = [load("P3"), load("P7"), load("B4", iobench), load("B6", iobench)]
@@ -412,4 +410,4 @@ def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
         assert verdict.status in (SECURE, INSECURE)
         run_program(program, policy, bits=2, capacity=2)
     assert readers.count("flow") == len(programs)
-    assert set(readers) == {"flow", "initial_configuration"}
+    assert set(readers) == {"flow"}

@@ -4,11 +4,14 @@
 ``Seq`` spine around the result, as the interpreter did before it stepped
 through a table of program points (``semantics.step_point``).  It also
 builds the text of what each step changed as it steps, which the
-interpreter renders only when a trace is read (``Trace.lines``).  The tests
-compare the two at every configuration they reach.
+interpreter renders only when a trace is read (``Trace.lines``).
+``residual`` gives the remaining command a point stands for, so the tests
+can compare the two at every configuration they reach.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
@@ -16,7 +19,7 @@ from wherecheck.semantics import (
     HALTED,
     INPUT_EXHAUSTED,
     PLAIN,
-    Configuration,
+    Point,
     StepLabel,
     eval_expr,
 )
@@ -27,10 +30,80 @@ from wherecheck.syntax import (
     If,
     Input,
     Output,
+    Program,
     Seq,
     Skip,
     While,
+    first_site,
 )
+
+
+class Configuration(NamedTuple):
+    """A configuration of the reference: ``semantics.Configuration`` with
+    the remaining command where the interpreter has a point."""
+
+    mu: dict[str, int]
+    ins: dict[str, tuple[int, ...]]
+    outs: dict[str, tuple[int, ...]]
+    p: dict[str, int]
+    cmd: Command
+
+
+def tree_configuration(program: Program, config) -> Configuration:
+    """``config`` of the interpreter with its point's remaining command."""
+    return Configuration(*config[:4], residual(program, config.point))
+
+
+def residual(program: Program, point: Point) -> Command:
+    """The remaining command ``point`` stands for: the path from the root
+    down to the point's site, folded back up around the point's command.
+
+    The first child of a ``Seq`` keeps the ``Seq``'s second, a body keeps
+    its ``while`` after it, and a second child or a branch has nothing
+    after it in its parent.
+    """
+    site, path, cmd = point.cmd.site.id, [], program.root
+    while type(cmd) is Seq or cmd.site.id != site:
+        path.append(cmd)
+        match cmd:
+            case Seq(first, second):
+                cmd = first if site < first_site(second).site.id else second
+            case If(_, _, then_branch, else_branch):
+                cmd = then_branch if site < first_site(else_branch).site.id else else_branch
+            case While(_, _, body):
+                cmd = body
+    cur = point.cmd
+    for parent, child in zip(reversed(path), reversed([*path[1:], cmd])):
+        if type(parent) is Seq and parent.first is child:
+            cur = Seq(cur, parent.second)
+        elif type(parent) is While:
+            cur = Seq(cur, parent)
+    return cur
+
+
+def tree_successors(cmd: Command) -> list[tuple[Command, StepLabel]]:
+    """The remaining command and label after each branch of a step of
+    ``cmd``, whatever the store: both of an ``if``'s or a ``while``'s, and
+    none for a lone ``Skip``, which halts."""
+    match cmd:
+        case Seq(Skip(site), second):
+            return [(second, StepLabel(PLAIN, site, rule="seq-skip"))]
+        case Seq(first, second):
+            return [(Seq(c, second), label) for c, label in tree_successors(first)]
+        case If(site, _, then_branch, else_branch):
+            return [
+                (then_branch, StepLabel(PLAIN, site, rule="if-true")),
+                (else_branch, StepLabel(PLAIN, site, rule="if-false")),
+            ]
+        case While(site, _, body):
+            return [
+                (Seq(body, cmd), StepLabel(PLAIN, site, rule="while-true")),
+                (Skip(site), StepLabel(PLAIN, site, rule="while-false")),
+            ]
+        case Skip():
+            return []
+    rules = {Assign: "assign", DeclassAssign: "declass-ordinary", Input: "input", Output: "output"}
+    return [(Skip(cmd.site), StepLabel(PLAIN, cmd.site, rule=rules[type(cmd)]))]
 
 
 def tree_step(config, policy, bits, capacity) -> tuple[Configuration, StepLabel, str]:
