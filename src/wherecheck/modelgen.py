@@ -45,7 +45,6 @@ from .syntax import (
     While,
     first_site,
     format_command,
-    format_expr,
 )
 
 FINAL_SYMBOL = "end"
@@ -214,7 +213,7 @@ def build_model(
                     in_range = RuleSpec.make(
                         guard=BinOp("<", Var(spec.index), Num(spec.length)),
                         updates={
-                            target: _cell_read(spec),
+                            target: CellRef(spec.cells, spec.index, f"I({spec.name})"),
                             spec.index: BinOp("+", Var(spec.index), Num(1)),
                         },
                     )
@@ -249,25 +248,11 @@ def build_model(
     )
 
 
-def _cell_read(spec: ChannelSpec) -> CellRef:
-    return CellRef(spec.cells, spec.index, f"I({spec.name})")
-
-
-def _describe_site(cmd: Command) -> str:
-    """The command at a site; a branch or loop by its header only."""
-    match cmd:
-        case If(_, guard, _, _):
-            return f"if {format_expr(guard)}"
-        case While(_, guard, _):
-            return f"while {format_expr(guard)}"
-    return format_command(cmd)
-
-
 def dump_model(skeleton: ModelSkeleton) -> str:
     lines = [dump_spds(skeleton.spds)]
     lines.append(f"# level {skeleton.level}, bits {skeleton.bits}, capacity {skeleton.capacity}")
     for cmd in skeleton.program.sites:
-        lines.append(f"# site g{cmd.site.id}: {_describe_site(cmd)}")
+        lines.append(f"# site g{cmd.site.id}: {format_command(cmd)}")
     for site in sorted(skeleton.rho):
         lines.append(f"# downgrade g{site} -> {d_name(skeleton.rho[site])}")
     return "\n".join(lines)

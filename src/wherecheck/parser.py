@@ -12,7 +12,8 @@ Grammar (";" binds weakest and is right-associative; "fi"/"od" close blocks):
               | "output" "(" expr "," ident ")"
 
 Expression operators, weakest first: "|", "&", comparisons (== != < <=),
-additive (+ -), multiplicative (*).  "#" starts a comment until end of line.
+additive (+ -), multiplicative (*): ``syntax.PRECEDENCE``.  "#" starts a
+comment until end of line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     IDENTIFIER,
+    PRECEDENCE,
     Assign,
     BinOp,
     Command,
@@ -212,7 +214,10 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    _LEVELS = [["|"], ["&"], ["==", "!=", "<", "<="], ["+", "-"], ["*"]]
+    # The operators of each precedence, loosest first.
+    _LEVELS = [
+        [op for op in PRECEDENCE if PRECEDENCE[op] == p] for p in sorted(set(PRECEDENCE.values()))
+    ]
 
     def parse_expr(self, level: int = 0) -> Expr:
         if level == len(self._LEVELS):

@@ -1,9 +1,10 @@
 """Concrete small-step semantics over fixed-width unsigned values.
 
-Values are unsigned integers reduced modulo 2**bits (bits defaults to 3);
-zero is false, anything else true.  Input channels are finite lists consumed
-by a read index p; output channels are append-only lists guarded by a
-capacity bound, and a stream's length is its write index.  Reading past an
+Values are unsigned integers reduced modulo 2**bits (bits defaults to 3):
+a run's initial store, each input read, each constant and each operator's
+result; zero is false, anything else true.  Input channels are finite
+lists consumed by a read index p; output channels are append-only lists
+guarded by a capacity bound, and a stream's length is its write index.  Reading past an
 input or writing past the capacity ends the run with a terminal diagnostic
 label rather than an error.
 
@@ -27,6 +28,7 @@ names its point by id.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -39,7 +41,6 @@ from .syntax import (
     Expr,
     If,
     Input,
-    Num,
     Output,
     Program,
     SiteLabel,
@@ -47,6 +48,7 @@ from .syntax import (
     Var,
     While,
     first_site,
+    postfix,
 )
 
 DEFAULT_BITS = 3
@@ -66,37 +68,28 @@ OUTCOME_DIVERGES = "diverges"
 OUTCOME_FUEL = "nonterminating-within-budget"
 
 
+# Each operator as a Python function; eval_expr wraps its result.
+_APPLY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+}
+
+
 def eval_expr(e: Expr, store: dict[str, int], bits: int) -> int:
-    """Evaluate an expression; arithmetic wraps modulo 2**bits."""
+    """Evaluate an expression in one loop over its postfix list: each constant and
+    each operator's result wraps modulo 2**bits, and a variable reads as stored."""
     mask = (1 << bits) - 1
-    match e:
-        case Num(value):
-            return value & mask
-        case Var(name):
-            return store[name]
-        case BinOp(op, left, right):
-            a = eval_expr(left, store, bits)
-            b = eval_expr(right, store, bits)
-            if op == "+":
-                return (a + b) & mask
-            if op == "-":
-                return (a - b) & mask
-            if op == "*":
-                return (a * b) & mask
-            if op == "==":
-                return int(a == b)
-            if op == "!=":
-                return int(a != b)
-            if op == "<":
-                return int(a < b)
-            if op == "<=":
-                return int(a <= b)
-            if op == "&":
-                return a & b
-            if op == "|":
-                return a | b
-            raise ValueError(f"unknown operator {op!r}")
-    raise TypeError(f"not an expression: {e!r}")
+    stack: list[int] = []
+    for node in postfix(e):
+        kind = type(node)
+        if kind is BinOp:
+            b = stack.pop()
+            stack[-1] = _APPLY[node.op](stack[-1], b) & mask
+        elif kind is Var:
+            stack.append(store[node.name])
+        else:
+            stack.append(node.value & mask)
+    return stack[0]
 
 
 @dataclass(frozen=True)
@@ -439,9 +432,11 @@ def run_program(
     fuel: int = DEFAULT_FUEL,
     known: Optional[Known] = None,
 ) -> Trace:
+    """Run ``program`` from its entry; each store value wraps, as a read's does."""
     points = None
     if known is not None:
         points = known.points = known.points or point_table(program)
+    store = {name: value & ((1 << bits) - 1) for name, value in (store or {}).items()}
     config = initial_configuration(program, store, inputs, points)
     return run(config, policy, bits, capacity, fuel, known)
 

@@ -7,7 +7,8 @@ RuleSpec: a guard over the current valuation and next-state updates
 procedures, so no model needs a stack.  The class keeps the name SPDS
 because the benchmark reads model.spds and patches spds.RelationAlgebra.
 Expressions are the source language's own (syntax.Expr): a Var reads a
-global of any name and a CellRef reads a channel cell.
+global of any name and a CellRef reads a channel cell.  Width inference and
+compilation are loops over ``syntax.postfix``, so no depth costs recursion.
 
 Globals not mentioned keep their value; that frame condition is part of
 the spec's meaning, and the tests' explicit evaluator (tests/explicit.py)
@@ -59,7 +60,7 @@ from .bdd import (
     bv_nonzero,
     bv_sub,
 )
-from .syntax import BinOp, CellRef, Expr, Num, Var, format_expr, subst_vars
+from .syntax import COMPARISONS, BinOp, CellRef, Expr, Num, Var, format_expr, postfix, subst_vars
 
 
 class HavocType:
@@ -70,7 +71,11 @@ class HavocType:
 HAVOC = HavocType()
 
 
-_COMPARISONS = ("==", "!=", "<", "<=")
+# Each operator on bit vectors; a comparison's bit becomes a 0/1 vector.
+_BV = {
+    "+": bv_add, "-": bv_sub, "*": bv_mul, "&": bv_bitand, "|": bv_bitor,
+    "==": bv_eq, "!=": bv_ne, "<": bv_lt, "<=": bv_le,
+}
 
 
 @dataclass(frozen=True)
@@ -224,24 +229,31 @@ def dump_spds(spds: SPDS) -> str:
     return "\n".join(lines)
 
 
-def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
-    match e:
-        case Num(_):
-            return None
-        case Var(name):
-            return globals_decl.width_of(name)
-        case CellRef(cells, _, _):
-            # an empty array reads as the constant 0 and adapts to context
-            return globals_decl.width_of(cells[0]) if cells else None
-        case BinOp(op, left, right):
-            a = infer_width(left, globals_decl)
-            b = infer_width(right, globals_decl)
+def _operand_widths(nodes: list[Expr], g: GlobalsDecl) -> tuple[list[Optional[int]], Optional[int]]:
+    """Per node of a postfix list, from the leaves, a leaf's width or the one a BinOp's operands
+    share; and the root's own width.  None is a width left to the context, as a constant's, an
+    empty cell read's or a comparison's.  Operands of two widths raise ValueError."""
+    shared: list[Optional[int]] = []
+    stack: list[Optional[int]] = []  # each operand's own width
+    for node in nodes:
+        kind = type(node)
+        if kind is BinOp:
+            b, a = stack.pop(), stack.pop()
             if a is not None and b is not None and a != b:
-                raise ValueError(f"width mismatch in {format_expr(e)}: {a} vs {b}")
-            if op in _COMPARISONS:
-                return None  # 0/1 result adapts to the context width
-            return a if a is not None else b
-    raise TypeError(f"not an expression: {e!r}")
+                raise ValueError(f"width mismatch in {format_expr(node)}: {a} vs {b}")
+            width = a if a is not None else b
+        elif kind is Num or (kind is CellRef and not node.cells):
+            width = None
+        else:
+            width = g.width_of(node.name if kind is Var else node.cells[0])
+        shared.append(width)
+        stack.append(None if kind is BinOp and node.op in COMPARISONS else width)
+    return shared, stack[0]
+
+
+def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
+    """The width ``e`` has of its own, None if it adapts to its context."""
+    return _operand_widths(postfix(e), globals_decl)[1]
 
 
 def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
@@ -294,43 +306,40 @@ class RelationAlgebra:
         return self.set_from_fixed(self.g.as_dict(val))
 
     def compile_value(self, e: Expr, width: int) -> list[int]:
+        """``e`` at ``width``, in three loops over its postfix list: the widths operands share,
+        from the leaves; each node's width, from the root, an arithmetic node's operands taking
+        its own and a comparison's the one they share, else its own; and the vectors."""
         mgr = self.mgr
-        match e:
-            case Num(value):
-                return bv_const(mgr, value, width)
-            case Var(name):
-                assert self.g.width_of(name) == width, f"{name} width mismatch"
-                return bv_from_levels(mgr, self.g.cur_levels(name))
-            case CellRef(cells, index, _):
-                # the hits are disjoint, so the read is the union of hit k and cell k
-                acc = bv_const(mgr, 0, width)
-                for k, hit in enumerate(self._hits(index, len(cells))):
-                    cell = self.compile_value(Var(cells[k]), width)
-                    acc = bv_bitor(mgr, acc, [mgr.conj(hit, x) for x in cell])
-                return acc
-            case BinOp(op, left, right):
-                if op in _COMPARISONS:
-                    w = infer_width(left, self.g) or infer_width(right, self.g) or width
-                    a = self.compile_value(left, w)
-                    b = self.compile_value(right, w)
-                    bit = {
-                        "==": bv_eq,
-                        "!=": bv_ne,
-                        "<": bv_lt,
-                        "<=": bv_le,
-                    }[op](mgr, a, b)
-                    return bv_bool(mgr, bit, width)
-                a = self.compile_value(left, width)
-                b = self.compile_value(right, width)
-                fn = {
-                    "+": bv_add,
-                    "-": bv_sub,
-                    "*": bv_mul,
-                    "&": bv_bitand,
-                    "|": bv_bitor,
-                }[op]
-                return fn(mgr, a, b)
-        raise TypeError(f"not an expression: {e!r}")
+        nodes = postfix(e)
+        shared = _operand_widths(nodes, self.g)[0]
+        widths, pending = [0] * len(nodes), [width]  # pending: operands' widths, from the root
+        for i in reversed(range(len(nodes))):
+            widths[i] = w = pending.pop()
+            if type(nodes[i]) is BinOp:
+                common = shared[i] if nodes[i].op in COMPARISONS else None
+                pending += [w if common is None else common] * 2
+        stack: list[list[int]] = []
+        for node, w in zip(nodes, widths):
+            kind = type(node)
+            if kind is BinOp:
+                b, a = stack.pop(), stack.pop()
+                value = _BV[node.op](mgr, a, b)
+                if node.op in COMPARISONS:
+                    value = bv_bool(mgr, value, w)
+            elif kind is Num:
+                value = bv_const(mgr, node.value, w)
+            elif kind is Var:
+                value = self._read(node.name, w)
+            else:  # the hits are disjoint, so the read is the union of hit k and cell k
+                value = bv_const(mgr, 0, w)
+                for hit, cell in zip(self._hits(node.index, len(node.cells)), node.cells):
+                    value = bv_bitor(mgr, value, [mgr.conj(hit, x) for x in self._read(cell, w)])
+            stack.append(value)
+        return stack[0]
+
+    def _read(self, name: str, width: int) -> list[int]:
+        assert self.g.width_of(name) == width, f"{name} width mismatch"
+        return bv_from_levels(self.mgr, self.g.cur_levels(name))
 
     def _hits(self, index: str, cells: int) -> list[int]:
         """index == k for each cell k that the index can reach."""

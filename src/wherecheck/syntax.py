@@ -12,6 +12,9 @@ coincide with source order, and a site's id names its model control symbol
 and the interpreter's two points of it.  ``Program.flow`` is the one walk of
 a command tree: every pass loops over it, and none hashes or compares a
 command, so the depth of a command built in code costs no recursion.
+Likewise ``postfix`` is the one walk of an expression: every expression
+pass loops over it with a stack, so no expression's depth costs recursion.
+``PRECEDENCE`` and ``COMPARISONS`` state the operators once.
 """
 
 from __future__ import annotations
@@ -59,32 +62,45 @@ class CellRef:
 Expr = Union[Num, Var, BinOp, CellRef]
 
 
+# Each operator's precedence, loosest first, for the parser and the printer.
+# A comparison's 0/1 result takes its context's width, any other result its operands'.
+PRECEDENCE = {"|": 1, "&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
+COMPARISONS = frozenset({"==", "!=", "<", "<="})
+_LEAF = max(PRECEDENCE.values()) + 1  # a leaf binds tighter than any operator
+
+
+def postfix(e: Expr) -> list[Expr]:
+    """The nodes of ``e`` operands first, each BinOp after its left and then
+    its right operand: the one walk of an expression, a loop over a stack."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if type(node) is BinOp:
+            stack += (node.left, node.right)
+    return out[::-1]
+
+
 def expr_vars(e: Expr) -> set[str]:
     """Free variables of an expression."""
-    match e:
-        case Num():
-            return set()
-        case Var(name):
-            return {name}
-        case BinOp(_, left, right):
-            return expr_vars(left) | expr_vars(right)
-    raise TypeError(f"not an expression: {e!r}")
+    return {node.name for node in postfix(e) if type(node) is Var}
 
 
 def subst_vars(e: Expr, mapping: dict[str, str]) -> Expr:
     """Rename variables in an expression, and a cell read's cells and index."""
-    match e:
-        case Num():
-            return e
-        case Var(name):
-            return Var(mapping.get(name, name))
-        case BinOp(op, left, right):
-            return BinOp(op, subst_vars(left, mapping), subst_vars(right, mapping))
-        case CellRef(cells, index, label):
-            return CellRef(
-                tuple(mapping.get(c, c) for c in cells), mapping.get(index, index), label
-            )
-    raise TypeError(f"not an expression: {e!r}")
+    stack: list[Expr] = []
+    for node in postfix(e):
+        kind = type(node)
+        if kind is BinOp:
+            right = stack.pop()
+            node = BinOp(node.op, stack.pop(), right)
+        elif kind is Var:
+            node = Var(mapping.get(node.name, node.name))
+        elif kind is CellRef:
+            cells = tuple(mapping.get(c, c) for c in node.cells)
+            node = CellRef(cells, mapping.get(node.index, node.index), node.label)
+        stack.append(node)
+    return stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +228,11 @@ class Program:
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
-        """Every variable of the program, sorted."""
-        out: set[str] = set()
-        for cmd in self.sites:
-            match cmd:
-                case Assign(_, target, expr) | DeclassAssign(_, target, expr):
-                    out.add(target)
-                    out |= expr_vars(expr)
-                case If(_, guard, _, _) | While(_, guard, _):
-                    out |= expr_vars(guard)
-                case Input(_, target, _):
-                    out.add(target)
-                case Output(_, expr, _):
-                    out |= expr_vars(expr)
+        """Every variable of the program, sorted: the sites' targets, and the
+        variables of their guards and expressions."""
+        out = {cmd.target for cmd in self.sites if hasattr(cmd, "target")}
+        exprs = (getattr(cmd, "guard", getattr(cmd, "expr", None)) for cmd in self.sites)
+        out.update(*(expr_vars(e) for e in exprs if e is not None))
         return tuple(sorted(out))
 
     @cached_property
@@ -256,29 +264,30 @@ class Program:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC = {"|": 1, "&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
 
-
-def format_expr(e: Expr, parent_prec: int = 0) -> str:
-    match e:
-        case Num(value):
-            return str(value)
-        case Var(name):
-            return name
-        case CellRef(_, index, label):
-            return f"{label}[{index}]"
-        case BinOp(op, left, right):
-            prec = _PREC[op]
-            # Left-associative rendering: right subtree needs parens at equal
-            # precedence.
-            text = f"{format_expr(left, prec)} {op} {format_expr(right, prec + 1)}"
-            if prec < parent_prec:
-                return f"({text})"
-            return text
-    raise TypeError(f"not an expression: {e!r}")
+def format_expr(e: Expr) -> str:
+    """The text the parser reads back as ``e``: every operator associates to the left, so a
+    left operand that binds looser than its operator and a right one that binds no tighter
+    get parentheses."""
+    stack: list[tuple[str, int]] = []  # (text, precedence)
+    for node in postfix(e):
+        kind = type(node)
+        if kind is BinOp:
+            prec = PRECEDENCE[node.op]
+            right, rprec = stack.pop()
+            left, lprec = stack.pop()
+            left = f"({left})" if lprec < prec else left
+            right = f"({right})" if rprec <= prec else right
+            stack.append((f"{left} {node.op} {right}", prec))
+        elif kind is CellRef:
+            stack.append((f"{node.label}[{node.index}]", _LEAF))
+        else:
+            stack.append((node.name if kind is Var else str(node.value), _LEAF))
+    return stack.pop()[0]
 
 
 def format_command(c: Command) -> str:
+    """The command at one site: an if or a while by its header only."""
     match c:
         case Skip():
             return "skip"
@@ -286,17 +295,12 @@ def format_command(c: Command) -> str:
             return f"{target} := {format_expr(expr)}"
         case DeclassAssign(_, target, expr):
             return f"{target} := declass({format_expr(expr)})"
-        case If(_, guard, then_branch, else_branch):
-            return (
-                f"if {format_expr(guard)} then {format_command(then_branch)} "
-                f"else {format_command(else_branch)} fi"
-            )
-        case While(_, guard, body):
-            return f"while {format_expr(guard)} do {format_command(body)} od"
-        case Seq(first, second):
-            return f"{format_command(first)}; {format_command(second)}"
+        case If(_, guard, _, _):
+            return f"if {format_expr(guard)}"
+        case While(_, guard, _):
+            return f"while {format_expr(guard)}"
         case Input(_, target, channel):
             return f"input({target}, {channel})"
         case Output(_, expr, channel):
             return f"output({format_expr(expr)}, {channel})"
-    raise TypeError(f"not a command: {c!r}")
+    raise TypeError(f"not a site: {c!r}")

@@ -17,7 +17,6 @@ from typing import Callable, Iterator, Sequence, Union
 from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import ComposedModel
 from wherecheck.spds import (
-    _COMPARISONS,
     HAVOC,
     GlobalsDecl,
     RuleSpec,
@@ -25,7 +24,7 @@ from wherecheck.spds import (
     guard_width,
     infer_width,
 )
-from wherecheck.syntax import BinOp, CellRef, Expr, Num, Var
+from wherecheck.syntax import COMPARISONS, BinOp, CellRef, Expr, Num, Var
 
 
 def valuation(globals_decl: GlobalsDecl, values: dict[str, int]) -> tuple[int, ...]:
@@ -78,7 +77,7 @@ def eval_gexpr(e: Expr, globals_decl: GlobalsDecl, val: tuple[int, ...], width: 
                 return val[globals_decl.index_of(cells[idx])] & mask
             return 0
         case BinOp(op, left, right):
-            if op in _COMPARISONS:
+            if op in COMPARISONS:
                 # Comparison operands carry their own width; the 0/1 result
                 # coerces to whatever width the context needs.
                 w = infer_width(left, globals_decl) or infer_width(right, globals_decl) or width

@@ -1,0 +1,150 @@
+"""Recursive references for the expression passes and the program printer.
+
+``wherecheck`` walks an expression in loops over ``syntax.postfix``; these
+are the same passes written as recursions over the tree, one ``match`` per
+node, which the property tests in test_walkers.py compare the loops
+against.  ``format_program`` prints a whole command tree in the source
+syntax, for the tests that parse a printed program back.  Each recursion is
+bounded by the depth of the small trees the tests draw.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from wherecheck.spds import GlobalsDecl
+from wherecheck.syntax import (
+    COMPARISONS,
+    PRECEDENCE,
+    Assign,
+    BinOp,
+    CellRef,
+    Command,
+    DeclassAssign,
+    Expr,
+    If,
+    Input,
+    Num,
+    Output,
+    Seq,
+    Skip,
+    Var,
+    While,
+)
+
+
+def eval_expr(e: Expr, store: dict[str, int], bits: int) -> int:
+    mask = (1 << bits) - 1
+    match e:
+        case Num(value):
+            return value & mask
+        case Var(name):
+            return store[name]
+        case BinOp(op, left, right):
+            a = eval_expr(left, store, bits)
+            b = eval_expr(right, store, bits)
+            if op == "+":
+                return (a + b) & mask
+            if op == "-":
+                return (a - b) & mask
+            if op == "*":
+                return (a * b) & mask
+            if op == "==":
+                return int(a == b)
+            if op == "!=":
+                return int(a != b)
+            if op == "<":
+                return int(a < b)
+            if op == "<=":
+                return int(a <= b)
+            if op == "&":
+                return a & b
+            if op == "|":
+                return a | b
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def expr_vars(e: Expr) -> set[str]:
+    match e:
+        case Num():
+            return set()
+        case Var(name):
+            return {name}
+        case BinOp(_, left, right):
+            return expr_vars(left) | expr_vars(right)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def subst_vars(e: Expr, mapping: dict[str, str]) -> Expr:
+    match e:
+        case Num():
+            return e
+        case Var(name):
+            return Var(mapping.get(name, name))
+        case BinOp(op, left, right):
+            return BinOp(op, subst_vars(left, mapping), subst_vars(right, mapping))
+        case CellRef(cells, index, label):
+            return CellRef(
+                tuple(mapping.get(c, c) for c in cells), mapping.get(index, index), label
+            )
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
+    match e:
+        case Num(_):
+            return None
+        case Var(name):
+            return globals_decl.width_of(name)
+        case CellRef(cells, _, _):
+            return globals_decl.width_of(cells[0]) if cells else None
+        case BinOp(op, left, right):
+            a = infer_width(left, globals_decl)
+            b = infer_width(right, globals_decl)
+            if a is not None and b is not None and a != b:
+                raise ValueError(f"width mismatch in {format_expr(e)}: {a} vs {b}")
+            if op in COMPARISONS:
+                return None
+            return a if a is not None else b
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def format_expr(e: Expr, parent_prec: int = 0) -> str:
+    match e:
+        case Num(value):
+            return str(value)
+        case Var(name):
+            return name
+        case CellRef(_, index, label):
+            return f"{label}[{index}]"
+        case BinOp(op, left, right):
+            prec = PRECEDENCE[op]
+            # left-associative: the right operand needs parentheses at equal precedence
+            text = f"{format_expr(left, prec)} {op} {format_expr(right, prec + 1)}"
+            return f"({text})" if prec < parent_prec else text
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def format_program(c: Command) -> str:
+    """A whole command tree in the source syntax, which the parser reads back."""
+    match c:
+        case Skip():
+            return "skip"
+        case Assign(_, target, expr):
+            return f"{target} := {format_expr(expr)}"
+        case DeclassAssign(_, target, expr):
+            return f"{target} := declass({format_expr(expr)})"
+        case If(_, guard, then_branch, else_branch):
+            return (
+                f"if {format_expr(guard)} then {format_program(then_branch)} "
+                f"else {format_program(else_branch)} fi"
+            )
+        case While(_, guard, body):
+            return f"while {format_expr(guard)} do {format_program(body)} od"
+        case Seq(first, second):
+            return f"{format_program(first)}; {format_program(second)}"
+        case Input(_, target, channel):
+            return f"input({target}, {channel})"
+        case Output(_, expr, channel):
+            return f"output({format_expr(expr)}, {channel})"
+    raise TypeError(f"not a command: {c!r}")

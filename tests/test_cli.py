@@ -249,10 +249,29 @@ def assert_overflow_is_inconclusive(capsys, args):
         assert out == f"inconclusive ({reason})\nRESULT overall=inconclusive\n"
 
 
-def test_deep_expression_overflow_is_inconclusive(tmp_path, capsys):
-    # The parser reads the sum as a loop; checking its variables recurses.
-    text = "l := " + " + ".join(["h"] * 1200) + "\n"
-    assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
+def deep_sum(terms: int) -> str:
+    return " + ".join(["l"] * (terms - 1) + ["h"])
+
+
+def assert_decides_insecure_at_l(text: str) -> None:
+    """In both modes, at bits 2: H secure, L insecure with a witness that
+    replays, and the oracle agrees."""
+    program = parse_program(text)
+    policy = parse_policy(TWO_LEVEL)
+    for mode in MODES:
+        report = analyze(program, policy, bits=2, capacity=0, mode=mode, want_witness=True)
+        assert [(r.level, r.verdict) for r in report.levels] == [("H", "secure"), ("L", "insecure")]
+        assert replay_witness(report.levels[1].model, report.levels[1].witness)[0]
+    verdict = check_where_security(program, gather_downgrades(program, policy), bits=2, capacity=0)
+    assert verdict.status == "insecure"
+
+
+def test_deep_expression_decides():
+    # Every expression pass loops over the sum's postfix list, so sums far
+    # deeper than the recursion limit decide, in an assignment and as a guard.
+    for terms in (1500, 3000):
+        assert_decides_insecure_at_l(f"l := {deep_sum(terms)}\n")
+    assert_decides_insecure_at_l(f"if {deep_sum(3000)} then l := 1 else l := 0 fi\n")
 
 
 def test_deep_if_nesting_overflow_is_inconclusive(tmp_path, capsys):
@@ -293,13 +312,12 @@ def test_deep_nesting_built_in_code_decides(kind, expected, mode):
         assert verdict.status == expected, depth
 
 
-def test_a_deep_expression_before_a_statement_parses_and_stays_inconclusive(tmp_path, capsys):
-    # A sequence no longer hashes its first command, so the 1500-term sum
-    # parses into a program of two sites.  Gathering its variables still
-    # recurses into the sum, so the level ends inconclusive, not in a crash.
+def test_a_deep_expression_before_a_statement_decides():
+    # A sequence does not hash its first command, so the 1500-term sum
+    # parses into a program of two sites, and no pass recurses into it.
     text = "l := " + " + ".join(["l"] * 1500) + "; l := l + h\n"
     assert len(parse_program(text).flow) == 2
-    assert_overflow_is_inconclusive(capsys, write_pair(tmp_path, text, TWO_LEVEL))
+    assert_decides_insecure_at_l(text)
 
 
 def test_long_sequence_decides(tmp_path, capsys):

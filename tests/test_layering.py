@@ -1,7 +1,11 @@
 """The oracle is the independent reference the model is checked against, so
 neither side may reach the other through its imports.  The imports are read
 from each module's source with ``ast``, and followed through the modules
-both sides share (``syntax``, ``policy``, ``semantics``)."""
+both sides share (``syntax``, ``policy``, ``semantics``).
+
+No pass over a program or an expression recurses, so their depth cannot
+exhaust Python's stack: the same ``ast`` reading lists every function that
+calls itself, and only a few are allowed to."""
 
 import ast
 from pathlib import Path
@@ -49,3 +53,36 @@ def test_no_model_module_reaches_the_oracle(name):
 
 def test_the_oracle_reaches_no_model_module():
     assert not reached("oracle") & set(MODEL)
+
+
+# The BDD kernels, whose depth is the variable count; the generator's
+# printer and expression builder, whose depth it bounds; and the parser,
+# which recurses on nesting in source.
+RECURSIVE = {"bdd.BDD.apply", "bdd.BDD.relprod", "randprog.render", "randprog._expr"}
+
+
+def self_calls() -> set[str]:
+    """Every function of wherecheck that calls itself by name, as
+    module.qualified name; a method's ``self.f()`` counts as a call of f."""
+    found: set[str] = set()
+    todo = [(path.stem, ast.parse(path.read_text())) for path in SRC.glob("*.py")]
+    while todo:
+        prefix, node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                todo.append((name, child))
+                calls = {
+                    call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                    for call in ast.walk(child)
+                    if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+                }
+                if isinstance(child, ast.FunctionDef) and child.name in calls:
+                    found.add(name)
+    return found
+
+
+def test_only_the_kernels_the_parser_and_the_generator_recurse():
+    found = self_calls()
+    assert "parser._Parser.parse_expr" in found
+    assert {name for name in found if not name.startswith("parser.")} == RECURSIVE

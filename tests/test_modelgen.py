@@ -30,9 +30,9 @@ from wherecheck.syntax import (
     Skip,
     Var,
     While,
-    format_command,
 )
 from explicit import successors, valuation
+from reference import format_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -271,7 +271,7 @@ def test_code_built_program_dumps_like_its_parsed_text():
         ),
     )
     built = Program(root)
-    parsed = parse_program(format_command(root))
+    parsed = parse_program(format_program(root))
     assert parsed.root == root
     pol = parse_policy("lattice: L < H\nvar h : H\nvar l : L\nchannel o : L output\n")
     for level in ("L", "H"):

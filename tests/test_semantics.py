@@ -57,6 +57,18 @@ def test_comparisons_and_bitops():
     assert eval_expr(parse_program("x := 4 | 1").root.expr, {}, 3) == 5
 
 
+def test_an_initial_store_wraps_as_an_input_read_does():
+    policy = parse_policy("lattice: L < H\nvar l : L\nvar h : H\nchannel c : H input\n")
+    finals = []
+    for text in ("l := h", "l := h + 0", "input(h, c); l := h"):
+        program = parse_program(text)
+        trace = run_program(
+            program, gather_downgrades(program, policy), store={"h": 9}, inputs={"c": [9]}, bits=3
+        )
+        finals.append(trace.final.mu["l"])
+    assert finals == [1, 1, 1]
+
+
 def test_skip_program_trace():
     program = parse_program("skip")
     policy = gather_downgrades(program, parse_policy("lattice: L < H\n"))
