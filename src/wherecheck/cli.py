@@ -21,7 +21,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bdd import BudgetExceeded
 from .compose import (
@@ -240,8 +240,7 @@ def find_nmin(
     return next((width for width, report in probes if report.overall == INSECURE), None)
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     name: str
     verdict: str
     store_bits: int
@@ -252,8 +251,7 @@ class BenchRow:
     tr_seconds: float
 
 
-@dataclass
-class BenchTable:
+class BenchTable(NamedTuple):
     rows: list[BenchRow]
 
     @property

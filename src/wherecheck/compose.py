@@ -40,7 +40,7 @@ output-count mismatches and downgrades the first run never reached.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modelgen import FINAL_SYMBOL, ModelSkeleton, d_name, xi_name
 from .spds import ArrayWrite, GlobalsDecl, Rule, RuleSpec, SPDS
@@ -57,8 +57,7 @@ ERROR_SYMBOL = "error"
 MISMATCH = "mismatch[]"
 
 
-@dataclass(frozen=True)
-class ComposedModel:
+class ComposedModel(NamedTuple):
     spds: SPDS
     skeleton: ModelSkeleton
 

@@ -23,7 +23,7 @@ classes with model globals as Var names and channel reads as CellRef.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .policy import Policy, input_length
 from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY
@@ -79,8 +79,7 @@ def index_width(count: int) -> int:
     return (count + 1).bit_length()
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     name: str
     cells: tuple[str, ...]
     index: str  # p[...] or q[...]
@@ -90,8 +89,7 @@ class ChannelSpec:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class ModelSkeleton:
+class ModelSkeleton(NamedTuple):
     spds: SPDS
     level: str
     bits: int

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .policy import Policy, input_length, validate_bindings
 from .semantics import (
@@ -85,8 +85,7 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_PAIR_BUDGET = 1 << 21
 
 
-@dataclass(frozen=True)
-class InitialState:
+class InitialState(NamedTuple):
     store: dict[str, int]
     inputs: dict[str, tuple[int, ...]]
 
@@ -101,8 +100,7 @@ class OracleWitness:
     declass_trace_2: list[tuple[int, int]] = field(default_factory=list)
 
 
-@dataclass
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     property_name: str  # "noninterference" | "where-security"
     status: str  # SECURE | INSECURE | INCONCLUSIVE
     witness: Optional[OracleWitness] = None

@@ -19,7 +19,7 @@ comment until end of line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     IDENTIFIER,
@@ -71,8 +71,7 @@ class ParseError(Exception):
     """Raised on malformed program text; carries a position message."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER | IDENT | KEYWORD | OP | EOF
     text: str
     line: int

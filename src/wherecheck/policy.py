@@ -21,7 +21,7 @@ accepts is where-secure, so the search need not run there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars
 
@@ -33,8 +33,7 @@ class PolicyError(Exception):
     """Malformed policy file or policy/program mismatch."""
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     name: str
     level: str
     direction: str  # "input" | "output"

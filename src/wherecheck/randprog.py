@@ -19,8 +19,8 @@ needs exactly that substitution).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 VAR_NAMES = ("x0", "x1", "x2")
 MAX_COMMANDS = 6
@@ -29,8 +29,7 @@ ARITH = ("+", "-", "*", "&", "|")
 CMP = ("==", "!=", "<", "<=")
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     max_declass: int = 1
     io: bool = False  # one input and one output channel
 
@@ -47,8 +46,7 @@ class Sketch:
     else_body: list["Sketch"] = field(default_factory=list)
 
 
-@dataclass
-class GeneratedProgram:
+class GeneratedProgram(NamedTuple):
     seed: int
     text: str
     policy_text: str
@@ -230,4 +228,4 @@ def generate(seed: int, cfg: GenConfig = GenConfig()) -> GeneratedProgram:
 
 
 def declass_free(cfg: GenConfig = GenConfig()) -> GenConfig:
-    return replace(cfg, max_declass=0)
+    return cfg._replace(max_declass=0)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
@@ -60,8 +60,7 @@ def _spds_of(model: Union[ComposedModel, SPDS]) -> SPDS:
     return model if isinstance(model, SPDS) else model.spds
 
 
-@dataclass
-class PAutomaton:
+class PAutomaton(NamedTuple):
     """The layers of one forward search, kept for the witness walk.
 
     steps counts frontier expansions, one per (layer, symbol): each pushes
@@ -162,8 +161,7 @@ def is_error_reachable(auto: PAutomaton, model: Union[ComposedModel, SPDS, None]
 # Witness extraction
 
 
-@dataclass
-class WitnessStep:
+class WitnessStep(NamedTuple):
     rule_index: Optional[int]  # None for the initial configuration
     note: str
     valuation: dict[str, int]

@@ -68,19 +68,19 @@ OUTCOME_DIVERGES = "diverges"
 OUTCOME_FUEL = "nonterminating-within-budget"
 
 
-# Each operator as a Python function; eval_expr wraps its result.
+# Each operator as a Python function; eval_nodes wraps its result.
 _APPLY = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
 }
 
 
-def eval_expr(e: Expr, store: dict[str, int], bits: int) -> int:
-    """Evaluate an expression in one loop over its postfix list: each constant and
+def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
+    """Evaluate an expression in one loop over its ``postfix`` list: each constant and
     each operator's result wraps modulo 2**bits, and a variable reads as stored."""
     mask = (1 << bits) - 1
     stack: list[int] = []
-    for node in postfix(e):
+    for node in nodes:
         kind = type(node)
         if kind is BinOp:
             b = stack.pop()
@@ -136,12 +136,14 @@ class Point:
     ``if`` or a ``while``; 0 for any other step), None where a finished
     point halts, and ``labels[k]`` that step's label, which a real
     downgrade's step replaces by one carrying the released value.
+    ``nodes`` is the ``postfix`` list of a point to run's guard or
+    expression, which its every step evaluates.
     """
 
-    __slots__ = ("id", "cmd", "next", "labels")
+    __slots__ = ("id", "cmd", "next", "labels", "nodes")
 
     def __init__(self, id: int) -> None:
-        self.id = id  # point_table sets cmd, next and labels
+        self.id = id  # point_table sets cmd, next, labels and nodes
 
 
 def _entry(points: list[Point], cmd: Command) -> Point:
@@ -163,6 +165,9 @@ def point_table(program: Program) -> list[Point]:
         done.next = (None if nxt is None else _entry(points, nxt),)
         done.labels = (StepLabel(PLAIN, site, rule="seq-skip"),)
         to_run.cmd = cmd
+        e = getattr(cmd, "guard", getattr(cmd, "expr", None))
+        if e is not None:
+            to_run.nodes = postfix(e)
         if kind is If:
             to_run.next = (_entry(points, cmd.then_branch), _entry(points, cmd.else_branch))
             rules = ("if-true", "if-false")
@@ -223,11 +228,11 @@ def step_point(
     mu, ins, outs, p = config.mu, config.ins, config.outs, config.p
     k = 0
     if kind is Assign or kind is DeclassAssign:
-        value = eval_expr(cmd.expr, mu, bits)
+        value = eval_nodes(point.nodes, mu, bits)
         mu = dict(mu)
         mu[cmd.target] = value
     elif kind is If or kind is While:
-        k = 0 if eval_expr(cmd.guard, mu, bits) != 0 else 1
+        k = 0 if eval_nodes(point.nodes, mu, bits) != 0 else 1
     elif kind is Input:
         channel = cmd.channel
         idx = p[channel]
@@ -242,7 +247,7 @@ def step_point(
         if len(outs[channel]) >= capacity:
             return config, StepLabel(CAPACITY_EXCEEDED, cmd.site, rule="output")
         outs = dict(outs)
-        outs[channel] += (eval_expr(cmd.expr, mu, bits),)
+        outs[channel] += (eval_nodes(point.nodes, mu, bits),)
     elif point.next[0] is None:  # a finished site with nothing after it
         return config, _HALTED
     label = point.labels[k]

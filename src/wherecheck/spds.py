@@ -78,8 +78,7 @@ _BV = {
 }
 
 
-@dataclass(frozen=True)
-class ArrayWrite:
+class ArrayWrite(NamedTuple):
     """cells[index] := expr; the other cells of the channel keep their value."""
 
     cells: tuple[str, ...]
@@ -126,8 +125,7 @@ class RuleSpec:
         return RuleSpec(guard, updates)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: str
     rhs: str  # the one control symbol the rule moves to
     spec: RuleSpec
@@ -197,8 +195,7 @@ class GlobalsDecl:
         return {name: valuation[i] for i, (name, _) in enumerate(self.cells)}
 
 
-@dataclass(frozen=True)
-class SPDS:
+class SPDS(NamedTuple):
     globals: GlobalsDecl
     rules: tuple[Rule, ...]
     start: str

@@ -5,13 +5,17 @@ with model globals (channel cells, indices, companions) as Var names.
 CellRef is the one model-only leaf, a read of a channel cell at a runtime
 index; the parser never builds it and the interpreter never sees it.
 
-Commands are immutable dataclasses.  Every command occurrence except
+Expressions, site labels and commands are immutable NamedTuples.  They
+hash and compare as the tuples of their fields, so records of two types
+with equal fields are equal: ``Assign`` and ``DeclassAssign``, or
+``SiteLabel(k)`` and ``Num(k)``.  Every command occurrence except
 sequencing carries a SiteLabel; ";" is a binary operator on commands and has
 no site of its own.  Site ids are assigned by preorder traversal, so they
 coincide with source order, and a site's id names its model control symbol
 and the interpreter's two points of it.  ``Program.flow`` is the one walk of
 a command tree: every pass loops over it, and none hashes or compares a
-command, so the depth of a command built in code costs no recursion.
+command or an expression (a tuple's hash and ``==`` recurse down the tree),
+so the depth of a command built in code costs no recursion.
 Likewise ``postfix`` is the one walk of an expression: every expression
 pass loops over it with a stack, so no expression's depth costs recursion.
 ``PRECEDENCE`` and ``COMPARISONS`` state the operators once.
@@ -23,7 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 # The parser's identifier token, which build_model asks of every name: each
 # model cell name holds a bracket or a parenthesis, so none can alias one.
@@ -33,25 +37,21 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Expressions
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class CellRef:
+class CellRef(NamedTuple):
     """Read of cells[i] where i is the runtime value of the index global."""
 
     cells: tuple[str, ...]
@@ -107,8 +107,7 @@ def subst_vars(e: Expr, mapping: dict[str, str]) -> Expr:
 # Site labels
 
 
-@dataclass(frozen=True)
-class SiteLabel:
+class SiteLabel(NamedTuple):
     """Unique label of a command occurrence.
 
     id is the index of the command in a fixed preorder traversal of the
@@ -122,57 +121,49 @@ class SiteLabel:
 # Commands
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(NamedTuple):
     site: SiteLabel
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     site: SiteLabel
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class DeclassAssign:
+class DeclassAssign(NamedTuple):
     site: SiteLabel
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class If:
+class If(NamedTuple):
     site: SiteLabel
     guard: Expr
     then_branch: "Command"
     else_branch: "Command"
 
 
-@dataclass(frozen=True)
-class While:
+class While(NamedTuple):
     site: SiteLabel
     guard: Expr
     body: "Command"
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(NamedTuple):
     """``first; second``."""
 
     first: "Command"
     second: "Command"
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(NamedTuple):
     site: SiteLabel
     target: str
     channel: str
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     site: SiteLabel
     expr: Expr
     channel: str

@@ -4,8 +4,9 @@
 are the same passes written as recursions over the tree, one ``match`` per
 node, which the property tests in test_walkers.py compare the loops
 against.  ``format_program`` prints a whole command tree in the source
-syntax, for the tests that parse a printed program back.  Each recursion is
-bounded by the depth of the small trees the tests draw.
+syntax, for the tests that parse a printed program back, and
+``same_command`` compares two command trees by type as well as by ``==``.
+Each recursion is bounded by the depth of the small trees the tests draw.
 """
 
 from __future__ import annotations
@@ -148,3 +149,23 @@ def format_program(c: Command) -> str:
         case Output(_, expr, channel):
             return f"output({format_expr(expr)}, {channel})"
     raise TypeError(f"not a command: {c!r}")
+
+
+_COMMANDS = (Skip, Assign, DeclassAssign, If, While, Seq, Input, Output)
+
+
+def same_command(a: Command, b: Command) -> bool:
+    """``a == b``, and each command of ``a`` of the type of its peer in ``b``.
+
+    Commands are NamedTuples, which compare as tuples, so ``==`` alone
+    calls ``l := h`` and ``l := declass(h)`` at one site equal.  The trees
+    are walked in a loop over a stack, command by command, so a residual
+    command, whose sites need not start at 0, compares as a program does.
+    """
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        stack += [(p, q) for p, q in zip(x, y) if type(p) in _COMMANDS]
+    return a == b

@@ -5,7 +5,9 @@ both sides share (``syntax``, ``policy``, ``semantics``).
 
 No pass over a program or an expression recurses, so their depth cannot
 exhaust Python's stack: the same ``ast`` reading lists every function that
-calls itself, and only a few are allowed to."""
+calls itself, and only a few are allowed to.  It also lists every
+``@dataclass``: a record is a NamedTuple unless it needs one of the
+features of a dataclass that the keep-list names."""
 
 import ast
 from pathlib import Path
@@ -86,3 +88,38 @@ def test_only_the_kernels_the_parser_and_the_generator_recurse():
     found = self_calls()
     assert "parser._Parser.parse_expr" in found
     assert {name for name in found if not name.startswith("parser.")} == RECURSIVE
+
+
+# A record is a NamedTuple, which is faster to import, build, compare and
+# hash, unless it needs a dataclass feature; these are the ones that do.
+KEPT_DATACLASSES = {
+    "syntax.Program": "cached_property needs an instance __dict__",
+    "spds.GlobalsDecl": "cached_property needs an instance __dict__",
+    "spds.RuleSpec": "__post_init__ rejects a cell written twice",
+    "policy.Policy": "default_factory fields, and dataclasses.replace",
+    "semantics.StepLabel": "a rule left out of == and repr; perfbench replaces it",
+    "semantics.Trace": "perfbench calls dataclasses.replace on it",
+    "reach.Witness": "replay_ok and runs are set after it is built",
+    "oracle.OracleWitness": "default_factory lists",
+    "cli.AnalysisReport": "a default_factory list",
+    "randprog.Sketch": "default_factory lists",
+    "cli.LevelReport": "its model is left out of repr",
+}
+
+
+def dataclasses_in_source() -> set[str]:
+    """Every class of wherecheck under ``@dataclass``, as module.name."""
+    found: set[str] = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    deco = deco.func if isinstance(deco, ast.Call) else deco
+                    name = deco.id if isinstance(deco, ast.Name) else getattr(deco, "attr", "")
+                    if name == "dataclass":
+                        found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_the_kept_records_are_dataclasses():
+    assert dataclasses_in_source() == set(KEPT_DATACLASSES)

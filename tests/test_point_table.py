@@ -33,7 +33,8 @@ from wherecheck.semantics import (
     run_program,
     step_point,
 )
-from wherecheck.syntax import Assign, Skip
+from wherecheck.syntax import Assign, DeclassAssign, Seq, SiteLabel, Skip, Var
+from reference import same_command
 from tree_step import residual, tree_configuration, tree_step, tree_successors
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -77,7 +78,8 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
         tree = tree_configuration(program, config)
         new, label = step_point(config, policy, BITS, capacity)
         ref, ref_label, ref_changed = tree_step(tree, policy, BITS, capacity)
-        assert tree_configuration(program, new) == ref, tree
+        got = tree_configuration(program, new)
+        assert got == ref and same_command(got.cmd, ref.cmd), tree
         assert label == ref_label and label.rule == ref_label.rule, tree
         expected = (
             f"g{tree.cmd.site.id} | halt | halted |"
@@ -171,7 +173,7 @@ def test_the_table_has_two_points_per_site_with_fixed_ids():
     for site, cmd in enumerate(program.sites):
         to_run, done = points[2 * site], points[2 * site + 1]
         assert (to_run.id, done.id) == (2 * site, 2 * site + 1)
-        assert to_run.cmd is cmd and done.cmd == Skip(cmd.site)
+        assert to_run.cmd is cmd and same_command(done.cmd, Skip(cmd.site))
     # A second table of the program, or of another parse of its text, names
     # each configuration by the same ids.
     again = parse_program(D_TEXT.format(n=3))
@@ -193,8 +195,19 @@ def test_each_point_links_to_the_points_of_the_tree_step():
                 continue
             assert len(point.next) == len(point.labels) == len(expected)
             for after, label, (cmd, ref_label) in zip(point.next, point.labels, expected):
-                assert residual(program, after) == cmd
+                assert same_command(residual(program, after), cmd)
                 assert label == ref_label and label.rule == ref_label.rule
+
+
+def test_same_command_tells_a_downgrade_from_an_assignment():
+    # Commands compare as tuples: l := h and l := declass(h) at one site
+    # have equal fields, so == calls them equal, and so do Seqs of them.
+    plain, declass = Assign(SiteLabel(0), "l", Var("h")), DeclassAssign(SiteLabel(0), "l", Var("h"))
+    skip = Skip(SiteLabel(1))
+    assert plain == declass and Seq(plain, skip) == Seq(declass, skip)
+    assert not same_command(plain, declass)
+    assert not same_command(Seq(plain, skip), Seq(declass, skip))
+    assert same_command(Seq(plain, skip), Seq(plain, skip))
 
 
 def test_an_assignment_and_the_skip_it_steps_to_are_two_points():

@@ -23,7 +23,7 @@ from wherecheck.semantics import (
     OUTCOME_HALTED,
     PLAIN,
     StepLabel,
-    eval_expr,
+    eval_nodes,
     format_trace,
     initial_configuration,
     low_equiv_store,
@@ -31,6 +31,7 @@ from wherecheck.semantics import (
     run_program,
     step_point,
 )
+from wherecheck.syntax import postfix
 from test_oracle import low_equiv_channels
 from tree_step import residual
 
@@ -44,17 +45,17 @@ def load(name: str, corpus: Path = CORPUS):
 
 
 def test_values_wrap_modulo_width():
-    assert eval_expr(parse_program("x := 7 + 3").root.expr, {}, 3) == 2
-    assert eval_expr(parse_program("x := 0 - 1").root.expr, {}, 3) == 7
-    assert eval_expr(parse_program("x := 5 * 5").root.expr, {}, 3) == 1
-    assert eval_expr(parse_program("x := 9").root.expr, {}, 3) == 1
+    assert eval_nodes(postfix(parse_program("x := 7 + 3").root.expr), {}, 3) == 2
+    assert eval_nodes(postfix(parse_program("x := 0 - 1").root.expr), {}, 3) == 7
+    assert eval_nodes(postfix(parse_program("x := 5 * 5").root.expr), {}, 3) == 1
+    assert eval_nodes(postfix(parse_program("x := 9").root.expr), {}, 3) == 1
 
 
 def test_comparisons_and_bitops():
     e = parse_program("x := (2 < 3) & (3 <= 3) & (1 == 1) & (1 != 2)").root.expr
-    assert eval_expr(e, {}, 3) == 1
-    assert eval_expr(parse_program("x := 6 & 3").root.expr, {}, 3) == 2
-    assert eval_expr(parse_program("x := 4 | 1").root.expr, {}, 3) == 5
+    assert eval_nodes(postfix(e), {}, 3) == 1
+    assert eval_nodes(postfix(parse_program("x := 6 & 3").root.expr), {}, 3) == 2
+    assert eval_nodes(postfix(parse_program("x := 4 | 1").root.expr), {}, 3) == 5
 
 
 def test_an_initial_store_wraps_as_an_input_read_does():

@@ -9,7 +9,7 @@ import reference
 from explicit import all_valuations, eval_gexpr
 from test_parser import _exprs
 from wherecheck.parser import parse_program
-from wherecheck.semantics import eval_expr
+from wherecheck.semantics import eval_nodes
 from wherecheck.spds import GlobalsDecl, RelationAlgebra, infer_width
 from wherecheck.syntax import (
     PRECEDENCE,
@@ -58,7 +58,7 @@ def test_postfix_lists_operands_first():
 @given(st.integers(1, 4).flatmap(lambda bits: st.tuples(st.just(bits), _exprs(), _stores(bits))))
 def test_eval_expr_matches_the_recursion(case):
     bits, e, store = case
-    assert eval_expr(e, store, bits) == reference.eval_expr(e, store, bits)
+    assert eval_nodes(postfix(e), store, bits) == reference.eval_expr(e, store, bits)
 
 
 @given(_exprs())
@@ -140,7 +140,7 @@ def test_a_long_sum_walks_without_recursion():
     for e in (left, right):
         assert len(postfix(e)) == 5999
         assert expr_vars(e) == {"l", "h"}
-        assert eval_expr(e, {"l": 1, "h": 2}, 3) == (2999 + 2) % 8
+        assert eval_nodes(postfix(e), {"l": 1, "h": 2}, 3) == (2999 + 2) % 8
         assert infer_width(subst_vars(e, {"h": "x0"}), MIXED) == 2
     assert format_expr(left) == " + ".join(["l"] * 2999 + ["h"])
     assert format_expr(right) == "l + (" * 2998 + "l + h" + ")" * 2998

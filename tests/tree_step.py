@@ -21,7 +21,7 @@ from wherecheck.semantics import (
     PLAIN,
     Point,
     StepLabel,
-    eval_expr,
+    eval_nodes,
 )
 from wherecheck.syntax import (
     Assign,
@@ -35,6 +35,7 @@ from wherecheck.syntax import (
     Skip,
     While,
     first_site,
+    postfix,
 )
 
 
@@ -130,13 +131,13 @@ def _step_command(
             new = Configuration(inner.mu, inner.ins, inner.outs, inner.p, Seq(inner.cmd, second))
             return new, label, changed
         case Assign(site, target, expr):
-            value = eval_expr(expr, config.mu, bits)
+            value = eval_nodes(postfix(expr), config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
             new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
             return new, StepLabel(PLAIN, site, None, "assign"), f"{target}={value}"
         case DeclassAssign(site, target, expr):
-            value = eval_expr(expr, config.mu, bits)
+            value = eval_nodes(postfix(expr), config.mu, bits)
             mu = dict(config.mu)
             mu[target] = value
             new = Configuration(mu, config.ins, config.outs, config.p, Skip(site))
@@ -144,12 +145,12 @@ def _step_command(
                 return new, StepLabel(DECLASS, site, value, "declass"), f"{target}={value}"
             return new, StepLabel(PLAIN, site, None, "declass-ordinary"), f"{target}={value}"
         case If(site, guard, then_branch, else_branch):
-            taken = eval_expr(guard, config.mu, bits) != 0
+            taken = eval_nodes(postfix(guard), config.mu, bits) != 0
             branch = then_branch if taken else else_branch
             new = Configuration(config.mu, config.ins, config.outs, config.p, branch)
             return new, StepLabel(PLAIN, site, rule="if-true" if taken else "if-false"), ""
         case While(site, guard, body):
-            if eval_expr(guard, config.mu, bits) != 0:
+            if eval_nodes(postfix(guard), config.mu, bits) != 0:
                 new = Configuration(config.mu, config.ins, config.outs, config.p, Seq(body, cmd))
                 return new, StepLabel(PLAIN, site, rule="while-true"), ""
             new = Configuration(config.mu, config.ins, config.outs, config.p, Skip(site))
@@ -171,7 +172,7 @@ def _step_command(
             idx = len(config.outs[channel])
             if idx >= capacity:
                 return config, StepLabel(CAPACITY_EXCEEDED, site, rule="output"), ""
-            value = eval_expr(expr, config.mu, bits)
+            value = eval_nodes(postfix(expr), config.mu, bits)
             outs = dict(config.outs)
             outs[channel] = outs[channel] + (value,)
             new = Configuration(config.mu, config.ins, outs, config.p, Skip(site))
