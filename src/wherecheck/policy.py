@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
-from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars
+from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars, site_expr
 
 OBSERVES_EVERYTHING = "observes every variable and channel"
 TYPABLE = "typable"
@@ -233,7 +233,7 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
     validate_bindings(program, policy)
     declass_real: dict[int, bool] = {}
     for cmd in program.sites:
-        e = getattr(cmd, "guard", getattr(cmd, "expr", None))
+        e = site_expr(cmd)
         if e is None:  # a skip or an input
             continue
         level = domain_of_expr(e, policy)  # raises when a join is missing

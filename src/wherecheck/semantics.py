@@ -49,6 +49,7 @@ from .syntax import (
     While,
     first_site,
     postfix,
+    site_expr,
 )
 
 DEFAULT_BITS = 3
@@ -165,7 +166,7 @@ def point_table(program: Program) -> list[Point]:
         done.next = (None if nxt is None else _entry(points, nxt),)
         done.labels = (StepLabel(PLAIN, site, rule="seq-skip"),)
         to_run.cmd = cmd
-        e = getattr(cmd, "guard", getattr(cmd, "expr", None))
+        e = site_expr(cmd)
         if e is not None:
             to_run.nodes = postfix(e)
         if kind is If:

@@ -176,6 +176,11 @@ Command = Union[Skip, Assign, DeclassAssign, If, While, Seq, Input, Output]
 # Programs
 
 
+def site_expr(cmd: Command) -> Optional[Expr]:
+    """The guard or the expression a site evaluates; None for a skip or an input."""
+    return getattr(cmd, "guard", getattr(cmd, "expr", None))
+
+
 def first_site(cmd: Command) -> Command:
     """The site control reaches first in ``cmd``: its head below any ``Seq``."""
     while type(cmd) is Seq:
@@ -222,7 +227,7 @@ class Program:
         """Every variable of the program, sorted: the sites' targets, and the
         variables of their guards and expressions."""
         out = {cmd.target for cmd in self.sites if hasattr(cmd, "target")}
-        exprs = (getattr(cmd, "guard", getattr(cmd, "expr", None)) for cmd in self.sites)
+        exprs = (site_expr(cmd) for cmd in self.sites)
         out.update(*(expr_vars(e) for e in exprs if e is not None))
         return tuple(sorted(out))
 
