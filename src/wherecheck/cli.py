@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -60,8 +59,7 @@ class ModeDisagreement(RuntimeError):
     """The two composition backends decided the same program differently."""
 
 
-@dataclass
-class LevelReport:
+class LevelReport(NamedTuple):
     """Outcome of the reachability check at one observer level."""
 
     level: str
@@ -73,16 +71,14 @@ class LevelReport:
     steps: int = 0
     seconds: float = 0.0  # the whole level
     witness_seconds: float = 0.0  # the part spent in extract_witness
-    # kept for witness formatting and --dump-*; not part of the printed report
-    model: ComposedModel | None = field(default=None, repr=False)
+    model: ComposedModel | None = None  # kept for witness formatting and --dump-*
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     bits: int
     capacity: int
     mode: str
-    levels: list[LevelReport] = field(default_factory=list)
+    levels: list[LevelReport]
 
     @property
     def overall(self) -> str:
@@ -151,7 +147,9 @@ def analyze(
     check's reason (see reach); the overall verdict is
     secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
-    of aborting the report.  A width below 1, a capacity below 0 or a mode
+    of aborting the report; one blown while the witness of an insecure
+    level is extracted leaves the level insecure, with no witness and the
+    reason "no witness: ...".  A width below 1, a capacity below 0 or a mode
     not in MODES raises ValueError.
     """
     _check_at_least(1, bits=bits)
@@ -160,32 +158,31 @@ def analyze(
     program = _coerce_program(program)
     policy = gather_downgrades(program, _coerce_policy(policy))
     compose = tr_compose if mode == MODE_TR else self_compose
-    report = AnalysisReport(bits=bits, capacity=capacity, mode=mode)
+    levels = []
     for level in sorted(policy.domains):
         start = time.perf_counter()
         try:
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
             model = compose(skeleton)
             auto = post_star(model, node_budget=node_budget)
-            verdict = INSECURE if is_error_reachable(auto, model) else SECURE
-            witness, witness_seconds = None, 0.0
-            if verdict == INSECURE and want_witness:
-                began = time.perf_counter()
-                witness = extract_witness(auto, model)
-                witness_seconds = time.perf_counter() - began
         except (BudgetExceeded, RecursionError, MemoryError) as exc:
-            report.levels.append(
-                LevelReport(
-                    level,
-                    INCONCLUSIVE,
-                    reason=_inconclusive_reason(exc),
-                    seconds=time.perf_counter() - start,
-                )
+            reason = _inconclusive_reason(exc)
+            levels.append(
+                LevelReport(level, INCONCLUSIVE, reason, seconds=time.perf_counter() - start)
             )
             continue
-        steps, reason = auto.steps, auto.reason
+        verdict = INSECURE if is_error_reachable(auto, model) else SECURE
+        reason, witness, witness_seconds = auto.reason, None, 0.0
+        if verdict == INSECURE and want_witness:
+            began = time.perf_counter()
+            try:
+                witness = extract_witness(auto, model)
+            except (BudgetExceeded, RecursionError, MemoryError) as exc:
+                reason = f"no witness: {_inconclusive_reason(exc)}"
+            witness_seconds = time.perf_counter() - began
+        steps = auto.steps
         del auto  # free this level's BDD before the next level builds its own
-        report.levels.append(
+        levels.append(
             LevelReport(
                 level,
                 verdict,
@@ -199,7 +196,7 @@ def analyze(
                 model=model,
             )
         )
-    return report
+    return AnalysisReport(bits, capacity, mode, levels)
 
 
 def _probe_widths(
@@ -282,9 +279,10 @@ def bench(
 ) -> BenchTable:
     """Run both composition backends over a corpus and compare their cost.
 
-    A verdict disagreement between the backends is a bug in one of them, so
-    it raises instead of being folded into the table.  A width below 1 or a
-    capacity below 0 raises ValueError.
+    A disagreement between two conclusive verdicts is a bug in one of the
+    backends, so it raises ModeDisagreement instead of being folded into the
+    table; a row where either backend is inconclusive reads inconclusive.
+    A width below 1 or a capacity below 0 raises ValueError.
     """
     _check_at_least(1, bits=bits)
     _check_at_least(0, capacity=capacity)
@@ -292,21 +290,20 @@ def bench(
     for name, program_path, policy_path in _discover(Path(corpus_dir)):
         program = _coerce_program(program_path)
         policy = _coerce_policy(policy_path)
-        per_mode = {}
-        for mode in (MODE_STORE_MATCH, MODE_TR):
-            report = analyze(
-                program, policy, bits=bits, capacity=capacity, mode=mode, node_budget=node_budget
-            )
-            per_mode[mode] = report
-        sm, tr = per_mode[MODE_STORE_MATCH], per_mode[MODE_TR]
-        if sm.overall != tr.overall:
+        sm, tr = (
+            analyze(program, policy, bits=bits, capacity=capacity, mode=m, node_budget=node_budget)
+            for m in MODES
+        )
+        verdicts = {sm.overall, tr.overall}
+        if len(verdicts) > 1 and INCONCLUSIVE not in verdicts:
             raise ModeDisagreement(
                 f"backends disagree on {name}: storematch={sm.overall} tr={tr.overall}"
             )
+        verdict = INCONCLUSIVE if INCONCLUSIVE in verdicts else sm.overall
         rows.append(
             BenchRow(
                 name=name,
-                verdict=sm.overall,
+                verdict=verdict,
                 store_bits=max(r.global_bits for r in sm.levels),
                 store_steps=sum(r.steps for r in sm.levels),
                 store_seconds=sum(r.seconds for r in sm.levels),

@@ -62,7 +62,6 @@ their pass is linear in the states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .policy import Policy, input_length, validate_bindings
@@ -90,14 +89,13 @@ class InitialState(NamedTuple):
     inputs: dict[str, tuple[int, ...]]
 
 
-@dataclass
-class OracleWitness:
+class OracleWitness(NamedTuple):
     level: str
     first: InitialState
     second: InitialState
     reason: str  # human-readable description of the differing observable
-    declass_trace_1: list[tuple[int, int]] = field(default_factory=list)
-    declass_trace_2: list[tuple[int, int]] = field(default_factory=list)
+    declass_trace_1: list[tuple[int, int]]
+    declass_trace_2: list[tuple[int, int]]
 
 
 class OracleVerdict(NamedTuple):

@@ -20,7 +20,6 @@ accepts is where-secure, so the search need not run there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars, site_expr
@@ -40,16 +39,15 @@ class Channel(NamedTuple):
     length: Optional[int] = None  # declared input extent; None = default
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     """Security policy: (domains, order, level assignment), and which declass
     sites are real downgrades once ``gather_downgrades`` has classified them."""
 
     domains: tuple[str, ...]
     order: frozenset[tuple[str, str]]  # reflexive-transitive, pairs (lo, hi)
     sigma: dict[str, str]  # variable and channel names to domains
-    channels: dict[str, Channel] = field(default_factory=dict)
-    declass_real: dict[int, bool] = field(default_factory=dict)  # site id -> real?
+    channels: dict[str, Channel]
+    declass_real: dict[int, bool]  # site id -> real?
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.order
@@ -174,6 +172,7 @@ def parse_policy(text: str) -> Policy:
         order=order,
         sigma=sigma,
         channels=channels,
+        declass_real={},
     )
 
 
@@ -239,7 +238,7 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
         level = domain_of_expr(e, policy)  # raises when a join is missing
         if isinstance(cmd, DeclassAssign):
             declass_real[cmd.site.id] = policy.lt(policy.level_of(cmd.target), level)
-    return replace(policy, declass_real=declass_real)
+    return policy._replace(declass_real=declass_real)
 
 
 def typable(program: Program, policy: Policy, level: str) -> str:

@@ -19,8 +19,7 @@ needs exactly that substitution).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 VAR_NAMES = ("x0", "x1", "x2")
 MAX_COMMANDS = 6
@@ -34,16 +33,15 @@ class GenConfig(NamedTuple):
     io: bool = False  # one input and one output channel
 
 
-@dataclass
-class Sketch:
+class Sketch(NamedTuple):
     """One command; sequences are lists of sketches."""
 
     kind: str  # assign declass skip if while input output
     var: Optional[str] = None
     expr: Optional[str] = None
     channel: Optional[str] = None
-    then_body: list["Sketch"] = field(default_factory=list)
-    else_body: list["Sketch"] = field(default_factory=list)
+    then_body: Sequence[Sketch] = ()
+    else_body: Sequence[Sketch] = ()
 
 
 class GeneratedProgram(NamedTuple):
@@ -58,19 +56,10 @@ class GeneratedProgram(NamedTuple):
         return [i for i, cmd in enumerate(self.body) if cmd.kind == "assign"]
 
     def with_declass(self, slot: int) -> str:
-        clone = [
-            Sketch(
-                kind="declass" if i == slot else cmd.kind,
-                var=cmd.var,
-                expr=cmd.expr,
-                channel=cmd.channel,
-                then_body=cmd.then_body,
-                else_body=cmd.else_body,
-            )
-            for i, cmd in enumerate(self.body)
-        ]
         assert self.body[slot].kind == "assign"
-        return render(clone)
+        body = list(self.body)
+        body[slot] = body[slot]._replace(kind="declass")
+        return render(body)
 
 
 def render(body: list[Sketch], depth: int = 0) -> str:

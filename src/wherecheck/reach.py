@@ -42,7 +42,6 @@ interpreter and the replay verdict is recorded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .bdd import BDD
@@ -168,8 +167,7 @@ class WitnessStep(NamedTuple):
     symbol: str
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     steps: list[WitnessStep]
     mu1: dict[str, int]
     mu2: dict[str, int]
@@ -178,7 +176,7 @@ class Witness:
     channel: Optional[str]  # the output channel that differs; None for the final store
     index: int  # position in that channel, or of the variable in observable_vars
     replay_ok: bool = False
-    runs: tuple[Trace, ...] = field(default=(), repr=False)  # the two replayed runs
+    runs: tuple[Trace, ...] = ()  # the two replayed runs
 
     @property
     def length(self) -> int:
@@ -341,8 +339,8 @@ def extract_witness(auto: PAutomaton, model: ComposedModel) -> Witness:
     for i, val, sym in tail:
         steps.append(WitnessStep(i, spds.rules[i].note, as_dict(val), sym))
     witness = _decode(model, steps)
-    witness.replay_ok, witness.runs = replay_witness(model, witness)
-    return witness
+    replay_ok, runs = replay_witness(model, witness)
+    return witness._replace(replay_ok=replay_ok, runs=runs)
 
 
 def format_witness(model: ComposedModel, witness: Witness) -> str:

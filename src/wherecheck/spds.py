@@ -87,22 +87,10 @@ class ArrayWrite(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     guard: Optional[Expr] = None  # truthy when nonzero; None means true
     updates: tuple[tuple[str, object], ...] = ()  # (global, Expr | HAVOC), sorted
     writes: tuple[ArrayWrite, ...] = ()
-
-    def __post_init__(self):
-        # Two writers of one cell would leave its next value undefined; the
-        # tests' explicit evaluator and the compiled pieces would each pick one.
-        # make() builds the updates from a dict, so only a write can repeat a cell.
-        if not self.writes:
-            return
-        written = [name for name, _ in self.updates] + [c for w in self.writes for c in w.cells]
-        if len(set(written)) < len(written):
-            twice = sorted({c for c in written if written.count(c) > 1})
-            raise ValueError(f"cells written twice by one rule: {', '.join(twice)}")
 
     @staticmethod
     def make(
@@ -111,6 +99,14 @@ class RuleSpec:
         writes: tuple[ArrayWrite, ...] = (),
     ) -> "RuleSpec":
         pairs = tuple(sorted((updates or {}).items()))
+        # Two writers of one cell would leave its next value undefined; the
+        # tests' explicit evaluator and the compiled pieces would each pick one.
+        # The updates come from a dict, so only a write can repeat a cell.
+        if writes:
+            written = [name for name, _ in pairs] + [c for w in writes for c in w.cells]
+            if len(set(written)) < len(written):
+                twice = sorted({c for c in written if written.count(c) > 1})
+                raise ValueError(f"cells written twice by one rule: {', '.join(twice)}")
         return RuleSpec(guard=guard, updates=pairs, writes=writes)
 
     def renamed(self, mapping: dict[str, str]) -> "RuleSpec":

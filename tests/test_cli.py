@@ -18,6 +18,7 @@ from wherecheck.cli import (
     EXIT_USAGE,
     MODES,
     AnalysisReport,
+    ModeDisagreement,
     analyze,
     bench,
     find_nmin,
@@ -30,6 +31,7 @@ from wherecheck.reach import replay_witness
 from wherecheck.syntax import Assign, BinOp, If, Num, Program, SiteLabel, Skip, Var, While
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
+IOBENCH = CORPUS.parent / "iobench"
 
 LAUNDER_LOOP = "l := 0;\nwhile l < 1 do h := h; l := l + 1 od;\nl := h\n"
 TWO_LEVEL = "lattice: L < H\nvar l : L\nvar h : H\n"
@@ -205,6 +207,18 @@ def test_budget_env_degrades_to_inconclusive(capsys, monkeypatch):
     assert code == EXIT_INCONCLUSIVE
     assert "RESULT overall=inconclusive" in out
     assert "budget exceeded" in out
+
+
+def test_a_budget_hit_while_extracting_a_witness_keeps_the_verdict():
+    # at this budget the search decides L, and the witness walk runs out
+    program = parse_program((CORPUS / "P3").read_text())
+    policy = parse_policy((CORPUS / "P3.policy").read_text())
+    bare = analyze(program, policy, bits=4, node_budget=1181)
+    report = analyze(program, policy, bits=4, node_budget=1181, want_witness=True)
+    level = {r.level: r for r in report.levels}["L"]
+    assert level.verdict == "insecure" and level.witness is None
+    assert level.reason == "no witness: budget exceeded: BDD node budget 1181 exhausted"
+    assert cli.result_lines(report) == cli.result_lines(bare)
 
 
 def chain_program(n: int) -> tuple[str, str]:
@@ -595,6 +609,30 @@ def test_bench_table_api():
         # these programs have no output channels, so nothing is duplicated
         assert row.store_bits == row.tr_bits
     assert 0.0 < table.step_ratio
+
+
+def test_bench_reads_a_backend_out_of_budget_as_inconclusive():
+    # at this budget tr cannot decide B1, which storematch finds insecure
+    table = bench(IOBENCH, bits=2, capacity=8, node_budget=1000)
+    assert len(table.rows) == 8
+    assert {row.name: row.verdict for row in table.rows}["B1"] == "inconclusive"
+
+
+def test_a_real_backend_disagreement_fails(capsys, monkeypatch):
+    real = cli.tr_compose
+
+    def blind(skeleton):  # tr's model can no longer reach its error symbol
+        model = real(skeleton)
+        return model._replace(spds=model.spds._replace(error="nowhere"))
+
+    monkeypatch.setattr(cli, "tr_compose", blind)
+    with pytest.raises(ModeDisagreement, match="backends disagree on P3"):
+        bench(CORPUS, bits=2)
+    code, _, err = run(capsys, ["bench", str(CORPUS), "--bits", "2"])
+    assert code == EXIT_USAGE
+    assert [ln for ln in err.splitlines() if ln.startswith("error: backends disagree")] == [
+        "error: backends disagree on P3: storematch=insecure tr=secure"
+    ]
 
 
 def test_bench_rejects_unpaired_directory(tmp_path, capsys):

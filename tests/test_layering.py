@@ -7,7 +7,8 @@ No pass over a program or an expression recurses, so their depth cannot
 exhaust Python's stack: the same ``ast`` reading lists every function that
 calls itself, and only a few are allowed to.  It also lists every
 ``@dataclass``: a record is a NamedTuple unless it needs one of the
-features of a dataclass that the keep-list names."""
+features of a dataclass that the keep-list names, and only the modules of
+the kept ones import ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -95,15 +96,8 @@ def test_only_the_kernels_the_parser_and_the_generator_recurse():
 KEPT_DATACLASSES = {
     "syntax.Program": "cached_property needs an instance __dict__",
     "spds.GlobalsDecl": "cached_property needs an instance __dict__",
-    "spds.RuleSpec": "__post_init__ rejects a cell written twice",
-    "policy.Policy": "default_factory fields, and dataclasses.replace",
     "semantics.StepLabel": "a rule left out of == and repr; perfbench replaces it",
     "semantics.Trace": "perfbench calls dataclasses.replace on it",
-    "reach.Witness": "replay_ok and runs are set after it is built",
-    "oracle.OracleWitness": "default_factory lists",
-    "cli.AnalysisReport": "a default_factory list",
-    "randprog.Sketch": "default_factory lists",
-    "cli.LevelReport": "its model is left out of repr",
 }
 
 
@@ -123,3 +117,12 @@ def dataclasses_in_source() -> set[str]:
 
 def test_only_the_kept_records_are_dataclasses():
     assert dataclasses_in_source() == set(KEPT_DATACLASSES)
+    # and only the modules that keep one import dataclasses
+    importers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+    }
+    assert importers == {name.split(".")[0] for name in KEPT_DATACLASSES}

@@ -378,7 +378,7 @@ def test_witness_on_secure_model_is_rejected():
 def test_replay_rejects_bogus_mismatch():
     model = build("l := h", "lattice: L < H\nvar h : H\nvar l : L\n")
     w = extract_witness(post_star(model), model)
-    w.mu2 = dict(w.mu1)  # identical runs cannot differ
+    w = w._replace(mu2=dict(w.mu1))  # identical runs cannot differ
     ok, runs = replay_witness(model, w)
     assert not ok
     assert tuple(trace.outcome for trace in runs) == ("halted", "halted")

@@ -7,8 +7,6 @@ pairs downgrades structurally), but it must never accept a program the
 oracle rejects.
 """
 
-import dataclasses
-
 import pytest
 
 from wherecheck.cli import INSECURE, MODES, SECURE, analyze
@@ -150,7 +148,7 @@ def test_a_name_that_is_not_an_identifier_is_rejected(mode, case):
     channels = policy.channels
     if name in program.channels:
         channels = {**channels, name: Channel(name, level, "output")}
-    policy = dataclasses.replace(policy, sigma={**policy.sigma, name: level}, channels=channels)
+    policy = policy._replace(sigma={**policy.sigma, name: level}, channels=channels)
     policy = gather_downgrades(program, policy)
     with pytest.raises(ValueError, match="not an identifier"):
         analyze(program, policy, bits=2, capacity=2, mode=mode, want_witness=True)
