@@ -120,6 +120,14 @@ def _inconclusive_reason(exc: Exception) -> str:
     return f"budget exceeded: {exc}"
 
 
+def _sizes(model: ComposedModel) -> dict[str, int]:
+    """The composed system's rule count and state bits, as a LevelReport holds them."""
+    return {
+        "composed_rules": len(model.spds.rules),
+        "global_bits": model.spds.globals.total_bits,
+    }
+
+
 def _check_at_least(low: int, **numbers: int) -> None:
     for name, value in numbers.items():
         if value < low:
@@ -147,7 +155,8 @@ def analyze(
     check's reason (see reach); the overall verdict is
     secure only when every level is.  A blown resource budget,
     recursion limit or memory downgrades that level to inconclusive instead
-    of aborting the report; one blown while the witness of an insecure
+    of aborting the report, with the size of its composed model if that was
+    built; one blown while the witness of an insecure
     level is extracted leaves the level insecure, with no witness and the
     reason "no witness: ...".  A width below 1, a capacity below 0 or a mode
     not in MODES raises ValueError.
@@ -161,14 +170,18 @@ def analyze(
     levels = []
     for level in sorted(policy.domains):
         start = time.perf_counter()
+        model = None
         try:
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
             model = compose(skeleton)
             auto = post_star(model, node_budget=node_budget)
         except (BudgetExceeded, RecursionError, MemoryError) as exc:
             reason = _inconclusive_reason(exc)
+            sizes = {} if model is None else _sizes(model)
             levels.append(
-                LevelReport(level, INCONCLUSIVE, reason, seconds=time.perf_counter() - start)
+                LevelReport(
+                    level, INCONCLUSIVE, reason, **sizes, seconds=time.perf_counter() - start
+                )
             )
             continue
         verdict = INSECURE if is_error_reachable(auto, model) else SECURE
@@ -188,8 +201,7 @@ def analyze(
                 verdict,
                 reason=reason,
                 witness=witness,
-                composed_rules=len(model.spds.rules),
-                global_bits=model.spds.globals.total_bits,
+                **_sizes(model),
                 steps=steps,
                 seconds=time.perf_counter() - start,
                 witness_seconds=witness_seconds,
@@ -252,12 +264,15 @@ class BenchTable(NamedTuple):
     rows: list[BenchRow]
 
     @property
-    def step_ratio(self) -> float:
-        """Aggregate storematch/tr search-step ratio (< 1 favors storematch)."""
-        total_tr = sum(r.tr_steps for r in self.rows)
+    def step_ratio(self) -> float | None:
+        """Aggregate storematch/tr search-step ratio (< 1 favors storematch)
+        over the conclusive rows, or None when they have no tr step.  An
+        inconclusive row's steps stop wherever its budget fired."""
+        rows = [r for r in self.rows if r.verdict != INCONCLUSIVE]
+        total_tr = sum(r.tr_steps for r in rows)
         if total_tr == 0:
-            return 0.0
-        return sum(r.store_steps for r in self.rows) / total_tr
+            return None
+        return sum(r.store_steps for r in rows) / total_tr
 
 
 def _discover(corpus_dir: Path) -> list[tuple[str, Path, Path]]:
@@ -452,7 +467,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f" storematch_bits={row.store_bits} storematch_steps={row.store_steps}"
             f" tr_bits={row.tr_bits} tr_steps={row.tr_steps}"
         )
-    _emit(f"BENCH aggregate programs={len(table.rows)} step_ratio={table.step_ratio:.4f}")
+    ratio = "-" if table.step_ratio is None else f"{table.step_ratio:.4f}"
+    _emit(f"BENCH aggregate programs={len(table.rows)} step_ratio={ratio}")
     store_s = sum(r.store_seconds for r in table.rows)
     tr_s = sum(r.tr_seconds for r in table.rows)
     _emit(f"wall time: storematch {store_s:.2f}s tr {tr_s:.2f}s")

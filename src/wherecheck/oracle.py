@@ -19,12 +19,13 @@ exhausts its fuel.
 A run does not depend on the observer, so each initial state runs at most
 once per check, on first use, and its ``semantics.Ending`` (outcome, final
 configuration, downgrades) serves every level (``_Runs``); the rest of its
-trace is not kept.  The runs of one check also share their futures through
-one map of the configurations they stepped: the interpreter is
-deterministic, so a run that reaches a configuration of an earlier run takes
-that run's outcome, final configuration and later downgrades
-(``semantics.run`` gives the fuel arithmetic).  The ending of a halted run
-is exact; of the other runs only the outcome is read.
+trace is not kept.  The runs of one check also share one ``Known``: the
+start each run builds only its store and inputs on, and the map of the
+configurations they stepped, through which they share their futures.  The
+interpreter is deterministic, so a run that reaches a configuration of an
+earlier run takes that run's outcome, final configuration and later
+downgrades (``semantics.run`` gives the fuel arithmetic).  The ending of a
+halted run is exact; of the other runs only the outcome is read.
 
 A state is its index.  ``_Runs`` fixes the layout once: one ``bits``-wide
 digit per variable of ``program.variables``, then one per input cell of the
@@ -40,8 +41,15 @@ A level costs what its states cost, in three ways:
 1. A level with no unobservable digit has one state per low class, so each
    of its pairs is a state paired with itself.  A deterministic run cannot
    differ from itself, so such a level makes no run of its own; it adds its
-   pairs.  Once no level is violated, every state that has not run runs,
-   since a run out of fuel still makes the verdict inconclusive.
+   pairs.  Once no level is violated, a run out of fuel still makes the
+   verdict inconclusive, so every state that has not run runs, unless no
+   run can run out of fuel.  In a program with no ``While`` in
+   ``Program.flow``, each step goes on to a later site or to its own site's
+   finished point, so each iteration of ``semantics.run`` sits at a
+   distinct point of the flow, and a run that joins an earlier run
+   (``Known``) ends at an index on that same path.  So every run ends
+   within ``2 * len(program.flow)`` iterations, and when that bound is at
+   most the fuel, the check is secure without running the rest.
 2. Any other level is violated iff two halted runs of one low class file
    different observations under one bucket key, so a clean level is proved
    in one pass over the states (``_Level.conflict``).
@@ -75,7 +83,7 @@ from .semantics import (
     Known,
     run_program,
 )
-from .syntax import Program
+from .syntax import Program, While
 
 SECURE = "secure"
 INSECURE = "insecure"
@@ -345,8 +353,11 @@ def _check_pairs(
         if view.pairs > runs.count and view.conflict():
             return view.scan(pairs_checked, budget)
         pairs_checked += view.pairs
-    # Every state not run yet runs here: one out of fuel makes the verdict inconclusive.
-    if any(runs[i].outcome == OUTCOME_FUEL for i in range(runs.count)):
+    # A run of a program without ``while`` ends within 2 * len(program.flow)
+    # iterations (part 1 above); otherwise every state not run yet runs here,
+    # and one out of fuel makes the verdict inconclusive.
+    bounded = 2 * len(program.flow) <= fuel and While not in map(type, program.sites)
+    if not bounded and any(runs[i].outcome == OUTCOME_FUEL for i in range(runs.count)):
         return OracleVerdict(
             property_name,
             INCONCLUSIVE,

@@ -335,15 +335,19 @@ class Trace:
 
 class Known:
     """What the runs of one program under one fuel share: the configurations
-    they stepped, by key, and the program's point table, which the first
-    run builds."""
+    they stepped, by key, the program's point table, and its start: the
+    configuration at its entry with a zero store and no input.  The first
+    run builds the table and the start; every run starts from the start's
+    entry point, empty output streams and zero read indices, which no step
+    writes in place (``step_point`` copies what it writes)."""
 
-    __slots__ = ("configs", "points")
+    __slots__ = ("configs", "points", "start")
 
     def __init__(self) -> None:
         # key -> (ending, index in the run, distance to the end); see run
         self.configs: dict[tuple, tuple[Ending, int, int]] = {}
         self.points: Optional[list[Point]] = None
+        self.start: Optional[Configuration] = None
 
 
 def run(
@@ -438,12 +442,20 @@ def run_program(
     fuel: int = DEFAULT_FUEL,
     known: Optional[Known] = None,
 ) -> Trace:
-    """Run ``program`` from its entry; each store value wraps, as a read's does."""
-    points = None
-    if known is not None:
-        points = known.points = known.points or point_table(program)
+    """Run ``program`` from its entry; each store value wraps, as a read's does.
+    With ``known``, the run builds only its store and its input contents."""
     store = {name: value & ((1 << bits) - 1) for name, value in (store or {}).items()}
-    config = initial_configuration(program, store, inputs, points)
+    if known is None:
+        config = initial_configuration(program, store, inputs)
+    else:
+        if known.start is None:
+            known.points = point_table(program)
+            known.start = initial_configuration(program, points=known.points)
+        start = known.start
+        mu = dict(start.mu)
+        mu.update(store)
+        ins = {n: tuple(inputs.get(n, ())) for n in start.ins} if inputs else start.ins
+        config = Configuration(mu, ins, start.outs, start.p, start.point)
     return run(config, policy, bits, capacity, fuel, known)
 
 

@@ -618,6 +618,29 @@ def test_bench_reads_a_backend_out_of_budget_as_inconclusive():
     assert {row.name: row.verdict for row in table.rows}["B1"] == "inconclusive"
 
 
+def test_bench_step_ratio_reads_only_conclusive_rows(capsys, monkeypatch):
+    # At this budget B1, B4 and B7 are inconclusive with tr's steps cut
+    # short; the five conclusive rows search no level in either backend.
+    assert bench(IOBENCH, bits=2, capacity=8).step_ratio == pytest.approx(0.92)
+    table = bench(IOBENCH, bits=2, capacity=8, node_budget=1000)
+    assert [row.name for row in table.rows if row.verdict == "inconclusive"] == ["B1", "B4", "B7"]
+    assert table.step_ratio is None
+    monkeypatch.setenv(cli.BUDGET_ENV, "1000")
+    code, out, _ = run(capsys, ["bench", str(IOBENCH), "--bits", "2"])
+    assert code == EXIT_SECURE
+    assert "BENCH aggregate programs=8 step_ratio=-" in out.splitlines()
+
+
+def test_an_inconclusive_level_keeps_its_composed_model_size():
+    # tr's model of B1 at level L is built; the budget fires in its search.
+    args = (IOBENCH / "B1", IOBENCH / "B1.policy")
+    full = analyze(*args, bits=2, capacity=8, mode="tr").levels[-1]
+    cut = analyze(*args, bits=2, capacity=8, mode="tr", node_budget=1000).levels[-1]
+    assert (cut.level, cut.verdict, full.verdict) == ("L", "inconclusive", "insecure")
+    assert cut.composed_rules == full.composed_rules > 0
+    assert cut.global_bits == full.global_bits > 0
+
+
 def test_a_real_backend_disagreement_fails(capsys, monkeypatch):
     real = cli.tr_compose
 

@@ -27,6 +27,7 @@ from wherecheck.semantics import (
     low_equiv_store,
     run_program,
 )
+from wherecheck.syntax import While
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
 
@@ -806,6 +807,78 @@ def test_a_secure_check_with_a_shortcut_level_runs_every_state(monkeypatch):
     verdict = check_where_security(program, policy, bits=2, capacity=4)
     assert (verdict.status, verdict.pairs_checked) == (SECURE, 16 + 16)
     assert len(started) == len(set(started)) == 16
+
+
+# Without a ``while`` no run can run out of fuel once the fuel covers
+# 2 * len(program.flow) iterations, so a secure check runs no final sweep
+# (``oracle`` part 1).
+
+IF_PROGRAM = "l := 1; if l then l := 2 else skip fi"  # 4 sites: the bound is 8
+IF_POLICY = "lattice: L < H\nvar l : L\n"
+
+
+@pytest.mark.parametrize("check", [check_noninterference, check_where_security])
+def test_a_secure_check_without_a_loop_makes_no_run(monkeypatch, check):
+    # Both levels take the shortcut, so no level makes a run of its own.
+    program, policy = prog("l := l + 1; m := l", "lattice: L < H\nvar l : L\nvar m : L\n")
+    started = _count_runs(monkeypatch)
+    verdict = check(program, policy, bits=2)
+    assert (verdict.status, verdict.pairs_checked, verdict.note) == (SECURE, 16 + 16, "")
+    assert started == []
+
+
+@pytest.mark.parametrize("fuel", range(1, 11))
+@pytest.mark.parametrize("check", [check_noninterference, check_where_security])
+def test_the_sweep_runs_only_below_the_bound(monkeypatch, check, fuel):
+    # A lone run of IF_PROGRAM ends at its fifth iteration, index 4.
+    program, policy = prog(IF_PROGRAM, IF_POLICY)
+    started = _count_runs(monkeypatch)
+    verdict = check(program, policy, bits=2, fuel=fuel)
+    if fuel <= 4:
+        expected = (INCONCLUSIVE, 4 + 4, "nonterminating-within-budget run encountered", 1)
+    else:
+        expected = (SECURE, 4 + 4, "", 4 if fuel < 8 else 0)
+    assert (verdict.status, verdict.pairs_checked, verdict.note, len(started)) == expected
+
+
+@pytest.mark.parametrize("fuel", [4, 8])
+def test_the_bound_holds_against_the_reference(fuel):
+    program, policy = prog(IF_PROGRAM, IF_POLICY)
+    assert_matches_reference(program, policy, bits=2, capacity=4, fuel=fuel)
+
+
+def test_every_lone_run_without_a_loop_ends_within_the_bound():
+    # Both corpora at capacity 8 and randprog seeds 0-399, with and without
+    # I/O, at capacity 4, all at bits 2: every initial state of every program
+    # without a while.
+    checked = 0
+    for group in SHORTCUT_GROUPS:
+        for name, text, pol, capacity in _shortcut_cases(group):
+            program, policy = prog(text, pol)
+            if While in map(type, program.sites):
+                continue
+            runs = layout(program, policy, capacity=capacity)
+            for i in range(runs.count):
+                trace = run_program(program, policy, *runs.state(i), 2, capacity)
+                assert len(trace.entries) <= 2 * len(program.flow), (name, i)
+            checked += 1
+    assert checked > 500
+
+
+def test_a_run_leaves_the_shared_start_as_it_found_it():
+    # The runs of one Known share the start's output streams and read
+    # indices; the first run writes an output and reads an input.
+    program, policy = prog(
+        "input(x, i); output(x, o)",
+        "lattice: L < H\nvar x : L\nchannel i : L input length 1\nchannel o : L output\n",
+    )
+    known = Known()
+    first = run_program(program, policy, {}, {"i": (3,)}, bits=2, known=known)
+    assert (first.final.outs, first.final.p) == ({"o": (3,)}, {"i": 1})
+    assert (known.start.outs, known.start.p) == ({"o": ()}, {"i": 0})
+    second = run_program(program, policy, {}, {"i": (2,)}, bits=2, known=known)
+    assert (second.initial.outs, second.initial.p) == ({"o": ()}, {"i": 0})
+    assert (second.final.outs, second.final.p) == ({"o": (2,)}, {"i": 1})
 
 
 # The shortcut against the bucket pass it skips, on both corpora at bits 2 /
