@@ -33,7 +33,14 @@ from .compose import (
 from .modelgen import build_model, dump_model
 from .oracle import INCONCLUSIVE, INSECURE, SECURE, check_where_security
 from .parser import ParseError, parse_program
-from .policy import Policy, PolicyError, gather_downgrades, parse_policy
+from .policy import (
+    OBSERVES_EVERYTHING,
+    TYPABLE,
+    Policy,
+    PolicyError,
+    gather_downgrades,
+    parse_policy,
+)
 from .reach import Witness, extract_witness, format_witness, is_error_reachable, post_star
 from .semantics import DEFAULT_BITS, DEFAULT_CAPACITY, format_trace, run_program
 from .spds import dump_spds
@@ -258,6 +265,7 @@ class BenchRow(NamedTuple):
     tr_bits: int
     tr_steps: int
     tr_seconds: float
+    typable: bool  # every storematch level types or observes everything
 
 
 class BenchTable(NamedTuple):
@@ -325,6 +333,7 @@ def bench(
                 tr_bits=max(r.global_bits for r in tr.levels),
                 tr_steps=sum(r.steps for r in tr.levels),
                 tr_seconds=sum(r.seconds for r in tr.levels),
+                typable=all(r.reason in (TYPABLE, OBSERVES_EVERYTHING) for r in sm.levels),
             )
         )
     return BenchTable(rows)
@@ -469,6 +478,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     ratio = "-" if table.step_ratio is None else f"{table.step_ratio:.4f}"
     _emit(f"BENCH aggregate programs={len(table.rows)} step_ratio={ratio}")
+    secure = sum(row.verdict == SECURE for row in table.rows)
+    typed = sum(row.typable for row in table.rows)
+    _emit(f"BENCH precision programs={len(table.rows)} secure={secure} typable={typed}")
     store_s = sum(r.store_seconds for r in table.rows)
     tr_s = sum(r.tr_seconds for r in table.rows)
     _emit(f"wall time: storematch {store_s:.2f}s tr {tr_s:.2f}s")

@@ -14,15 +14,29 @@ domain without edges).  The partial order is the reflexive-transitive closure
 of the declared edges; cycles are rejected.  Channel declarations carry a
 direction and an optional declared input length.
 
-``typable`` is a security type check of one observer level; a level it
-accepts is where-secure, so the search need not run there.
+``typable`` is a flow-sensitive security type check of one observer level:
+a variable is low at a site when it is equal in both runs there, and a
+level it accepts is where-secure, so the search need not run there.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .syntax import Assign, DeclassAssign, Expr, If, Input, Output, Program, While, expr_vars, site_expr
+from .syntax import (
+    Assign,
+    DeclassAssign,
+    Expr,
+    If,
+    Input,
+    Output,
+    Program,
+    Var,
+    While,
+    expr_vars,
+    first_site,
+    site_expr,
+)
 
 OBSERVES_EVERYTHING = "observes every variable and channel"
 TYPABLE = "typable"
@@ -244,59 +258,105 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
 def typable(program: Program, policy: Policy, level: str) -> str:
     """Why a gathered policy's observer level is secure by typing, or "".
 
-    A Volpano-Smith-Irvine check over two points: a name is low when its
-    level flows to ``level``, an expression when all its variables are, and
-    the pc is low while every enclosing guard is.  ``if`` and ``while``
-    raise the pc by their guard.  ``x := e`` and an ordinary ``declass``
-    need x high, or the pc and e low; ``input(x, c)`` needs c and the pc
-    low, or c and x high; ``output(e, c)`` needs c high, or the pc and e
-    low; a real ``x := declass(e)`` (typed as in delimited release) needs x
-    high, or a low pc with e low or the site outside every ``while`` body.
-    One loop over ``Program.flow`` checks them: a site takes its pc, and
-    whether it is in a loop, from its enclosing block's entry.
+    A flow-sensitive check in the style of Hunt and Sands: each site gets
+    the set of variables that are equal in both runs when control reaches
+    it, and a variable is low at a site when it is in that set (an
+    expression when all its variables are).  The set at the start holds
+    the observable variables.  One forward pass over ``Program.flow``
+    computes the sets: a site hands its set on to its ``next``, an ``if``
+    to the first site of each branch, a ``while`` to the first site of its
+    body and to its ``next``, and a site that gets several sets keeps their
+    intersection, as where an ``if`` ends or a loop body's end meets its
+    ``while`` head.  A head whose set shrinks sends the pass round its body
+    again, so the head's set is a fixpoint; sets only shrink, so the pass
+    ends.  A site takes its pc, and whether it is in a loop, from its
+    enclosing block's entry; ``if`` and ``while`` raise the pc by their
+    guard.
+
+    ``x := e`` and an ordinary ``declass`` put x in the set when the pc
+    and e are low, and take it out otherwise.  ``input(x, c)`` needs the pc
+    low when c is observable and then puts x in; from any other channel it
+    takes x out.  ``output(e, c)`` needs c unobservable, or the pc and e
+    low.  A real ``x := declass(e)`` (as in delimited release) puts x in
+    under a low pc when e is low or the site is outside every ``while``
+    body, and takes it out otherwise.  The release premise: such a site
+    under a low pc and outside every loop puts e in as well when e is a
+    bare variable.  Every observable variable must be in the set at the
+    end.
 
     Typable implies that the composed model cannot reach error.  Take two
     runs that start observably equal, with the same observable input
-    streams, and both halt.  Under a high pc a command writes no low
-    variable and touches no low channel, so both runs execute the same
-    low-pc commands in the same order, and each keeps the low variables
-    and channel positions equal: an assignment reads low values, a low
-    read takes the same position of the shared stream, and a low output
-    writes equal values.  A real downgrade into a low target outside every
-    loop runs at most once per run, and the model's premise makes run two
-    release the value run one recorded at that site, so the target stays
-    equal.  In a loop, run two is matched only against run one's last
-    release there, so earlier ones could differ; such a target must read a
-    low value.  So the final stores and the output streams are observably
-    equal and the end check never fires.  A blocked read, a full channel
-    or a run that does not halt only stops a run, which the
-    termination-insensitive property allows.  A level that observes
-    everything types trivially and keeps its own reason.
+    streams, that both halt and that meet the model's downgrade premise.
+    Both runs execute the same low-pc sites in the same order.  A high-pc
+    region, an ``if`` or a ``while`` whose guard may differ, puts no name
+    in the set, touches no observable channel and takes out every variable
+    it writes, so where both runs leave it, a name still in the set is one
+    neither run wrote inside it.  So, site by site, each name in a site's
+    set is equal in both runs there, and so are the observable channel
+    positions: an assignment reads equal values, an observable read takes
+    the same position of the shared stream, and an observable output
+    writes equal values.  A real downgrade under a low pc outside every
+    loop runs once in each run or in neither, and the premise blocks run
+    two unless it releases the value run one recorded at that site: so the
+    target is equal, and a released bare variable, whose value is the
+    released value, is equal too.  No other expression gets this: equal
+    values of ``y + z`` need not make y or z equal.  In a loop, run
+    two is matched only against run one's last release there, so earlier
+    ones could differ; such a target must read a low value.  So the final
+    stores and the output streams are observably equal and the end check
+    never fires.  A blocked read, a full channel or a run that does not
+    halt only stops a run, which the termination-insensitive property
+    allows.  A level that observes everything types trivially and keeps
+    its own reason.
     """
     names = (*program.variables, *program.channels)
     low = {n for n in names if policy.observable(n, level)}
     if len(low) == len(names):
         return OBSERVES_EVERYTHING
-
-    def is_low(e: Expr) -> bool:
-        return expr_vars(e) <= low
-
+    flow = program.flow
+    start = frozenset(n for n in program.variables if n in low)
+    equal: dict[Optional[int], frozenset[str]] = {0: start}  # position (None: the end) -> set
     inner = {None: (True, False)}  # block position -> (pc low, in a while body) inside it
-    for i, (cmd, _, block) in enumerate(program.flow):
+
+    def meet(position: Optional[int], incoming: frozenset[str]) -> bool:
+        """Intersect a set into a position's entry set; True when that set shrank."""
+        old = equal.get(position)
+        equal[position] = incoming if old is None else old & incoming
+        return old is not None and equal[position] != old
+
+    i = 0
+    while i < len(flow):
+        cmd, nxt, block = flow[i]
         pc, looped = inner[block]
+        eq = equal[i]
         match cmd:
-            case If(_, guard, _, _) | While(_, guard, _):
-                inner[i] = (pc and is_low(guard), looped or type(cmd) is While)
+            case If(_, guard, _, else_branch):
+                inner[i] = (pc and expr_vars(guard) <= eq, looped)
+                meet(i + 1, eq)
+                meet(first_site(else_branch).site.id, eq)
+                i += 1
+                continue
+            case While(_, guard, _):
+                inner[i] = (pc and expr_vars(guard) <= eq, True)
+                meet(i + 1, eq)
             case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
-                if target in low and not (pc and (not looped or is_low(expr))):
-                    return ""
+                kept = pc and (not looped or expr_vars(expr) <= eq)
+                eq = eq | {target} if kept else eq - {target}
+                if pc and not looped and type(expr) is Var:
+                    eq = eq | {expr.name}
             case Assign(_, target, expr) | DeclassAssign(_, target, expr):
-                if target in low and not (pc and is_low(expr)):
-                    return ""
+                eq = eq | {target} if pc and expr_vars(expr) <= eq else eq - {target}
             case Input(_, target, channel):
-                if not ((pc and channel in low) or (channel not in low and target not in low)):
-                    return ""
+                if channel in low:
+                    if not pc:
+                        return ""
+                    eq = eq | {target}
+                else:
+                    eq = eq - {target}
             case Output(_, expr, channel):
-                if channel in low and not (pc and is_low(expr)):
+                if channel in low and not (pc and expr_vars(expr) <= eq):
                     return ""
-    return TYPABLE
+        back = nxt is not None and nxt.site.id <= i
+        shrank = meet(None if nxt is None else nxt.site.id, eq)
+        i = nxt.site.id if back and shrank else i + 1
+    return TYPABLE if start <= equal[None] else ""

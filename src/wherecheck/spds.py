@@ -29,12 +29,13 @@ write costs one small piece per cell, not an equation for every cell.
 Level layout: global bit slot t occupies levels 2t (current) and 2t+1
 (next).  A step moves a written bit only between the two levels of its
 slot, over a level it quantifies, so every level map is order-preserving.
-Slots are handed out control cells first (channel indices and the
-store-match mismatch cell), then in bands: band j holds bit j, counted from
-the most significant bit, of every remaining cell wider than j, in
-declaration order.  A cell and its second-run copy therefore sit side by
-side in every band, which keeps the equalities that self-composition
-builds between them linear in the width.
+Slots are handed out in one pass, to the control cells (channel indices
+and the store-match mismatch cell) first and then to the rest, each group
+in bands: band j holds bit j, counted from the most significant bit, of
+every cell of the group wider than j, in declaration order.  A cell and
+its second-run copy therefore sit side by side in every band, which keeps
+the equalities that self-composition builds between them linear in the
+width.
 """
 
 from __future__ import annotations
@@ -139,16 +140,20 @@ class GlobalsDecl:
 
     @cached_property
     def _levels(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Current and next levels of each cell's bit slots, most significant bit first."""
-        order = sorted(
-            (name not in self.control, j, i)
-            for i, (name, width) in enumerate(self.cells)
-            for j in range(width)
-        )
-        slots: dict[str, list[int]] = {name: [0] * width for name, width in self.cells}
-        for t, (_, j, i) in enumerate(order):
-            slots[self.cells[i][0]][j] = t
-        return {n: (tuple(2 * t for t in s), tuple(2 * t + 1 for t in s)) for n, s in slots.items()}
+        """Current and next levels of each cell's bit slots, most significant bit first:
+        the control cells band by band, then the rest band by band, each band in
+        declaration order."""
+        slots: dict[str, tuple[list[int], list[int]]] = {name: ([], []) for name, _ in self.cells}
+        level = 0  # the current level of the next free slot
+        for control in (True, False):
+            group = [(slots[n], width) for n, width in self.cells if (n in self.control) == control]
+            for j in range(max((width for _, width in group), default=0)):
+                for (cur, nxt), width in group:
+                    if width > j:
+                        cur.append(level)
+                        nxt.append(level + 1)
+                        level += 2
+        return {name: (tuple(cur), tuple(nxt)) for name, (cur, nxt) in slots.items()}
 
     @property
     def names(self) -> list[str]:
@@ -160,9 +165,6 @@ class GlobalsDecl:
 
     def width_of(self, name: str) -> int:
         return self.cells[self._index[name]][1]
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
 
     def cur_levels(self, name: str) -> tuple[int, ...]:
         return self._levels[name][0]

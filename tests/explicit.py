@@ -27,6 +27,11 @@ from wherecheck.spds import (
 from wherecheck.syntax import COMPARISONS, BinOp, CellRef, Expr, Num, Var
 
 
+def index_of(globals_decl: GlobalsDecl, name: str) -> int:
+    """A cell's position in a valuation: its place in declaration order."""
+    return globals_decl.names.index(name)
+
+
 def valuation(globals_decl: GlobalsDecl, values: dict[str, int]) -> tuple[int, ...]:
     """The named values, each masked to its cell's width; unnamed cells are 0."""
     out = []
@@ -70,11 +75,11 @@ def eval_gexpr(e: Expr, globals_decl: GlobalsDecl, val: tuple[int, ...], width: 
         case Num(value):
             return value & mask
         case Var(name):
-            return val[globals_decl.index_of(name)] & mask
+            return val[index_of(globals_decl, name)] & mask
         case CellRef(cells, index, _):
-            idx = val[globals_decl.index_of(index)]
+            idx = val[index_of(globals_decl, index)]
             if idx < len(cells):
-                return val[globals_decl.index_of(cells[idx])] & mask
+                return val[index_of(globals_decl, cells[idx])] & mask
             return 0
         case BinOp(op, left, right):
             if op in COMPARISONS:
@@ -126,15 +131,15 @@ def spec_successors(
     base = list(val)
     havocs: list[int] = []
     for name, e in spec.updates:
-        i = globals_decl.index_of(name)
+        i = index_of(globals_decl, name)
         if e is HAVOC:
             havocs.append(i)
         else:
             base[i] = eval_gexpr(e, globals_decl, val, globals_decl.width_of(name))
     for w in spec.writes:
-        idx = val[globals_decl.index_of(w.index)]
+        idx = val[index_of(globals_decl, w.index)]
         if idx < len(w.cells):
-            i = globals_decl.index_of(w.cells[idx])
+            i = index_of(globals_decl, w.cells[idx])
             base[i] = eval_gexpr(w.expr, globals_decl, val, globals_decl.width_of(w.cells[idx]))
     if not havocs:
         yield tuple(base)

@@ -7,12 +7,17 @@ against.  ``format_program`` prints a whole command tree in the source
 syntax, for the tests that parse a printed program back, and
 ``same_command`` compares two command trees by type as well as by ``==``.
 Each recursion is bounded by the depth of the small trees the tests draw.
+``vsi_typable`` is the flow-insensitive typing check that ``policy.typable``
+replaced; test_typing.py requires the flow-sensitive one to type every
+level this one types.  ``sorted_levels`` is the sort that
+``GlobalsDecl``'s one-pass bit layout replaced.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, Policy
 from wherecheck.spds import GlobalsDecl
 from wherecheck.syntax import (
     COMPARISONS,
@@ -27,6 +32,7 @@ from wherecheck.syntax import (
     Input,
     Num,
     Output,
+    Program,
     Seq,
     Skip,
     Var,
@@ -169,3 +175,53 @@ def same_command(a: Command, b: Command) -> bool:
             return False
         stack += [(p, q) for p, q in zip(x, y) if type(p) in _COMMANDS]
     return a == b
+
+
+def sorted_levels(g: GlobalsDecl) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each cell's current and next levels, from one sort of every bit slot:
+    control cells first, then by bit from the most significant, then by
+    declaration order."""
+    order = sorted(
+        (name not in g.control, j, i)
+        for i, (name, width) in enumerate(g.cells)
+        for j in range(width)
+    )
+    slots: dict[str, list[int]] = {name: [0] * width for name, width in g.cells}
+    for t, (_, j, i) in enumerate(order):
+        slots[g.cells[i][0]][j] = t
+    return {n: (tuple(2 * t for t in s), tuple(2 * t + 1 for t in s)) for n, s in slots.items()}
+
+
+def vsi_typable(program: Program, policy: Policy, level: str) -> str:
+    """The Volpano-Smith-Irvine check over two points: a name is low when its
+    level flows to ``level``, so a variable that is high once stays high.
+    ``if`` and ``while`` raise the pc by their guard; an assignment into a
+    low variable needs the pc and its expression low; a real downgrade into
+    one needs a low pc, and a low expression inside a ``while`` body."""
+    names = (*program.variables, *program.channels)
+    low = {n for n in names if policy.observable(n, level)}
+    if len(low) == len(names):
+        return OBSERVES_EVERYTHING
+
+    def is_low(e: Expr) -> bool:
+        return expr_vars(e) <= low
+
+    inner = {None: (True, False)}  # block position -> (pc low, in a while body) inside it
+    for i, (cmd, _, block) in enumerate(program.flow):
+        pc, looped = inner[block]
+        match cmd:
+            case If(_, guard, _, _) | While(_, guard, _):
+                inner[i] = (pc and is_low(guard), looped or type(cmd) is While)
+            case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
+                if target in low and not (pc and (not looped or is_low(expr))):
+                    return ""
+            case Assign(_, target, expr) | DeclassAssign(_, target, expr):
+                if target in low and not (pc and is_low(expr)):
+                    return ""
+            case Input(_, target, channel):
+                if not ((pc and channel in low) or (channel not in low and target not in low)):
+                    return ""
+            case Output(_, expr, channel):
+                if channel in low and not (pc and is_low(expr)):
+                    return ""
+    return TYPABLE

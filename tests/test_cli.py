@@ -553,7 +553,8 @@ def test_nmin_absent_for_secure_program(capsys):
 
 def test_nmin_unknown_when_every_width_runs_out_of_budget(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "5")
-    code, out, _ = run(capsys, ["nmin", *corpus_args("P0"), "--max-bits", "3"])
+    # P6 is secure and does not type at L, so its search runs at every width
+    code, out, _ = run(capsys, ["nmin", *corpus_args("P6"), "--max-bits", "3"])
     assert code == EXIT_INCONCLUSIVE
     assert [ln for ln in out.splitlines() if ln.startswith("bits=")] == [
         f"bits={w}: inconclusive" for w in (1, 2, 3)
@@ -586,6 +587,18 @@ def test_bench_corpus(capsys):
     assert len(rows) == 8
     agg = [ln for ln in out.splitlines() if ln.startswith("BENCH aggregate")]
     assert len(agg) == 1 and "step_ratio=" in agg[0]
+
+
+def test_bench_prints_the_precision_of_the_typing_check(capsys):
+    # P0, P1, P2 and P7 type at every level; P6 is secure only by the search
+    code, out, _ = run(capsys, ["bench", str(CORPUS), "--bits", "2"])
+    assert code == EXIT_SECURE
+    lines = out.splitlines()
+    agg = next(i for i, ln in enumerate(lines) if ln.startswith("BENCH aggregate"))
+    assert lines[agg + 1] == "BENCH precision programs=8 secure=5 typable=4"
+    assert [row.typable for row in bench(CORPUS, bits=2).rows] == [
+        True, True, True, False, False, False, False, True
+    ]
 
 
 def test_bench_passes_capacity(capsys, monkeypatch):

@@ -97,7 +97,8 @@ def test_tr_mode_agrees_on_corpus(name):
 @pytest.mark.parametrize("name", ["P0", "P3", "P4", "P5"])
 def test_explicit_search_agrees(name):
     model = corpus_model(name, bits=1, capacity=2)
-    symbolic = is_error_reachable(post_star(model), model)
+    # the bare system, so P0, which types at L, is searched too
+    symbolic = is_error_reachable(post_star(model.spds), model)
     assert explicit_error_search(model) == symbolic
 
 
@@ -106,7 +107,7 @@ def test_monotone_bits_spot_check(bits):
     insecure = corpus_model("P4", bits=bits, capacity=2)
     assert is_error_reachable(post_star(insecure), insecure)
     secure = corpus_model("P0", bits=bits, capacity=2)
-    assert not is_error_reachable(post_star(secure), secure)
+    assert not is_error_reachable(post_star(secure.spds), secure)  # P0 types; search it
 
 
 def tiny_spds(rules, start="a", fixed=(("x", 0),)):
@@ -184,9 +185,10 @@ def test_a_run_ends_in_a_symbol_without_rules():
 
 
 def test_budget_exceeded_propagates():
-    model = corpus_model("P1", bits=2, capacity=2)  # 138 nodes unbounded
+    # P1 types at L, so its bare system is searched: 138 nodes unbounded
+    model = corpus_model("P1", bits=2, capacity=2)
     with pytest.raises(BudgetExceeded):
-        post_star(model, node_budget=100)
+        post_star(model.spds, node_budget=100)
 
 
 def test_channel_writes_grow_linearly_with_capacity():

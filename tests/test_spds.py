@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wherecheck.bdd import bv_const, bv_eq, bv_from_levels
 
+from wherecheck.compose import self_compose, tr_compose
+from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
+from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import (
     HAVOC,
     ArrayWrite,
@@ -22,12 +28,16 @@ from explicit import (
     decode,
     eval_gexpr,
     eval_guard,
+    index_of,
     initial_valuations,
     spec_successors,
     successors,
     valuation,
 )
+from reference import sorted_levels
 from test_bdd import sat_all
+
+ROOT = Path(__file__).resolve().parent.parent
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
 
@@ -44,6 +54,37 @@ def test_globals_layout():
     assert valuation(g, {"a": 5, "b": 3}) == (1, 3)
     assert g.as_dict((1, 3)) == {"a": 1, "b": 3}
     assert len(list(all_valuations(g))) == 32
+
+
+def _layout_cases(group: str):
+    """(program text, policy text, bits, capacity) of one layout group."""
+    if group == "randprog":
+        for io in (False, True):
+            for seed in range(400):
+                gen = generate(seed, GenConfig(io=io))
+                yield gen.text, gen.policy_text, 2, 4
+        return
+    if group == "table3":
+        stem, sizes = "P", [(bits, 8) for bits in range(1, 7)]
+    else:
+        stem, sizes = "B", [(2, 0), (2, 1), (2, 8)]
+    for i in range(8):
+        path = ROOT / "corpus" / group / f"{stem}{i}"
+        for bits, capacity in sizes:
+            yield path.read_text(), path.with_suffix(".policy").read_text(), bits, capacity
+
+
+@pytest.mark.parametrize("group", ["table3", "iobench", "randprog"])
+def test_the_one_pass_layout_matches_one_sort_of_every_slot(group):
+    for text, pol, bits, capacity in _layout_cases(group):
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(pol))
+        for level in sorted(policy.domains):
+            skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
+            composed = (mode(skeleton).spds.globals for mode in (self_compose, tr_compose))
+            for g in (skeleton.spds.globals, *composed):
+                layout = {n: (g.cur_levels(n), g.nxt_levels(n)) for n in g.names}
+                assert layout == sorted_levels(g), (text, level, bits, capacity)
 
 
 def test_control_first_band_layout():
@@ -545,7 +586,7 @@ def test_pick_point_reads_the_least_valuation_of_a_cube(val, names, others):
     # a cube with free bits for every cell left out of names; joined with
     # others it is mostly no longer a cube, and takes the greedy walk
     ra = RelationAlgebra(MIXED)
-    node = ra.set_from_fixed({name: val[MIXED.index_of(name)] for name in names})
+    node = ra.set_from_fixed({name: val[index_of(MIXED, name)] for name in names})
     node = ra.mgr.disj_all([node, *(ra.set_from_valuation(v) for v in sorted(others))])
     least = min(enumerate_set(ra, node))
     assert ra.pick_point(node) == (least, ra.set_from_valuation(least))
@@ -557,7 +598,7 @@ def test_pick_point_reads_the_least_valuation_of_a_cube(val, names, others):
 def test_set_from_fixed_matches_the_conjunction_of_its_cells(val, names):
     ra = RelationAlgebra(MIXED)
     mgr = ra.mgr
-    fixed = {name: val[MIXED.index_of(name)] for name in names}
+    fixed = {name: val[index_of(MIXED, name)] for name in names}
     cube = ra.set_from_fixed(fixed)
     # the construction the cube replaced: one equality per cell, conjoined by name
     reference = mgr.TRUE

@@ -9,6 +9,8 @@ randprog seeds 0-399 with and without I/O, the deep loops D' and D'',
 ``post_star(model.spds)`` in both modes.  A level that observes everything
 keeps its own reason, and ``tests/test_reach.py`` holds that case against
 the full search.  A failure here is a fault of the check, not of the search.
+Over the same groups, the check must type every level that the
+flow-insensitive check it replaced (``reference.vsi_typable``) types.
 """
 
 from pathlib import Path
@@ -21,6 +23,7 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, gather_downgrades, parse_policy, typable
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import is_error_reachable, post_star
+from reference import vsi_typable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,7 +62,13 @@ RULES = [
     ("if h then output(1, o) else skip fi", TWO + "channel o : L output\n", "L", ""),
     ("if h then output(h, ho) else skip fi", TWO + "channel ho : H output\n", "L", TYPABLE),
     ("m := declass(h); l := m", THREE, "M", TYPABLE),
-    ("m := declass(h); l := m", THREE, "L", ""),
+    ("m := declass(h); l := m", THREE, "L", TYPABLE),
+    # the release premise: a real downgrade of a bare variable, under a low pc
+    # and outside every loop, makes that variable equal in both runs too
+    ("l := declass(h); l := h", TWO, "L", TYPABLE),
+    ("i := 0; while i < 1 do l := declass(h); l := h; i := i + 1 od", TWO + "var i : L\n", "L", ""),
+    ("if h then l := declass(h) else l := declass(h) fi; l := h", TWO, "L", ""),
+    ("l := declass(h + 1); l := h", TWO, "L", ""),
     ("l := l + 1; h := l", TWO, "H", OBSERVES_EVERYTHING),
 ]
 
@@ -166,9 +175,18 @@ def test_every_typable_level_is_secure_under_the_full_search(group):
         assert accepted
 
 
+@pytest.mark.parametrize("group", ARGUMENT_GROUPS)
+def test_every_level_the_flow_insensitive_check_types_still_types(group):
+    for name, text, pol, _, _ in _argument_cases(group):
+        program, policy = load(text, pol)
+        for level in sorted(policy.domains):
+            if vsi_typable(program, policy, level):
+                assert typable(program, policy, level), (name, level)
+
+
 @pytest.mark.parametrize(
     "group, secure, typed",
-    [("table3", 5, 2), ("iobench", 6, 5), ("randprog", 341, 283), ("randprog-io", 316, 269)],
+    [("table3", 5, 4), ("iobench", 6, 5), ("randprog", 341, 299), ("randprog-io", 316, 286)],
 )
 def test_precision_against_the_search(group, secure, typed):
     """At bits 2, the programs secure at every level, and those typable at every level."""
@@ -187,4 +205,4 @@ def test_precision_against_the_search(group, secure, typed):
     assert sum(s for s, _ in programs.values()) == secure
     assert sum(t for _, t in programs.values()) == typed
     if group == "table3":
-        assert sorted(n for n, (s, t) in programs.items() if s and not t) == ["P0@2", "P1@2", "P6@2"]
+        assert sorted(n for n, (s, t) in programs.items() if s and not t) == ["P6@2"]
