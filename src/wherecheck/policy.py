@@ -15,8 +15,9 @@ of the declared edges; cycles are rejected.  Channel declarations carry a
 direction and an optional declared input length.
 
 ``typable`` is a flow-sensitive security type check of one observer level:
-a variable is low at a site when it is equal in both runs there, and a
-level it accepts is where-secure, so the search need not run there.
+a variable is low at a site when it is equal in both runs there, or holds
+the same constant in every run that reaches the site, and a level it
+accepts is where-secure, so the search need not run there.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .syntax import (
     Program,
     Var,
     While,
+    eval_nodes,
     expr_vars,
     first_site,
+    postfix,
     site_expr,
 )
 
@@ -255,44 +258,74 @@ def gather_downgrades(program: Program, policy: Policy) -> Policy:
     return policy._replace(declass_real=declass_real)
 
 
-def typable(program: Program, policy: Policy, level: str) -> str:
+def _bind(known: dict[str, int], name: str, value: Optional[int]) -> dict[str, int]:
+    """``known`` with ``name`` bound to ``value``, or unbound when it is None;
+    the same dict when nothing changes, a copy otherwise."""
+    if known.get(name) == value:
+        return known
+    known = dict(known)
+    if value is None:
+        del known[name]
+    else:
+        known[name] = value
+    return known
+
+
+def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     """Why a gathered policy's observer level is secure by typing, or "".
 
     A flow-sensitive check in the style of Hunt and Sands: each site gets
     the set of variables that are equal in both runs when control reaches
-    it, and a variable is low at a site when it is in that set (an
-    expression when all its variables are).  The set at the start holds
-    the observable variables.  One forward pass over ``Program.flow``
-    computes the sets: a site hands its set on to its ``next``, an ``if``
-    to the first site of each branch, a ``while`` to the first site of its
-    body and to its ``next``, and a site that gets several sets keeps their
-    intersection, as where an ``if`` ends or a loop body's end meets its
-    ``while`` head.  A head whose set shrinks sends the pass round its body
-    again, so the head's set is a fixpoint; sets only shrink, so the pass
-    ends.  A site takes its pc, and whether it is in a loop, from its
-    enclosing block's entry; ``if`` and ``while`` raise the pc by their
-    guard.
+    it, and the map of the variables that hold the same value, mod
+    2**bits, in every run that reaches it (a conditional constant
+    propagation in the style of Wegman and Zadeck).  A variable is low at a
+    site when it is in the set or in the map (an expression when all its
+    variables are).  At the start the set holds the observable variables
+    and the map is empty.  One forward pass over ``Program.flow`` computes
+    both: a site hands them on to its ``next``, an ``if`` to the first site
+    of each branch, a ``while`` to the first site of its body and to its
+    ``next``, and a site that gets several keeps the intersection of the
+    sets and the entries on which the maps agree, as where an ``if`` ends
+    or a loop body's end meets its ``while`` head.  A guard whose variables
+    are all in the map has a known value, and the branch it never takes
+    gets nothing: an ``if``'s other branch, a ``while``'s body when the
+    guard is 0 and its ``next`` when it is not.  A site that gets nothing
+    is reached by no run and is not checked.  A head whose set or map
+    shrinks sends the pass round its body again, so the head's are a
+    fixpoint; both only shrink, so the pass ends.  A site takes its pc, and
+    whether it is in a loop, from its enclosing block's entry; ``if`` and
+    ``while`` raise the pc by their guard.
 
     ``x := e`` and an ordinary ``declass`` put x in the set when the pc
-    and e are low, and take it out otherwise.  ``input(x, c)`` needs the pc
-    low when c is observable and then puts x in; from any other channel it
-    takes x out.  ``output(e, c)`` needs c unobservable, or the pc and e
-    low.  A real ``x := declass(e)`` (as in delimited release) puts x in
-    under a low pc when e is low or the site is outside every ``while``
-    body, and takes it out otherwise.  The release premise: such a site
-    under a low pc and outside every loop puts e in as well when e is a
-    bare variable.  Every observable variable must be in the set at the
-    end.
+    and e are low, and take it out otherwise; under any pc they bind x in
+    the map to e's value (the interpreter's ``eval_nodes``) when all e's
+    variables are in it, and unbind it otherwise.  ``input(x, c)`` needs
+    the pc low when c is observable and then puts x in the set; from any
+    other channel it takes x out; it always unbinds x.  ``output(e, c)``
+    needs c unobservable, or the pc and e low.  A real ``x := declass(e)``
+    (as in delimited release) binds x as an assignment does, and puts x in
+    the set under a low pc when e is low or the site is outside every
+    ``while`` body, and takes it out otherwise.  The release premise: such
+    a site under a low pc and outside every loop puts e in as well when e
+    is a bare variable.  Every observable variable must be low at the end,
+    unless no run reaches the end.
 
     Typable implies that the composed model cannot reach error.  Take two
     runs that start observably equal, with the same observable input
     streams, that both halt and that meet the model's downgrade premise.
+    A variable in a site's map holds its value in every run that reaches
+    the site: no run starts with a known value, each binding is the value
+    of an expression over known values, evaluated as the interpreter
+    does, and a meet keeps only what every incoming path agrees on.  So a
+    guard with a known value sends both runs the same way, and a site that
+    gets nothing, the end included, is reached by neither: when no run
+    reaches the end, no run halts and the model never reaches error.
     Both runs execute the same low-pc sites in the same order.  A high-pc
     region, an ``if`` or a ``while`` whose guard may differ, puts no name
     in the set, touches no observable channel and takes out every variable
     it writes, so where both runs leave it, a name still in the set is one
-    neither run wrote inside it.  So, site by site, each name in a site's
-    set is equal in both runs there, and so are the observable channel
+    neither run wrote inside it.  So, site by site, each low name at a site
+    is equal in both runs there, and so are the observable channel
     positions: an assignment reads equal values, an observable read takes
     the same position of the shared stream, and an observable output
     writes equal values.  A real downgrade under a low pc outside every
@@ -315,37 +348,64 @@ def typable(program: Program, policy: Policy, level: str) -> str:
         return OBSERVES_EVERYTHING
     flow = program.flow
     start = frozenset(n for n in program.variables if n in low)
-    equal: dict[Optional[int], frozenset[str]] = {0: start}  # position (None: the end) -> set
+    # position (None: the end) -> (set, map); a position no run reaches has neither
+    entry: dict[Optional[int], tuple[frozenset[str], dict[str, int]]] = {0: (start, {})}
     inner = {None: (True, False)}  # block position -> (pc low, in a while body) inside it
 
-    def meet(position: Optional[int], incoming: frozenset[str]) -> bool:
-        """Intersect a set into a position's entry set; True when that set shrank."""
-        old = equal.get(position)
-        equal[position] = incoming if old is None else old & incoming
-        return old is not None and equal[position] != old
+    def meet(position: Optional[int], eq: frozenset[str], known: dict[str, int]) -> bool:
+        """Meet a set and a map into a position's entry; True when either shrank."""
+        old = entry.get(position)
+        if old is None:
+            entry[position] = (eq, known)
+            return False
+        old_eq, old_known = old
+        eq = old_eq & eq
+        if old_known.items() <= known.items():
+            entry[position] = (eq, old_known)
+            return len(eq) < len(old_eq)
+        entry[position] = (eq, dict(old_known.items() & known.items()))
+        return True
 
     i = 0
     while i < len(flow):
+        if i not in entry:  # no run reaches this site
+            i += 1
+            continue
         cmd, nxt, block = flow[i]
+        after = None if nxt is None else nxt.site.id
         pc, looped = inner[block]
-        eq = equal[i]
+        eq, known = entry[i]
+        e = site_expr(cmd)
+        if e is not None:
+            used = expr_vars(e)
+            is_low = used <= eq or used - eq <= known.keys()
+            value = eval_nodes(postfix(e), known, bits) if used <= known.keys() else None
         match cmd:
-            case If(_, guard, _, else_branch):
-                inner[i] = (pc and expr_vars(guard) <= eq, looped)
-                meet(i + 1, eq)
-                meet(first_site(else_branch).site.id, eq)
+            case If(_, _, _, else_branch):
+                inner[i] = (pc and is_low, looped)
+                if value != 0:
+                    meet(i + 1, eq, known)
+                if not value:
+                    meet(first_site(else_branch).site.id, eq, known)
                 i += 1
                 continue
-            case While(_, guard, _):
-                inner[i] = (pc and expr_vars(guard) <= eq, True)
-                meet(i + 1, eq)
-            case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
-                kept = pc and (not looped or expr_vars(expr) <= eq)
+            case While():
+                inner[i] = (pc and is_low, True)
+                if value != 0:
+                    meet(i + 1, eq, known)
+                if not value:
+                    meet(after, eq, known)
+                i += 1
+                continue
+            case DeclassAssign(site, target, _) if policy.declass_real.get(site.id):
+                kept = pc and (not looped or is_low)
                 eq = eq | {target} if kept else eq - {target}
-                if pc and not looped and type(expr) is Var:
-                    eq = eq | {expr.name}
-            case Assign(_, target, expr) | DeclassAssign(_, target, expr):
-                eq = eq | {target} if pc and expr_vars(expr) <= eq else eq - {target}
+                if pc and not looped and type(e) is Var:
+                    eq = eq | {e.name}
+                known = _bind(known, target, value)
+            case Assign(_, target, _) | DeclassAssign(_, target, _):
+                eq = eq | {target} if pc and is_low else eq - {target}
+                known = _bind(known, target, value)
             case Input(_, target, channel):
                 if channel in low:
                     if not pc:
@@ -353,10 +413,13 @@ def typable(program: Program, policy: Policy, level: str) -> str:
                     eq = eq | {target}
                 else:
                     eq = eq - {target}
-            case Output(_, expr, channel):
-                if channel in low and not (pc and expr_vars(expr) <= eq):
+                known = _bind(known, target, None)
+            case Output(_, _, channel):
+                if channel in low and not (pc and is_low):
                     return ""
-        back = nxt is not None and nxt.site.id <= i
-        shrank = meet(None if nxt is None else nxt.site.id, eq)
-        i = nxt.site.id if back and shrank else i + 1
-    return TYPABLE if start <= equal[None] else ""
+        shrank = meet(after, eq, known)
+        i = after if after is not None and after <= i and shrank else i + 1
+    if None not in entry:  # no run halts
+        return TYPABLE
+    eq, known = entry[None]
+    return TYPABLE if start - eq <= known.keys() else ""

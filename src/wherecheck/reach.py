@@ -116,7 +116,7 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
     init = alg.set_from_fixed(dict(spds.initial_fixed))
     if isinstance(model, ComposedModel):
         skel = model.skeleton
-        reason = typable(skel.program, skel.policy, skel.level)
+        reason = typable(skel.program, skel.policy, skel.level, skel.bits)
         if reason:
             start = {spds.start: init}
             return PAutomaton(spds, alg, [start], dict(start), [], 0, reason=reason)

@@ -28,14 +28,12 @@ names its point by id.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .policy import Policy
 from .syntax import (
     Assign,
-    BinOp,
     Command,
     DeclassAssign,
     Expr,
@@ -45,8 +43,8 @@ from .syntax import (
     Program,
     SiteLabel,
     Skip,
-    Var,
     While,
+    eval_nodes,
     first_site,
     postfix,
     site_expr,
@@ -67,30 +65,6 @@ CAPACITY_EXCEEDED = "capacity-exceeded"
 OUTCOME_HALTED = HALTED
 OUTCOME_DIVERGES = "diverges"
 OUTCOME_FUEL = "nonterminating-within-budget"
-
-
-# Each operator as a Python function; eval_nodes wraps its result.
-_APPLY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-}
-
-
-def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
-    """Evaluate an expression in one loop over its ``postfix`` list: each constant and
-    each operator's result wraps modulo 2**bits, and a variable reads as stored."""
-    mask = (1 << bits) - 1
-    stack: list[int] = []
-    for node in nodes:
-        kind = type(node)
-        if kind is BinOp:
-            b = stack.pop()
-            stack[-1] = _APPLY[node.op](stack[-1], b) & mask
-        elif kind is Var:
-            stack.append(store[node.name])
-        else:
-            stack.append(node.value & mask)
-    return stack[0]
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ command or an expression (a tuple's hash and ``==`` recurse down the tree),
 so the depth of a command built in code costs no recursion.
 Likewise ``postfix`` is the one walk of an expression: every expression
 pass loops over it with a stack, so no expression's depth costs recursion.
-``PRECEDENCE`` and ``COMPARISONS`` state the operators once.
+``PRECEDENCE`` and ``COMPARISONS`` state the operators once, and
+``eval_nodes`` is the one evaluation of an expression, the interpreter's
+and the typing check's.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -79,6 +82,30 @@ def postfix(e: Expr) -> list[Expr]:
         if type(node) is BinOp:
             stack += (node.left, node.right)
     return out[::-1]
+
+
+# Each operator as a Python function; eval_nodes wraps its result.
+_APPLY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+}
+
+
+def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
+    """Evaluate an expression in one loop over its ``postfix`` list: each constant and
+    each operator's result wraps modulo 2**bits, and a variable reads as stored."""
+    mask = (1 << bits) - 1
+    stack: list[int] = []
+    for node in nodes:
+        kind = type(node)
+        if kind is BinOp:
+            b = stack.pop()
+            stack[-1] = _APPLY[node.op](stack[-1], b) & mask
+        elif kind is Var:
+            stack.append(store[node.name])
+        else:
+            stack.append(node.value & mask)
+    return stack[0]
 
 
 def expr_vars(e: Expr) -> set[str]:

@@ -8,8 +8,9 @@ syntax, for the tests that parse a printed program back, and
 ``same_command`` compares two command trees by type as well as by ``==``.
 Each recursion is bounded by the depth of the small trees the tests draw.
 ``vsi_typable`` is the flow-insensitive typing check that ``policy.typable``
-replaced; test_typing.py requires the flow-sensitive one to type every
-level this one types.  ``sorted_levels`` is the sort that
+replaced, and ``equal_set_typable`` is ``policy.typable`` before it knew
+constants; test_typing.py requires ``policy.typable`` to type every level
+either of these types.  ``sorted_levels`` is the sort that
 ``GlobalsDecl``'s one-pass bit layout replaced.
 """
 
@@ -37,6 +38,7 @@ from wherecheck.syntax import (
     Skip,
     Var,
     While,
+    first_site,
 )
 
 
@@ -225,3 +227,60 @@ def vsi_typable(program: Program, policy: Policy, level: str) -> str:
                 if channel in low and not (pc and is_low(expr)):
                     return ""
     return TYPABLE
+
+
+def equal_set_typable(program: Program, policy: Policy, level: str) -> str:
+    """``policy.typable`` without constants: the same one forward pass
+    over ``Program.flow``, where each site gets only the set of variables
+    equal in both runs there, and every site is reached."""
+    names = (*program.variables, *program.channels)
+    low = {n for n in names if policy.observable(n, level)}
+    if len(low) == len(names):
+        return OBSERVES_EVERYTHING
+    flow = program.flow
+    start = frozenset(n for n in program.variables if n in low)
+    equal: dict[Optional[int], frozenset[str]] = {0: start}  # position (None: the end) -> set
+    inner = {None: (True, False)}  # block position -> (pc low, in a while body) inside it
+
+    def meet(position: Optional[int], incoming: frozenset[str]) -> bool:
+        """Intersect a set into a position's entry set; True when that set shrank."""
+        old = equal.get(position)
+        equal[position] = incoming if old is None else old & incoming
+        return old is not None and equal[position] != old
+
+    i = 0
+    while i < len(flow):
+        cmd, nxt, block = flow[i]
+        pc, looped = inner[block]
+        eq = equal[i]
+        match cmd:
+            case If(_, guard, _, else_branch):
+                inner[i] = (pc and expr_vars(guard) <= eq, looped)
+                meet(i + 1, eq)
+                meet(first_site(else_branch).site.id, eq)
+                i += 1
+                continue
+            case While(_, guard, _):
+                inner[i] = (pc and expr_vars(guard) <= eq, True)
+                meet(i + 1, eq)
+            case DeclassAssign(site, target, expr) if policy.declass_real.get(site.id):
+                kept = pc and (not looped or expr_vars(expr) <= eq)
+                eq = eq | {target} if kept else eq - {target}
+                if pc and not looped and type(expr) is Var:
+                    eq = eq | {expr.name}
+            case Assign(_, target, expr) | DeclassAssign(_, target, expr):
+                eq = eq | {target} if pc and expr_vars(expr) <= eq else eq - {target}
+            case Input(_, target, channel):
+                if channel in low:
+                    if not pc:
+                        return ""
+                    eq = eq | {target}
+                else:
+                    eq = eq - {target}
+            case Output(_, expr, channel):
+                if channel in low and not (pc and expr_vars(expr) <= eq):
+                    return ""
+        back = nxt is not None and nxt.site.id <= i
+        shrank = meet(None if nxt is None else nxt.site.id, eq)
+        i = nxt.site.id if back and shrank else i + 1
+    return TYPABLE if start <= equal[None] else ""

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -201,9 +202,15 @@ def test_trace_flag_prints_reference_run(capsys):
     assert "outcome: halted" in out
 
 
-def test_budget_env_degrades_to_inconclusive(capsys, monkeypatch):
+# Secure at L only by algebra: h - h is 0, which the typing check does not
+# know, so level L is searched.
+ALGEBRA = "x := h - h;\nl := l + x\n"
+ALGEBRA_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar x : L\n"
+
+
+def test_budget_env_degrades_to_inconclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "200")
-    code, out, _ = run(capsys, ["analyze", *corpus_args("P6")])  # P7 types: no search
+    code, out, _ = run(capsys, ["analyze", *write_pair(tmp_path, ALGEBRA, ALGEBRA_POLICY)])
     assert code == EXIT_INCONCLUSIVE
     assert "RESULT overall=inconclusive" in out
     assert "budget exceeded" in out
@@ -551,10 +558,11 @@ def test_nmin_absent_for_secure_program(capsys):
     assert "bits=4: secure" in out
 
 
-def test_nmin_unknown_when_every_width_runs_out_of_budget(capsys, monkeypatch):
+def test_nmin_unknown_when_every_width_runs_out_of_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "5")
-    # P6 is secure and does not type at L, so its search runs at every width
-    code, out, _ = run(capsys, ["nmin", *corpus_args("P6"), "--max-bits", "3"])
+    # secure and untyped at L, so its search runs at every width
+    args = write_pair(tmp_path, ALGEBRA, ALGEBRA_POLICY)
+    code, out, _ = run(capsys, ["nmin", *args, "--max-bits", "3"])
     assert code == EXIT_INCONCLUSIVE
     assert [ln for ln in out.splitlines() if ln.startswith("bits=")] == [
         f"bits={w}: inconclusive" for w in (1, 2, 3)
@@ -590,15 +598,19 @@ def test_bench_corpus(capsys):
 
 
 def test_bench_prints_the_precision_of_the_typing_check(capsys):
-    # P0, P1, P2 and P7 type at every level; P6 is secure only by the search
+    # every secure program types at every level: P0, P1, P2, P7, and P6 by
+    # its constant h2; B7 by its constant guard
     code, out, _ = run(capsys, ["bench", str(CORPUS), "--bits", "2"])
     assert code == EXIT_SECURE
     lines = out.splitlines()
     agg = next(i for i, ln in enumerate(lines) if ln.startswith("BENCH aggregate"))
-    assert lines[agg + 1] == "BENCH precision programs=8 secure=5 typable=4"
+    assert lines[agg + 1] == "BENCH precision programs=8 secure=5 typable=5"
     assert [row.typable for row in bench(CORPUS, bits=2).rows] == [
-        True, True, True, False, False, False, False, True
+        True, True, True, False, False, False, True, True
     ]
+    code, out, _ = run(capsys, ["bench", str(IOBENCH), "--bits", "2"])
+    assert code == EXIT_SECURE
+    assert "BENCH precision programs=8 secure=6 typable=6" in out.splitlines()
 
 
 def test_bench_passes_capacity(capsys, monkeypatch):
@@ -631,15 +643,19 @@ def test_bench_reads_a_backend_out_of_budget_as_inconclusive():
     assert {row.name: row.verdict for row in table.rows}["B1"] == "inconclusive"
 
 
-def test_bench_step_ratio_reads_only_conclusive_rows(capsys, monkeypatch):
-    # At this budget B1, B4 and B7 are inconclusive with tr's steps cut
-    # short; the five conclusive rows search no level in either backend.
-    assert bench(IOBENCH, bits=2, capacity=8).step_ratio == pytest.approx(0.92)
-    table = bench(IOBENCH, bits=2, capacity=8, node_budget=1000)
+def test_bench_step_ratio_reads_only_conclusive_rows(tmp_path, capsys, monkeypatch):
+    # iobench with B7's constant l := 0 made l := h - h, which is secure and
+    # does not type.  At this budget B1, B4 and B7 are inconclusive with tr's
+    # steps cut short; the five conclusive rows search no level in either backend.
+    shutil.copytree(IOBENCH, tmp_path, dirs_exist_ok=True)
+    b7 = tmp_path / "B7"
+    b7.write_text(b7.read_text().replace("l := 0;", "l := h - h;", 1))
+    assert bench(tmp_path, bits=2, capacity=8).step_ratio == pytest.approx(0.92)
+    table = bench(tmp_path, bits=2, capacity=8, node_budget=1000)
     assert [row.name for row in table.rows if row.verdict == "inconclusive"] == ["B1", "B4", "B7"]
     assert table.step_ratio is None
     monkeypatch.setenv(cli.BUDGET_ENV, "1000")
-    code, out, _ = run(capsys, ["bench", str(IOBENCH), "--bits", "2"])
+    code, out, _ = run(capsys, ["bench", str(tmp_path), "--bits", "2"])
     assert code == EXIT_SECURE
     assert "BENCH aggregate programs=8 step_ratio=-" in out.splitlines()
 

@@ -520,7 +520,7 @@ def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
             names = [*program.variables, *program.channels]
             everything = all(policy.observable(n, level) for n in names)
-            reason = typable(program, policy, level)
+            reason = typable(program, policy, level, bits)
             assert (reason == OBSERVES_EVERYTHING) == everything, (name, level)
             if not everything:
                 continue
@@ -553,7 +553,7 @@ def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
     program = parse_program(text)
     policy = gather_downgrades(program, parse_policy(pol))
     model = mode(build_model(program, policy, "L", bits=2, capacity=4))
-    assert not typable(program, policy, "L")
+    assert not typable(program, policy, "L", 2)
     auto = post_star(model)
     assert auto.steps > 0 and auto.reason == ""
     assert not is_error_reachable(auto, model)

@@ -23,7 +23,6 @@ from wherecheck.semantics import (
     OUTCOME_HALTED,
     PLAIN,
     StepLabel,
-    eval_nodes,
     format_trace,
     initial_configuration,
     low_equiv_store,
@@ -31,7 +30,7 @@ from wherecheck.semantics import (
     run_program,
     step_point,
 )
-from wherecheck.syntax import postfix
+from wherecheck.syntax import eval_nodes, postfix
 from test_oracle import low_equiv_channels
 from tree_step import residual
 

@@ -9,7 +9,6 @@ import reference
 from explicit import all_valuations, eval_gexpr
 from test_parser import _exprs
 from wherecheck.parser import parse_program
-from wherecheck.semantics import eval_nodes
 from wherecheck.spds import GlobalsDecl, RelationAlgebra, infer_width
 from wherecheck.syntax import (
     PRECEDENCE,
@@ -17,6 +16,7 @@ from wherecheck.syntax import (
     CellRef,
     Num,
     Var,
+    eval_nodes,
     expr_vars,
     format_expr,
     postfix,

@@ -21,7 +21,6 @@ from wherecheck.semantics import (
     PLAIN,
     Point,
     StepLabel,
-    eval_nodes,
 )
 from wherecheck.syntax import (
     Assign,
@@ -34,6 +33,7 @@ from wherecheck.syntax import (
     Seq,
     Skip,
     While,
+    eval_nodes,
     first_site,
     postfix,
 )
