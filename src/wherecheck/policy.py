@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .syntax import (
+    APPLY,
     Assign,
+    BinOp,
     DeclassAssign,
     Expr,
     If,
@@ -37,6 +39,7 @@ from .syntax import (
     eval_nodes,
     expr_vars,
     first_site,
+    node_widths,
     postfix,
     site_expr,
 )
@@ -271,6 +274,22 @@ def _bind(known: dict[str, int], name: str, value: Optional[int]) -> dict[str, i
     return known
 
 
+def _guard_value(nodes: list[Expr], known: dict[str, int], bits: int) -> int:
+    """A guard's value from its ``postfix`` list and its variables' known
+    values, read as the model reads it: each node at ``syntax.node_widths``,
+    every variable at bits.  So a guard with no variable outside every
+    comparison is read at width 1, and ``if 2`` takes the else branch."""
+    values: list[int] = []
+    for node, width in zip(nodes, node_widths(nodes, lambda leaf: bits if type(leaf) is Var else None)):
+        mask = (1 << width) - 1
+        if type(node) is BinOp:
+            right = values.pop()
+            values[-1] = APPLY[node.op](values[-1], right) & mask
+        else:
+            values.append(known[node.name] if type(node) is Var else node.value & mask)
+    return values[0]
+
+
 def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     """Why a gathered policy's observer level is secure by typing, or "".
 
@@ -287,10 +306,11 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     ``next``, and a site that gets several keeps the intersection of the
     sets and the entries on which the maps agree, as where an ``if`` ends
     or a loop body's end meets its ``while`` head.  A guard whose variables
-    are all in the map has a known value, and the branch it never takes
-    gets nothing: an ``if``'s other branch, a ``while``'s body when the
-    guard is 0 and its ``next`` when it is not.  A site that gets nothing
-    is reached by no run and is not checked.  A head whose set or map
+    are all in the map has a known value, read as the model reads it (see
+    ``_guard_value``), and the branch it never takes gets nothing: an
+    ``if``'s other branch, a ``while``'s body when the guard is 0 and its
+    ``next`` when it is not.  A site that gets nothing is reached by no run
+    and is not checked.  A head whose set or map
     shrinks sends the pass round its body again, so the head's are a
     fixpoint; both only shrink, so the pass ends.  A site takes its pc, and
     whether it is in a loop, from its enclosing block's entry; ``if`` and
@@ -298,8 +318,8 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
 
     ``x := e`` and an ordinary ``declass`` put x in the set when the pc
     and e are low, and take it out otherwise; under any pc they bind x in
-    the map to e's value (the interpreter's ``eval_nodes``) when all e's
-    variables are in it, and unbind it otherwise.  ``input(x, c)`` needs
+    the map to e's value (``eval_nodes`` at bits) when all e's variables
+    are in it, and unbind it otherwise.  ``input(x, c)`` needs
     the pc low when c is observable and then puts x in the set; from any
     other channel it takes x out; it always unbinds x.  ``output(e, c)``
     needs c unobservable, or the pc and e low.  A real ``x := declass(e)``
@@ -315,11 +335,12 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     streams, that both halt and that meet the model's downgrade premise.
     A variable in a site's map holds its value in every run that reaches
     the site: no run starts with a known value, each binding is the value
-    of an expression over known values, evaluated as the interpreter
-    does, and a meet keeps only what every incoming path agrees on.  So a
-    guard with a known value sends both runs the same way, and a site that
-    gets nothing, the end included, is reached by neither: when no run
-    reaches the end, no run halts and the model never reaches error.
+    of an expression over known values, evaluated as the model does at the
+    target's width, bits, and a meet keeps only what every incoming path
+    agrees on.  So a guard with a known value, read at the width the model
+    gives it, sends both runs the same way, and a site that gets nothing,
+    the end included, is reached by neither: when no run reaches the end,
+    no run halts and the model never reaches error.
     Both runs execute the same low-pc sites in the same order.  A high-pc
     region, an ``if`` or a ``while`` whose guard may differ, puts no name
     in the set, touches no observable channel and takes out every variable
@@ -377,9 +398,13 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
         eq, known = entry[i]
         e = site_expr(cmd)
         if e is not None:
-            used = expr_vars(e)
+            nodes = postfix(e)
+            used = {node.name for node in nodes if type(node) is Var}
             is_low = used <= eq or used - eq <= known.keys()
-            value = eval_nodes(postfix(e), known, bits) if used <= known.keys() else None
+            value = None
+            if used <= known.keys():
+                guard = type(cmd) is If or type(cmd) is While
+                value = _guard_value(nodes, known, bits) if guard else eval_nodes(nodes, known, bits)
         match cmd:
             case If(_, _, _, else_branch):
                 inner[i] = (pc and is_low, looped)

@@ -7,7 +7,8 @@ RuleSpec: a guard over the current valuation and next-state updates
 procedures, so no model needs a stack.  The class keeps the name SPDS
 because the benchmark reads model.spds and patches spds.RelationAlgebra.
 Expressions are the source language's own (syntax.Expr): a Var reads a
-global of any name and a CellRef reads a channel cell.  Width inference and
+global of any name and a CellRef reads a channel cell.  Width inference
+(``syntax.node_widths``, which the typing check's guards share) and
 compilation are loops over ``syntax.postfix``, so no depth costs recursion.
 
 Globals not mentioned keep their value; that frame condition is part of
@@ -61,7 +62,18 @@ from .bdd import (
     bv_nonzero,
     bv_sub,
 )
-from .syntax import COMPARISONS, BinOp, CellRef, Expr, Num, Var, format_expr, postfix, subst_vars
+from .syntax import (
+    COMPARISONS,
+    BinOp,
+    CellRef,
+    Expr,
+    Num,
+    Var,
+    format_expr,
+    node_widths,
+    postfix,
+    subst_vars,
+)
 
 
 class HavocType:
@@ -192,6 +204,12 @@ class GlobalsDecl:
     def as_dict(self, valuation: tuple[int, ...]) -> dict[str, int]:
         return {name: valuation[i] for i, (name, _) in enumerate(self.cells)}
 
+    def leaf_width(self, node: Expr) -> Optional[int]:
+        """An expression leaf's own width: its cell's, None for a constant or an empty cell read."""
+        if type(node) is Var:
+            return self.width_of(node.name)
+        return self.width_of(node.cells[0]) if type(node) is CellRef and node.cells else None
+
 
 class SPDS(NamedTuple):
     globals: GlobalsDecl
@@ -222,38 +240,6 @@ def dump_spds(spds: SPDS) -> str:
     ]
     lines.extend(format_rule(rule) for rule in spds.rules)
     return "\n".join(lines)
-
-
-def _operand_widths(nodes: list[Expr], g: GlobalsDecl) -> tuple[list[Optional[int]], Optional[int]]:
-    """Per node of a postfix list, from the leaves, a leaf's width or the one a BinOp's operands
-    share; and the root's own width.  None is a width left to the context, as a constant's, an
-    empty cell read's or a comparison's.  Operands of two widths raise ValueError."""
-    shared: list[Optional[int]] = []
-    stack: list[Optional[int]] = []  # each operand's own width
-    for node in nodes:
-        kind = type(node)
-        if kind is BinOp:
-            b, a = stack.pop(), stack.pop()
-            if a is not None and b is not None and a != b:
-                raise ValueError(f"width mismatch in {format_expr(node)}: {a} vs {b}")
-            width = a if a is not None else b
-        elif kind is Num or (kind is CellRef and not node.cells):
-            width = None
-        else:
-            width = g.width_of(node.name if kind is Var else node.cells[0])
-        shared.append(width)
-        stack.append(None if kind is BinOp and node.op in COMPARISONS else width)
-    return shared, stack[0]
-
-
-def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
-    """The width ``e`` has of its own, None if it adapts to its context."""
-    return _operand_widths(postfix(e), globals_decl)[1]
-
-
-def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
-    width = infer_width(e, globals_decl)
-    return width if width is not None else 1
 
 
 class _WrittenSteps(NamedTuple):
@@ -300,19 +286,12 @@ class RelationAlgebra:
     def set_from_valuation(self, val: tuple[int, ...]) -> int:
         return self.set_from_fixed(self.g.as_dict(val))
 
-    def compile_value(self, e: Expr, width: int) -> list[int]:
-        """``e`` at ``width``, in three loops over its postfix list: the widths operands share,
-        from the leaves; each node's width, from the root, an arithmetic node's operands taking
-        its own and a comparison's the one they share, else its own; and the vectors."""
+    def compile_value(self, e: Expr, width: Optional[int]) -> list[int]:
+        """``e`` at ``width``, or as a guard when it is None, in one loop over its postfix
+        list with each node's width (``syntax.node_widths``)."""
         mgr = self.mgr
         nodes = postfix(e)
-        shared = _operand_widths(nodes, self.g)[0]
-        widths, pending = [0] * len(nodes), [width]  # pending: operands' widths, from the root
-        for i in reversed(range(len(nodes))):
-            widths[i] = w = pending.pop()
-            if type(nodes[i]) is BinOp:
-                common = shared[i] if nodes[i].op in COMPARISONS else None
-                pending += [w if common is None else common] * 2
+        widths = node_widths(nodes, self.g.leaf_width, width)
         stack: list[list[int]] = []
         for node, w in zip(nodes, widths):
             kind = type(node)
@@ -346,8 +325,7 @@ class RelationAlgebra:
     def compile_guard(self, e: Optional[Expr]) -> int:
         if e is None:
             return self.mgr.TRUE
-        width = guard_width(e, self.g)
-        return bv_nonzero(self.mgr, self.compile_value(e, width))
+        return bv_nonzero(self.mgr, self.compile_value(e, None))
 
     # Rule relations: current levels x the written cells' next levels.
 

@@ -19,8 +19,10 @@ so the depth of a command built in code costs no recursion.
 Likewise ``postfix`` is the one walk of an expression: every expression
 pass loops over it with a stack, so no expression's depth costs recursion.
 ``PRECEDENCE`` and ``COMPARISONS`` state the operators once, and
-``eval_nodes`` is the one evaluation of an expression, the interpreter's
-and the typing check's.
+``eval_nodes`` is the interpreter's evaluation of an expression and the
+typing check's of an assignment.  ``node_widths`` states once the widths
+the model reads an expression at, for the model compiler and the typing
+check's guards.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 # The parser's identifier token, which build_model asks of every name: each
 # model cell name holds a bracket or a parenthesis, so none can alias one.
@@ -84,8 +86,49 @@ def postfix(e: Expr) -> list[Expr]:
     return out[::-1]
 
 
+def operand_widths(
+    nodes: list[Expr], leaf_width: Callable[[Expr], Optional[int]]
+) -> tuple[list[Optional[int]], Optional[int]]:
+    """Per node of a postfix list, from the leaves, a leaf's width (``leaf_width``) or the one a
+    BinOp's operands share; and the root's own width.  None is a width left to the context, as a
+    constant's or a comparison's.  Operands of two widths raise ValueError."""
+    shared: list[Optional[int]] = []
+    stack: list[Optional[int]] = []  # each operand's own width
+    for node in nodes:
+        if type(node) is BinOp:
+            b, a = stack.pop(), stack.pop()
+            if a is not None and b is not None and a != b:
+                raise ValueError(f"width mismatch in {format_expr(node)}: {a} vs {b}")
+            width = a if a is not None else b
+            stack.append(None if node.op in COMPARISONS else width)
+        else:
+            width = leaf_width(node)
+            stack.append(width)
+        shared.append(width)
+    return shared, stack[0]
+
+
+def node_widths(
+    nodes: list[Expr], leaf_width: Callable[[Expr], Optional[int]], width: Optional[int] = None
+) -> list[int]:
+    """Each node's width in a postfix list read at ``width``, from the root: an arithmetic
+    node's operands take its own width, and a comparison's the one they share, else its own.
+    With ``width`` None the list is read as a guard: at its own width, or 1 if it has none,
+    so a guard with no variable outside every comparison is read at width 1."""
+    shared, own = operand_widths(nodes, leaf_width)
+    if width is None:
+        width = 1 if own is None else own
+    widths, pending = [0] * len(nodes), [width]  # pending: operands' widths, from the root
+    for i in reversed(range(len(nodes))):
+        widths[i] = w = pending.pop()
+        if type(nodes[i]) is BinOp:
+            common = shared[i] if nodes[i].op in COMPARISONS else None
+            pending += [w if common is None else common] * 2
+    return widths
+
+
 # Each operator as a Python function; eval_nodes wraps its result.
-_APPLY = {
+APPLY = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
 }
@@ -100,7 +143,7 @@ def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
         kind = type(node)
         if kind is BinOp:
             b = stack.pop()
-            stack[-1] = _APPLY[node.op](stack[-1], b) & mask
+            stack[-1] = APPLY[node.op](stack[-1], b) & mask
         elif kind is Var:
             stack.append(store[node.name])
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import ComposedModel
@@ -21,10 +21,28 @@ from wherecheck.spds import (
     GlobalsDecl,
     RuleSpec,
     SPDS,
-    guard_width,
-    infer_width,
 )
-from wherecheck.syntax import COMPARISONS, BinOp, CellRef, Expr, Num, Var
+from wherecheck.syntax import (
+    COMPARISONS,
+    BinOp,
+    CellRef,
+    Expr,
+    Num,
+    Var,
+    node_widths,
+    operand_widths,
+    postfix,
+)
+
+
+def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
+    """The width ``e`` has of its own, None if it adapts to its context."""
+    return operand_widths(postfix(e), globals_decl.leaf_width)[1]
+
+
+def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
+    """The width the model reads a guard at (``spds.RelationAlgebra.compile_guard``)."""
+    return node_widths(postfix(e), globals_decl.leaf_width)[-1]
 
 
 def index_of(globals_decl: GlobalsDecl, name: str) -> int:

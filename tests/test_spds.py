@@ -20,7 +20,6 @@ from wherecheck.spds import (
     SPDS,
     dump_spds,
     format_rule,
-    infer_width,
 )
 from wherecheck.syntax import BinOp, CellRef, Num, Var, format_expr, subst_vars
 from explicit import (
@@ -29,6 +28,7 @@ from explicit import (
     eval_gexpr,
     eval_guard,
     index_of,
+    infer_width,
     initial_valuations,
     spec_successors,
     successors,

@@ -15,6 +15,7 @@ every level that its form without constants (``reference.equal_set_typable``)
 types.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,9 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, gather_downgrades, parse_policy, typable
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import is_error_reachable, post_star
+from wherecheck.spds import GlobalsDecl
+from wherecheck.syntax import PRECEDENCE, BinOp, Expr, Num, Var, format_expr
+from explicit import eval_gexpr, guard_width
 from reference import equal_set_typable, vsi_typable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +105,14 @@ CONSTANTS = [
         TWO + "var k : H\nchannel hi : H input length 1\n",
         "",
     ),
+    # the model reads a guard with no variable at width 1, so 2 and 1 < 2 are 0,
+    # and a guard whose variables all sit inside comparisons is not folded
+    ("if 1 then skip else l := h fi", TWO, TYPABLE),
+    ("if 2 then skip else l := h fi", TWO, ""),
+    ("while 0 < 1 do skip od; l := h", TWO, TYPABLE),
+    ("while 1 < 2 do skip od; l := h", TWO, ""),
+    ("k := 3; if k + 2 then skip else l := h fi", TWO + "var k : L\n", TYPABLE),
+    ("k := 3; if (k < 2) + 2 then skip else l := h fi", TWO + "var k : L\n", ""),
 ]
 RULES += [(text, pol, "L", reason) for text, pol, reason in CONSTANTS]
 
@@ -116,6 +128,29 @@ def test_each_rule_accepts_and_rejects(text, pol, level, reason):
 @pytest.mark.parametrize("bits, reason", [(1, TYPABLE), (2, "")])
 def test_a_constant_guard_wraps_at_the_width(bits, reason):
     assert typable(*load(*WRAP), "L", bits) == reason
+
+
+def _random_guard(rng: random.Random, depth: int) -> Expr:
+    if depth == 0 or rng.random() < 0.3:
+        return Var("k") if rng.random() < 0.4 else Num(rng.randrange(4))
+    op = rng.choice(sorted(PRECEDENCE))
+    return BinOp(op, _random_guard(rng, depth - 1), _random_guard(rng, depth - 1))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_a_known_guard_goes_the_way_the_model_reads_it(bits):
+    """With k a constant, ``if g then skip else l := h fi`` types exactly when the
+    model's guard reading (explicit.eval_gexpr at spds.guard_width) is nonzero:
+    a guard with no variable outside every comparison reads at width 1."""
+    rng = random.Random(bits)
+    g = GlobalsDecl((("k", bits), ("l", bits), ("h", bits)))
+    pol = TWO + "var k : L\n"
+    for _ in range(200):
+        guard = _random_guard(rng, 3)
+        for k in range(1 << bits):
+            text = f"k := {k}; if {format_expr(guard)} then skip else l := h fi"
+            taken = eval_gexpr(guard, g, (k, 0, 0), guard_width(guard, g)) != 0
+            assert typable(*load(text, pol), "L", bits) == (TYPABLE if taken else ""), text
 
 
 # ROADMAP item 2's first hand-written loop case.  Under the model's reading

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from explicit import all_valuations, eval_gexpr
+from explicit import all_valuations, eval_gexpr, infer_width
 from test_parser import _exprs
 from wherecheck.parser import parse_program
-from wherecheck.spds import GlobalsDecl, RelationAlgebra, infer_width
+from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import (
     PRECEDENCE,
     BinOp,
