@@ -288,7 +288,13 @@ def bv_mul(mgr: BDD, a: list[int], b: list[int]) -> list[int]:
 
 
 def bv_eq(mgr: BDD, a: list[int], b: list[int]) -> int:
-    return mgr.diff(mgr.TRUE, bv_ne(mgr, a, b))
+    # Per-bit XNORs conjoined from the least significant bit up, so no disjunction
+    # is built only to be negated.  Each XNOR is a's bit negated XOR b's: a rule's
+    # a is its next-state bits, and a variable's negation is one node.
+    out = mgr.TRUE
+    for x, y in zip(reversed(a), reversed(b)):
+        out = mgr.conj(mgr.xor(mgr.diff(mgr.TRUE, x), y), out)
+    return out
 
 
 def bv_ne(mgr: BDD, a: list[int], b: list[int]) -> int:

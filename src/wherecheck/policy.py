@@ -16,8 +16,9 @@ direction and an optional declared input length.
 
 ``typable`` is a flow-sensitive security type check of one observer level:
 a variable is low at a site when it is equal in both runs there, or holds
-the same constant in every run that reaches the site, and a level it
-accepts is where-secure, so the search need not run there.
+the same constant in every run that reaches the site; an operator whose two
+operands are the same expression has a fixed value; and a level it accepts
+is where-secure, so the search need not run there.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .syntax import (
     Expr,
     If,
     Input,
+    Num,
     Output,
     Program,
     Var,
@@ -274,14 +276,54 @@ def _bind(known: dict[str, int], name: str, value: Optional[int]) -> dict[str, i
     return known
 
 
-def _guard_value(nodes: list[Expr], known: dict[str, int], bits: int) -> int:
-    """A guard's value from its ``postfix`` list and its variables' known
-    values, read as the model reads it: each node at ``syntax.node_widths``,
-    every variable at bits.  So a guard with no variable outside every
-    comparison is read at width 1, and ``if 2`` takes the else branch."""
+# An operator whose two operands are the same expression has a fixed value.
+_EQUAL_OPERANDS = {"-": 0, "!=": 0, "<": 0, "==": 1, "<=": 1}
+
+
+def _same_span(nodes: list[Expr], a: int, b: int, n: int) -> bool:
+    """Whether the ``n`` nodes from ``a`` and from ``b`` of a postfix list are the same,
+    node by node: an operator by its symbol and a leaf by its fields, so no tree is
+    compared or hashed."""
+    for x, y in zip(nodes[a:a + n], nodes[b:b + n]):
+        kind = type(x)
+        if kind is not type(y) or (x.op != y.op if kind is BinOp else x != y):
+            return False
+    return True
+
+
+def _fold(nodes: list[Expr]) -> tuple[list[Expr], list[int]]:
+    """A postfix list with each operator whose two operands are the same expression
+    folded in place, its span replaced by its value as a Num; and each kept node's
+    position in ``nodes``, where the model's widths are read (a Num has none of its own)."""
+    out: list[Expr] = []
+    at: list[int] = []
+    starts: list[tuple[int, int]] = []  # per operand: its first position in nodes and in out
+    for i, node in enumerate(nodes):
+        if type(node) is not BinOp:
+            starts.append((i, len(out)))
+        else:
+            (right, _), (left, first) = starts.pop(), starts[-1]
+            n = i - right
+            if node.op in _EQUAL_OPERANDS and right - left == n and _same_span(nodes, left, right, n):
+                del out[first:], at[first:]
+                node = Num(_EQUAL_OPERANDS[node.op])
+        out.append(node)
+        at.append(i)
+    return out, at
+
+
+def _guard_value(
+    nodes: list[Expr], folded: list[Expr], at: list[int], known: dict[str, int], bits: int
+) -> int:
+    """A guard's value from its ``postfix`` list folded by ``_fold`` and its variables'
+    known values, read as the model reads it: each node at the width ``syntax.node_widths``
+    gives its position in the unfolded list, every variable at bits.  So a guard with no
+    variable outside every comparison is read at width 1, and ``if 2`` takes the else
+    branch, while ``(h - h) + 2`` is read at bits."""
+    widths = node_widths(nodes, lambda leaf: bits if type(leaf) is Var else None)
     values: list[int] = []
-    for node, width in zip(nodes, node_widths(nodes, lambda leaf: bits if type(leaf) is Var else None)):
-        mask = (1 << width) - 1
+    for node, i in zip(folded, at):
+        mask = (1 << widths[i]) - 1
         if type(node) is BinOp:
             right = values.pop()
             values[-1] = APPLY[node.op](values[-1], right) & mask
@@ -298,15 +340,21 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     it, and the map of the variables that hold the same value, mod
     2**bits, in every run that reaches it (a conditional constant
     propagation in the style of Wegman and Zadeck).  A variable is low at a
-    site when it is in the set or in the map (an expression when all its
-    variables are).  At the start the set holds the observable variables
-    and the map is empty.  One forward pass over ``Program.flow`` computes
-    both: a site hands them on to its ``next``, an ``if`` to the first site
-    of each branch, a ``while`` to the first site of its body and to its
-    ``next``, and a site that gets several keeps the intersection of the
-    sets and the entries on which the maps agree, as where an ``if`` ends
-    or a loop body's end meets its ``while`` head.  A guard whose variables
-    are all in the map has a known value, read as the model reads it (see
+    site when it is in the set or in the map.  An operator whose two
+    operands are the same expression, compared node by node (see
+    ``_fold``), has a fixed value: ``-``, ``!=`` and ``<`` give 0, and
+    ``==`` and ``<=`` give 1.  It is folded in place, each other node kept
+    at the width the model reads it at, and its operands' variables are not
+    read; an expression is low when all the variables it still reads are,
+    so one with a known value is low.  At the start the set holds the
+    observable variables and the map is empty.  One forward pass over
+    ``Program.flow`` computes both: a site hands them on to its ``next``,
+    an ``if`` to the first site of each branch, a ``while`` to the first
+    site of its body and to its ``next``, and a site that gets several
+    keeps the intersection of the sets and the entries on which the maps
+    agree, as where an ``if`` ends or a loop body's end meets its ``while``
+    head.  A guard whose variables (those it still reads) are all in the
+    map has a known value, read as the model reads it (see
     ``_guard_value``), and the branch it never takes gets nothing: an
     ``if``'s other branch, a ``while``'s body when the guard is 0 and its
     ``next`` when it is not.  A site that gets nothing is reached by no run
@@ -318,10 +366,11 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
 
     ``x := e`` and an ordinary ``declass`` put x in the set when the pc
     and e are low, and take it out otherwise; under any pc they bind x in
-    the map to e's value (``eval_nodes`` at bits) when all e's variables
-    are in it, and unbind it otherwise.  ``input(x, c)`` needs
-    the pc low when c is observable and then puts x in the set; from any
-    other channel it takes x out; it always unbinds x.  ``output(e, c)``
+    the map to e's value (``eval_nodes`` at bits) when all the variables
+    e still reads are in it, and unbind it otherwise; ``x := x`` leaves
+    both as they were.  ``input(x, c)`` needs the pc low when c is
+    observable and then puts x in the set; from any other channel it takes
+    x out; it always unbinds x.  ``output(e, c)``
     needs c unobservable, or the pc and e low.  A real ``x := declass(e)``
     (as in delimited release) binds x as an assignment does, and puts x in
     the set under a low pc when e is low or the site is outside every
@@ -341,6 +390,14 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     gives it, sends both runs the same way, and a site that gets nothing,
     the end included, is reached by neither: when no run reaches the end,
     no run halts and the model never reaches error.
+    An operator whose two operands are the same expression reads one value
+    on both sides in any run, since an expression writes nothing and the
+    model gives both operands one width, so it has its fixed value whatever
+    its operands' variables hold, and folding it in place leaves every
+    other node at its width: the expression's value is the model's.
+    An expression with a known value has that value in both runs, so it is
+    equal in both.  ``x := x`` changes neither run's store, so it keeps
+    every name where it was, under any pc.
     Both runs execute the same low-pc sites in the same order.  A high-pc
     region, an ``if`` or a ``while`` whose guard may differ, puts no name
     in the set, touches no observable channel and takes out every variable
@@ -399,12 +456,15 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
         e = site_expr(cmd)
         if e is not None:
             nodes = postfix(e)
-            used = {node.name for node in nodes if type(node) is Var}
+            folded, at = _fold(nodes)
+            used = {node.name for node in folded if type(node) is Var}
             is_low = used <= eq or used - eq <= known.keys()
             value = None
             if used <= known.keys():
-                guard = type(cmd) is If or type(cmd) is While
-                value = _guard_value(nodes, known, bits) if guard else eval_nodes(nodes, known, bits)
+                if type(cmd) is If or type(cmd) is While:
+                    value = _guard_value(nodes, folded, at, known, bits)
+                else:
+                    value = eval_nodes(folded, known, bits)
         match cmd:
             case If(_, _, _, else_branch):
                 inner[i] = (pc and is_low, looped)
@@ -428,6 +488,8 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
                 if pc and not looped and type(e) is Var:
                     eq = eq | {e.name}
                 known = _bind(known, target, value)
+            case Assign(_, target, Var(name)) | DeclassAssign(_, target, Var(name)) if name == target:
+                pass  # x := x changes no store
             case Assign(_, target, _) | DeclassAssign(_, target, _):
                 eq = eq | {target} if pc and is_low else eq - {target}
                 known = _bind(known, target, value)

@@ -316,11 +316,10 @@ class RelationAlgebra:
         return bv_from_levels(self.mgr, self.g.cur_levels(name))
 
     def _hits(self, index: str, cells: int) -> list[int]:
-        """index == k for each cell k that the index can reach."""
-        idx = bv_from_levels(self.mgr, self.g.cur_levels(index))
+        """index == k, a cube, for each cell k that the index can reach."""
         # an index never reaches a cell past the largest value it holds
-        held = range(min(cells, 1 << len(idx)))
-        return [bv_eq(self.mgr, idx, bv_const(self.mgr, k, len(idx))) for k in held]
+        held = range(min(cells, 1 << self.g.width_of(index)))
+        return [self.set_from_fixed({index: k}) for k in held]
 
     def compile_guard(self, e: Optional[Expr]) -> int:
         if e is None:
@@ -329,10 +328,9 @@ class RelationAlgebra:
 
     # Rule relations: current levels x the written cells' next levels.
 
-    def _assigns(self, name: str, e: Expr) -> int:
-        """nxt(name) == e, e read over the current levels."""
-        nxt = bv_from_levels(self.mgr, self.g.nxt_levels(name))
-        return bv_eq(self.mgr, nxt, self.compile_value(e, self.g.width_of(name)))
+    def _assigns(self, name: str, value: list[int]) -> int:
+        """nxt(name) == value, a value compiled over the current levels."""
+        return bv_eq(self.mgr, bv_from_levels(self.mgr, self.g.nxt_levels(name)), value)
 
     def compile_spec(self, spec: RuleSpec) -> tuple[Piece, ...]:
         """The spec's pieces, whose union is its relation; FALSE pieces are left out.
@@ -344,11 +342,14 @@ class RelationAlgebra:
         base = self.compile_guard(spec.guard)
         for name, e in spec.updates:
             if e is not HAVOC:
-                base = mgr.conj(base, self._assigns(name, e))
+                value = self.compile_value(e, self.g.width_of(name))
+                base = mgr.conj(base, self._assigns(name, value))
         pieces = [(base, frozenset(name for name, _ in spec.updates))]
         for w in spec.writes:
             hits = self._hits(w.index, len(w.cells))
-            cases = [(hit, self._assigns(c, w.expr), frozenset({c})) for c, hit in zip(w.cells, hits)]
+            # a channel's cells share one width, so its value is compiled once
+            value = self.compile_value(w.expr, self.g.width_of(w.cells[0])) if w.cells else []
+            cases = [(hit, self._assigns(c, value), frozenset({c})) for c, hit in zip(w.cells, hits)]
             cases.append((mgr.diff(mgr.TRUE, mgr.disj_all(hits)), mgr.TRUE, frozenset()))
             pieces = [
                 (mgr.conj(mgr.conj(rel, hit), assigns), written | cells)

@@ -202,9 +202,9 @@ def test_trace_flag_prints_reference_run(capsys):
     assert "outcome: halted" in out
 
 
-# Secure at L only by algebra: h - h is 0, which the typing check does not
-# know, so level L is searched.
-ALGEBRA = "x := h - h;\nl := l + x\n"
+# Secure at L only by algebra: (h + 1) - (1 + h) is 0, which the typing
+# check does not know (its operands differ), so level L is searched.
+ALGEBRA = "x := (h + 1) - (1 + h);\nl := l + x\n"
 ALGEBRA_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar x : L\n"
 
 
@@ -638,23 +638,24 @@ def test_bench_table_api():
 
 def test_bench_reads_a_backend_out_of_budget_as_inconclusive():
     # at this budget tr cannot decide B1, which storematch finds insecure
-    table = bench(IOBENCH, bits=2, capacity=8, node_budget=1000)
+    table = bench(IOBENCH, bits=2, capacity=8, node_budget=900)
     assert len(table.rows) == 8
     assert {row.name: row.verdict for row in table.rows}["B1"] == "inconclusive"
 
 
 def test_bench_step_ratio_reads_only_conclusive_rows(tmp_path, capsys, monkeypatch):
-    # iobench with B7's constant l := 0 made l := h - h, which is secure and
-    # does not type.  At this budget B1, B4 and B7 are inconclusive with tr's
-    # steps cut short; the five conclusive rows search no level in either backend.
+    # iobench with B7's constant l := 0 made l := (h + 1) - (1 + h), which is
+    # secure and does not type.  At this budget B1, B4 and B7 are inconclusive
+    # with tr's steps cut short; the five conclusive rows search no level in
+    # either backend.
     shutil.copytree(IOBENCH, tmp_path, dirs_exist_ok=True)
     b7 = tmp_path / "B7"
-    b7.write_text(b7.read_text().replace("l := 0;", "l := h - h;", 1))
+    b7.write_text(b7.read_text().replace("l := 0;", "l := (h + 1) - (1 + h);", 1))
     assert bench(tmp_path, bits=2, capacity=8).step_ratio == pytest.approx(0.92)
-    table = bench(tmp_path, bits=2, capacity=8, node_budget=1000)
+    table = bench(tmp_path, bits=2, capacity=8, node_budget=900)
     assert [row.name for row in table.rows if row.verdict == "inconclusive"] == ["B1", "B4", "B7"]
     assert table.step_ratio is None
-    monkeypatch.setenv(cli.BUDGET_ENV, "1000")
+    monkeypatch.setenv(cli.BUDGET_ENV, "900")
     code, out, _ = run(capsys, ["bench", str(tmp_path), "--bits", "2"])
     assert code == EXIT_SECURE
     assert "BENCH aggregate programs=8 step_ratio=-" in out.splitlines()
@@ -664,7 +665,7 @@ def test_an_inconclusive_level_keeps_its_composed_model_size():
     # tr's model of B1 at level L is built; the budget fires in its search.
     args = (IOBENCH / "B1", IOBENCH / "B1.policy")
     full = analyze(*args, bits=2, capacity=8, mode="tr").levels[-1]
-    cut = analyze(*args, bits=2, capacity=8, mode="tr", node_budget=1000).levels[-1]
+    cut = analyze(*args, bits=2, capacity=8, mode="tr", node_budget=900).levels[-1]
     assert (cut.level, cut.verdict, full.verdict) == ("L", "inconclusive", "insecure")
     assert cut.composed_rules == full.composed_rules > 0
     assert cut.global_bits == full.global_bits > 0

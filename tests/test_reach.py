@@ -540,9 +540,9 @@ def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode
 @pytest.mark.parametrize(
     "text, pol",
     [
-        ("h := h + 1;\nl := h - h\n", "lattice: L < H\nvar l : L\nvar h : H\n"),
+        ("h := h + 1;\nl := (h + 1) - (1 + h)\n", "lattice: L < H\nvar l : L\nvar h : H\n"),
         (
-            "input(l, hi);\nl := l - l\n",
+            "input(l, hi);\nl := (l + 1) - (1 + l)\n",
             "lattice: L < H\nvar l : L\nchannel hi : H input length 1\n",
         ),
     ],
