@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .syntax import (
-    APPLY,
     Assign,
     BinOp,
     DeclassAssign,
@@ -41,7 +40,6 @@ from .syntax import (
     eval_nodes,
     expr_vars,
     first_site,
-    node_widths,
     postfix,
     site_expr,
 )
@@ -291,12 +289,10 @@ def _same_span(nodes: list[Expr], a: int, b: int, n: int) -> bool:
     return True
 
 
-def _fold(nodes: list[Expr]) -> tuple[list[Expr], list[int]]:
+def _fold(nodes: list[Expr]) -> list[Expr]:
     """A postfix list with each operator whose two operands are the same expression
-    folded in place, its span replaced by its value as a Num; and each kept node's
-    position in ``nodes``, where the model's widths are read (a Num has none of its own)."""
+    folded in place, its span replaced by its value as a Num."""
     out: list[Expr] = []
-    at: list[int] = []
     starts: list[tuple[int, int]] = []  # per operand: its first position in nodes and in out
     for i, node in enumerate(nodes):
         if type(node) is not BinOp:
@@ -305,31 +301,10 @@ def _fold(nodes: list[Expr]) -> tuple[list[Expr], list[int]]:
             (right, _), (left, first) = starts.pop(), starts[-1]
             n = i - right
             if node.op in _EQUAL_OPERANDS and right - left == n and _same_span(nodes, left, right, n):
-                del out[first:], at[first:]
+                del out[first:]
                 node = Num(_EQUAL_OPERANDS[node.op])
         out.append(node)
-        at.append(i)
-    return out, at
-
-
-def _guard_value(
-    nodes: list[Expr], folded: list[Expr], at: list[int], known: dict[str, int], bits: int
-) -> int:
-    """A guard's value from its ``postfix`` list folded by ``_fold`` and its variables'
-    known values, read as the model reads it: each node at the width ``syntax.node_widths``
-    gives its position in the unfolded list, every variable at bits.  So a guard with no
-    variable outside every comparison is read at width 1, and ``if 2`` takes the else
-    branch, while ``(h - h) + 2`` is read at bits."""
-    widths = node_widths(nodes, lambda leaf: bits if type(leaf) is Var else None)
-    values: list[int] = []
-    for node, i in zip(folded, at):
-        mask = (1 << widths[i]) - 1
-        if type(node) is BinOp:
-            right = values.pop()
-            values[-1] = APPLY[node.op](values[-1], right) & mask
-        else:
-            values.append(known[node.name] if type(node) is Var else node.value & mask)
-    return values[0]
+    return out
 
 
 def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
@@ -343,26 +318,25 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     site when it is in the set or in the map.  An operator whose two
     operands are the same expression, compared node by node (see
     ``_fold``), has a fixed value: ``-``, ``!=`` and ``<`` give 0, and
-    ``==`` and ``<=`` give 1.  It is folded in place, each other node kept
-    at the width the model reads it at, and its operands' variables are not
-    read; an expression is low when all the variables it still reads are,
-    so one with a known value is low.  At the start the set holds the
-    observable variables and the map is empty.  One forward pass over
-    ``Program.flow`` computes both: a site hands them on to its ``next``,
-    an ``if`` to the first site of each branch, a ``while`` to the first
-    site of its body and to its ``next``, and a site that gets several
-    keeps the intersection of the sets and the entries on which the maps
-    agree, as where an ``if`` ends or a loop body's end meets its ``while``
-    head.  A guard whose variables (those it still reads) are all in the
-    map has a known value, read as the model reads it (see
-    ``_guard_value``), and the branch it never takes gets nothing: an
-    ``if``'s other branch, a ``while``'s body when the guard is 0 and its
-    ``next`` when it is not.  A site that gets nothing is reached by no run
-    and is not checked.  A head whose set or map
-    shrinks sends the pass round its body again, so the head's are a
-    fixpoint; both only shrink, so the pass ends.  A site takes its pc, and
-    whether it is in a loop, from its enclosing block's entry; ``if`` and
-    ``while`` raise the pc by their guard.
+    ``==`` and ``<=`` give 1.  It is folded in place, and its operands'
+    variables are not read; an expression is low when all the variables it
+    still reads are, so one with a known value is low.  At the start the
+    set holds the observable variables and the map is empty.  One forward
+    pass over ``Program.flow`` computes both: a site hands them on to its
+    ``next``, an ``if`` to the first site of each branch, a ``while`` to
+    the first site of its body and to its ``next``, and a site that gets
+    several keeps the intersection of the sets and the entries on which
+    the maps agree, as where an ``if`` ends or a loop body's end meets its
+    ``while`` head.  A guard whose variables (those it still reads) are
+    all in the map has a known value (``eval_nodes`` at bits, as for an
+    assignment), and the branch it never takes gets nothing: an ``if``'s
+    other branch, a ``while``'s body when the guard is 0 and its ``next``
+    when it is not.  A site that gets nothing is reached by no run and is
+    not checked.  A head whose set or map shrinks sends the pass round its
+    body again, so the head's are a fixpoint; both only shrink, so the
+    pass ends.  A site takes its pc, and whether it is in a loop, from its
+    enclosing block's entry; ``if`` and ``while`` raise the pc by their
+    guard.
 
     ``x := e`` and an ordinary ``declass`` put x in the set when the pc
     and e are low, and take it out otherwise; under any pc they bind x in
@@ -383,18 +357,17 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
     runs that start observably equal, with the same observable input
     streams, that both halt and that meet the model's downgrade premise.
     A variable in a site's map holds its value in every run that reaches
-    the site: no run starts with a known value, each binding is the value
-    of an expression over known values, evaluated as the model does at the
-    target's width, bits, and a meet keeps only what every incoming path
-    agrees on.  So a guard with a known value, read at the width the model
-    gives it, sends both runs the same way, and a site that gets nothing,
+    the site: every program expression is read at bits, by the model and
+    the interpreter alike, no run starts with a known value, each binding
+    is the value of an expression over known values, and a meet keeps only
+    what every incoming path agrees on.  So a guard with a known value
+    sends both runs the same way, and a site that gets nothing,
     the end included, is reached by neither: when no run reaches the end,
     no run halts and the model never reaches error.
     An operator whose two operands are the same expression reads one value
-    on both sides in any run, since an expression writes nothing and the
-    model gives both operands one width, so it has its fixed value whatever
-    its operands' variables hold, and folding it in place leaves every
-    other node at its width: the expression's value is the model's.
+    on both sides in any run, since an expression writes nothing, so it has
+    its fixed value whatever its operands' variables hold, and folding it in
+    place leaves the expression's value as it was.
     An expression with a known value has that value in both runs, so it is
     equal in both.  ``x := x`` changes neither run's store, so it keeps
     every name where it was, under any pc.
@@ -455,16 +428,10 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
         eq, known = entry[i]
         e = site_expr(cmd)
         if e is not None:
-            nodes = postfix(e)
-            folded, at = _fold(nodes)
+            folded = _fold(postfix(e))
             used = {node.name for node in folded if type(node) is Var}
             is_low = used <= eq or used - eq <= known.keys()
-            value = None
-            if used <= known.keys():
-                if type(cmd) is If or type(cmd) is While:
-                    value = _guard_value(nodes, folded, at, known, bits)
-                else:
-                    value = eval_nodes(folded, known, bits)
+            value = eval_nodes(folded, known, bits) if used <= known.keys() else None
         match cmd:
             case If(_, _, _, else_branch):
                 inner[i] = (pc and is_low, looped)

@@ -8,8 +8,10 @@ procedures, so no model needs a stack.  The class keeps the name SPDS
 because the benchmark reads model.spds and patches spds.RelationAlgebra.
 Expressions are the source language's own (syntax.Expr): a Var reads a
 global of any name and a CellRef reads a channel cell.  Width inference
-(``syntax.node_widths``, which the typing check's guards share) and
-compilation are loops over ``syntax.postfix``, so no depth costs recursion.
+(``syntax.node_widths``) and compilation are loops over ``syntax.postfix``,
+so no depth costs recursion.  A guard with no width of its own is read at
+the width of a program value (``GlobalsDecl.value_width``), as the
+interpreter reads every guard.
 
 Globals not mentioned keep their value; that frame condition is part of
 the spec's meaning, and the tests' explicit evaluator (tests/explicit.py)
@@ -178,6 +180,12 @@ class GlobalsDecl:
     def width_of(self, name: str) -> int:
         return self.cells[self._index[name]][1]
 
+    @cached_property
+    def value_width(self) -> int:
+        """The width of a program value, which every cell but a control cell has (the
+        widest, where a declaration mixes them; 1 if there is none, as no two runs can differ)."""
+        return max((width for name, width in self.cells if name not in self.control), default=1)
+
     def cur_levels(self, name: str) -> tuple[int, ...]:
         return self._levels[name][0]
 
@@ -286,9 +294,9 @@ class RelationAlgebra:
     def set_from_valuation(self, val: tuple[int, ...]) -> int:
         return self.set_from_fixed(self.g.as_dict(val))
 
-    def compile_value(self, e: Expr, width: Optional[int]) -> list[int]:
-        """``e`` at ``width``, or as a guard when it is None, in one loop over its postfix
-        list with each node's width (``syntax.node_widths``)."""
+    def compile_value(self, e: Expr, width: int) -> list[int]:
+        """``e`` at its own width, or at ``width`` when it has none, in one loop over its
+        postfix list with each node's width (``syntax.node_widths``)."""
         mgr = self.mgr
         nodes = postfix(e)
         widths = node_widths(nodes, self.g.leaf_width, width)
@@ -324,12 +332,13 @@ class RelationAlgebra:
     def compile_guard(self, e: Optional[Expr]) -> int:
         if e is None:
             return self.mgr.TRUE
-        return bv_nonzero(self.mgr, self.compile_value(e, None))
+        return bv_nonzero(self.mgr, self.compile_value(e, self.g.value_width))
 
     # Rule relations: current levels x the written cells' next levels.
 
     def _assigns(self, name: str, value: list[int]) -> int:
         """nxt(name) == value, a value compiled over the current levels."""
+        assert len(value) == self.g.width_of(name), f"{name} width mismatch"
         return bv_eq(self.mgr, bv_from_levels(self.mgr, self.g.nxt_levels(name)), value)
 
     def compile_spec(self, spec: RuleSpec) -> tuple[Piece, ...]:

@@ -20,9 +20,8 @@ Likewise ``postfix`` is the one walk of an expression: every expression
 pass loops over it with a stack, so no expression's depth costs recursion.
 ``PRECEDENCE`` and ``COMPARISONS`` state the operators once, and
 ``eval_nodes`` is the interpreter's evaluation of an expression and the
-typing check's of an assignment.  ``node_widths`` states once the widths
-the model reads an expression at, for the model compiler and the typing
-check's guards.
+typing check's.  ``node_widths`` states once the widths the model reads
+an expression at.
 """
 
 from __future__ import annotations
@@ -109,16 +108,13 @@ def operand_widths(
 
 
 def node_widths(
-    nodes: list[Expr], leaf_width: Callable[[Expr], Optional[int]], width: Optional[int] = None
+    nodes: list[Expr], leaf_width: Callable[[Expr], Optional[int]], width: int
 ) -> list[int]:
-    """Each node's width in a postfix list read at ``width``, from the root: an arithmetic
-    node's operands take its own width, and a comparison's the one they share, else its own.
-    With ``width`` None the list is read as a guard: at its own width, or 1 if it has none,
-    so a guard with no variable outside every comparison is read at width 1."""
+    """Each node's width in a postfix list, from the root, which is read at its own width, or
+    at ``width`` when it has none: an arithmetic node's operands take its own width, and a
+    comparison's the one they share, else its own."""
     shared, own = operand_widths(nodes, leaf_width)
-    if width is None:
-        width = 1 if own is None else own
-    widths, pending = [0] * len(nodes), [width]  # pending: operands' widths, from the root
+    widths, pending = [0] * len(nodes), [width if own is None else own]  # pending: operands' widths
     for i in reversed(range(len(nodes))):
         widths[i] = w = pending.pop()
         if type(nodes[i]) is BinOp:
@@ -128,7 +124,7 @@ def node_widths(
 
 
 # Each operator as a Python function; eval_nodes wraps its result.
-APPLY = {
+_APPLY = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "&": operator.and_, "|": operator.or_,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
 }
@@ -143,7 +139,7 @@ def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
         kind = type(node)
         if kind is BinOp:
             b = stack.pop()
-            stack[-1] = APPLY[node.op](stack[-1], b) & mask
+            stack[-1] = _APPLY[node.op](stack[-1], b) & mask
         elif kind is Var:
             stack.append(store[node.name])
         else:

@@ -41,8 +41,9 @@ def infer_width(e: Expr, globals_decl: GlobalsDecl) -> Optional[int]:
 
 
 def guard_width(e: Expr, globals_decl: GlobalsDecl) -> int:
-    """The width the model reads a guard at (``spds.RelationAlgebra.compile_guard``)."""
-    return node_widths(postfix(e), globals_decl.leaf_width)[-1]
+    """The width the model reads a guard at (``spds.RelationAlgebra.compile_guard``): its
+    own, or a program value's when it has none."""
+    return node_widths(postfix(e), globals_decl.leaf_width, globals_decl.value_width)[-1]
 
 
 def index_of(globals_decl: GlobalsDecl, name: str) -> int:

@@ -157,6 +157,29 @@ def test_oracle_flag_on_insecure_program(capsys):
     assert "ORACLE verdict=insecure pairs=258" in out.splitlines()
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "if 2 then skip else l := h fi\n",
+        "while 1 < 2 do skip od; l := h\n",
+        "k := 3; if (k < 2) + 2 then skip else l := h fi\n",
+    ],
+)
+def test_a_guard_with_no_width_of_its_own_is_read_as_the_interpreter_reads_it(
+    tmp_path, capsys, text, mode
+):
+    # At bits 2 each guard is nonzero, so the leak never runs: the model reads
+    # the guard at the width of a program value, as the interpreter does.
+    args = write_pair(tmp_path, text, TWO_LEVEL + "var k : L\n")
+    argv = ["analyze", *args, "--bits", "2", "--witness", "--oracle", "--mode", mode]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_SECURE
+    assert "RESULT level=L verdict=secure" in result_lines(out)
+    assert any(ln.startswith("ORACLE verdict=secure ") for ln in out.splitlines())
+    assert "replay: FAILED" not in out
+
+
 def test_dump_flags_render_models(capsys):
     # level H observes everything and is not searched; its models still print
     _, out, _ = run(

@@ -29,7 +29,6 @@ from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import is_error_reachable, post_star
 from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import PRECEDENCE, BinOp, Expr, Num, Var, eval_nodes, format_expr, postfix
-from explicit import eval_gexpr, guard_width
 from reference import equal_set_typable, vsi_typable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,14 +105,17 @@ CONSTANTS = [
         TWO + "var k : H\nchannel hi : H input length 1\n",
         "",
     ),
-    # the model reads a guard with no variable at width 1, so 2 and 1 < 2 are 0,
-    # and a guard whose variables all sit inside comparisons is not folded
+    # a guard is read at bits, as the interpreter reads it, even one with no
+    # variable outside every comparison: at bits 2, 2 and 1 < 2 are nonzero and 4 is 0
     ("if 1 then skip else l := h fi", TWO, TYPABLE),
-    ("if 2 then skip else l := h fi", TWO, ""),
+    ("if 2 then skip else l := h fi", TWO, TYPABLE),
+    ("if 4 then skip else l := h fi", TWO, ""),
     ("while 0 < 1 do skip od; l := h", TWO, TYPABLE),
-    ("while 1 < 2 do skip od; l := h", TWO, ""),
+    ("while 1 < 2 do skip od; l := h", TWO, TYPABLE),
+    ("while 1 < 1 do skip od; l := h", TWO, ""),
     ("k := 3; if k + 2 then skip else l := h fi", TWO + "var k : L\n", TYPABLE),
-    ("k := 3; if (k < 2) + 2 then skip else l := h fi", TWO + "var k : L\n", ""),
+    ("k := 3; if (k < 2) + 2 then skip else l := h fi", TWO + "var k : L\n", TYPABLE),
+    ("k := 3; if (k < 2) + 4 then skip else l := h fi", TWO + "var k : L\n", ""),
 ]
 RULES += [(text, pol, "L", reason) for text, pol, reason in CONSTANTS]
 
@@ -138,8 +140,7 @@ IDENTITIES = [
     ("if h then l := l else skip fi", TWO, TYPABLE),
     ("if h then l := declass(l) else skip fi", TWO, TYPABLE),
     ("if h then l := l + 1 else skip fi", TWO, ""),
-    # folded in place at the widths the model reads: h - h is 0 at bits, so
-    # (h - h) + 2 reads 2, where 0 + 2, a guard with no variable, would read 0
+    # folded in place: h - h is 0, so (h - h) + 2 reads 2 at bits 2
     ("if (h - h) + 2 then skip else l := h fi", TWO, TYPABLE),
     ("if (h - h) + 2 then l := h else skip fi", TWO, ""),
 ]
@@ -167,18 +168,16 @@ def _random_guard(rng: random.Random, depth: int) -> Expr:
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
-def test_a_known_guard_goes_the_way_the_model_reads_it(bits):
+def test_a_known_guard_goes_the_way_the_interpreter_reads_it(bits):
     """With k a constant, ``if g then skip else l := h fi`` types exactly when the
-    model's guard reading (explicit.eval_gexpr at spds.guard_width) is nonzero:
-    a guard with no variable outside every comparison reads at width 1."""
+    interpreter's reading of g (``eval_nodes`` at bits) is nonzero."""
     rng = random.Random(bits)
-    g = GlobalsDecl((("k", bits), ("l", bits), ("h", bits)))
     pol = TWO + "var k : L\n"
     for _ in range(200):
         guard = _random_guard(rng, 3)
         for k in range(1 << bits):
             text = f"k := {k}; if {format_expr(guard)} then skip else l := h fi"
-            taken = eval_gexpr(guard, g, (k, 0, 0), guard_width(guard, g)) != 0
+            taken = eval_nodes(postfix(guard), {"k": k}, bits) != 0
             assert typable(*load(text, pol), "L", bits) == (TYPABLE if taken else ""), text
 
 
@@ -190,12 +189,17 @@ FOLDED = {"-": 0, "!=": 0, "<": 0, "==": 1, "<=": 1}
 def test_equal_operands_have_the_folded_value_in_the_model_and_the_interpreter(bits):
     """For random e, the model compiles ``e op e`` to the constant the check folds it
     to, as a guard and as a value at bits, and ``eval_nodes`` reads that constant on
-    every store."""
+    every store; and the model reads e itself as a guard as the interpreter does."""
     rng = random.Random(100 + bits)
     alg = RelationAlgebra(GlobalsDecl((("k", bits),)))
     stores = [{"k": k} for k in range(1 << bits)]
     for _ in range(100):
         e = _random_guard(rng, 3)
+        guard, nodes = alg.compile_guard(e), postfix(e)
+        for store in stores:
+            cube = alg.set_from_fixed(store)
+            taken = alg.mgr.conj(guard, cube) == cube
+            assert taken == (eval_nodes(nodes, store, bits) != 0), (format_expr(e), store)
         for op, value in FOLDED.items():
             both = BinOp(op, e, e)
             assert alg.compile_guard(both) == (alg.mgr.TRUE if value else alg.mgr.FALSE), format_expr(both)
