@@ -125,14 +125,17 @@ def test_criterion_4_witness_replay(table3_reports, random_sweep):
                 checked += 1
                 if not (level.witness and level.witness.replay_ok):
                     bad.append(f"{name}:{level.level}")
+    generated = 0
     for seed, _, rep, _ in random_sweep:
         for level in rep.levels:
             if level.verdict == INSECURE:
-                checked += 1
+                generated += 1
                 if not (level.witness and level.witness.replay_ok):
                     bad.append(f"seed{seed}:{level.level}")
-    ok = checked > 0 and not bad
-    report(4, ok, f"{checked} witnesses replayed, failures={bad[:5]}")
+    # The generator regime produces plenty of leaks; a handful would mean
+    # the replay requirement was barely exercised on random programs.
+    ok = generated >= 10 and not bad
+    report(4, ok, f"{checked + generated} witnesses replayed, failures={bad[:5]}")
 
 
 def test_criterion_5_prudent_principles():

@@ -225,6 +225,27 @@ def test_trace_flag_prints_reference_run(capsys):
     assert "outcome: halted" in out
 
 
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS.glob("P?")) + sorted(IOBENCH.glob("B?")), ids=lambda p: p.name
+)
+def test_every_flag_on_every_corpus_program(capsys, path):
+    policy = Path(f"{path}.policy")
+    argv = ["analyze", str(path), "--policy", str(policy), "--witness", "--oracle", "--trace"]
+    code, out, _ = run(capsys, [*argv, "--dump-model", "--dump-composed"])
+    lines = out.splitlines()
+    assert (lines[-1], code) in {
+        ("RESULT overall=secure", EXIT_SECURE),
+        ("RESULT overall=insecure", EXIT_INSECURE),
+    }
+    for level in parse_policy(policy.read_text()).domains:
+        assert f"--- model level={level} ---" in lines
+        assert f"--- composed level={level} ---" in lines
+    assert "--- reference run (all-zero store) ---" in lines
+    [oracle] = [ln for ln in lines if ln.startswith("ORACLE ")]
+    assert not oracle.startswith("ORACLE verdict=inconclusive")
+    assert "replay: FAILED" not in out
+
+
 # Secure at L only by algebra: (h + 1) - (1 + h) is 0, which the typing
 # check does not know (its operands differ), so level L is searched.
 ALGEBRA = "x := (h + 1) - (1 + h);\nl := l + x\n"
@@ -581,6 +602,17 @@ def test_nmin_absent_for_secure_program(capsys):
     assert "bits=4: secure" in out
 
 
+@pytest.mark.parametrize("name", [f"P{i}" for i in range(8)])
+def test_nmin_to_6_bits_over_table3(capsys, name):
+    # find_nmin's None on a secure program would also hide a width that ended
+    # inconclusive; the command line says "absent" only if every width is secure.
+    code, out, _ = run(capsys, ["nmin", *corpus_args(name), "--max-bits", "6"])
+    if name in ("P3", "P4", "P5"):
+        assert (code, out.splitlines()[-1]) == (EXIT_INSECURE, "NMIN bits=1")
+    else:
+        assert (code, out.splitlines()[-1]) == (EXIT_SECURE, "NMIN absent")
+
+
 def test_nmin_unknown_when_every_width_runs_out_of_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "5")
     # secure and untyped at L, so its search runs at every width
@@ -659,11 +691,18 @@ def test_bench_table_api():
     assert 0.0 < table.step_ratio
 
 
-def test_bench_reads_a_backend_out_of_budget_as_inconclusive():
+def test_bench_reads_a_backend_out_of_budget_as_inconclusive(capsys, monkeypatch):
     # at this budget tr cannot decide B1, which storematch finds insecure
     table = bench(IOBENCH, bits=2, capacity=8, node_budget=900)
     assert len(table.rows) == 8
     assert {row.name: row.verdict for row in table.rows}["B1"] == "inconclusive"
+    # through the command line at budget 1000, B4 is the row left undecided:
+    # no disagreement, so exit 0
+    monkeypatch.setenv(cli.BUDGET_ENV, "1000")
+    code, out, _ = run(capsys, ["bench", str(IOBENCH), "--bits", "2"])
+    assert code == EXIT_SECURE
+    undecided = [ln.split()[1] for ln in out.splitlines() if " verdict=inconclusive " in ln]
+    assert undecided == ["program=B4"]
 
 
 def test_bench_step_ratio_reads_only_conclusive_rows(tmp_path, capsys, monkeypatch):

@@ -841,6 +841,18 @@ def test_the_sweep_runs_only_below_the_bound(monkeypatch, check, fuel):
     assert (verdict.status, verdict.pairs_checked, verdict.note, len(started)) == expected
 
 
+@pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
+def test_the_oracle_decides_randprog_seeds(io):
+    # Seeds 0-99 at bits 2 and capacity 4: every run ends within the default
+    # fuel, so neither check is inconclusive.
+    for seed in range(100):
+        gen = randprog.generate(seed, randprog.GenConfig(io=io))
+        program, policy = prog(gen.text, gen.policy_text)
+        for check in (check_where_security, check_noninterference):
+            verdict = check(program, policy, bits=2, capacity=4)
+            assert verdict.status != INCONCLUSIVE, (seed, check.__name__, verdict.note)
+
+
 @pytest.mark.parametrize("fuel", [4, 8])
 def test_the_bound_holds_against_the_reference(fuel):
     program, policy = prog(IF_PROGRAM, IF_POLICY)

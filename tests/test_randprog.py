@@ -94,6 +94,13 @@ def test_declass_substitution_renders():
         assert variant.variables == base.variables
         assert len(list(walk(variant.root))) == len(list(walk(base.root)))
     assert hit > 100
+    # Under each profile, the text and every slot's variant parse.
+    for cfg in (GenConfig(), GenConfig(io=True), declass_free()):
+        for seed in range(100):
+            gen = generate(seed, cfg)
+            parse_program(gen.text)
+            for slot in gen.assign_slots():
+                parse_program(gen.with_declass(slot))
 
 
 def test_generated_programs_are_pinned():
