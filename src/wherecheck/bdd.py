@@ -14,12 +14,13 @@ it quantifies, so it never swaps two kept levels.  Below the deepest level
 a step moves or quantifies, every map is the identity and nothing is
 quantified, so there the product is a plain conjunction: relprod hands
 that tail to apply's conjunction, whose cache every step shares, and the
-result is the same canonical node.
+result is the same canonical node.  restrict sets some levels to fixed
+bits, the cofactor of Bryant (1986); it keeps no result past its call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 LEAF_LEVEL = 1 << 60
 
@@ -229,6 +230,37 @@ class BDD:
             hi = self.relprod(u1, v1, step) if u1 and v1 else 0
             out = self.node(step.out.get(top, top), lo, hi)
         return self._cache_put(key, out)
+
+    def restrict(self, u: int, fixed: Mapping[int, int], free: Container[int]) -> int:
+        """u with each level that fixed maps and free does not hold set to its bit.
+
+        One pass with an explicit stack, so no depth costs recursion: a set
+        level is followed to the child its bit picks and never pushed, and
+        every other node is rebuilt once both its children are.  The results
+        are kept for this call alone and the computed table is not touched.
+        """
+        level, lo, hi = self.level, self.lo, self.hi
+
+        def follow(n: int) -> int:
+            while True:
+                lvl = level[n]
+                bit = fixed.get(lvl)
+                if bit is None or lvl in free:
+                    return n
+                n = hi[n] if bit else lo[n]
+
+        done = {0: 0, 1: 1}
+        root = follow(u)
+        todo: list = [root]
+        while todo:
+            n = todo.pop()
+            if type(n) is tuple:  # both children are done
+                m, a, b = n
+                done[m] = self.node(level[m], done[a], done[b])
+            elif n not in done:
+                a, b = follow(lo[n]), follow(hi[n])
+                todo += ((n, a, b), a, b)
+        return done[root]
 
 
 # Fixed-width vectors: a value is a list of node indices, most significant

@@ -22,33 +22,37 @@ argument against the full search.
 
 Witness extraction walks back over the stored layers: from the least
 valuation at error in the last layer, it takes at every layer the first
-rule into the current symbol, in declaration order, whose pre-image of
-that valuation's cube meets the previous layer, and picks the least
-valuation there.  That gives one shortest path.  Each step costs the
-pre-images of the rules it tries, one conjunction and one pick, so the
-walk is linear in the witness length.  The set picked from is nearly
-always a single cube, read in one walk from its root; when it fixes every
-bit it is already the picked valuation's cube, which the next step takes
-as is.  Any other set takes a greedy walk over paths of the diagram.  A
-pick whose set is not its own cube gets its cube built one node per bit,
-with no recursion.  The mismatch is read from that path: the step that
-first set the store-match MISMATCH cell names the output channel and
-position; failing that, the first observable variable whose two copies
-differ at the end; under tr, the channel checker that entered error.  The
-decoded two-run counterexample is replayed through the reference
-interpreter and the replay verdict is recorded.
+rule into the current symbol, in declaration order, that has a
+predecessor of that valuation in the previous layer, and the least such
+predecessor over the rule's pieces.  That gives one shortest path.  No
+cube and no pre-image is built: a piece's predecessors agree with the
+valuation on every cell the piece leaves alone, so the previous layer and
+the piece's relation are each restricted at the valuation's bits, and the
+least predecessor is read off the conjunction of the two cofactors, a set
+over the written cells' bits (RelationAlgebra.least_predecessor).  Each
+step costs two restrictions and one pick per piece it tries, so the walk
+is linear in the witness length, and it adds no computed-table entry
+where each conjunction is of equal or constant cofactors.  The set picked
+from is nearly always a single cube, read in one walk from its root; any
+other set takes a greedy walk over paths of the diagram.  The mismatch is
+read from that path: the step that first set the store-match MISMATCH
+cell names the output channel and position; failing that, the first
+observable variable whose two copies differ at the end; under tr, the
+channel checker that entered error.  The decoded two-run counterexample
+is replayed through the reference interpreter, both runs in one point
+table, and the replay verdict is recorded.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
 from .policy import typable
-from .semantics import OUTCOME_HALTED, Trace, low_equiv_store, run_program
+from .semantics import OUTCOME_HALTED, Known, Trace, low_equiv_store, run_program
 from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
@@ -87,14 +91,9 @@ class PAutomaton(NamedTuple):
         return len(self.algebra.mgr)
 
 
-def _through(
-    mgr: BDD, step: Callable[[int, int, frozenset[str]], int], pieces: tuple[Piece, ...], s: int
-) -> int:
-    """The union over a rule's pieces of step(relation, s, written).
-
-    With step the algebra's transpose_compose this is the rule's image of
-    s; with its preimage, the rule's pre-image.
-    """
+def _image(alg: RelationAlgebra, pieces: tuple[Piece, ...], s: int) -> int:
+    """A rule's image of s: the union over its pieces."""
+    mgr, step = alg.mgr, alg.transpose_compose
     out = mgr.FALSE
     for rel, written in pieces:
         out = mgr.disj(out, step(rel, s, written))
@@ -133,7 +132,7 @@ def post_star(model: Union[ComposedModel, SPDS], node_budget: Optional[int] = No
             for i in rules_by_lhs.get(sym, ()):
                 target = spds.rules[i].rhs
                 old = reached.get(target, mgr.FALSE)
-                fresh = mgr.diff(_through(mgr, alg.transpose_compose, rels[i], frontier), old)
+                fresh = mgr.diff(_image(alg, rels[i], frontier), old)
                 if fresh == mgr.FALSE:
                     continue
                 reached[target] = mgr.disj(old, fresh)
@@ -191,7 +190,7 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
     """Concretize one shortest error path; first rule in declaration order wins ties."""
     spds, alg, layers = auto.spds, auto.algebra, auto.layers
     sym = spds.error
-    val, here = alg.pick_point(layers[-1][sym])
+    val = alg.pick_point(layers[-1][sym])
     rules_by_rhs = _rules_by(spds, "rhs")
     tail: list[tuple[int, tuple[int, ...], str]] = []
     for k in range(len(layers) - 1, 0, -1):
@@ -200,13 +199,11 @@ def _backward_path(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
             prev = layers[k - 1].get(rule.lhs)
             if prev is None:
                 continue
-            pre = _through(alg.mgr, alg.preimage, auto.rule_relations[i], here)
-            cand = alg.mgr.conj(pre, prev)
-            if cand == alg.mgr.FALSE:
-                continue
-            tail.append((i, val, sym))
-            (val, here), sym = alg.pick_point(cand), rule.lhs
-            break
+            pred = alg.least_predecessor(val, prev, auto.rule_relations[i])
+            if pred is not None:
+                tail.append((i, val, sym))
+                val, sym = pred, rule.lhs
+                break
         else:
             raise RuntimeError("path reconstruction lost the predecessor layer")
     return val, sym, list(reversed(tail))
@@ -306,8 +303,11 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
     """
     skel = model.skeleton
     fuel = max(1024, 8 * len(witness.steps))
-    kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel)
+    known = Known()  # the runs share the program's point table
+    kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel, known=known)
     t1 = run_program(skel.program, skel.policy, store=witness.mu1, inputs=witness.inputs1, **kw)
+    # run 2 must not join run 1: a join would cut short the trace that --witness prints
+    known.configs.clear()
     t2 = run_program(skel.program, skel.policy, store=witness.mu2, inputs=witness.inputs2, **kw)
     runs = (t1, t2)
     if (t1.outcome, t2.outcome) != (OUTCOME_HALTED, OUTCOME_HALTED):

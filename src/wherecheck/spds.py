@@ -39,6 +39,15 @@ every cell of the group wider than j, in declaration order.  A cell and
 its second-run copy therefore sit side by side in every band, which keeps
 the equalities that self-composition builds between them linear in the
 width.
+
+The witness walk builds no pre-image: RelationAlgebra.least_predecessor
+restricts a layer and a relation at a valuation's bits instead, so no
+production path calls RelationAlgebra.preimage, and a traced benchmark
+run's spds.preimage_s reads 0.  preimage stays because the benchmark's
+tracer names it in its HOT list (perfbench/tracer.py), which
+tests/test_tracer_names.py checks resolves, and the tests hold it against
+the explicit evaluator and use it in the pre-image walk of
+tests/reference.py, the walk's reference.
 """
 
 from __future__ import annotations
@@ -201,6 +210,11 @@ class GlobalsDecl:
             for j, lvl in enumerate(self.cur_levels(name))
         )
 
+    @cached_property
+    def slot_levels(self) -> tuple[int, ...]:
+        """The current level of each slot of cur_slots, then the next level of each."""
+        return tuple(lvl + k for k in (0, 1) for lvl, _, _ in self.cur_slots)
+
     def decode(self, ones: set[int]) -> tuple[int, ...]:
         """The valuation that is 1 at the current levels in ones and 0 at every other."""
         out = [0] * len(self.cells)
@@ -290,9 +304,6 @@ class RelationAlgebra:
         for lvl, bit in reversed(bits):
             out = mgr.node(lvl, mgr.FALSE, out) if bit else mgr.node(lvl, out, mgr.FALSE)
         return out
-
-    def set_from_valuation(self, val: tuple[int, ...]) -> int:
-        return self.set_from_fixed(self.g.as_dict(val))
 
     def compile_value(self, e: Expr, width: int) -> list[int]:
         """``e`` at its own width, or at ``width`` when it has none, in one loop over its
@@ -422,34 +433,62 @@ class RelationAlgebra:
             n = hi[path[-1][0]]
         return {level[m]: bit for m, bit in path}
 
-    def pick_point(self, set_cur: int) -> Optional[tuple[tuple[int, ...], int]]:
-        """The set's least valuation and that valuation's cube; None if the set is empty.
+    def least_predecessor(
+        self, v: tuple[int, ...], layer: int, pieces: tuple[Piece, ...]
+    ) -> Optional[tuple[int, ...]]:
+        """The least valuation in layer that one of a rule's pieces takes to v; None if none.
+
+        A piece's predecessors of v agree with v on every cell the piece
+        leaves alone, so neither v's cube nor its pre-image is built: the
+        layer and the relation are each restricted at v's bits (the current
+        levels of the unwritten cells, and the next levels of the written
+        ones), and the two cofactors meet in a set over the written cells'
+        current bits.  Its least element, put into v, is the least valuation
+        of the pre-image of v met with the layer; the least over the pieces
+        is the rule's.
+        """
+        mgr, cells = self.mgr, self.g.cells
+        bits = [1 if v[i] & weight else 0 for _, i, weight in self.g.cur_slots]
+        fixed = dict(zip(self.g.slot_levels, bits + bits))
+        best = None
+        for rel, written in pieces:
+            free = self._bits(written).transpose_compose.drop  # the written cells' current levels
+            rel = mgr.restrict(rel, fixed, free)
+            if rel == mgr.FALSE:
+                continue
+            cand = mgr.conj(rel, mgr.restrict(layer, fixed, free))
+            if cand == mgr.FALSE:
+                continue
+            least = self.pick_point(cand)
+            pred = tuple(least[i] if cells[i][0] in written else x for i, x in enumerate(v))
+            if best is None or pred < best:
+                best = pred
+        return best
+
+    def pick_point(self, set_cur: int) -> Optional[tuple[int, ...]]:
+        """The set's least valuation; None if the set is empty.
 
         Least means cells in declaration order, MSB first.  A set that is a
         single cube is read in one walk from the root: each node on its one
         path to 1 has a FALSE child, the path fixes the cube's bits, and 0
-        at every free bit is the least valuation.  When the path fixes
-        every bit, the set is that valuation's cube.  Any other set takes
-        the greedy walk of _pick_greedy.
+        at every free bit is the least valuation.  Any other set takes the
+        greedy walk of _pick_greedy.
         """
         mgr = self.mgr
         if set_cur == mgr.FALSE:
             return None
         level, lo, hi = mgr.level, mgr.lo, mgr.hi
         ones: set[int] = set()
-        n, fixed = set_cur, 0
+        n = set_cur
         while n != mgr.TRUE:
-            fixed += 1
             if lo[n] == mgr.FALSE:
                 ones.add(level[n])
                 n = hi[n]
             elif hi[n] == mgr.FALSE:
                 n = lo[n]
             else:
-                val = self._pick_greedy(set_cur)
-                return val, self.set_from_valuation(val)
-        val = self.g.decode(ones)
-        return val, set_cur if fixed == len(self.g.cur_slots) else self.set_from_valuation(val)
+                return self._pick_greedy(set_cur)
+        return self.g.decode(ones)
 
     def _pick_greedy(self, set_cur: int) -> tuple[int, ...]:
         """The least valuation in a nonempty set, bit by bit in declaration order.

@@ -11,7 +11,9 @@ Each recursion is bounded by the depth of the small trees the tests draw.
 replaced, and ``equal_set_typable`` is ``policy.typable`` before it knew
 constants; test_typing.py requires ``policy.typable`` to type every level
 either of these types.  ``sorted_levels`` is the sort that
-``GlobalsDecl``'s one-pass bit layout replaced.
+``GlobalsDecl``'s one-pass bit layout replaced.  ``preimage_walk`` is the
+witness walk that ``reach._backward_path`` replaced, which builds each
+valuation's cube (``cube``) and that cube's pre-image.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, Policy
-from wherecheck.spds import GlobalsDecl
+from wherecheck.reach import PAutomaton
+from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import (
     COMPARISONS,
     PRECEDENCE,
@@ -284,3 +287,37 @@ def equal_set_typable(program: Program, policy: Policy, level: str) -> str:
         shrank = meet(None if nxt is None else nxt.site.id, eq)
         i = nxt.site.id if back and shrank else i + 1
     return TYPABLE if start <= equal[None] else ""
+
+
+def cube(alg: RelationAlgebra, val: tuple[int, ...]) -> int:
+    """The set that holds the valuation ``val`` alone."""
+    return alg.set_from_fixed(alg.g.as_dict(val))
+
+
+def preimage_walk(auto: PAutomaton) -> tuple[tuple[int, ...], str, list]:
+    """``reach._backward_path`` as it was before it restricted: at every step
+    it builds the current valuation's cube, that cube's pre-image under each
+    rule into the symbol, in declaration order, and the pre-image's
+    conjunction with the previous layer, and the first rule whose
+    conjunction is not empty gives the least valuation there."""
+    spds, alg, layers = auto.spds, auto.algebra, auto.layers
+    mgr = alg.mgr
+    sym = spds.error
+    val = alg.pick_point(layers[-1][sym])
+    tail: list[tuple[int, tuple[int, ...], str]] = []
+    for k in range(len(layers) - 1, 0, -1):
+        here = cube(alg, val)
+        for i, rule in enumerate(spds.rules):
+            prev = layers[k - 1].get(rule.lhs)
+            if rule.rhs != sym or prev is None:
+                continue
+            pieces = auto.rule_relations[i]
+            pre = mgr.disj_all(alg.preimage(rel, here, written) for rel, written in pieces)
+            cand = mgr.conj(pre, prev)
+            if cand != mgr.FALSE:
+                tail.append((i, val, sym))
+                val, sym = alg.pick_point(cand), rule.lhs
+                break
+        else:
+            raise RuntimeError("path reconstruction lost the predecessor layer")
+    return val, sym, list(reversed(tail))

@@ -253,6 +253,32 @@ def test_relprod_matches_truth_tables(case):
         assert eval_node(mgr, got, dict(zip(placed, bits))) == (bits in expected)
 
 
+@st.composite
+def restrict_cases(draw):
+    levels = sorted(draw(st.sets(st.integers(0, LEVELS - 1), max_size=4)))
+    table = draw(st.integers(0, (1 << (1 << len(levels))) - 1))
+    fixed = draw(st.dictionaries(st.integers(0, LEVELS - 1), st.integers(0, 1)))
+    free = draw(st.sets(st.integers(0, LEVELS - 1)))
+    return levels, table, fixed, free
+
+
+@settings(max_examples=300, deadline=None)
+@given(restrict_cases())
+def test_restrict_matches_truth_tables(case):
+    levels, table, fixed, free = case
+    mgr = BDD()
+    u = from_truth_table(mgr, levels, table)
+    entries = len(mgr._cache)
+    got = mgr.restrict(u, fixed, frozenset(free))
+    assert len(mgr._cache) == entries
+    # Reference: the result at y is u at y with each level that fixed maps
+    # and free does not hold replaced by its bit.
+    set_bits = {lvl: bool(bit) for lvl, bit in fixed.items() if lvl not in free}
+    for bits in itertools.product([False, True], repeat=len(levels)):
+        y = dict(zip(levels, bits))
+        assert eval_node(mgr, got, y) == eval_node(mgr, u, {**y, **set_bits})
+
+
 def test_step_last_is_the_deepest_level_a_step_moves_or_drops():
     mgr = BDD()
     assert mgr.step().last == -1

@@ -20,6 +20,7 @@ from wherecheck.semantics import run_program
 from wherecheck.spds import HAVOC, GlobalsDecl, RelationAlgebra, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
 from explicit import decode, explicit_error_search, initial_valuations, successors
+from reference import preimage_walk
 from test_bdd import sat_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -587,10 +588,12 @@ def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
     assert counts[0] == counts[1]
 
 
-# Every set the witness walk picks from, on the benchmark inputs, gives the
-# same valuation through the cube walk and through the greedy walk.
+# Every set the witness walk picks from gives the same valuation through the
+# cube walk and through the greedy walk, and the walk gives the path of the
+# pre-image walk it replaced (tests/reference.py), on the benchmark inputs
+# and on program D.
 
-WALK_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
+WALK_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "D")
 
 
 def _walk_cases(group: str):
@@ -598,17 +601,31 @@ def _walk_cases(group: str):
     if group == "table3":
         for i in range(8):
             path = CORPUS / f"P{i}"
-            for bits in (2, 3, 4):
+            for bits in (1, 2, 3, 4):
                 yield path.read_text(), path.with_suffix(".policy").read_text(), bits, 8, self_compose
     elif group == "iobench":
         for i in range(8):
             path = ROOT / "corpus" / "iobench" / f"B{i}"
             for mode in (self_compose, tr_compose):
                 yield path.read_text(), path.with_suffix(".policy").read_text(), 2, 8, mode
+    elif group == "D":
+        yield D_SHAPE.format(n=100), D_POLICY, 10, 4, self_compose
     else:
-        for seed in range(100):
+        for seed in range(400):
             gen = generate(seed, GenConfig(io=group == "randprog-io"))
             yield gen.text, gen.policy_text, 2, 4, self_compose
+
+
+def _insecure_levels(group: str):
+    """The automaton of every insecure level of one group."""
+    for text, pol, bits, capacity, mode in _walk_cases(group):
+        program = parse_program(text)
+        policy = gather_downgrades(program, parse_policy(pol))
+        for level in sorted(policy.domains):
+            model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
+            auto = post_star(model)
+            if is_error_reachable(auto, model):
+                yield auto
 
 
 @pytest.mark.parametrize("group", WALK_GROUPS)
@@ -622,20 +639,30 @@ def test_the_cube_walk_picks_what_the_greedy_walk_picks(group, monkeypatch):
 
     monkeypatch.setattr(RelationAlgebra, "pick_point", recorded)
     walks = 0
-    for text, pol, bits, capacity, mode in _walk_cases(group):
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(pol))
-        for level in sorted(policy.domains):
-            model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
-            auto = post_star(model)
-            if not is_error_reachable(auto, model):
-                continue
-            picked.clear()
-            _backward_path(auto)
-            alg = auto.algebra
-            for s in picked:
-                val, cube = pick_point(alg, s)
-                assert val == alg._pick_greedy(s)
-                assert cube == alg.set_from_valuation(val)
-            walks += 1
+    for auto in _insecure_levels(group):
+        picked.clear()
+        _backward_path(auto)
+        alg = auto.algebra
+        for s in picked:
+            assert pick_point(alg, s) == alg._pick_greedy(s)
+        walks += 1
     assert walks > 0
+
+
+@pytest.mark.parametrize("group", WALK_GROUPS)
+def test_the_walk_takes_the_path_of_the_preimage_walk(group):
+    walks = 0
+    for auto in _insecure_levels(group):
+        assert _backward_path(auto) == preimage_walk(auto)
+        walks += 1
+    assert walks > 0
+
+
+def test_the_witness_walk_adds_no_computed_table_entry():
+    model = build(D_SHAPE.format(n=100), D_POLICY, bits=10)
+    auto = post_star(model)
+    mgr = auto.algebra.mgr
+    entries = len(mgr._cache)
+    w = extract_witness(auto, model)
+    assert w.length == 6 * 100 + 9 and w.replay_ok
+    assert len(mgr._cache) == entries

@@ -34,7 +34,7 @@ from explicit import (
     successors,
     valuation,
 )
-from reference import sorted_levels
+from reference import cube, sorted_levels
 from test_bdd import sat_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -472,7 +472,7 @@ def rel_from_pairs(ra, pairs):
     out = ra.mgr.FALSE
     for a, b in sorted(pairs):
         node = ra.mgr.conj(
-            ra.set_from_valuation(a), lift_to_nxt(ra, ra.set_from_valuation(b))
+            cube(ra, a), lift_to_nxt(ra, cube(ra, b))
         )
         out = ra.mgr.disj(out, node)
     return out
@@ -486,7 +486,7 @@ set_st = st.frozensets(val_st, max_size=8)
 def test_transpose_compose_matches_sets(p1, vals):
     ra = RelationAlgebra(G3)
     r = rel_from_pairs(ra, p1)
-    some = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
+    some = ra.mgr.disj_all(cube(ra, v) for v in sorted(vals))
     expected = {b for a, b in p1 if a in vals}
     assert enumerate_set(ra, ra.transpose_compose(r, some, frozenset(G3.names))) == expected
 
@@ -499,7 +499,7 @@ def test_dom_image_preimage(p1):
     every_cell = frozenset(G3.names)
     assert enumerate_set(ra, exists(ra, r, nxt_all(G3))) == {a for a, _ in p1}
     some = {a for a, _ in sorted(p1)[: len(p1) // 2]}
-    node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(some))
+    node = ra.mgr.disj_all(cube(ra, v) for v in sorted(some))
     image = {b for a, b in p1 if a in some}
     assert enumerate_set(ra, ra.transpose_compose(r, node, every_cell)) == image
     assert enumerate_set(ra, ra.preimage(r, node, every_cell)) == {a for a, b in p1 if b in some}
@@ -532,6 +532,11 @@ SOME = frozenset({(0, 1, 2), (3, 0, 1), (2, 1, 2)})
 @example(RuleSpec.make(updates={"x": Num(3), "y": HAVOC, "z": Var("x")}), SOME)
 @example(RuleSpec.make(updates={"x": HAVOC}), SOME)
 @example(RuleSpec.make(guard=Var("y"), writes=(CHANNEL,)), SOME)
+# the second piece, writing x, has the least predecessor of (1, 0, 1)
+@example(
+    RuleSpec.make(updates={"y": HAVOC}, writes=(ArrayWrite(("z", "x"), "y", Num(1), "C"),)),
+    frozenset(G5_VALS),
+)
 def test_partitioned_steps_equal_framed_steps(spec, vals):
     ra = RelationAlgebra(G5)
     mgr = ra.mgr
@@ -540,7 +545,7 @@ def test_partitioned_steps_equal_framed_steps(spec, vals):
     full = framed(ra, spec)
     explicit = {(val, nxt) for val in G5_VALS for nxt in spec_successors(spec, G5, val)}
     assert enumerate_pairs(ra, full) == explicit
-    some = mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
+    some = mgr.disj_all(cube(ra, v) for v in sorted(vals))
     every_cell = frozenset(G5.names)
     image = mgr.disj_all(ra.transpose_compose(rel, some, written) for rel, written in pieces)
     assert image == ra.transpose_compose(full, some, every_cell)
@@ -548,16 +553,20 @@ def test_partitioned_steps_equal_framed_steps(spec, vals):
     pre = mgr.disj_all(ra.preimage(rel, some, written) for rel, written in pieces)
     assert pre == ra.preimage(full, some, every_cell)
     assert enumerate_set(ra, pre) == {a for a, b in explicit if b in vals}
+    # the least predecessor in the set, read off restrictions without a pre-image
+    for b in G5_VALS:
+        least = min((a for a, nxt in explicit if nxt == b and a in vals), default=None)
+        assert ra.least_predecessor(b, some, pieces) == least
 
 
 def test_pick_set_is_minimal():
     ra = RelationAlgebra(G3)
     node = ra.mgr.disj(
-        ra.set_from_valuation((3, 1)), ra.set_from_valuation((1, 0))
+        cube(ra, (3, 1)), cube(ra, (1, 0))
     )
-    assert ra.pick_point(node)[0] == (1, 0)
-    node2 = ra.mgr.disj(node, ra.set_from_valuation((1, 1)))
-    assert ra.pick_point(node2)[0] == (1, 0)
+    assert ra.pick_point(node) == (1, 0)
+    node2 = ra.mgr.disj(node, cube(ra, (1, 1)))
+    assert ra.pick_point(node2) == (1, 0)
     assert ra.pick_point(ra.mgr.FALSE) is None
 
 
@@ -571,9 +580,9 @@ MIXED_VALS = list(all_valuations(MIXED))
 @given(st.frozensets(st.sampled_from(MIXED_VALS), min_size=1, max_size=10))
 def test_pick_set_is_least_in_declaration_order(vals):
     ra = RelationAlgebra(MIXED)
-    node = ra.mgr.disj_all(ra.set_from_valuation(v) for v in sorted(vals))
+    node = ra.mgr.disj_all(cube(ra, v) for v in sorted(vals))
     assert enumerate_set(ra, node) == set(vals)
-    assert ra.pick_point(node)[0] == min(enumerate_set(ra, node))
+    assert ra.pick_point(node) == min(enumerate_set(ra, node))
 
 
 @settings(max_examples=60)
@@ -587,9 +596,9 @@ def test_pick_point_reads_the_least_valuation_of_a_cube(val, names, others):
     # others it is mostly no longer a cube, and takes the greedy walk
     ra = RelationAlgebra(MIXED)
     node = ra.set_from_fixed({name: val[index_of(MIXED, name)] for name in names})
-    node = ra.mgr.disj_all([node, *(ra.set_from_valuation(v) for v in sorted(others))])
+    node = ra.mgr.disj_all([node, *(cube(ra, v) for v in sorted(others))])
     least = min(enumerate_set(ra, node))
-    assert ra.pick_point(node) == (least, ra.set_from_valuation(least))
+    assert ra.pick_point(node) == least
     assert ra._pick_greedy(node) == least
 
 
@@ -614,5 +623,11 @@ def test_a_wide_valuation_round_trips_at_the_default_recursion_limit():
     wide = GlobalsDecl(tuple((f"v{i}", 8) for i in range(130)) + (("k", 2),), frozenset({"k"}))
     val = tuple((37 * i + 11) % 256 for i in range(130)) + (2,)
     ra = RelationAlgebra(wide)
-    cube = ra.set_from_valuation(val)
-    assert ra.pick_point(cube) == (val, cube)
+    assert ra.pick_point(cube(ra, val)) == val
+    # restrict rebuilds the chain when every level is free, and follows it when none is
+    mgr, whole = ra.mgr, cube(ra, val)
+    bits = {lvl: 1 if val[i] & weight else 0 for lvl, i, weight in wide.cur_slots}
+    assert mgr.restrict(whole, bits, frozenset(bits)) == whole
+    v0 = ra.set_from_fixed({"v0": val[0]})
+    assert mgr.restrict(whole, bits, frozenset(wide.cur_levels("v0"))) == v0
+    assert mgr.restrict(whole, bits, frozenset()) == mgr.TRUE
