@@ -586,6 +586,18 @@ def test_missing_file_exits_three(capsys):
 # --------------------------------------------------------------------- nmin
 
 
+def test_nmin_finds_width_one_for_laundering(capsys):
+    code, out, _ = run(capsys, ["nmin", *corpus_args("P3")])
+    assert code == EXIT_INSECURE
+    assert "NMIN bits=1" in out
+
+
+def test_nmin_masked_branch_needs_one_bit(capsys):
+    code, out, _ = run(capsys, ["nmin", *corpus_args("P5")])
+    assert code == EXIT_INSECURE
+    assert "NMIN bits=1" in out
+
+
 def test_nmin_absent_for_secure_program(capsys):
     code, out, _ = run(capsys, ["nmin", *corpus_args("P0"), "--max-bits", "4"])
     assert code == EXIT_SECURE
