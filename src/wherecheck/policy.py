@@ -430,23 +430,16 @@ def typable(program: Program, policy: Policy, level: str, bits: int) -> str:
         if e is not None:
             folded = _fold(postfix(e))
             used = {node.name for node in folded if type(node) is Var}
-            is_low = used <= eq or used - eq <= known.keys()
+            is_low = used - eq <= known.keys()
             value = eval_nodes(folded, known, bits) if used <= known.keys() else None
         match cmd:
-            case If(_, _, _, else_branch):
-                inner[i] = (pc and is_low, looped)
+            case If() | While():
+                loop = type(cmd) is While
+                inner[i] = (pc and is_low, looped or loop)
                 if value != 0:
                     meet(i + 1, eq, known)
                 if not value:
-                    meet(first_site(else_branch).site.id, eq, known)
-                i += 1
-                continue
-            case While():
-                inner[i] = (pc and is_low, True)
-                if value != 0:
-                    meet(i + 1, eq, known)
-                if not value:
-                    meet(after, eq, known)
+                    meet(after if loop else first_site(cmd.else_branch).site.id, eq, known)
                 i += 1
                 continue
             case DeclassAssign(site, target, _) if policy.declass_real.get(site.id):

@@ -2,67 +2,58 @@
 
 Random programs stay inside the regime the oracle can enumerate quickly:
 few variables, short bodies, at most one loop and one downgrade.  The
-analyzer may reject programs the oracle accepts (it abstracts loops and
-pairs downgrades structurally), but it must never accept a program the
-oracle rejects.
+analyzer must never accept a program the oracle rejects, and the programs
+it rejects while the oracle accepts them are pinned, seed by seed (see
+``sweep``).
 """
 
 import pytest
 
 from wherecheck.cli import INSECURE, MODES, SECURE, analyze
+from wherecheck.compose import MODE_STORE_MATCH
 from wherecheck.oracle import INCONCLUSIVE, check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import Channel, gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, generate
+from wherecheck.randprog import GenConfig
 from wherecheck.syntax import Assign, Input, Num, Output, Program, Seq, SiteLabel, Skip, Var
+from sweep import disagreements, sweep
 
 BITS = 2
 CAPACITY = 4
 
 
-def _load(gen):
-    program = parse_program(gen.text)
-    policy = gather_downgrades(program, parse_policy(gen.policy_text))
-    return program, policy
-
-
-def sweep(seeds, cfg):
-    """Analyze and oracle-check each seed; returns per-seed result rows."""
-    rows = []
-    for seed in seeds:
-        gen = generate(seed, cfg)
-        program, policy = _load(gen)
-        report = analyze(program, policy, bits=BITS, capacity=CAPACITY)
-        verdict = check_where_security(program, policy, bits=BITS, capacity=CAPACITY)
-        rows.append((seed, gen, report, verdict))
-    return rows
-
-
 def test_io_programs_stay_sound():
-    cfg = GenConfig(io=True)
-    for seed, gen, report, verdict in sweep(range(60), cfg):
-        assert not (report.overall == SECURE and verdict.status == INSECURE), f"seed {seed}"
+    for row in sweep(range(60), GenConfig(io=True), BITS, CAPACITY, {MODE_STORE_MATCH: False}):
+        report = row.reports[MODE_STORE_MATCH]
+        assert not (report.overall == SECURE and row.oracle.status == INSECURE), f"seed {row.seed}"
+
+
+# The seeds 0-399 where `analyze` says insecure at bits 3 and capacity 8 and
+# the oracle says secure, in both modes.  The cause is that of the bits-2
+# sets of tests/test_acceptance.py, which over these seeds hold plain 282
+# and not I/O 275.
+BITS_3_DISAGREEMENTS = {False: [8, 173, 187, 251, 359], True: [41, 266, 275, 280, 333, 351]}
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
 def test_bits_3_sweep_is_sound_in_both_modes(io):
     # At bits 3 and capacity 8, over seeds 0-399: the oracle is conclusive
     # on every program, an `analyze` `secure` is never an oracle `insecure`,
-    # every insecure level's witness replays, and the modes agree.
-    for seed in range(400):
-        program, policy = _load(generate(seed, GenConfig(io=io)))
-        verdict = check_where_security(program, policy, bits=3, capacity=8)
-        assert verdict.status != INCONCLUSIVE, (seed, verdict.note)
-        overall = set()
-        for mode in MODES:
-            report = analyze(program, policy, bits=3, capacity=8, mode=mode, want_witness=True)
-            assert not (report.overall == SECURE and verdict.status == INSECURE), (seed, mode)
+    # every insecure level's witness replays, the modes agree, and in each
+    # mode the seeds that disagree with the oracle are exactly the pinned
+    # ones.
+    rows = sweep(range(400), GenConfig(io=io), 3, 8, dict.fromkeys(MODES, True))
+    for row in rows:
+        assert row.oracle.status != INCONCLUSIVE, (row.seed, row.oracle.note)
+        for mode, report in row.reports.items():
+            assert not (report.overall == SECURE and row.oracle.status == INSECURE), (row.seed, mode)
             for level in report.levels:
                 if level.verdict == INSECURE:
                     witness = level.witness
-                    assert witness is not None and witness.replay_ok, (seed, mode, level.level)
-            overall.add(report.overall)
-        assert len(overall) == 1, (seed, overall)
+                    assert witness is not None and witness.replay_ok, (row.seed, mode, level.level)
+        assert len({report.overall for report in row.reports.values()}) == 1, row.seed
+    for mode in MODES:
+        assert disagreements(rows, mode) == BITS_3_DISAGREEMENTS[io], mode
 
 
 # An observable input channel with no declared length: the model gives it
