@@ -39,9 +39,9 @@ read from that path: the step that first set the store-match MISMATCH
 cell names the output channel and position; failing that, the first
 observable variable whose two copies differ at the end; under tr, the
 channel checker that entered error.  The decoded two-run counterexample
-is replayed through the reference interpreter as two plain runs, each
-with its own point table and neither joining the other, and the replay
-verdict is recorded.
+is replayed through the reference interpreter as two plain runs on one
+point table, neither joining the other, and the replay verdict is
+recorded.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .bdd import BDD
 from .compose import MISMATCH, ComposedModel
 from .modelgen import xi_name
 from .policy import typable
-from .semantics import OUTCOME_HALTED, Trace, low_equiv_store, run_program
+from .semantics import OUTCOME_HALTED, Table, Trace, low_equiv_store, run_program
 from .spds import Piece, RelationAlgebra, SPDS
 from .syntax import Input
 
@@ -304,7 +304,7 @@ def replay_witness(model: ComposedModel, witness: Witness) -> tuple[bool, tuple[
     """
     skel = model.skeleton
     fuel = max(1024, 8 * len(witness.steps))
-    kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel)
+    kw = dict(bits=skel.bits, capacity=skel.capacity, fuel=fuel, table=Table(skel.program))
     t1 = run_program(skel.program, skel.policy, store=witness.mu1, inputs=witness.inputs1, **kw)
     t2 = run_program(skel.program, skel.policy, store=witness.mu2, inputs=witness.inputs2, **kw)
     runs = (t1, t2)

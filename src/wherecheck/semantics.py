@@ -4,31 +4,35 @@ Values are unsigned integers reduced modulo 2**bits (bits defaults to 3):
 a run's initial store, each input read, each constant and each operator's
 result; zero is false, anything else true.  Input channels are finite
 lists consumed by a read index p; output channels are append-only lists
-guarded by a capacity bound, and a stream's length is its write index.  Reading past an
-input or writing past the capacity ends the run with a terminal diagnostic
-label rather than an error.
+guarded by a capacity bound, and a stream's length is its write index.
+Reading past an input or writing past the capacity ends the run with a
+terminal diagnostic label rather than an error.
 
-A run is recorded once: ``Trace.entries`` lists each step's configuration
-and label, and an ``Ending`` (outcome, final configuration, downgrade
-steps) says how the run ended.  ``run`` fills the downgrades in as it
-steps; the same ``Ending`` is what a later run that joins this one takes,
-and what the oracle keeps.  A trace's text is rendered only when it is
-read, from each step's label and the configurations before and after it.
+A configuration is its key, one flat tuple in the slots a program's
+``Table`` lays out: its point's id, then the values of the variables, the
+input contents, the read indices and the output streams.  The interpreter
+steps keys: ``step_point`` reads a key by slot and builds the next, and
+``run`` hashes each as it is, to find a repeat or a join.  A run is
+recorded once: ``Trace.entries`` lists each step's key and label, and an
+``Ending`` (outcome, final key, downgrade steps) says how the run ended;
+the same ``Ending`` is what a later run that joins this one takes, and
+what the oracle keeps.  ``Configuration`` is a key decoded by name
+(``Table.view``), only for a reader: a trace's initial and final
+configuration, and its text, rendered when it is read.
 
-The interpreter steps through a table of program points, built once per
-program by one loop over ``Program.flow``.  Each site has two points, to
-run and finished, whose ids are fixed as ``2 * site + finished``; no
-command is rewritten, hashed or compared.  A point knows the points its
-step can reach and their labels: every step's label but a real
-downgrade's, which carries the released value, and a diagnostic's or a
-halt's.  A step evaluates only its point's expressions, and
-``Configuration.point`` is the point it reaches, so a configuration's key
-names its point by id.
+The points are built once per program by one loop over ``Program.flow``.
+Each site has two points, to run and finished, whose ids are fixed as
+``2 * site + finished``; no command is rewritten, hashed or compared.  A
+point knows the ids of the points its step can reach and their labels:
+every step's label but a real downgrade's, which carries the released
+value, and a diagnostic's or a halt's.  A point to run holds its guard or
+expression with each variable named by its slot, and the slots it writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .policy import Policy
@@ -36,13 +40,13 @@ from .syntax import (
     Assign,
     Command,
     DeclassAssign,
-    Expr,
     If,
     Input,
     Output,
     Program,
     SiteLabel,
     Skip,
+    Var,
     While,
     eval_nodes,
     first_site,
@@ -86,7 +90,8 @@ _RULES = {Assign: "assign", DeclassAssign: "declass-ordinary", Input: "input", O
 
 
 class Configuration(NamedTuple):
-    """Machine state: store, channels with their read indices, program point.
+    """A key decoded, for a reader (``Table.view``): store, channels with
+    their read indices, program point.
 
     ins maps each input channel to its full (immutable) contents; p is the
     per-channel read index.  outs holds the values written so far, so a
@@ -107,73 +112,98 @@ class Point:
     Site i's points have the ids ``2 * i`` (to run) and ``2 * i + 1``
     (finished).  ``cmd`` is the site's command to run, or ``Skip`` of its
     site once finished; a source ``skip`` is entered finished.  ``next[k]``
-    is the point a step reaches by branch k (0 taken, 1 not taken, for an
-    ``if`` or a ``while``; 0 for any other step), None where a finished
-    point halts, and ``labels[k]`` that step's label, which a real
-    downgrade's step replaces by one carrying the released value.
+    is the id of the point a step reaches by branch k (0 taken, 1 not
+    taken, for an ``if`` or a ``while``; 0 for any other step), None where
+    a finished point halts, and ``labels[k]`` that step's label, which a
+    real downgrade's step replaces by one carrying the released value.
     ``nodes`` is the ``postfix`` list of a point to run's guard or
-    expression, which its every step evaluates.
+    expression, each variable named by its slot, and ``slots`` what it
+    writes: a target, an output stream, or an input's target, contents
+    and read index.
     """
 
-    __slots__ = ("id", "cmd", "next", "labels", "nodes")
+    __slots__ = ("id", "cmd", "next", "labels", "nodes", "slots")
 
     def __init__(self, id: int) -> None:
-        self.id = id  # point_table sets cmd, next, labels and nodes
+        self.id = id  # point_table sets the rest
 
 
-def _entry(points: list[Point], cmd: Command) -> Point:
-    """The point control enters ``cmd`` at: its first site's, to run, or
-    finished for a ``skip``, which has nothing to run."""
+def _entry(cmd: Command) -> int:
+    """The id of the point control enters ``cmd`` at: its first site's, to
+    run, or finished for a ``skip``, which has nothing to run."""
     cmd = first_site(cmd)
-    return points[2 * cmd.site.id + (type(cmd) is Skip)]
+    return 2 * cmd.site.id + (type(cmd) is Skip)
 
 
-def point_table(program: Program) -> list[Point]:
-    """The points of ``program`` by id, linked in one loop over its flow:
-    a finished site goes to the entry of the next site (``seq-skip``) or
-    halts; an ``if`` to a branch's entry; a ``while`` to its body's entry
-    or to its finished point; any other command to its finished point."""
-    points = [Point(i) for i in range(2 * len(program.flow))]
-    for (cmd, nxt, _), to_run, done in zip(program.flow, points[::2], points[1::2]):
+def point_table(table: Table) -> list[Point]:
+    """The points of ``table.program`` by id, linked in one loop over its
+    flow: a finished site goes to the entry of the next site (``seq-skip``)
+    or halts; an ``if`` to a branch's entry; a ``while`` to its body's
+    entry or to its finished point; any other command to its finished
+    point.  Each point to run is compiled against the table's slots."""
+    variables, contents, streams = table.variables, table.contents, table.streams
+    flow = table.program.flow
+    points = [Point(i) for i in range(2 * len(flow))]
+    for (cmd, nxt, _), to_run, done in zip(flow, points[::2], points[1::2]):
         site, kind = cmd.site, type(cmd)
         done.cmd = Skip(site)
-        done.next = (None if nxt is None else _entry(points, nxt),)
+        done.next = (None if nxt is None else _entry(nxt),)
         done.labels = (StepLabel(PLAIN, site, rule="seq-skip"),)
         to_run.cmd = cmd
         e = site_expr(cmd)
         if e is not None:
-            to_run.nodes = postfix(e)
+            to_run.nodes = [Var(variables[n.name]) if type(n) is Var else n for n in postfix(e)]
         if kind is If:
-            to_run.next = (_entry(points, cmd.then_branch), _entry(points, cmd.else_branch))
+            to_run.next = (_entry(cmd.then_branch), _entry(cmd.else_branch))
             rules = ("if-true", "if-false")
         elif kind is While:
-            to_run.next, rules = (_entry(points, cmd.body), done), ("while-true", "while-false")
+            to_run.next, rules = (_entry(cmd.body), done.id), ("while-true", "while-false")
         elif kind is Skip:
             to_run.next, to_run.labels = done.next, done.labels
             continue
         else:  # an assignment, a downgrade, an input or an output
-            to_run.next, rules = (done,), (_RULES[kind],)
+            to_run.next, rules = (done.id,), (_RULES[kind],)
+            if kind is Output:
+                to_run.slots = (streams[cmd.channel],)
+            elif kind is Input:
+                c = contents[cmd.channel]
+                to_run.slots = (variables[cmd.target], c, c + len(contents))
+            else:
+                to_run.slots = (variables[cmd.target],)
         to_run.labels = tuple(StepLabel(PLAIN, site, rule=rule) for rule in rules)
     return points
 
 
-def initial_configuration(
-    program: Program,
-    store: dict[str, int] | None = None,
-    inputs: dict[str, Iterable[int]] | None = None,
-    points: Optional[list[Point]] = None,
-) -> Configuration:
-    """The configuration at the program's entry, in ``points``, or in a
-    table of its own without them."""
-    mu = {name: 0 for name in program.variables}
-    if store:
-        mu.update(store)
-    ins = {n: tuple(inputs.get(n, ())) if inputs else () for n in program.input_channels}
-    outs = {n: () for n in program.output_channels}
-    p = dict.fromkeys(program.input_channels, 0)
-    if points is None:
-        points = point_table(program)
-    return Configuration(mu, ins, outs, p, _entry(points, program.sites[0]))
+class Table:
+    """The slots of a program's keys, and its points (``point_table``),
+    built on the first step.  A key is its point's id, then the values of
+    ``program.variables``, the contents of each input channel, the read
+    index of each, ``len(contents)`` slots after the contents, and the
+    stream of each output channel, channels sorted by name.  ``view``
+    decodes a key for a reader.
+    """
+
+    def __init__(self, program: Program) -> None:
+        names, inputs, outputs = program.variables, program.input_channels, program.output_channels
+        self.program, self.entry, first = program, _entry(program.sites[0]), 1 + len(names)
+        self.variables = {name: slot for slot, name in enumerate(names, 1)}
+        self.contents = {name: slot for slot, name in enumerate(inputs, first)}
+        self.streams = {name: slot for slot, name in enumerate(outputs, first + 2 * len(inputs))}
+        self.tail = (0,) * len(inputs) + ((),) * len(outputs)
+
+    def start(self, values: Iterable[int], contents: Iterable[tuple[int, ...]]) -> tuple:
+        """The key at the entry with the variables' ``values`` and the input
+        ``contents``, in slot order, before any read or write."""
+        return (self.entry, *values, *contents, *self.tail)
+
+    @cached_property
+    def points(self) -> list[Point]:
+        return point_table(self)
+
+    def view(self, key: tuple) -> Configuration:
+        values, layout = iter(key[1:]), (self.variables, self.contents, self.contents, self.streams)
+        mu, ins, p, outs = (dict(zip(slots, values)) for slots in layout)
+        return Configuration(mu, ins, outs, p, self.points[key[0]])
 
 
 def _is_real_declass(cmd: DeclassAssign, policy: Policy) -> bool:
@@ -189,46 +219,44 @@ _HALTED = StepLabel(HALTED)
 
 
 def step_point(
-    config: Configuration, policy: Policy, bits: int, capacity: int
-) -> tuple[Configuration, StepLabel]:
-    """Apply the unique applicable rule to ``config`` at its point.  A
-    terminal configuration yields HALTED.
+    key: tuple, points: list[Point], policy: Policy, bits: int, capacity: int
+) -> tuple[tuple, StepLabel]:
+    """Apply the unique applicable rule to the configuration ``key`` at its
+    point in ``points``.  A terminal configuration yields HALTED.
 
-    A channel diagnostic or a halt leaves the configuration as it is.
-    Every other step's label is the point's, unless it is a real downgrade.
+    A channel diagnostic or a halt leaves the key as it is.  Every other
+    step's label is the point's, unless it is a real downgrade.
     """
-    point = config.point
+    point = points[key[0]]
     cmd = point.cmd
     kind = type(cmd)
-    mu, ins, outs, p = config.mu, config.ins, config.outs, config.p
-    k = 0
+    nxt = point.next
     if kind is Assign or kind is DeclassAssign:
-        value = eval_nodes(point.nodes, mu, bits)
-        mu = dict(mu)
-        mu[cmd.target] = value
-    elif kind is If or kind is While:
-        k = 0 if eval_nodes(point.nodes, mu, bits) != 0 else 1
-    elif kind is Input:
-        channel = cmd.channel
-        idx = p[channel]
-        if idx >= len(ins[channel]):
-            return config, StepLabel(INPUT_EXHAUSTED, cmd.site, rule="input")
-        mu = dict(mu)
-        mu[cmd.target] = ins[channel][idx] & ((1 << bits) - 1)
-        p = dict(p)
-        p[channel] = idx + 1
-    elif kind is Output:
-        channel = cmd.channel
-        if len(outs[channel]) >= capacity:
-            return config, StepLabel(CAPACITY_EXCEEDED, cmd.site, rule="output")
-        outs = dict(outs)
-        outs[channel] += (eval_nodes(point.nodes, mu, bits),)
-    elif point.next[0] is None:  # a finished site with nothing after it
-        return config, _HALTED
-    label = point.labels[k]
-    if kind is DeclassAssign and _is_real_declass(cmd, policy):
-        label = StepLabel(DECLASS, cmd.site, value, "declass")
-    return Configuration(mu, ins, outs, p, point.next[k]), label
+        (t,) = point.slots
+        value = eval_nodes(point.nodes, key, bits)
+        label = point.labels[0]
+        if kind is DeclassAssign and _is_real_declass(cmd, policy):
+            label = StepLabel(DECLASS, cmd.site, value, "declass")
+        return (nxt[0], *key[1:t], value, *key[t + 1 :]), label
+    if kind is If or kind is While:
+        k = 0 if eval_nodes(point.nodes, key, bits) != 0 else 1
+        return (nxt[k], *key[1:]), point.labels[k]
+    if kind is Input:
+        t, c, i = point.slots
+        idx = key[i]
+        if idx >= len(key[c]):
+            return key, StepLabel(INPUT_EXHAUSTED, cmd.site, rule="input")
+        value = key[c][idx] & ((1 << bits) - 1)  # t < i: a variable's slot, a read index's
+        return (nxt[0], *key[1:t], value, *key[t + 1 : i], idx + 1, *key[i + 1 :]), point.labels[0]
+    if kind is Output:
+        (o,) = point.slots
+        if len(key[o]) >= capacity:
+            return key, StepLabel(CAPACITY_EXCEEDED, cmd.site, rule="output")
+        stream = key[o] + (eval_nodes(point.nodes, key, bits),)
+        return (nxt[0], *key[1:o], stream, *key[o + 1 :]), point.labels[0]
+    if nxt[0] is None:  # a finished site with nothing after it
+        return key, _HALTED
+    return (nxt[0], *key[1:]), point.labels[0]
 
 
 def _changed(label: StepLabel, before: Configuration, after: Configuration) -> str:
@@ -250,16 +278,15 @@ def _changed(label: StepLabel, before: Configuration, after: Configuration) -> s
     return ""
 
 
-Downgrade = tuple[int, Configuration, Configuration, StepLabel]
+Downgrade = tuple[int, tuple, tuple, StepLabel]
 
 
 class Ending(NamedTuple):
-    """How a run ended: its outcome, its final configuration, and (index in
-    the run, configuration before, after, label) of each downgrade step, in
-    order."""
+    """How a run ended: its outcome, its final key, and (index in the run,
+    key before, key after, label) of each downgrade step, in order."""
 
     outcome: str
-    final: Configuration
+    end: tuple
     downgrades: list[Downgrade]
 
     def declass_events(self) -> list[tuple[int, int]]:
@@ -271,30 +298,37 @@ class Ending(NamedTuple):
 class Trace:
     """Result of run(): the steps it took, and how it ended.
 
-    ``entries`` is the one record of the steps: each step's configuration
-    after it and its label.  ``lines`` renders them as trace lines only when
-    read, each from its label and the configurations before and after it.
-    ``outcome``, ``final`` and ``downgrades`` are the run's ``Ending``.  A
-    run that took the rest of an earlier run (see ``run``) holds only its
-    own steps in ``entries``, but its ending is the whole run's.
+    ``entries`` is the one record of the steps: each step's key after it
+    and its label.  ``outcome``, ``end`` and ``downgrades`` are the run's
+    ``Ending``; ``start`` is the key it started from.  A run that took the
+    rest of an earlier run (see ``run``) holds only its own steps in
+    ``entries``, but its ending is the whole run's.  Keys are decoded only
+    when read: ``table.view`` decodes one, ``initial`` and ``final`` the
+    first and the last, and ``lines`` renders each step from its label and
+    the configurations before and after it.
     """
 
-    entries: list[tuple[Configuration, StepLabel]]
+    entries: list[tuple[tuple, StepLabel]]
     outcome: str
-    initial: Configuration
-    final: Configuration
+    start: tuple
+    end: tuple
     downgrades: list[Downgrade] = field(repr=False)
+    table: Table = field(repr=False, compare=False)
+
+    initial = property(lambda self: self.table.view(self.start))
+    final = property(lambda self: self.table.view(self.end))
 
     @property
     def lines(self) -> list[str]:
         # A step's label names the site it left; a halted entry's point is
         # a finished site with nothing after it.
-        befores = [self.initial] + [config for config, _ in self.entries]
+        view = self.table.view
+        configs = [view(key) for key in (self.start, *(key for key, _ in self.entries))]
         return [
             f"g{after.point.cmd.site.id} | halt | halted |"
             if label.kind == HALTED
             else f"g{label.site.id} | {label.rule} | {label} | {_changed(label, before, after)}"
-            for before, (after, label) in zip(befores, self.entries)
+            for before, after, (_, label) in zip(configs, configs[1:], self.entries)
         ]
 
     def declass_events(self) -> list[tuple[int, int]]:
@@ -308,75 +342,60 @@ class Trace:
 
 
 class Known:
-    """What the runs of one program under one fuel share: the configurations
-    they stepped, by key, the program's point table, and its start: the
-    configuration at its entry with a zero store and no input.  The first
-    run builds the table and the start; every run starts from the start's
-    entry point, empty output streams and zero read indices, which no step
-    writes in place (``step_point`` copies what it writes)."""
+    """What the runs of one program under one fuel share: the program's
+    ``Table``, and the keys they stepped."""
 
-    __slots__ = ("configs", "points", "start")
+    __slots__ = ("configs", "table")
 
-    def __init__(self) -> None:
+    def __init__(self, program: Program) -> None:
         # key -> (ending, index in the run, distance to the end); see run
         self.configs: dict[tuple, tuple[Ending, int, int]] = {}
-        self.points: Optional[list[Point]] = None
-        self.start: Optional[Configuration] = None
+        self.table = Table(program)
 
 
 def run(
-    config: Configuration,
+    start: tuple,
+    table: Table,
     policy: Policy,
     bits: int = DEFAULT_BITS,
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
     known: Optional[Known] = None,
 ) -> Trace:
-    """Run to termination, a diagnostic, a repeated state, or fuel exhaustion.
+    """Run from the key ``start`` of ``table`` to termination, a
+    diagnostic, a repeated state, or fuel exhaustion.
 
     The machine is deterministic over a finite state space, so a repeated
-    configuration proves divergence exactly; fuel is the fallback bound.
-    A configuration's key is one flat tuple: its point's id, its input
-    contents, and the values of its store, read indices and outputs
-    without their names.  Every configuration of one run holds the same
-    names in the same order, and so does every run of one program whose
-    store names only the program's variables, so each value keeps its
-    position.  A point's id is fixed by its site and phase, so the key is
-    the same whichever table of the program the point is in.
+    key proves divergence exactly; fuel is the fallback bound.
 
     ``known``, shared by the runs of one program under one fuel, lets a run
     take the rest of an earlier run: the machine is deterministic, so the
     future of a configuration is the same whichever run reaches it.  A run
-    that did not run out of fuel registers each configuration it stepped
-    with the run's ``Ending``, the configuration's index k, and the distance
-    d from it to the run's end: the configuration whose step ended the run
-    (halted or a channel diagnostic), or the one that repeated.  So
-    d = end - k, except inside a diverging run's cycle, where d is the cycle
-    length wherever the configuration sits: a run that enters the cycle
-    there meets it again after one lap.  A run out of fuel registers
-    nothing, so every known future is exact.  A run that meets a known
-    configuration at its own index n ends at n + d, with the earlier outcome
-    if n + d < fuel and out of fuel otherwise; its own earlier
-    configurations were not known, so they are not on the earlier run's
-    path and cannot repeat first.  A run that ends at a join takes the
-    earlier run's final configuration, and its downgrades from the meeting
-    point on, each re-indexed into this run; they are a lone run's if the
-    run ends by a step, not by a repeat or out of fuel.  Without ``known``
-    a run is on its own, and its trace is complete.  Each step goes through
+    that did not run out of fuel registers each key it stepped with the
+    run's ``Ending``, the key's index k, and the distance d from it to the
+    run's end: the key whose step ended the run (halted or a channel
+    diagnostic), or the one that repeated.  So d = end - k, except inside
+    a diverging run's cycle, where d is the cycle length wherever the key
+    sits: a run that enters the cycle there meets it again after one lap.
+    A run out of fuel registers nothing, so every known future is exact.
+    A run that meets a known key at its own index n ends at n + d, with
+    the earlier outcome if n + d < fuel and out of fuel otherwise; its own
+    earlier keys were not known, so they are not on the earlier run's path
+    and cannot repeat first.  A run that ends at a join takes the earlier
+    run's final key, and its downgrades from the meeting point on, each
+    re-indexed into this run; they are a lone run's if the run ends by a
+    step, not by a repeat or out of fuel.  Without ``known`` a run is on
+    its own, and its trace is complete.  Each step goes through
     ``step_point``.
     """
-    entries: list[tuple[Configuration, StepLabel]] = []
+    points = table.points
+    entries: list[tuple[tuple, StepLabel]] = []
     downgrades: list[Downgrade] = []
     seen: dict[tuple, int] = {}  # key -> index of each configuration stepped
-    ins = tuple(config.ins.values())
     outcome = OUTCOME_FUEL
     configs = known.configs if known is not None else {}
-    current = config
+    key = start
     for n in range(fuel):
-        key = (
-            current.point.id, ins, *current.mu.values(), *current.p.values(),
-            *current.outs.values(),
-        )
         first = seen.setdefault(key, n)
         if first != n:
             outcome, end, loop = OUTCOME_DIVERGES, n, first
@@ -386,24 +405,24 @@ def run(
             earlier, i, d = hit
             del seen[key]  # registered by the earlier run
             outcome = earlier.outcome if n + d < fuel else OUTCOME_FUEL
-            end, loop, current = n + d, n + d, earlier.final  # where it ended
+            end, loop, key = n + d, n + d, earlier.end  # where it ended
             downgrades += [(n + j - i, *step) for j, *step in earlier.downgrades if j >= i]
             break
-        after, label = step_point(current, policy, bits, capacity)
+        after, label = step_point(key, points, policy, bits, capacity)
         entries.append((after, label))
         kind = label.kind
         if kind == DECLASS:
-            downgrades.append((n, current, after, label))
-        current = after
+            downgrades.append((n, key, after, label))
+        key = after
         # Each terminal label is also the outcome it ends the run with.
         if kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             outcome, end, loop = kind, n, n
             break
     if known is not None and outcome != OUTCOME_FUEL:
-        ending = Ending(outcome, current, downgrades)
-        for key, k in seen.items():
-            configs[key] = (ending, k, end - (k if k < loop else loop))
-    return Trace(entries, outcome, config, current, downgrades)
+        ending = Ending(outcome, key, downgrades)
+        for stepped, k in seen.items():
+            configs[stepped] = (ending, k, end - (k if k < loop else loop))
+    return Trace(entries, outcome, start, key, downgrades, table)
 
 
 def run_program(
@@ -415,22 +434,24 @@ def run_program(
     capacity: int = DEFAULT_CAPACITY,
     fuel: int = DEFAULT_FUEL,
     known: Optional[Known] = None,
+    *,
+    table: Optional[Table] = None,
+    start: Optional[tuple] = None,
 ) -> Trace:
-    """Run ``program`` from its entry; each store value wraps, as a read's does.
-    With ``known``, the run builds only its store and its input contents."""
-    store = {name: value & ((1 << bits) - 1) for name, value in (store or {}).items()}
-    if known is None:
-        config = initial_configuration(program, store, inputs)
-    else:
-        if known.start is None:
-            known.points = point_table(program)
-            known.start = initial_configuration(program, points=known.points)
-        start = known.start
-        mu = dict(start.mu)
-        mu.update(store)
-        ins = {n: tuple(inputs.get(n, ())) for n in start.ins} if inputs else start.ins
-        config = Configuration(mu, ins, start.outs, start.p, start.point)
-    return run(config, policy, bits, capacity, fuel, known)
+    """Run ``program`` from ``start``, a key of its table, or else from its
+    entry with ``store`` and ``inputs``: each store value wraps, as a
+    read's does, and a store that names no variable of the program raises
+    ValueError.  The table is ``known``'s, else ``table``, else a new one."""
+    table = known.table if known is not None else table or Table(program)
+    if start is None:
+        values = dict.fromkeys(program.variables, 0)
+        for name, value in (store or {}).items():
+            if name not in values:
+                raise ValueError(f"the store names {name!r}, which is no variable of the program")
+            values[name] = value & ((1 << bits) - 1)
+        contents = [tuple(inputs.get(n, ())) if inputs else () for n in program.input_channels]
+        start = table.start(values.values(), contents)
+    return run(start, table, policy, bits, capacity, fuel, known)
 
 
 # ---------------------------------------------------------------------------

@@ -130,9 +130,10 @@ _APPLY = {
 }
 
 
-def eval_nodes(nodes: list[Expr], store: dict[str, int], bits: int) -> int:
+def eval_nodes(nodes: list[Expr], store: dict[str, int] | tuple, bits: int) -> int:
     """Evaluate an expression in one loop over its ``postfix`` list: each constant and
-    each operator's result wraps modulo 2**bits, and a variable reads as stored."""
+    each operator's result wraps modulo 2**bits, and a variable reads as stored, by name,
+    or by slot in the interpreter's key (``semantics.point_table``)."""
     mask = (1 << bits) - 1
     stack: list[int] = []
     for node in nodes:

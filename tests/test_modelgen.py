@@ -320,9 +320,10 @@ def _interp_store_trace(program, policy, store, bits):
     trace = run_program(program, policy, store=store, bits=bits)
     assert trace.outcome == OUTCOME_HALTED
     seen = [dict(trace.initial.mu)]
-    for entry, _ in trace.entries:
-        if entry.mu != seen[-1]:
-            seen.append(dict(entry.mu))
+    for key, _ in trace.entries:
+        mu = trace.table.view(key).mu
+        if mu != seen[-1]:
+            seen.append(mu)
     return seen
 
 

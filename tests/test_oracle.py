@@ -350,10 +350,11 @@ def low_equiv_channels(
 
 def _ref_declass_records(trace):
     records = []
-    for idx, (config, label) in enumerate(trace.entries):
+    view = trace.table.view
+    for idx, (key, label) in enumerate(trace.entries):
         if label.kind == DECLASS:
-            pre = trace.entries[idx - 1][0].mu if idx > 0 else trace.initial.mu
-            records.append((label.site.id, label.value, pre, config.mu))
+            pre = view(trace.entries[idx - 1][0] if idx > 0 else trace.start).mu
+            records.append((label.site.id, label.value, pre, view(key).mu))
     return records
 
 
@@ -628,13 +629,7 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
         "lattice: L < M\nlattice: M < H\nvar h : H\nvar m : M\nvar x : L\n"
         "channel lin : L input\n",
     )
-    started = []
-
-    def counted(program, policy, store, inputs, *args):
-        started.append((tuple(sorted(store.items())), tuple(sorted(inputs.items()))))
-        return run_program(program, policy, store, inputs, *args)
-
-    monkeypatch.setattr(oracle, "run_program", counted)
+    started = _count_runs(monkeypatch)
     verdict = check_where_security(program, policy, bits=2)
     assert verdict.status == SECURE
     runs = layout(program, policy)
@@ -658,14 +653,15 @@ def initial_states(program, policy, bits=2):
 
 
 def _downgrade_record(trace):
-    return [(k, before.mu, after.mu, label) for k, before, after, label in trace.downgrades]
+    view = trace.table.view
+    return [(k, view(pre).mu, view(post).mu, label) for k, pre, post, label in trace.downgrades]
 
 
 def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
     states = initial_states(program, policy, bits)
     for fuel in fuels:
         for order in (states, states[::-1]):
-            known = Known()
+            known = Known(program)
             for store, inputs in order:
                 args = (program, policy, store, inputs, bits, capacity, fuel)
                 shared, alone = run_program(*args, known), run_program(*args)
@@ -708,23 +704,14 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
     distinct, total = set(), 0
     for store, inputs in initial_states(program, policy):
         trace = run_program(program, policy, store, inputs, bits=2)
-        stepped = [trace.initial] + [config for config, _ in trace.entries[:-1]]
+        stepped = [trace.start] + [key for key, _ in trace.entries[:-1]]
         total += len(stepped)
-        distinct.update(
-            (
-                tuple(sorted(c.mu.items())),
-                tuple(sorted(c.p.items())),
-                tuple(sorted(c.outs.items())),
-                tuple(sorted(c.ins.items())),
-                c.point.id,
-            )
-            for c in stepped
-        )
+        distinct.update(stepped)
     steps = []
 
-    def counted(config, *args):
-        steps.append(config)
-        return real(config, *args)
+    def counted(key, *args):
+        steps.append(key)
+        return real(key, *args)
 
     real = semantics.step_point
     monkeypatch.setattr(semantics, "step_point", counted)
@@ -775,12 +762,12 @@ def test_an_unobservable_input_takes_the_shortcut_only_when_empty(monkeypatch, l
 
 
 def _count_runs(monkeypatch):
-    """The (store, inputs) of each run the oracle starts, in order."""
+    """The start key of each run the oracle starts, in order."""
     started = []
 
-    def counted(program, policy, store, inputs, *args):
-        started.append((tuple(store.items()), tuple(inputs.items())))
-        return run_program(program, policy, store, inputs, *args)
+    def counted(*args, start, **kwargs):
+        started.append(start)
+        return run_program(*args, start=start, **kwargs)
 
     monkeypatch.setattr(oracle, "run_program", counted)
     return started
@@ -841,6 +828,38 @@ def test_the_sweep_runs_only_below_the_bound(monkeypatch, check, fuel):
     assert (verdict.status, verdict.pairs_checked, verdict.note, len(started)) == expected
 
 
+# The benchmark's randprog-sweep inputs (perfbench/workloads.py): seeds
+# 0-99, odd seeds with I/O, and I/O seeds 113, 135 and 141.
+BENCHMARK_SEEDS = [(seed, seed % 2 == 1) for seed in range(100)] + [
+    (113, True), (135, True), (141, True),
+]
+
+
+def test_the_oracle_does_pinned_work_on_the_benchmark_programs(monkeypatch):
+    # At bits 2 and capacity 4: the runs and interpreter steps the oracle
+    # made when a configuration was three dicts, so holding it as a key
+    # changed what a step costs, not how many there are.
+    from wherecheck import semantics
+
+    started, steps = _count_runs(monkeypatch), []
+
+    def counted(key, *args):
+        steps.append(key)
+        return real(key, *args)
+
+    real = semantics.step_point
+    monkeypatch.setattr(semantics, "step_point", counted)
+    verdicts = []
+    for seed, io in BENCHMARK_SEEDS:
+        gen = randprog.generate(seed, randprog.GenConfig(io=io))
+        verdict = check_where_security(*prog(gen.text, gen.policy_text), bits=2, capacity=4)
+        verdicts.append((verdict.status, verdict.pairs_checked))
+    assert (len(started), len(steps)) == (1731, 6612)
+    statuses = [status for status, _ in verdicts]
+    assert (statuses.count(SECURE), statuses.count(INSECURE)) == (82, 21)
+    assert sum(pairs for _, pairs in verdicts) == 14478
+
+
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
 def test_the_oracle_decides_randprog_seeds(io):
     # Seeds 0-99 at bits 2 and capacity 4: every run ends within the default
@@ -878,16 +897,15 @@ def test_every_lone_run_without_a_loop_ends_within_the_bound():
 
 
 def test_a_run_leaves_the_shared_start_as_it_found_it():
-    # The runs of one Known share the start's output streams and read
-    # indices; the first run writes an output and reads an input.
+    # The runs of one Known start from keys of one table; the first run
+    # writes an output and reads an input.
     program, policy = prog(
         "input(x, i); output(x, o)",
         "lattice: L < H\nvar x : L\nchannel i : L input length 1\nchannel o : L output\n",
     )
-    known = Known()
+    known = Known(program)
     first = run_program(program, policy, {}, {"i": (3,)}, bits=2, known=known)
     assert (first.final.outs, first.final.p) == ({"o": (3,)}, {"i": 1})
-    assert (known.start.outs, known.start.p) == ({"o": ()}, {"i": 0})
     second = run_program(program, policy, {}, {"i": (2,)}, bits=2, known=known)
     assert (second.initial.outs, second.initial.p) == ({"o": ()}, {"i": 0})
     assert (second.final.outs, second.final.p) == ({"o": (2,)}, {"i": 1})

@@ -222,9 +222,9 @@ def test_interpreter_runs_match_the_pinned_file():
 
 
 def _stepped_downgrades(trace) -> list:
-    """(index in the run, configuration before, after, label) of each
-    downgrade step, read off the trace's steps."""
-    found, before = [], trace.initial
+    """(index in the run, key before, after, label) of each downgrade
+    step, read off the trace's steps."""
+    found, before = [], trace.start
     for k, (after, label) in enumerate(trace.entries):
         if label.kind == DECLASS:
             found.append((k, before, after, label))

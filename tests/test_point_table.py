@@ -1,7 +1,7 @@
 """The interpreter's table of program points against the tree-rewriting step.
 
-``semantics.step_point`` steps a configuration through its point, one of
-the two points of a site of ``Program.flow``.  ``tree_step`` (the tests'
+``semantics.step_point`` steps a configuration, its key, through its
+point, one of the two points of a site of ``Program.flow``.  ``tree_step`` (the tests'
 reference) rewrites the command tree instead, and ``residual`` gives the
 remaining command a point stands for.  From every initial state of the
 oracle's inputs, at bits 2, both step every reachable configuration to an
@@ -27,9 +27,8 @@ from wherecheck.semantics import (
     OUTCOME_HALTED,
     PLAIN,
     Known,
+    Table,
     Trace,
-    initial_configuration,
-    point_table,
     run_program,
     step_point,
 )
@@ -53,32 +52,24 @@ def _corpus(name):
     return programs
 
 
-def _config_key(c):
-    return (
-        tuple(c.mu.values()), tuple(c.p.values()), tuple(c.outs.values()),
-        tuple(c.ins.values()), c.point.id,
-    )
-
-
 def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
     """Step every configuration reachable from every initial state both ways.
 
     Returns the (kind, rule) of every label the steps gave.  One point table
     serves the program, as one ``Known`` serves the runs of an oracle check.
     """
-    points, seen, labels = point_table(program), set(), set()
+    table, seen, labels = Table(program), set(), set()
     runs = _Runs(program, policy, BITS, capacity, DEFAULT_FUEL)
-    todo = [initial_configuration(program, *runs.state(i), points) for i in range(runs.count)]
+    todo = [table.start(*runs.values(i)) for i in range(runs.count)]
     while todo:
-        config = todo.pop()
-        key = _config_key(config)
+        key = todo.pop()
         if key in seen:
             continue
         seen.add(key)
-        tree = tree_configuration(program, config)
-        new, label = step_point(config, policy, BITS, capacity)
+        tree = tree_configuration(program, table.view(key))
+        new, label = step_point(key, table.points, policy, BITS, capacity)
         ref, ref_label, ref_changed = tree_step(tree, policy, BITS, capacity)
-        got = tree_configuration(program, new)
+        got = tree_configuration(program, table.view(new))
         assert got == ref and same_command(got.cmd, ref.cmd), tree
         assert label == ref_label and label.rule == ref_label.rule, tree
         expected = (
@@ -86,7 +77,7 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
             if label.kind == HALTED
             else f"g{label.site.id} | {label.rule} | {label} | {ref_changed}"
         )
-        assert Trace([(new, label)], "", config, new, []).lines == [expected], tree
+        assert Trace([(new, label)], "", key, new, [], table).lines == [expected], tree
         labels.add((label.kind, label.rule))
         if label.kind not in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             todo.append(new)
@@ -155,10 +146,10 @@ def test_a_loop_interns_the_same_points_at_any_iteration_count():
     sizes = []
     for n in (10, 4000):
         program, policy = prog(D_TEXT.format(n=n), D_POLICY)
-        known = Known()
+        known = Known(program)
         trace = run_program(program, policy, {"h": 1}, bits=12, fuel=30_000, known=known)
         assert trace.outcome == OUTCOME_HALTED and trace.final.mu["i"] == n
-        sizes.append(len(known.points))
+        sizes.append(len(known.table.points))
     assert sizes[0] == sizes[1] == 2 * len(program.sites)
 
 
@@ -168,7 +159,7 @@ def test_a_loop_interns_the_same_points_at_any_iteration_count():
 
 def test_the_table_has_two_points_per_site_with_fixed_ids():
     program, policy = prog(D_TEXT.format(n=3), D_POLICY)
-    points = point_table(program)
+    points = Table(program).points
     assert len(points) == 2 * len(program.sites)
     for site, cmd in enumerate(program.sites):
         to_run, done = points[2 * site], points[2 * site + 1]
@@ -178,7 +169,7 @@ def test_the_table_has_two_points_per_site_with_fixed_ids():
     # each configuration by the same ids.
     again = parse_program(D_TEXT.format(n=3))
     first, second = (
-        [config.point.id for config, _ in run_program(p, policy, {"h": 1}).entries]
+        [key[0] for key, _ in run_program(p, policy, {"h": 1}).entries]
         for p in (program, again)
     )
     assert first == second
@@ -188,14 +179,15 @@ def test_each_point_links_to_the_points_of_the_tree_step():
     for program, _ in _corpus("table3") + _corpus("iobench") + [
         prog("if x then skip else while x do skip od fi; skip", "lattice: L < H\nvar x : L\n")
     ]:
-        for point in point_table(program):
+        points = Table(program).points
+        for point in points:
             expected = tree_successors(residual(program, point))
             if not expected:  # a finished site with nothing after it halts
                 assert point.next == (None,)
                 continue
             assert len(point.next) == len(point.labels) == len(expected)
             for after, label, (cmd, ref_label) in zip(point.next, point.labels, expected):
-                assert same_command(residual(program, after), cmd)
+                assert same_command(residual(program, points[after]), cmd)
                 assert label == ref_label and label.rule == ref_label.rule
 
 
@@ -212,8 +204,8 @@ def test_same_command_tells_a_downgrade_from_an_assignment():
 
 def test_an_assignment_and_the_skip_it_steps_to_are_two_points():
     program, policy = prog("x := x", "lattice: L < H\nvar x : L\n")
-    assign, skip = point_table(program)
-    assert assign.next == (skip,) and assign.labels[0].rule == "assign"
+    assign, skip = Table(program).points
+    assert assign.next == (skip.id,) and assign.labels[0].rule == "assign"
     assert type(assign.cmd) is Assign and type(skip.cmd) is Skip
     assert assign.cmd.site == skip.cmd.site and assign is not skip
     assert run_program(program, policy, {"x": 1}).outcome == OUTCOME_HALTED
@@ -224,7 +216,7 @@ def test_a_long_sequence_runs_without_recursing_per_statement():
     # comparison of the spine would pass it.
     text = "; ".join(["x := x + 1"] * 3000)
     program, policy = prog(text, "lattice: L < H\nvar x : L\n")
-    trace = run_program(program, policy, bits=12, known=Known())
+    trace = run_program(program, policy, bits=12, known=Known(program))
     assert trace.outcome == OUTCOME_HALTED and trace.final.mu["x"] == 3000
 
 
@@ -238,14 +230,17 @@ def test_stepping_a_point_twice_returns_its_one_label():
         "lattice: L < H\nvar h : H\nvar x : L\nchannel o : L output\n"
         "channel i : L input length 1\n",
     )
-    config = initial_configuration(program, inputs={"i": (2,)})
+    table = Table(program)
+    key = table.start([0, 0], [(2,)])  # h and x are 0, and i holds 2
     rules = []
-    while config.point.next != (None,):
-        point = config.point
-        (new, label), (_, again) = (step_point(config, policy, BITS, 2) for _ in range(2))
+    while table.points[key[0]].next != (None,):
+        point = table.points[key[0]]
+        (new, label), (_, again) = (
+            step_point(key, table.points, policy, BITS, 2) for _ in range(2)
+        )
         assert label is again is point.labels[0]
         rules.append(label.rule)
-        config = new
+        key = new
     assert rules == [
         "assign", "seq-skip", "declass-ordinary", "seq-skip", "output", "seq-skip", "input",
     ]
@@ -272,8 +267,8 @@ def test_one_check_builds_a_label_per_point_and_branch_and_per_release(monkeypat
         built.append(kind)
         return real_label(kind, *args, **kwargs)
 
-    def table(program):
-        tables.append(real_table(program))
+    def table(layout):
+        tables.append(real_table(layout))
         return tables[-1]
 
     def step(*args):

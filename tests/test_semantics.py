@@ -23,8 +23,8 @@ from wherecheck.semantics import (
     OUTCOME_HALTED,
     PLAIN,
     StepLabel,
+    Table,
     format_trace,
-    initial_configuration,
     low_equiv_store,
     run,
     run_program,
@@ -67,6 +67,15 @@ def test_an_initial_store_wraps_as_an_input_read_does():
         )
         finals.append(trace.final.mu["l"])
     assert finals == [1, 1, 1]
+
+
+def test_a_store_naming_no_variable_of_the_program_is_rejected():
+    # A key has a slot for each variable of the program and for no other name.
+    program = parse_program("l := h")
+    policy = gather_downgrades(program, parse_policy("lattice: L < H\nvar l : L\nvar h : H\n"))
+    assert run_program(program, policy, store={"h": 2}).final.mu == {"h": 2, "l": 2}
+    with pytest.raises(ValueError, match="'x', which is no variable of the program"):
+        run_program(program, policy, store={"h": 2, "x": 1})
 
 
 def test_skip_program_trace():
@@ -149,8 +158,8 @@ def test_divergence_detected_exactly():
     assert trace.outcome == OUTCOME_DIVERGES
     # The run stops at the first repeated configuration: back at the loop
     # head after one unrolling.
-    loop = program.root
-    assert [(residual(program, config.point), label) for config, label in trace.entries] == [
+    loop, view = program.root, trace.table.view
+    assert [(residual(program, view(key).point), label) for key, label in trace.entries] == [
         (syntax.Seq(loop.body, loop), StepLabel(PLAIN, loop.site)),
         (loop, StepLabel(PLAIN, loop.body.site)),
     ]
@@ -165,10 +174,11 @@ def test_ins_are_immutable_and_indices_monotone():
             "lattice: L < H\nvar x : L\nchannel in0 : L input\nchannel out0 : L output\n"
         ),
     )
-    config = initial_configuration(program, inputs={"in0": (1, 2)})
+    table = Table(program)
     seen_p, seen_q = 0, 0
-    trace = run(config, policy)
-    for entry, _ in trace.entries:
+    trace = run(table.start([0], [(1, 2)]), table, policy)
+    for key, _ in trace.entries:
+        entry = trace.table.view(key)
         assert entry.ins["in0"] == (1, 2)
         p, q = entry.p["in0"], len(entry.outs["out0"])
         assert p >= seen_p and q >= seen_q
@@ -275,9 +285,10 @@ def test_trace_text_for_each_outcome(outcome):
 
 def test_step_is_total_and_deterministic():
     program, policy = load("P5")
-    config = initial_configuration(program, {"h": 1, "l": 1})
+    table = Table(program)
+    key = run_program(program, policy, {"h": 1, "l": 1}, table=table).start
     (c1, l1), (c2, l2) = (
-        step_point(config, policy, DEFAULT_BITS, DEFAULT_CAPACITY) for _ in range(2)
+        step_point(key, table.points, policy, DEFAULT_BITS, DEFAULT_CAPACITY) for _ in range(2)
     )
     # Not a real downgrade: both steps return the label the point holds.
     assert c1 == c2 and l1 is l2 and l1.rule == "assign"
@@ -386,7 +397,7 @@ def test_program_variables_walk_the_tree_once(monkeypatch):
         expected.append(tuple(sorted(names)))
     for (program, policy), want in zip(programs, expected):
         for h in range(4):
-            run_program(program, policy, store={"h": h}, bits=2)
+            run_program(program, policy, store={want[0]: h}, bits=2)
             assert program.variables == want
     assert readers.count("flow") == len(programs)
 
