@@ -11,9 +11,10 @@ oracle's positional pairing of downgrade events provably agree:
     across paired runs and declared lengths can equal static counts).
 
 Generation builds a small command sketch first, then renders concrete
-syntax, so a variant with one assignment upgraded to a declassification
-can be rendered from the same sketch (the release-monotonicity suite
-needs exactly that substitution).
+syntax.  A program keeps its sketch (``body``), so a variant with one
+assignment upgraded to a declassification renders from the same sketch;
+the release-monotonicity suite makes that substitution, and keeps it with
+the declass-free profile in ``tests/programs.py``.
 """
 
 from __future__ import annotations
@@ -50,16 +51,6 @@ class GeneratedProgram(NamedTuple):
     policy_text: str
     body: list[Sketch]
     variables: tuple[str, ...]
-
-    def assign_slots(self) -> list[int]:
-        """Top-level plain assignments eligible for declass substitution."""
-        return [i for i, cmd in enumerate(self.body) if cmd.kind == "assign"]
-
-    def with_declass(self, slot: int) -> str:
-        assert self.body[slot].kind == "assign"
-        body = list(self.body)
-        body[slot] = body[slot]._replace(kind="declass")
-        return render(body)
 
 
 def render(body: list[Sketch], depth: int = 0) -> str:
@@ -214,7 +205,3 @@ def generate(seed: int, cfg: GenConfig = GenConfig()) -> GeneratedProgram:
         body=body,
         variables=variables,
     )
-
-
-def declass_free(cfg: GenConfig = GenConfig()) -> GenConfig:
-    return cfg._replace(max_declass=0)

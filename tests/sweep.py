@@ -11,9 +11,7 @@ from typing import NamedTuple
 
 from wherecheck.cli import AnalysisReport, analyze
 from wherecheck.oracle import INCONCLUSIVE, OracleVerdict, check_where_security
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, generate
+from programs import random_program
 
 
 class Row(NamedTuple):
@@ -22,14 +20,12 @@ class Row(NamedTuple):
     oracle: OracleVerdict
 
 
-def sweep(seeds, cfg: GenConfig, bits: int, capacity: int, modes: dict[str, bool]) -> list[Row]:
+def sweep(seeds, io: bool, bits: int, capacity: int, modes: dict[str, bool]) -> list[Row]:
     """One row per seed: the program's report in each of ``modes`` (mode ->
     whether to extract witnesses) and its one oracle verdict."""
     rows = []
     for seed in seeds:
-        gen = generate(seed, cfg)
-        program = parse_program(gen.text)
-        policy = gather_downgrades(program, parse_policy(gen.policy_text))
+        _, program, policy = random_program(seed, io)
         reports = {
             mode: analyze(program, policy, bits=bits, capacity=capacity, mode=mode, want_witness=witness)
             for mode, witness in modes.items()

@@ -6,9 +6,10 @@ artifacts (the default-width corpus reports, the big random sweep) are
 computed once per module and reused.
 """
 
+import os
+import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -17,16 +18,12 @@ from wherecheck.cli import INSECURE, SECURE, analyze, bench, find_nmin, result_l
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import INCONCLUSIVE, check_noninterference, check_where_security
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, declass_free, generate
+from wherecheck.randprog import generate
 from wherecheck.reach import is_error_reachable, post_star
 from explicit import explicit_error_search
+from programs import IOBENCH, ROOT, TABLE3, corpus, load, load_text, random_program
+from programs import assign_slots, declass_free, with_declass
 from sweep import disagreements, sweep
-
-ROOT = Path(__file__).resolve().parent.parent
-TABLE3 = ROOT / "corpus" / "table3"
-IOBENCH = ROOT / "corpus" / "iobench"
 
 TABLE3_VERDICTS = {
     "P0": SECURE,
@@ -44,7 +41,7 @@ NMIN = {"P0": None, "P1": None, "P2": None, "P3": 1, "P4": 1, "P5": 1, "P6": Non
 SWEEP_SEEDS = 500
 SWEEP_BITS = 2
 SWEEP_CAPACITY = 4
-SWEEP_KINDS = {"plain": GenConfig(), "io": GenConfig(io=True)}
+SWEEP_KINDS = {"plain": False, "io": True}
 # storematch extracts every insecure level's witness, tr decides alone
 SWEEP_MODES = {MODE_STORE_MATCH: True, MODE_TR: False}
 
@@ -65,16 +62,6 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _load(text: str, policy_text: str):
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(policy_text))
-    return program, policy
-
-
-def _load_corpus(directory: Path, name: str):
-    return _load((directory / name).read_text(), (directory / f"{name}.policy").read_text())
-
-
 @pytest.fixture(scope="module")
 def table3_reports():
     out = {}
@@ -91,8 +78,8 @@ def table3_reports():
 def random_sweep():
     """Generator kind -> one `sweep.Row` per seed, in both modes."""
     return {
-        kind: sweep(range(SWEEP_SEEDS), cfg, SWEEP_BITS, SWEEP_CAPACITY, SWEEP_MODES)
-        for kind, cfg in SWEEP_KINDS.items()
+        kind: sweep(range(SWEEP_SEEDS), io, SWEEP_BITS, SWEEP_CAPACITY, SWEEP_MODES)
+        for kind, io in SWEEP_KINDS.items()
     }
 
 
@@ -107,7 +94,7 @@ def test_criterion_2_minimum_widths():
     got = {}
     started = time.perf_counter()
     for name in sorted(NMIN):
-        program, policy = _load_corpus(TABLE3, name)
+        program, policy = load(name)
         got[name] = find_nmin(program, policy, max_bits=6, capacity=8)
     seconds = time.perf_counter() - started
     ok = got == NMIN
@@ -159,11 +146,11 @@ def test_random_disagreements_with_the_oracle_are_pinned(random_sweep, kind, mod
 
 
 def test_criterion_5_prudent_principles():
-    cfg = declass_free(GenConfig())
+    cfg = declass_free()
     mismatched = []
     for seed in range(200):
         gen = generate(seed, cfg)
-        program, policy = _load(gen.text, gen.policy_text)
+        program, policy = load_text(gen.text, gen.policy_text)
         where = check_where_security(program, policy, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY)
         ni = check_noninterference(program, policy, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY)
         if where.status != ni.status:
@@ -175,15 +162,15 @@ def test_criterion_5_prudent_principles():
     while checked < 200 and seed < 4000:
         gen = generate(seed, cfg)
         seed += 1
-        slots = gen.assign_slots()
+        slots = assign_slots(gen)
         if not slots:
             continue
-        program, policy = _load(gen.text, gen.policy_text)
+        program, policy = load_text(gen.text, gen.policy_text)
         if check_where_security(program, policy, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY).status != SECURE:
             continue
         checked += 1
         for slot in slots:
-            relaxed, pol2 = _load(gen.with_declass(slot), gen.policy_text)
+            relaxed, pol2 = load_text(with_declass(gen, slot), gen.policy_text)
             after = check_where_security(relaxed, pol2, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY)
             if after.status != SECURE:
                 revoked.append((seed - 1, slot))
@@ -197,14 +184,13 @@ def test_criterion_5_prudent_principles():
         lambda text, var: f"{text};\n{var} := {var}",
     ]
     moved = []
-    for name in sorted(TABLE3_VERDICTS):
-        text = (TABLE3 / name).read_text().strip()
-        policy_text = (TABLE3 / f"{name}.policy").read_text()
-        program, policy = _load(text, policy_text)
+    for name, text, policy_text in corpus("table3"):
+        text = text.strip()
+        program, policy = load_text(text, policy_text)
         var = program.variables[0]
         base = [(l.level, l.verdict) for l in analyze(program, policy, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY).levels]
         for i, wrap in enumerate(catalogue):
-            wp, wpol = _load(wrap(text, var), policy_text)
+            wp, wpol = load_text(wrap(text, var), policy_text)
             got = [(l.level, l.verdict) for l in analyze(wp, wpol, bits=SWEEP_BITS, capacity=SWEEP_CAPACITY).levels]
             if got != base:
                 moved.append((name, i))
@@ -240,21 +226,14 @@ def test_criterion_6_backend_agreement():
                 if explicit != symbolic:
                     disagreements.append(f"{label}:{level}:{compose.__name__}")
 
-    for name in sorted(TABLE3_VERDICTS):
-        program, policy = _load_corpus(TABLE3, name)
-        compare(program, policy, name, bits=1, capacity=2)
-    for name in sorted(p.name for p in IOBENCH.glob("*.policy")):
-        base = name[: -len(".policy")]
-        program, policy = _load_corpus(IOBENCH, base)
-        compare(program, policy, base, bits=1, capacity=2)
+    for name, text, policy_text in corpus("table3") + corpus("iobench"):
+        compare(*load_text(text, policy_text), name, bits=1, capacity=2)
 
     seed = 0
     while compared < 16 * 4 + 100 and seed < 400:
-        cfg = GenConfig(io=bool(seed % 3))
-        gen = generate(seed, cfg)
+        _, program, policy = random_program(seed, io=bool(seed % 3))
+        compare(program, policy, f"seed{seed}", bits=1, capacity=2)
         seed += 1
-        program, policy = _load(gen.text, gen.policy_text)
-        compare(program, policy, f"seed{seed - 1}", bits=1, capacity=2)
 
     ok = not disagreements and compared >= 16 * 4 + 100
     report(6, ok, f"{compared} models agree, {skipped} over explicit budget, bad={disagreements[:4]}")
@@ -271,11 +250,11 @@ def test_criterion_7_storematch_economy():
 def test_criterion_8_deterministic_output():
     def machine_output():
         lines = []
-        for corpus in (TABLE3, IOBENCH):
-            for policy_path in sorted(corpus.glob("*.policy")):
+        for folder in (TABLE3, IOBENCH):
+            for policy_path in sorted(folder.glob("*.policy")):
                 name = policy_path.name[: -len(".policy")]
-                rep = analyze(corpus / name, policy_path, bits=2, capacity=4)
-                lines.append(f"== {corpus.name}/{name}")
+                rep = analyze(folder / name, policy_path, bits=2, capacity=4)
+                lines.append(f"== {folder.name}/{name}")
                 lines.extend(result_lines(rep))
         return "\n".join(lines).encode()
 
@@ -283,3 +262,41 @@ def test_criterion_8_deterministic_output():
     second = machine_output()
     ok = first == second
     report(8, ok, f"{len(first)} bytes, identical={ok}")
+
+
+# Every program of both corpora at bits 2 and capacity 4: its result lines
+# and witnesses (stores, inputs, mismatch and both runs' traces) in both
+# modes, and its oracle line.
+MACHINE_OUTPUT = """\
+from wherecheck.cli import MODES, _witness_block, analyze, result_lines
+from wherecheck.oracle import check_where_security
+from programs import corpus, load_text
+
+for group in ("table3", "iobench"):
+    for name, text, policy_text in corpus(group):
+        program, policy = load_text(text, policy_text)
+        print(f"== {group}/{name}")
+        for mode in MODES:
+            report = analyze(program, policy, bits=2, capacity=4, mode=mode, want_witness=True)
+            print("\\n".join(result_lines(report) + _witness_block(report)))
+        verdict = check_where_security(program, policy, bits=2, capacity=4)
+        print(f"ORACLE verdict={verdict.status} pairs={verdict.pairs_checked} note={verdict.note}")
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # A set of names iterates in an order that the hash seed picks: output
+    # that follows that order differs between the two processes, though
+    # each process repeats itself (criterion 8).
+    path = os.pathsep.join(str(ROOT / part) for part in ("src", "tests"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", MACHINE_OUTPUT],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].count(b"ORACLE verdict=") == 16
+    assert outputs[0] == outputs[1]

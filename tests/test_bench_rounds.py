@@ -9,11 +9,11 @@ it fails a test instead.
 """
 
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from programs import ROOT
+
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402

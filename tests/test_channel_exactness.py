@@ -10,17 +10,14 @@ check and the benchmark's independent ``witness_check``.
 """
 
 import sys
-from pathlib import Path
 
 import pytest
 
 from wherecheck.cli import EXIT_SECURE, INSECURE, analyze, main
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
+from programs import ROOT, corpus, load_text
 
-ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from witness_check import witness_problem  # noqa: E402
@@ -68,15 +65,8 @@ def _channel_programs():
     for seed in range(400):
         gen = generate(seed, GenConfig(io=True))
         yield f"randprog/{seed}io", gen.text, gen.policy_text, 2, 4
-    for policy_path in sorted((ROOT / "corpus" / "iobench").glob("*.policy")):
-        program_path = policy_path.with_suffix("")
-        yield (
-            f"iobench/{program_path.name}",
-            program_path.read_text(),
-            policy_path.read_text(),
-            2,
-            8,
-        )
+    for name, text, policy_text in corpus("iobench"):
+        yield f"iobench/{name}", text, policy_text, 2, 8
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +74,7 @@ def channel_reports():
     """(name, program, policy, bits, capacity, {mode: report with witnesses})."""
     rows = []
     for name, text, policy_text, bits, capacity in _channel_programs():
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
+        program, policy = load_text(text, policy_text)
         reports = {
             mode: analyze(
                 program, policy, bits=bits, capacity=capacity, mode=mode, want_witness=True

@@ -30,16 +30,14 @@ from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.reach import post_star, replay_witness
 from wherecheck.syntax import Assign, BinOp, If, Num, Program, SiteLabel, Skip, Var, While
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
-IOBENCH = CORPUS.parent / "iobench"
+from programs import IOBENCH, ROOT, TABLE3, load, load_text
 
 LAUNDER_LOOP = "l := 0;\nwhile l < 1 do h := h; l := l + 1 od;\nl := h\n"
 TWO_LEVEL = "lattice: L < H\nvar l : L\nvar h : H\n"
 
 
 def corpus_args(name: str) -> list[str]:
-    return [str(CORPUS / name), "--policy", str(CORPUS / f"{name}.policy")]
+    return [str(TABLE3 / name), "--policy", str(TABLE3 / f"{name}.policy")]
 
 
 def write_pair(tmp_path: Path, text: str, policy: str) -> list[str]:
@@ -226,7 +224,7 @@ def test_trace_flag_prints_reference_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(CORPUS.glob("P?")) + sorted(IOBENCH.glob("B?")), ids=lambda p: p.name
+    "path", sorted(TABLE3.glob("P?")) + sorted(IOBENCH.glob("B?")), ids=lambda p: p.name
 )
 def test_every_flag_on_every_corpus_program(capsys, path):
     policy = Path(f"{path}.policy")
@@ -263,8 +261,7 @@ def test_budget_env_degrades_to_inconclusive(tmp_path, capsys, monkeypatch):
 def test_a_budget_hit_while_extracting_a_witness_keeps_the_verdict():
     # one node more than the search at L makes: the search decides L, and
     # the witness walk, which makes more than one node, runs out
-    program = parse_program((CORPUS / "P3").read_text())
-    policy = parse_policy((CORPUS / "P3.policy").read_text())
+    program, policy = load("P3")
     model = {r.level: r for r in analyze(program, policy, bits=4).levels}["L"].model
     budget = post_star(model).node_count + 1
     bare = analyze(program, policy, bits=4, node_budget=budget)
@@ -324,13 +321,12 @@ def deep_sum(terms: int) -> str:
 def assert_decides_insecure_at_l(text: str) -> None:
     """In both modes, at bits 2: H secure, L insecure with a witness that
     replays, and the oracle agrees."""
-    program = parse_program(text)
-    policy = parse_policy(TWO_LEVEL)
+    program, policy = load_text(text, TWO_LEVEL)
     for mode in MODES:
         report = analyze(program, policy, bits=2, capacity=0, mode=mode, want_witness=True)
         assert [(r.level, r.verdict) for r in report.levels] == [("H", "secure"), ("L", "insecure")]
         assert replay_witness(report.levels[1].model, report.levels[1].witness)[0]
-    verdict = check_where_security(program, gather_downgrades(program, policy), bits=2, capacity=0)
+    verdict = check_where_security(program, policy, bits=2, capacity=0)
     assert verdict.status == "insecure"
 
 
@@ -440,7 +436,7 @@ def test_a_closed_stdout_ends_quietly_with_the_verdict_exit_code(capsys, name, e
 
 def test_a_pipe_closed_by_its_reader_leaves_no_error_at_exit():
     # the interpreter flushes standard output once more as it exits
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, "-m", "wherecheck.cli", "analyze", *corpus_args("P3"), "--dump-composed"]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -513,7 +509,7 @@ def test_a_variable_named_tmp_is_like_any_other(tmp_path, capsys, mode):
 
 
 def test_missing_flag_exits_three(capsys):
-    code, _, err = run(capsys, ["analyze", str(CORPUS / "P0")])
+    code, _, err = run(capsys, ["analyze", str(TABLE3 / "P0")])
     assert code == EXIT_USAGE
     assert "--policy" in err
 
@@ -536,7 +532,7 @@ def test_unknown_mode_exits_three(capsys):
     ],
 )
 def test_out_of_range_number_is_usage_error(capsys, command, flag, value):
-    inputs = [str(CORPUS)] if command == "bench" else corpus_args("P0")
+    inputs = [str(TABLE3)] if command == "bench" else corpus_args("P0")
     code, out, err = run(capsys, [command, *inputs, flag, value])
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
@@ -550,7 +546,7 @@ def test_out_of_range_number_is_usage_error(capsys, command, flag, value):
 )
 def test_analyze_rejects_out_of_range_numbers(kwargs, name):
     with pytest.raises(ValueError, match=name):
-        analyze(CORPUS / "P0", CORPUS / "P0.policy", **kwargs)
+        analyze(TABLE3 / "P0", TABLE3 / "P0.policy", **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -558,14 +554,14 @@ def test_analyze_rejects_out_of_range_numbers(kwargs, name):
 )
 def test_find_nmin_rejects_out_of_range_numbers(kwargs, name):
     with pytest.raises(ValueError, match=name):
-        find_nmin(CORPUS / "P3", CORPUS / "P3.policy", **kwargs)
+        find_nmin(TABLE3 / "P3", TABLE3 / "P3.policy", **kwargs)
 
 
 @pytest.mark.parametrize("check", ["analyze", "find_nmin"])
 def test_unknown_mode_is_rejected_not_run_as_storematch(check):
     fn = analyze if check == "analyze" else find_nmin
     with pytest.raises(ValueError, match="mode must be one of storematch, tr, got 'TR'"):
-        fn(CORPUS / "P0", CORPUS / "P0.policy", capacity=4, mode="TR")
+        fn(TABLE3 / "P0", TABLE3 / "P0.policy", capacity=4, mode="TR")
 
 
 @pytest.mark.parametrize(
@@ -635,11 +631,11 @@ def test_nmin_passes_capacity(capsys):
 
 
 def test_nmin_library_api():
-    program = parse_program((CORPUS / "P3").read_text())
-    policy = parse_policy((CORPUS / "P3.policy").read_text())
+    program = parse_program((TABLE3 / "P3").read_text())
+    policy = parse_policy((TABLE3 / "P3.policy").read_text())
     assert find_nmin(program, policy) == 1
-    secure = parse_program((CORPUS / "P0").read_text())
-    secure_policy = parse_policy((CORPUS / "P0.policy").read_text())
+    secure = parse_program((TABLE3 / "P0").read_text())
+    secure_policy = parse_policy((TABLE3 / "P0.policy").read_text())
     assert find_nmin(secure, secure_policy, max_bits=3) is None
 
 
@@ -647,7 +643,7 @@ def test_nmin_library_api():
 
 
 def test_bench_corpus(capsys):
-    code, out, _ = run(capsys, ["bench", str(CORPUS), "--bits", "1"])
+    code, out, _ = run(capsys, ["bench", str(TABLE3), "--bits", "1"])
     assert code == EXIT_SECURE
     rows = [ln for ln in out.splitlines() if ln.startswith("BENCH program=")]
     assert len(rows) == 8
@@ -658,12 +654,12 @@ def test_bench_corpus(capsys):
 def test_bench_prints_the_precision_of_the_typing_check(capsys):
     # every secure program types at every level: P0, P1, P2, P7, and P6 by
     # its constant h2; B7 by its constant guard
-    code, out, _ = run(capsys, ["bench", str(CORPUS), "--bits", "2"])
+    code, out, _ = run(capsys, ["bench", str(TABLE3), "--bits", "2"])
     assert code == EXIT_SECURE
     lines = out.splitlines()
     agg = next(i for i, ln in enumerate(lines) if ln.startswith("BENCH aggregate"))
     assert lines[agg + 1] == "BENCH precision programs=8 secure=5 typable=5"
-    assert [row.typable for row in bench(CORPUS, bits=2).rows] == [
+    assert [row.typable for row in bench(TABLE3, bits=2).rows] == [
         True, True, True, False, False, False, True, True
     ]
     code, out, _ = run(capsys, ["bench", str(IOBENCH), "--bits", "2"])
@@ -680,13 +676,13 @@ def test_bench_passes_capacity(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "analyze", spy)
-    code, _, _ = run(capsys, ["bench", str(CORPUS), "--bits", "1", "--capacity", "4"])
+    code, _, _ = run(capsys, ["bench", str(TABLE3), "--bits", "1", "--capacity", "4"])
     assert code == EXIT_SECURE
     assert seen and set(seen) == {4}
 
 
 def test_bench_table_api():
-    table = bench(CORPUS, bits=1)
+    table = bench(TABLE3, bits=1)
     assert len(table.rows) == 8
     for row in table.rows:
         # these programs have no output channels, so nothing is duplicated
@@ -745,8 +741,8 @@ def test_a_real_backend_disagreement_fails(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "tr_compose", blind)
     with pytest.raises(ModeDisagreement, match="backends disagree on P3"):
-        bench(CORPUS, bits=2)
-    code, _, err = run(capsys, ["bench", str(CORPUS), "--bits", "2"])
+        bench(TABLE3, bits=2)
+    code, _, err = run(capsys, ["bench", str(TABLE3), "--bits", "2"])
     assert code == EXIT_USAGE
     assert [ln for ln in err.splitlines() if ln.startswith("error: backends disagree")] == [
         "error: backends disagree on P3: storematch=insecure tr=secure"
@@ -763,8 +759,8 @@ def test_bench_rejects_unpaired_directory(tmp_path, capsys):
 
 
 def test_analyze_accepts_parsed_objects():
-    program = parse_program((CORPUS / "P4").read_text())
-    policy = parse_policy((CORPUS / "P4.policy").read_text())
+    program = parse_program((TABLE3 / "P4").read_text())
+    policy = parse_policy((TABLE3 / "P4.policy").read_text())
     report = analyze(program, policy, bits=2)
     assert isinstance(report, AnalysisReport)
     assert [r.level for r in report.levels] == sorted(policy.domains)
@@ -778,8 +774,7 @@ def test_analyze_accepts_parsed_objects():
 
 
 def test_analyze_witness_only_on_request():
-    program = parse_program((CORPUS / "P5").read_text())
-    policy = parse_policy((CORPUS / "P5.policy").read_text())
+    program, policy = load("P5")
     bare = analyze(program, policy, bits=1)
     assert all(r.witness is None for r in bare.levels)
     rich = analyze(program, policy, bits=1, want_witness=True)
@@ -789,10 +784,9 @@ def test_analyze_witness_only_on_request():
 
 
 def test_the_readme_library_example_runs(monkeypatch):
-    root = Path(__file__).resolve().parent.parent
-    section = (root / "README.md").read_text().split("## Library", 1)[1]
+    section = (ROOT / "README.md").read_text().split("## Library", 1)[1]
     example = section.split("```python", 1)[1].split("```", 1)[0]
-    monkeypatch.chdir(root)
+    monkeypatch.chdir(ROOT)
     namespace = {}
     exec(example, namespace)
     report = namespace["report"]

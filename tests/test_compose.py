@@ -1,5 +1,4 @@
 import re
-from pathlib import Path
 
 import pytest
 
@@ -12,36 +11,20 @@ from wherecheck.compose import (
     tr_compose,
 )
 from wherecheck.modelgen import FINAL_SYMBOL, build_model, index_width, xi_name
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars
 
 from explicit import explicit_error_search
+from programs import load, load_text, random_program
 from test_pinned_outputs import _cases
 from test_spds import written_globals
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE3 = [f"P{i}" for i in range(8)]
 IOBENCH = [f"B{i}" for i in range(8)]
 
 
-def load(name: str, corpus: str = "table3"):
-    path = CORPUS / corpus / name
-    program = parse_program(path.read_text())
-    policy = parse_policy(path.with_suffix(".policy").read_text())
-    return program, gather_downgrades(program, policy)
-
-
-def prog(text: str, pol: str):
-    program = parse_program(text)
-    policy = parse_policy(pol)
-    return program, gather_downgrades(program, policy)
-
-
 def compose(text: str, pol: str, mode, bits=1, capacity=2) -> ComposedModel:
-    program, policy = prog(text, pol)
+    program, policy = load_text(text, pol)
     return mode(build_model(program, policy, "L", bits=bits, capacity=capacity))
 
 
@@ -110,8 +93,7 @@ def test_every_random_rule_can_reach_error_unless_nothing_is_observable():
     # every other model has no dead end
     for seed in range(400):
         for io in (False, True):
-            gen = generate(seed, GenConfig(io=io))
-            program, policy = prog(gen.text, gen.policy_text)
+            _, program, policy = random_program(seed, io)
             for level in sorted(policy.domains):
                 skel = build_model(program, policy, level, bits=2, capacity=4)
                 for compose in (self_compose, tr_compose):
@@ -195,7 +177,7 @@ def test_downgrade_stuffing_shape():
 
 
 def test_output_match_shape():
-    program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
+    program, policy = load_text("l := h; output(l, snk)", SINK_POLICY)
     skel = build_model(program, policy, "L", bits=2)
     model = self_compose(skel)
     (spec,) = skel.outputs
@@ -255,7 +237,7 @@ SINK_POLICY = "lattice: L < H\nvar l : L\nvar h : H\nchannel snk : L output\n"
 
 
 def test_tr_duplicates_output_channels():
-    program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
+    program, policy = load_text("l := h; output(l, snk)", SINK_POLICY)
     skel = build_model(program, policy, "L", bits=3)
     store = self_compose(skel)
     tr = tr_compose(skel)
@@ -268,7 +250,7 @@ def test_tr_duplicates_output_channels():
 
 
 def test_composed_order_puts_control_first_and_pairs_copies():
-    program, policy = prog(
+    program, policy = load_text(
         "input(l, src); h := l; output(h, snk)",
         "lattice: L < H\nvar l : L\nvar h : H\n"
         "channel src : L input length 2\nchannel snk : L output\n",
@@ -298,7 +280,7 @@ def test_composed_order_puts_control_first_and_pairs_copies():
 def test_tr_overhead_is_one_channel_copy():
     # a single low output channel: the baseline pays exactly one copy,
     # store-match its 1-bit mismatch cell
-    program, policy = prog(
+    program, policy = load_text(
         "while 0 do output(0, snk) od", "lattice: L < H\nchannel snk : L output\n"
     )
     skel = build_model(program, policy, "L", bits=3, capacity=8)
@@ -319,7 +301,7 @@ def test_tr_matches_storematch_bits_without_channels():
 
 
 def test_tr_checker_chain_shape():
-    program, policy = prog("l := h; output(l, snk)", SINK_POLICY)
+    program, policy = load_text("l := h; output(l, snk)", SINK_POLICY)
     model = tr_compose(build_model(program, policy, "L", bits=2))
     end = outgoing(model, xi_name(FINAL_SYMBOL))
     assert [r.rhs for r in end] == [ERROR_SYMBOL, "chk0"]
@@ -377,7 +359,7 @@ def test_explicit_reachability_agrees_on_tiny_programs(mode):
 def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
     stale = re.compile(r"finalvars|exh\[|fv\d")
     for name, text, pol, bits, capacity, _ in _cases():
-        program, policy = prog(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)
             for model in (self_compose(skel), tr_compose(skel)):
@@ -388,7 +370,7 @@ def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
 def test_every_rule_moves_to_one_symbol_without_tmp_or_site_bodies():
     body = re.compile(r"^(xi\()?(de\d|dx\d|oe\[|ox\[)")
     for name, text, pol, bits, capacity, _ in _cases():
-        program, policy = prog(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)
             for spds in (skel.spds, self_compose(skel).spds, tr_compose(skel).spds):

@@ -7,26 +7,14 @@ turning a plain assignment into a downgrade never makes a secure program
 insecure) are acceptance criterion 5's, in tests/test_acceptance.py.
 """
 
-from pathlib import Path
-
 import pytest
 
 from wherecheck.cli import analyze
 from wherecheck.oracle import check_where_security
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import generate
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
+from programs import TABLE3, load_text, random_program
 
 BITS = 2
 CAPACITY = 4
-
-
-def _load(text: str, policy_text: str):
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(policy_text))
-    return program, policy
 
 
 # Each entry wraps a whole program in an observably equivalent context.
@@ -43,12 +31,12 @@ CATALOGUE = [
 @pytest.mark.parametrize("name", ["P0", "P3", "P4", "P7"])
 @pytest.mark.parametrize("label,wrap", CATALOGUE)
 def test_catalogue_preserves_corpus_verdicts(name, label, wrap):
-    text = (CORPUS / name).read_text()
-    policy_text = (CORPUS / f"{name}.policy").read_text()
-    program, policy = _load(text, policy_text)
+    text = (TABLE3 / name).read_text()
+    policy_text = (TABLE3 / f"{name}.policy").read_text()
+    program, policy = load_text(text, policy_text)
     var = program.variables[0]
     base = analyze(program, policy, bits=BITS, capacity=CAPACITY)
-    wrapped_prog, wrapped_pol = _load(wrap(text.strip(), var), policy_text)
+    wrapped_prog, wrapped_pol = load_text(wrap(text.strip(), var), policy_text)
     wrapped = analyze(wrapped_prog, wrapped_pol, bits=BITS, capacity=CAPACITY)
     assert [(l.level, l.verdict) for l in base.levels] == [
         (l.level, l.verdict) for l in wrapped.levels
@@ -61,11 +49,10 @@ def test_catalogue_preserves_corpus_verdicts(name, label, wrap):
 
 def test_catalogue_preserves_generated_verdicts():
     for seed in range(16):
-        gen = generate(seed)
-        program, policy = _load(gen.text, gen.policy_text)
+        gen, program, policy = random_program(seed)
         var = gen.variables[0]
         base = [(l.level, l.verdict) for l in analyze(program, policy, bits=BITS, capacity=CAPACITY).levels]
         for label, wrap in CATALOGUE:
-            wp, wpol = _load(wrap(gen.text.strip(), var), gen.policy_text)
+            wp, wpol = load_text(wrap(gen.text.strip(), var), gen.policy_text)
             got = [(l.level, l.verdict) for l in analyze(wp, wpol, bits=BITS, capacity=CAPACITY).levels]
             assert got == base, f"seed {seed} {label}"

@@ -8,14 +8,17 @@ exhaust Python's stack: the same ``ast`` reading lists every function that
 calls itself, and only a few are allowed to.  It also lists every
 ``@dataclass``: a record is a NamedTuple unless it needs one of the
 features of a dataclass that the keep-list names, and only the modules of
-the kept ones import ``dataclasses``."""
+the kept ones import ``dataclasses``.  Every module of the package, the
+tests and the benchmark parses as Python 3.10, the oldest version that
+``pyproject.toml`` supports."""
 
 import ast
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wherecheck"
+from programs import ROOT
+
+SRC = ROOT / "src" / "wherecheck"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 MODEL = ("bdd", "spds", "modelgen", "compose", "reach")
 
@@ -126,3 +129,12 @@ def test_only_the_kept_records_are_dataclasses():
         or (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
     }
     assert importers == {name.split(".")[0] for name in KEPT_DATACLASSES}
+
+
+def test_every_module_parses_as_python_3_10():
+    # requires-python = ">=3.10".  The parser flags what it knows to be
+    # newer than 3.10, such as except*; it does not flag every such form.
+    paths = [path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")]
+    assert len(paths) > 40
+    for path in sorted(paths):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -20,10 +20,9 @@ from pathlib import Path
 
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model, dump_model
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.spds import dump_spds
 
+from programs import load_text
 from test_pinned_outputs import _cases
 
 GOLDEN = Path(__file__).resolve().parent / "model_dumps.txt"
@@ -45,8 +44,7 @@ def dump_lines() -> list[str]:
         if (name, bits, capacity) in seen:
             continue  # the same model under the other transformer
         seen.add((name, bits, capacity))
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
+        program, policy = load_text(text, policy_text)
         for level in sorted(policy.domains):
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
             lines.append(
@@ -68,8 +66,7 @@ def test_model_dumps_match_the_pinned_file():
 def test_every_composed_rule_line_splits_into_three_columns():
     # symbols, guard and effect; no expression or effect prints the separator
     for name, text, policy_text, bits, capacity, _ in _cases():
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
+        program, policy = load_text(text, policy_text)
         for level in sorted(policy.domains):
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
             for model in (self_compose(skeleton), tr_compose(skeleton)):

@@ -1,5 +1,4 @@
 import itertools
-from pathlib import Path
 
 import pytest
 
@@ -32,21 +31,8 @@ from wherecheck.syntax import (
     While,
 )
 from explicit import successors, valuation
+from programs import corpus, load, load_text
 from reference import format_program, same_command
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
-
-
-def load(name: str):
-    program = parse_program((CORPUS / name).read_text())
-    policy = parse_policy((CORPUS / f"{name}.policy").read_text())
-    return program, gather_downgrades(program, policy)
-
-
-def prog(text: str, pol: str):
-    program = parse_program(text)
-    policy = parse_policy(pol)
-    return program, gather_downgrades(program, policy)
 
 
 def count_globals(skeleton: ModelSkeleton) -> dict[str, int]:
@@ -71,7 +57,7 @@ def test_index_width():
 
 
 def test_rules_hold_the_parsers_expression_objects():
-    program, policy = prog(
+    program, policy = load_text(
         "if l < h then l := h + 1 else l := declass(h) fi; "
         "while l do l := l - 1 od; output(l * 2, o)",
         "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\n",
@@ -108,7 +94,7 @@ def test_p1_bit_budget_frozen():
 
 
 def test_skip_has_no_globals():
-    program, policy = prog("skip", "lattice: L < H\n")
+    program, policy = load_text("skip", "lattice: L < H\n")
     skel = build_model(program, policy, "L", bits=3)
     assert count_globals(skel)["total"] == 0
     assert skel.spds.globals.names == []
@@ -117,7 +103,7 @@ def test_skip_has_no_globals():
 def test_capacity_scales_only_channel_cells():
     text = "output(l, out0)"
     pol = "lattice: L < H\nvar l : L\nchannel out0 : L output\n"
-    program, policy = prog(text, pol)
+    program, policy = load_text(text, pol)
     small = count_globals(build_model(program, policy, "L", bits=3, capacity=4))
     big = count_globals(build_model(program, policy, "L", bits=3, capacity=8))
     assert big["vars"] == small["vars"]
@@ -139,7 +125,7 @@ def test_p0_skeleton_shape():
 
 
 def test_high_output_is_frame_rule_without_channel_state():
-    program, policy = prog(
+    program, policy = load_text(
         "output(l, outH)",
         "lattice: L < H\nvar l : L\nchannel outH : H output\n",
     )
@@ -154,7 +140,7 @@ def test_high_output_is_frame_rule_without_channel_state():
 
 
 def test_low_input_rule_shape():
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, in0)",
         "lattice: L < H\nvar x : L\nchannel in0 : L input length 2\n",
     )
@@ -171,7 +157,7 @@ def test_low_input_rule_shape():
 
 
 def test_high_input_havocs_target():
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, hin); l := x",
         "lattice: L < H\nvar x : H\nvar l : L\nchannel hin : H input\n",
     )
@@ -188,7 +174,7 @@ def test_high_input_havocs_target():
 
 def test_downgrade_and_low_output_sites_are_plain_rules():
     # self-composition fills in what a site does in each run
-    program, policy = prog(
+    program, policy = load_text(
         "l := declass(h); output(l, o); output(h, oH)",
         "lattice: L < H\nvar l : L\nvar h : H\nchannel o : L output\nchannel oH : H output\n",
     )
@@ -230,9 +216,9 @@ def site_bodies(skeleton: ModelSkeleton) -> dict:
 
 def site_table_cases():
     """(name, program text, policy text) over table3, iobench and randprog seeds 0-59."""
-    root = CORPUS.parent
-    for name in [f"table3/P{i}" for i in range(8)] + [f"iobench/B{i}" for i in range(8)]:
-        yield name, (root / name).read_text(), (root / f"{name}.policy").read_text()
+    for group in ("table3", "iobench"):
+        for name, text, pol in corpus(group):
+            yield f"{group}/{name}", text, pol
     for seed in range(60):
         for io in (False, True):
             gen = generate(seed, GenConfig(io=io))
@@ -242,7 +228,7 @@ def site_table_cases():
 def test_the_site_table_lists_every_real_downgrade_and_observable_output():
     filled = 0
     for name, text, pol in site_table_cases():
-        program, policy = prog(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=2, capacity=2)
             assert skel.sites == site_bodies(skel), (name, level)
@@ -330,7 +316,7 @@ def _interp_store_trace(program, policy, store, bits):
 @pytest.mark.parametrize("text", LOCKSTEP_PROGRAMS)
 def test_model_matches_interpreter_stepwise(text):
     pol = "lattice: L < H\nvar x : L\nvar y : L\n"
-    program, policy = prog(text, pol)
+    program, policy = load_text(text, pol)
     skel = build_model(program, policy, "L", bits=2)
     for x, y in itertools.product(range(4), repeat=2):
         store = {"x": x, "y": y}

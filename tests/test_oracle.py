@@ -1,5 +1,4 @@
 import itertools
-from pathlib import Path
 
 import pytest
 
@@ -28,20 +27,7 @@ from wherecheck.semantics import (
     run_program,
 )
 from wherecheck.syntax import While
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
-
-
-def load(name: str):
-    program = parse_program((CORPUS / name).read_text())
-    policy = parse_policy((CORPUS / f"{name}.policy").read_text())
-    return program, gather_downgrades(program, policy)
-
-
-def prog(text: str, pol: str):
-    program = parse_program(text)
-    policy = parse_policy(pol)
-    return program, gather_downgrades(program, policy)
+from programs import corpus, load, load_text, random_program
 
 
 TWO_LEVEL = "lattice: L < H\nvar h : H\nvar l : L\n"
@@ -58,7 +44,7 @@ def level_pairs(runs, level):
 
 
 def test_noninterference_direct_leak():
-    program, policy = prog("l := h", TWO_LEVEL)
+    program, policy = load_text("l := h", TWO_LEVEL)
     verdict = check_noninterference(program, policy, bits=2)
     assert verdict.status == INSECURE
     w = verdict.witness
@@ -68,7 +54,7 @@ def test_noninterference_direct_leak():
 
 
 def test_noninterference_constant_secure():
-    program, policy = prog("l := 0; h := h + 1", TWO_LEVEL)
+    program, policy = load_text("l := 0; h := h + 1", TWO_LEVEL)
     verdict = check_noninterference(program, policy, bits=2)
     assert verdict.status == SECURE
     assert verdict.witness is None
@@ -76,7 +62,7 @@ def test_noninterference_constant_secure():
 
 
 def test_noninterference_laundering_loop():
-    program, policy = prog(
+    program, policy = load_text(
         "l := 0; while h != 0 do h := h - 1; l := l + 1 od", TWO_LEVEL
     )
     verdict = check_noninterference(program, policy, bits=2)
@@ -86,7 +72,7 @@ def test_noninterference_laundering_loop():
 def test_termination_leak_is_ignored():
     # h = 0 halts, h != 0 spins forever.  Only halted runs are compared, so
     # the leak through termination behaviour is invisible to both checkers.
-    program, policy = prog("while h != 0 do skip od; l := 0", TWO_LEVEL)
+    program, policy = load_text("while h != 0 do skip od; l := 0", TWO_LEVEL)
     assert check_noninterference(program, policy, bits=2).status == SECURE
     assert check_where_security(program, policy, bits=2).status == SECURE
 
@@ -148,7 +134,7 @@ def test_clause_a_post_state_divergence():
     # h = 2 against h = 0 declassifies 0 on both sides from observably equal
     # pre-states, but each branch writes a different target variable, so the
     # post-states differ when l starts nonzero.
-    program, policy = prog(
+    program, policy = load_text(
         "if h then l := declass(h & 1) else l2 := declass(h & 1) fi; "
         "l := 0; l2 := 0",
         "lattice: L < H\nvar h : H\nvar l : L\nvar l2 : L\n",
@@ -162,7 +148,7 @@ def test_clause_a_post_state_divergence():
 def test_unequal_declass_counts_unconstrained():
     # One run declassifies h twice, the other once; such pairs are exempt,
     # and the equal-count pairs (h = h') carry no difference.
-    program, policy = prog(
+    program, policy = load_text(
         "if h then l := declass(h) else skip fi; l := declass(h)", TWO_LEVEL
     )
     assert check_where_security(program, policy, bits=2).status == SECURE
@@ -173,7 +159,7 @@ def test_repeated_site_value_sequence_mismatch():
     # values.  Positional pairing constrains the whole sequence, so h = 0
     # against h = 2 satisfies the premise (0&1, 1&1) = (0, 1) on both sides
     # yet ends with l = h < 2 differing.
-    program, policy = prog(
+    program, policy = load_text(
         "i := 0; while i < 2 do l := declass(h & 1); h := h + 1; i := i + 1 od; "
         "l := h < 2",
         "lattice: L < H\nvar h : H\nvar i : L\nvar l : L\n",
@@ -183,7 +169,7 @@ def test_repeated_site_value_sequence_mismatch():
 
 
 def test_high_input_channel_leak():
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, hin); l := x",
         "lattice: L < H\nvar x : H\nvar l : L\nchannel hin : H input\n",
     )
@@ -191,7 +177,7 @@ def test_high_input_channel_leak():
 
 
 def test_low_input_channel_shared():
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, lin); l := x",
         "lattice: L < H\nvar x : L\nvar l : L\nchannel lin : L input\n",
     )
@@ -199,7 +185,7 @@ def test_low_input_channel_shared():
 
 
 def test_low_output_mismatch_detected():
-    program, policy = prog(
+    program, policy = load_text(
         "output(h, out)",
         "lattice: L < H\nvar h : H\nchannel out : L output\n",
     )
@@ -209,7 +195,7 @@ def test_low_output_mismatch_detected():
 
 
 def test_high_output_invisible():
-    program, policy = prog(
+    program, policy = load_text(
         "output(h, hout)",
         "lattice: L < H\nvar h : H\nchannel hout : H output\n",
     )
@@ -218,12 +204,12 @@ def test_high_output_invisible():
 
 def test_three_level_lattice_intermediate_observer():
     pol = "lattice: L < M\nlattice: M < H\nvar h : H\nvar m : M\nvar l : L\n"
-    program, policy = prog("m := h", pol)
+    program, policy = load_text("m := h", pol)
     verdict = check_noninterference(program, policy, bits=1)
     assert verdict.status == INSECURE
     assert verdict.witness.level == "M"
     # The L observer alone would accept this program.
-    program2, policy2 = prog("l := m", pol)
+    program2, policy2 = load_text("l := m", pol)
     verdict2 = check_noninterference(program2, policy2, bits=1)
     assert verdict2.status == INSECURE
     assert verdict2.witness.level == "L"
@@ -239,7 +225,7 @@ def test_budget_exhaustion_is_inconclusive():
 def test_a_scan_past_the_budget_is_inconclusive():
     # Level H sees everything (16 pairs); level L's first violation is its
     # 50th pair: l = 3, h = 0 against l = 3, h = 1.
-    program, policy = prog("if l == 3 then l := h else skip fi", TWO_LEVEL)
+    program, policy = load_text("if l == 3 then l := h else skip fi", TWO_LEVEL)
     full = check_noninterference(program, policy, bits=2)
     assert (full.status, full.pairs_checked) == (INSECURE, 16 + 50)
     assert check_noninterference(program, policy, bits=2, budget=50) == full
@@ -252,8 +238,7 @@ def test_a_scan_past_the_budget_is_inconclusive():
 def test_the_budget_counts_states_not_the_pairs_of_clean_levels(seed):
     # Both programs have more pairs than the default budget, and far fewer
     # states; 133 is secure, 262 insecure.
-    gen = randprog.generate(seed, randprog.GenConfig(io=True))
-    program, policy = prog(gen.text, gen.policy_text)
+    _, program, policy = random_program(seed, io=True)
     runs = layout(program, policy, bits=3, capacity=8)
     pairs = sum(level_pairs(runs, level) for level in policy.domains)
     assert pairs > oracle.DEFAULT_PAIR_BUDGET
@@ -263,7 +248,7 @@ def test_the_budget_counts_states_not_the_pairs_of_clean_levels(seed):
 
 
 def test_witness_is_lexicographically_first():
-    program, policy = prog("l := h", TWO_LEVEL)
+    program, policy = load_text("l := h", TWO_LEVEL)
     v1 = check_noninterference(program, policy, bits=2)
     v2 = check_noninterference(program, policy, bits=2)
     assert v1.witness.first == v2.witness.first
@@ -313,7 +298,7 @@ def test_a_policy_that_does_not_cover_the_program_is_rejected(check):
 def test_where_implies_relaxation_of_ni():
     # Any program that never declassifies must get identical verdicts.
     for text in ("l := 0", "l := h", "l := 0; while h != 0 do h := h - 1; l := l + 1 od"):
-        program, policy = prog(text, TWO_LEVEL)
+        program, policy = load_text(text, TWO_LEVEL)
         ni = check_noninterference(program, policy, bits=2)
         wh = check_where_security(program, policy, bits=2)
         assert ni.status == wh.status
@@ -448,8 +433,7 @@ def assert_matches_reference(program, policy, bits, capacity, fuel=DEFAULT_FUEL)
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_pairwise_reference_on_randprog(seed, io):
-    gen = randprog.generate(seed, randprog.GenConfig(io=io))
-    program, policy = prog(gen.text, gen.policy_text)
+    _, program, policy = random_program(seed, io)
     assert_matches_reference(program, policy, bits=2, capacity=4)
 
 
@@ -484,7 +468,7 @@ HAND_WRITTEN = {
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
 def test_matches_pairwise_reference_on_hand_written(name):
-    program, policy = prog(*HAND_WRITTEN[name])
+    program, policy = load_text(*HAND_WRITTEN[name])
     assert_matches_reference(program, policy, bits=2, capacity=4)
 
 
@@ -492,8 +476,7 @@ def test_matches_pairwise_reference_on_hand_written(name):
 def test_matches_pairwise_reference_on_a_bits_3_scan(seed):
     # Each scans a violated level at bits 3 and capacity 8: 4,098 and 4,609
     # pairs checked.
-    gen = randprog.generate(seed, randprog.GenConfig(io=True))
-    program, policy = prog(gen.text, gen.policy_text)
+    _, program, policy = random_program(seed, io=True)
     assert_matches_reference(program, policy, bits=3, capacity=8)
 
 
@@ -564,16 +547,15 @@ def _keys(runs, pairs):
     ]
 
 
-IOBENCH = CORPUS.parent / "iobench"
 LAYOUT_CASES = ["channels", "iobench/B4", "two-by-two"]
 
 
 def _layout_case(case):
     if case == "channels":
-        return prog(*HAND_WRITTEN["channels"])
+        return load_text(*HAND_WRITTEN["channels"])
     if case == "iobench/B4":
-        return prog((IOBENCH / "B4").read_text(), (IOBENCH / "B4.policy").read_text())
-    return prog(
+        return load("B4", "iobench")
+    return load_text(
         "h1 := l1 + h2; l2 := declass(h1 & 1)",
         "lattice: L < H\nvar l1 : L\nvar l2 : L\nvar h1 : H\nvar h2 : H\n",
     )
@@ -605,7 +587,7 @@ def test_pair_order_matches_the_nested_loop_reference(case, bits):
 
 
 def test_fuel_exhausted_secure_program_is_inconclusive():
-    program, policy = prog("l := 0; while h != 0 do h := h - 1 od", TWO_LEVEL)
+    program, policy = load_text("l := 0; while h != 0 do h := h - 1 od", TWO_LEVEL)
     assert check_where_security(program, policy, bits=2, fuel=13).status == SECURE
     verdict = check_where_security(program, policy, bits=2, fuel=8)
     assert verdict.status == INCONCLUSIVE
@@ -615,7 +597,7 @@ def test_fuel_exhausted_secure_program_is_inconclusive():
 
 
 def test_fuel_exhausted_runs_do_not_hide_a_violation():
-    program, policy = prog("l := h; while h != 0 do h := h - 1 od", TWO_LEVEL)
+    program, policy = load_text("l := h; while h != 0 do h := h - 1 od", TWO_LEVEL)
     assert run_program(program, policy, {"h": 3}, bits=2, fuel=8).outcome == OUTCOME_FUEL
     verdict = check_where_security(program, policy, bits=2, fuel=8)
     assert verdict.status == INSECURE
@@ -624,7 +606,7 @@ def test_fuel_exhausted_runs_do_not_hide_a_violation():
 
 
 def test_one_run_per_initial_state_across_levels(monkeypatch):
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, lin); m := x + m; x := declass(h & 1)",
         "lattice: L < M\nlattice: M < H\nvar h : H\nvar m : M\nvar x : L\n"
         "channel lin : L input\n",
@@ -643,7 +625,8 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 # same check takes the rest of that run (``semantics.run``).  Its summary
 # must equal that of a run on its own: the outcome always, and for a halted
 # run its final observables and downgrades too, each downgrade at the same
-# index in the run.
+# index in the run, and the declassified values that ``declass_events``
+# reads off its own steps and the steps it joined.
 
 
 def initial_states(program, policy, bits=2):
@@ -673,13 +656,13 @@ def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
                     assert _downgrade_record(shared) == _downgrade_record(alone), (
                         fuel, store, inputs,
                     )
+                    assert shared.declass_events() == alone.declass_events(), (fuel, store, inputs)
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
 @pytest.mark.parametrize("seed", range(0, 400, 7))
 def test_shared_runs_match_runs_alone_on_randprog(seed, io):
-    gen = randprog.generate(seed, randprog.GenConfig(io=io))
-    program, policy = prog(gen.text, gen.policy_text)
+    _, program, policy = random_program(seed, io)
     assert_shared_runs_exact(program, policy, (3, 6, 11, DEFAULT_FUEL))
 
 
@@ -687,7 +670,7 @@ def test_shared_runs_match_runs_alone_entering_a_cycle_anywhere():
     # A tail of h steps, then a cycle through every value of l: the runs
     # enter the cycle at every point, after tails of every length, and the
     # fuels cut them before, inside and after their first lap.
-    program, policy = prog(
+    program, policy = load_text(
         "while h != 0 do h := h - 1 od; while 1 do l := l + 1 od", TWO_LEVEL
     )
     assert_shared_runs_exact(program, policy, range(1, 40))
@@ -697,7 +680,7 @@ def test_one_check_steps_each_distinct_configuration_once(monkeypatch):
     from wherecheck import semantics
 
     # Every run sets x first, so the 64 initial states share their futures.
-    program, policy = prog(
+    program, policy = load_text(
         "x := 0; l := declass(h & 1); while x < 2 do x := x + 1 od",
         "lattice: L < H\nvar h : H\nvar l : L\nvar x : L\n",
     )
@@ -737,7 +720,7 @@ def _count_bucket_passes(monkeypatch):
 
 
 def test_a_bottom_level_program_out_of_fuel_stays_inconclusive(monkeypatch):
-    program, policy = prog(
+    program, policy = load_text(
         "i := 0; while i < 3 do i := i + 1; l := l + 1 od",
         "lattice: L < H\nvar i : L\nvar l : L\n",
     )
@@ -750,7 +733,7 @@ def test_a_bottom_level_program_out_of_fuel_stays_inconclusive(monkeypatch):
 
 @pytest.mark.parametrize("length", [0, 1])
 def test_an_unobservable_input_takes_the_shortcut_only_when_empty(monkeypatch, length):
-    program, policy = prog(
+    program, policy = load_text(
         "input(l, hin)",
         f"lattice: L < H\nvar l : L\nchannel hin : H input length {length}\n",
     )
@@ -776,7 +759,7 @@ def _count_runs(monkeypatch):
 def test_a_shortcut_level_makes_no_run_of_its_own(monkeypatch):
     # Level H takes the shortcut; level L's bucket pass stops at its fifth
     # state and its scan at its second pair, whose two states the pass ran.
-    program, policy = prog("l := h", TWO_LEVEL)
+    program, policy = load_text("l := h", TWO_LEVEL)
     started = _count_runs(monkeypatch)
     verdict = check_noninterference(program, policy, bits=2)
     assert (verdict.status, verdict.pairs_checked) == (INSECURE, 16 + 2)
@@ -786,7 +769,7 @@ def test_a_shortcut_level_makes_no_run_of_its_own(monkeypatch):
 def test_a_secure_check_with_a_shortcut_level_runs_every_state(monkeypatch):
     # Both levels take the shortcut, so every state runs in the final check
     # for a run out of fuel, once.
-    program, policy = prog(
+    program, policy = load_text(
         "i := 0; while i < 3 do i := i + 1; l := l + 1 od",
         "lattice: L < H\nvar i : L\nvar l : L\n",
     )
@@ -807,7 +790,7 @@ IF_POLICY = "lattice: L < H\nvar l : L\n"
 @pytest.mark.parametrize("check", [check_noninterference, check_where_security])
 def test_a_secure_check_without_a_loop_makes_no_run(monkeypatch, check):
     # Both levels take the shortcut, so no level makes a run of its own.
-    program, policy = prog("l := l + 1; m := l", "lattice: L < H\nvar l : L\nvar m : L\n")
+    program, policy = load_text("l := l + 1; m := l", "lattice: L < H\nvar l : L\nvar m : L\n")
     started = _count_runs(monkeypatch)
     verdict = check(program, policy, bits=2)
     assert (verdict.status, verdict.pairs_checked, verdict.note) == (SECURE, 16 + 16, "")
@@ -818,7 +801,7 @@ def test_a_secure_check_without_a_loop_makes_no_run(monkeypatch, check):
 @pytest.mark.parametrize("check", [check_noninterference, check_where_security])
 def test_the_sweep_runs_only_below_the_bound(monkeypatch, check, fuel):
     # A lone run of IF_PROGRAM ends at its fifth iteration, index 4.
-    program, policy = prog(IF_PROGRAM, IF_POLICY)
+    program, policy = load_text(IF_PROGRAM, IF_POLICY)
     started = _count_runs(monkeypatch)
     verdict = check(program, policy, bits=2, fuel=fuel)
     if fuel <= 4:
@@ -851,8 +834,8 @@ def test_the_oracle_does_pinned_work_on_the_benchmark_programs(monkeypatch):
     monkeypatch.setattr(semantics, "step_point", counted)
     verdicts = []
     for seed, io in BENCHMARK_SEEDS:
-        gen = randprog.generate(seed, randprog.GenConfig(io=io))
-        verdict = check_where_security(*prog(gen.text, gen.policy_text), bits=2, capacity=4)
+        _, program, policy = random_program(seed, io)
+        verdict = check_where_security(program, policy, bits=2, capacity=4)
         verdicts.append((verdict.status, verdict.pairs_checked))
     assert (len(started), len(steps)) == (1731, 6612)
     statuses = [status for status, _ in verdicts]
@@ -865,8 +848,7 @@ def test_the_oracle_decides_randprog_seeds(io):
     # Seeds 0-99 at bits 2 and capacity 4: every run ends within the default
     # fuel, so neither check is inconclusive.
     for seed in range(100):
-        gen = randprog.generate(seed, randprog.GenConfig(io=io))
-        program, policy = prog(gen.text, gen.policy_text)
+        _, program, policy = random_program(seed, io)
         for check in (check_where_security, check_noninterference):
             verdict = check(program, policy, bits=2, capacity=4)
             assert verdict.status != INCONCLUSIVE, (seed, check.__name__, verdict.note)
@@ -874,7 +856,7 @@ def test_the_oracle_decides_randprog_seeds(io):
 
 @pytest.mark.parametrize("fuel", [4, 8])
 def test_the_bound_holds_against_the_reference(fuel):
-    program, policy = prog(IF_PROGRAM, IF_POLICY)
+    program, policy = load_text(IF_PROGRAM, IF_POLICY)
     assert_matches_reference(program, policy, bits=2, capacity=4, fuel=fuel)
 
 
@@ -885,7 +867,7 @@ def test_every_lone_run_without_a_loop_ends_within_the_bound():
     checked = 0
     for group in SHORTCUT_GROUPS:
         for name, text, pol, capacity in _shortcut_cases(group):
-            program, policy = prog(text, pol)
+            program, policy = load_text(text, pol)
             if While in map(type, program.sites):
                 continue
             runs = layout(program, policy, capacity=capacity)
@@ -899,7 +881,7 @@ def test_every_lone_run_without_a_loop_ends_within_the_bound():
 def test_a_run_leaves_the_shared_start_as_it_found_it():
     # The runs of one Known start from keys of one table; the first run
     # writes an output and reads an input.
-    program, policy = prog(
+    program, policy = load_text(
         "input(x, i); output(x, o)",
         "lattice: L < H\nvar x : L\nchannel i : L input length 1\nchannel o : L output\n",
     )
@@ -921,10 +903,8 @@ SHORTCUT_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
 def _shortcut_cases(group):
     """(name, program text, policy text, capacity) of one group."""
     if group in ("table3", "iobench"):
-        stem = "P" if group == "table3" else "B"
-        for i in range(8):
-            path = CORPUS.parent / group / f"{stem}{i}"
-            yield f"{group}/{stem}{i}", path.read_text(), path.with_suffix(".policy").read_text(), 8
+        for name, text, pol in corpus(group):
+            yield f"{group}/{name}", text, pol, 8
         return
     io = group == "randprog-io"
     for seed in range(400):
@@ -936,7 +916,7 @@ def _shortcut_cases(group):
 def test_the_bucket_pass_finds_no_conflict_where_the_shortcut_is_taken(group):
     taken = 0
     for name, text, pol, capacity in _shortcut_cases(group):
-        program, policy = prog(text, pol)
+        program, policy = load_text(text, pol)
         runs = layout(program, policy, capacity=capacity)
         for level in sorted(policy.domains):
             if level_pairs(runs, level) != runs.count:

@@ -33,14 +33,12 @@ from pathlib import Path
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import _Runs, check_where_security
-from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
 from wherecheck.semantics import DECLASS, DEFAULT_FUEL, format_trace, run_program
+from programs import corpus, load_text
 from tree_step import residual
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
 DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
 ORACLE = Path(__file__).resolve().parent / "pinned_oracle.txt"
@@ -51,19 +49,14 @@ TRACES = Path(__file__).resolve().parent / "pinned_traces.txt"
 SWEEP_SEEDS = [(s, s % 2 == 1) for s in range(100)] + [(113, True), (135, True), (141, True)]
 
 
-def _corpus(corpus: str, name: str) -> tuple[str, str]:
-    path = ROOT / "corpus" / corpus / name
-    return path.read_text(), path.with_suffix(".policy").read_text()
-
-
 def _cases():
     """(name, program text, policy text, bits, capacity, mode), in a fixed order."""
-    for i in range(8):
+    for name, text, policy_text in corpus("table3"):
         for bits in (2, 3, 4):
-            yield (f"table3/P{i}", *_corpus("table3", f"P{i}"), bits, 8, MODE_STORE_MATCH)
-    for i in range(8):
+            yield f"table3/{name}", text, policy_text, bits, 8, MODE_STORE_MATCH
+    for name, text, policy_text in corpus("iobench"):
         for mode in (MODE_STORE_MATCH, MODE_TR):
-            yield (f"iobench/B{i}", *_corpus("iobench", f"B{i}"), 2, 8, mode)
+            yield f"iobench/{name}", text, policy_text, 2, 8, mode
     for seed in range(100):
         for io in (False, True):
             gen = generate(seed, GenConfig(io=io))
@@ -73,9 +66,9 @@ def _cases():
 
 def _oracle_cases():
     """(name, program text, policy text, bits, capacity) of each benchmark input."""
-    for corpus, stem in (("table3", "P"), ("iobench", "B")):
-        for i in range(8):
-            yield (f"{corpus}/{stem}{i}", *_corpus(corpus, f"{stem}{i}"), 2, 8)
+    for group in ("table3", "iobench"):
+        for name, text, policy_text in corpus(group):
+            yield f"{group}/{name}", text, policy_text, 2, 8
     for seed, io in SWEEP_SEEDS:
         gen = generate(seed, GenConfig(io=io))
         yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 2, 4
@@ -105,8 +98,7 @@ def _outputs() -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The lines of the pinned-output file and of the decoded-witness file."""
     lines, decoded = [], []
     for name, text, policy_text, bits, capacity, mode in _cases():
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
+        program, policy = load_text(text, policy_text)
         compose = tr_compose if mode == MODE_TR else self_compose
         for level in sorted(policy.domains):
             model = compose(build_model(program, policy, level, bits=bits, capacity=capacity))
@@ -132,8 +124,7 @@ def _state(state) -> str:
 def oracle_lines() -> list[str]:
     lines = []
     for name, text, policy_text, bits, capacity in _oracle_cases():
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(policy_text))
+        program, policy = load_text(text, policy_text)
         verdict = check_where_security(program, policy, bits=bits, capacity=capacity)
         w = verdict.witness
         witness = (
@@ -161,8 +152,7 @@ def _lone_runs(text: str, policy_text: str, bits: int, capacity: int):
     """(fuel, program, lone runs) at each pinned fuel: the run of every
     initial state of one oracle input, in the oracle's order, made as they
     are read."""
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(policy_text))
+    program, policy = load_text(text, policy_text)
     runs = _Runs(program, policy, bits, capacity, DEFAULT_FUEL)
     states = [runs.state(i) for i in range(runs.count)]
     for fuel in (DEFAULT_FUEL, 3):

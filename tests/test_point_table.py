@@ -10,14 +10,10 @@ trace text included: the text ``Trace.lines`` renders for the step is the
 text the reference built as it stepped.
 """
 
-from pathlib import Path
-
 import pytest
 
-from wherecheck import randprog
 from wherecheck.oracle import _Runs
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
     DECLASS,
@@ -33,23 +29,11 @@ from wherecheck.semantics import (
     step_point,
 )
 from wherecheck.syntax import Assign, DeclassAssign, Seq, SiteLabel, Skip, Var
+from programs import corpus, load_text, random_program
 from reference import same_command
 from tree_step import residual, tree_configuration, tree_step, tree_successors
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 BITS = 2
-
-
-def prog(text, policy_text):
-    program = parse_program(text)
-    return program, gather_downgrades(program, parse_policy(policy_text))
-
-
-def _corpus(name):
-    programs = []
-    for path in sorted((CORPUS / name).glob("[PB][0-7]")):
-        programs.append(prog(path.read_text(), path.with_suffix(".policy").read_text()))
-    return programs
 
 
 def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
@@ -100,16 +84,16 @@ ALL_LABELS = {
 
 
 def test_point_table_matches_tree_step_on_the_corpora():
-    for program, policy in _corpus("table3") + _corpus("iobench"):
-        compare_steps(program, policy, capacity=8)
+    for _, text, policy_text in corpus("table3") + corpus("iobench"):
+        compare_steps(*load_text(text, policy_text), capacity=8)
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
 @pytest.mark.parametrize("first", range(0, 400, 50))
 def test_point_table_matches_tree_step_on_randprog(first, io):
     for seed in range(first, first + 50):
-        gen = randprog.generate(seed, randprog.GenConfig(io=io))
-        compare_steps(*prog(gen.text, gen.policy_text), capacity=4)
+        _, program, policy = random_program(seed, io)
+        compare_steps(program, policy, capacity=4)
 
 
 def test_point_table_matches_tree_step_at_each_rule_and_diagnostic():
@@ -133,7 +117,7 @@ def test_point_table_matches_tree_step_at_each_rule_and_diagnostic():
     ]
     labels = set()
     for text, policy_text in cases:
-        labels |= compare_steps(*prog(text, policy_text), capacity=2)
+        labels |= compare_steps(*load_text(text, policy_text), capacity=2)
     assert labels == ALL_LABELS
 
 
@@ -145,7 +129,7 @@ D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 def test_a_loop_interns_the_same_points_at_any_iteration_count():
     sizes = []
     for n in (10, 4000):
-        program, policy = prog(D_TEXT.format(n=n), D_POLICY)
+        program, policy = load_text(D_TEXT.format(n=n), D_POLICY)
         known = Known(program)
         trace = run_program(program, policy, {"h": 1}, bits=12, fuel=30_000, known=known)
         assert trace.outcome == OUTCOME_HALTED and trace.final.mu["i"] == n
@@ -158,7 +142,7 @@ def test_a_loop_interns_the_same_points_at_any_iteration_count():
 
 
 def test_the_table_has_two_points_per_site_with_fixed_ids():
-    program, policy = prog(D_TEXT.format(n=3), D_POLICY)
+    program, policy = load_text(D_TEXT.format(n=3), D_POLICY)
     points = Table(program).points
     assert len(points) == 2 * len(program.sites)
     for site, cmd in enumerate(program.sites):
@@ -176,9 +160,11 @@ def test_the_table_has_two_points_per_site_with_fixed_ids():
 
 
 def test_each_point_links_to_the_points_of_the_tree_step():
-    for program, _ in _corpus("table3") + _corpus("iobench") + [
-        prog("if x then skip else while x do skip od fi; skip", "lattice: L < H\nvar x : L\n")
-    ]:
+    cases = corpus("table3") + corpus("iobench") + [
+        ("", "if x then skip else while x do skip od fi; skip", "lattice: L < H\nvar x : L\n")
+    ]
+    for _, text, policy_text in cases:
+        program, _ = load_text(text, policy_text)
         points = Table(program).points
         for point in points:
             expected = tree_successors(residual(program, point))
@@ -203,7 +189,7 @@ def test_same_command_tells_a_downgrade_from_an_assignment():
 
 
 def test_an_assignment_and_the_skip_it_steps_to_are_two_points():
-    program, policy = prog("x := x", "lattice: L < H\nvar x : L\n")
+    program, policy = load_text("x := x", "lattice: L < H\nvar x : L\n")
     assign, skip = Table(program).points
     assert assign.next == (skip.id,) and assign.labels[0].rule == "assign"
     assert type(assign.cmd) is Assign and type(skip.cmd) is Skip
@@ -215,7 +201,7 @@ def test_a_long_sequence_runs_without_recursing_per_statement():
     # Three times the default recursion limit: a recursive parse, hash or
     # comparison of the spine would pass it.
     text = "; ".join(["x := x + 1"] * 3000)
-    program, policy = prog(text, "lattice: L < H\nvar x : L\n")
+    program, policy = load_text(text, "lattice: L < H\nvar x : L\n")
     trace = run_program(program, policy, bits=12, known=Known(program))
     assert trace.outcome == OUTCOME_HALTED and trace.final.mu["x"] == 3000
 
@@ -225,7 +211,7 @@ def test_a_long_sequence_runs_without_recursing_per_statement():
 
 
 def test_stepping_a_point_twice_returns_its_one_label():
-    program, policy = prog(
+    program, policy = load_text(
         "x := 1; h := declass(x); output(x, o); input(x, i)",
         "lattice: L < H\nvar h : H\nvar x : L\nchannel o : L output\n"
         "channel i : L input length 1\n",
@@ -252,7 +238,7 @@ def test_one_check_builds_a_label_per_point_and_branch_and_per_release(monkeypat
 
     # A counting loop with a real downgrade, an ordinary one, an output
     # that outgrows its capacity and an input that runs out.
-    program, policy = prog(
+    program, policy = load_text(
         "i := 0; while i < 3 do l := declass(h); h := declass(l);"
         " if h then output(i, o) else input(x, c) fi; i := i + 1 od",
         "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\nvar x : L\n"

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from wherecheck.parser import parse_program
@@ -10,6 +8,7 @@ from wherecheck.policy import (
     parse_policy,
 )
 from wherecheck.syntax import BinOp, Num, Var
+from programs import ROOT
 
 TWO_LEVEL = """\
 lattice: L < H
@@ -44,7 +43,7 @@ def test_parse_three_level_chain_and_channels():
 
 
 def test_the_readme_example_policy_parses():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Policies and programs", 1)[1]
     example = section.split("```", 2)[1]
     pol = parse_policy(example)

@@ -1,9 +1,9 @@
 import hashlib
 
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, declass_free, generate
+from wherecheck.randprog import GenConfig, generate
 from wherecheck.syntax import DeclassAssign, If, Input, Seq, While
+from programs import assign_slots, declass_free, random_program, with_declass
 
 
 def walk(cmd):
@@ -37,9 +37,7 @@ def count_nested(cmd, kind, inside=False):
 
 def test_generated_programs_parse_and_respect_regime():
     for seed in range(300):
-        gen = generate(seed)
-        program = parse_program(gen.text)
-        policy = gather_downgrades(program, parse_policy(gen.policy_text))
+        gen, program, policy = random_program(seed)
         declass = [c for c in walk(program.root) if isinstance(c, DeclassAssign)]
         assert len(declass) <= 1
         assert count_nested(program.root, DeclassAssign) == 0
@@ -47,11 +45,8 @@ def test_generated_programs_parse_and_respect_regime():
 
 
 def test_io_profile_inputs_top_level_with_exact_lengths():
-    cfg = GenConfig(io=True)
     for seed in range(200):
-        gen = generate(seed, cfg)
-        program = parse_program(gen.text)
-        policy = gather_downgrades(program, parse_policy(gen.policy_text))
+        gen, program, policy = random_program(seed, io=True)
         assert count_nested(program.root, Input) == 0
         reads: dict[str, int] = {}
         for cmd in walk(program.root):
@@ -83,11 +78,11 @@ def test_declass_substitution_renders():
     hit = 0
     for seed in range(200):
         gen = generate(seed, declass_free())
-        slots = gen.assign_slots()
+        slots = assign_slots(gen)
         if not slots:
             continue
         hit += 1
-        variant = parse_program(gen.with_declass(slots[0]))
+        variant = parse_program(with_declass(gen, slots[0]))
         base = parse_program(gen.text)
         swapped = [c for c in walk(variant.root) if isinstance(c, DeclassAssign)]
         assert len(swapped) == 1
@@ -99,8 +94,8 @@ def test_declass_substitution_renders():
         for seed in range(100):
             gen = generate(seed, cfg)
             parse_program(gen.text)
-            for slot in gen.assign_slots():
-                parse_program(gen.with_declass(slot))
+            for slot in assign_slots(gen):
+                parse_program(with_declass(gen, slot))
 
 
 def test_generated_programs_are_pinned():

@@ -1,12 +1,9 @@
-from pathlib import Path
-
 import pytest
 
 from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
-from wherecheck.parser import parse_program
-from wherecheck.policy import OBSERVES_EVERYTHING, gather_downgrades, parse_policy, typable
+from wherecheck.policy import OBSERVES_EVERYTHING, typable
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
     Witness,
@@ -20,11 +17,9 @@ from wherecheck.semantics import run_program
 from wherecheck.spds import HAVOC, GlobalsDecl, RelationAlgebra, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
 from explicit import decode, explicit_error_search, initial_valuations, successors
+from programs import corpus, load, load_text
 from reference import preimage_walk
 from test_bdd import sat_all
-
-ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "corpus" / "table3"
 
 # Table row: error reachable at the default precision?
 EXPECTED = {
@@ -39,15 +34,8 @@ EXPECTED = {
 }
 
 
-def load(name: str):
-    program = parse_program((CORPUS / name).read_text())
-    policy = parse_policy((CORPUS / f"{name}.policy").read_text())
-    return program, gather_downgrades(program, policy)
-
-
 def build(text: str, pol: str, bits=1, capacity=2, mode=self_compose):
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(pol))
+    program, policy = load_text(text, pol)
     return mode(build_model(program, policy, "L", bits=bits, capacity=capacity))
 
 
@@ -60,9 +48,7 @@ def test_relational_steps_stay_small_and_are_reused():
     # A channel write makes one written set per cell, so B3 at capacity 64
     # makes many steps; each holds only its own written bits.  Level L
     # observes everything, so the bare system is searched.
-    folder = ROOT / "corpus" / "iobench"
-    program = parse_program((folder / "B3").read_text())
-    policy = gather_downgrades(program, parse_policy((folder / "B3.policy").read_text()))
+    program, policy = load("B3", "iobench")
     model = self_compose(build_model(program, policy, "L", bits=2, capacity=64))
     auto = post_star(model.spds)
     alg, mgr = auto.algebra, auto.algebra.mgr
@@ -196,9 +182,7 @@ def test_channel_writes_grow_linearly_with_capacity():
     # A write is one piece per cell, so storematch B3 at capacity 128 makes
     # about 13,000 nodes; a relation framing every cell made 92,466 at 32.
     # Every level of B3 observes everything, so the bare system is searched.
-    path = ROOT / "corpus" / "iobench" / "B3"
-    program = parse_program(path.read_text())
-    policy = gather_downgrades(program, parse_policy(path.with_suffix(".policy").read_text()))
+    program, policy = load("B3", "iobench")
     for level in sorted(policy.domains):
         verdicts = []
         for capacity in (8, 128):
@@ -454,16 +438,12 @@ def test_tr_witness_decodes():
 
 def _layer_cases():
     """(name, program text, policy text, compose)."""
-    for i in range(8):
-        text = (CORPUS / f"P{i}").read_text()
-        pol = (CORPUS / f"P{i}.policy").read_text()
+    for name, text, pol in corpus("table3"):
         for bits in (2, 3):
-            yield f"table3/P{i}@{bits}", text, pol, self_compose
-    for i in range(8):
-        path = ROOT / "corpus" / "iobench" / f"B{i}"
+            yield f"table3/{name}@{bits}", text, pol, self_compose
+    for name, text, pol in corpus("iobench"):
         for mode in (self_compose, tr_compose):
-            name = f"iobench/B{i}/{'tr' if mode is tr_compose else 'storematch'}"
-            yield name, path.read_text(), path.with_suffix(".policy").read_text(), mode
+            yield f"iobench/{name}/{'tr' if mode is tr_compose else 'storematch'}", text, pol, mode
     for seed in range(60):
         for io in (False, True):
             gen = generate(seed, GenConfig(io=io))
@@ -477,8 +457,7 @@ LAYER_CASES = list(_layer_cases())
 @pytest.mark.parametrize("case", LAYER_CASES, ids=[case[0] for case in LAYER_CASES])
 def test_every_promise_is_feasible_and_the_decision_matches(case):
     _, text, pol, mode = case
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(pol))
+    program, policy = load_text(text, pol)
     for level in sorted(policy.domains):
         model = mode(build_model(program, policy, level, bits=1, capacity=2))
         auto = post_star(model.spds)
@@ -498,11 +477,8 @@ OBSERVING_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
 def _observing_cases(group: str):
     """(name, program text, policy text, bits, capacity) of one group."""
     if group in ("table3", "iobench"):
-        stem = "P" if group == "table3" else "B"
-        for i in range(8):
-            path = ROOT / "corpus" / group / f"{stem}{i}"
-            pol = path.with_suffix(".policy").read_text()
-            yield f"{group}/{stem}{i}", path.read_text(), pol, 2, 8
+        for name, text, pol in corpus(group):
+            yield f"{group}/{name}", text, pol, 2, 8
         return
     io = group == "randprog-io"
     for seed in range(400):
@@ -515,8 +491,7 @@ def _observing_cases(group: str):
 def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode):
     decided = 0
     for name, text, pol, bits, capacity in _observing_cases(group):
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(pol))
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
             names = [*program.variables, *program.channels]
@@ -551,8 +526,7 @@ def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode
 )
 @pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
 def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(pol))
+    program, policy = load_text(text, pol)
     model = mode(build_model(program, policy, "L", bits=2, capacity=4))
     assert not typable(program, policy, "L", 2)
     auto = post_star(model)
@@ -599,15 +573,13 @@ WALK_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "D")
 def _walk_cases(group: str):
     """(program text, policy text, bits, capacity, compose) of one group."""
     if group == "table3":
-        for i in range(8):
-            path = CORPUS / f"P{i}"
+        for _, text, pol in corpus(group):
             for bits in (1, 2, 3, 4):
-                yield path.read_text(), path.with_suffix(".policy").read_text(), bits, 8, self_compose
+                yield text, pol, bits, 8, self_compose
     elif group == "iobench":
-        for i in range(8):
-            path = ROOT / "corpus" / "iobench" / f"B{i}"
+        for _, text, pol in corpus(group):
             for mode in (self_compose, tr_compose):
-                yield path.read_text(), path.with_suffix(".policy").read_text(), 2, 8, mode
+                yield text, pol, 2, 8, mode
     elif group == "D":
         yield D_SHAPE.format(n=100), D_POLICY, 10, 4, self_compose
     else:
@@ -619,8 +591,7 @@ def _walk_cases(group: str):
 def _insecure_levels(group: str):
     """The automaton of every insecure level of one group."""
     for text, pol, bits, capacity, mode in _walk_cases(group):
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(pol))
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
             auto = post_star(model)

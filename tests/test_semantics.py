@@ -1,5 +1,4 @@
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,7 @@ from wherecheck.compose import self_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import INSECURE, SECURE, check_where_security
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
+from wherecheck.policy import parse_policy
 from wherecheck.reach import post_star
 from wherecheck.semantics import (
     CAPACITY_EXCEEDED,
@@ -31,16 +30,9 @@ from wherecheck.semantics import (
     step_point,
 )
 from wherecheck.syntax import eval_nodes, postfix
+from programs import load, load_text
 from test_oracle import low_equiv_channels
 from tree_step import residual
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "table3"
-
-
-def load(name: str, corpus: Path = CORPUS):
-    program = parse_program((corpus / name).read_text())
-    policy = parse_policy((corpus / f"{name}.policy").read_text())
-    return program, gather_downgrades(program, policy)
 
 
 def test_values_wrap_modulo_width():
@@ -58,29 +50,25 @@ def test_comparisons_and_bitops():
 
 
 def test_an_initial_store_wraps_as_an_input_read_does():
-    policy = parse_policy("lattice: L < H\nvar l : L\nvar h : H\nchannel c : H input\n")
+    policy_text = "lattice: L < H\nvar l : L\nvar h : H\nchannel c : H input\n"
     finals = []
     for text in ("l := h", "l := h + 0", "input(h, c); l := h"):
-        program = parse_program(text)
-        trace = run_program(
-            program, gather_downgrades(program, policy), store={"h": 9}, inputs={"c": [9]}, bits=3
-        )
+        program, policy = load_text(text, policy_text)
+        trace = run_program(program, policy, store={"h": 9}, inputs={"c": [9]}, bits=3)
         finals.append(trace.final.mu["l"])
     assert finals == [1, 1, 1]
 
 
 def test_a_store_naming_no_variable_of_the_program_is_rejected():
     # A key has a slot for each variable of the program and for no other name.
-    program = parse_program("l := h")
-    policy = gather_downgrades(program, parse_policy("lattice: L < H\nvar l : L\nvar h : H\n"))
+    program, policy = load_text("l := h", "lattice: L < H\nvar l : L\nvar h : H\n")
     assert run_program(program, policy, store={"h": 2}).final.mu == {"h": 2, "l": 2}
     with pytest.raises(ValueError, match="'x', which is no variable of the program"):
         run_program(program, policy, store={"h": 2, "x": 1})
 
 
 def test_skip_program_trace():
-    program = parse_program("skip")
-    policy = gather_downgrades(program, parse_policy("lattice: L < H\n"))
+    program, policy = load_text("skip", "lattice: L < H\n")
     trace = run_program(program, policy)
     assert trace.outcome == OUTCOME_HALTED
     assert len(trace.entries) == 1
@@ -108,31 +96,25 @@ def test_declass_label_carries_site_and_value():
 
 
 def test_ordinary_declass_is_plain():
-    program = parse_program("h := declass(l)")
-    policy = gather_downgrades(
-        program, parse_policy("lattice: L < H\nvar h : H\nvar l : L\n")
-    )
+    program, policy = load_text("h := declass(l)", "lattice: L < H\nvar h : H\nvar l : L\n")
     trace = run_program(program, policy, store={"l": 3})
     assert all(lab.kind != DECLASS for _, lab in trace.entries)
     assert trace.final.mu["h"] == 3
 
 
 def test_if_branches_and_while_loop():
-    program = parse_program("x := 0; while x < 3 do x := x + 1 od; y := x == 3")
-    policy = gather_downgrades(
-        program, parse_policy("lattice: L < H\nvar x : L\nvar y : L\n")
+    program, policy = load_text(
+        "x := 0; while x < 3 do x := x + 1 od; y := x == 3",
+        "lattice: L < H\nvar x : L\nvar y : L\n",
     )
     trace = run_program(program, policy)
     assert trace.final.mu == {"x": 3, "y": 1}
 
 
 def test_input_consumption_and_exhaustion():
-    program = parse_program("input(x, in0); input(y, in0); input(x, in0)")
-    policy = gather_downgrades(
-        program,
-        parse_policy(
-            "lattice: L < H\nvar x : L\nvar y : L\nchannel in0 : L input\n"
-        ),
+    program, policy = load_text(
+        "input(x, in0); input(y, in0); input(x, in0)",
+        "lattice: L < H\nvar x : L\nvar y : L\nchannel in0 : L input\n",
     )
     trace = run_program(program, policy, inputs={"in0": (4, 5)})
     assert trace.outcome == INPUT_EXHAUSTED
@@ -141,10 +123,9 @@ def test_input_consumption_and_exhaustion():
 
 
 def test_output_capacity_diagnostic():
-    program = parse_program("x := 0; while 1 do output(x, out0); x := x + 1 od")
-    policy = gather_downgrades(
-        program,
-        parse_policy("lattice: L < H\nvar x : L\nchannel out0 : L output\n"),
+    program, policy = load_text(
+        "x := 0; while 1 do output(x, out0); x := x + 1 od",
+        "lattice: L < H\nvar x : L\nchannel out0 : L output\n",
     )
     trace = run_program(program, policy, capacity=4)
     assert trace.outcome == CAPACITY_EXCEEDED
@@ -152,8 +133,7 @@ def test_output_capacity_diagnostic():
 
 
 def test_divergence_detected_exactly():
-    program = parse_program("while 1 do skip od")
-    policy = gather_downgrades(program, parse_policy("lattice: L < H\n"))
+    program, policy = load_text("while 1 do skip od", "lattice: L < H\n")
     trace = run_program(program, policy)
     assert trace.outcome == OUTCOME_DIVERGES
     # The run stops at the first repeated configuration: back at the loop
@@ -167,12 +147,9 @@ def test_divergence_detected_exactly():
 
 
 def test_ins_are_immutable_and_indices_monotone():
-    program = parse_program("input(x, in0); output(x, out0); input(x, in0)")
-    policy = gather_downgrades(
-        program,
-        parse_policy(
-            "lattice: L < H\nvar x : L\nchannel in0 : L input\nchannel out0 : L output\n"
-        ),
+    program, policy = load_text(
+        "input(x, in0); output(x, out0); input(x, in0)",
+        "lattice: L < H\nvar x : L\nchannel in0 : L input\nchannel out0 : L output\n",
     )
     table = Table(program)
     seen_p, seen_q = 0, 0
@@ -276,8 +253,7 @@ TRACE_CASES = {
 @pytest.mark.parametrize("outcome", list(TRACE_CASES))
 def test_trace_text_for_each_outcome(outcome):
     text, declarations, options, lines = TRACE_CASES[outcome]
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy("lattice: L < H\n" + declarations))
+    program, policy = load_text(text, "lattice: L < H\n" + declarations)
     trace = run_program(program, policy, **options)
     assert trace.outcome == outcome
     assert format_trace(trace) == "\n".join(lines + [f"outcome: {outcome}"])
@@ -404,8 +380,7 @@ def test_program_variables_walk_the_tree_once(monkeypatch):
 
 def test_program_channels_walk_the_tree_once(monkeypatch):
     readers = count_root_reads(monkeypatch)
-    iobench = CORPUS.parent / "iobench"
-    programs = [load("B4", iobench), load("B6", iobench)]
+    programs = [load("B4", "iobench"), load("B6", "iobench")]
     expected = []
     for program, _ in programs:
         channels: dict[str, str] = {}
@@ -424,8 +399,7 @@ def test_a_program_is_walked_once_through_the_pipeline(monkeypatch):
     # the interpreter's point table included, reads Program.flow, so only
     # the site table walks the root.
     readers = count_root_reads(monkeypatch)
-    iobench = CORPUS.parent / "iobench"
-    programs = [load("P3"), load("P7"), load("B4", iobench), load("B6", iobench)]
+    programs = [load("P3"), load("P7"), load("B4", "iobench"), load("B6", "iobench")]
     for program, policy in programs:
         for level in policy.domains:
             post_star(self_compose(build_model(program, policy, level, bits=2, capacity=2)))

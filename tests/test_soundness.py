@@ -11,10 +11,9 @@ import pytest
 
 from wherecheck.cli import INSECURE, MODES, SECURE, analyze
 from wherecheck.oracle import INCONCLUSIVE, check_where_security
-from wherecheck.parser import parse_program
 from wherecheck.policy import Channel, gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig
 from wherecheck.syntax import Assign, Input, Num, Output, Program, Seq, SiteLabel, Skip, Var
+from programs import load_text
 from sweep import disagreements, sweep
 
 # The seeds 0-399 where `analyze` says insecure at bits 3 and capacity 8 and
@@ -31,7 +30,7 @@ def test_bits_3_sweep_is_sound_in_both_modes(io):
     # every insecure level's witness replays, the modes agree, and in each
     # mode the seeds that disagree with the oracle are exactly the pinned
     # ones.
-    rows = sweep(range(400), GenConfig(io=io), 3, 8, dict.fromkeys(MODES, True))
+    rows = sweep(range(400), io, 3, 8, dict.fromkeys(MODES, True))
     for row in rows:
         assert row.oracle.status != INCONCLUSIVE, (row.seed, row.oracle.note)
         for mode, report in row.reports.items():
@@ -58,8 +57,7 @@ THREE_INPUTS = "input(l, i); input(l, i); input(l, i); l := h"
     ids=["one-input-cap0", "three-inputs-cap1", "three-inputs-cap2"],
 )
 def test_an_undeclared_input_is_as_long_in_the_model_as_in_the_oracle(mode, text, capacity):
-    program = parse_program(text)
-    policy = gather_downgrades(program, parse_policy(UNDECLARED_INPUT))
+    program, policy = load_text(text, UNDECLARED_INPUT)
     report = analyze(program, policy, bits=1, capacity=capacity, mode=mode, want_witness=True)
     verdict = check_where_security(program, policy, bits=1, capacity=capacity)
     assert report.overall == verdict.status == INSECURE

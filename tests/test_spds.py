@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,7 +6,6 @@ from wherecheck.bdd import bv_const, bv_eq, bv_from_levels
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.policy import gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import (
     HAVOC,
@@ -34,10 +31,9 @@ from explicit import (
     successors,
     valuation,
 )
+from programs import corpus, load_text
 from reference import cube, sorted_levels
 from test_bdd import sat_all
-
-ROOT = Path(__file__).resolve().parent.parent
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
 
@@ -65,20 +61,18 @@ def _layout_cases(group: str):
                 yield gen.text, gen.policy_text, 2, 4
         return
     if group == "table3":
-        stem, sizes = "P", [(bits, 8) for bits in range(1, 7)]
+        sizes = [(bits, 8) for bits in range(1, 7)]
     else:
-        stem, sizes = "B", [(2, 0), (2, 1), (2, 8)]
-    for i in range(8):
-        path = ROOT / "corpus" / group / f"{stem}{i}"
+        sizes = [(2, 0), (2, 1), (2, 8)]
+    for _, text, pol in corpus(group):
         for bits, capacity in sizes:
-            yield path.read_text(), path.with_suffix(".policy").read_text(), bits, capacity
+            yield text, pol, bits, capacity
 
 
 @pytest.mark.parametrize("group", ["table3", "iobench", "randprog"])
 def test_the_one_pass_layout_matches_one_sort_of_every_slot(group):
     for text, pol, bits, capacity in _layout_cases(group):
-        program = parse_program(text)
-        policy = gather_downgrades(program, parse_policy(pol))
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)
             composed = (mode(skeleton).spds.globals for mode in (self_compose, tr_compose))

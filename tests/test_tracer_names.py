@@ -7,11 +7,12 @@ would crash a traced benchmark run; here it fails a test instead.
 
 import importlib
 import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from programs import ROOT
+
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():

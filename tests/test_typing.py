@@ -16,30 +16,22 @@ types.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
 from wherecheck.bdd import bv_const
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
-from wherecheck.parser import parse_program
-from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, gather_downgrades, parse_policy, typable
+from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, typable
 from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import is_error_reachable, post_star
 from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import PRECEDENCE, BinOp, Expr, Num, Var, eval_nodes, format_expr, postfix
+from programs import corpus, load_text
 from reference import equal_set_typable, vsi_typable
-
-ROOT = Path(__file__).resolve().parent.parent
 
 TWO = "lattice: L < H\nvar h : H\nvar l : L\n"
 THREE = "lattice: L < M, M < H\nvar h : H\nvar m : M\nvar l : L\n"
-
-
-def load(text: str, pol: str):
-    program = parse_program(text)
-    return program, gather_downgrades(program, parse_policy(pol))
 
 
 # One case per rule, accepted and rejected, at observer L unless it says M.
@@ -152,12 +144,12 @@ WRAP = ("l := 2; if l then output(h, o) else skip fi", TWO + "channel o : L outp
 
 @pytest.mark.parametrize("text, pol, level, reason", RULES)
 def test_each_rule_accepts_and_rejects(text, pol, level, reason):
-    assert typable(*load(text, pol), level, 2) == reason
+    assert typable(*load_text(text, pol), level, 2) == reason
 
 
 @pytest.mark.parametrize("bits, reason", [(1, TYPABLE), (2, "")])
 def test_a_constant_guard_wraps_at_the_width(bits, reason):
-    assert typable(*load(*WRAP), "L", bits) == reason
+    assert typable(*load_text(*WRAP), "L", bits) == reason
 
 
 def _random_guard(rng: random.Random, depth: int) -> Expr:
@@ -178,7 +170,7 @@ def test_a_known_guard_goes_the_way_the_interpreter_reads_it(bits):
         for k in range(1 << bits):
             text = f"k := {k}; if {format_expr(guard)} then skip else l := h fi"
             taken = eval_nodes(postfix(guard), {"k": k}, bits) != 0
-            assert typable(*load(text, pol), "L", bits) == (TYPABLE if taken else ""), text
+            assert typable(*load_text(text, pol), "L", bits) == (TYPABLE if taken else ""), text
 
 
 # The value each operator has when its two operands are the same expression.
@@ -212,7 +204,7 @@ def test_equal_operands_have_the_folded_value_in_the_model_and_the_interpreter(b
 def test_a_folded_guard_read_at_bits_leaks_when_its_branch_does(mode):
     """(h - h) + 2 is 2 at bits 2, so the then branch runs: the check does not type
     the level, the search runs, and it finds the leak."""
-    program, policy = load("if (h - h) + 2 then l := h else skip fi", TWO)
+    program, policy = load_text("if (h - h) + 2 then l := h else skip fi", TWO)
     assert not typable(program, policy, "L", 2)
     model = mode(build_model(program, policy, "L", bits=2, capacity=4))
     auto = post_star(model)
@@ -234,7 +226,7 @@ LOOP_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\nchannel o : L ou
 
 @pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
 def test_a_downgrade_in_a_loop_is_searched(mode):
-    program, policy = load(LOOP, LOOP_POLICY)
+    program, policy = load_text(LOOP, LOOP_POLICY)
     assert not typable(program, policy, "L", 2)
     model = mode(build_model(program, policy, "L", bits=2, capacity=4))
     auto = post_star(model)
@@ -272,12 +264,10 @@ ARGUMENT_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "deep", "wide
 def _argument_cases(group: str):
     """(name, program text, policy text, bits, capacity) of one group."""
     if group in ("table3", "iobench"):
-        stem = "P" if group == "table3" else "B"
         widths = range(1, 7) if group == "table3" else (2,)
-        for i in range(8):
-            path = ROOT / "corpus" / group / f"{stem}{i}"
+        for name, text, pol in corpus(group):
             for bits in widths:
-                yield f"{stem}{i}@{bits}", path.read_text(), path.with_suffix(".policy").read_text(), bits, 8
+                yield f"{name}@{bits}", text, pol, bits, 8
     elif group.startswith("randprog"):
         cfg = GenConfig(io=group == "randprog-io")
         for seed in range(400):
@@ -299,7 +289,7 @@ def _argument_cases(group: str):
 def test_every_typable_level_is_secure_under_the_full_search(group):
     accepted = []
     for name, text, pol, bits, capacity in _argument_cases(group):
-        program, policy = load(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             reason = typable(program, policy, level, bits)
             if not reason:
@@ -323,7 +313,7 @@ def test_every_typable_level_is_secure_under_the_full_search(group):
 @pytest.mark.parametrize("group", ARGUMENT_GROUPS)
 def test_every_level_the_flow_insensitive_check_types_still_types(group):
     for name, text, pol, bits, _ in _argument_cases(group):
-        program, policy = load(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             if vsi_typable(program, policy, level):
                 assert typable(program, policy, level, bits), (name, level)
@@ -332,7 +322,7 @@ def test_every_level_the_flow_insensitive_check_types_still_types(group):
 @pytest.mark.parametrize("group", ARGUMENT_GROUPS)
 def test_every_level_the_check_without_constants_types_still_types(group):
     for name, text, pol, bits, _ in _argument_cases(group):
-        program, policy = load(text, pol)
+        program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             if equal_set_typable(program, policy, level):
                 assert typable(program, policy, level, bits), (name, level)
@@ -348,7 +338,7 @@ def test_precision_against_the_search(group, secure, typed):
     for name, text, pol, bits, capacity in _argument_cases(group):
         if bits != 2:
             continue
-        program, policy = load(text, pol)
+        program, policy = load_text(text, pol)
         verdicts = []
         for level in sorted(policy.domains):
             model = self_compose(build_model(program, policy, level, bits=2, capacity=capacity))
