@@ -18,15 +18,16 @@ exhausts its fuel.
 
 A run does not depend on the observer, so each initial state runs at most
 once per check, on first use, and its ``semantics.Ending`` (outcome, final
-key, downgrades) serves every level (``_Runs``); the rest of its trace is
-not kept.  The runs of one check also share one ``Known``: the program's
-``semantics.Table``, and the keys they stepped, through which they share
-their futures.  The interpreter is deterministic, so a run that reaches a
-key of an earlier run takes that run's outcome, final key and later
-downgrades (``semantics.run`` gives the fuel arithmetic).  The ending of a
-halted run is exact; of the other runs only the outcome is read.  On the
-benchmark's 103 random programs (bits 2, capacity 4) the checks make 1731
-runs of 6,612 steps, at about 17 us of check time a run.
+key, downgrades) serves every level (``_Runs``).  The run builds that
+``Ending`` once and records no step list.  The runs of one check also
+share one ``Known``: the program's ``semantics.Table``, and the keys they
+stepped, through which they share their futures.  The interpreter is
+deterministic, so a run that reaches a key of an earlier run takes that
+run's outcome, final key and later downgrades (``semantics.run`` gives the
+fuel arithmetic).  The ending of a halted run is exact; of the other runs
+only the outcome is read.  On the benchmark's 103 random programs (bits
+2, capacity 4) the checks make 1731 runs of 6,612 steps, at about 15 us
+of check time a run (``oracle_s``, ``BENCH_oracle_classes.json``).
 
 A state is its index.  ``_Runs`` fixes the layout once: one ``bits``-wide
 digit per variable of ``program.variables``, then one per input cell of the
@@ -35,10 +36,9 @@ key's slots.  A state's run starts from a key built straight from its
 digits, and its observations are views of keys, the ``operator.itemgetter``
 of the slots that ``_Level.observations`` reads; a key is decoded, and an
 index into a store and input contents, only to name a witness.  Every fact
-of a level reads the same digits.  A state's low class is its
-index masked to the level's observable digits, a level's pair count is the
-state count shifted by ``bits`` per unobservable digit, and a pair is two
-indices.
+of a level reads the same digits.  A state's low class is its index masked
+to the level's observable digits, a level's pair count is the state count
+shifted by ``bits`` per unobservable digit, and a pair is two indices.
 
 A level costs what its states cost, in three ways:
 
@@ -56,14 +56,18 @@ A level costs what its states cost, in three ways:
    most the fuel, the check is secure without running the rest.
 2. Any other level is violated iff two halted runs of one low class file
    different observations under one bucket key, so a clean level is proved
-   in one pass over the states (``_Level.conflict``).
+   in one pass over the states (``_Level.conflict``).  The pass, like the
+   sweep of part 1, walks the states in index order alongside the product
+   of their digits (``_Runs.starts``), so it decodes no index.
 3. A violated level is scanned pair by pair in lexicographic order
    (``_Level.pair_order``), because the verdict names the first violating
    pair, its reason, and the number of pairs checked up to it.  The scan
    judges a pair by the same bucket keys; each state's observations are
-   made once per level and shared with the bucket pass.  Only the witness
-   becomes an ``InitialState``.  A violated level's verdict reads only the
-   runs of its pass and its scan.
+   made once per level and shared with the bucket pass, and interned as
+   classes for the scan alone: a pair of one class cannot conflict, and
+   two classes are compared once.  Only the witness becomes an
+   ``InitialState``.  A violated level's verdict reads only the runs of
+   its pass and its scan.
 
 The budget counts states: a check of more initial states than the budget
 is inconclusive before it runs any, and a scan that passes the budget in
@@ -73,6 +77,7 @@ their pass is linear in the states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
@@ -165,14 +170,24 @@ class _Runs:
         config = self.known.table.view(self.known.table.start(*self.values(i)))
         return config.mu, config.ins
 
-    def __getitem__(self, i: int) -> Ending:
+    def starts(self) -> Iterator[tuple]:
+        """Each state's start key, in index order: the product of its digits,
+        the variables' values, then each input channel's contents."""
+        values, table = range(1 << self.limits[0]), self.known.table
+        contents = [itertools.product(values, repeat=n) for n in self.lengths]
+        for digits in itertools.product(*[values] * len(self.program.variables), *contents):
+            yield (table.entry, *digits, *table.tail)
+
+    def ending(self, i: int, start: Optional[tuple] = None) -> Ending:
+        """State i's ending, run on first use from ``start``, its start key."""
         found = self.endings.get(i)
         if found is None:
-            start = self.known.table.start(*self.values(i))
+            if start is None:
+                start = self.known.table.start(*self.values(i))
             trace = run_program(
                 self.program, self.policy, None, None, *self.limits, self.known, start=start
             )
-            found = self.endings[i] = Ending(trace.outcome, trace.end, trace.downgrades)
+            found = self.endings[i] = trace.ending
         return found
 
 
@@ -233,11 +248,12 @@ class _Level:
         seen[(tuple([label.value for _, _, _, label in run.downgrades]),)] = outcome
         return seen
 
-    def observed(self, i: int) -> Optional[dict[tuple, tuple]]:
-        """State i's observations by bucket key, or None if its run did not halt."""
+    def observed(self, i: int, start: Optional[tuple] = None) -> Optional[dict[tuple, tuple]]:
+        """State i's observations by bucket key, or None if its run did not
+        halt; ``start`` is its start key, if known."""
         seen = self.seen.get(i, _UNSEEN)
         if seen is _UNSEEN:
-            run = self.runs[i]
+            run = self.runs.ending(i, start)
             halted = run.outcome == OUTCOME_HALTED
             seen = self.seen[i] = self.observations(run) if halted else None
         return seen
@@ -248,8 +264,8 @@ class _Level:
         bucket key.  One pass over the states."""
         low_mask = self.low_mask
         buckets: dict[tuple, tuple] = {}
-        for i in range(self.runs.count):
-            seen = self.observed(i)
+        for i, start in enumerate(self.runs.starts()):
+            seen = self.observed(i, start)
             if seen is None:
                 continue
             low = i & low_mask
@@ -286,20 +302,30 @@ class _Level:
         """The verdict of a violated level: its first violating pair in
         ``pair_order``, found within ``budget`` pairs, after ``checked``
         pairs of the levels before."""
-        runs = self.runs
+        runs, classes, conflicts = self.runs, {}, {}
+
+        @functools.cache
+        def of(i: int) -> Optional[dict[tuple, tuple]]:
+            """State i's class: its observations, interned; None if it did not halt."""
+            seen = self.observed(i)
+            return seen if seen is None else classes.setdefault(tuple(seen.items()), seen)
+
         for scanned, (i, j) in enumerate(itertools.islice(self.pair_order(), budget), 1):
-            seen1, seen2 = self.observed(i), self.observed(j)
-            if seen1 is None or seen2 is None:
-                continue  # no final configuration: premise unsatisfied
-            key = _conflict(seen1, seen2)
+            seen1, seen2 = of(i), of(j)
+            if seen1 is seen2 or seen1 is None or seen2 is None:
+                continue  # one class, or no final configuration: no violation
+            pair = (id(seen1), id(seen2))
+            key = conflicts.get(pair, _UNSEEN)
+            if key is _UNSEEN:
+                key = conflicts[pair] = _conflict(seen1, seen2)
             if key is not None:
                 witness = OracleWitness(
                     level=self.level,
                     first=self.initial_state(i),
                     second=self.initial_state(j),
                     reason=self.reason(i, j, key),
-                    declass_trace_1=runs[i].declass_events(),
-                    declass_trace_2=runs[j].declass_events(),
+                    declass_trace_1=runs.ending(i).declass_events(),
+                    declass_trace_2=runs.ending(j).declass_events(),
                 )
                 return OracleVerdict(self.property_name, INSECURE, witness, checked + scanned)
         return OracleVerdict(
@@ -322,7 +348,7 @@ class _Level:
     def reason(self, i: int, j: int, key: tuple) -> str:
         """Why states i and j violate the property, given the first
         conflicting bucket key of j (``_conflict``)."""
-        run1, run2 = self.runs[i], self.runs[j]
+        run1, run2 = self.runs.ending(i), self.runs.ending(j)
         if len(key) == 3:  # (k, observable pre-store, value) of a paired downgrade
             k, _, value = key
             site1, site2 = run1.downgrades[k][3].site.id, run2.downgrades[k][3].site.id
@@ -373,7 +399,8 @@ def _check_pairs(
     # iterations (part 1 above); otherwise every state not run yet runs here,
     # and one out of fuel makes the verdict inconclusive.
     bounded = 2 * len(program.flow) <= fuel and While not in map(type, program.sites)
-    if not bounded and any(runs[i].outcome == OUTCOME_FUEL for i in range(runs.count)):
+    endings = itertools.starmap(runs.ending, enumerate(runs.starts()))
+    if not bounded and any(run.outcome == OUTCOME_FUEL for run in endings):
         return OracleVerdict(
             property_name,
             INCONCLUSIVE,

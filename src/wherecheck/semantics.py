@@ -13,10 +13,11 @@ A configuration is its key, one flat tuple in the slots a program's
 input contents, the read indices and the output streams.  The interpreter
 steps keys: ``step_point`` reads a key by slot and builds the next, and
 ``run`` hashes each as it is, to find a repeat or a join.  A run is
-recorded once: ``Trace.entries`` lists each step's key and label, and an
-``Ending`` (outcome, final key, downgrade steps) says how the run ended;
-the same ``Ending`` is what a later run that joins this one takes, and
-what the oracle keeps.  ``Configuration`` is a key decoded by name
+recorded once: ``Trace.entries`` lists each step's key and label (a run
+that shares a ``Known`` lists none), and an ``Ending`` (outcome, final
+key, downgrade steps), built once, says how the run ended; the same
+``Ending`` is what a later run that joins this one takes, and what the
+oracle keeps.  ``Configuration`` is a key decoded by name
 (``Table.view``), only for a reader: a trace's initial and final
 configuration, and its text, rendered when it is read.
 
@@ -299,22 +300,22 @@ class Trace:
     """Result of run(): the steps it took, and how it ended.
 
     ``entries`` is the one record of the steps: each step's key after it
-    and its label.  ``outcome``, ``end`` and ``downgrades`` are the run's
-    ``Ending``; ``start`` is the key it started from.  A run that took the
-    rest of an earlier run (see ``run``) holds only its own steps in
-    ``entries``, but its ending is the whole run's.  Keys are decoded only
-    when read: ``table.view`` decodes one, ``initial`` and ``final`` the
-    first and the last, and ``lines`` renders each step from its label and
-    the configurations before and after it.
+    and its label; a run that shares a ``Known`` records none.  ``ending``
+    holds its ``outcome``, ``end`` and ``downgrades``, the same as the run
+    made alone; ``start`` is the key it started from.  Keys are decoded
+    only when read: ``table.view`` decodes one, ``initial`` and ``final``
+    the first and the last, and ``lines`` renders each step from its label
+    and the configurations before and after it.
     """
 
     entries: list[tuple[tuple, StepLabel]]
-    outcome: str
     start: tuple
-    end: tuple
-    downgrades: list[Downgrade] = field(repr=False)
+    ending: Ending = field(repr=False)
     table: Table = field(repr=False, compare=False)
 
+    outcome = property(lambda self: self.ending.outcome)
+    end = property(lambda self: self.ending.end)
+    downgrades = property(lambda self: self.ending.downgrades)
     initial = property(lambda self: self.table.view(self.start))
     final = property(lambda self: self.table.view(self.end))
 
@@ -333,8 +334,8 @@ class Trace:
 
     def declass_events(self) -> list[tuple[int, int]]:
         """(site id, declassified value) for each downgrade step, in order:
-        read off the labels of ``entries``, then of the downgrades a join
-        took after them."""
+        read off the labels of ``entries``, then of the downgrades after
+        them: a join's, or all of a shared run's, which lists no entries."""
         own = len(self.entries)
         labels = [label for _, label in self.entries if label.kind == DECLASS]
         labels += [label for k, _, _, label in self.downgrades if k >= own]
@@ -384,7 +385,8 @@ def run(
     and cannot repeat first.  A run that ends at a join takes the earlier
     run's final key, and its downgrades from the meeting point on, each
     re-indexed into this run; they are a lone run's if the run ends by a
-    step, not by a repeat or out of fuel.  Without ``known`` a run is on
+    step, not by a repeat or out of fuel.  A run that shares ``known``
+    lists no step in its trace's ``entries``; without ``known`` a run is on
     its own, and its trace is complete.  Each step goes through
     ``step_point``.
     """
@@ -409,7 +411,8 @@ def run(
             downgrades += [(n + j - i, *step) for j, *step in earlier.downgrades if j >= i]
             break
         after, label = step_point(key, points, policy, bits, capacity)
-        entries.append((after, label))
+        if known is None:
+            entries.append((after, label))
         kind = label.kind
         if kind == DECLASS:
             downgrades.append((n, key, after, label))
@@ -418,11 +421,11 @@ def run(
         if kind in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             outcome, end, loop = kind, n, n
             break
+    ending = Ending(outcome, key, downgrades)
     if known is not None and outcome != OUTCOME_FUEL:
-        ending = Ending(outcome, key, downgrades)
         for stepped, k in seen.items():
             configs[stepped] = (ending, k, end - (k if k < loop else loop))
-    return Trace(entries, outcome, start, key, downgrades, table)
+    return Trace(entries, start, ending, table)
 
 
 def run_program(

@@ -131,10 +131,47 @@ def test_only_the_kept_records_are_dataclasses():
     assert importers == {name.split(".")[0] for name in KEPT_DATACLASSES}
 
 
+def parse_as_3_10(text: str, filename: str = "<text>") -> ast.Module:
+    """``text`` parsed as Python 3.10, or SyntaxError.
+
+    ``ast.parse(..., feature_version=(3, 10))`` flags some newer forms, such
+    as ``except*``, but accepts two that Python 3.10 rejects (PEP 646): a
+    starred subscript ``a[*b]`` and a starred ``*args`` annotation.  A walk
+    of the tree rejects both.  A subscript's tuple with a starred element is
+    legal in 3.10 only in parentheses, so it is rejected when it starts where
+    its first element starts."""
+    tree = ast.parse(text, filename=filename, feature_version=(3, 10))
+    for node in ast.walk(tree):
+        where = f"{filename}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            elts = node.slice.elts
+            bare = elts and (node.slice.lineno, node.slice.col_offset) == (
+                elts[0].lineno, elts[0].col_offset,
+            )
+            if bare and any(isinstance(e, ast.Starred) for e in elts):
+                raise SyntaxError(f"{where}: a starred subscript needs Python 3.11")
+        if isinstance(node, ast.arguments) and node.vararg is not None:
+            if isinstance(node.vararg.annotation, ast.Starred):
+                raise SyntaxError(f"{where}: a starred *args annotation needs Python 3.11")
+    return tree
+
+
 def test_every_module_parses_as_python_3_10():
-    # requires-python = ">=3.10".  The parser flags what it knows to be
-    # newer than 3.10, such as except*; it does not flag every such form.
+    # requires-python = ">=3.10".
     paths = [path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")]
     assert len(paths) > 40
     for path in sorted(paths):
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        parse_as_3_10(path.read_text(), str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a[*b]", "a[x, *b] = c", "a[\n    *b,\n]", "def f(*args: *tuple[int, ...]): pass"],
+)
+def test_the_3_10_parse_rejects_each_newer_form(text):
+    with pytest.raises(SyntaxError):
+        parse_as_3_10(text)
+
+
+def test_the_3_10_parse_accepts_their_3_10_spellings():
+    parse_as_3_10("a[(*b,)]\na[(x, *b)] = c\na[x, y]\ndef f(*args: tuple[int, ...]): pass")

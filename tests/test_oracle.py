@@ -622,11 +622,12 @@ def test_one_run_per_initial_state_across_levels(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Shared futures: a run that meets a configuration of an earlier run of the
-# same check takes the rest of that run (``semantics.run``).  Its summary
-# must equal that of a run on its own: the outcome always, and for a halted
-# run its final observables and downgrades too, each downgrade at the same
-# index in the run, and the declassified values that ``declass_events``
-# reads off its own steps and the steps it joined.
+# same check takes the rest of that run (``semantics.run``).  A run that
+# shares a ``Known`` lists no steps, but its summary must equal that of a
+# run on its own: the outcome always, and for a halted run its final
+# observables and downgrades too, each downgrade at the same index in the
+# run, and the declassified values that ``declass_events`` reads off its
+# downgrades, its own and those it joined.
 
 
 def initial_states(program, policy, bits=2):
@@ -648,6 +649,7 @@ def assert_shared_runs_exact(program, policy, fuels, bits=2, capacity=4):
             for store, inputs in order:
                 args = (program, policy, store, inputs, bits, capacity, fuel)
                 shared, alone = run_program(*args, known), run_program(*args)
+                assert shared.entries == [], (fuel, store, inputs)  # a shared run lists no step
                 assert shared.outcome == alone.outcome, (fuel, store, inputs)
                 if alone.outcome == OUTCOME_HALTED:
                     assert (shared.final.mu, shared.final.outs) == (
@@ -910,6 +912,28 @@ def _shortcut_cases(group):
     for seed in range(400):
         gen = randprog.generate(seed, randprog.GenConfig(io=io))
         yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 4
+
+
+# The bucket pass starts each state's run from the product of its digits
+# (``_Runs.starts``), not from its index; both must name the same key.
+
+
+@pytest.mark.parametrize("group", ["table3", "iobench", "randprog-io"])
+def test_the_bucket_pass_starts_each_state_from_its_index(monkeypatch, group):
+    started, cells = _count_runs(monkeypatch), 0
+    for name, text, pol, capacity in _shortcut_cases(group):
+        program, policy = load_text(text, pol)
+        runs = layout(program, policy, capacity=capacity)
+        expected = [runs.known.table.start(*runs.values(i)) for i in range(runs.count)]
+        assert list(runs.starts()) == expected, name
+        cells += sum(runs.lengths)
+        for level in sorted(policy.domains):
+            runs, started[:] = layout(program, policy, capacity=capacity), []
+            oracle._Level(runs, level, "where-security").conflict()
+            # State i ran i-th, from its own start key.
+            assert started == expected[: len(started)], (name, level)
+            assert sorted(runs.endings) == list(range(len(started))), (name, level)
+    assert cells or group == "table3"  # input cells are digits too
 
 
 @pytest.mark.parametrize("group", SHORTCUT_GROUPS)

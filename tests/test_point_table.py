@@ -22,6 +22,7 @@ from wherecheck.semantics import (
     INPUT_EXHAUSTED,
     OUTCOME_HALTED,
     PLAIN,
+    Ending,
     Known,
     Table,
     Trace,
@@ -61,7 +62,7 @@ def compare_steps(program, policy, capacity) -> set[tuple[str, str]]:
             if label.kind == HALTED
             else f"g{label.site.id} | {label.rule} | {label} | {ref_changed}"
         )
-        assert Trace([(new, label)], "", key, new, [], table).lines == [expected], tree
+        assert Trace([(new, label)], key, Ending("", new, []), table).lines == [expected], tree
         labels.add((label.kind, label.rule))
         if label.kind not in (HALTED, INPUT_EXHAUSTED, CAPACITY_EXCEEDED):
             todo.append(new)
