@@ -11,8 +11,25 @@ The generator's test-only profile and its declass substitution live here
 too: release monotonicity (acceptance criterion 5) turns one top-level
 assignment of a declass-free program into a downgrade, rendered from the
 program's sketch.
+
+Every sweep takes its inputs from one case table, ``cases``.  Its groups
+are the two corpora, ``table3`` and ``iobench``, each in name order;
+``randprog`` and ``randprog-io``, the generated program of each seed
+without and with channel I/O; and ``sweep``, the benchmark's 103
+``randprog-sweep`` inputs, whose (seed, io) list ``SWEEP_SEEDS`` is
+``perfbench/workloads.py``'s ``RANDPROG_SEEDS`` (``tests/test_bench_rounds.py``
+holds the two equal).  A program's id is ``table3/P0``, ``iobench/B3``,
+``randprog/17`` or ``randprog/17io``.  A consumer names its groups, each
+with its size, such as (bits, capacity), or a list of sizes, and the seeds
+of its generated groups.  A new sweep takes its inputs from the table, not
+from a generator of its own: only this module and ``tests/test_randprog.py``,
+which tests the generator, import ``wherecheck.randprog``
+(``tests/test_layering.py`` holds that).  A group that one test alone reads,
+such as a shape of program D, stays in that test.
 """
 
+import itertools
+from collections.abc import Sequence
 from pathlib import Path
 
 from wherecheck.parser import parse_program
@@ -24,6 +41,15 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 TABLE3 = CORPUS / "table3"
 IOBENCH = CORPUS / "iobench"
+
+RANDPROG = ("randprog", "randprog-io")
+# The randprog-sweep benchmark's programs: seeds 0-99, odd seeds with
+# channel I/O, plus three more I/O seeds.
+SWEEP_SEEDS = [(s, s % 2 == 1) for s in range(100)] + [(113, True), (135, True), (141, True)]
+
+# The policy of program D, a counting loop over i (ROADMAP item 6); each
+# test that runs D keeps its own shape of the loop.
+D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 
 
 def load_text(text: str, policy_text: str) -> tuple[Program, Policy]:
@@ -43,6 +69,43 @@ def corpus(name: str) -> list[tuple[str, str, str]]:
         (path.stem, path.with_suffix("").read_text(), path.read_text())
         for path in sorted((CORPUS / name).glob("*.policy"))
     ]
+
+
+def _generated(seed: int, io: bool) -> tuple[str, str, str]:
+    gen = generate(seed, GenConfig(io=io))
+    return f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text
+
+
+def _listed(group: str) -> list[tuple[str, str, str]]:
+    """(id, program text, policy text) of a corpus, or of the sweep."""
+    if group == "sweep":
+        return [_generated(seed, io) for seed, io in SWEEP_SEEDS]
+    if group not in ("table3", "iobench"):
+        raise KeyError(group)
+    return [(f"{group}/{name}", text, pol) for name, text, pol in corpus(group)]
+
+
+def cases(sizes: dict[str, tuple | list[tuple]], seeds: Sequence[int] = range(400)) -> list[tuple]:
+    """(id, program text, policy text, *size) of every program of each group
+    that ``sizes`` names, in the order named, once for each size its group
+    is given.  A size is a tuple, as a rule (bits, capacity), to which a
+    consumer may add what else it varies per program, such as a
+    composition; a group given a list of sizes lists each program once per
+    size, and one given ``()`` lists (id, program text, policy text).
+    ``randprog`` and ``randprog-io`` take their programs from ``seeds``;
+    named one after the other, they go seed by seed: ``randprog/0``,
+    ``randprog/0io``, ``randprog/1``, ..."""
+    rows = []
+    for generated, run in itertools.groupby(sizes, key=RANDPROG.__contains__):
+        run = list(run)
+        if generated:
+            programs = [(g, _generated(seed, g == "randprog-io")) for seed in seeds for g in run]
+        else:
+            programs = [(g, case) for g in run for case in _listed(g)]
+        for group, case in programs:
+            size = sizes[group]
+            rows += [(*case, *each) for each in (size if isinstance(size, list) else [size])]
+    return rows
 
 
 def random_program(seed: int, io: bool = False) -> tuple[GeneratedProgram, Program, Policy]:

@@ -18,11 +18,10 @@ from wherecheck.cli import INSECURE, SECURE, analyze, bench, find_nmin, result_l
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import INCONCLUSIVE, check_noninterference, check_where_security
-from wherecheck.randprog import generate
 from wherecheck.reach import is_error_reachable, post_star
 from explicit import explicit_error_search
-from programs import IOBENCH, ROOT, TABLE3, corpus, load, load_text, random_program
-from programs import assign_slots, declass_free, with_declass
+from programs import IOBENCH, ROOT, TABLE3, cases, corpus, load, load_text, random_program
+from programs import assign_slots, declass_free, generate, with_declass
 from sweep import disagreements, sweep
 
 TABLE3_VERDICTS = {
@@ -226,8 +225,8 @@ def test_criterion_6_backend_agreement():
                 if explicit != symbolic:
                     disagreements.append(f"{label}:{level}:{compose.__name__}")
 
-    for name, text, policy_text in corpus("table3") + corpus("iobench"):
-        compare(*load_text(text, policy_text), name, bits=1, capacity=2)
+    for name, text, policy_text, bits, capacity in cases({"table3": (1, 2), "iobench": (1, 2)}):
+        compare(*load_text(text, policy_text), name, bits=bits, capacity=capacity)
 
     seed = 0
     while compared < 16 * 4 + 100 and seed < 400:

@@ -15,8 +15,7 @@ import pytest
 
 from wherecheck.cli import EXIT_SECURE, INSECURE, analyze, main
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR
-from wherecheck.randprog import GenConfig, generate
-from programs import ROOT, corpus, load_text
+from programs import ROOT, cases, load_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -60,20 +59,11 @@ def test_program_e_is_secure(tmp_path, capsys, mode):
     ]
 
 
-def _channel_programs():
-    """(name, program text, policy text, bits, capacity)."""
-    for seed in range(400):
-        gen = generate(seed, GenConfig(io=True))
-        yield f"randprog/{seed}io", gen.text, gen.policy_text, 2, 4
-    for name, text, policy_text in corpus("iobench"):
-        yield f"iobench/{name}", text, policy_text, 2, 8
-
-
 @pytest.fixture(scope="module")
 def channel_reports():
     """(name, program, policy, bits, capacity, {mode: report with witnesses})."""
     rows = []
-    for name, text, policy_text, bits, capacity in _channel_programs():
+    for name, text, policy_text, bits, capacity in cases({"randprog-io": (2, 4), "iobench": (2, 8)}):
         program, policy = load_text(text, policy_text)
         reports = {
             mode: analyze(

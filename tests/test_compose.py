@@ -15,7 +15,7 @@ from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars
 
 from explicit import explicit_error_search
-from programs import load, load_text, random_program
+from programs import cases, load, load_text
 from test_pinned_outputs import _cases
 from test_spds import written_globals
 
@@ -91,17 +91,16 @@ def test_every_rule_can_reach_error(path, mode):
 def test_every_random_rule_can_reach_error_unless_nothing_is_observable():
     # a model with no rule into error at all observes nothing at its level;
     # every other model has no dead end
-    for seed in range(400):
-        for io in (False, True):
-            _, program, policy = random_program(seed, io)
-            for level in sorted(policy.domains):
-                skel = build_model(program, policy, level, bits=2, capacity=4)
-                for compose in (self_compose, tr_compose):
-                    model = compose(skel)
-                    spds = model.spds
-                    assert outgoing(model, ERROR_SYMBOL) == []
-                    if any(rule.rhs == ERROR_SYMBOL for rule in spds.rules):
-                        assert dead_ends(spds) == [], (seed, io, level, compose.__name__)
+    for name, text, pol, bits, capacity in cases({"randprog": (2, 4), "randprog-io": (2, 4)}):
+        program, policy = load_text(text, pol)
+        for level in sorted(policy.domains):
+            skel = build_model(program, policy, level, bits=bits, capacity=capacity)
+            for compose in (self_compose, tr_compose):
+                model = compose(skel)
+                spds = model.spds
+                assert outgoing(model, ERROR_SYMBOL) == []
+                if any(rule.rhs == ERROR_SYMBOL for rule in spds.rules):
+                    assert dead_ends(spds) == [], (name, level, compose.__name__)
 
 
 @pytest.mark.parametrize("name", TABLE3)

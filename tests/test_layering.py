@@ -10,9 +10,12 @@ calls itself, and only a few are allowed to.  It also lists every
 features of a dataclass that the keep-list names, and only the modules of
 the kept ones import ``dataclasses``.  Every module of the package, the
 tests and the benchmark parses as Python 3.10, the oldest version that
-``pyproject.toml`` supports."""
+``pyproject.toml`` supports.  Of the tests, only the case table
+(``tests/programs.py``) and the generator's own tests import the random
+program generator, so a new sweep takes its inputs from the table."""
 
 import ast
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +26,10 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 MODEL = ("bdd", "spds", "modelgen", "compose", "reach")
 
 
-def imports(name: str) -> set[str]:
-    """The wherecheck modules that module ``name`` imports itself."""
+def imports(name: str, folder: Path = SRC) -> set[str]:
+    """The wherecheck modules that module ``name`` of ``folder`` imports itself."""
     found: set[str] = set()
-    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+    for node in ast.walk(ast.parse((folder / f"{name}.py").read_text())):
         if isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -175,3 +178,9 @@ def test_the_3_10_parse_rejects_each_newer_form(text):
 
 def test_the_3_10_parse_accepts_their_3_10_spellings():
     parse_as_3_10("a[(*b,)]\na[(x, *b)] = c\na[x, y]\ndef f(*args: tuple[int, ...]): pass")
+
+
+def test_only_the_case_table_and_the_generator_tests_import_the_generator():
+    tests = ROOT / "tests"
+    importers = {path.stem for path in tests.glob("*.py") if "randprog" in imports(path.stem, tests)}
+    assert importers == {"programs", "test_randprog"}

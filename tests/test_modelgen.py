@@ -13,7 +13,6 @@ from wherecheck.modelgen import (
 from wherecheck.parser import parse_program
 from wherecheck.compose import self_compose
 from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.semantics import OUTCOME_HALTED, run_program
 from wherecheck.spds import HAVOC
 from wherecheck.syntax import (
@@ -31,7 +30,7 @@ from wherecheck.syntax import (
     While,
 )
 from explicit import successors, valuation
-from programs import corpus, load, load_text
+from programs import cases, load, load_text
 from reference import format_program, same_command
 
 
@@ -214,23 +213,13 @@ def site_bodies(skeleton: ModelSkeleton) -> dict:
     }
 
 
-def site_table_cases():
-    """(name, program text, policy text) over table3, iobench and randprog seeds 0-59."""
-    for group in ("table3", "iobench"):
-        for name, text, pol in corpus(group):
-            yield f"{group}/{name}", text, pol
-    for seed in range(60):
-        for io in (False, True):
-            gen = generate(seed, GenConfig(io=io))
-            yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text
-
-
 def test_the_site_table_lists_every_real_downgrade_and_observable_output():
     filled = 0
-    for name, text, pol in site_table_cases():
+    sizes = {"table3": (2, 2), "iobench": (2, 2), "randprog": (2, 2), "randprog-io": (2, 2)}
+    for name, text, pol, bits, capacity in cases(sizes, seeds=range(60)):
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
-            skel = build_model(program, policy, level, bits=2, capacity=2)
+            skel = build_model(program, policy, level, bits=bits, capacity=capacity)
             assert skel.sites == site_bodies(skel), (name, level)
             filled += bool(skel.sites)
     assert filled > 90  # 98 of the 272 (program, level) tables hold a site

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wherecheck import oracle, randprog
+from wherecheck import oracle
 from wherecheck.cli import analyze
 from wherecheck.oracle import (
     INCONCLUSIVE,
@@ -27,7 +27,7 @@ from wherecheck.semantics import (
     run_program,
 )
 from wherecheck.syntax import While
-from programs import corpus, load, load_text, random_program
+from programs import cases, load, load_text, random_program
 
 
 TWO_LEVEL = "lattice: L < H\nvar h : H\nvar l : L\n"
@@ -813,13 +813,6 @@ def test_the_sweep_runs_only_below_the_bound(monkeypatch, check, fuel):
     assert (verdict.status, verdict.pairs_checked, verdict.note, len(started)) == expected
 
 
-# The benchmark's randprog-sweep inputs (perfbench/workloads.py): seeds
-# 0-99, odd seeds with I/O, and I/O seeds 113, 135 and 141.
-BENCHMARK_SEEDS = [(seed, seed % 2 == 1) for seed in range(100)] + [
-    (113, True), (135, True), (141, True),
-]
-
-
 def test_the_oracle_does_pinned_work_on_the_benchmark_programs(monkeypatch):
     # At bits 2 and capacity 4: the runs and interpreter steps the oracle
     # made when a configuration was three dicts, so holding it as a key
@@ -835,9 +828,10 @@ def test_the_oracle_does_pinned_work_on_the_benchmark_programs(monkeypatch):
     real = semantics.step_point
     monkeypatch.setattr(semantics, "step_point", counted)
     verdicts = []
-    for seed, io in BENCHMARK_SEEDS:
-        _, program, policy = random_program(seed, io)
-        verdict = check_where_security(program, policy, bits=2, capacity=4)
+    # The benchmark's randprog-sweep inputs (perfbench/workloads.py).
+    for _, text, pol, bits, capacity in cases({"sweep": (2, 4)}):
+        program, policy = load_text(text, pol)
+        verdict = check_where_security(program, policy, bits=bits, capacity=capacity)
         verdicts.append((verdict.status, verdict.pairs_checked))
     assert (len(started), len(steps)) == (1731, 6612)
     statuses = [status for status, _ in verdicts]
@@ -845,15 +839,15 @@ def test_the_oracle_does_pinned_work_on_the_benchmark_programs(monkeypatch):
     assert sum(pairs for _, pairs in verdicts) == 14478
 
 
-@pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
-def test_the_oracle_decides_randprog_seeds(io):
+@pytest.mark.parametrize("group", ["randprog", "randprog-io"], ids=["plain", "io"])
+def test_the_oracle_decides_randprog_seeds(group):
     # Seeds 0-99 at bits 2 and capacity 4: every run ends within the default
     # fuel, so neither check is inconclusive.
-    for seed in range(100):
-        _, program, policy = random_program(seed, io)
+    for name, text, pol, bits, capacity in cases({group: (2, 4)}, seeds=range(100)):
+        program, policy = load_text(text, pol)
         for check in (check_where_security, check_noninterference):
-            verdict = check(program, policy, bits=2, capacity=4)
-            assert verdict.status != INCONCLUSIVE, (seed, check.__name__, verdict.note)
+            verdict = check(program, policy, bits=bits, capacity=capacity)
+            assert verdict.status != INCONCLUSIVE, (name, check.__name__, verdict.note)
 
 
 @pytest.mark.parametrize("fuel", [4, 8])
@@ -867,8 +861,8 @@ def test_every_lone_run_without_a_loop_ends_within_the_bound():
     # I/O, at capacity 4, all at bits 2: every initial state of every program
     # without a while.
     checked = 0
-    for group in SHORTCUT_GROUPS:
-        for name, text, pol, capacity in _shortcut_cases(group):
+    for group in SHORTCUT:
+        for name, text, pol, capacity in cases({group: SHORTCUT[group]}):
             program, policy = load_text(text, pol)
             if While in map(type, program.sites):
                 continue
@@ -899,19 +893,7 @@ def test_a_run_leaves_the_shared_start_as_it_found_it():
 # capacity 8 and randprog seeds 0-399 with and without I/O at bits 2 /
 # capacity 4: on every level that takes it, the pass finds no conflict.
 
-SHORTCUT_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
-
-
-def _shortcut_cases(group):
-    """(name, program text, policy text, capacity) of one group."""
-    if group in ("table3", "iobench"):
-        for name, text, pol in corpus(group):
-            yield f"{group}/{name}", text, pol, 8
-        return
-    io = group == "randprog-io"
-    for seed in range(400):
-        gen = randprog.generate(seed, randprog.GenConfig(io=io))
-        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 4
+SHORTCUT = {"table3": (8,), "iobench": (8,), "randprog": (4,), "randprog-io": (4,)}
 
 
 # The bucket pass starts each state's run from the product of its digits
@@ -921,7 +903,7 @@ def _shortcut_cases(group):
 @pytest.mark.parametrize("group", ["table3", "iobench", "randprog-io"])
 def test_the_bucket_pass_starts_each_state_from_its_index(monkeypatch, group):
     started, cells = _count_runs(monkeypatch), 0
-    for name, text, pol, capacity in _shortcut_cases(group):
+    for name, text, pol, capacity in cases({group: SHORTCUT[group]}):
         program, policy = load_text(text, pol)
         runs = layout(program, policy, capacity=capacity)
         expected = [runs.known.table.start(*runs.values(i)) for i in range(runs.count)]
@@ -936,10 +918,10 @@ def test_the_bucket_pass_starts_each_state_from_its_index(monkeypatch, group):
     assert cells or group == "table3"  # input cells are digits too
 
 
-@pytest.mark.parametrize("group", SHORTCUT_GROUPS)
+@pytest.mark.parametrize("group", SHORTCUT)
 def test_the_bucket_pass_finds_no_conflict_where_the_shortcut_is_taken(group):
     taken = 0
-    for name, text, pol, capacity in _shortcut_cases(group):
+    for name, text, pol, capacity in cases({group: SHORTCUT[group]}):
         program, policy = load_text(text, pol)
         runs = layout(program, policy, capacity=capacity)
         for level in sorted(policy.domains):

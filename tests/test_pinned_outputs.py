@@ -33,10 +33,9 @@ from pathlib import Path
 from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import _Runs, check_where_security
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
 from wherecheck.semantics import DECLASS, DEFAULT_FUEL, format_trace, run_program
-from programs import corpus, load_text
+from programs import cases, load_text
 from tree_step import residual
 
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
@@ -44,34 +43,22 @@ DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
 ORACLE = Path(__file__).resolve().parent / "pinned_oracle.txt"
 TRACES = Path(__file__).resolve().parent / "pinned_traces.txt"
 
-# The randprog-sweep benchmark's programs: seeds 0-99, odd seeds with
-# channel I/O, plus three more I/O seeds.
-SWEEP_SEEDS = [(s, s % 2 == 1) for s in range(100)] + [(113, True), (135, True), (141, True)]
-
-
-def _cases():
+def _cases() -> list[tuple]:
     """(name, program text, policy text, bits, capacity, mode), in a fixed order."""
-    for name, text, policy_text in corpus("table3"):
-        for bits in (2, 3, 4):
-            yield f"table3/{name}", text, policy_text, bits, 8, MODE_STORE_MATCH
-    for name, text, policy_text in corpus("iobench"):
-        for mode in (MODE_STORE_MATCH, MODE_TR):
-            yield f"iobench/{name}", text, policy_text, 2, 8, mode
-    for seed in range(100):
-        for io in (False, True):
-            gen = generate(seed, GenConfig(io=io))
-            name = f"randprog/{seed}{'io' if io else ''}"
-            yield name, gen.text, gen.policy_text, 2, 4, MODE_STORE_MATCH
+    return cases(
+        {
+            "table3": [(bits, 8, MODE_STORE_MATCH) for bits in (2, 3, 4)],
+            "iobench": [(2, 8, MODE_STORE_MATCH), (2, 8, MODE_TR)],
+            "randprog": (2, 4, MODE_STORE_MATCH),
+            "randprog-io": (2, 4, MODE_STORE_MATCH),
+        },
+        seeds=range(100),
+    )
 
 
-def _oracle_cases():
+def _oracle_cases() -> list[tuple]:
     """(name, program text, policy text, bits, capacity) of each benchmark input."""
-    for group in ("table3", "iobench"):
-        for name, text, policy_text in corpus(group):
-            yield f"{group}/{name}", text, policy_text, 2, 8
-    for seed, io in SWEEP_SEEDS:
-        gen = generate(seed, GenConfig(io=io))
-        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 2, 4
+    return cases({"table3": (2, 8), "iobench": (2, 8), "sweep": (2, 4)})
 
 
 def _witness_digest(model, witness) -> str:

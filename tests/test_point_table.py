@@ -30,7 +30,7 @@ from wherecheck.semantics import (
     step_point,
 )
 from wherecheck.syntax import Assign, DeclassAssign, Seq, SiteLabel, Skip, Var
-from programs import corpus, load_text, random_program
+from programs import D_POLICY, cases, load_text, random_program
 from reference import same_command
 from tree_step import residual, tree_configuration, tree_step, tree_successors
 
@@ -85,8 +85,8 @@ ALL_LABELS = {
 
 
 def test_point_table_matches_tree_step_on_the_corpora():
-    for _, text, policy_text in corpus("table3") + corpus("iobench"):
-        compare_steps(*load_text(text, policy_text), capacity=8)
+    for _, text, policy_text, capacity in cases({"table3": (8,), "iobench": (8,)}):
+        compare_steps(*load_text(text, policy_text), capacity=capacity)
 
 
 @pytest.mark.parametrize("io", [False, True], ids=["plain", "io"])
@@ -124,7 +124,6 @@ def test_point_table_matches_tree_step_at_each_rule_and_diagnostic():
 
 # Program D of the ROADMAP baseline, with n loop iterations.
 D_TEXT = "i := 0; while (i < {n}) do i := i + 1; l := l + 1 od; l := l + h"
-D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 
 
 def test_a_loop_interns_the_same_points_at_any_iteration_count():
@@ -161,10 +160,10 @@ def test_the_table_has_two_points_per_site_with_fixed_ids():
 
 
 def test_each_point_links_to_the_points_of_the_tree_step():
-    cases = corpus("table3") + corpus("iobench") + [
+    inputs = cases({"table3": (), "iobench": ()}) + [
         ("", "if x then skip else while x do skip od fi; skip", "lattice: L < H\nvar x : L\n")
     ]
-    for _, text, policy_text in cases:
+    for _, text, policy_text in inputs:
         program, _ = load_text(text, policy_text)
         points = Table(program).points
         for point in points:

@@ -4,7 +4,6 @@ from wherecheck.bdd import BudgetExceeded
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.policy import OBSERVES_EVERYTHING, typable
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import (
     Witness,
     _backward_path,
@@ -17,7 +16,7 @@ from wherecheck.semantics import run_program
 from wherecheck.spds import HAVOC, GlobalsDecl, RelationAlgebra, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
 from explicit import decode, explicit_error_search, initial_valuations, successors
-from programs import corpus, load, load_text
+from programs import D_POLICY, cases, load, load_text
 from reference import preimage_walk
 from test_bdd import sat_all
 
@@ -436,22 +435,19 @@ def test_tr_witness_decodes():
 # level that observes everything is held to the full search as well.
 
 
-def _layer_cases():
-    """(name, program text, policy text, compose)."""
-    for name, text, pol in corpus("table3"):
-        for bits in (2, 3):
-            yield f"table3/{name}@{bits}", text, pol, self_compose
-    for name, text, pol in corpus("iobench"):
-        for mode in (self_compose, tr_compose):
-            yield f"iobench/{name}/{'tr' if mode is tr_compose else 'storematch'}", text, pol, mode
-    for seed in range(60):
-        for io in (False, True):
-            gen = generate(seed, GenConfig(io=io))
-            name = f"randprog/{seed}{'io' if io else ''}"
-            yield name, gen.text, gen.policy_text, self_compose
-
-
-LAYER_CASES = list(_layer_cases())
+# (name, program text, policy text, compose)
+LAYER_CASES = [
+    (f"{name}{suffix}", text, pol, compose)
+    for name, text, pol, suffix, compose in cases(
+        {
+            "table3": [("@2", self_compose), ("@3", self_compose)],
+            "iobench": [("/storematch", self_compose), ("/tr", tr_compose)],
+            "randprog": ("", self_compose),
+            "randprog-io": ("", self_compose),
+        },
+        seeds=range(60),
+    )
+]
 
 
 @pytest.mark.parametrize("case", LAYER_CASES, ids=[case[0] for case in LAYER_CASES])
@@ -471,26 +467,14 @@ def test_every_promise_is_feasible_and_the_decision_matches(case):
 # capacity 8 and randprog seeds 0-399 with and without I/O at bits 2 /
 # capacity 4, in both modes.
 
-OBSERVING_GROUPS = ("table3", "iobench", "randprog", "randprog-io")
-
-
-def _observing_cases(group: str):
-    """(name, program text, policy text, bits, capacity) of one group."""
-    if group in ("table3", "iobench"):
-        for name, text, pol in corpus(group):
-            yield f"{group}/{name}", text, pol, 2, 8
-        return
-    io = group == "randprog-io"
-    for seed in range(400):
-        gen = generate(seed, GenConfig(io=io))
-        yield f"randprog/{seed}{'io' if io else ''}", gen.text, gen.policy_text, 2, 4
+OBSERVING = {"table3": (2, 8), "iobench": (2, 8), "randprog": (2, 4), "randprog-io": (2, 4)}
 
 
 @pytest.mark.parametrize("mode", [self_compose, tr_compose], ids=["storematch", "tr"])
-@pytest.mark.parametrize("group", OBSERVING_GROUPS)
+@pytest.mark.parametrize("group", OBSERVING)
 def test_a_level_that_observes_everything_is_secure_without_a_search(group, mode):
     decided = 0
-    for name, text, pol, bits, capacity in _observing_cases(group):
+    for name, text, pol, bits, capacity in cases({group: OBSERVING[group]}):
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))
@@ -539,7 +523,6 @@ def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
 # do not grow with the loop's length, so the walk is linear in the witness.
 
 D_SHAPE = "i := 0;\nwhile (i < {n}) do\n  i := i + 1;\n  l := l + 1\nod;\nl := l + h\n"
-D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 
 
 def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
@@ -567,30 +550,22 @@ def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
 # pre-image walk it replaced (tests/reference.py), on the benchmark inputs
 # and on program D.
 
-WALK_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "D")
-
-
-def _walk_cases(group: str):
-    """(program text, policy text, bits, capacity, compose) of one group."""
-    if group == "table3":
-        for _, text, pol in corpus(group):
-            for bits in (1, 2, 3, 4):
-                yield text, pol, bits, 8, self_compose
-    elif group == "iobench":
-        for _, text, pol in corpus(group):
-            for mode in (self_compose, tr_compose):
-                yield text, pol, 2, 8, mode
-    elif group == "D":
-        yield D_SHAPE.format(n=100), D_POLICY, 10, 4, self_compose
-    else:
-        for seed in range(400):
-            gen = generate(seed, GenConfig(io=group == "randprog-io"))
-            yield gen.text, gen.policy_text, 2, 4, self_compose
+WALK = {
+    "table3": [(bits, 8, self_compose) for bits in (1, 2, 3, 4)],
+    "iobench": [(2, 8, self_compose), (2, 8, tr_compose)],
+    "randprog": (2, 4, self_compose),
+    "randprog-io": (2, 4, self_compose),
+}
+WALK_GROUPS = (*WALK, "D")
 
 
 def _insecure_levels(group: str):
     """The automaton of every insecure level of one group."""
-    for text, pol, bits, capacity, mode in _walk_cases(group):
+    if group == "D":
+        rows = [("D", D_SHAPE.format(n=100), D_POLICY, 10, 4, self_compose)]
+    else:
+        rows = cases({group: WALK[group]})
+    for _, text, pol, bits, capacity, mode in rows:
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             model = mode(build_model(program, policy, level, bits=bits, capacity=capacity))

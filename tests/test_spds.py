@@ -6,7 +6,6 @@ from wherecheck.bdd import bv_const, bv_eq, bv_from_levels
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.spds import (
     HAVOC,
     ArrayWrite,
@@ -31,7 +30,7 @@ from explicit import (
     successors,
     valuation,
 )
-from programs import corpus, load_text
+from programs import cases, load_text
 from reference import cube, sorted_levels
 from test_bdd import sat_all
 
@@ -52,26 +51,19 @@ def test_globals_layout():
     assert len(list(all_valuations(g))) == 32
 
 
-def _layout_cases(group: str):
-    """(program text, policy text, bits, capacity) of one layout group."""
-    if group == "randprog":
-        for io in (False, True):
-            for seed in range(400):
-                gen = generate(seed, GenConfig(io=io))
-                yield gen.text, gen.policy_text, 2, 4
-        return
-    if group == "table3":
-        sizes = [(bits, 8) for bits in range(1, 7)]
-    else:
-        sizes = [(2, 0), (2, 1), (2, 8)]
-    for _, text, pol in corpus(group):
-        for bits, capacity in sizes:
-            yield text, pol, bits, capacity
+LAYOUT = {
+    "table3": [(bits, 8) for bits in range(1, 7)],
+    "iobench": [(2, 0), (2, 1), (2, 8)],
+    "randprog": (2, 4),
+    "randprog-io": (2, 4),
+}
 
 
 @pytest.mark.parametrize("group", ["table3", "iobench", "randprog"])
 def test_the_one_pass_layout_matches_one_sort_of_every_slot(group):
-    for text, pol, bits, capacity in _layout_cases(group):
+    # randprog: every plain seed, then every I/O seed
+    groups = ["randprog", "randprog-io"] if group == "randprog" else [group]
+    for _, text, pol, bits, capacity in [case for g in groups for case in cases({g: LAYOUT[g]})]:
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)

@@ -23,11 +23,10 @@ from wherecheck.bdd import bv_const
 from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.policy import OBSERVES_EVERYTHING, TYPABLE, typable
-from wherecheck.randprog import GenConfig, generate
 from wherecheck.reach import is_error_reachable, post_star
 from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import PRECEDENCE, BinOp, Expr, Num, Var, eval_nodes, format_expr, postfix
-from programs import corpus, load_text
+from programs import D_POLICY, cases, load_text
 from reference import equal_set_typable, vsi_typable
 
 TWO = "lattice: L < H\nvar h : H\nvar l : L\n"
@@ -236,7 +235,6 @@ def test_a_downgrade_in_a_loop_is_searched(mode):
 # The argument test.
 
 D_SHAPE = "i := 0;\nwhile (i < 1000) do\n  i := i + 1;\n  {body}\nod;\nh := h + l\n"
-D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 
 
 def wide(n: int) -> tuple[str, str]:
@@ -258,31 +256,33 @@ HAND_WRITTEN = [
 ]
 HAND_WRITTEN += [(text, pol, 2) for text, pol, _ in CONSTANTS + IDENTITIES] + [(*WRAP, 1), (*WRAP, 2)]
 
-ARGUMENT_GROUPS = ("table3", "iobench", "randprog", "randprog-io", "deep", "wide", "hand")
+# (bits, capacity) of each group of the case table
+ARGUMENT_SIZES = {
+    "table3": [(bits, 8) for bits in range(1, 7)],
+    "iobench": (2, 8),
+    "randprog": [(bits, 4) for bits in (1, 2, 3)],
+    "randprog-io": [(bits, 4) for bits in (1, 2, 3)],
+}
+# The groups of this test alone
+LOCAL_GROUPS = {
+    "deep": [
+        ("D'", D_SHAPE.format(body="l := l + 1"), D_POLICY, 10, 8),
+        ("D''", D_SHAPE.format(body="l := l + 1 + h - h"), D_POLICY, 10, 8),
+    ],
+    "wide": [(f"wide({n})", *wide(n), 8, 8) for n in range(1, 9)],
+    "hand": [(f"hand{k}@{bits}", text, pol, bits, 4) for k, (text, pol, bits) in enumerate(HAND_WRITTEN)],
+}
+ARGUMENT_GROUPS = (*ARGUMENT_SIZES, *LOCAL_GROUPS)
 
 
-def _argument_cases(group: str):
+def _argument_cases(group: str) -> list[tuple]:
     """(name, program text, policy text, bits, capacity) of one group."""
-    if group in ("table3", "iobench"):
-        widths = range(1, 7) if group == "table3" else (2,)
-        for name, text, pol in corpus(group):
-            for bits in widths:
-                yield f"{name}@{bits}", text, pol, bits, 8
-    elif group.startswith("randprog"):
-        cfg = GenConfig(io=group == "randprog-io")
-        for seed in range(400):
-            gen = generate(seed, cfg)
-            for bits in (1, 2, 3):
-                yield f"{seed}@{bits}", gen.text, gen.policy_text, bits, 4
-    elif group == "deep":
-        yield "D'", D_SHAPE.format(body="l := l + 1"), D_POLICY, 10, 8
-        yield "D''", D_SHAPE.format(body="l := l + 1 + h - h"), D_POLICY, 10, 8
-    elif group == "wide":
-        for n in range(1, 9):
-            yield f"wide({n})", *wide(n), 8, 8
-    else:
-        for k, (text, pol, bits) in enumerate(HAND_WRITTEN):
-            yield f"hand{k}@{bits}", text, pol, bits, 4
+    if group in LOCAL_GROUPS:
+        return LOCAL_GROUPS[group]
+    return [
+        (f"{name}@{bits}", text, pol, bits, capacity)
+        for name, text, pol, bits, capacity in cases({group: ARGUMENT_SIZES[group]})
+    ]
 
 
 @pytest.mark.parametrize("group", ARGUMENT_GROUPS)
