@@ -1,5 +1,5 @@
 """Where the tests get their programs: the two corpora, program text written
-in a test, and the seeded random generator.
+in a test, the seeded random generator, and drawn expressions.
 
 Every program comes with its policy, its downgrades gathered.  Each call
 parses afresh, since ``gather_downgrades`` fills dicts of the policy it
@@ -24,18 +24,22 @@ with its size, such as (bits, capacity), or a list of sizes, and the seeds
 of its generated groups.  A new sweep takes its inputs from the table, not
 from a generator of its own: only this module and ``tests/test_randprog.py``,
 which tests the generator, import ``wherecheck.randprog``
-(``tests/test_layering.py`` holds that).  A group that one test alone reads,
-such as a shape of program D, stays in that test.
+(``tests/test_layering.py`` holds that).  ``pinned_cases`` lists the inputs
+whose outputs and models are pinned.  A group that one test alone reads,
+such as a variant of program D, stays in that test.
 """
 
 import itertools
 from collections.abc import Sequence
 from pathlib import Path
 
+from hypothesis import strategies as st
+
+from wherecheck.compose import MODE_STORE_MATCH, MODE_TR
 from wherecheck.parser import parse_program
 from wherecheck.policy import Policy, gather_downgrades, parse_policy
 from wherecheck.randprog import GenConfig, GeneratedProgram, generate, render
-from wherecheck.syntax import Program
+from wherecheck.syntax import BinOp, Num, Program, Var
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -47,8 +51,9 @@ RANDPROG = ("randprog", "randprog-io")
 # channel I/O, plus three more I/O seeds.
 SWEEP_SEEDS = [(s, s % 2 == 1) for s in range(100)] + [(113, True), (135, True), (141, True)]
 
-# The policy of program D, a counting loop over i (ROADMAP item 6); each
-# test that runs D keeps its own shape of the loop.
+# Program D, a counting loop of n iterations over i (ROADMAP item 6), and
+# its policy.
+D_TEXT = "i := 0;\nwhile (i < {n}) do\n  i := i + 1;\n  l := l + 1\nod;\nl := l + h\n"
 D_POLICY = "lattice: L < H\nvar h : H\nvar l : L\nvar i : L\n"
 
 
@@ -108,6 +113,20 @@ def cases(sizes: dict[str, tuple | list[tuple]], seeds: Sequence[int] = range(40
     return rows
 
 
+def pinned_cases() -> list[tuple]:
+    """(id, program text, policy text, bits, capacity, mode) of every input of
+    ``pinned_outputs.txt`` and ``model_dumps.txt``, in a fixed order."""
+    return cases(
+        {
+            "table3": [(bits, 8, MODE_STORE_MATCH) for bits in (2, 3, 4)],
+            "iobench": [(2, 8, MODE_STORE_MATCH), (2, 8, MODE_TR)],
+            "randprog": (2, 4, MODE_STORE_MATCH),
+            "randprog-io": (2, 4, MODE_STORE_MATCH),
+        },
+        seeds=range(100),
+    )
+
+
 def random_program(seed: int, io: bool = False) -> tuple[GeneratedProgram, Program, Policy]:
     """The generated program of one seed, parsed, with its policy."""
     gen = generate(seed, GenConfig(io=io))
@@ -129,3 +148,20 @@ def with_declass(gen: GeneratedProgram, slot: int) -> str:
     body = list(gen.body)
     body[slot] = body[slot]._replace(kind="declass")
     return render(body)
+
+
+EXPR_NAMES = ("h", "l", "x0", "k")
+
+
+def exprs():
+    """Expressions of up to six leaves, each a constant 0-7 or a name of
+    ``EXPR_NAMES``, under any operator."""
+    return st.recursive(
+        st.one_of(st.integers(0, 7).map(Num), st.sampled_from(EXPR_NAMES).map(Var)),
+        lambda inner: st.tuples(
+            st.sampled_from(["+", "-", "*", "==", "!=", "<", "<=", "&", "|"]),
+            inner,
+            inner,
+        ).map(lambda t: BinOp(*t)),
+        max_leaves=6,
+    )

@@ -3,14 +3,17 @@
 ``wherecheck`` walks an expression in loops over ``syntax.postfix``; these
 are the same passes written as recursions over the tree, one ``match`` per
 node, which the property tests in test_walkers.py compare the loops
-against.  ``format_program`` prints a whole command tree in the source
+against.  ``OPERATORS`` gives each operator's meaning, here and in
+explicit.py.  ``format_program`` prints a whole command tree in the source
 syntax, for the tests that parse a printed program back, and
 ``same_command`` compares two command trees by type as well as by ``==``.
 Each recursion is bounded by the depth of the small trees the tests draw.
 ``vsi_typable`` is the flow-insensitive typing check that ``policy.typable``
 replaced, and ``equal_set_typable`` is ``policy.typable`` before it knew
 constants; test_typing.py requires ``policy.typable`` to type every level
-either of these types.  ``sorted_levels`` is the sort that
+either of these types.  ``low_equiv_channels`` compares two channel states
+at an observer level, for the pairwise oracle of test_oracle.py, which the
+memoised oracle replaced.  ``sorted_levels`` is the sort that
 ``GlobalsDecl``'s one-pass bit layout replaced.  ``preimage_walk`` is the
 witness walk that ``reach._backward_path`` replaced, which builds each
 valuation's cube (``cube``) and that cube's pre-image.
@@ -45,6 +48,21 @@ from wherecheck.syntax import (
 )
 
 
+# Each operator on two operands of a width whose mask is ``mask``: the
+# arithmetic ones wrap, a comparison gives 0 or 1.
+OPERATORS = {
+    "+": lambda a, b, mask: (a + b) & mask,
+    "-": lambda a, b, mask: (a - b) & mask,
+    "*": lambda a, b, mask: (a * b) & mask,
+    "==": lambda a, b, mask: int(a == b),
+    "!=": lambda a, b, mask: int(a != b),
+    "<": lambda a, b, mask: int(a < b),
+    "<=": lambda a, b, mask: int(a <= b),
+    "&": lambda a, b, mask: a & b,
+    "|": lambda a, b, mask: a | b,
+}
+
+
 def eval_expr(e: Expr, store: dict[str, int], bits: int) -> int:
     mask = (1 << bits) - 1
     match e:
@@ -53,26 +71,7 @@ def eval_expr(e: Expr, store: dict[str, int], bits: int) -> int:
         case Var(name):
             return store[name]
         case BinOp(op, left, right):
-            a = eval_expr(left, store, bits)
-            b = eval_expr(right, store, bits)
-            if op == "+":
-                return (a + b) & mask
-            if op == "-":
-                return (a - b) & mask
-            if op == "*":
-                return (a * b) & mask
-            if op == "==":
-                return int(a == b)
-            if op == "!=":
-                return int(a != b)
-            if op == "<":
-                return int(a < b)
-            if op == "<=":
-                return int(a <= b)
-            if op == "&":
-                return a & b
-            if op == "|":
-                return a | b
+            return OPERATORS[op](eval_expr(left, store, bits), eval_expr(right, store, bits), mask)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -287,6 +286,30 @@ def equal_set_typable(program: Program, policy: Policy, level: str) -> str:
         shrank = meet(None if nxt is None else nxt.site.id, eq)
         i = nxt.site.id if back and shrank else i + 1
     return TYPABLE if start <= equal[None] else ""
+
+
+def low_equiv_channels(
+    contents1: dict[str, tuple[int, ...]],
+    index1: dict[str, int],
+    contents2: dict[str, tuple[int, ...]],
+    index2: dict[str, int],
+    level: str,
+    policy: Policy,
+) -> bool:
+    """Channel states agree at the observer level.
+
+    Observable channels need equal indices and an equal consumed/produced
+    prefix; channels above the observer are vacuously equivalent.
+    """
+    for name in set(index1) | set(index2):
+        if not policy.observable(name, level):
+            continue
+        i1, i2 = index1.get(name, 0), index2.get(name, 0)
+        if i1 != i2:
+            return False
+        if contents1.get(name, ())[:i1] != contents2.get(name, ())[:i2]:
+            return False
+    return True
 
 
 def cube(alg: RelationAlgebra, val: tuple[int, ...]) -> int:

@@ -25,13 +25,7 @@ from wherecheck.bdd import (
     bv_nonzero,
     bv_sub,
 )
-from explicit import bv_value
-
-
-def eval_node(mgr, u, assignment):
-    while mgr.level[u] < 1 << 60:
-        u = mgr.hi[u] if assignment.get(mgr.level[u], False) else mgr.lo[u]
-    return u == mgr.TRUE
+from explicit import bv_value, eval_bv, eval_node, sat_all
 
 
 def literal(mgr, level, bit):
@@ -44,30 +38,6 @@ def truth_table(mgr, u, levels):
     for bits in itertools.product([False, True], repeat=len(levels)):
         rows.append(eval_node(mgr, u, dict(zip(levels, bits))))
     return rows
-
-
-def sat_all(mgr, u, levels):
-    """Every assignment to the given levels, in ascending level order, that satisfies u.
-
-    The levels must cover the support of u.
-    """
-    order = sorted(levels)
-
-    def walk(n, i, prefix):
-        if n == mgr.FALSE:
-            return
-        if i == len(order):
-            if n == mgr.TRUE:
-                yield tuple(prefix)
-            return
-        if mgr.level[n] == order[i]:
-            yield from walk(mgr.lo[n], i + 1, prefix + [False])
-            yield from walk(mgr.hi[n], i + 1, prefix + [True])
-        else:
-            yield from walk(n, i + 1, prefix + [False])
-            yield from walk(n, i + 1, prefix + [True])
-
-    yield from walk(u, 0, [])
 
 
 def test_terminals_and_vars():
@@ -363,13 +333,6 @@ def make_vectors(mgr):
     a_levels = [3 * i for i in range(WIDTH)]
     b_levels = [3 * i + 1 for i in range(WIDTH)]
     return a_levels, b_levels, bv_from_levels(mgr, a_levels), bv_from_levels(mgr, b_levels)
-
-
-def eval_bv(mgr, vec, env):
-    value = 0
-    for bit in vec:
-        value = (value << 1) | (1 if eval_node(mgr, bit, env) else 0)
-    return value
 
 
 @settings(max_examples=80)

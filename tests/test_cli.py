@@ -25,10 +25,12 @@ from wherecheck.cli import (
     find_nmin,
     main,
 )
+from wherecheck.compose import MODE_TR, self_compose, tr_compose
+from wherecheck.modelgen import build_model
 from wherecheck.oracle import check_where_security
 from wherecheck.parser import parse_program
 from wherecheck.policy import gather_downgrades, parse_policy
-from wherecheck.reach import post_star, replay_witness
+from wherecheck.reach import is_error_reachable, post_star, replay_witness
 from wherecheck.syntax import Assign, BinOp, If, Num, Program, SiteLabel, Skip, Var, While
 from programs import IOBENCH, ROOT, TABLE3, load, load_text
 
@@ -155,6 +157,15 @@ def test_oracle_flag_on_insecure_program(capsys):
     assert "ORACLE verdict=insecure pairs=258" in out.splitlines()
 
 
+def test_oracle_line_notes_why_it_is_inconclusive(tmp_path, capsys):
+    # eight variables at bits 3 are 2^24 initial states, past the budget of 2^21
+    policy = "lattice: L < H\n" + "".join(f"var {n} : L\n" for n in "labcdef") + "var h : H\n"
+    args = write_pair(tmp_path, "l := a + b + c + d + e + f;\nh := l\n", policy)
+    _, out, _ = run(capsys, ["analyze", *args, "--bits", "3", "--oracle"])
+    oracle = "ORACLE verdict=inconclusive pairs=0 note=budget-exceeded: 16777216 states > 2097152"
+    assert oracle in out.splitlines()
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "text",
@@ -176,6 +187,12 @@ def test_a_guard_with_no_width_of_its_own_is_read_as_the_interpreter_reads_it(
     assert "RESULT level=L verdict=secure" in result_lines(out)
     assert any(ln.startswith("ORACLE verdict=secure ") for ln in out.splitlines())
     assert "replay: FAILED" not in out
+    # Every guard has a known value, so the typing check decides L without a
+    # search; the full search of the composed model must agree.
+    program, policy = load_text(text, TWO_LEVEL + "var k : L\n")
+    compose = tr_compose if mode == MODE_TR else self_compose
+    model = compose(build_model(program, policy, "L", bits=2))
+    assert not is_error_reachable(post_star(model.spds), model)
 
 
 def test_dump_flags_render_models(capsys):
@@ -537,6 +554,13 @@ def test_out_of_range_number_is_usage_error(capsys, command, flag, value):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err
+    assert out == ""
+
+
+def test_a_number_that_is_not_an_integer_is_usage_error(capsys):
+    code, out, err = run(capsys, ["analyze", *corpus_args("P0"), "--bits", "two"])
+    assert code == EXIT_USAGE
+    assert err == "error: argument --bits: invalid int value: 'two'\n"
     assert out == ""
 
 

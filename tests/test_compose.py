@@ -14,10 +14,8 @@ from wherecheck.modelgen import FINAL_SYMBOL, build_model, index_width, xi_name
 from wherecheck.spds import dump_spds
 from wherecheck.syntax import BinOp, CellRef, Output, Var, subst_vars
 
-from explicit import explicit_error_search
-from programs import cases, load, load_text
-from test_pinned_outputs import _cases
-from test_spds import written_globals
+from explicit import explicit_error_search, written_globals
+from programs import cases, load, load_text, pinned_cases
 
 TABLE3 = [f"P{i}" for i in range(8)]
 IOBENCH = [f"B{i}" for i in range(8)]
@@ -357,7 +355,7 @@ def test_explicit_reachability_agrees_on_tiny_programs(mode):
 
 def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
     stale = re.compile(r"finalvars|exh\[|fv\d")
-    for name, text, pol, bits, capacity, _ in _cases():
+    for name, text, pol, bits, capacity, _ in pinned_cases():
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)
@@ -368,7 +366,7 @@ def test_no_model_holds_a_finals_stream_or_exhaustion_flags():
 
 def test_every_rule_moves_to_one_symbol_without_tmp_or_site_bodies():
     body = re.compile(r"^(xi\()?(de\d|dx\d|oe\[|ox\[)")
-    for name, text, pol, bits, capacity, _ in _cases():
+    for name, text, pol, bits, capacity, _ in pinned_cases():
         program, policy = load_text(text, pol)
         for level in sorted(policy.domains):
             skel = build_model(program, policy, level, bits=bits, capacity=capacity)

@@ -12,7 +12,11 @@ the kept ones import ``dataclasses``.  Every module of the package, the
 tests and the benchmark parses as Python 3.10, the oldest version that
 ``pyproject.toml`` supports.  Of the tests, only the case table
 (``tests/programs.py``) and the generator's own tests import the random
-program generator, so a new sweep takes its inputs from the table."""
+program generator, so a new sweep takes its inputs from the table.  No
+module under ``tests/`` imports a ``test_*`` module: a helper that two
+tests share lives in the reference or input module its job belongs to.
+The explicit evaluator (``tests/explicit.py``) reads widths on its own, so
+it imports none of the model's width code."""
 
 import ast
 from pathlib import Path
@@ -184,3 +188,21 @@ def test_only_the_case_table_and_the_generator_tests_import_the_generator():
     tests = ROOT / "tests"
     importers = {path.stem for path in tests.glob("*.py") if "randprog" in imports(path.stem, tests)}
     assert importers == {"programs", "test_randprog"}
+
+
+def imported_names(path: Path) -> set[str]:
+    """Every module the file at ``path`` imports, and every name it imports from one."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module or ""} | {alias.name for alias in node.names}
+    return found
+
+
+def test_no_test_module_imports_another():
+    found = {path.stem: imported_names(path) for path in (ROOT / "tests").glob("*.py")}
+    importers = {stem for stem, names in found.items() if any(n.startswith("test_") for n in names)}
+    assert importers == set()
+    assert not found["explicit"] & {"node_widths", "operand_widths", "value_width"}

@@ -1,7 +1,7 @@
 """Model text and cell layout pinned across commits.
 
 Each line of ``model_dumps.txt`` is one (program, bits, level) of the cases
-``test_pinned_outputs`` runs: the first 16 hex digits of a sha256 over
+``test_pinned_outputs`` runs (``programs.pinned_cases``): the first 16 hex digits of a sha256 over
 ``dump_model`` of the skeleton, and over ``dump_spds`` plus the sorted
 control cells of each composition.  Together they pin every rule's text and
 the declaration order of the cells, which fixes the BDD variable order and,
@@ -22,8 +22,7 @@ from wherecheck.compose import self_compose, tr_compose
 from wherecheck.modelgen import build_model, dump_model
 from wherecheck.spds import dump_spds
 
-from programs import load_text
-from test_pinned_outputs import _cases
+from programs import load_text, pinned_cases
 
 GOLDEN = Path(__file__).resolve().parent / "model_dumps.txt"
 
@@ -40,7 +39,7 @@ def _composed_digest(model) -> str:
 def dump_lines() -> list[str]:
     lines = []
     seen = set()
-    for name, text, policy_text, bits, capacity, _ in _cases():
+    for name, text, policy_text, bits, capacity, _ in pinned_cases():
         if (name, bits, capacity) in seen:
             continue  # the same model under the other transformer
         seen.add((name, bits, capacity))
@@ -65,7 +64,7 @@ def test_model_dumps_match_the_pinned_file():
 
 def test_every_composed_rule_line_splits_into_three_columns():
     # symbols, guard and effect; no expression or effect prints the separator
-    for name, text, policy_text, bits, capacity, _ in _cases():
+    for name, text, policy_text, bits, capacity, _ in pinned_cases():
         program, policy = load_text(text, policy_text)
         for level in sorted(policy.domains):
             skeleton = build_model(program, policy, level, bits=bits, capacity=capacity)

@@ -312,3 +312,14 @@ def test_model_matches_interpreter_stepwise(text):
         assert _spds_store_trace(skel, store) == _interp_store_trace(
             program, policy, store, bits=2
         )
+
+
+def test_a_policy_without_downgrade_marks_is_rejected():
+    # the model and the interpreter each read a declass site's mark, which
+    # gather_downgrades sets
+    program = parse_program("l := declass(h)")
+    policy = parse_policy("lattice: L < H\nvar h : H\nvar l : L\n")
+    with pytest.raises(ValueError, match="run gather_downgrades first"):
+        build_model(program, policy, "L", bits=1)
+    with pytest.raises(ValueError, match="run gather_downgrades first"):
+        run_program(program, policy, bits=1)

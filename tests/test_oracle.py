@@ -16,7 +16,7 @@ from wherecheck.oracle import (
 )
 from wherecheck.modelgen import build_model
 from wherecheck.parser import parse_program
-from wherecheck.policy import Policy, PolicyError, gather_downgrades, input_length, parse_policy
+from wherecheck.policy import PolicyError, gather_downgrades, input_length, parse_policy
 from wherecheck.semantics import (
     DECLASS,
     DEFAULT_FUEL,
@@ -28,6 +28,7 @@ from wherecheck.semantics import (
 )
 from wherecheck.syntax import While
 from programs import cases, load, load_text, random_program
+from reference import low_equiv_channels
 
 
 TWO_LEVEL = "lattice: L < H\nvar h : H\nvar l : L\n"
@@ -306,31 +307,8 @@ def test_where_implies_relaxation_of_ni():
 
 # ---------------------------------------------------------------------------
 # The pairwise checker the memoised oracle replaced: two fresh runs per pair,
-# compared on full traces.  Every verdict of the oracle must equal its own.
-
-
-def low_equiv_channels(
-    contents1: dict[str, tuple[int, ...]],
-    index1: dict[str, int],
-    contents2: dict[str, tuple[int, ...]],
-    index2: dict[str, int],
-    level: str,
-    policy: Policy,
-) -> bool:
-    """Channel states agree at the observer level.
-
-    Observable channels need equal indices and an equal consumed/produced
-    prefix; channels above the observer are vacuously equivalent.
-    """
-    for name in set(index1) | set(index2):
-        if not policy.observable(name, level):
-            continue
-        i1, i2 = index1.get(name, 0), index2.get(name, 0)
-        if i1 != i2:
-            return False
-        if contents1.get(name, ())[:i1] != contents2.get(name, ())[:i2]:
-            return False
-    return True
+# compared on full traces, their channels with reference.low_equiv_channels.
+# Every verdict of the oracle must equal its own.
 
 
 def _ref_declass_records(trace):

@@ -8,14 +8,13 @@ from wherecheck.syntax import (
     DeclassAssign,
     If,
     Input,
-    Num,
     Output,
     Seq,
     Skip,
-    Var,
     While,
 )
 
+from programs import EXPR_NAMES, exprs
 from reference import format_program
 
 
@@ -99,19 +98,7 @@ def test_tokenizer_positions():
 
 # -- round-trip property -----------------------------------------------------
 
-_names = st.sampled_from(["h", "l", "x0", "k"])
-
-
-def _exprs():
-    return st.recursive(
-        st.one_of(st.integers(0, 7).map(Num), _names.map(Var)),
-        lambda inner: st.tuples(
-            st.sampled_from(["+", "-", "*", "==", "!=", "<", "<=", "&", "|"]),
-            inner,
-            inner,
-        ).map(lambda t: BinOp(*t)),
-        max_leaves=6,
-    )
+_names = st.sampled_from(EXPR_NAMES)
 
 
 def _commands(site_counter=None):
@@ -126,9 +113,9 @@ def _commands(site_counter=None):
 
     base = st.one_of(
         st.just(Skip(dummy)),
-        st.tuples(_names, _exprs()).map(assign),
-        st.tuples(_names, _exprs()).map(lambda t: DeclassAssign(dummy, t[0], t[1])),
-        st.tuples(_exprs(), st.sampled_from(["out0", "out1"])).map(
+        st.tuples(_names, exprs()).map(assign),
+        st.tuples(_names, exprs()).map(lambda t: DeclassAssign(dummy, t[0], t[1])),
+        st.tuples(exprs(), st.sampled_from(["out0", "out1"])).map(
             lambda t: Output(dummy, t[0], t[1])
         ),
     )
@@ -136,8 +123,8 @@ def _commands(site_counter=None):
         base,
         lambda inner: st.one_of(
             st.tuples(inner, inner).map(lambda t: Seq(*t)),
-            st.tuples(_exprs(), inner, inner).map(lambda t: If(dummy, *t)),
-            st.tuples(_exprs(), inner).map(lambda t: While(dummy, *t)),
+            st.tuples(exprs(), inner, inner).map(lambda t: If(dummy, *t)),
+            st.tuples(exprs(), inner).map(lambda t: While(dummy, *t)),
         ),
         max_leaves=8,
     )
@@ -149,3 +136,21 @@ def test_format_parse_round_trip(cmd):
     reparsed = parse_program(text)
     # Compare shape by re-rendering; site ids differ but rendering does not.
     assert format_program(reparsed.root) == text
+
+
+PARSE_ERRORS = {
+    "character": ("l := 1 $ 2", "line 1:8: unexpected character '$'"),
+    "keyword": ("then", "line 1:1: unexpected keyword 'then'"),
+    "command": ("; l := 1", "line 1:1: expected a command, found ';'"),
+    "token": ("l := declass h", "line 1:14: expected '(', found 'h'"),
+    "expression": ("l :=", "line 1:1: expected an expression, found ''"),
+    "trailing": ("l := 1 fi", "line 1:8: trailing input 'fi'"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_each_parse_error_has_its_message(case):
+    text, message = case
+    with pytest.raises(ParseError) as error:
+        parse_program(text)
+    assert str(error.value) == message

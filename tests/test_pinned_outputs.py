@@ -30,30 +30,18 @@ import hashlib
 import sys
 from pathlib import Path
 
-from wherecheck.compose import MODE_STORE_MATCH, MODE_TR, self_compose, tr_compose
+from wherecheck.compose import MODE_TR, self_compose, tr_compose
 from wherecheck.modelgen import build_model
 from wherecheck.oracle import _Runs, check_where_security
 from wherecheck.reach import extract_witness, format_witness, is_error_reachable, post_star
 from wherecheck.semantics import DECLASS, DEFAULT_FUEL, format_trace, run_program
-from programs import cases, load_text
+from programs import cases, load_text, pinned_cases
 from tree_step import residual
 
 GOLDEN = Path(__file__).resolve().parent / "pinned_outputs.txt"
 DECODED = Path(__file__).resolve().parent / "decoded_witnesses.txt"
 ORACLE = Path(__file__).resolve().parent / "pinned_oracle.txt"
 TRACES = Path(__file__).resolve().parent / "pinned_traces.txt"
-
-def _cases() -> list[tuple]:
-    """(name, program text, policy text, bits, capacity, mode), in a fixed order."""
-    return cases(
-        {
-            "table3": [(bits, 8, MODE_STORE_MATCH) for bits in (2, 3, 4)],
-            "iobench": [(2, 8, MODE_STORE_MATCH), (2, 8, MODE_TR)],
-            "randprog": (2, 4, MODE_STORE_MATCH),
-            "randprog-io": (2, 4, MODE_STORE_MATCH),
-        },
-        seeds=range(100),
-    )
 
 
 def _oracle_cases() -> list[tuple]:
@@ -84,7 +72,7 @@ def _decoded_line(prefix: str, model, witness) -> str:
 def _outputs() -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The lines of the pinned-output file and of the decoded-witness file."""
     lines, decoded = [], []
-    for name, text, policy_text, bits, capacity, mode in _cases():
+    for name, text, policy_text, bits, capacity, mode in pinned_cases():
         program, policy = load_text(text, policy_text)
         compose = tr_compose if mode == MODE_TR else self_compose
         for level in sorted(policy.domains):

@@ -30,7 +30,7 @@ from wherecheck.semantics import (
     step_point,
 )
 from wherecheck.syntax import Assign, DeclassAssign, Seq, SiteLabel, Skip, Var
-from programs import D_POLICY, cases, load_text, random_program
+from programs import D_POLICY, D_TEXT, cases, load_text, random_program
 from reference import same_command
 from tree_step import residual, tree_configuration, tree_step, tree_successors
 
@@ -120,10 +120,6 @@ def test_point_table_matches_tree_step_at_each_rule_and_diagnostic():
     for text, policy_text in cases:
         labels |= compare_steps(*load_text(text, policy_text), capacity=2)
     assert labels == ALL_LABELS
-
-
-# Program D of the ROADMAP baseline, with n loop iterations.
-D_TEXT = "i := 0; while (i < {n}) do i := i + 1; l := l + 1 od; l := l + h"
 
 
 def test_a_loop_interns_the_same_points_at_any_iteration_count():

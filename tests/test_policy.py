@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wherecheck.parser import parse_program
@@ -155,3 +157,83 @@ def test_incomparable_levels_need_join():
     broken = parse_policy("lattice: A < T1, A < T2, B < T1, B < T2\nvar x : A\nvar y : B\n")
     with pytest.raises(PolicyError):
         domain_of_expr(BinOp("+", Var("x"), Var("y")), broken)
+
+
+# Every message of a policy file the parser rejects, and of a policy that
+# does not fit its program (gather_downgrades): (policy text, program text
+# or None, message).  The order of a cycle's two levels is a set's, so that
+# message is a pattern.
+POLICY_ERRORS = {
+    "empty-lattice": ("lattice:\n", None, "line 1: empty lattice declaration"),
+    "lattice-item": ("lattice: L < H < T\n", None, "line 1: malformed lattice item 'L < H < T'"),
+    "var": ("lattice: L < H\nvar x L\n", None, "line 2: malformed var declaration"),
+    "duplicate-var": (
+        "lattice: L < H\nvar x : L\nvar x : H\n", None, "line 3: duplicate declaration of 'x'"
+    ),
+    "unknown-domain": ("lattice: L < H\nvar x : M\n", None, "line 2: unknown security domain 'M'"),
+    "channel": ("lattice: L < H\nchannel c : L\n", None, "line 2: malformed channel declaration"),
+    "duplicate-channel": (
+        "lattice: L < H\nvar c : L\nchannel c : L output\n",
+        None,
+        "line 3: duplicate declaration of 'c'",
+    ),
+    "direction": (
+        "lattice: L < H\nchannel c : L sideways\n", None, "line 2: bad channel direction 'sideways'"
+    ),
+    "length-keyword": (
+        "lattice: L < H\nchannel c : L input size 2\n", None, "line 2: expected 'length'"
+    ),
+    "output-length": (
+        "lattice: L < H\nchannel o : L output length 2\n",
+        None,
+        "line 2: only an input channel has a length",
+    ),
+    "bad-length": (
+        "lattice: L < H\nchannel c : L input length two\n", None, "line 2: bad length 'two'"
+    ),
+    "negative-length": (
+        "lattice: L < H\nchannel c : L input length -1\n", None, "line 2: negative channel length"
+    ),
+    "unrecognized": (
+        "lattice: L < H\nfrob x y\n", None, "line 2: unrecognized declaration 'frob x y'"
+    ),
+    "no-domains": ("# no lattice\n", None, "policy declares no security domains"),
+    "cycle": (
+        "lattice: A < B, B < A\n", None, "lattice order has a cycle through '[AB]' and '[AB]'"
+    ),
+    # two bare domains parse, but a constant then has no least level
+    "no-least-element": (
+        "lattice: A, B\nvar x : A\n", "x := declass(1)", "lattice has no unique least element"
+    ),
+    "no-join": (
+        "lattice: A < T1, A < T2, B < T1, B < T2\nvar x : A\nvar y : B\n",
+        "x := x + y",
+        "no unique least upper bound for 'A' and 'B'",
+    ),
+    "undeclared-variable": (
+        "lattice: L < H\nvar l : L\n", "l := z", "variable 'z' has no declared level"
+    ),
+    "channel-as-variable": (
+        "lattice: L < H\nvar l : L\nchannel c : L output\n",
+        "l := c",
+        "name 'c' is declared as a channel but used as a variable",
+    ),
+    "undeclared-channel": (
+        "lattice: L < H\nvar l : L\n", "output(l, c)", "channel 'c' has no declaration"
+    ),
+    "direction-of-use": (
+        "lattice: L < H\nvar l : L\nchannel c : L output\n",
+        "input(l, c)",
+        "channel 'c' is declared output but used for input",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", POLICY_ERRORS.values(), ids=POLICY_ERRORS)
+def test_each_policy_error_has_its_message(case):
+    text, program_text, message = case
+    with pytest.raises(PolicyError) as error:
+        policy = parse_policy(text)
+        assert program_text is not None, "the policy parsed"
+        gather_downgrades(parse_program(program_text), policy)
+    assert re.fullmatch(message, str(error.value))

@@ -15,10 +15,9 @@ from wherecheck.reach import (
 from wherecheck.semantics import run_program
 from wherecheck.spds import HAVOC, GlobalsDecl, RelationAlgebra, Rule, RuleSpec, SPDS
 from wherecheck.syntax import BinOp, Num, Var
-from explicit import decode, explicit_error_search, initial_valuations, successors
-from programs import D_POLICY, cases, load, load_text
+from explicit import enumerate_set, explicit_error_search, explicit_layers
+from programs import D_POLICY, D_TEXT, cases, load, load_text
 from reference import preimage_walk
-from test_bdd import sat_all
 
 # Table row: error reachable at the default precision?
 EXPECTED = {
@@ -104,41 +103,11 @@ BUMP = RuleSpec.make(updates={"x": BinOp("+", Var("x"), Num(1))})
 TRIPLE = RuleSpec.make(updates={"x": BinOp("*", Var("x"), Num(3))})
 
 
-def valuations(alg, set_cur):
-    """The valuations of a set over the current levels."""
-    levels = list(range(0, 2 * alg.g.total_bits, 2))
-    return {
-        decode(alg.g, dict(zip(levels, bits)), alg.g.cur_levels)
-        for bits in sat_all(alg.mgr, set_cur, levels)
-    }
-
-
 def symbolic_layers(auto):
     return [
-        {sym: valuations(auto.algebra, node) for sym, node in layer.items()}
+        {sym: enumerate_set(auto.algebra, node) for sym, node in layer.items()}
         for layer in auto.layers
     ]
-
-
-def explicit_layers(spds, cap=60000):
-    """Per distance k: symbol -> the valuations whose shortest explicit distance is k.
-
-    Like post_star, it stops after the first layer that holds the error symbol.
-    """
-    frontier = {(val, spds.start) for val in initial_valuations(spds)}
-    seen = set(frontier)
-    layers = []
-    while frontier:
-        layer = {}
-        for val, sym in frontier:
-            layer.setdefault(sym, set()).add(val)
-        layers.append(layer)
-        if spds.error in layer:
-            break
-        frontier = {nxt for config in frontier for nxt in successors(spds, *config)} - seen
-        seen |= frontier
-        assert len(seen) < cap
-    return layers
 
 
 def test_no_rules_accepts_exactly_initial():
@@ -159,7 +128,7 @@ def test_self_loop_fixpoint_after_one_iteration():
 def test_counting_loop_reaches_one_value_per_layer():
     auto = post_star(tiny_spds((Rule("a", "a", BUMP, "bump"),)))
     assert symbolic_layers(auto) == [{"a": {(v,)}} for v in range(4)]
-    assert valuations(auto.algebra, auto.reached["a"]) == {(v,) for v in range(4)}
+    assert enumerate_set(auto.algebra, auto.reached["a"]) == {(v,) for v in range(4)}
 
 
 def test_a_run_ends_in_a_symbol_without_rules():
@@ -380,6 +349,29 @@ def test_replay_rejects_witness_breaking_the_downgrade_premise():
     assert tuple(trace.outcome for trace in runs) == ("halted", "halted")
 
 
+def test_replay_rejects_a_run_that_does_not_halt():
+    # the second run's unobservable stream is cut short, so it blocks after
+    # it has leaked h into l, and the gap in l does not count
+    model = build(
+        "l := h; input(x, src)",
+        "lattice: L < H\nvar h : H\nvar l : L\nvar x : H\nchannel src : H input length 1\n",
+    )
+    w = extract_witness(post_star(model), model)
+    assert w.replay_ok
+    ok, runs = replay_witness(model, w._replace(inputs2={"src": ()}))
+    assert not ok
+    assert runs[0].outcome == "halted" != runs[1].outcome
+
+
+def test_replay_rejects_start_stores_that_differ_observably():
+    model = build("l := h", "lattice: L < H\nvar h : H\nvar l : L\n")
+    w = extract_witness(post_star(model), model)
+    w = w._replace(mu2={**w.mu2, "l": 1 - w.mu1["l"]})
+    ok, runs = replay_witness(model, w)
+    assert not ok
+    assert tuple(trace.outcome for trace in runs) == ("halted", "halted")
+
+
 @pytest.mark.parametrize("mode", [self_compose, tr_compose])
 def test_an_output_gap_counts_only_if_the_second_run_halts(mode):
     # a run with h != 0 never halts, so two halting runs write the same value
@@ -457,8 +449,9 @@ def test_every_promise_is_feasible_and_the_decision_matches(case):
     for level in sorted(policy.domains):
         model = mode(build_model(program, policy, level, bits=1, capacity=2))
         auto = post_star(model.spds)
-        assert symbolic_layers(auto) == explicit_layers(model.spds), level
-        assert is_error_reachable(auto, model) == explicit_error_search(model), level
+        layers = explicit_layers(model.spds)
+        assert symbolic_layers(auto) == layers, level
+        assert is_error_reachable(auto, model) == (model.spds.error in layers[-1]), level
 
 
 # A level that observes every variable and channel types trivially, and
@@ -522,8 +515,6 @@ def test_a_level_that_misses_one_item_is_searched(text, pol, mode):
 # counting loop (program D of the ROADMAP) the greedy walks it still takes
 # do not grow with the loop's length, so the walk is linear in the witness.
 
-D_SHAPE = "i := 0;\nwhile (i < {n}) do\n  i := i + 1;\n  l := l + 1\nod;\nl := l + h\n"
-
 
 def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
     walks = [0]
@@ -536,7 +527,7 @@ def test_a_deep_witness_takes_as_many_greedy_walks_at_any_depth(monkeypatch):
     monkeypatch.setattr(RelationAlgebra, "_path", counted)
     counts = []
     for n in (50, 100):
-        model = build(D_SHAPE.format(n=n), D_POLICY, bits=8)
+        model = build(D_TEXT.format(n=n), D_POLICY, bits=8)
         auto = post_star(model)
         walks[0] = 0
         w = extract_witness(auto, model)
@@ -562,7 +553,7 @@ WALK_GROUPS = (*WALK, "D")
 def _insecure_levels(group: str):
     """The automaton of every insecure level of one group."""
     if group == "D":
-        rows = [("D", D_SHAPE.format(n=100), D_POLICY, 10, 4, self_compose)]
+        rows = [("D", D_TEXT.format(n=100), D_POLICY, 10, 4, self_compose)]
     else:
         rows = cases({group: WALK[group]})
     for _, text, pol, bits, capacity, mode in rows:
@@ -605,7 +596,7 @@ def test_the_walk_takes_the_path_of_the_preimage_walk(group):
 
 
 def test_the_witness_walk_adds_no_computed_table_entry():
-    model = build(D_SHAPE.format(n=100), D_POLICY, bits=10)
+    model = build(D_TEXT.format(n=100), D_POLICY, bits=10)
     auto = post_star(model)
     mgr = auto.algebra.mgr
     entries = len(mgr._cache)

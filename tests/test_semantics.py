@@ -31,7 +31,7 @@ from wherecheck.semantics import (
 )
 from wherecheck.syntax import eval_nodes, postfix
 from programs import load, load_text
-from test_oracle import low_equiv_channels
+from reference import low_equiv_channels
 from tree_step import residual
 
 

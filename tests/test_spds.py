@@ -17,22 +17,33 @@ from wherecheck.spds import (
     dump_spds,
     format_rule,
 )
-from wherecheck.syntax import BinOp, CellRef, Num, Var, format_expr, subst_vars
+from wherecheck.syntax import (
+    BinOp,
+    CellRef,
+    Num,
+    Var,
+    format_expr,
+    operand_widths,
+    postfix,
+    subst_vars,
+)
 from explicit import (
     all_valuations,
-    decode,
+    cur_all,
+    enumerate_pairs,
+    enumerate_set,
     eval_gexpr,
     eval_guard,
     index_of,
-    infer_width,
     initial_valuations,
+    nxt_all,
     spec_successors,
     successors,
     valuation,
+    written_globals,
 )
 from programs import cases, load_text
 from reference import cube, sorted_levels
-from test_bdd import sat_all
 
 G3 = GlobalsDecl((("x", 2), ("y", 1)))
 
@@ -117,6 +128,10 @@ def test_format_expr_parens():
 
 def test_infer_width_rules():
     g = GlobalsDecl((("x", 2), ("p", 4)))
+
+    def infer_width(e, g):  # the model's own reading
+        return operand_widths(postfix(e), g.leaf_width)[1]
+
     assert infer_width(Var("p"), g) == 4
     assert infer_width(Num(3), g) is None
     assert infer_width(BinOp("+", Var("x"), Num(1)), g) == 2
@@ -152,11 +167,6 @@ def test_spec_successors_frame_and_havoc():
     outs = list(spec_successors(spec, G3, valuation(G3, {"x": 2, "y": 1})))
     # y is framed, x ranges over 0..3 ascending.
     assert outs == [(0, 1), (1, 1), (2, 1), (3, 1)]
-
-
-def written_globals(spec):
-    """Every cell the rule may change: updated, havoc'd or in a written channel."""
-    return frozenset(name for name, _ in spec.updates) | {c for w in spec.writes for c in w.cells}
 
 
 def test_a_cell_written_twice_is_rejected():
@@ -221,31 +231,6 @@ def test_spds_initial_valuations_and_successors():
 # the same transition pairs.
 
 
-def cur_all(g):
-    return list(range(0, 2 * g.total_bits, 2))
-
-
-def nxt_all(g):
-    return list(range(1, 2 * g.total_bits, 2))
-
-
-def enumerate_set(ra, set_cur):
-    levels = cur_all(ra.g)
-    return {
-        decode(ra.g, dict(zip(levels, bits)), ra.g.cur_levels)
-        for bits in sat_all(ra.mgr, set_cur, levels)
-    }
-
-
-def enumerate_pairs(ra, r):
-    levels = sorted(cur_all(ra.g) + nxt_all(ra.g))
-    out = set()
-    for bits in sat_all(ra.mgr, r, levels):
-        assignment = dict(zip(levels, bits))
-        out.add((decode(ra.g, assignment, ra.g.cur_levels), decode(ra.g, assignment, ra.g.nxt_levels)))
-    return out
-
-
 def frame(ra, written):
     """nxt == cur on every bit of every cell outside written, built bottom-up."""
     mgr, out = ra.mgr, ra.mgr.TRUE
@@ -289,6 +274,8 @@ CATALOGUE = [
         updates={"x": BinOp("&", Var("x"), Num(1))},
     ),
     RuleSpec.make(updates={"y": BinOp("|", Var("y"), Num(1)), "x": HAVOC}),
+    # no width of its own: read at a program value's two bits, 2 is true
+    RuleSpec.make(guard=Num(2)),
 ]
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from explicit import all_valuations, eval_gexpr, infer_width
-from test_parser import _exprs
+from explicit import all_valuations, eval_bv, eval_gexpr
+from programs import EXPR_NAMES, exprs
 from wherecheck.parser import parse_program
 from wherecheck.spds import GlobalsDecl, RelationAlgebra
 from wherecheck.syntax import (
@@ -19,11 +19,10 @@ from wherecheck.syntax import (
     eval_nodes,
     expr_vars,
     format_expr,
+    operand_widths,
     postfix,
     subst_vars,
 )
-
-NAMES = ("h", "l", "x0", "k")  # the names _exprs draws
 
 # Mixed widths, and two channel reads: one whose index reaches past its
 # cells, and one of no cells, which reads as the constant 0.
@@ -34,16 +33,16 @@ READS = (CellRef(("c[0]", "c[1]"), "p[c]", "I(c)"), CellRef((), "k", "I(e)"))
 
 
 def _model_exprs():
-    """_exprs with channel reads among the leaves."""
+    """exprs with channel reads among the leaves."""
     return st.recursive(
-        st.one_of(_exprs(), st.sampled_from(READS)),
+        st.one_of(exprs(), st.sampled_from(READS)),
         lambda inner: st.builds(BinOp, st.sampled_from(sorted(PRECEDENCE)), inner, inner),
         max_leaves=6,
     )
 
 
 def _stores(bits):
-    return st.fixed_dictionaries({name: st.integers(0, (1 << bits) - 1) for name in NAMES})
+    return st.fixed_dictionaries({name: st.integers(0, (1 << bits) - 1) for name in EXPR_NAMES})
 
 
 def test_postfix_lists_operands_first():
@@ -55,13 +54,13 @@ def test_postfix_lists_operands_first():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda bits: st.tuples(st.just(bits), _exprs(), _stores(bits))))
+@given(st.integers(1, 4).flatmap(lambda bits: st.tuples(st.just(bits), exprs(), _stores(bits))))
 def test_eval_expr_matches_the_recursion(case):
     bits, e, store = case
     assert eval_nodes(postfix(e), store, bits) == reference.eval_expr(e, store, bits)
 
 
-@given(_exprs())
+@given(exprs())
 def test_expr_vars_matches_the_recursion(e):
     assert expr_vars(e) == reference.expr_vars(e)
 
@@ -72,6 +71,11 @@ RENAMES = {"h": "xi(h)", "l": "k", "c[1]": "xi(c[1])", "p[c]": "xi(p[c])"}
 @given(_model_exprs())
 def test_subst_vars_matches_the_recursion(e):
     assert subst_vars(e, RENAMES) == reference.subst_vars(e, RENAMES)
+
+
+def infer_width(e, globals_decl):
+    """The model's own reading of ``e``'s width (``syntax.operand_widths``)."""
+    return operand_widths(postfix(e), globals_decl.leaf_width)[1]
 
 
 def _width(e, widths):
@@ -95,16 +99,9 @@ def test_format_expr_matches_the_recursion(e):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_exprs())
+@given(exprs())
 def test_format_expr_parses_back_to_the_same_tree(e):
     assert parse_program(f"x := {format_expr(e)}").root.expr == e
-
-
-def _bit(mgr, u, ones):
-    """u's value where exactly the levels in ones are 1."""
-    while u not in (mgr.FALSE, mgr.TRUE):
-        u = mgr.hi[u] if mgr.level[u] in ones else mgr.lo[u]
-    return int(u == mgr.TRUE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,11 +118,8 @@ def test_compile_value_matches_the_explicit_evaluator(e, context):
     vector = ra.compile_value(e, width)
     assert len(vector) == width
     for val in all_valuations(MIXED):
-        ones = {lvl for lvl, i, weight in MIXED.cur_slots if val[i] & weight}
-        value = 0
-        for u in vector:
-            value = value << 1 | _bit(ra.mgr, u, ones)
-        assert value == eval_gexpr(e, MIXED, val, width), val
+        ones = {lvl: True for lvl, i, weight in MIXED.cur_slots if val[i] & weight}
+        assert eval_bv(ra.mgr, vector, ones) == eval_gexpr(e, MIXED, val, width), val
 
 
 def test_a_long_sum_walks_without_recursion():
